@@ -7,7 +7,7 @@ degree formula of the associated series against a Weyl-dimension-formula
 oracle.  No floating point anywhere.
 """
 
-from .compalg import AlgebraTag, CompAlg, build_split_algebra, parse_tag, psi1
+from .compalg import AlgebraTag, CompAlg, build_split_algebra, parse_tag
 from .exact import (
     LinearFactorProduct,
     LinearForm,
@@ -24,13 +24,9 @@ from .modules import GModule, build_V_module, build_W_module
 from .roots import (
     RootDatum,
     builtin_datum,
-    cartan_matrix,
     datum_for,
     dynkin_type,
     extract_root_datum,
-    simple_roots,
-    weight_multiplicity,
-    weyl_dim,
 )
 from .series import (
     EXCEPTIONAL,
@@ -46,15 +42,13 @@ from .series import (
     deligne_Yk,
     deligne_Yk_printed,
     evaluate_series,
-    hilbert_functions,
     lambda_of_a,
     qdim_adjoint_cartan_power,
     severi_dim,
     so_family_dim,
-    subexceptional_cartan_powers,
     thirdrow_dim,
 )
-from .triality import TrialityAlgebra, TrialityTriple, cyclic_shift, psi, triality_basis
+from .triality import TrialityAlgebra, TrialityTriple, psi, triality_algebra
 from .crosscheck import run_crosscheck
 
 __version__ = "0.1.0"

@@ -1,26 +1,23 @@
 """Command-line interface.
 
 Subcommands: algebra, triality, build, verify, roots, dim, crosscheck, table.
-All output is UTF-8 JSON/CSV with rationals serialized as 'n/d'; reports are
-byte-identical across runs for fixed flags and seed (timings are opt-in via
---timing since they break reproducibility).  MAGIC_THREADS caps worker
-threads for the sampling loops.
+All output is UTF-8 JSON/CSV with rationals serialized as 'n/d'; reports
+depend only on the flags and the seed, and are byte-identical across runs
+(timings are opt-in via --timing since they break reproducibility).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .compalg import build_split_algebra, parse_tag
-from .exact import rat_str
+from .exact import parse_rat, rat_str
 from .magic import MAGIC_DIMS, build_magic_algebra
 from .roots import RootDatum, builtin_datum, datum_for, dynkin_type, extract_root_datum
 from .triality import triality_algebra
@@ -28,19 +25,44 @@ from . import series as S
 from .crosscheck import load_known_suspects, run_crosscheck
 
 
-def _threads() -> int:
+JacobiMode = Tuple[str, Optional[int]]
+
+
+def _jacobi_mode(text: str) -> JacobiMode:
+    """Parse 'full' or 'sample:N' (N >= 0) into (text, N or None)."""
+    if text == "full":
+        return text, None
+    kind, _, count = text.partition(":")
     try:
-        return max(1, int(os.environ.get("MAGIC_THREADS", "1")))
+        n = int(count) if kind == "sample" else -1
     except ValueError:
-        return 1
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected full or sample:N with N >= 0, got {text!r}")
+    return text, n
 
 
-def parallel_map(fn, items):
-    n = _threads()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def _verify_spec(text: str) -> JacobiMode:
+    """Parse build --verify: jacobi=<mode>, the mode as for verify --jacobi."""
+    key, sep, mode = text.partition("=")
+    if key != "jacobi" or not sep:
+        raise argparse.ArgumentTypeError(
+            f"expected jacobi=full or jacobi=sample:N, got {text!r}")
+    return _jacobi_mode(mode)
+
+
+def _rational(text: str) -> Fraction:
+    """A rational parameter; malformed text or a zero denominator is a usage error."""
+    try:
+        return parse_rat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _rationals(text: str) -> List[Fraction]:
+    """Comma-separated rationals; an empty string selects the default grid."""
+    return [_rational(x) for x in text.split(",")] if text else []
 
 
 def _emit(data, out: Optional[str]) -> None:
@@ -67,21 +89,14 @@ def cmd_triality(args) -> int:
     return 0
 
 
-def _jacobi_run(g, mode: str, seed: int) -> Dict:
-    if mode == "full":
+def _jacobi_run(g, jacobi: JacobiMode, seed: int) -> Dict:
+    mode, count = jacobi
+    if count is None:
         checked = g.dim * (g.dim - 1) * (g.dim - 2) // 6
         defects = g.jacobi_exhaustive()
     else:
-        count = int(mode.split(":", 1)[1])
         checked = count
-        n = _threads()
-        if n <= 1:
-            defects = g.jacobi_sample(count, seed=seed)
-        else:
-            chunks = [(count // n + (1 if i < count % n else 0), seed + i)
-                      for i in range(n)]
-            defects = sum(parallel_map(lambda c: g.jacobi_sample(c[0], seed=c[1]),
-                                       chunks))
+        defects = g.jacobi_sample(count, seed=seed)
     return {"mode": mode, "checked": checked, "defects": defects}
 
 
@@ -96,10 +111,7 @@ def cmd_build(args) -> int:
     }
     ok = g.dim == report["expected_dim"]
     if args.verify:
-        if not args.verify.startswith("jacobi="):
-            print("build: --verify expects jacobi=full or jacobi=sample:N", file=sys.stderr)
-            return 2
-        jr = _jacobi_run(g, args.verify.split("=", 1)[1], args.seed)
+        jr = _jacobi_run(g, args.verify, args.seed)
         report["jacobi_checked"] = jr["checked"]
         report["defects"] = jr["defects"]
         ok = ok and jr["defects"] == 0
@@ -196,7 +208,7 @@ def cmd_dim(args) -> int:
     if not args.series:
         print("dim: need --series or --datum", file=sys.stderr)
         return 2
-    a = Fraction(args.a) if args.a is not None else None
+    a = args.a
     if args.series == "exceptional":
         exps = {"p": args.p, "q": args.q, "r": args.r, "s": args.s}
         res = S.evaluate_series(S.EXCEPTIONAL, exps, a)
@@ -232,7 +244,6 @@ def cmd_crosscheck(args) -> int:
 
 
 def _table_rows(args) -> List[Dict]:
-    a_values = [Fraction(x) for x in args.a.split(",")] if args.a else None
     rows = []
 
     def status_of(res) -> str:
@@ -241,8 +252,8 @@ def _table_rows(args) -> List[Dict]:
         return "ok" if res.integrality else "nonintegral"
 
     if args.series == "exceptional":
-        avals = a_values or [Fraction(-4, 3), Fraction(-1), Fraction(-2, 3),
-                             Fraction(0), Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
+        avals = args.a or [Fraction(-4, 3), Fraction(-1), Fraction(-2, 3),
+                           Fraction(0), Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
         for k in range(args.k_min, args.k_max + 1):
             for a in avals:
                 try:
@@ -252,15 +263,16 @@ def _table_rows(args) -> List[Dict]:
                 except ZeroDivisionError:
                     rows.append({"k": k, "a": rat_str(a), "value": "pole", "status": "pole"})
     elif args.series == "subexceptional":
-        avals = a_values or [Fraction(x) for x in (1, 2, 4, 8)]
+        avals = args.a or [Fraction(x) for x in (1, 2, 4, 8)]
+        sym = {"g": "p", "V": "q", "V2": "r"}[args.which or "g"]
         for k in range(args.k_min, args.k_max + 1):
             for a in avals:
-                res = S.subexc_series(args.which or "g", k, a)
+                res = S.evaluate_series(S.SUBEXCEPTIONAL, {sym: k}, a)
                 rows.append({"k": k, "a": rat_str(a),
                              "value": "pole" if res.pole else rat_str(res.value),
                              "status": status_of(res)})
     elif args.series == "severi":
-        avals = a_values or [Fraction(x) for x in (1, 2, 4, 8)]
+        avals = args.a or [Fraction(x) for x in (1, 2, 4, 8)]
         for p in range(args.k_min, args.k_max + 1):
             for ps in range(args.k_min, args.k_max + 1):
                 for a in avals:
@@ -269,14 +281,14 @@ def _table_rows(args) -> List[Dict]:
                                  "value": "pole" if res.pole else rat_str(res.value),
                                  "status": status_of(res)})
     elif args.series == "qdim":
-        avals = a_values or [Fraction(x) for x in (0, 2, 4, 8)]
+        avals = args.a or [Fraction(x) for x in (0, 2, 4, 8)]
         for k in range(args.k_min, args.k_max + 1):
             for a in avals:
                 qp = S.qdim_adjoint_cartan_power(k, int(a))
                 rows.append({"k": k, "a": rat_str(a), "value": str(qp),
                              "status": "ok" if qp.has_nonneg_coeffs() else "suspect"})
     elif args.series == "degrees":
-        avals = a_values or [Fraction(x) for x in (2, 4, 8)]
+        avals = args.a or [Fraction(x) for x in (2, 4, 8)]
         for variety in ("ad", "fplanes", "flines", "fpoints"):
             for a in avals:
                 v = S.degree_from_hilbert(variety, a)
@@ -336,21 +348,19 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algebra", help="dump a split composition algebra")
     p.add_argument("action", choices=["dump"])
     p.add_argument("--A", required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_algebra)
 
     p = sub.add_parser("triality", help="dump a triality Lie algebra basis")
     p.add_argument("action", choices=["basis"])
     p.add_argument("--A", required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_triality)
 
     p = sub.add_parser("build", help="construct g(A,B) and report")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.add_argument("--verify", help="jacobi=full or jacobi=sample:N")
+    p.add_argument("--verify", type=_verify_spec, help="jacobi=full or jacobi=sample:N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out")
@@ -359,7 +369,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="construction and invariant suite")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.add_argument("--jacobi", default="full", help="full or sample:N")
+    p.add_argument("--jacobi", type=_jacobi_mode, default="full", help="full or sample:N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--center", action="store_true", help="force the center check")
     p.add_argument("--timing", action="store_true")
@@ -384,7 +394,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=1)
     p.add_argument("-t", type=int, default=1)
     p.add_argument("--r-param", type=int, default=3, help="row parameter for thirdrow")
-    p.add_argument("-a")
+    p.add_argument("-a", type=_rational)
     p.add_argument("--factored", action="store_true")
     p.add_argument("--datum", help="builtin:<name> or a root-datum JSON file")
     p.add_argument("--weight", help="comma-separated fundamental-weight labels")
@@ -403,7 +413,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["g", "V", "V2"])
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--a", help="comma-separated parameter values")
+    p.add_argument("--a", type=_rationals, help="comma-separated parameter values")
     p.add_argument("--format", choices=["csv", "json", "md"], default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_table)

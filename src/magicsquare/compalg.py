@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exact import rat_str
 from .linalg import (
@@ -184,22 +184,6 @@ class CompAlg:
             for v in nullspace(rows, n * n)
         ]
 
-    def diagonal_so_q_basis(self) -> List[Mat]:
-        """Diagonal elements of so(Q): t on a basis vector, -t on its partner."""
-        n = self.dim
-        out = []
-        seen = set()
-        for i in range(n):
-            j = self.partner[i]
-            if i in seen or j in seen or i == j:
-                continue
-            seen.update((i, j))
-            m = [[F0] * n for _ in range(n)]
-            m[i][i] = F1
-            m[j][j] = -F1
-            out.append(m)
-        return out
-
     def is_associative_triple(self, x, y, z) -> bool:
         return self.multiply(self.multiply(x, y), z) == self.multiply(x, self.multiply(y, z))
 
@@ -327,22 +311,3 @@ def build_split_algebra(tag: AlgebraTag | str) -> CompAlg:
                 alg = CompAlg(O_TAG, ct, cj, gm, un)
     _CACHE[tag.name] = alg
     return alg
-
-
-def multiply(alg: CompAlg, x, y):
-    return alg.multiply(x, y)
-
-
-def conjugate(alg: CompAlg, x):
-    return alg.conjugate(x)
-
-
-def qform(alg: CompAlg, x, y):
-    return alg.qform(x, y)
-
-
-def psi1(alg: CompAlg, u, v):
-    """Triality triple dual to the rotation u wedge v; see the triality module."""
-    from .triality import triality_algebra, psi
-
-    return psi(triality_algebra(alg), 1, u, v)

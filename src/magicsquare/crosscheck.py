@@ -12,11 +12,9 @@ documented findings from regressions.
 from __future__ import annotations
 
 import json
-import os
-import time
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .exact import rat_str
 from . import series as S
@@ -41,6 +39,18 @@ def _exc_datum(a: Fraction) -> Optional[RootDatum]:
     return None
 
 
+def _marker_weyl_dim(rd: RootDatum, exponents: Dict[str, int],
+                     markers: Dict[str, str]) -> int:
+    """weyl_dim at sum e * marker, e the exponent of each symbol in markers."""
+    w = [Fraction(0)] * rd.rank
+    for sym, mk in markers.items():
+        e = exponents.get(sym, 0)
+        if e:
+            for i, c in enumerate(rd.markers[mk]):
+                w[i] += e * c
+    return rd.weyl_dim(w)
+
+
 def exceptional_oracle(exponents: Dict[str, int], a: Fraction) -> Optional[int]:
     """weyl_dim at p g + q X2 + r X3 + s Y2star on the B = O data."""
     if a in NEGATIVE_A_ORACLES:
@@ -48,52 +58,30 @@ def exceptional_oracle(exponents: Dict[str, int], a: Fraction) -> Optional[int]:
         if any(exponents.get(k, 0) for k in ("q", "r", "s")):
             return None
         rd = builtin_datum(NEGATIVE_A_ORACLES[a])
-        theta = rd.markers["adjoint"]
-        k = exponents.get("p", 0)
-        return rd.weyl_dim([k * c for c in theta])
+        return _marker_weyl_dim(rd, exponents, {"p": "adjoint"})
     rd = _exc_datum(a)
     if rd is None:
         return None
-    names = {"p": "g", "q": "X2", "r": "X3", "s": "Y2star"}
-    w = [Fraction(0)] * rd.rank
-    for sym, mk in names.items():
-        e = exponents.get(sym, 0)
-        if e:
-            for i, c in enumerate(rd.markers[mk]):
-                w[i] += e * c
-    return rd.weyl_dim(w)
+    return _marker_weyl_dim(rd, exponents, {"p": "g", "q": "X2", "r": "X3", "s": "Y2star"})
 
 
 def subexceptional_oracle(exponents: Dict[str, int], a: Fraction) -> Optional[int]:
     if not (a == int(a) and int(a) in A_TAG):
         return None
     rd = datum_for(A_TAG[int(a)], "H")
-    names = {"p": "g", "q": "V", "r": "V2"}
-    w = [Fraction(0)] * rd.rank
-    for sym, mk in names.items():
-        e = exponents.get(sym, 0)
-        if e:
-            for i, c in enumerate(rd.markers[mk]):
-                w[i] += e * c
-    return rd.weyl_dim(w)
+    return _marker_weyl_dim(rd, exponents, {"p": "g", "q": "V", "r": "V2"})
 
 
 def severi_oracle(p: int, pstar: int, a: Fraction) -> Optional[int]:
     if not (a == int(a) and int(a) in A_TAG):
         return None
     rd = datum_for(A_TAG[int(a)], "C")
-    w = [Fraction(0)] * rd.rank
-    for e, mk in ((p, "W"), (pstar, "Wstar")):
-        if e:
-            for i, c in enumerate(rd.markers[mk]):
-                w[i] += e * c
-    return rd.weyl_dim(w)
+    return _marker_weyl_dim(rd, {"p": p, "pstar": pstar}, {"p": "W", "pstar": "Wstar"})
 
 
 def so_family_oracle(k: int, t: int) -> int:
     rd = builtin_datum(f"d{t + 2}")
-    theta = rd.markers["adjoint"]
-    return rd.weyl_dim([k * c for c in theta])
+    return _marker_weyl_dim(rd, {"k": k}, {"k": "adjoint"})
 
 
 # -- report machinery ----------------------------------------------------------------

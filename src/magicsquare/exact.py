@@ -36,7 +36,11 @@ def rat_str(x: Fraction) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
+    """Parse 'n', 'n/d' or a decimal; malformed text or a zero denominator is a ValueError."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def gen_binomial(x: RatLike, k: int) -> Fraction:
@@ -236,9 +240,6 @@ class LinearForm:
         )
         return LinearForm(rat(const), items)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
     def eval(self, assignment: Mapping[str, RatLike]) -> Fraction:
         out = self.const
         for s, c in self.coeffs:
@@ -297,17 +298,6 @@ class LinearFactorProduct:
             if v == 0 and exp < 0:
                 raise ZeroDivisionError(f"pole: factor ({form}) vanishes")
             out *= v ** exp
-        return out
-
-    def cancelled(self) -> "LinearFactorProduct":
-        """Combine equal forms and cancel numerator against denominator."""
-        acc: dict = {}
-        for form, exp in self.factors:
-            acc[form] = acc.get(form, 0) + exp
-        out = LinearFactorProduct(self.scalar)
-        for form, exp in sorted(acc.items(), key=lambda fe: str(fe[0])):
-            if exp != 0:
-                out.factors.append((form, exp))
         return out
 
     def __str__(self) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 Vec = List[Fraction]
 Mat = List[Vec]
@@ -62,16 +62,8 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), F0) for row in a]
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Mat, c: Fraction) -> Mat:
-    return [[c * x for x in row] for row in a]
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
@@ -179,10 +171,6 @@ class SolveCache:
         return [sum((row[j] * b[j] for j in support), F0) for row in self.solution_rows]
 
 
-def make_solver(columns: Mat) -> SolveCache:
-    return SolveCache(columns)
-
-
 def det(a: Mat) -> Fraction:
     """Determinant by fraction-free style elimination over Fraction."""
     n = len(a)
@@ -233,34 +221,3 @@ def primitive_integer_vector(v: Sequence[Fraction]) -> Vec:
     if first < 0:
         ints = [-x for x in ints]
     return [Fraction(x) for x in ints]
-
-
-# -- sparse helpers ---------------------------------------------------------
-
-
-def sv_add(a: SVec, b: SVec, coeff: Fraction = F1) -> SVec:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, F0) + coeff * v
-        if nv == 0:
-            out.pop(k, None)
-        else:
-            out[k] = nv
-    return out
-
-
-def sv_scale(a: SVec, c: Fraction) -> SVec:
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def sv_from_dense(v: Sequence[Fraction]) -> SVec:
-    return {i: x for i, x in enumerate(v) if x != 0}
-
-
-def sv_to_dense(v: SVec, n: int) -> Vec:
-    out = [F0] * n
-    for k, x in v.items():
-        out[k] = x
-    return out

@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .compalg import AlgebraTag, CompAlg, build_split_algebra, parse_tag
+from .compalg import AlgebraTag, CompAlg, parse_tag
 from .linalg import F0, F1, SVec, Vec
 from .triality import TrialityAlgebra, triality_algebra
 
@@ -264,12 +264,6 @@ class MagicAlgebra:
                         out[t] = nv
         return out
 
-    def jacobi_defect(self, x, y, z) -> MagicElement:
-        t1 = self.bracket(self.bracket(x, y), z)
-        t2 = self.bracket(self.bracket(y, z), x)
-        t3 = self.bracket(self.bracket(z, x), y)
-        return [p + q + r for p, q, r in zip(t1, t2, t3)]
-
     def jacobi_defect_basis(self, i: int, j: int, k: int) -> SVec:
         self.table()
         out: SVec = {}
@@ -313,23 +307,9 @@ class MagicAlgebra:
 
     def invariant_form(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         """K = K_t(A) + K_t(B) + sum_i Q_A @ Q_B on the slots."""
-        out = F0
-        kA = self.tA.k_matrix()
-        kB = self.tB.k_matrix()
-        for r in range(self.dA):
-            if x[r] == 0:
-                continue
-            for c in range(self.dA):
-                if y[c] != 0 and kA[r][c] != 0:
-                    out += x[r] * kA[r][c] * y[c]
-        for r in range(self.dB):
-            xi = x[self.idx_tB(r)]
-            if xi == 0:
-                continue
-            for c in range(self.dB):
-                yj = y[self.idx_tB(c)]
-                if yj != 0 and kB[r][c] != 0:
-                    out += xi * kB[r][c] * yj
+        dA, dAB = self.dA, self.dA + self.dB
+        out = (self.tA.k_form_coords(x[:dA], y[:dA])
+               + self.tB.k_form_coords(x[dA:dAB], y[dA:dAB]))
         gA, gB = self.algA.gram, self.algB.gram
         pA, pB = self.algA.partner, self.algB.partner
         for slot in range(3):
@@ -417,15 +397,3 @@ def build_magic_algebra(tag_a: AlgebraTag | str, tag_b: AlgebraTag | str) -> Mag
     if key not in _M_CACHE:
         _M_CACHE[key] = MagicAlgebra(tag_a, tag_b)
     return _M_CACHE[key]
-
-
-def bracket(g: MagicAlgebra, x, y) -> MagicElement:
-    return g.bracket(x, y)
-
-
-def jacobi_defect(g: MagicAlgebra, x, y, z) -> MagicElement:
-    return g.jacobi_defect(x, y, z)
-
-
-def invariant_form(g: MagicAlgebra, x, y) -> Fraction:
-    return g.invariant_form(x, y)

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Dict, List, Sequence, Tuple
 
-from .linalg import F0, F1, Mat, SVec, Vec, mat_mul, mat_vec, nullspace
+from .linalg import F0, F1, Mat, SolveCache, Vec, det, inverse, mat_mul, mat_vec, nullspace
 from .magic import MagicAlgebra, build_magic_algebra
+from .roots import cartan_chart, line_weights
 from .triality import TrialityTriple
 
 # Contraction scalars for the V-module maps, in the order
@@ -72,20 +74,17 @@ class GModule:
     def action(self, i: int) -> Mat:
         return self.actions[i]
 
-    def act(self, x: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+    def act_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
+        """rho(b_i) v for the parent basis element b_i."""
+        m = self.actions[i]
         out = [F0] * self.dimension
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            m = self.actions[i]
-            for r in range(self.dimension):
-                row = m[r]
-                acc = F0
-                for j, vj in enumerate(v):
-                    if vj != 0 and row[j] != 0:
-                        acc += row[j] * vj
-                if acc != 0:
-                    out[r] += c * acc
+        for r in range(self.dimension):
+            row = m[r]
+            acc = F0
+            for j, vj in enumerate(v):
+                if vj != 0 and row[j] != 0:
+                    acc += row[j] * vj
+            out[r] = acc
         return out
 
     def representation_defect(self, i: int, j: int) -> bool:
@@ -135,8 +134,6 @@ def _slot_mult(algA, s: int, actor, actee_idx: int, direction: str):
 
 def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, Vec]]:
     """For B = H: coordinates (in the t(B) basis) of e, h, f per sl2 factor."""
-    from .roots import cartan_chart
-
     tb = g.tB
     chart = cartan_chart(tb)  # h_1, h_2, h_3: factor i acts trivially on slot i
     d = tb.dim
@@ -166,9 +163,7 @@ def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, Vec]]:
                     for t, v in enumerate(tb.bracket_coords(k, l)):
                         img[t] += ck * cl * v
             adh.append(img)
-        from .linalg import make_solver
-
-        solver = make_solver(factor)
+        solver = SolveCache(factor)
         images = [solver.solve(img) for img in adh]
         e_vec = f_vec = None
         for target, store in ((2, "e"), (-2, "f")):
@@ -216,8 +211,6 @@ def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, Vec]]:
 def _tensor_identification(g: MagicAlgebra, factors) -> List[Mat]:
     """Per slot s: matrix T with column (2*eps+del) = coordinates in the H basis
     of the vector identified with u_eps(j) @ u_del(k), j,k the acting factors."""
-    from .roots import cartan_chart
-
     tb = g.tB
     chart = cartan_chart(tb)
     n = tb.alg.dim  # 4
@@ -243,8 +236,6 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[Mat]:
         cols[2] = mat_vec(fj, base)
         cols[3] = mat_vec(fk, mat_vec(fj, base))
         t_mat = [[cols[c][r] for c in range(4)] for r in range(n)]
-        from .linalg import det
-
         if det(t_mat) == 0:
             raise ValueError("tensor identification is singular")
         out.append(t_mat)
@@ -285,14 +276,12 @@ class _VIndex:
 def build_V_module(tag_a: str) -> GModule:
     """The distinguished symplectic module of g(A,H), dimension 6a+8."""
     g = build_magic_algebra(tag_a, "H")
-    algA, algB = g.algA, g.algB
+    algA = g.algA
     a = algA.dim
     ix = _VIndex(a)
     dim = ix.dim
     factors = _sl2_factor_bases(g)
     tensors = _tensor_identification(g, factors)
-    from .linalg import inverse
-
     tensors_inv = [inverse(t) for t in tensors]
     c1, c2, c3, c4 = V_SCALARS
 
@@ -303,7 +292,6 @@ def build_V_module(tag_a: str) -> GModule:
         return F1 if (x, y) == (0, 1) else -F1
 
     actions: List[Mat] = []
-    tb_coords_cache: Dict[int, List[Vec]] = {}
 
     def zero() -> Mat:
         return [[F0] * dim for _ in range(dim)]
@@ -321,17 +309,12 @@ def build_V_module(tag_a: str) -> GModule:
         actions.append(m)
 
     # t(B) acts through the sl2 factor decomposition on the U legs.
-    from .linalg import make_solver
-
     factor_cols = []
     for f in factors:
         factor_cols.extend([f["h"], f["e"], f["f"]])
-    fact_solver = make_solver(factor_cols)
+    fact_solver = SolveCache(factor_cols)
     sl2_mats = {"h": [[F1, F0], [F0, -F1]], "e": [[F0, F1], [F0, F0]],
                 "f": [[F0, F0], [F1, F0]]}
-
-    def u_action(fi: int, which: str) -> Mat:
-        return sl2_mats[which]
 
     for bidx, t in enumerate(g.tB.basis):
         coords = fact_solver.solve(g.tB.coords(t))
@@ -361,11 +344,6 @@ def build_V_module(tag_a: str) -> GModule:
         actions.append(m)
 
     # Mixed slots: e_p @ w with w in the H slot identified as u_eps(j) @ u_del(k).
-    conjA = algA.conj_matrix
-
-    def a_mult(s: int, actor: Vec, actee_idx: int, direction: str) -> Vec:
-        return _slot_mult(algA, s, actor, actee_idx, direction)
-
     for s in range(3):
         jf, kf = [i for i in range(3) if i != s]
         tinv = tensors_inv[s]
@@ -402,7 +380,7 @@ def build_V_module(tag_a: str) -> GModule:
                     # (3) A_{s+1} @ U_{s+1} -> A_{s+2} @ U_{s+2}
                     s1, s2 = (s + 1) % 3, (s + 2) % 3
                     for y in range(a):
-                        prod = a_mult(s, ep, y, "fwd")
+                        prod = _slot_mult(algA, s, ep, y, "fwd")
                         for r, pv in enumerate(prod):
                             if pv == 0:
                                 continue
@@ -415,7 +393,7 @@ def build_V_module(tag_a: str) -> GModule:
                                 m[ix.au(s2, r, out_eps)][ix.au(s1, y, u1)] += c3 * coeff * w * pv
                     # (4) A_{s+2} @ U_{s+2} -> A_{s+1} @ U_{s+1}
                     for z in range(a):
-                        prod = a_mult(s, ep, z, "bwd")
+                        prod = _slot_mult(algA, s, ep, z, "bwd")
                         for r, pv in enumerate(prod):
                             if pv == 0:
                                 continue
@@ -472,33 +450,13 @@ class _WIndex:
 def build_W_module(tag_a: str) -> GModule:
     """The distinguished cubic module of g(A, C+C), dimension 3a+3."""
     g = build_magic_algebra(tag_a, "C")
-    algA, algB = g.algA, g.algB
+    algA = g.algA
     a = algA.dim
     ix = _WIndex(a)
     dim = ix.dim
-    from .roots import cartan_chart
-
     chart = cartan_chart(g.tB)
-    # Slot weight vectors (against the chart torus) and the line weights.
-    b = []
-    for s in range(3):
-        b.append((chart[0].component(s + 1)[0][0], chart[1].component(s + 1)[0][0]))
-    signs = None
-    for cand in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (1, -1, -1),
-                 (-1, 1, -1), (-1, -1, 1), (1, 1, 1), (-1, -1, -1)):
-        d = [tuple(sg * c for c in w) for sg, w in zip(cand, b)]
-        if all(sum(col) == 0 for col in zip(*d)):
-            signs = cand
-            diffs = d
-            break
-    if signs is None:
-        raise ValueError("line weights do not close up")
-    third = Fraction(1, 3)
-    omega_lines = [
-        tuple(third * (diffs[2][i] - diffs[1][i]) for i in range(2)),
-        tuple(third * (diffs[0][i] - diffs[2][i]) for i in range(2)),
-        tuple(third * (diffs[1][i] - diffs[0][i]) for i in range(2)),
-    ]
+    # Signed slot weights (against the chart torus) and the line weights.
+    diffs, omega_lines = line_weights(chart)
 
     actions: List[Mat] = []
 
@@ -528,17 +486,13 @@ def build_W_module(tag_a: str) -> GModule:
         actions.append(m)
 
     # Mixed slots.
-
-    def a_mult(s: int, actor: Vec, actee_idx: int, direction: str) -> Vec:
-        return _slot_mult(algA, s, actor, actee_idx, direction)
-
     for s in range(3):
         s1, s2 = (s + 1) % 3, (s + 2) % 3
         for p in range(a):
             ep = algA.basis_element(p)
             for q in range(2):
                 # orientation: does this monomial carry weight +diffs[s] or -diffs[s]?
-                wt = (chartval(chart, 0, s, q), chartval(chart, 1, s, q))
+                wt = tuple(h.component(s + 1)[q][q] for h in chart)
                 plus = wt == diffs[s]
                 w1p, w2p, w3p = W_SCALARS_PLUS[s]
                 w1m, w2m, w3m = W_SCALARS_MINUS[s]
@@ -553,7 +507,7 @@ def build_W_module(tag_a: str) -> GModule:
                             m[ix.line(s1)][ix.al(s, x)] += w2p * qv
                     # A_{s+1} -> A_{s+2}
                     for y in range(a):
-                        prod = a_mult(s, ep, y, "fwd")
+                        prod = _slot_mult(algA, s, ep, y, "fwd")
                         for r, pv in enumerate(prod):
                             if pv != 0:
                                 m[ix.al(s2, r)][ix.al(s1, y)] += w3p * pv
@@ -564,7 +518,7 @@ def build_W_module(tag_a: str) -> GModule:
                         if qv != 0:
                             m[ix.line(s2)][ix.al(s, x)] += w2m * qv
                     for z in range(a):
-                        prod = a_mult(s, ep, z, "bwd")
+                        prod = _slot_mult(algA, s, ep, z, "bwd")
                         for r, pv in enumerate(prod):
                             if pv != 0:
                                 m[ix.al(s1, r)][ix.al(s2, z)] += w3m * pv
@@ -573,8 +527,6 @@ def build_W_module(tag_a: str) -> GModule:
     def cubic(u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
         """Symmetric trilinear polarization of the invariant cubic."""
         total = F0
-        from itertools import permutations
-
         c_lines, c_theta, c1, c2, c3 = W_CUBIC_COEFFS
         for x, y, z in permutations((u, v, w)):
             total += c_lines * x[ix.line(0)] * y[ix.line(1)] * z[ix.line(2)]
@@ -591,24 +543,14 @@ def build_W_module(tag_a: str) -> GModule:
     return GModule(g, dim, actions, "cubic", cubic)
 
 
-def chartval(chart, ci: int, s: int, q: int) -> Fraction:
-    return chart[ci].component(s + 1)[q][q]
-
-
 def _express_in_chart(tb, chart, t: TrialityTriple) -> Vec:
     """Coefficients of the Cartan part of t against the chart basis (torus case)."""
     # For the 2-torus t(C+C) every element is in the Cartan; solve directly.
-    from .linalg import make_solver
-
-    solver = make_solver([tb.coords(h) for h in chart])
+    solver = SolveCache([tb.coords(h) for h in chart])
     return solver.solve(tb.coords(t))
 
 
 # -- validation helpers ----------------------------------------------------------------
-
-
-def representation_axiom_holds(mod: GModule, pairs) -> bool:
-    return not any(mod.representation_defect(i, j) for i, j in pairs)
 
 
 def symplectic_invariance_defect(mod: GModule, x_idx: int, v: Vec, w: Vec) -> Fraction:
@@ -628,22 +570,6 @@ def symplectic_invariance_defect(mod: GModule, x_idx: int, v: Vec, w: Vec) -> Fr
         return out
 
     return pair(xv, w) + pair(v, xw)
-
-
-def _act_basis(self: GModule, i: int, v: Sequence[Fraction]) -> Vec:
-    m = self.actions[i]
-    out = [F0] * self.dimension
-    for r in range(self.dimension):
-        row = m[r]
-        acc = F0
-        for j, vj in enumerate(v):
-            if vj != 0 and row[j] != 0:
-                acc += row[j] * vj
-        out[r] = acc
-    return out
-
-
-GModule.act_basis = _act_basis
 
 
 def cubic_invariance_defect(mod: GModule, x_idx: int, v: Vec) -> Fraction:

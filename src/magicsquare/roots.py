@@ -13,23 +13,21 @@ standard normalization and carry their fundamental weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .compalg import parse_tag
 from .exact import rat_str
 from .linalg import (
     F0,
     F1,
     Mat,
+    SolveCache,
     Vec,
     inverse,
     mat_vec,
     nullspace,
-    rref,
 )
 from .magic import MagicAlgebra, build_magic_algebra
 from .triality import TrialityAlgebra, TrialityTriple
@@ -271,14 +269,6 @@ class RootDatum:
 # -- Dynkin classification --------------------------------------------------------
 
 
-def simple_roots(rd: RootDatum) -> List[Weight]:
-    return rd.simple_roots()
-
-
-def cartan_matrix(rd: RootDatum) -> List[List[int]]:
-    return rd.cartan_matrix()
-
-
 def dynkin_type(rd: RootDatum) -> str:
     """Type label such as 'E8', 'F4', 'C3', or 'A2xA2' for products."""
     simple = rd.simple_roots()
@@ -485,9 +475,7 @@ def _t_side_roots(t: TrialityAlgebra, chart: List[TrialityTriple]) -> List[Weigh
         for vals, vecs in spaces:
             if not vecs:
                 continue
-            from .linalg import make_solver
-
-            solver = make_solver(vecs)
+            solver = SolveCache(vecs)
             images = [solver.solve(mat_vec(m, v)) for v in vecs]
             k = len(vecs)
             total = 0
@@ -553,30 +541,11 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
 
     # Invariant form restricted to the chart Cartan, inverted, long roots -> 2.
     kc = [[F0] * rank for _ in range(rank)]
-    kB = g.tB.k_matrix()
-    kA = g.tA.k_matrix()
-    coordsB = [g.tB.coords(h) for h in chartB]
-    coordsA = [g.tA.coords(h) for h in chartA]
-    for i in range(rB):
-        for j in range(rB):
-            acc = F0
-            for r, x in enumerate(coordsB[i]):
-                if x == 0:
-                    continue
-                for c, y in enumerate(coordsB[j]):
-                    if y != 0 and kB[r][c] != 0:
-                        acc += x * kB[r][c] * y
-            kc[i][j] = acc
-    for i in range(rA):
-        for j in range(rA):
-            acc = F0
-            for r, x in enumerate(coordsA[i]):
-                if x == 0:
-                    continue
-                for c, y in enumerate(coordsA[j]):
-                    if y != 0 and kA[r][c] != 0:
-                        acc += x * kA[r][c] * y
-            kc[rB + i][rB + j] = acc
+    for off, t, chart in ((0, g.tB, chartB), (rB, g.tA, chartA)):
+        coords = [t.coords(h) for h in chart]
+        for i, x in enumerate(coords):
+            for j, y in enumerate(coords):
+                kc[off + i][off + j] = t.k_form_coords(x, y)
     gram = inverse(kc)
     rd = RootDatum(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
                    rank, positive, gram)
@@ -610,32 +579,30 @@ def _markers_for(g: MagicAlgebra, rd: RootDatum) -> Dict[str, Weight]:
         markers["V"] = emb(F1, F1, F1)
         markers["V2"] = emb(Fraction(2), Fraction(2), F0)
     elif tag == "C":
-        # Slot weights are differences of the three line weights w_1, w_2, w_3
-        # with w_1 + w_2 + w_3 = 0; recover the w's and sort them.
-        b = []
-        for slot in range(3):
-            w = _slot_diag(cartan_chart(g.tB)[0], slot + 1)[0], \
-                _slot_diag(cartan_chart(g.tB)[1], slot + 1)[0]
-            b.append(_tup(w))
-        for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (1, -1, -1),
-                      (-1, 1, -1), (-1, -1, 1), (1, 1, 1), (-1, -1, -1)):
-            d = [tuple(s * c for c in w) for s, w in zip(signs, b)]
-            if all(sum(col) == 0 for col in zip(*d)):
-                third = Fraction(1, 3)
-                omegas = sorted(
-                    (
-                        tuple(third * (d[2][i] - d[1][i]) for i in range(2)),
-                        tuple(third * (d[0][i] - d[2][i]) for i in range(2)),
-                        tuple(third * (d[1][i] - d[0][i]) for i in range(2)),
-                    ),
-                    reverse=True,
-                )
-                markers["W"] = emb(*[2 * c for c in omegas[0]])
-                markers["Wstar"] = emb(*[-2 * c for c in omegas[2]])
-                break
-        else:
-            raise ExtractionError("line-slot weights do not sum to zero under any signs")
+        omegas = sorted(line_weights(cartan_chart(g.tB))[1], reverse=True)
+        markers["W"] = emb(*[2 * c for c in omegas[0]])
+        markers["Wstar"] = emb(*[-2 * c for c in omegas[2]])
     return markers
+
+
+def line_weights(chart: List[TrialityTriple]) -> Tuple[List[Weight], List[Weight]]:
+    """Slot weights d_s and line weights w_s of t(C) against its 2-element chart.
+
+    The weight of slot s (read off the first diagonal entry) is +/- a
+    difference of the three line weights w_1, w_2, w_3, which sum to zero.
+    The first sign choice whose signed slot weights d_s sum to zero fixes
+    the d_s; the w_s are their third-differences, in slot order.
+    """
+    b = [_tup(_slot_diag(h, slot + 1)[0] for h in chart) for slot in range(3)]
+    for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (1, -1, -1),
+                  (-1, 1, -1), (-1, -1, 1), (1, 1, 1), (-1, -1, -1)):
+        d = [tuple(s * c for c in w) for s, w in zip(signs, b)]
+        if all(sum(col) == 0 for col in zip(*d)):
+            third = Fraction(1, 3)
+            omegas = [tuple(third * (d[i][c] - d[j][c]) for c in range(2))
+                      for i, j in ((2, 1), (0, 2), (1, 0))]
+            return d, omegas
+    raise ExtractionError("line-slot weights do not sum to zero under any signs")
 
 
 _DATUM_CACHE: Dict[Tuple[str, str], RootDatum] = {}
@@ -763,11 +730,3 @@ def builtin_datum(name: str) -> RootDatum:
         rd.markers["X3"] = _tup(2 * a + 2 * b for a, b in zip(fw[0], fw[3]))
         rd.markers["Y2star"] = _tup(2 * a for a in fw[0])
     return rd
-
-
-def weyl_dim(rd: RootDatum, w: Sequence[Fraction]) -> int:
-    return rd.weyl_dim(w)
-
-
-def weight_multiplicity(rd: RootDatum, lam, mu) -> int:
-    return rd.weight_multiplicity(lam, mu)

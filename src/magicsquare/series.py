@@ -21,10 +21,8 @@ compares each against the Weyl oracle and records the outcome.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
@@ -36,7 +34,6 @@ from .exact import (
     gauss_binomial,
     gen_binomial,
     rat,
-    rat_str,
 )
 
 F0 = Fraction(0)
@@ -66,42 +63,6 @@ class SeriesDescriptor:
     rows: List[DescriptorRow] = field(default_factory=list)
     intervals: List[IntervalRow] = field(default_factory=list)
     param: str = "a"
-
-    def to_json(self) -> dict:
-        data = {
-            "name": self.name,
-            "symbols": list(self.symbols),
-            "param": self.param,
-            "rows": [
-                {"pairings": list(r.pairings), "u": rat_str(r.u),
-                 "v": rat_str(r.v), "class": r.cls}
-                for r in self.rows
-            ],
-        }
-        if self.intervals:
-            data["intervals"] = [
-                {"pairing": r.pairing,
-                 "n": [rat_str(r.n[0]), rat_str(r.n[1])],
-                 "m": [rat_str(r.m[0]), rat_str(r.m[1])]}
-                for r in self.intervals
-            ]
-        return data
-
-    @staticmethod
-    def from_json(data: dict) -> "SeriesDescriptor":
-        rows = [
-            DescriptorRow(tuple(r["pairings"]), Fraction(r["u"]), Fraction(r["v"]),
-                          r["class"])
-            for r in data.get("rows", [])
-        ]
-        intervals = [
-            IntervalRow(r["pairing"],
-                        (Fraction(r["n"][0]), Fraction(r["n"][1])),
-                        (Fraction(r["m"][0]), Fraction(r["m"][1])))
-            for r in data.get("intervals", [])
-        ]
-        return SeriesDescriptor(data["name"], tuple(data["symbols"]), rows,
-                                intervals, data.get("param", "a"))
 
 
 @dataclass
@@ -168,14 +129,6 @@ SO_FAMILY = SeriesDescriptor(
     ],
     param="t",
 )
-
-DESCRIPTORS = {d.name: d for d in (EXCEPTIONAL, SUBEXCEPTIONAL, SEVERI, SO_FAMILY)}
-
-
-def load_descriptor(name: str) -> SeriesDescriptor:
-    """Load a descriptor from the packaged JSON data (cross-checked in tests)."""
-    path = resources.files("magicsquare.data").joinpath(f"{name}.json")
-    return SeriesDescriptor.from_json(json.loads(path.read_text()))
 
 
 # -- the generic evaluator ---------------------------------------------------------
@@ -395,23 +348,6 @@ def hilbert_Y2star_printed(k: int, a: RatLike) -> Fraction:
     )
 
 
-def hilbert_functions(which: str, k: int, a: RatLike) -> SeriesResult:
-    """Printed Hilbert function of X2 / X3 / Y2star as a SeriesResult."""
-    fn = {"X2": hilbert_X2_printed, "X3": hilbert_X3_printed,
-          "Y2star": hilbert_Y2star_printed}[which]
-    try:
-        val = fn(k, a)
-    except ZeroDivisionError:
-        return SeriesResult(None, LinearFactorProduct(), pole=True)
-    return SeriesResult(val, LinearFactorProduct())
-
-
-def hilbert_series(which: str, k: int, a: RatLike) -> SeriesResult:
-    """Descriptor-derived (validated) Hilbert function of the same varieties."""
-    sym = {"g": "p", "X2": "q", "X3": "r", "Y2star": "s"}[which]
-    return evaluate_series(EXCEPTIONAL, {sym: k}, a)
-
-
 # -- subexceptional series --------------------------------------------------------
 
 
@@ -451,20 +387,6 @@ def subexc_V2_printed(k: int, a: RatLike) -> Fraction:
                          bots=[h, h - 1],
                          tops2k=[2 * a + 1],
                          bots2k=[a])
-
-
-def subexceptional_cartan_powers(which: str, k: int, a: RatLike) -> SeriesResult:
-    fn = {"g": subexc_g_printed, "V": subexc_V_printed, "V2": subexc_V2_printed}[which]
-    try:
-        val = fn(k, a)
-    except ZeroDivisionError:
-        return SeriesResult(None, LinearFactorProduct(), pole=True)
-    return SeriesResult(val, LinearFactorProduct())
-
-
-def subexc_series(which: str, k: int, a: RatLike) -> SeriesResult:
-    sym = {"g": "p", "V": "q", "V2": "r"}[which]
-    return evaluate_series(SUBEXCEPTIONAL, {sym: k}, a)
 
 
 # -- Severi series ------------------------------------------------------------------
@@ -530,50 +452,49 @@ def thirdrow_dim(k: int, r: int, a: RatLike) -> SeriesResult:
 # -- degrees of the closed orbits ------------------------------------------------------
 
 
-def _fr(x: RatLike, y: RatLike) -> Fraction:
-    return factorial_ratio(x, y)
-
-
 def degree_formulas(variety: str, a: RatLike) -> Fraction:
     """Exact degree of the named closed orbit, via paired factorial ratios."""
     a = rat(a)
     h = a / 2
     if variety == "ad":
-        return (Fraction(2) * _fr(6 * a + 9, 3 * a + 5)
-                / _fr(Fraction(5, 2) * a + 3, h + 1) / _fr(2 * a + 3, a + 1))
+        return (Fraction(2) * factorial_ratio(6 * a + 9, 3 * a + 5)
+                / factorial_ratio(Fraction(5, 2) * a + 3, h + 1)
+                / factorial_ratio(2 * a + 3, a + 1))
     if variety == "fplanes":
-        return (Fraction(2) ** (3 * a + 3) * 9 * _fr(9 * a + 11, 3 * a + 5)
-                / _fr(2 * a + 1, a) / _fr(3 * h + 1, h)
-                / _fr(Fraction(5, 2) * a + 3, h + 1) / _fr(2 * a + 3, 0))
+        return (Fraction(2) ** (3 * a + 3) * 9 * factorial_ratio(9 * a + 11, 3 * a + 5)
+                / factorial_ratio(2 * a + 1, a) / factorial_ratio(3 * h + 1, h)
+                / factorial_ratio(Fraction(5, 2) * a + 3, h + 1)
+                / factorial_ratio(2 * a + 3, 0))
     if variety == "flines":
         return (Fraction(2) ** (3 * a + 6) * Fraction(3) ** (2 * a)
-                * _fr(11 * a + 9, 2 * a + 3)
-                / _fr(3 * h - 1, h - 1) / _fr(3 * h + 1, h)
-                / _fr(Fraction(5, 2) * a + 3, h + 1))
+                * factorial_ratio(11 * a + 9, 2 * a + 3)
+                / factorial_ratio(3 * h - 1, h - 1) / factorial_ratio(3 * h + 1, h)
+                / factorial_ratio(Fraction(5, 2) * a + 3, h + 1))
     if variety == "fpoints":
-        return (Fraction(2) ** (a + 6) * _fr(6 * a + 9, 3 * a + 5)
-                * _fr(h + 1, 0)
-                / _fr(2 * a + 3, a + 1) / _fr(2 * a + 1, a + 3)
-                / _fr(Fraction(5, 2) * a + 2, h + 2))
+        return (Fraction(2) ** (a + 6) * factorial_ratio(6 * a + 9, 3 * a + 5)
+                * factorial_ratio(h + 1, 0)
+                / factorial_ratio(2 * a + 3, a + 1) / factorial_ratio(2 * a + 1, a + 3)
+                / factorial_ratio(Fraction(5, 2) * a + 2, h + 2))
     if variety == "subexc_ad":
-        return (Fraction(2) / (2 * a + 1) * _fr(4 * a + 1, 2 * a)
-                / _fr(3 * h - 1, h - 1) / _fr(3 * h + 1, h + 1))
+        return (Fraction(2) / (2 * a + 1) * factorial_ratio(4 * a + 1, 2 * a)
+                / factorial_ratio(3 * h - 1, h - 1) / factorial_ratio(3 * h + 1, h + 1))
     if variety == "subexc_X_printed":
-        return Fraction(2) * _fr(3 * a + 3, 2 * a + 1) / _fr(3 * h + 1, h + 1)
+        return (Fraction(2) * factorial_ratio(3 * a + 3, 2 * a + 1)
+                / factorial_ratio(3 * h + 1, h + 1))
     if variety == "subexc_X":
         # Printed form inherits the V^(k) prefactor slip; /(a+1)(a+2) fixes it.
         return degree_formulas("subexc_X_printed", a) / ((a + 1) * (a + 2))
     if variety == "subexc_flines_printed":
-        return (Fraction(2) ** (a + 3) * _fr(5 * a + 2, 3 * a + 2)
-                / _fr(3 * h, h) / _fr(3 * h - 1, h - 1)
-                / _fr(a + 1, 0) / _fr(2 * a + 1, 0))
+        return (Fraction(2) ** (a + 3) * factorial_ratio(5 * a + 2, 3 * a + 2)
+                / factorial_ratio(3 * h, h) / factorial_ratio(3 * h - 1, h - 1)
+                / factorial_ratio(a + 1, 0) / factorial_ratio(2 * a + 1, 0))
     if variety == "subexc_flines":
         # As printed the denominator carries (3a+2)!; the leading-coefficient
         # oracle shows it must be the bare linear factor (3a+2), matching the
         # style of the neighbouring adjoint-degree formula.
-        return (Fraction(2) ** (a + 3) * _fr(5 * a + 2, 0) / (3 * a + 2)
-                / _fr(3 * h, h) / _fr(3 * h - 1, h - 1)
-                / _fr(a + 1, 0) / _fr(2 * a + 1, 0))
+        return (Fraction(2) ** (a + 3) * factorial_ratio(5 * a + 2, 0) / (3 * a + 2)
+                / factorial_ratio(3 * h, h) / factorial_ratio(3 * h - 1, h - 1)
+                / factorial_ratio(a + 1, 0) / factorial_ratio(2 * a + 1, 0))
     raise ValueError(f"unknown variety {variety!r}")
 
 

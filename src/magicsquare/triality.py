@@ -31,13 +31,14 @@ from .linalg import (
     F0,
     F1,
     Mat,
+    SolveCache,
     Vec,
     commutator,
-    make_solver,
     mat_mul,
     mat_vec,
     nullspace,
     primitive_integer_vector,
+    rref,
     trace_of_product,
 )
 
@@ -89,14 +90,6 @@ def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
     return TrialityTriple.from_mats(commutator(a1, b1), commutator(a2, b2), commutator(a3, b3))
 
 
-def _triple_from_flat(v: Sequence[Fraction], n: int) -> TrialityTriple:
-    mats = []
-    for c in range(3):
-        base = c * n * n
-        mats.append([list(v[base + r * n:base + (r + 1) * n]) for r in range(n)])
-    return TrialityTriple.from_mats(*mats)
-
-
 def satisfies_triality(alg: CompAlg, t: TrialityTriple) -> bool:
     """theta3(e_i e_j) == theta1(e_i) e_j + e_i theta2(e_j) on all basis pairs."""
     n = alg.dim
@@ -122,25 +115,24 @@ class TrialityAlgebra:
 
     def __init__(self, alg: CompAlg):
         self.alg = alg
-        self.basis: List[TrialityTriple] = self._compute_basis()
+        self.basis, self.cartan_dim = self._compute_basis()
         self.dim = len(self.basis)
-        self.cartan_dim = self._count_cartan()
         if self.dim:
-            self._solver = make_solver([t.flat() for t in self.basis])
+            self._solver = SolveCache([t.flat() for t in self.basis])
         self._bracket_cache: Dict[Tuple[int, int], Vec] = {}
         self._psi_tables: Optional[List[Dict[Tuple[int, int], Vec]]] = None
         self._k_matrix: Optional[Mat] = None
-        self._psi_scale: Optional[Fraction] = None
 
     # -- basis ----------------------------------------------------------------
 
-    def _compute_basis(self) -> List[TrialityTriple]:
+    def _compute_basis(self) -> Tuple[List[TrialityTriple], int]:
+        """Basis of t(A), Cartan-first, and the number of Cartan elements."""
         alg = self.alg
         n = alg.dim
         so_basis = alg.so_q_basis()
         d = len(so_basis)
         if d == 0:
-            return []
+            return [], 0
         # Unknowns: coordinates of (theta1, theta2, theta3) in the so(Q) basis.
         rows: List[Vec] = []
         for i in range(n):
@@ -182,10 +174,13 @@ class TrialityAlgebra:
             basis.append(TrialityTriple.from_mats(*mats))
         return self._cartan_first(basis)
 
-    def _cartan_first(self, basis: List[TrialityTriple]) -> List[TrialityTriple]:
-        """Reorder so that a basis of the diagonal (Cartan) subspace comes first."""
+    def _cartan_first(self, basis: List[TrialityTriple]) -> Tuple[List[TrialityTriple], int]:
+        """Reorder so that a basis of the diagonal (Cartan) subspace comes first.
+
+        Returns the reordered basis and the dimension of that subspace.
+        """
         if not basis:
-            return basis
+            return basis, 0
         n = self.alg.dim
         flats = [t.flat() for t in basis]
         # Conditions: off-diagonal entries of all three components vanish.
@@ -203,8 +198,6 @@ class TrialityAlgebra:
                 t = b.scale(c) if t is None else t.add(b.scale(c))
             cartan.append(t)
         # Complete greedily to a full basis.
-        from .linalg import rref
-
         chosen = list(cartan)
         for b in basis:
             trial = [t.flat() for t in chosen] + [b.flat()]
@@ -212,11 +205,7 @@ class TrialityAlgebra:
             if len(pivots) == len(trial):
                 chosen.append(b)
         assert len(chosen) == len(basis)
-        self._n_cartan = len(cartan)
-        return chosen
-
-    def _count_cartan(self) -> int:
-        return getattr(self, "_n_cartan", 0)
+        return chosen, len(cartan)
 
     # -- coordinates and bracket ------------------------------------------------
 
@@ -279,14 +268,13 @@ class TrialityAlgebra:
         d = self.dim
         if d == 0:
             self._k_matrix = []
-            self._psi_scale = F1
             self._psi_tables = [{}, {}, {}]
             return
         t_sum = self.trace_form(1)
         for i in (2, 3):
             extra = self.trace_form(i)
             t_sum = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(t_sum, extra)]
-        sum_solver = make_solver([[t_sum[r][c] for r in range(d)] for c in range(d)])
+        sum_solver = SolveCache([[t_sum[r][c] for r in range(d)] for c in range(d)])
         raw: Dict[Tuple[int, int], Vec] = {}
         for p in range(n):
             for q in range(p + 1, n):
@@ -320,42 +308,26 @@ class TrialityAlgebra:
                             raise ValueError("inconsistent Psi_1 normalization ratios")
         if scale is None:
             scale = F1
-        self._psi_scale = scale
         # K = (1/scale) * (tr1 + tr2 + tr3): duality K(Psi1(u^v), th) = Q(th_1 u, v).
         inv = 1 / scale
         self._k_matrix = [[inv * t_sum[r][c] for c in range(d)] for r in range(d)]
-        psi1 = {pq: [scale * c for c in coords] for pq, coords in raw.items()}
-        psi2 = {}
-        psi3 = {}
-        for (p, q), coords in psi1.items():
+        tab1 = {pq: [scale * c for c in coords] for pq, coords in raw.items()}
+        tab2 = {}
+        tab3 = {}
+        for (p, q), coords in tab1.items():
             t = self.from_coords(coords)
-            psi2[(p, q)] = self.coords(self.cyclic_shift(self.cyclic_shift(t, check=False), check=False))
+            tab2[(p, q)] = self.coords(self.cyclic_shift(self.cyclic_shift(t, check=False), check=False))
             u = alg.conjugate(alg.basis_element(p))
             v = alg.conjugate(alg.basis_element(q))
-            t_conj = self.psi_raw(psi1, u, v)
-            psi3[(p, q)] = self.coords(self.cyclic_shift(t_conj, check=False))
-        self._psi_tables = [psi1, psi2, psi3]
+            t_conj = self.from_coords(self._wedge_sum(tab1, u, v))
+            tab3[(p, q)] = self.coords(self.cyclic_shift(t_conj, check=False))
+        self._psi_tables = [tab1, tab2, tab3]
 
-    def psi_raw(self, table: Dict[Tuple[int, int], Vec], u: Sequence[Fraction],
-                v: Sequence[Fraction]) -> TrialityTriple:
+    def _wedge_sum(self, table: Dict[Tuple[int, int], Vec], u: Sequence[Fraction],
+                   v: Sequence[Fraction]) -> Vec:
+        """sum over p < q of (u_p v_q - u_q v_p) table[(p, q)]: a map on u ^ v."""
         n = self.alg.dim
         acc = [F0] * self.dim
-        for p in range(n):
-            for q in range(p + 1, n):
-                c = u[p] * v[q] - u[q] * v[p]
-                if c == 0:
-                    continue
-                for k, x in enumerate(table[(p, q)]):
-                    acc[k] += c * x
-        return self.from_coords(acc)
-
-    def psi_coords(self, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        """Coordinates in the t(A) basis of Psi_i(u ^ v)."""
-        if self._psi_tables is None:
-            self._calibrate()
-        n = self.alg.dim
-        acc = [F0] * self.dim
-        table = self._psi_tables[i - 1]
         for p in range(n):
             for q in range(p + 1, n):
                 c = u[p] * v[q] - u[q] * v[p]
@@ -365,22 +337,34 @@ class TrialityAlgebra:
                     acc[k] += c * x
         return acc
 
+    def psi_coords(self, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+        """Coordinates in the t(A) basis of Psi_i(u ^ v)."""
+        if i not in (1, 2, 3):
+            raise ValueError("Psi slot index must be 1, 2 or 3")
+        if self._psi_tables is None:
+            self._calibrate()
+        return self._wedge_sum(self._psi_tables[i - 1], u, v)
+
     def k_matrix(self) -> Mat:
         if self._k_matrix is None:
             self._calibrate()
         return self._k_matrix
 
-    def k_form(self, x: TrialityTriple, y: TrialityTriple) -> Fraction:
+    def k_form_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+        """K on two coordinate vectors in the stored basis."""
         k = self.k_matrix()
-        cx, cy = self.coords(x), self.coords(y)
         out = F0
-        for r, a in enumerate(cx):
+        for r, a in enumerate(x):
             if a == 0:
                 continue
-            for c, b in enumerate(cy):
-                if b != 0:
-                    out += a * k[r][c]
+            row = k[r]
+            for c, b in enumerate(y):
+                if b != 0 and row[c] != 0:
+                    out += a * row[c] * b
         return out
+
+    def k_form(self, x: TrialityTriple, y: TrialityTriple) -> Fraction:
+        return self.k_form_coords(self.coords(x), self.coords(y))
 
     def cartan_basis(self) -> List[TrialityTriple]:
         return self.basis[:self.cartan_dim]
@@ -415,16 +399,5 @@ def triality_algebra(alg: CompAlg | AlgebraTag | str) -> TrialityAlgebra:
     return _T_CACHE[key]
 
 
-def triality_basis(alg: CompAlg | AlgebraTag | str) -> TrialityAlgebra:
-    """Spec-facing alias: compute t(A) with its basis and structure."""
-    return triality_algebra(alg)
-
-
-def cyclic_shift(alg: CompAlg | AlgebraTag | str, t: TrialityTriple) -> TrialityTriple:
-    return triality_algebra(alg).cyclic_shift(t)
-
-
 def psi(ta: TrialityAlgebra, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> TrialityTriple:
-    if i not in (1, 2, 3):
-        raise ValueError("psi: slot index must be 1, 2 or 3")
     return ta.from_coords(ta.psi_coords(i, u, v))

@@ -12,7 +12,7 @@ def run(capsys, argv):
 
 
 def test_algebra_dump(capsys):
-    code, out = run(capsys, ["algebra", "dump", "--A", "O", "--format", "json"])
+    code, out = run(capsys, ["algebra", "dump", "--A", "O"])
     assert code == 0
     data = json.loads(out)
     assert data["dim"] == 8
@@ -20,7 +20,7 @@ def test_algebra_dump(capsys):
 
 
 def test_triality_basis(capsys):
-    code, out = run(capsys, ["triality", "basis", "--A", "H", "--format", "json"])
+    code, out = run(capsys, ["triality", "basis", "--A", "H"])
     assert code == 0
     data = json.loads(out)
     assert data["dim"] == 9
@@ -185,10 +185,47 @@ def test_bad_usage_exit_codes():
     assert exc.value.code == 2
 
 
-def test_magic_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("MAGIC_THREADS", "2")
-    code, out = run(capsys, ["build", "--A", "C", "--B", "C",
-                             "--verify", "jacobi=sample:400", "--seed", "5"])
+def usage_error(capsys, argv):
+    """Exit code and stderr of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["bogus", "sample", "sample:", "sample:x",
+                                  "sample:-5", "full:3", "exhaustive:10"])
+def test_bad_jacobi_mode_is_usage_error(capsys, mode):
+    code, err = usage_error(capsys, ["verify", "--A", "R", "--B", "R", "--jacobi", mode])
+    assert code == 2 and "sample:N" in err
+    code, err = usage_error(capsys, ["build", "--A", "R", "--B", "R",
+                                     "--verify", f"jacobi={mode}"])
+    assert code == 2 and "sample:N" in err
+
+
+def test_bad_verify_spec_is_usage_error(capsys):
+    code, err = usage_error(capsys, ["build", "--A", "R", "--B", "R", "--verify", "full"])
+    assert code == 2 and "jacobi=full" in err
+
+
+def test_jacobi_sample_zero(capsys):
+    code, out = run(capsys, ["verify", "--A", "R", "--B", "R", "--jacobi", "sample:0"])
     assert code == 0
-    data = json.loads(out)
-    assert data["defects"] == 0 and data["jacobi_checked"] == 400
+    assert json.loads(out)["jacobi"] == {"mode": "sample:0", "checked": 0, "defects": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--series", "exceptional", "-p", "1", "-a", "1/0"],
+    ["dim", "--series", "exceptional", "-p", "1", "-a", "x"],
+    ["table", "--series", "exceptional", "--a", "1/0"],
+    ["table", "--series", "subexceptional", "--a", "1,2/0"],
+])
+def test_bad_rational_parameter_is_usage_error(capsys, argv):
+    code, err = usage_error(capsys, argv)
+    assert code == 2 and ("zero denominator" in err or "Invalid literal" in err)
+
+
+def test_table_rational_parameters(capsys):
+    code, out = run(capsys, ["table", "--series", "exceptional", "--k-max", "1",
+                             "--a=-2/3,8"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,-2/3,14,ok", "1,8,248,ok"]

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from magicsquare.compalg import TAGS, build_split_algebra, parse_tag
-from magicsquare.linalg import mat_vec
-from magicsquare.triality import satisfies_triality
+from magicsquare.linalg import mat_mul, mat_vec, transpose
+from magicsquare.triality import psi, satisfies_triality, triality_algebra
 
 
 def rand_elt(rng, n, lo=-3, hi=3):
@@ -132,29 +132,24 @@ def test_dimension_mismatch_errors():
 
 
 def test_psi1_basic():
-    from magicsquare.compalg import psi1
-
     rng = random.Random(7)
     for tag in "CHO":
         a = build_split_algebra(tag)
         u = rand_elt(rng, a.dim)
-        assert psi1(a, u, u).is_zero()
+        assert psi(triality_algebra(a), 1, u, u).is_zero()
     c = build_split_algebra("C")
-    t = psi1(c, c.basis_element(0), c.basis_element(1))
+    t = psi(triality_algebra(c), 1, c.basis_element(0), c.basis_element(1))
     assert not t.is_zero()
     for m in (t.component(1), t.component(2), t.component(3)):
         assert m[0][1] == 0 and m[1][0] == 0  # diagonal triple
 
 
 def test_psi1_lands_in_so_q_and_triality():
-    from magicsquare.compalg import psi1
-    from magicsquare.linalg import mat_mul, transpose
-
     o = build_split_algebra("O")
     rng = random.Random(8)
     for _ in range(20):
         u, v = rand_elt(rng, 8, -2, 2), rand_elt(rng, 8, -2, 2)
-        t = psi1(o, u, v)
+        t = psi(triality_algebra(o), 1, u, v)
         for i in (1, 2, 3):
             m = t.component(i)
             mtq = mat_mul(transpose(m), o.gram)

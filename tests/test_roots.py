@@ -9,11 +9,9 @@ from magicsquare.roots import (
     ExtractionError,
     RootDatum,
     builtin_datum,
-    cartan_matrix,
     datum_for,
     dynkin_type,
     extract_root_datum,
-    simple_roots,
 )
 from magicsquare.series import admissible_weight
 
@@ -56,8 +54,8 @@ def test_extraction_types_and_counts():
         rd = extract_root_datum(g)
         assert dynkin_type(rd) == typ, (A, B)
         assert 2 * len(rd.positive_roots) + rd.rank == g.dim
-        assert len(simple_roots(rd)) == rd.rank
-        cm = cartan_matrix(rd)
+        assert len(rd.simple_roots()) == rd.rank
+        cm = rd.cartan_matrix()
         assert all(cm[i][i] == 2 for i in range(rd.rank))
         # pairing integrality for all roots
         for a in rd.positive_roots[:20]:

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from magicsquare import series as S
 from magicsquare.series import (
     EXCEPTIONAL,
     SEVERI,
-    SO_FAMILY,
     SUBEXCEPTIONAL,
     adjoint_cartan_power,
     admissible_weight,
@@ -18,7 +16,6 @@ from magicsquare.series import (
     deligne_Yk_printed,
     evaluate_series,
     lambda_of_a,
-    load_descriptor,
     qdim_adjoint_cartan_power,
     recompute_exceptional_rows,
     recompute_severi_rows,
@@ -49,15 +46,6 @@ def test_descriptor_recomputation_from_root_data():
     assert rows_match(EXCEPTIONAL.rows, recompute_exceptional_rows())
     assert rows_match(SUBEXCEPTIONAL.rows, recompute_subexceptional_rows())
     assert rows_match(SEVERI.rows, recompute_severi_rows())
-
-
-def test_descriptor_json_files_match_builtin_tables():
-    for name, d in (("exceptional", EXCEPTIONAL), ("subexceptional", SUBEXCEPTIONAL),
-                    ("severi", SEVERI), ("so-family", SO_FAMILY)):
-        loaded = load_descriptor(name)
-        assert loaded.symbols == d.symbols
-        assert rows_match(loaded.rows, d.rows)
-        assert loaded.intervals == d.intervals
 
 
 def test_adjoint_cartan_power_spot_values():

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from magicsquare.compalg import build_split_algebra
-from magicsquare.linalg import mat_mul, mat_vec, transpose
+from magicsquare.linalg import SolveCache, mat_mul, mat_vec, transpose
 from magicsquare.triality import (
     psi,
     satisfies_triality,
     triality_algebra,
-    triality_basis,
     triality_bracket,
 )
 
@@ -115,6 +114,16 @@ def test_psi_duality_all_slots():
                     assert lhs == rhs
 
 
+def test_psi_coords_rejects_bad_slot():
+    t = triality_algebra("C")
+    u, v = t.alg.basis_element(0), t.alg.basis_element(1)
+    for i in (0, 4, -1):
+        with pytest.raises(ValueError):
+            t.psi_coords(i, u, v)
+        with pytest.raises(ValueError):
+            psi(t, i, u, v)
+
+
 def test_psi_shift_compatibility():
     # tau^2 of Psi_1 is Psi_2 (how slot 2 duality is realized)
     rng = random.Random(4)
@@ -186,16 +195,14 @@ def test_t_h_three_commuting_ideals():
             for y in ideals[j]:
                 assert triality_bracket(x, y).is_zero()
     # each ideal closes under bracket: [x,y] stays in the ideal's span
-    from magicsquare.linalg import make_solver
-
     for ideal in ideals:
-        solver = make_solver([x.flat() for x in ideal])
+        solver = SolveCache([x.flat() for x in ideal])
         for x, y in itertools.combinations(ideal, 2):
             solver.solve(triality_bracket(x, y).flat())  # raises if outside
 
 
 def test_dump_and_alias():
-    t = triality_basis("H")
+    t = triality_algebra("H")
     d = t.dump()
     assert d["dim"] == 9 and d["algebra"] == "H"
     assert len(d["basis"]) == 9
