@@ -209,6 +209,9 @@ def cmd_dim(args) -> int:
         print("dim: need --series or --datum", file=sys.stderr)
         return 2
     a = args.a
+    if a is None and args.series != "so-family":
+        print(f"dim: --series {args.series} requires -a", file=sys.stderr)
+        return 2
     if args.series == "exceptional":
         exps = {"p": args.p, "q": args.q, "r": args.r, "s": args.s}
         res = S.evaluate_series(S.EXCEPTIONAL, exps, a)

@@ -265,16 +265,11 @@ def run_crosscheck(suite: str = "quick",
             cc.record("degree_subexc_ad", {"a": a},
                       S.degree_formulas("subexc_ad", a),
                       S.degree_from_hilbert("subexc_ad", a))
-            cc.record("degree_subexc_X_printed", {"a": a},
-                      S.degree_formulas("subexc_X_printed", a),
-                      S.degree_from_hilbert("subexc_X", a))
-            cc.record("degree_subexc_X_corrected", {"a": a},
-                      S.degree_formulas("subexc_X", a),
-                      S.degree_from_hilbert("subexc_X", a))
-            cc.record("degree_subexc_flines_printed", {"a": a},
-                      S.degree_formulas("subexc_flines_printed", a),
-                      S.degree_from_hilbert("subexc_flines", a))
-            cc.record("degree_subexc_flines_corrected", {"a": a},
-                      S.degree_formulas("subexc_flines", a),
-                      S.degree_from_hilbert("subexc_flines", a))
+            # The printed and corrected forms share one oracle degree each.
+            for variety in ("subexc_X", "subexc_flines"):
+                oracle = S.degree_from_hilbert(variety, a)
+                cc.record(f"degree_{variety}_printed", {"a": a},
+                          S.degree_formulas(f"{variety}_printed", a), oracle)
+                cc.record(f"degree_{variety}_corrected", {"a": a},
+                          S.degree_formulas(variety, a), oracle)
     return cc

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     LinearFactorProduct,
@@ -41,6 +41,52 @@ F1 = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+class _TermProduct:
+    """Running product of linear terms, with exact cancellation of zero terms.
+
+    Nonzero terms multiply into the integer pair num/den; zero terms are only
+    counted, numerator minus denominator.  This is what multiset cancellation
+    of the two term lists gives: more zeros downstairs is a pole, more
+    upstairs is the value 0, and equal counts cancel, so degenerate
+    parameters (a = 0 collapses every row to 1) give the limit instead of a
+    spurious 0/0.
+    """
+
+    __slots__ = ("num", "den", "zeros")
+
+    def __init__(self) -> None:
+        self.num = 1
+        self.den = 1
+        self.zeros = 0
+
+    def mul_interval(self, num0: Fraction, den0: Fraction, lo: int, hi: int) -> None:
+        """Multiply by prod_{lo <= t < hi} (num0 + t) / (den0 + t)."""
+        p, q = num0.numerator, num0.denominator
+        r, s = den0.numerator, den0.denominator
+        for t in range(lo, hi):
+            # num0 + t = top / q and den0 + t = bottom / s
+            top, bottom = p + t * q, r + t * s
+            if top:
+                self.num *= top
+                self.den *= q
+            else:
+                self.zeros += 1
+            if bottom:
+                self.num *= s
+                self.den *= bottom
+            else:
+                self.zeros -= 1
+
+    def value(self) -> Optional[Fraction]:
+        """The product; None if it is a pole."""
+        ratio = Fraction(self.num, self.den)
+        # Keep the reduced pair, so num and den stay small along a long ray.
+        self.num, self.den = ratio.numerator, ratio.denominator
+        if self.zeros < 0:
+            return None
+        return F0 if self.zeros else ratio
+
+
 @dataclass(frozen=True)
 class DescriptorRow:
     pairings: Tuple[int, ...]
@@ -48,12 +94,29 @@ class DescriptorRow:
     v: Fraction
     cls: str  # "unit" or "afold"
 
+    def interval_starts(self, a: Fraction) -> List[Tuple[Fraction, Fraction]]:
+        """Pairs (n0, d0): the row's factor at marker pairing x is the product
+        over the pairs of prod_{0 <= t < x} (n0 + t) / (d0 + t).
+
+        The unit factor (c + x) / c, c = u + a v, telescopes into (c + 1, c);
+        an afold row adds its interval ratio C(c+x+a/2-1, x) / C(c+x-a/2, x)
+        as (c + a/2, c - a/2 + 1).
+        """
+        c = self.u + a * self.v
+        if self.cls == "afold":
+            return [(c + 1, c), (c + a / 2, c - a / 2 + 1)]
+        return [(c + 1, c)]
+
 
 @dataclass(frozen=True)
 class IntervalRow:
     pairing: int
     n: Tuple[Fraction, Fraction]  # n0 + n1 * t
     m: Tuple[Fraction, Fraction]
+
+    def interval_starts(self, a: Fraction) -> List[Tuple[Fraction, Fraction]]:
+        """As DescriptorRow.interval_starts: prod_{0 <= t < x} (m(a)+1+t) / (n(a)+1+t)."""
+        return [(self.m[0] + a * self.m[1] + 1, self.n[0] + a * self.n[1] + 1)]
 
 
 @dataclass
@@ -143,48 +206,52 @@ def evaluate_series(d: SeriesDescriptor, exponents: Mapping[str, int],
         raise ValueError("exponents must be nonnegative integers")
     p = d.param
     lfp = LinearFactorProduct()
-    num_terms: List[Fraction] = []
-    den_terms: List[Fraction] = []
+    prod = _TermProduct()
     for row in d.rows:
         x = sum(t * e for t, e in zip(row.pairings, exps))
-        c = row.u + a * row.v
+        for n0, d0 in row.interval_starts(a):
+            prod.mul_interval(n0, d0, 0, x)
         lfp.mul_factor(LinearForm.make(row.u + x, **{p: row.v}), 1)
         lfp.mul_factor(LinearForm.make(row.u, **{p: row.v}), -1)
-        num_terms.append(x + c)
-        den_terms.append(c)
         if row.cls == "afold":
-            # interval ratio C(c+x+a/2-1, x) / C(c+x-a/2, x), written out as the
-            # term lists {c+a/2, ..., c+a/2+x-1} / {c+1-a/2, ..., c+x-a/2} so
-            # that degenerate parameters (a = 0 collapses every row to 1)
-            # cancel exactly instead of producing spurious 0/0.
             for t in range(x):
-                num_terms.append(c + a / 2 + t)
-                den_terms.append(c - a / 2 + 1 + t)
                 lfp.mul_factor(LinearForm.make(row.u + t, **{p: row.v + HALF}), 1)
                 lfp.mul_factor(LinearForm.make(row.u + 1 + t, **{p: row.v - HALF}), -1)
     for row in d.intervals:
         x = row.pairing * (exps[0] if exps else 0)
+        for n0, d0 in row.interval_starts(a):
+            prod.mul_interval(n0, d0, 0, x)
         for t in range(x):
-            num_terms.append(row.m[0] + a * row.m[1] + 1 + t)
-            den_terms.append(row.n[0] + a * row.n[1] + 1 + t)
             lfp.mul_factor(LinearForm.make(row.m[0] + 1 + t, **{p: row.m[1]}), 1)
             lfp.mul_factor(LinearForm.make(row.n[0] + 1 + t, **{p: row.n[1]}), -1)
-    # Multiset cancellation before dividing.
-    counts: Dict[Fraction, int] = {}
-    for t in num_terms:
-        counts[t] = counts.get(t, 0) + 1
-    for t in den_terms:
-        counts[t] = counts.get(t, 0) - 1
-    num = F1
-    den = F1
-    for t, e in counts.items():
-        if e > 0:
-            num *= t ** e
-        elif e < 0:
-            den *= t ** (-e)
-    if den == 0:
-        return SeriesResult(None, lfp, pole=True)
-    return SeriesResult(num / den, lfp)
+    value = prod.value()
+    return SeriesResult(value, lfp, pole=value is None)
+
+
+def hilbert_ray(d: SeriesDescriptor, sym: str, a: RatLike,
+                kmax: int) -> List[Optional[Fraction]]:
+    """evaluate_series(d, {sym: k}, a).value for k = 0..kmax, in one pass.
+
+    Step k -> k+1 multiplies one running product by the terms t in
+    [p k, p (k+1)) of each row's intervals, p the row's pairing with sym, so
+    the ray costs O(kmax) row steps instead of O(kmax^2) for kmax+1 separate
+    evaluations.  None stands for a pole.
+    """
+    a = rat(a)
+    i = d.symbols.index(sym)
+    rows = [(row, row.pairings[i]) for row in d.rows]
+    if i == 0:
+        rows += [(row, row.pairing) for row in d.intervals]
+    steps = [(n0, d0, pairing) for row, pairing in rows if pairing
+             for n0, d0 in row.interval_starts(a)]
+    prod = _TermProduct()
+    values = []
+    for k in range(kmax + 1):
+        if k:
+            for n0, d0, pairing in steps:
+                prod.mul_interval(n0, d0, pairing * (k - 1), pairing * k)
+        values.append(prod.value())
+    return values
 
 
 # -- closed forms: exceptional series ------------------------------------------------
@@ -262,44 +329,24 @@ def qdim_adjoint_cartan_power(k: int, a: int) -> QPoly:
 def _bprod(k: int, a: Fraction, tops: Sequence[Fraction], bots: Sequence[Fraction],
            tops2k: Sequence[Fraction] = (), bots2k: Sequence[Fraction] = (),
            tops3k: Sequence[Fraction] = (), bots3k: Sequence[Fraction] = ()) -> Fraction:
-    """Product of C(mk+c, mk) ratios, evaluated with multiset cancellation.
+    """Product of C(mk+c, mk) ratios, evaluated with zero-term cancellation.
 
-    Expanding every binomial into its factor list and cancelling equal terms
-    first gives the standard limit reading at degenerate parameters, where
-    verbatim evaluation would hit removable 0/0 pairs.
+    Expanding every binomial C(mk+c, mk) = prod_{i=1..mk} (c+i)/i into its
+    terms and cancelling zero terms first gives the standard limit reading
+    at degenerate parameters, where verbatim evaluation would hit removable
+    0/0 pairs.
     """
-    counts: Dict[Fraction, int] = {}
-
-    def add(c: Fraction, mult: int, sign: int) -> None:
-        # C(mk + c, mk) = prod_{i=1..mk} (c + i) / i
-        for i in range(1, mult * k + 1):
-            t = c + i
-            counts[t] = counts.get(t, 0) + sign
-            ti = Fraction(i)
-            counts[ti] = counts.get(ti, 0) - sign
-
-    for c in tops:
-        add(c, 1, +1)
-    for c in tops2k:
-        add(c, 2, +1)
-    for c in tops3k:
-        add(c, 3, +1)
-    for c in bots:
-        add(c, 1, -1)
-    for c in bots2k:
-        add(c, 2, -1)
-    for c in bots3k:
-        add(c, 3, -1)
-    num = F1
-    den = F1
-    for t, e in counts.items():
-        if e > 0:
-            num *= t ** e
-        elif e < 0:
-            den *= t ** (-e)
-    if den == 0:
+    prod = _TermProduct()
+    for mult, cs in ((1, tops), (2, tops2k), (3, tops3k)):
+        for c in cs:
+            prod.mul_interval(c + 1, F1, 0, mult * k)
+    for mult, cs in ((1, bots), (2, bots2k), (3, bots3k)):
+        for c in cs:
+            prod.mul_interval(F1, c + 1, 0, mult * k)
+    value = prod.value()
+    if value is None:
         raise ZeroDivisionError("pole in binomial denominator")
-    return num / den
+    return value
 
 
 def hilbert_X2_printed(k: int, a: RatLike) -> Fraction:
@@ -510,18 +557,18 @@ VARIETY_DIMENSIONS = {
     "subexc_flines_printed": lambda a: 5 * a + 2,
 }
 
-# Hilbert function of each orbit variety, as a function of k, via the validated
-# descriptor route (marker exponent noted per variety).
-VARIETY_HILBERT = {
-    "ad": lambda k, a: adjoint_cartan_power(k, a),
-    "fplanes": lambda k, a: evaluate_series(EXCEPTIONAL, {"q": k}, a).value,
-    "flines": lambda k, a: evaluate_series(EXCEPTIONAL, {"r": k}, a).value,
-    "fpoints": lambda k, a: evaluate_series(EXCEPTIONAL, {"s": k}, a).value,
-    "subexc_ad": lambda k, a: evaluate_series(SUBEXCEPTIONAL, {"p": k}, a).value,
-    "subexc_X": lambda k, a: evaluate_series(SUBEXCEPTIONAL, {"q": k}, a).value,
-    "subexc_X_printed": lambda k, a: evaluate_series(SUBEXCEPTIONAL, {"q": k}, a).value,
-    "subexc_flines": lambda k, a: evaluate_series(SUBEXCEPTIONAL, {"r": k}, a).value,
-    "subexc_flines_printed": lambda k, a: evaluate_series(SUBEXCEPTIONAL, {"r": k}, a).value,
+# Hilbert function of each orbit variety but "ad", as the ray of one marker
+# symbol through a descriptor; "ad" goes through adjoint_cartan_power, a
+# closed form independent of the descriptor rows.
+VARIETY_RAYS = {
+    "fplanes": (EXCEPTIONAL, "q"),
+    "flines": (EXCEPTIONAL, "r"),
+    "fpoints": (EXCEPTIONAL, "s"),
+    "subexc_ad": (SUBEXCEPTIONAL, "p"),
+    "subexc_X": (SUBEXCEPTIONAL, "q"),
+    "subexc_X_printed": (SUBEXCEPTIONAL, "q"),
+    "subexc_flines": (SUBEXCEPTIONAL, "r"),
+    "subexc_flines_printed": (SUBEXCEPTIONAL, "r"),
 }
 
 
@@ -533,11 +580,13 @@ def degree_from_hilbert(variety: str, a: RatLike) -> Fraction:
     """
     a = rat(a)
     d = VARIETY_DIMENSIONS[variety](a)
-    if d.denominator != 1 if isinstance(d, Fraction) else False:
+    if d.denominator != 1:
         raise ValueError("variety dimension not integral here")
     d = int(d)
-    fn = VARIETY_HILBERT[variety]
-    values = [fn(k, a) for k in range(d + 1)]
+    if variety == "ad":
+        values = [adjoint_cartan_power(k, a) for k in range(d + 1)]
+    else:
+        values = hilbert_ray(*VARIETY_RAYS[variety], a, d)
     acc = F0
     sign = 1 if d % 2 == 0 else -1
     binom = F1

@@ -132,6 +132,14 @@ def test_dim_usage_errors(capsys):
     assert main(["dim", "--datum", "builtin:so8"]) == 2
 
 
+@pytest.mark.parametrize("series", ["exceptional", "subexceptional", "severi", "thirdrow"])
+def test_dim_series_without_a_is_usage_error(capsys, series):
+    assert main(["dim", "--series", series, "-p", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dim: --series {series} requires -a\n"
+
+
 def test_crosscheck_quick(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run(capsys, ["crosscheck", "--suite", "quick", "--out", str(out_path)])

@@ -1,13 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicsquare import series as S
+from magicsquare.exact import falling_factorial
 from magicsquare.series import (
     EXCEPTIONAL,
     SEVERI,
+    SO_FAMILY,
     SUBEXCEPTIONAL,
+    VARIETY_DIMENSIONS,
+    VARIETY_RAYS,
     adjoint_cartan_power,
     admissible_weight,
     degree_formulas,
@@ -15,6 +22,7 @@ from magicsquare.series import (
     deligne_Yk,
     deligne_Yk_printed,
     evaluate_series,
+    hilbert_ray,
     lambda_of_a,
     qdim_adjoint_cartan_power,
     recompute_exceptional_rows,
@@ -228,6 +236,87 @@ def test_degree_oracle_values_are_integers():
     # golden values, frozen after the first verified run
     assert degree_from_hilbert("fpoints", 8) == 566737444875521606631975195475968000
     assert degree_from_hilbert("flines", 2) == 14947805547426034483200
+
+
+def _leading_term(desc, sym, a):
+    """(degree, coefficient) of the leading k-power of the sym ray, from the rows.
+
+    A unit row with pairing p > 0 grows like (p/c) k, c = u + a v; an afold
+    row also carries (c-a/2+1+pk)_(a-1) / (c-a/2+1)_(a-1), so it grows like
+    p^a / (c (c-a/2+1)_(a-1)) k^a.  Needs a a positive integer.
+    """
+    i = desc.symbols.index(sym)
+    degree, coeff = 0, F(1)
+    for row in desc.rows:
+        p = row.pairings[i]
+        if not p:
+            continue
+        c = row.u + a * row.v
+        if row.cls == "unit":
+            degree += 1
+            coeff *= F(p) / c
+        else:
+            rising = falling_factorial(c - F(a, 2) + a - 1, a - 1)
+            degree += a
+            coeff *= F(p) ** a / (c * rising)
+    return degree, coeff
+
+
+@pytest.mark.parametrize("variety", ["ad", "fplanes", "flines", "fpoints",
+                                     "subexc_ad", "subexc_X", "subexc_flines"])
+def test_degree_from_descriptor_leading_coefficient(variety):
+    # Third route to the degrees: the closed-form leading coefficient of the
+    # descriptor product against the finite differences of the Hilbert function.
+    desc, sym = {**VARIETY_RAYS, "ad": (EXCEPTIONAL, "p")}[variety]
+    for a in ((1, 2, 4, 8) if variety.startswith("subexc") else (2, 4, 8)):
+        degree, coeff = _leading_term(desc, sym, a)
+        assert degree == VARIETY_DIMENSIONS[variety](a)
+        assert factorial(degree) * coeff == degree_from_hilbert(variety, a)
+
+
+def _multiset_value(desc, exps, a):
+    """The series value from its full term lists, equal terms cancelled first."""
+    e = [exps.get(s, 0) for s in desc.symbols]
+    num, den = [], []
+    for row in desc.rows:
+        x = sum(p * k for p, k in zip(row.pairings, e))
+        c = row.u + a * row.v
+        num.append(c + x)
+        den.append(c)
+        if row.cls == "afold":
+            num += [c + a / 2 + t for t in range(x)]
+            den += [c - a / 2 + 1 + t for t in range(x)]
+    for row in desc.intervals:
+        x = row.pairing * e[0]
+        num += [row.m[0] + a * row.m[1] + 1 + t for t in range(x)]
+        den += [row.n[0] + a * row.n[1] + 1 + t for t in range(x)]
+    left = Counter(num)
+    left.subtract(den)
+    top = prod(t ** n for t, n in left.items() if n > 0)
+    bottom = prod(t ** -n for t, n in left.items() if n < 0)
+    return None if bottom == 0 else F(top) / bottom
+
+
+# Values of a where zero terms cancel or leave a pole somewhere on a ray.
+DEGENERATE_A = [F(0), F(-1), F(-2), F(-4, 3), F(-2, 3), F(1, 2)]
+
+
+@st.composite
+def rays(draw):
+    desc = draw(st.sampled_from([EXCEPTIONAL, SUBEXCEPTIONAL, SEVERI, SO_FAMILY]))
+    sym = draw(st.sampled_from(desc.symbols))
+    a = draw(st.one_of(st.sampled_from(DEGENERATE_A),
+                       st.fractions(min_value=-6, max_value=10, max_denominator=6)))
+    return desc, sym, a, draw(st.integers(0, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rays())
+def test_hilbert_ray_matches_pointwise(ray):
+    desc, sym, a, kmax = ray
+    values = hilbert_ray(desc, sym, a, kmax)
+    assert values == [evaluate_series(desc, {sym: k}, a).value for k in range(kmax + 1)]
+    assert values == [_multiset_value(desc, {sym: k}, a) for k in range(kmax + 1)]
 
 
 def test_degree_rejects_nonintegral_gap():
