@@ -230,6 +230,9 @@ def cmd_dim(args) -> int:
     if res.pole:
         print("pole: a denominator linear form vanishes at these parameters")
         return 0
+    if args.factored and res.factored is None:
+        print(f"dim: --series {args.series} has no factored form", file=sys.stderr)
+        return 2
     print(rat_str(res.value))
     if args.factored:
         print(str(res.factored))
@@ -287,7 +290,7 @@ def _table_rows(args) -> List[Dict]:
         avals = args.a or [Fraction(x) for x in (0, 2, 4, 8)]
         for k in range(args.k_min, args.k_max + 1):
             for a in avals:
-                qp = S.qdim_adjoint_cartan_power(k, int(a))
+                qp = S.qdim_adjoint_cartan_power(k, a)
                 rows.append({"k": k, "a": rat_str(a), "value": str(qp),
                              "status": "ok" if qp.has_nonneg_coeffs() else "suspect"})
     elif args.series == "degrees":

@@ -70,20 +70,9 @@ class CompAlg:
         self.conj_matrix = conj
         self.gram = gram
         self.unit = unit
-        self.left_tables = [self._mult_matrix(i, side="left") for i in range(self.dim)]
-        self.right_tables = [self._mult_matrix(i, side="right") for i in range(self.dim)]
         self.partner = self._pairing_partners()
 
     # -- construction helpers ----------------------------------------------
-
-    def _mult_matrix(self, i: int, side: str) -> Mat:
-        n = self.dim
-        out = [[F0] * n for _ in range(n)]
-        for j in range(n):
-            prod = self.ctable[i][j] if side == "left" else self.ctable[j][i]
-            for k, c in prod.items():
-                out[k][j] = c
-        return out
 
     def _pairing_partners(self) -> List[int]:
         """partner[i] = unique j with gram[i][j] != 0 (i itself for dim 1)."""
@@ -136,32 +125,6 @@ class CompAlg:
         v = [F0] * self.dim
         v[i] = F1
         return v
-
-    def left_mult_matrix(self, x: Sequence[Fraction]) -> Mat:
-        n = self.dim
-        out = [[F0] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            t = self.left_tables[i]
-            for r in range(n):
-                for c in range(n):
-                    if t[r][c] != 0:
-                        out[r][c] += xi * t[r][c]
-        return out
-
-    def right_mult_matrix(self, x: Sequence[Fraction]) -> Mat:
-        n = self.dim
-        out = [[F0] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            t = self.right_tables[i]
-            for r in range(n):
-                for c in range(n):
-                    if t[r][c] != 0:
-                        out[r][c] += xi * t[r][c]
-        return out
 
     # -- so(Q) ----------------------------------------------------------------
 

@@ -129,20 +129,6 @@ def e_vector(n: int, i: int) -> Vec:
     return v
 
 
-def solve(a: Mat, b: Vec) -> Optional[Vec]:
-    """One solution of A x = b, or None if inconsistent (A may be non-square)."""
-    n = len(a)
-    m = len(a[0]) if a else 0
-    aug = [a[i][:] + [b[i]] for i in range(n)]
-    red, pivots = rref(aug)
-    if m in pivots:
-        return None
-    x = [F0] * m
-    for r, c in enumerate(pivots):
-        x[c] = red[r][m]
-    return x
-
-
 class SolveCache:
     """Repeated exact solves expressing vectors in a fixed independent column set.
 
@@ -169,6 +155,31 @@ class SolveCache:
             if sum((row[j] * b[j] for j in support), F0) != 0:
                 raise ValueError("SolveCache.solve: vector outside column span")
         return [sum((row[j] * b[j] for j in support), F0) for row in self.solution_rows]
+
+
+def eigenspaces(vecs: Mat, images: Mat, values: Sequence[Fraction]) -> List[Mat]:
+    """Eigenvectors of an operator A on the invariant subspace span(vecs).
+
+    vecs are independent and images[j] = A vecs[j]; for each c in values the
+    result holds a basis of {v in span(vecs) : A v = c v}, in the ambient
+    coordinates of vecs (empty when c is not an eigenvalue there).
+    """
+    solver = SolveCache(vecs)
+    restricted = [solver.solve(img) for img in images]
+    k, n = len(vecs), len(vecs[0])
+    out = []
+    for c in values:
+        rows = [[restricted[j][i] - (c if i == j else F0) for j in range(k)] for i in range(k)]
+        space = []
+        for coeffs in nullspace(rows, k):
+            vec = [F0] * n
+            for x, v in zip(coeffs, vecs):
+                if x != 0:
+                    for i in range(n):
+                        vec[i] += x * v[i]
+            space.append(vec)
+        out.append(space)
+    return out
 
 
 def det(a: Mat) -> Fraction:

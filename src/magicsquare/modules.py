@@ -24,10 +24,22 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import F0, F1, Mat, SolveCache, Vec, det, inverse, mat_mul, mat_vec, nullspace
+from .linalg import (
+    F0,
+    F1,
+    Mat,
+    SolveCache,
+    Vec,
+    det,
+    eigenspaces,
+    inverse,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    zeros,
+)
 from .magic import MagicAlgebra, build_magic_algebra
 from .roots import cartan_chart, line_weights
-from .triality import TrialityTriple
 
 # Contraction scalars for the V-module maps, in the order
 #   (UUU -> A_s@U_s, A_s@U_s -> UUU, A_{s+1} -> A_{s+2}, A_{s+2} -> A_{s+1});
@@ -71,9 +83,6 @@ class GModule:
     form_kind: str              # "symplectic" | "cubic"
     form_data: object           # Gram matrix, or trilinear evaluator
 
-    def action(self, i: int) -> Mat:
-        return self.actions[i]
-
     def act_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
         """rho(b_i) v for the parent basis element b_i."""
         m = self.actions[i]
@@ -91,7 +100,7 @@ class GModule:
         """True if rho([b_i,b_j]) != [rho(b_i), rho(b_j)] for parent basis i, j."""
         g = self.parent
         br = g.bracket_basis(i, j)
-        lhs = [[F0] * self.dimension for _ in range(self.dimension)]
+        lhs = zeros(self.dimension, self.dimension)
         for k, c in br.items():
             m = self.actions[k]
             for r in range(self.dimension):
@@ -151,49 +160,12 @@ def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, Vec]]:
         if len(factor) != 3:
             raise ValueError("t(H) factor is not 3-dimensional")
         # ad(h) on the factor: eigenvectors with eigenvalues 2, -2
-        adh = []
-        for vec in factor:
-            img = [F0] * d
-            for k, ck in enumerate(hc):
-                if ck == 0:
-                    continue
-                for l, cl in enumerate(vec):
-                    if cl == 0:
-                        continue
-                    for t, v in enumerate(tb.bracket_coords(k, l)):
-                        img[t] += ck * cl * v
-            adh.append(img)
-        solver = SolveCache(factor)
-        images = [solver.solve(img) for img in adh]
-        e_vec = f_vec = None
-        for target, store in ((2, "e"), (-2, "f")):
-            rows2 = [[images[j][i] - (target if i == j else 0) for j in range(3)]
-                     for i in range(3)]
-            ker = nullspace(rows2, 3)
-            if len(ker) != 1:
-                raise ValueError("sl2 weight space not one-dimensional")
-            vec = [F0] * d
-            for c, base in zip(ker[0], factor):
-                for t in range(d):
-                    vec[t] += c * base[t]
-            if store == "e":
-                e_vec = vec
-            else:
-                f_vec = vec
+        spaces = eigenspaces(factor, [tb.bracket_vec(hc, vec) for vec in factor], (2, -2))
+        if any(len(space) != 1 for space in spaces):
+            raise ValueError("sl2 weight space not one-dimensional")
+        (e_vec,), (f_vec,) = spaces
         # normalize [e,f] = h
-        def brk(x, y):
-            out_ = [F0] * d
-            for k, ck in enumerate(x):
-                if ck == 0:
-                    continue
-                for l, cl in enumerate(y):
-                    if cl == 0:
-                        continue
-                    for t, v in enumerate(tb.bracket_coords(k, l)):
-                        out_[t] += ck * cl * v
-            return out_
-
-        ef = brk(e_vec, f_vec)
+        ef = tb.bracket_vec(e_vec, f_vec)
         ratio = None
         for t in range(d):
             if hc[t] != 0:
@@ -202,7 +174,7 @@ def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, Vec]]:
         if ratio is None or ratio == 0:
             raise ValueError("degenerate sl2 triple")
         f_vec = [c / ratio for c in f_vec]
-        if brk(e_vec, f_vec) != hc:
+        if tb.bracket_vec(e_vec, f_vec) != hc:
             raise ValueError("sl2 normalization failed")
         out.append({"h": hc, "e": e_vec, "f": f_vec})
     return out
@@ -226,8 +198,8 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[Mat]:
             raise ValueError("slot weights are degenerate")
         top = pos[(F1, F1)]
         # Lowering operators of the two factors, acting in slot s+1.
-        fj = _slot_matrix(tb, factors[j]["f"], s + 1)
-        fk = _slot_matrix(tb, factors[k]["f"], s + 1)
+        fj = tb.from_coords(factors[j]["f"]).component(s + 1)
+        fk = tb.from_coords(factors[k]["f"]).component(s + 1)
         cols: List[Vec] = [None] * 4  # order: ++, +-, -+, --
         base = [F0] * n
         base[top] = F1
@@ -242,18 +214,25 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[Mat]:
     return out
 
 
-def _slot_matrix(tb, coords: Vec, slot: int) -> Mat:
-    n = tb.alg.dim
-    m = [[F0] * n for _ in range(n)]
-    for k, c in enumerate(coords):
-        if c == 0:
-            continue
-        comp = tb.basis[k].component(slot)
-        for r in range(n):
-            for s in range(n):
-                if comp[r][s] != 0:
-                    m[r][s] += c * comp[r][s]
-    return m
+def _t_a_actions(g: MagicAlgebra, ix) -> List[Mat]:
+    """t(A) acting on the A legs: slot s of each triple moves the A_s leg.
+
+    ix.legs(s, p) lists the module indices of e_p in slot s, one per basis
+    vector of the other leg, in the same order for every p.
+    """
+    a = g.algA.dim
+    actions = []
+    for t in g.tA.basis:
+        m = zeros(ix.dim, ix.dim)
+        for s in range(3):
+            comp = t.component(s + 1)
+            for p in range(a):
+                for r in range(a):
+                    if comp[r][p] != 0:
+                        for i, j in zip(ix.legs(s, r), ix.legs(s, p)):
+                            m[i][j] += comp[r][p]
+        actions.append(m)
+    return actions
 
 
 # -- the V module ------------------------------------------------------------------
@@ -271,6 +250,10 @@ class _VIndex:
 
     def uuu(self, al: int, be: int, ga: int) -> int:
         return 6 * self.a + 4 * al + 2 * be + ga
+
+    def legs(self, s: int, p: int) -> Tuple[int, int]:
+        """The indices of e_p @ U_s in slot s, in the order of the U_s basis."""
+        return self.au(s, p, 0), self.au(s, p, 1)
 
 
 def build_V_module(tag_a: str) -> GModule:
@@ -291,22 +274,7 @@ def build_V_module(tag_a: str) -> GModule:
             return F0
         return F1 if (x, y) == (0, 1) else -F1
 
-    actions: List[Mat] = []
-
-    def zero() -> Mat:
-        return [[F0] * dim for _ in range(dim)]
-
-    # t(A) acts on the A legs.
-    for t in g.tA.basis:
-        m = zero()
-        for s in range(3):
-            comp = t.component(s + 1)
-            for p in range(a):
-                for r in range(a):
-                    if comp[r][p] != 0:
-                        for eps in range(2):
-                            m[ix.au(s, r, eps)][ix.au(s, p, eps)] += comp[r][p]
-        actions.append(m)
+    actions = _t_a_actions(g, ix)
 
     # t(B) acts through the sl2 factor decomposition on the U legs.
     factor_cols = []
@@ -316,9 +284,9 @@ def build_V_module(tag_a: str) -> GModule:
     sl2_mats = {"h": [[F1, F0], [F0, -F1]], "e": [[F0, F1], [F0, F0]],
                 "f": [[F0, F0], [F1, F0]]}
 
-    for bidx, t in enumerate(g.tB.basis):
+    for t in g.tB.basis:
         coords = fact_solver.solve(g.tB.coords(t))
-        m = zero()
+        m = zeros(dim, dim)
         for fi in range(3):
             for wi, which in enumerate(("h", "e", "f")):
                 coeff = coords[3 * fi + wi]
@@ -350,7 +318,7 @@ def build_V_module(tag_a: str) -> GModule:
         for p in range(a):
             ep = algA.basis_element(p)
             for q in range(4):
-                m = zero()
+                m = zeros(dim, dim)
                 # decompose the H basis vector q into tensor coordinates
                 tens = [tinv[c][q] for c in range(4)]  # coords over ++, +-, -+, --
                 for ci, coeff in enumerate(tens):
@@ -377,37 +345,27 @@ def build_V_module(tag_a: str) -> GModule:
                             idx[jf] = eps
                             idx[kf] = dl
                             m[ix.uuu(*idx)][ix.au(s, x, us)] += c2 * coeff * qv
-                    # (3) A_{s+1} @ U_{s+1} -> A_{s+2} @ U_{s+2}
+                    # (3) A_{s+1} @ U_{s+1} -> A_{s+2} @ U_{s+2} and (4) back.
                     s1, s2 = (s + 1) % 3, (s + 2) % 3
-                    for y in range(a):
-                        prod = _slot_mult(algA, s, ep, y, "fwd")
-                        for r, pv in enumerate(prod):
-                            if pv == 0:
-                                continue
-                            for u1 in range(2):
-                                # U_{s+1} is the factor j or k matching index s1
-                                w = omega(eps if s1 == jf else dl, u1)
-                                if w == 0:
+                    for src, dst, direction, cs in ((s1, s2, "fwd", c3), (s2, s1, "bwd", c4)):
+                        # U_src is the factor j or k matching index src
+                        pair_eps, out_eps = (eps, dl) if src == jf else (dl, eps)
+                        for y in range(a):
+                            prod = _slot_mult(algA, s, ep, y, direction)
+                            for r, pv in enumerate(prod):
+                                if pv == 0:
                                     continue
-                                out_eps = dl if s1 == jf else eps
-                                m[ix.au(s2, r, out_eps)][ix.au(s1, y, u1)] += c3 * coeff * w * pv
-                    # (4) A_{s+2} @ U_{s+2} -> A_{s+1} @ U_{s+1}
-                    for z in range(a):
-                        prod = _slot_mult(algA, s, ep, z, "bwd")
-                        for r, pv in enumerate(prod):
-                            if pv == 0:
-                                continue
-                            for u2 in range(2):
-                                w = omega(eps if s2 == jf else dl, u2)
-                                if w == 0:
-                                    continue
-                                out_eps = dl if s2 == jf else eps
-                                m[ix.au(s1, r, out_eps)][ix.au(s2, z, u2)] += c4 * coeff * w * pv
+                                row = m[ix.au(dst, r, out_eps)]
+                                for u in range(2):
+                                    w = omega(pair_eps, u)
+                                    if w == 0:
+                                        continue
+                                    row[ix.au(src, y, u)] += cs * coeff * w * pv
                 actions.append(m)
 
     # Invariant symplectic form.
     d0, d1, d2, d3 = V_OMEGA_WEIGHTS
-    gram = [[F0] * dim for _ in range(dim)]
+    gram = zeros(dim, dim)
     ds = (d1, d2, d3)
     for s in range(3):
         for p in range(a):
@@ -446,6 +404,10 @@ class _WIndex:
     def line(self, s: int) -> int:         # M_s = L_s^{-2}-dual line (x_s coordinate)
         return 3 * self.a + s
 
+    def legs(self, s: int, p: int) -> Tuple[int]:
+        """The index of e_p @ L_s in slot s."""
+        return (self.al(s, p),)
+
 
 def build_W_module(tag_a: str) -> GModule:
     """The distinguished cubic module of g(A, C+C), dimension 3a+3."""
@@ -458,26 +420,14 @@ def build_W_module(tag_a: str) -> GModule:
     # Signed slot weights (against the chart torus) and the line weights.
     diffs, omega_lines = line_weights(chart)
 
-    actions: List[Mat] = []
-
-    def zero() -> Mat:
-        return [[F0] * dim for _ in range(dim)]
-
-    # t(A) acts on the A legs.
-    for t in g.tA.basis:
-        m = zero()
-        for s in range(3):
-            comp = t.component(s + 1)
-            for p in range(a):
-                for r in range(a):
-                    if comp[r][p] != 0:
-                        m[ix.al(s, r)][ix.al(s, p)] += comp[r][p]
-        actions.append(m)
+    actions = _t_a_actions(g, ix)
 
     # The torus t(B) acts by weights: -w_s on A_s @ L_s, +2 w_s on the lines.
+    # t(C+C) is its own Cartan, so every basis element is a chart combination.
+    chart_solver = SolveCache([g.tB.coords(h) for h in chart])
     for t in g.tB.basis:
-        chart_coords = _express_in_chart(g.tB, chart, t)
-        m = zero()
+        chart_coords = chart_solver.solve(g.tB.coords(t))
+        m = zeros(dim, dim)
         for s in range(3):
             wt = sum(c * w for c, w in zip(chart_coords, omega_lines[s]))
             for p in range(a):
@@ -493,35 +443,24 @@ def build_W_module(tag_a: str) -> GModule:
             for q in range(2):
                 # orientation: does this monomial carry weight +diffs[s] or -diffs[s]?
                 wt = tuple(h.component(s + 1)[q][q] for h in chart)
-                plus = wt == diffs[s]
-                w1p, w2p, w3p = W_SCALARS_PLUS[s]
-                w1m, w2m, w3m = W_SCALARS_MINUS[s]
-                m = zero()
-                if plus:
-                    # M_{s+2} -> A_s @ L_s
-                    m[ix.al(s, p)][ix.line(s2)] += w1p
-                    # A_s -> M_{s+1}
-                    for x in range(a):
-                        qv = algA.qform(ep, algA.basis_element(x))
-                        if qv != 0:
-                            m[ix.line(s1)][ix.al(s, x)] += w2p * qv
-                    # A_{s+1} -> A_{s+2}
-                    for y in range(a):
-                        prod = _slot_mult(algA, s, ep, y, "fwd")
-                        for r, pv in enumerate(prod):
-                            if pv != 0:
-                                m[ix.al(s2, r)][ix.al(s1, y)] += w3p * pv
+                if wt == diffs[s]:
+                    src, dst, direction, (w1, w2, w3) = s1, s2, "fwd", W_SCALARS_PLUS[s]
                 else:
-                    m[ix.al(s, p)][ix.line(s1)] += w1m
-                    for x in range(a):
-                        qv = algA.qform(ep, algA.basis_element(x))
-                        if qv != 0:
-                            m[ix.line(s2)][ix.al(s, x)] += w2m * qv
-                    for z in range(a):
-                        prod = _slot_mult(algA, s, ep, z, "bwd")
-                        for r, pv in enumerate(prod):
-                            if pv != 0:
-                                m[ix.al(s1, r)][ix.al(s2, z)] += w3m * pv
+                    src, dst, direction, (w1, w2, w3) = s2, s1, "bwd", W_SCALARS_MINUS[s]
+                m = zeros(dim, dim)
+                # M_dst -> A_s @ L_s
+                m[ix.al(s, p)][ix.line(dst)] += w1
+                # A_s -> M_src
+                for x in range(a):
+                    qv = algA.qform(ep, algA.basis_element(x))
+                    if qv != 0:
+                        m[ix.line(src)][ix.al(s, x)] += w2 * qv
+                # A_src -> A_dst
+                for y in range(a):
+                    prod = _slot_mult(algA, s, ep, y, direction)
+                    for r, pv in enumerate(prod):
+                        if pv != 0:
+                            m[ix.al(dst, r)][ix.al(src, y)] += w3 * pv
                 actions.append(m)
 
     def cubic(u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
@@ -541,13 +480,6 @@ def build_W_module(tag_a: str) -> GModule:
         return total / 6
 
     return GModule(g, dim, actions, "cubic", cubic)
-
-
-def _express_in_chart(tb, chart, t: TrialityTriple) -> Vec:
-    """Coefficients of the Cartan part of t against the chart basis (torus case)."""
-    # For the 2-torus t(C+C) every element is in the Cartan; solve directly.
-    solver = SolveCache([tb.coords(h) for h in chart])
-    return solver.solve(tb.coords(t))
 
 
 # -- validation helpers ----------------------------------------------------------------

@@ -23,14 +23,15 @@ from .linalg import (
     F0,
     F1,
     Mat,
-    SolveCache,
     Vec,
+    eigenspaces,
+    identity,
     inverse,
     mat_vec,
     nullspace,
 )
 from .magic import MagicAlgebra, build_magic_algebra
-from .triality import TrialityAlgebra, TrialityTriple
+from .triality import TrialityAlgebra, TrialityTriple, combine
 
 Weight = Tuple[Fraction, ...]
 
@@ -347,11 +348,12 @@ def _classify_component(rd: RootDatum, a: List[List[int]], adj, comp: List[int])
 # -- Cartan charts for the triality factors -----------------------------------------
 
 
-def cartan_chart(t: TrialityAlgebra) -> List[TrialityTriple]:
+@lru_cache(maxsize=None)
+def cartan_chart(t: TrialityAlgebra) -> Tuple[TrialityTriple, ...]:
     """Normalized Cartan basis whose slot actions give the series coordinates."""
     tag = t.alg.tag.name
     if tag == "R":
-        return []
+        return ()
     cartan = t.cartan_basis()
     if tag == "C":
         return _chart_from_reps(t, cartan, [(1, 0), (2, 0)])
@@ -365,7 +367,7 @@ def _pair_reps(t: TrialityAlgebra) -> List[int]:
     return [i for i in range(alg.dim) if i < alg.partner[i]]
 
 
-def _chart_from_reps(t: TrialityAlgebra, cartan, specs) -> List[TrialityTriple]:
+def _chart_from_reps(t: TrialityAlgebra, cartan, specs) -> Tuple[TrialityTriple, ...]:
     """Dualize the Cartan basis to the diagonal functionals given by specs.
 
     specs is a list of (slot, pair-representative-index); the returned basis
@@ -382,18 +384,10 @@ def _chart_from_reps(t: TrialityAlgebra, cartan, specs) -> List[TrialityTriple]:
         m.append(row)
     # h_j = sum_i c[i][j] cartan_i with M^T c = I.
     c = inverse([list(col) for col in zip(*m)])
-    out = []
-    for j in range(len(specs)):
-        h = None
-        for i in range(len(cartan)):
-            if c[i][j] == 0:
-                continue
-            h = cartan[i].scale(c[i][j]) if h is None else h.add(cartan[i].scale(c[i][j]))
-        out.append(h)
-    return out
+    return tuple(combine([row[j] for row in c], cartan) for j in range(len(specs)))
 
 
-def _chart_h(t: TrialityAlgebra, cartan) -> List[TrialityTriple]:
+def _chart_h(t: TrialityAlgebra, cartan) -> Tuple[TrialityTriple, ...]:
     """Cartan basis h_1, h_2, h_3 of t(H): h_i spans the factor trivial on slot i."""
     out = []
     n = t.alg.dim
@@ -405,12 +399,7 @@ def _chart_h(t: TrialityAlgebra, cartan) -> List[TrialityTriple]:
         kernel = nullspace(rows, len(cartan))
         if len(kernel) != 1:
             raise ExtractionError("t(H) factor extraction failed")
-        coeffs = kernel[0]
-        h = None
-        for c, b in zip(coeffs, cartan):
-            if c == 0:
-                continue
-            h = b.scale(c) if h is None else h.add(b.scale(c))
+        h = combine(kernel[0], cartan)
         # Normalize: the nontrivial slots act with eigenvalues +/-1.
         val = None
         for s in range(1, 4):
@@ -425,7 +414,7 @@ def _chart_h(t: TrialityAlgebra, cartan) -> List[TrialityTriple]:
                 break
         h = h.scale(1 / val)
         out.append(h)
-    return out
+    return tuple(out)
 
 
 def _slot_diag(h: TrialityTriple, slot: int) -> Vec:
@@ -441,68 +430,38 @@ def _slot_diag(h: TrialityTriple, slot: int) -> Vec:
 # -- extraction ---------------------------------------------------------------------
 
 
-def _t_side_roots(t: TrialityAlgebra, chart: List[TrialityTriple]) -> List[Weight]:
-    """Joint eigenvalues of ad(chart) on t, nonzero ones, with multiplicity."""
-    d = t.dim
-    if d == 0 or not chart:
-        return []
-    ops = []
-    cands = []
-    for h in chart:
-        hc = t.coords(h)
-        m = [[F0] * d for _ in range(d)]
-        for l in range(d):
-            col = [F0] * d
-            for k, c in enumerate(hc):
-                if c == 0:
-                    continue
-                for i, v in enumerate(t.bracket_coords(k, l)):
-                    col[i] += c * v
-            for i in range(d):
-                m[i][l] = col[i]
-        ops.append(m)
-        vals = set()
+@lru_cache(maxsize=None)
+def factor_root_data(t: TrialityAlgebra) -> Tuple[Tuple[Weight, ...], Tuple[Weight, ...]]:
+    """The roots of t against its chart, with multiplicity, and K on the chart.
+
+    The roots are the nonzero joint eigenvalues of ad(chart) on t; the
+    second entry is the Gram matrix of the invariant form on the chart.
+    """
+    chart = cartan_chart(t)
+    if not chart:
+        return (), ()
+    coords = [t.coords(h) for h in chart]
+    gram = tuple(_tup(t.k_form_coords(x, y) for y in coords) for x in coords)
+    spaces: List[Tuple[Tuple[Fraction, ...], Mat]] = [((), identity(t.dim))]
+    for h, hc in zip(chart, coords):
+        # ad(h) can only have the differences of h's slot eigenvalues as eigenvalues.
+        candidates = set()
         for slot in range(1, 4):
             diag = _slot_diag(h, slot)
-            for x in diag:
-                for y in diag:
-                    vals.add(x - y)
-        cands.append(sorted(vals))
-    spaces: List[Tuple[Tuple[Fraction, ...], List[Vec]]] = [((), [
-        [F1 if i == j else F0 for j in range(d)] for i in range(d)])]
-    for m, candidates in zip(ops, cands):
+            candidates.update(x - y for x in diag for y in diag)
+        candidates = sorted(candidates)
         new_spaces = []
         for vals, vecs in spaces:
-            if not vecs:
-                continue
-            solver = SolveCache(vecs)
-            images = [solver.solve(mat_vec(m, v)) for v in vecs]
-            k = len(vecs)
-            total = 0
-            for c in candidates:
-                rows = [[images[j][i] - (c if i == j else F0) for j in range(k)]
-                        for i in range(k)]
-                ker = nullspace(rows, k)
-                if not ker:
-                    continue
-                total += len(ker)
-                sub = []
-                for coeffs in ker:
-                    vec = [F0] * d
-                    for x, v in zip(coeffs, vecs):
-                        if x != 0:
-                            for i in range(d):
-                                vec[i] += x * v[i]
-                    sub.append(vec)
-                new_spaces.append((vals + (c,), sub))
-            if total != k:
+            found = eigenspaces(vecs, [t.bracket_vec(hc, v) for v in vecs], candidates)
+            if sum(map(len, found)) != len(vecs):
                 raise ExtractionError("adjoint action not diagonalizable over Q")
+            new_spaces += [(vals + (c,), sub) for c, sub in zip(candidates, found) if sub]
         spaces = new_spaces
     roots = []
     for vals, vecs in spaces:
         if any(vals):
             roots.extend([_tup(vals)] * len(vecs))
-    return roots
+    return tuple(roots), gram
 
 
 def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum:
@@ -517,11 +476,13 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
     rB, rA = len(chartB), len(chartA)
     diagB = [[_slot_diag(h, slot) for slot in (1, 2, 3)] for h in chartB]
     diagA = [[_slot_diag(h, slot) for slot in (1, 2, 3)] for h in chartA]
+    rootsB, kB = factor_root_data(g.tB)
+    rootsA, kA = factor_root_data(g.tA)
 
     roots: List[Weight] = []
-    for w in _t_side_roots(g.tB, chartB):
+    for w in rootsB:
         roots.append(_tup(list(w) + [F0] * rA))
-    for w in _t_side_roots(g.tA, chartA):
+    for w in rootsA:
         roots.append(_tup([F0] * rB + list(w)))
     for slot in range(3):
         for p in range(g.a):
@@ -540,12 +501,7 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
         raise ExtractionError("positivity did not split the roots in half")
 
     # Invariant form restricted to the chart Cartan, inverted, long roots -> 2.
-    kc = [[F0] * rank for _ in range(rank)]
-    for off, t, chart in ((0, g.tB, chartB), (rB, g.tA, chartA)):
-        coords = [t.coords(h) for h in chart]
-        for i, x in enumerate(coords):
-            for j, y in enumerate(coords):
-                kc[off + i][off + j] = t.k_form_coords(x, y)
+    kc = [list(row) + [F0] * rA for row in kB] + [[F0] * rB + list(row) for row in kA]
     gram = inverse(kc)
     rd = RootDatum(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
                    rank, positive, gram)
@@ -555,12 +511,11 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
     scale = 2 / longest
     rd.gram = [[scale * x for x in row] for row in gram]
     rd.__post_init__()
-    rd.markers = _markers_for(g, rd)
+    rd.markers = _markers_for(g, rd, rB)
     return rd
 
 
-def _markers_for(g: MagicAlgebra, rd: RootDatum) -> Dict[str, Weight]:
-    rB = len(cartan_chart(g.tB))
+def _markers_for(g: MagicAlgebra, rd: RootDatum, rB: int) -> Dict[str, Weight]:
     rank = rd.rank
     tag = g.algB.tag.name
 
@@ -585,7 +540,7 @@ def _markers_for(g: MagicAlgebra, rd: RootDatum) -> Dict[str, Weight]:
     return markers
 
 
-def line_weights(chart: List[TrialityTriple]) -> Tuple[List[Weight], List[Weight]]:
+def line_weights(chart: Sequence[TrialityTriple]) -> Tuple[List[Weight], List[Weight]]:
     """Slot weights d_s and line weights w_s of t(C) against its 2-element chart.
 
     The weight of slot s (read off the first diagonal entry) is +/- a

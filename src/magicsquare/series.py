@@ -131,7 +131,7 @@ class SeriesDescriptor:
 @dataclass
 class SeriesResult:
     value: Optional[Fraction]
-    factored: LinearFactorProduct
+    factored: Optional[LinearFactorProduct]  # None: the formula has no factored form
     pole: bool = False
 
     @property
@@ -304,10 +304,12 @@ def deligne_Yk(k: int, lam: RatLike) -> Fraction:
     return -deligne_Yk_printed(k, lam)
 
 
-def qdim_adjoint_cartan_power(k: int, a: int) -> QPoly:
+def qdim_adjoint_cartan_power(k: int, a: RatLike) -> QPoly:
     """q-analog of dim g^(k); requires integral exponents (a even, >= 0)."""
-    if not isinstance(a, int) or a < 0 or a % 2 != 0:
+    a = rat(a)
+    if a.denominator != 1 or a < 0 or a % 2 != 0:
         raise ValueError("q-analog needs a an even nonnegative integer")
+    a = int(a)
     num_exps = [3 * a + 2 * k + 5]
     den_exps = [3 * a + 5]
     num = QPoly.one()
@@ -442,7 +444,7 @@ def subexc_V2_printed(k: int, a: RatLike) -> Fraction:
 def severi_dim(p: int, pstar: int, a: RatLike) -> SeriesResult:
     a = rat(a)
     if a == 0:
-        return SeriesResult(None, LinearFactorProduct(), pole=True)
+        return SeriesResult(None, None, pole=True)
     h = a / 2
     b = gen_binomial
     pref = (2 * p + a) * (p + pstar + a) * (2 * pstar + a) / a ** 3
@@ -469,7 +471,7 @@ def so_family_dim(k: int, t: int) -> SeriesResult:
     den = (2 * t + 1) * t * (t + 1) * (k + 1)
     value = (Fraction((2 * k + 2 * t + 1) * (k + t) * (k + t + 1), den)
              * gen_binomial(k + 2 * t - 1, k) * gen_binomial(k + 2 * t, k))
-    return SeriesResult(value, LinearFactorProduct())
+    return SeriesResult(value, None)
 
 
 def so_family_interval(k: int, t: int) -> SeriesResult:
@@ -485,15 +487,14 @@ def thirdrow_dim(k: int, r: int, a: RatLike) -> SeriesResult:
     b = gen_binomial
     pref_den = a * (r - 1) + 1
     if pref_den == 0:
-        return SeriesResult(None, LinearFactorProduct(), pole=True)
+        return SeriesResult(None, None, pole=True)
     num = (b(k + a * r / 2 - 1, k) * b(k + a * r - a, k)
            * b(k + (a * r - a) / 2, k) * b(k + a * r + 1 - 3 * a / 2, k))
     den = (b(k + a / 2 - 1, k) * b(k + a * r / 2 + 1 - a, k)
            * b(k + (a * r - a) / 2, k))
     if den == 0:
-        return SeriesResult(None, LinearFactorProduct(), pole=True)
-    return SeriesResult((2 * k + a * (r - 1) + 1) / pref_den * num / den,
-                        LinearFactorProduct())
+        return SeriesResult(None, None, pole=True)
+    return SeriesResult((2 * k + a * (r - 1) + 1) / pref_den * num / den, None)
 
 
 # -- degrees of the closed orbits ------------------------------------------------------
@@ -582,6 +583,8 @@ def degree_from_hilbert(variety: str, a: RatLike) -> Fraction:
     d = VARIETY_DIMENSIONS[variety](a)
     if d.denominator != 1:
         raise ValueError("variety dimension not integral here")
+    if d < 0:
+        raise ValueError(f"variety dimension {d} is negative here")
     d = int(d)
     if variety == "ad":
         values = [adjoint_cartan_power(k, a) for k in range(d + 1)]

@@ -40,6 +40,7 @@ from .linalg import (
     primitive_integer_vector,
     rref,
     trace_of_product,
+    zeros,
 )
 
 
@@ -81,6 +82,21 @@ class TrialityTriple:
         return TrialityTriple(ad(self.theta1, other.theta1),
                               ad(self.theta2, other.theta2),
                               ad(self.theta3, other.theta3))
+
+
+def combine(coeffs: Sequence[Fraction], triples: Sequence[TrialityTriple]) -> TrialityTriple:
+    """The linear combination sum_i coeffs[i] triples[i] of a nonempty list of triples."""
+    n = len(triples[0].theta1)
+    acc = [zeros(n, n) for _ in range(3)]
+    for c, t in zip(coeffs, triples):
+        if c == 0:
+            continue
+        for m, src in zip(acc, (t.theta1, t.theta2, t.theta3)):
+            for row, src_row in zip(m, src):
+                for j, x in enumerate(src_row):
+                    if x != 0:
+                        row[j] += c * x
+    return TrialityTriple.from_mats(*acc)
 
 
 def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
@@ -188,15 +204,7 @@ class TrialityAlgebra:
                          for c in range(3) for r in range(n) for s in range(n) if r != s]
         rows = [[f[pos] for f in flats] for pos in off_positions]
         cartan_coords = nullspace(rows, len(basis))
-        cartan = []
-        for v in cartan_coords:
-            v = primitive_integer_vector(v)
-            t = None
-            for c, b in zip(v, basis):
-                if c == 0:
-                    continue
-                t = b.scale(c) if t is None else t.add(b.scale(c))
-            cartan.append(t)
+        cartan = [combine(primitive_integer_vector(v), basis) for v in cartan_coords]
         # Complete greedily to a full basis.
         chosen = list(cartan)
         for b in basis:
@@ -218,16 +226,10 @@ class TrialityAlgebra:
         return self._solver.solve(t.flat())
 
     def from_coords(self, v: Sequence[Fraction]) -> TrialityTriple:
-        t = None
-        for c, b in zip(v, self.basis):
-            if c == 0:
-                continue
-            t = b.scale(c) if t is None else t.add(b.scale(c))
-        if t is None:
-            n = self.alg.dim
-            z = [[F0] * n for _ in range(n)]
+        if self.dim == 0:
+            z = zeros(self.alg.dim, self.alg.dim)
             return TrialityTriple.from_mats(z, z, z)
-        return t
+        return combine(v, self.basis)
 
     def bracket_coords(self, k: int, l: int) -> Vec:
         """Coordinates of [basis_k, basis_l]; cached."""
@@ -236,6 +238,21 @@ class TrialityAlgebra:
         out = self.coords(triality_bracket(self.basis[k], self.basis[l]))
         self._bracket_cache[(k, l)] = out
         self._bracket_cache[(l, k)] = [-c for c in out]
+        return out
+
+    def bracket_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
+        """Coordinates of [x, y] for coordinate vectors x, y (bilinear in both)."""
+        out = [F0] * self.dim
+        for k, a in enumerate(x):
+            if a == 0:
+                continue
+            for l, b in enumerate(y):
+                if b == 0:
+                    continue
+                ab = a * b
+                for i, c in enumerate(self.bracket_coords(k, l)):
+                    if c != 0:
+                        out[i] += ab * c
         return out
 
     # -- order-3 symmetry --------------------------------------------------------

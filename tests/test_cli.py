@@ -187,6 +187,36 @@ def test_table_qdim_and_degrees(capsys):
     assert len(out.strip().splitlines()) == 2 + 12
 
 
+def test_table_qdim_non_integer_a_is_usage_error(capsys):
+    # An odd integer a is rejected with this message; a non-integral a must
+    # be too, not truncated to the q-analog of int(a).
+    assert main(["table", "--series", "qdim", "--a", "3"]) == 2
+    odd = capsys.readouterr()
+    assert main(["table", "--series", "qdim", "--a", "1/2"]) == 2
+    half = capsys.readouterr()
+    assert half.out == odd.out == ""
+    assert half.err == odd.err == "table: q-analog needs a an even nonnegative integer\n"
+
+
+def test_table_degrees_negative_dimension_is_usage_error(capsys):
+    # At a = -1 the flines variety would have dimension 11a+9 = -2.
+    assert main(["table", "--series", "degrees", "--a=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "table: variety dimension -2 is negative here\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--series", "thirdrow", "-k", "1", "--r-param", "3", "-a", "8"],
+    ["--series", "so-family", "-k", "1", "-t", "2"],
+])
+def test_dim_factored_without_factored_form_is_usage_error(capsys, argv):
+    assert main(["dim"] + argv + ["--factored"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dim: --series {argv[1]} has no factored form\n"
+
+
 def test_bad_usage_exit_codes():
     with pytest.raises(SystemExit) as exc:
         main(["table"])  # missing required --series

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from magicsquare.compalg import TAGS, build_split_algebra, parse_tag
-from magicsquare.linalg import mat_mul, mat_vec, transpose
+from magicsquare.linalg import mat_mul, transpose
 from magicsquare.triality import psi, satisfies_triality, triality_algebra
 
 
@@ -107,14 +107,6 @@ def test_gram_is_hyperbolic_paired(alg):
         nz = [j for j in range(n) if alg.gram[i][j] != 0]
         assert len(nz) == 1
         assert alg.partner[alg.partner[i]] == i
-
-
-def test_mult_matrices_match_products(alg):
-    rng = random.Random(6)
-    for _ in range(10):
-        x, y = rand_elt(rng, alg.dim), rand_elt(rng, alg.dim)
-        assert mat_vec(alg.left_mult_matrix(x), y) == alg.multiply(x, y)
-        assert mat_vec(alg.right_mult_matrix(y), x) == alg.multiply(x, y)
 
 
 def test_dump_schema(alg):

@@ -228,6 +228,12 @@ def test_degree_formulas_documented_mismatches():
         assert ratio == factorial_ratio(3 * a + 1, 0)
 
 
+@pytest.mark.parametrize("variety,a", [("flines", -1), ("fpoints", -1), ("ad", -2)])
+def test_degree_from_hilbert_rejects_negative_dimension(variety, a):
+    with pytest.raises(ValueError, match="negative"):
+        degree_from_hilbert(variety, a)
+
+
 def test_degree_oracle_values_are_integers():
     for variety in ("ad", "fplanes", "flines", "fpoints"):
         for a in (2, 4, 8):

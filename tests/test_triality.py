@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from magicsquare.compalg import build_split_algebra
-from magicsquare.linalg import SolveCache, mat_mul, mat_vec, transpose
+from magicsquare.linalg import SolveCache, mat_mul, mat_vec, nullspace, transpose
 from magicsquare.triality import (
     psi,
     satisfies_triality,
@@ -178,8 +178,6 @@ def test_t_c_abelian_psi_images_commute():
 
 def test_t_h_three_commuting_ideals():
     t = triality_algebra("H")
-    from magicsquare.linalg import nullspace
-
     ideals = []
     for slot in (1, 2, 3):
         rows = []
