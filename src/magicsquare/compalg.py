@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from .exact import rat_str
 from .linalg import (
@@ -26,9 +27,11 @@ from .linalg import (
     Mat,
     SVec,
     Vec,
+    bilinear,
     identity,
     inverse,
     mat_mul,
+    mat_vec,
     nullspace,
     transpose,
 )
@@ -104,22 +107,12 @@ class CompAlg:
     def conjugate(self, x: Sequence[Fraction]) -> AlgElement:
         if len(x) != self.dim:
             raise ValueError("element dimension mismatch")
-        return [
-            sum((self.conj_matrix[k][i] * x[i] for i in range(self.dim) if x[i] != 0), F0)
-            for k in range(self.dim)
-        ]
+        return mat_vec(self.conj_matrix, x)
 
     def qform(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element dimension mismatch")
-        out = F0
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            j = self.partner[i]
-            if y[j] != 0:
-                out += xi * self.gram[i][j] * y[j]
-        return out
+        return bilinear(self.gram, x, y)
 
     def basis_element(self, i: int) -> AlgElement:
         v = [F0] * self.dim
@@ -214,14 +207,6 @@ def _change_basis(tag: AlgebraTag, ctable, conj, gram, unit, p: Mat) -> CompAlg:
     """Rewrite the algebra in the basis f_j = sum_i p[i][j] e_i."""
     n = tag.dim
     pinv = inverse(p)
-
-    def to_new(vec_sparse: SVec) -> Vec:
-        dense = [F0] * n
-        for k, c in vec_sparse.items():
-            dense[k] = c
-        return [sum((pinv[r][i] * dense[i] for i in range(n) if dense[i] != 0), F0)
-                for r in range(n)]
-
     new_ctable: List[List[SVec]] = [[{} for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -235,42 +220,34 @@ def _change_basis(tag: AlgebraTag, ctable, conj, gram, unit, p: Mat) -> CompAlg:
                     coeff = p[i][a] * p[j][b]
                     for k, c in ctable[i][j].items():
                         acc[k] += coeff * c
-            newvec = [sum((pinv[r][k] * acc[k] for k in range(n) if acc[k] != 0), F0)
-                      for r in range(n)]
-            new_ctable[a][b] = {r: c for r, c in enumerate(newvec) if c != 0}
+            new_ctable[a][b] = {r: c for r, c in enumerate(mat_vec(pinv, acc)) if c != 0}
     new_conj = mat_mul(pinv, mat_mul(conj, p))
     new_gram = mat_mul(transpose(p), mat_mul(gram, p))
-    pinv_unit = [sum((pinv[r][i] * unit[i] for i in range(n) if unit[i] != 0), F0)
-                 for r in range(n)]
-    return CompAlg(tag, new_ctable, new_conj, new_gram, pinv_unit)
-
-
-_CACHE: Dict[str, CompAlg] = {}
+    return CompAlg(tag, new_ctable, new_conj, new_gram, mat_vec(pinv, unit))
 
 
 def build_split_algebra(tag: AlgebraTag | str) -> CompAlg:
-    """The split composition algebra of the given tag, in its hyperbolic basis."""
-    if isinstance(tag, str):
-        tag = parse_tag(tag)
-    if tag.name in _CACHE:
-        return _CACHE[tag.name]
-    if tag.name == "R":
-        alg = _base_r()
-    else:
-        half = Fraction(1, 2)
-        # C in the idempotent basis u+/- = (1 +/- v)/2 of the doubled line.
-        ct, cj, gm, un = _double(_base_r())
-        p = [[half, half], [half, -half]]
-        c_alg = _change_basis(C_TAG, ct, cj, gm, un, p)
-        if tag.name == "C":
-            alg = c_alg
-        else:
-            ct, cj, gm, un = _double(c_alg)
-            h_alg = CompAlg(H_TAG, ct, cj, gm, un)
-            if tag.name == "H":
-                alg = h_alg
-            else:
-                ct, cj, gm, un = _double(h_alg)
-                alg = CompAlg(O_TAG, ct, cj, gm, un)
-    _CACHE[tag.name] = alg
-    return alg
+    """The split composition algebra of the given tag, in its hyperbolic basis.
+
+    There is one CompAlg per tag name in a process.
+    """
+    return _split_algebra((parse_tag(tag) if isinstance(tag, str) else tag).name)
+
+
+@lru_cache(maxsize=None)
+def _split_algebra(name: str) -> CompAlg:
+    if name == "R":
+        return _base_r()
+    half = Fraction(1, 2)
+    # C in the idempotent basis u+/- = (1 +/- v)/2 of the doubled line.
+    ct, cj, gm, un = _double(_base_r())
+    p = [[half, half], [half, -half]]
+    c_alg = _change_basis(C_TAG, ct, cj, gm, un, p)
+    if name == "C":
+        return c_alg
+    ct, cj, gm, un = _double(c_alg)
+    h_alg = CompAlg(H_TAG, ct, cj, gm, un)
+    if name == "H":
+        return h_alg
+    ct, cj, gm, un = _double(h_alg)
+    return CompAlg(O_TAG, ct, cj, gm, un)

@@ -1,8 +1,11 @@
 """Small exact linear algebra toolkit over Fraction.
 
 Dense matrices are lists of lists of Fraction; sparse vectors are
-dict[int, Fraction] with no zero values stored.  Sizes in this package
-stay below a few hundred, so straightforward Gaussian elimination is fine.
+dict[int, Fraction] with no zero values stored.  A linear map acting on a
+Lie algebra or on a module is a column map: dict[int, SVec] whose entry j
+is the image of basis vector j, with zero columns left out.  Sizes in this
+package stay below a few hundred, so straightforward Gaussian elimination
+is fine.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 Vec = List[Fraction]
 Mat = List[Vec]
 SVec = Dict[int, Fraction]
+ColMap = Dict[int, SVec]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -77,6 +81,65 @@ def trace_of_product(a: Mat, b: Mat) -> Fraction:
         for j in range(n):
             if a[i][j] != 0 and b[j][i] != 0:
                 out += a[i][j] * b[j][i]
+    return out
+
+
+def bilinear(gram: Mat, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+    """x^T G y for a dense Gram matrix G."""
+    out = F0
+    for r, a in enumerate(x):
+        if a == 0:
+            continue
+        row = gram[r]
+        for c, b in enumerate(y):
+            if b != 0 and row[c] != 0:
+                out += a * row[c] * b
+    return out
+
+
+def axpy(out: SVec, c: Fraction, v: SVec) -> None:
+    """out += c v in place, dropping the entries that cancel to zero."""
+    for k, x in v.items():
+        nv = out.get(k, F0) + c * x
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+
+
+def apply_into(out: SVec, m: ColMap, v: SVec, c: Fraction = F1) -> None:
+    """out += c m v for a column map m and a sparse vector v."""
+    for j, x in v.items():
+        col = m.get(j)
+        if col:
+            axpy(out, c * x, col)
+
+
+def columns(m: Mat) -> ColMap:
+    """The column map of a dense matrix."""
+    out: ColMap = {}
+    for j, entries in enumerate(zip(*m)):
+        col = {i: x for i, x in enumerate(entries) if x}
+        if col:
+            out[j] = col
+    return out
+
+
+def rep_defect_column(maps: Sequence[ColMap], br: SVec, i: int, j: int, k: int) -> SVec:
+    """([A_i, A_j] - sum_t br_t A_t) e_k for the column maps A_t = maps[t].
+
+    With br = [b_i, b_j] this is the representation axiom on the pair i, j,
+    read off one column; b -> A_b is a representation iff it vanishes for
+    every i, j, k.  For the bracket table itself (A_t = ad b_t) it is minus
+    the Jacobi sum of the triple i, j, k.
+    """
+    out: SVec = {}
+    apply_into(out, maps[i], maps[j].get(k, {}))
+    apply_into(out, maps[j], maps[i].get(k, {}), -F1)
+    for t, c in br.items():
+        col = maps[t].get(k)
+        if col:
+            axpy(out, -c, col)
     return out
 
 

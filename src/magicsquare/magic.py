@@ -11,19 +11,22 @@ g(A,B) = t(A) x t(B)  +  A_1@B_1  +  A_2@B_2  +  A_3@B_3, with bracket:
         [u3@v3, u1@v1] = conj(u1) u3 @ conj(v1) v3
 
 The bracket table over the concatenated basis is built once and cached;
-all structure constants are exact rationals.  Dimensions land on the
-classical 4x4 table (sl2 ... e8) and the Jacobi identity is checked by
-the test suite, exhaustively for dim <= 78.
+all structure constants are exact rationals.  Row i of the table is
+ad(b_i) as a column map, so the Jacobi identity is checked as the
+representation axiom of ad (`linalg.rep_defect_column`), the same check
+the modules use.  Dimensions land on the classical 4x4 table (sl2 ... e8)
+and the test suite checks Jacobi exhaustively on all sixteen algebras.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compalg import AlgebraTag, CompAlg, parse_tag
-from .linalg import F0, F1, SVec, Vec
+from .linalg import F0, F1, ColMap, SVec, Vec, apply_into, axpy, rep_defect_column
 from .triality import TrialityAlgebra, triality_algebra
 
 MagicElement = List[Fraction]
@@ -56,7 +59,7 @@ class MagicAlgebra:
         self.dA = self.tA.dim
         self.dB = self.tB.dim
         self.dim = self.dA + self.dB + 3 * self.a * self.b
-        self._table: Optional[List[Dict[int, SVec]]] = None
+        self._table: Optional[List[ColMap]] = None
 
     # -- index layout -----------------------------------------------------------
 
@@ -89,16 +92,17 @@ class MagicAlgebra:
 
     # -- bracket table -----------------------------------------------------------
 
-    def table(self) -> List[Dict[int, SVec]]:
+    def table(self) -> List[ColMap]:
+        """ad(b_i) for every basis index i: tab[i][j] = [b_i, b_j], zeros left out."""
         if self._table is None:
             self._table = self._build_table()
         return self._table
 
-    def _build_table(self) -> List[Dict[int, SVec]]:
+    def _build_table(self) -> List[ColMap]:
         dim, a, b = self.dim, self.a, self.b
         dA, dB = self.dA, self.dB
         algA, algB = self.algA, self.algB
-        tab: List[Dict[int, SVec]] = [dict() for _ in range(dim)]
+        tab: List[ColMap] = [dict() for _ in range(dim)]
 
         def put(i: int, j: int, sv: SVec) -> None:
             if sv:
@@ -140,7 +144,8 @@ class MagicAlgebra:
 
         # Same slot: quadratic-form contraction into t(A) x t(B) via Psi.
         psiA = [self._psi_pairs(self.tA, i) for i in range(3)]
-        psiB = [self._psi_pairs(self.tB, i) for i in range(3)]
+        psiB = [{pq: {self.idx_tB(k): c for k, c in sv.items()}
+                 for pq, sv in self._psi_pairs(self.tB, i).items()} for i in range(3)]
         for slot in range(3):
             for p in range(a):
                 for q in range(b):
@@ -154,26 +159,12 @@ class MagicAlgebra:
                             cb = algB.gram[q][q2]
                             if cb != 0 and p != p2:
                                 sgn = 1 if p < p2 else -1
-                                coords = psiA[slot].get((min(p, p2), max(p, p2)))
-                                if coords:
-                                    for k, c in coords.items():
-                                        val = sgn * cb * c
-                                        if val != 0:
-                                            sv[self.idx_tA(k)] = sv.get(self.idx_tA(k), F0) + val
+                                axpy(sv, sgn * cb, psiA[slot].get((min(p, p2), max(p, p2)), {}))
                             ca = algA.gram[p][p2]
                             if ca != 0 and q != q2:
                                 sgn = 1 if q < q2 else -1
-                                coords = psiB[slot].get((min(q, q2), max(q, q2)))
-                                if coords:
-                                    for k, c in coords.items():
-                                        key = self.idx_tB(k)
-                                        val = sgn * ca * c
-                                        nv = sv.get(key, F0) + val
-                                        if nv == 0:
-                                            sv.pop(key, None)
-                                        else:
-                                            sv[key] = nv
-                            put(i1, i2, {k: c for k, c in sv.items() if c != 0})
+                                axpy(sv, sgn * ca, psiB[slot].get((min(q, q2), max(q, q2)), {}))
+                            put(i1, i2, sv)
 
         # Mixed slots multiply into the remaining slot.
         conjA = algA.conj_matrix
@@ -231,63 +222,33 @@ class MagicAlgebra:
     # -- operations ---------------------------------------------------------------
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> MagicElement:
+        """[x, y] = sum_i x_i ad(b_i) y."""
         tab = self.table()
-        out = self.zero()
+        ys = {j: c for j, c in enumerate(y) if c}
+        out: SVec = {}
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = tab[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                sv = row.get(j)
-                if sv:
-                    c = xi * yj
-                    for k, v in sv.items():
-                        out[k] += c * v
-        return out
+            if xi:
+                apply_into(out, tab[i], ys, xi)
+        return [out.get(k, F0) for k in range(self.dim)]
 
     def bracket_basis(self, i: int, j: int) -> SVec:
         return self.table()[i].get(j, {})
 
-    def _bracket_sv_basis(self, sv: SVec, k: int) -> SVec:
-        tab = self._table
-        out: SVec = {}
-        for p, c in sv.items():
-            row = tab[p].get(k)
-            if row:
-                for t, v in row.items():
-                    nv = out.get(t, F0) + c * v
-                    if nv == 0:
-                        out.pop(t, None)
-                    else:
-                        out[t] = nv
-        return out
-
     def jacobi_defect_basis(self, i: int, j: int, k: int) -> SVec:
-        self.table()
-        out: SVec = {}
-        for sv in (
-            self._bracket_sv_basis(self.bracket_basis(i, j), k),
-            self._bracket_sv_basis(self.bracket_basis(j, k), i),
-            self._bracket_sv_basis(self.bracket_basis(k, i), j),
-        ):
-            for t, v in sv.items():
-                nv = out.get(t, F0) + v
-                if nv == 0:
-                    out.pop(t, None)
-                else:
-                    out[t] = nv
-        return out
+        """Minus the Jacobi sum [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]."""
+        tab = self.table()
+        return rep_defect_column(tab, tab[i].get(j, {}), i, j, k)
 
     def jacobi_exhaustive(self) -> int:
         """Number of basis triples i<j<k with nonzero defect (0 for a Lie algebra)."""
+        tab = self.table()
         bad = 0
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
+                br = tab[i].get(j, {})
                 for k in range(j + 1, n):
-                    if self.jacobi_defect_basis(i, j, k):
+                    if rep_defect_column(tab, br, i, j, k):
                         bad += 1
         return bad
 
@@ -355,16 +316,7 @@ class MagicAlgebra:
                 if lead not in pivots:
                     inv = 1 / row[lead]
                     return {k: c * inv for k, c in row.items()}
-                pc = pivots[lead]
-                f = row[lead]
-                new = dict(row)
-                for k, c in pc.items():
-                    nv = new.get(k, F0) - f * c
-                    if nv == 0:
-                        new.pop(k, None)
-                    else:
-                        new[k] = nv
-                row = new
+                axpy(row, -row[lead], pivots[lead])
             return {}
 
         rank = 0
@@ -385,15 +337,15 @@ class MagicAlgebra:
         return n - rank
 
 
-_M_CACHE: Dict[Tuple[str, str], MagicAlgebra] = {}
-
-
 def build_magic_algebra(tag_a: AlgebraTag | str, tag_b: AlgebraTag | str) -> MagicAlgebra:
+    """The one g(A,B) of the process for each pair of tag names."""
     if isinstance(tag_a, str):
         tag_a = parse_tag(tag_a)
     if isinstance(tag_b, str):
         tag_b = parse_tag(tag_b)
-    key = (tag_a.name, tag_b.name)
-    if key not in _M_CACHE:
-        _M_CACHE[key] = MagicAlgebra(tag_a, tag_b)
-    return _M_CACHE[key]
+    return _magic_algebra(tag_a.name, tag_b.name)
+
+
+@lru_cache(maxsize=None)
+def _magic_algebra(name_a: str, name_b: str) -> MagicAlgebra:
+    return MagicAlgebra(parse_tag(name_a), parse_tag(name_b))

@@ -27,15 +27,20 @@ from typing import Dict, List, Sequence, Tuple
 from .linalg import (
     F0,
     F1,
+    ColMap,
     Mat,
     SolveCache,
+    SVec,
     Vec,
+    apply_into,
+    bilinear,
+    columns,
     det,
     eigenspaces,
     inverse,
-    mat_mul,
     mat_vec,
     nullspace,
+    rep_defect_column,
     zeros,
 )
 from .magic import MagicAlgebra, build_magic_algebra
@@ -79,42 +84,20 @@ W_CUBIC_COEFFS: Tuple[Fraction, ...] = (
 class GModule:
     parent: MagicAlgebra
     dimension: int
-    actions: List[Mat]          # one dim x dim matrix per parent basis element
+    actions: List[ColMap]       # rho(b_i) as a column map, per parent basis element
     form_kind: str              # "symplectic" | "cubic"
     form_data: object           # Gram matrix, or trilinear evaluator
 
     def act_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
         """rho(b_i) v for the parent basis element b_i."""
-        m = self.actions[i]
-        out = [F0] * self.dimension
-        for r in range(self.dimension):
-            row = m[r]
-            acc = F0
-            for j, vj in enumerate(v):
-                if vj != 0 and row[j] != 0:
-                    acc += row[j] * vj
-            out[r] = acc
-        return out
+        out: SVec = {}
+        apply_into(out, self.actions[i], {j: c for j, c in enumerate(v) if c != 0})
+        return [out.get(r, F0) for r in range(self.dimension)]
 
     def representation_defect(self, i: int, j: int) -> bool:
         """True if rho([b_i,b_j]) != [rho(b_i), rho(b_j)] for parent basis i, j."""
-        g = self.parent
-        br = g.bracket_basis(i, j)
-        lhs = zeros(self.dimension, self.dimension)
-        for k, c in br.items():
-            m = self.actions[k]
-            for r in range(self.dimension):
-                for s in range(self.dimension):
-                    if m[r][s] != 0:
-                        lhs[r][s] += c * m[r][s]
-        a, b = self.actions[i], self.actions[j]
-        rhs = mat_mul(a, b)
-        rhs2 = mat_mul(b, a)
-        for r in range(self.dimension):
-            for s in range(self.dimension):
-                if lhs[r][s] != rhs[r][s] - rhs2[r][s]:
-                    return True
-        return False
+        br = self.parent.bracket_basis(i, j)
+        return any(rep_defect_column(self.actions, br, i, j, k) for k in range(self.dimension))
 
 
 def _slot_mult(algA, s: int, actor, actee_idx: int, direction: str):
@@ -214,7 +197,7 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[Mat]:
     return out
 
 
-def _t_a_actions(g: MagicAlgebra, ix) -> List[Mat]:
+def _t_a_actions(g: MagicAlgebra, ix) -> List[ColMap]:
     """t(A) acting on the A legs: slot s of each triple moves the A_s leg.
 
     ix.legs(s, p) lists the module indices of e_p in slot s, one per basis
@@ -231,7 +214,7 @@ def _t_a_actions(g: MagicAlgebra, ix) -> List[Mat]:
                     if comp[r][p] != 0:
                         for i, j in zip(ix.legs(s, r), ix.legs(s, p)):
                             m[i][j] += comp[r][p]
-        actions.append(m)
+        actions.append(columns(m))
     return actions
 
 
@@ -309,7 +292,7 @@ def build_V_module(tag_a: str) -> GModule:
                                     jdx = list(idx)
                                     jdx[fi] = r
                                     m[ix.uuu(*jdx)][ix.uuu(*idx)] += coeff * u[r][idx[fi]]
-        actions.append(m)
+        actions.append(columns(m))
 
     # Mixed slots: e_p @ w with w in the H slot identified as u_eps(j) @ u_del(k).
     for s in range(3):
@@ -361,7 +344,7 @@ def build_V_module(tag_a: str) -> GModule:
                                     if w == 0:
                                         continue
                                     row[ix.au(src, y, u)] += cs * coeff * w * pv
-                actions.append(m)
+                actions.append(columns(m))
 
     # Invariant symplectic form.
     d0, d1, d2, d3 = V_OMEGA_WEIGHTS
@@ -433,7 +416,7 @@ def build_W_module(tag_a: str) -> GModule:
             for p in range(a):
                 m[ix.al(s, p)][ix.al(s, p)] += -wt
             m[ix.line(s)][ix.line(s)] += 2 * wt
-        actions.append(m)
+        actions.append(columns(m))
 
     # Mixed slots.
     for s in range(3):
@@ -461,7 +444,7 @@ def build_W_module(tag_a: str) -> GModule:
                     for r, pv in enumerate(prod):
                         if pv != 0:
                             m[ix.al(dst, r)][ix.al(src, y)] += w3 * pv
-                actions.append(m)
+                actions.append(columns(m))
 
     def cubic(u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
         """Symmetric trilinear polarization of the invariant cubic."""
@@ -489,19 +472,7 @@ def symplectic_invariance_defect(mod: GModule, x_idx: int, v: Vec, w: Vec) -> Fr
     gram = mod.form_data
     xv = mod.act_basis(x_idx, v)
     xw = mod.act_basis(x_idx, w)
-
-    def pair(p, q):
-        out = F0
-        for r in range(mod.dimension):
-            if p[r] == 0:
-                continue
-            row = gram[r]
-            for c in range(mod.dimension):
-                if q[c] != 0 and row[c] != 0:
-                    out += p[r] * row[c] * q[c]
-        return out
-
-    return pair(xv, w) + pair(v, xw)
+    return bilinear(gram, xv, w) + bilinear(gram, v, xw)
 
 
 def cubic_invariance_defect(mod: GModule, x_idx: int, v: Vec) -> Fraction:

@@ -18,12 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .compalg import parse_tag
 from .exact import rat_str
 from .linalg import (
     F0,
     F1,
     Mat,
     Vec,
+    bilinear,
     eigenspaces,
     identity,
     inverse,
@@ -61,15 +63,7 @@ class RootDatum:
     # -- basic geometry ---------------------------------------------------------
 
     def inner(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        out = F0
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.gram[i]
-            for j, yj in enumerate(y):
-                if yj != 0 and row[j] != 0:
-                    out += xi * row[j] * yj
-        return out
+        return bilinear(self.gram, x, y)
 
     def pairing(self, w: Sequence[Fraction], alpha: Sequence[Fraction]) -> Fraction:
         """<w, alpha-check> = 2 (w, alpha) / (alpha, alpha)."""
@@ -257,13 +251,40 @@ class RootDatum:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "RootDatum":
+    def from_json(data: object) -> "RootDatum":
+        """The datum of a to_json object; ValueError naming the field if malformed."""
+        if not isinstance(data, dict):
+            raise ValueError("root datum: expected a JSON object")
+        rank = data.get("rank")
+        if type(rank) is not int or rank < 1:
+            raise ValueError("root datum: 'rank' must be a positive integer")
+
+        def vector(where: str, v: object) -> Weight:
+            if not isinstance(v, list) or len(v) != rank:
+                raise ValueError(f"root datum: {where} must be a list of {rank} rationals")
+            try:
+                return _tup(v)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError(f"root datum: {where} holds a non-rational entry") from None
+
+        def vectors(key: str) -> List[Weight]:
+            items = data.get(key)
+            if not isinstance(items, list):
+                raise ValueError(f"root datum: {key!r} must be a list")
+            return [vector(f"{key}[{i}]", v) for i, v in enumerate(items)]
+
+        gram = vectors("gram")
+        if len(gram) != rank:
+            raise ValueError(f"root datum: 'gram' must have {rank} rows")
+        markers = data.get("markers", {})
+        if not isinstance(markers, dict):
+            raise ValueError("root datum: 'markers' must be an object")
         return RootDatum(
             name=data.get("name", "datum"),
-            rank=data["rank"],
-            positive_roots=[_tup(Fraction(c) for c in r) for r in data["positive_roots"]],
-            gram=[[Fraction(c) for c in row] for row in data["gram"]],
-            markers={k: _tup(Fraction(c) for c in v) for k, v in data.get("markers", {}).items()},
+            rank=rank,
+            positive_roots=vectors("positive_roots"),
+            gram=[list(row) for row in gram],
+            markers={k: vector(f"markers[{k!r}]", v) for k, v in markers.items()},
         )
 
 
@@ -503,14 +524,12 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
     # Invariant form restricted to the chart Cartan, inverted, long roots -> 2.
     kc = [list(row) + [F0] * rA for row in kB] + [[F0] * rB + list(row) for row in kA]
     gram = inverse(kc)
-    rd = RootDatum(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
-                   rank, positive, gram)
     # K restricted to this Cartan may be negative definite; normalize so the
     # longest roots have squared length exactly +2.
-    longest = max((rd.inner(r, r) for r in positive), key=abs)
+    longest = max((bilinear(gram, r, r) for r in positive), key=abs)
     scale = 2 / longest
-    rd.gram = [[scale * x for x in row] for row in gram]
-    rd.__post_init__()
+    rd = RootDatum(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
+                   rank, positive, [[scale * x for x in row] for row in gram])
     rd.markers = _markers_for(g, rd, rB)
     return rd
 
@@ -560,26 +579,23 @@ def line_weights(chart: Sequence[TrialityTriple]) -> Tuple[List[Weight], List[We
     raise ExtractionError("line-slot weights do not sum to zero under any signs")
 
 
-_DATUM_CACHE: Dict[Tuple[str, str], RootDatum] = {}
-
-
 def datum_for(tag_a: str, tag_b: str) -> RootDatum:
     """Extracted root datum for g(A,B); g(R,R) falls back to builtin A1.
 
     The (R,R) integral form is anisotropic over Q (its invariant form is
     definite), so no rational Cartan splits it; the abstract type is still
-    sl2 and the builtin A1 datum stands in for oracle purposes.
+    sl2 and the builtin A1 datum stands in for oracle purposes.  There is
+    one datum per pair of tag names in a process.
     """
-    key = (tag_a.upper(), tag_b.upper())
-    if key in _DATUM_CACHE:
-        return _DATUM_CACHE[key]
-    if key == ("R", "R"):
+    return _datum_for(parse_tag(tag_a).name, parse_tag(tag_b).name)
+
+
+@lru_cache(maxsize=None)
+def _datum_for(name_a: str, name_b: str) -> RootDatum:
+    if (name_a, name_b) == ("R", "R"):
         rd = builtin_datum("a1")
-        rd = RootDatum("g(R,R)~a1", rd.rank, rd.positive_roots, rd.gram, dict(rd.markers))
-    else:
-        rd = extract_root_datum(build_magic_algebra(*key))
-    _DATUM_CACHE[key] = rd
-    return rd
+        return RootDatum("g(R,R)~a1", rd.rank, rd.positive_roots, rd.gram, dict(rd.markers))
+    return extract_root_datum(build_magic_algebra(name_a, name_b))
 
 
 # -- builtin catalog -----------------------------------------------------------------
@@ -630,23 +646,13 @@ def _close_roots(gram: Mat, n: int) -> List[Weight]:
     """All roots as the reflection closure of the simple roots (simple-root coords)."""
     simples = [_tup([F1 if j == i else F0 for j in range(n)]) for i in range(n)]
 
-    def inner(x, y):
-        out = F0
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] != 0 and gram[i][j] != 0:
-                    out += x[i] * gram[i][j] * y[j]
-        return out
-
     roots = set(simples) | {tuple(-c for c in s) for s in simples}
     frontier = list(roots)
     while frontier:
         nxt = []
         for r in frontier:
             for s in simples:
-                p = 2 * inner(r, s) / inner(s, s)
+                p = 2 * bilinear(gram, r, s) / bilinear(gram, s, s)
                 refl = tuple(rc - p * sc for rc, sc in zip(r, s))
                 if refl not in roots:
                     roots.add(refl)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compalg import AlgebraTag, CompAlg, build_split_algebra, parse_tag
@@ -33,6 +34,7 @@ from .linalg import (
     Mat,
     SolveCache,
     Vec,
+    bilinear,
     commutator,
     mat_mul,
     mat_vec,
@@ -369,16 +371,7 @@ class TrialityAlgebra:
 
     def k_form_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         """K on two coordinate vectors in the stored basis."""
-        k = self.k_matrix()
-        out = F0
-        for r, a in enumerate(x):
-            if a == 0:
-                continue
-            row = k[r]
-            for c, b in enumerate(y):
-                if b != 0 and row[c] != 0:
-                    out += a * row[c] * b
-        return out
+        return bilinear(self.k_matrix(), x, y)
 
     def k_form(self, x: TrialityTriple, y: TrialityTriple) -> Fraction:
         return self.k_form_coords(self.coords(x), self.coords(y))
@@ -402,18 +395,16 @@ class TrialityAlgebra:
         }
 
 
-_T_CACHE: Dict[str, TrialityAlgebra] = {}
-
-
 def triality_algebra(alg: CompAlg | AlgebraTag | str) -> TrialityAlgebra:
+    """The one t(A) of the process for each tag name."""
     if isinstance(alg, str):
-        alg = build_split_algebra(parse_tag(alg))
-    elif isinstance(alg, AlgebraTag):
-        alg = build_split_algebra(alg)
-    key = alg.tag.name
-    if key not in _T_CACHE:
-        _T_CACHE[key] = TrialityAlgebra(alg)
-    return _T_CACHE[key]
+        alg = parse_tag(alg)
+    return _triality_algebra(alg.tag.name if isinstance(alg, CompAlg) else alg.name)
+
+
+@lru_cache(maxsize=None)
+def _triality_algebra(name: str) -> TrialityAlgebra:
+    return TrialityAlgebra(build_split_algebra(name))
 
 
 def psi(ta: TrialityAlgebra, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> TrialityTriple:

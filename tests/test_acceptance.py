@@ -12,10 +12,12 @@ sum to 18, not 16, and the matching count is confirmed against the
 analogous subexceptional count 4p+3q+6r+9, which does check out exactly.
 """
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
+from tests_helpers import omega_pair
 
 from magicsquare import series as S
 from magicsquare.crosscheck import (
@@ -59,17 +61,12 @@ def test_criterion_02_triality_dims():
 
 def test_criterion_03_jacobi():
     t0 = time.time()
-    exhaustive = [(A, B) for A in "RCHO" for B in "RCHO"
-                  if MAGIC_DIMS[(len_a := {"R": 1, "C": 2, "H": 4, "O": 8}[A],
-                                 {"R": 1, "C": 2, "H": 4, "O": 8}[B])] <= 78]
-    for A, B in exhaustive:
-        g = build_magic_algebra(A, B)
-        assert g.jacobi_exhaustive() == 0, (A, B)
-    for A, B in [("H", "O"), ("O", "H"), ("O", "O")]:
-        g = build_magic_algebra(A, B)
-        assert g.jacobi_sample(100000, seed=7) == 0, (A, B)
-    _report(3, "Jacobi defect vanishes: exhaustively for dim <= 78, on 10^5 "
-               "seeded triples for the 133- and 248-dimensional algebras", t0, 300)
+    for A in "RCHO":
+        for B in "RCHO":
+            g = build_magic_algebra(A, B)
+            assert g.jacobi_exhaustive() == 0, (A, B)
+    _report(3, "Jacobi defect vanishes on every basis triple of all 16 algebras "
+               "(exhaustive, up to the 2.5 million triples of e8)", t0, 300)
 
 
 def test_criterion_04_root_extraction():
@@ -206,14 +203,11 @@ def test_criterion_08_subexceptional_and_severi_grids():
 
 def test_criterion_09_module_constructions():
     t0 = time.time()
-    from tests_helpers import omega_pair  # type: ignore
-
     for tag, a in [("R", 1), ("C", 2), ("H", 4), ("O", 8)]:
         v = build_V_module(tag)
         w = build_W_module(tag)
         assert v.dimension == 6 * a + 8
         assert w.dimension == 3 * a + 3
-    import random
     for tag in ("R", "C"):
         for mod in (build_V_module(tag), build_W_module(tag)):
             g = mod.parent

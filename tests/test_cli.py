@@ -127,6 +127,42 @@ def test_dim_weyl_from_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "248"
 
 
+A2 = {"name": "a2", "rank": 2, "gram": [["2", "-1"], ["-1", "2"]],
+      "positive_roots": [["1", "1"], ["1", "0"], ["0", "1"]], "markers": {}}
+
+
+@pytest.mark.parametrize("datum,field", [
+    ({}, "'rank'"),
+    ([1], "JSON object"),
+    (dict(A2, rank="2"), "'rank'"),
+    (dict(A2, rank=0), "'rank'"),
+    (dict(A2, markers=5), "'markers'"),
+    (dict(A2, markers={"adjoint": ["1"]}), "markers['adjoint']"),
+    (dict(A2, positive_roots=None), "'positive_roots'"),
+    (dict(A2, positive_roots=[["1", "1"], ["1"]]), "positive_roots[1]"),
+    (dict(A2, positive_roots=[["1", "x"]]), "positive_roots[0]"),
+    (dict(A2, gram=[["2", "-1"]]), "'gram'"),
+    (dict(A2, gram=[["2", "-1"], [None, "2"]]), "gram[1]"),
+    (dict(A2, gram=5), "'gram'"),
+], ids=["empty", "list", "rank-string", "rank-zero", "markers-number", "marker-short",
+        "roots-null", "root-short", "root-not-rational", "gram-rows", "gram-entry",
+        "gram-number"])
+def test_dim_malformed_datum_file_is_usage_error(capsys, tmp_path, datum, field):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    assert main(["dim", "--datum", str(path), "--weight", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("magicsquare: root datum: ") and field in captured.err
+
+
+def test_dim_datum_file_well_formed(capsys, tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(A2))
+    code, out = run(capsys, ["dim", "--datum", str(path), "--weight", "1,1"])
+    assert code == 0 and out == "8\n"
+
+
 def test_dim_usage_errors(capsys):
     assert main(["dim"]) == 2
     assert main(["dim", "--datum", "builtin:so8"]) == 2

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicsquare.linalg import det
 from magicsquare.magic import H_SUBALGEBRA_DIMS, MAGIC_DIMS, build_magic_algebra
@@ -72,6 +73,71 @@ def test_jacobi_defect_detects_corruption():
         else:
             tab[i].pop(j, None)
     assert g.jacobi_exhaustive() == 0
+
+
+def _jacobi_sum_count(g):
+    """Triples i<j<k with [[i,j],k] + [[j,k],i] + [[k,i],j] != 0, term by term."""
+    tab = g.table()
+
+    def bracket_with(sv, k):
+        out = {}
+        for p, c in sv.items():
+            for t, v in tab[p].get(k, {}).items():
+                out[t] = out.get(t, 0) + c * v
+        return out
+
+    bad = 0
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                total = {}
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t, v in bracket_with(tab[x].get(y, {}), z).items():
+                        total[t] = total.get(t, 0) + v
+                bad += any(total.values())
+    return bad
+
+
+CC_INDEX = st.integers(0, 15)
+SPARSE_VECTORS = st.dictionaries(
+    CC_INDEX, st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(lambda c: c != 0),
+    max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_jacobi_exhaustive_counts_corrupted_table(data):
+    # Jacobi through the representation check counts the same triples as the
+    # Jacobi sum on any antisymmetric table, including corrupted ones.
+    g = build_magic_algebra("C", "C")
+    assert g.dim == 16
+    tab = g.table()
+    pairs = data.draw(st.lists(st.tuples(CC_INDEX, CC_INDEX).filter(lambda p: p[0] < p[1]),
+                               min_size=1, max_size=3, unique=True))
+    saved = [(i, j, tab[i].get(j), tab[j].get(i)) for i, j in pairs]
+    try:
+        for i, j in pairs:
+            sv = data.draw(SPARSE_VECTORS)
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                if sv:
+                    tab[a][b] = {k: sign * c for k, c in sv.items()}
+                else:
+                    tab[a].pop(b, None)
+        assert g.jacobi_exhaustive() == _jacobi_sum_count(g)
+    finally:
+        for i, j, sij, sji in saved:
+            for a, b, sv in ((i, j, sij), (j, i, sji)):
+                if sv is None:
+                    tab[a].pop(b, None)
+                else:
+                    tab[a][b] = sv
+    assert g.jacobi_exhaustive() == 0
+
+
+@pytest.mark.parametrize("A,B", ALL_PAIRS)
+def test_table_stores_no_zeros(A, B):
+    for row in build_magic_algebra(A, B).table():
+        assert all(col and all(c != 0 for c in col.values()) for col in row.values())
 
 
 def test_invariant_form_symmetric_and_invariant():

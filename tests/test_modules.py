@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from tests_helpers import omega_pair
 
 from magicsquare.linalg import det
 from magicsquare.modules import (
@@ -9,19 +11,6 @@ from magicsquare.modules import (
     build_W_module,
     cubic_invariance_defect,
 )
-
-
-def _omega_pair(mod, p, q):
-    gram = mod.form_data
-    out = Fraction(0)
-    for r in range(mod.dimension):
-        if p[r] == 0:
-            continue
-        row = gram[r]
-        for c in range(mod.dimension):
-            if q[c] != 0 and row[c] != 0:
-                out += p[r] * row[c] * q[c]
-    return out
 
 
 @pytest.mark.parametrize("tag,a", [("R", 1), ("C", 2), ("H", 4), ("O", 8)])
@@ -87,7 +76,7 @@ def test_symplectic_form(tag):
             w = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
             xv = mod.act_basis(x, v)
             xw = mod.act_basis(x, w)
-            assert _omega_pair(mod, xv, w) + _omega_pair(mod, v, xw) == 0
+            assert omega_pair(mod, xv, w) + omega_pair(mod, v, xw) == 0
 
 
 @pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
@@ -112,3 +101,33 @@ def test_cubic_form(tag):
 def test_form_kinds():
     assert build_V_module("C").form_kind == "symplectic"
     assert build_W_module("C").form_kind == "cubic"
+
+
+@pytest.mark.parametrize("build", [build_V_module, build_W_module])
+@pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
+def test_actions_store_no_zeros(build, tag):
+    for m in build(tag).actions:
+        assert all(col and all(c != 0 for c in col.values()) for col in m.values())
+
+
+@pytest.mark.parametrize("build", [build_V_module, build_W_module])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_representation_defect_detects_a_changed_entry(build, data):
+    # g(R,H) = sp6 and g(R,C) = sl3 are simple with no subalgebra of
+    # codimension 1, so changing one entry of one action always breaks
+    # the representation axiom on some basis pair.
+    mod = build("R")
+    n = mod.parent.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entries = [(t, j, r) for t, m in enumerate(mod.actions) for j, col in m.items() for r in col]
+    t, j, r = data.draw(st.sampled_from(entries))
+    col = mod.actions[t][j]
+    old = col[r]
+    col[r] = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=2)
+                       .filter(lambda x: x not in (0, old)))
+    try:
+        assert any(mod.representation_defect(i, k) for i, k in pairs)
+    finally:
+        col[r] = old
+    assert not any(mod.representation_defect(i, k) for i, k in pairs)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from magicsquare.compalg import H_TAG, O_TAG, build_split_algebra
 from magicsquare.magic import build_magic_algebra
 from magicsquare.roots import (
     ExtractionError,
@@ -14,6 +15,7 @@ from magicsquare.roots import (
     extract_root_datum,
 )
 from magicsquare.series import admissible_weight
+from magicsquare.triality import triality_algebra
 
 EXPECTED_TYPES = {
     ("R", "C"): "A2", ("C", "R"): "A2", ("R", "H"): "C3", ("H", "R"): "C3",
@@ -239,3 +241,13 @@ def test_datum_json_roundtrip(tmp_path):
     assert back.positive_roots == rd.positive_roots
     assert dynkin_type(back) == "C3"
     assert back.weyl_dim(back.markers["adjoint"]) == 21
+
+
+def test_one_object_per_tag_name():
+    alg = build_split_algebra("O")
+    assert build_split_algebra("o") is alg and build_split_algebra(O_TAG) is alg
+    t = triality_algebra("O")
+    assert all(triality_algebra(x) is t for x in ("o", O_TAG, alg))
+    g = build_magic_algebra("O", "H")
+    assert build_magic_algebra("o", "h") is g and build_magic_algebra(O_TAG, H_TAG) is g
+    assert datum_for("c", "h") is datum_for("C", "H")

@@ -8,9 +8,10 @@ Each key of golden.json is a job: "cli <argv>" runs
 working directory and HOME are a new, empty temporary directory, with only
 PYTHONPATH (the checkout's `src`) and HOME in its environment, as in the
 benchmark. A job fails if it exits nonzero or if the sha256 of its standard
-output differs from the recorded one. Prints one line per failed job and a
-summary; exits 1 if any job failed. Reads `coldbench/` and writes nothing
-inside the checkout.
+output differs from the recorded one. Prints one line per failed job, with
+the last line the job wrote to standard error (a traceback's exception, for
+one), and a summary; exits 1 if any job failed. Reads `coldbench/` and
+writes nothing inside the checkout.
 """
 
 import hashlib
@@ -35,12 +36,13 @@ def job_command(key):
 
 
 def replay(key):
-    """(exit code, sha256 of standard output) of one job run cold."""
+    """(exit code, sha256 of standard output, last line of standard error) of one job run cold."""
     with tempfile.TemporaryDirectory() as home:
         proc = subprocess.run(job_command(key), cwd=home, env={"PYTHONPATH": SRC, "HOME": home},
                               stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL)
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+                              stderr=subprocess.PIPE)
+    err = proc.stderr.decode(errors="replace").strip().splitlines()
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), err[-1] if err else ""
 
 
 def main():
@@ -48,10 +50,10 @@ def main():
         golden = json.load(fh)
     failed = 0
     for key, expected in sorted(golden.items()):
-        code, digest = replay(key)
+        code, digest, err = replay(key)
         if code != 0 or digest != expected:
             failed += 1
-            print(f"MISMATCH {key}: exit {code}, sha256 {digest}")
+            print(f"MISMATCH {key}: exit {code}, sha256 {digest}, stderr {err!r}")
     print(f"{len(golden)} jobs, {failed} mismatches")
     return 1 if failed else 0
 
