@@ -11,13 +11,17 @@ is fine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Vec = List[Fraction]
 Mat = List[Vec]
 SVec = Dict[int, Fraction]
 ColMap = Dict[int, SVec]
+# A column map scaled to integers, as a list: row[j] is None or the (k, c)
+# pairs of column j.
+IntCol = Tuple[Tuple[int, int], ...]
+IntCols = List[Optional[IntCol]]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -143,6 +147,44 @@ def rep_defect_column(maps: Sequence[ColMap], br: SVec, i: int, j: int, k: int) 
     return out
 
 
+def scaled_int_columns(maps: Sequence[ColMap], n: int) -> Tuple[int, List[IntCols]]:
+    """D, the lcm of every denominator in maps, and each map times D as IntCols of length n."""
+    d = 1
+    for m in maps:
+        for col in m.values():
+            for c in col.values():
+                d = lcm(d, c.denominator)
+    out = []
+    for m in maps:
+        row: IntCols = [None] * n
+        for j, col in m.items():
+            row[j] = tuple((k, c.numerator * (d // c.denominator)) for k, c in col.items())
+        out.append(row)
+    return d, out
+
+
+def int_rep_defect_column(rows: Sequence[IntCols], br: Optional[IntCol],
+                          i: int, j: int, k: int) -> Dict[int, int]:
+    """`rep_defect_column` on integer maps rows[t] = D A_t with br = D [b_i, b_j].
+
+    The result is D^2 times the Fraction defect; entries that cancel stay as
+    zeros, so the column vanishes iff no value is nonzero.
+    """
+    out: Dict[int, int] = {}
+    get = out.get
+    row_i, row_j = rows[i], rows[j]
+    for t, x in row_j[k] or ():
+        for s, y in row_i[t] or ():
+            out[s] = get(s, 0) + x * y
+    for t, x in row_i[k] or ():
+        for s, y in row_j[t] or ():
+            out[s] = get(s, 0) - x * y
+    for t, x in br or ():
+        for s, y in rows[t][k] or ():
+            out[s] = get(s, 0) - x * y
+    return out
+
+
 def rref(rows: Mat) -> tuple[Mat, List[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
     a = mat_copy(rows)
@@ -196,28 +238,28 @@ class SolveCache:
     """Repeated exact solves expressing vectors in a fixed independent column set.
 
     Row-reduces [A | I] once; solving A x = b is then a matrix-vector product,
-    and the zero rows of the reduced A-part provide the in-span consistency check.
+    and the zero rows of the reduced A-part provide the in-span consistency
+    check.  Both sets of rows are kept sparse, as (j, c) pairs with c != 0.
     """
 
     def __init__(self, columns: Mat):
-        self.ncols = len(columns)
-        self.nrows = len(columns[0]) if columns else 0
-        a = [[columns[j][i] for j in range(self.ncols)] for i in range(self.nrows)]
-        aug = [row[:] + e_vector(self.nrows, i) for i, row in enumerate(a)]
+        n = len(columns)
+        m = len(columns[0]) if columns else 0
+        aug = [[col[i] for col in columns] + e_vector(m, i) for i in range(m)]
         red, pivots = rref(aug)
-        if pivots[:self.ncols] != list(range(self.ncols)):
+        if pivots[:n] != list(range(n)):
             raise ValueError("SolveCache: columns are not independent")
-        # Rows 0..ncols-1 express x in terms of b; later rows must annihilate b.
-        self.solution_rows = [row[self.ncols:] for row in red[:self.ncols]]
-        self.check_rows = [row[self.ncols:] for row in red[self.ncols:]]
+        # Rows 0..n-1 express x in terms of b; later rows must annihilate b.
+        rows = [[(j, c) for j, c in enumerate(row[n:]) if c] for row in red]
+        self.solution_rows = rows[:n]
+        self.check_rows = rows[n:]
 
     def solve(self, b: Sequence[Fraction]) -> Vec:
         """Coefficients x with columns @ x = b; raises if b is outside the span."""
-        support = [j for j in range(self.nrows) if b[j] != 0]
         for row in self.check_rows:
-            if sum((row[j] * b[j] for j in support), F0) != 0:
+            if sum((c * b[j] for j, c in row if b[j]), F0) != 0:
                 raise ValueError("SolveCache.solve: vector outside column span")
-        return [sum((row[j] * b[j] for j in support), F0) for row in self.solution_rows]
+        return [sum((c * b[j] for j, c in row if b[j]), F0) for row in self.solution_rows]
 
 
 def eigenspaces(vecs: Mat, images: Mat, values: Sequence[Fraction]) -> List[Mat]:

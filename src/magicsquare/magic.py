@@ -11,11 +11,15 @@ g(A,B) = t(A) x t(B)  +  A_1@B_1  +  A_2@B_2  +  A_3@B_3, with bracket:
         [u3@v3, u1@v1] = conj(u1) u3 @ conj(v1) v3
 
 The bracket table over the concatenated basis is built once and cached;
-all structure constants are exact rationals.  Row i of the table is
-ad(b_i) as a column map, so the Jacobi identity is checked as the
-representation axiom of ad (`linalg.rep_defect_column`), the same check
-the modules use.  Dimensions land on the classical 4x4 table (sl2 ... e8)
-and the test suite checks Jacobi exhaustively on all sixteen algebras.
+all structure constants are exact rationals, one shared Fraction object per
+distinct value.  Row i of the table is ad(b_i) as a column map, so the
+Jacobi identity is the representation axiom of ad.  The sampled check uses
+`linalg.rep_defect_column`, the Fraction check the modules use.  The
+exhaustive check uses `linalg.int_rep_defect_column`, the same formula on
+a copy of the table scaled to integers by the lcm D of its denominators;
+that defect is D^2 times the Fraction one, so both count the same triples.
+Dimensions land on the classical 4x4 table (sl2 ... e8) and the test suite
+checks Jacobi exhaustively on all sixteen algebras.
 """
 
 from __future__ import annotations
@@ -26,7 +30,17 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compalg import AlgebraTag, CompAlg, parse_tag
-from .linalg import F0, F1, ColMap, SVec, Vec, apply_into, axpy, rep_defect_column
+from .linalg import (
+    F0,
+    F1,
+    ColMap,
+    SVec,
+    apply_into,
+    axpy,
+    int_rep_defect_column,
+    rep_defect_column,
+    scaled_int_columns,
+)
 from .triality import TrialityAlgebra, triality_algebra
 
 MagicElement = List[Fraction]
@@ -72,16 +86,6 @@ class MagicAlgebra:
     def idx_m(self, slot: int, p: int, q: int) -> int:
         return self.dA + self.dB + slot * self.a * self.b + p * self.b + q
 
-    def describe_index(self, i: int) -> str:
-        if i < self.dA:
-            return f"tA[{i}]"
-        if i < self.dA + self.dB:
-            return f"tB[{i - self.dA}]"
-        i -= self.dA + self.dB
-        slot, rest = divmod(i, self.a * self.b)
-        p, q = divmod(rest, self.b)
-        return f"m{slot + 1}[{p},{q}]"
-
     def zero(self) -> MagicElement:
         return [F0] * self.dim
 
@@ -103,11 +107,13 @@ class MagicAlgebra:
         dA, dB = self.dA, self.dB
         algA, algB = self.algA, self.algB
         tab: List[ColMap] = [dict() for _ in range(dim)]
+        # One shared Fraction per distinct value (e8 has 8 of them).
+        values: Dict[Fraction, Fraction] = {}
 
         def put(i: int, j: int, sv: SVec) -> None:
             if sv:
-                tab[i][j] = sv
-                tab[j][i] = {k: -c for k, c in sv.items()}
+                tab[i][j] = {k: values.setdefault(c, c) for k, c in sv.items()}
+                tab[j][i] = {k: values.setdefault(-c, -c) for k, c in sv.items()}
 
         # t-t brackets, each factor internally.
         for k in range(dA):
@@ -240,15 +246,31 @@ class MagicAlgebra:
         return rep_defect_column(tab, tab[i].get(j, {}), i, j, k)
 
     def jacobi_exhaustive(self) -> int:
-        """Number of basis triples i<j<k with nonzero defect (0 for a Lie algebra)."""
-        tab = self.table()
-        bad = 0
+        """Number of basis triples i<j<k with nonzero defect (0 for a Lie algebra).
+
+        Runs `linalg.int_rep_defect_column` on the table scaled to integers.
+        The scaled copy is made on every call, so a changed table is always
+        seen, and its defect is D^2 times the Fraction defect, so the count
+        is exact.
+        """
         n = self.dim
+        _, rows = scaled_int_columns(self.table(), n)
+        support = [sum(1 << k for k, col in enumerate(row) if col) for row in rows]
+        bad = 0
         for i in range(n):
             for j in range(i + 1, n):
-                br = tab[i].get(j, {})
-                for k in range(j + 1, n):
-                    if rep_defect_column(tab, br, i, j, k):
+                br = rows[i][j]
+                # Column k of the defect is zero unless A_i, A_j or an A_t
+                # with t in [b_i, b_j] has a nonzero column k.
+                reach = support[i] | support[j]
+                for t, _ in br or ():
+                    reach |= support[t]
+                reach >>= j + 1
+                while reach:
+                    low = reach & -reach
+                    reach ^= low
+                    k = j + low.bit_length()  # bit 0 of reach is column j + 1
+                    if any(int_rep_defect_column(rows, br, i, j, k).values()):
                         bad += 1
         return bad
 
@@ -283,10 +305,6 @@ class MagicAlgebra:
                     if yj != 0:
                         out += xi * gA[p][pA[p]] * gB[q][pB[q]] * yj
         return out
-
-    def gram_matrix(self) -> List[Vec]:
-        basis = [self.basis_element(i) for i in range(self.dim)]
-        return [[self.invariant_form(x, y) for y in basis] for x in basis]
 
     # -- structure checks ----------------------------------------------------------
 

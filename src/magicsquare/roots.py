@@ -276,14 +276,19 @@ class RootDatum:
         gram = vectors("gram")
         if len(gram) != rank:
             raise ValueError(f"root datum: 'gram' must have {rank} rows")
+        gram = [list(row) for row in gram]
+        roots = vectors("positive_roots")
+        for i, r in enumerate(roots):
+            if bilinear(gram, r, r) == 0:  # `pairing` divides by it
+                raise ValueError(f"root datum: positive_roots[{i}] has (alpha, alpha) = 0")
         markers = data.get("markers", {})
         if not isinstance(markers, dict):
             raise ValueError("root datum: 'markers' must be an object")
         return RootDatum(
             name=data.get("name", "datum"),
             rank=rank,
-            positive_roots=vectors("positive_roots"),
-            gram=[list(row) for row in gram],
+            positive_roots=roots,
+            gram=gram,
             markers={k: vector(f"markers[{k!r}]", v) for k, v in markers.items()},
         )
 

@@ -156,6 +156,16 @@ def test_dim_malformed_datum_file_is_usage_error(capsys, tmp_path, datum, field)
     assert captured.err.startswith("magicsquare: root datum: ") and field in captured.err
 
 
+def test_dim_datum_with_zero_length_root_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 2, "gram": [["0", "0"], ["0", "0"]],
+                                "positive_roots": [["1", "0"], ["0", "1"]]}))
+    assert main(["dim", "--datum", str(path), "--weight", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "magicsquare: root datum: positive_roots[0] has (alpha, alpha) = 0\n"
+
+
 def test_dim_datum_file_well_formed(capsys, tmp_path):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(A2))

@@ -1,8 +1,9 @@
-"""The coordinate bracket and the restricted eigenspace routine on random elements.
+"""The coordinate bracket, the solver and the restricted eigenspace routine on random elements.
 
-`bracket_vec` must be the bilinear extension of the basis bracket, and
-`eigenspaces` must return eigenvectors inside the given invariant subspace,
-with dimensions that add up when the operator is diagonalizable.  The
+`bracket_vec` must be the bilinear extension of the basis bracket,
+`SolveCache` must keep sparse rows and solve exactly as a dense reduction
+does, and `eigenspaces` must return eigenvectors inside the given invariant
+subspace, with dimensions that add up when the operator is diagonalizable.  The
 operators are ad(h) for random rational h in the split chart of t(A).  The
 stored basis of t(A) consists of root vectors and Cartan elements, so the
 span of any set of basis vectors is ad(h)-invariant; the subspaces here are
@@ -13,7 +14,7 @@ given basis is not an eigenbasis.
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from magicsquare.linalg import F0, SolveCache, eigenspaces, rref
+from magicsquare.linalg import F0, SolveCache, e_vector, eigenspaces, rref
 from magicsquare.roots import cartan_chart, factor_root_data
 from magicsquare.triality import triality_algebra, triality_bracket
 
@@ -33,6 +34,39 @@ def test_bracket_vec_is_the_bilinear_bracket(tag):
     def check(x, y):
         expected = t.coords(triality_bracket(t.from_coords(x), t.from_coords(y)))
         assert t.bracket_vec(x, y) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("tag", sorted(TAGS))
+def test_solve_cache_matches_dense_reduction(tag):
+    t = triality_algebra(tag)
+    cols = [x.flat() for x in t.basis]
+    n, m = len(cols), len(cols[0])
+    solver = SolveCache(cols)
+    stored = solver.solution_rows + solver.check_rows
+    assert len(solver.solution_rows) == n and len(stored) == m
+    assert all(c != 0 for row in stored for _, c in row)
+    # Dense reference: the reduced [A | I] with every zero entry kept; its
+    # first n rows give the coordinates, the others vanish exactly on the span.
+    red, _ = rref([[col[i] for col in cols] + e_vector(m, i) for i in range(m)])
+    dense = [row[n:] for row in red]
+
+    def apply(rows, b):
+        return [sum((row[j] * b[j] for j in range(m)), F0) for row in rows]
+
+    @settings(max_examples=3 * TAGS[tag], deadline=None)
+    @given(st.lists(RATIONALS, min_size=n, max_size=n), st.integers(0, m - 1),
+           RATIONALS.filter(bool))
+    def check(x, r, c):
+        b = [sum((xi * col[i] for xi, col in zip(x, cols)), F0) for i in range(m)]
+        assert solver.solve(b) == apply(dense[:n], b) == x
+        b[r] += c
+        if any(apply(dense[n:], b)):
+            with pytest.raises(ValueError):
+                solver.solve(b)
+        else:
+            assert solver.solve(b) == apply(dense[:n], b)
 
     check()
 

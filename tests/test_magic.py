@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magicsquare.linalg import det
+from magicsquare.linalg import det, int_rep_defect_column, rep_defect_column, scaled_int_columns
 from magicsquare.magic import H_SUBALGEBRA_DIMS, MAGIC_DIMS, build_magic_algebra
+from tests_helpers import describe_index, gram_matrix
 
 ALL_PAIRS = [(A, B) for A in "RCHO" for B in "RCHO"]
 
@@ -134,6 +135,44 @@ def test_jacobi_exhaustive_counts_corrupted_table(data):
     assert g.jacobi_exhaustive() == 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_int_kernel_is_the_scaled_fraction_defect(data):
+    # On corrupted g(C,C) tables, one of whose new entries has denominator 3,
+    # the integer defect is D^2 times the Fraction defect on every triple.
+    g = build_magic_algebra("C", "C")
+    tab = g.table()
+    pairs = data.draw(st.lists(st.tuples(CC_INDEX, CC_INDEX).filter(lambda p: p[0] < p[1]),
+                               min_size=1, max_size=3, unique=True))
+    saved = [(i, j, tab[i].get(j), tab[j].get(i)) for i, j in pairs]
+    try:
+        for n, (i, j) in enumerate(pairs):
+            sv = data.draw(SPARSE_VECTORS)
+            if n == 0:
+                sv[data.draw(CC_INDEX)] = Fraction(data.draw(st.sampled_from([-2, -1, 1, 2])), 3)
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                if sv:
+                    tab[a][b] = {k: sign * c for k, c in sv.items()}
+                else:
+                    tab[a].pop(b, None)
+        d, rows = scaled_int_columns(tab, g.dim)
+        assert d % 3 == 0
+        for i in range(g.dim):
+            for j in range(g.dim):
+                for k in range(g.dim):
+                    scaled = int_rep_defect_column(rows, rows[i][j], i, j, k)
+                    exact = rep_defect_column(tab, tab[i].get(j, {}), i, j, k)
+                    assert ({s: v for s, v in scaled.items() if v}
+                            == {s: d * d * c for s, c in exact.items()})
+    finally:
+        for i, j, sij, sji in saved:
+            for a, b, sv in ((i, j, sij), (j, i, sji)):
+                if sv is None:
+                    tab[a].pop(b, None)
+                else:
+                    tab[a][b] = sv
+
+
 @pytest.mark.parametrize("A,B", ALL_PAIRS)
 def test_table_stores_no_zeros(A, B):
     for row in build_magic_algebra(A, B).table():
@@ -152,7 +191,7 @@ def test_invariant_form_symmetric_and_invariant():
 
 def test_invariant_form_nondegenerate_ch():
     g = build_magic_algebra("C", "H")
-    assert det(g.gram_matrix()) != 0
+    assert det(gram_matrix(g)) != 0
 
 
 def test_h_subalgebras():
@@ -181,6 +220,6 @@ def test_g_rr_is_the_rotation_algebra():
 
 def test_magic_element_roundtrip():
     g = build_magic_algebra("R", "C")
-    names = [g.describe_index(i) for i in range(g.dim)]
+    names = [describe_index(g, i) for i in range(g.dim)]
     assert names[0].startswith("tB") or names[0].startswith("tA") or names[0].startswith("m")
     assert len(set(names)) == g.dim
