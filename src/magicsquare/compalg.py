@@ -140,9 +140,6 @@ class CompAlg:
             for v in nullspace(rows, n * n)
         ]
 
-    def is_associative_triple(self, x, y, z) -> bool:
-        return self.multiply(self.multiply(x, y), z) == self.multiply(x, self.multiply(y, z))
-
     def dump(self) -> dict:
         return {
             "dim": self.dim,

@@ -281,9 +281,6 @@ class LinearFactorProduct:
             return
         self.factors.append((form, exp))
 
-    def mul_scalar(self, c: RatLike) -> None:
-        self.scalar *= rat(c)
-
     def numerator_count(self) -> int:
         """Number of non-constant linear factors upstairs, with multiplicity."""
         return sum(e for _, e in self.factors if e > 0)

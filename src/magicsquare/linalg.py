@@ -198,11 +198,11 @@ def rref(rows: Mat) -> tuple[Mat, List[int]]:
             continue
         a[r], a[pivot] = a[pivot], a[r]
         inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        a[r] = [x * inv if x else x for x in a[r]]
         for i in range(n):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == n:
@@ -237,29 +237,38 @@ def e_vector(n: int, i: int) -> Vec:
 class SolveCache:
     """Repeated exact solves expressing vectors in a fixed independent column set.
 
-    Row-reduces [A | I] once; solving A x = b is then a matrix-vector product,
-    and the zero rows of the reduced A-part provide the in-span consistency
-    check.  Both sets of rows are kept sparse, as (j, c) pairs with c != 0.
+    One rref of [A^T | I] (A has the n given columns, of length m) finds n
+    pivot positions P, rows of A on which the columns are independent, and
+    the inverse of A_P, the n x n restriction of A to those rows.  Solving
+    A x = b is then x = (A_P)^-1 b_P, followed by the exact reconstruction
+    check A x == b: since A_P is invertible, it holds iff b lies in the span.
+    The rows of (A_P)^-1 and the columns of A are kept as sparse vectors.
     """
 
     def __init__(self, columns: Mat):
         n = len(columns)
         m = len(columns[0]) if columns else 0
-        aug = [[col[i] for col in columns] + e_vector(m, i) for i in range(m)]
-        red, pivots = rref(aug)
-        if pivots[:n] != list(range(n)):
+        red, pivots = rref([list(col) + e_vector(n, j) for j, col in enumerate(columns)])
+        if pivots and pivots[-1] >= m:
             raise ValueError("SolveCache: columns are not independent")
-        # Rows 0..n-1 express x in terms of b; later rows must annihilate b.
-        rows = [[(j, c) for j, c in enumerate(row[n:]) if c] for row in red]
-        self.solution_rows = rows[:n]
-        self.check_rows = rows[n:]
+        # red = E [A^T | I] with E A^T = I on the pivot columns, so the right
+        # block E is the transpose of (A_P)^-1.
+        self.pivots = pivots
+        self.inverse_rows: List[SVec] = [{r: row[m + j] for r, row in enumerate(red) if row[m + j]}
+                                         for j in range(n)]
+        self.columns: List[SVec] = [{i: c for i, c in enumerate(col) if c} for col in columns]
 
     def solve(self, b: Sequence[Fraction]) -> Vec:
         """Coefficients x with columns @ x = b; raises if b is outside the span."""
-        for row in self.check_rows:
-            if sum((c * b[j] for j, c in row if b[j]), F0) != 0:
-                raise ValueError("SolveCache.solve: vector outside column span")
-        return [sum((c * b[j] for j, c in row if b[j]), F0) for row in self.solution_rows]
+        bp = [b[i] for i in self.pivots]
+        x = [sum((c * bp[r] for r, c in row.items() if bp[r]), F0) for row in self.inverse_rows]
+        residual = {i: c for i, c in enumerate(b) if c}
+        for xj, col in zip(x, self.columns):
+            if xj:
+                axpy(residual, -xj, col)
+        if residual:
+            raise ValueError("SolveCache.solve: vector outside column span")
+        return x
 
 
 def eigenspaces(vecs: Mat, images: Mat, values: Sequence[Fraction]) -> List[Mat]:

@@ -284,13 +284,26 @@ class RootDatum:
         markers = data.get("markers", {})
         if not isinstance(markers, dict):
             raise ValueError("root datum: 'markers' must be an object")
-        return RootDatum(
+        rd = RootDatum(
             name=data.get("name", "datum"),
             rank=rank,
             positive_roots=roots,
             gram=gram,
             markers={k: vector(f"markers[{k!r}]", v) for k, v in markers.items()},
         )
+        # The roots and their negatives must be closed under the simple
+        # reflections; s(-b) = -s(b), so reflecting the positive ones suffices.
+        system = set(roots) | {tuple(-c for c in r) for r in roots}
+        for a in rd.simple_roots():
+            ga = mat_vec(gram, a)
+            coroot = [2 * c / rd.inner(a, a) for c in ga]  # <b, a-check> = b . coroot
+            for j, b in enumerate(roots):
+                p = sum((x * y for x, y in zip(b, coroot) if x and y), F0)
+                if tuple(x - p * y for x, y in zip(b, a)) not in system:
+                    raise ValueError(
+                        f"root datum: 'positive_roots' is not a positive system: reflecting "
+                        f"positive_roots[{j}] in positive_roots[{roots.index(a)}] gives no root")
+        return rd
 
 
 # -- Dynkin classification --------------------------------------------------------

@@ -3,7 +3,12 @@
 t(A) is computed as the nullspace of the infinitesimal triality constraint
     theta3(x y) = theta1(x) y + x theta2(y)   for all x, y in A,
 inside so(Q)^3; the known type table (0, 2-dim abelian, sl2^3, so8) is a
-test expectation, not an input.
+test expectation, not an input.  The constraint rows are read off the
+structure constants of A, one row per coefficient e_r of the relation on
+e_i, e_j.  The basis puts a basis of the diagonal (Cartan) part first and
+completes it greedily with one incremental echelon; coordinates in it come
+from one `SolveCache` (pivot-position solves with an exact reconstruction
+check).
 
 The invariant form on t(A) is a single rational multiple of the sum of the
 three componentwise trace forms; the multiple, and the normalization of the
@@ -32,15 +37,16 @@ from .linalg import (
     F0,
     F1,
     Mat,
+    SVec,
     SolveCache,
     Vec,
+    axpy,
     bilinear,
     commutator,
     mat_mul,
     mat_vec,
     nullspace,
     primitive_integer_vector,
-    rref,
     trace_of_product,
     zeros,
 )
@@ -152,27 +158,27 @@ class TrialityAlgebra:
         if d == 0:
             return [], 0
         # Unknowns: coordinates of (theta1, theta2, theta3) in the so(Q) basis.
-        rows: List[Vec] = []
-        for i in range(n):
-            ei = alg.basis_element(i)
-            for j in range(n):
-                ej = alg.basis_element(j)
-                prod = alg.ctable[i][j]
-                for r in range(n):
-                    row = [F0] * (3 * d)
-                    for k, m in enumerate(so_basis):
-                        # theta1(e_i) e_j term
-                        col = [m[t][i] for t in range(n)]
-                        row[k] -= alg.multiply(col, ej)[r]
-                        # e_i theta2(e_j) term
-                        col = [m[t][j] for t in range(n)]
-                        row[d + k] -= alg.multiply(ei, col)[r]
-                        # theta3(e_i e_j) term
-                        acc = F0
-                        for kk, c in prod.items():
-                            acc += c * m[r][kk]
-                        row[2 * d + k] += acc
-                    rows.append(row)
+        # Row (i, j, r) is the e_r coefficient of
+        #   theta3(e_i e_j) - theta1(e_i) e_j - e_i theta2(e_j),
+        # read off the structure constants with theta(e_s) = sum_t m[t][s] e_t.
+        ct = alg.ctable
+        rows: List[Vec] = [[F0] * (3 * d) for _ in range(n ** 3)]
+        for k, m in enumerate(so_basis):
+            for t in range(n):
+                for s, c in enumerate(m[t]):
+                    if not c:
+                        continue
+                    for j in range(n):
+                        for r, x in ct[t][j].items():
+                            rows[(s * n + j) * n + r][k] -= c * x
+                        for r, x in ct[j][t].items():
+                            rows[(j * n + s) * n + r][d + k] -= c * x
+            for i in range(n):
+                for j in range(n):
+                    for s, x in ct[i][j].items():
+                        for r in range(n):
+                            if m[r][s]:
+                                rows[(i * n + j) * n + r][2 * d + k] += x * m[r][s]
         basis = []
         for v in nullspace(rows, 3 * d):
             v = primitive_integer_vector(v)
@@ -195,7 +201,11 @@ class TrialityAlgebra:
     def _cartan_first(self, basis: List[TrialityTriple]) -> Tuple[List[TrialityTriple], int]:
         """Reorder so that a basis of the diagonal (Cartan) subspace comes first.
 
-        Returns the reordered basis and the dimension of that subspace.
+        The Cartan basis is followed by the vectors of `basis`, in order, that
+        are independent of those chosen before them; independence is read
+        off one incremental echelon of the chosen flats, so each candidate is
+        reduced once against the rows already there.  Returns the reordered
+        basis and the dimension of the Cartan subspace.
         """
         if not basis:
             return basis, 0
@@ -207,14 +217,26 @@ class TrialityAlgebra:
         rows = [[f[pos] for f in flats] for pos in off_positions]
         cartan_coords = nullspace(rows, len(basis))
         cartan = [combine(primitive_integer_vector(v), basis) for v in cartan_coords]
-        # Complete greedily to a full basis.
-        chosen = list(cartan)
-        for b in basis:
-            trial = [t.flat() for t in chosen] + [b.flat()]
-            red, pivots = rref(trial)
-            if len(pivots) == len(trial):
-                chosen.append(b)
-        assert len(chosen) == len(basis)
+        # Complete greedily to a full basis: keep the chosen flats in echelon
+        # form, each row zero at the pivots of the rows before it, and take b
+        # when its flat does not reduce to zero against them.
+        echelon: List[Tuple[int, SVec]] = []
+
+        def independent(t: TrialityTriple) -> bool:
+            v = {i: x for i, x in enumerate(t.flat()) if x}
+            for p, row in echelon:
+                c = v.get(p)
+                if c:
+                    axpy(v, -c, row)
+            if not v:
+                return False
+            p = min(v)
+            inv = 1 / v[p]
+            echelon.append((p, {i: x * inv for i, x in v.items()}))
+            return True
+
+        chosen = [t for t in cartan + basis if independent(t)]
+        assert chosen[:len(cartan)] == cartan and len(chosen) == len(basis)
         return chosen, len(cartan)
 
     # -- coordinates and bracket ------------------------------------------------
@@ -372,9 +394,6 @@ class TrialityAlgebra:
     def k_form_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         """K on two coordinate vectors in the stored basis."""
         return bilinear(self.k_matrix(), x, y)
-
-    def k_form(self, x: TrialityTriple, y: TrialityTriple) -> Fraction:
-        return self.k_form_coords(self.coords(x), self.coords(y))
 
     def cartan_basis(self) -> List[TrialityTriple]:
         return self.basis[:self.cartan_dim]

@@ -166,6 +166,17 @@ def test_dim_datum_with_zero_length_root_is_usage_error(capsys, tmp_path):
     assert captured.err == "magicsquare: root datum: positive_roots[0] has (alpha, alpha) = 0\n"
 
 
+def test_dim_datum_not_a_positive_system_is_usage_error(capsys, tmp_path):
+    # The A2 Gram with only the simple roots: alpha1 + alpha2 is missing, and
+    # the Weyl formula on this set would print 9 for the adjoint (A2 gives 8).
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(dict(A2, positive_roots=[["1", "0"], ["0", "1"]])))
+    assert main(["dim", "--datum", str(path), "--weight", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("magicsquare: root datum: 'positive_roots' is not a positive system")
+
+
 def test_dim_datum_file_well_formed(capsys, tmp_path):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(A2))

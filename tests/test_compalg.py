@@ -6,6 +6,7 @@ import pytest
 from magicsquare.compalg import TAGS, build_split_algebra, parse_tag
 from magicsquare.linalg import mat_mul, transpose
 from magicsquare.triality import psi, satisfies_triality, triality_algebra
+from tests_helpers import is_associative_triple
 
 
 def rand_elt(rng, n, lo=-3, hi=3):
@@ -90,12 +91,12 @@ def test_associativity_profile():
         a = build_split_algebra(tag)
         for _ in range(30):
             x, y, z = (rand_elt(rng, a.dim) for _ in range(3))
-            assert a.is_associative_triple(x, y, z), tag
+            assert is_associative_triple(a, x, y, z), tag
     o = build_split_algebra("O")
     witness = False
     for _ in range(200):
         x, y, z = (rand_elt(rng, 8) for _ in range(3))
-        if not o.is_associative_triple(x, y, z):
+        if not is_associative_triple(o, x, y, z):
             witness = True
             break
     assert witness, "octonions unexpectedly associative"

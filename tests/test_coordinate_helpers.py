@@ -1,14 +1,15 @@
 """The coordinate bracket, the solver and the restricted eigenspace routine on random elements.
 
 `bracket_vec` must be the bilinear extension of the basis bracket,
-`SolveCache` must keep sparse rows and solve exactly as a dense reduction
-does, and `eigenspaces` must return eigenvectors inside the given invariant
-subspace, with dimensions that add up when the operator is diagonalizable.  The
-operators are ad(h) for random rational h in the split chart of t(A).  The
-stored basis of t(A) consists of root vectors and Cartan elements, so the
-span of any set of basis vectors is ad(h)-invariant; the subspaces here are
-spanned by random rational mixtures of up to 8 basis vectors, so their
-given basis is not an eigenbasis.
+`SolveCache` must keep sparse rows and columns, solve exactly as a dense
+reduction does and refuse dependent columns, and `eigenspaces` must return
+eigenvectors inside the given invariant subspace, with dimensions that add
+up when the operator is diagonalizable.  The operators are ad(h) for random
+rational h in the split chart of t(A).  The stored basis of t(A) consists
+of root vectors and Cartan elements, so the span of any set of basis
+vectors is ad(h)-invariant; the subspaces here are spanned by random
+rational mixtures of up to 8 basis vectors, so their given basis is not an
+eigenbasis.
 """
 
 import pytest
@@ -44,9 +45,8 @@ def test_solve_cache_matches_dense_reduction(tag):
     cols = [x.flat() for x in t.basis]
     n, m = len(cols), len(cols[0])
     solver = SolveCache(cols)
-    stored = solver.solution_rows + solver.check_rows
-    assert len(solver.solution_rows) == n and len(stored) == m
-    assert all(c != 0 for row in stored for _, c in row)
+    assert len(solver.pivots) == n
+    assert all(c != 0 for vec in solver.inverse_rows + solver.columns for c in vec.values())
     # Dense reference: the reduced [A | I] with every zero entry kept; its
     # first n rows give the coordinates, the others vanish exactly on the span.
     red, _ = rref([[col[i] for col in cols] + e_vector(m, i) for i in range(m)])
@@ -69,6 +69,44 @@ def test_solve_cache_matches_dense_reduction(tag):
             assert solver.solve(b) == apply(dense[:n], b)
 
     check()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["square", "tall", "dependent"]), st.integers(1, 5), st.data())
+def test_solve_cache_on_random_columns(shape, n, data):
+    # Columns that are not a t(A) basis: an n x n set, a taller one, or a set
+    # with one column a combination of the others, which must be refused.
+    # Membership of the span is decided by a rank count, not by the solver.
+    if shape == "square":
+        m = n
+    elif shape == "tall":
+        m = n + data.draw(st.integers(1, 3))
+    else:
+        m = max(1, n + data.draw(st.integers(-1, 2)))
+    cols = data.draw(st.lists(st.lists(RATIONALS, min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    if shape == "dependent":
+        k = data.draw(st.integers(0, n - 1))
+        coeffs = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        others = [(a, col) for j, (a, col) in enumerate(zip(coeffs, cols)) if j != k]
+        cols[k] = [sum((a * col[i] for a, col in others), F0) for i in range(m)]
+        with pytest.raises(ValueError):
+            SolveCache(cols)
+        return
+    assume(len(rref(cols)[1]) == n)
+    solver = SolveCache(cols)
+    assert len(solver.pivots) == n
+    assert all(c != 0 for vec in solver.inverse_rows + solver.columns for c in vec.values())
+    x = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    b = [sum((xi * col[i] for xi, col in zip(x, cols)), F0) for i in range(m)]
+    assert solver.solve(b) == x
+    b[data.draw(st.integers(0, m - 1))] += data.draw(RATIONALS.filter(bool))
+    if len(rref(cols + [b])[1]) > n:
+        with pytest.raises(ValueError):
+            solver.solve(b)
+    else:
+        y = solver.solve(b)
+        assert [sum((yi * col[i] for yi, col in zip(y, cols)), F0) for i in range(m)] == b
 
 
 @pytest.mark.parametrize("tag", sorted(TAGS))

@@ -15,6 +15,7 @@ from magicsquare.exact import (
     parse_rat,
     rat_str,
 )
+from tests_helpers import mul_scalar
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -95,7 +96,7 @@ def test_rat_strings():
 
 def test_linear_factor_product_eval():
     lfp = LinearFactorProduct()
-    lfp.mul_scalar(Fraction(3, 2))
+    mul_scalar(lfp, Fraction(3, 2))
     lfp.mul_factor(LinearForm.make(1, a=2))      # 1 + 2a
     lfp.mul_factor(LinearForm.make(0, a=1), -1)  # 1/a
     assert lfp.eval({"a": Fraction(2)}) == Fraction(3, 2) * 5 / 2

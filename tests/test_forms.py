@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 from magicsquare.compalg import build_split_algebra
 from magicsquare.magic import build_magic_algebra
 from magicsquare.triality import triality_algebra
+from tests_helpers import k_form
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
 def _k_form(tag):
     t = triality_algebra(tag)
-    return t.dim, lambda x, y: t.k_form(t.from_coords(x), t.from_coords(y))
+    return t.dim, lambda x, y: k_form(t, t.from_coords(x), t.from_coords(y))
 
 
 def _invariant_form(a, b):

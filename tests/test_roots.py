@@ -243,6 +243,24 @@ def test_datum_json_roundtrip(tmp_path):
     assert back.weyl_dim(back.markers["adjoint"]) == 21
 
 
+def _assert_json_roundtrip(rd):
+    back = RootDatum.from_json(json.loads(json.dumps(rd.to_json())))
+    assert (back.name, back.rank, back.gram) == (rd.name, rd.rank, rd.gram)
+    assert back.positive_roots == rd.positive_roots and back.markers == rd.markers
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a5", "b3", "b4", "c3", "c4", "d4", "d6",
+                                  "e6", "e7", "e8", "f4", "g2"])
+def test_builtin_datum_json_roundtrip(name):
+    # from_json checks that the roots form a positive system; every builtin does.
+    _assert_json_roundtrip(builtin_datum(name))
+
+
+@pytest.mark.parametrize("a,b", sorted(EXPECTED_TYPES) + [("R", "R")])
+def test_extracted_datum_json_roundtrip(a, b):
+    _assert_json_roundtrip(datum_for(a, b))
+
+
 def test_one_object_per_tag_name():
     alg = build_split_algebra("O")
     assert build_split_algebra("o") is alg and build_split_algebra(O_TAG) is alg

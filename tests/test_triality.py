@@ -12,6 +12,7 @@ from magicsquare.triality import (
     triality_algebra,
     triality_bracket,
 )
+from tests_helpers import k_form, reference_triality_basis
 
 
 def rand_elt(rng, n, lo=-2, hi=2):
@@ -46,6 +47,18 @@ def test_basis_invariants():
             for x in flat:
                 g = gcd(g, abs(int(x)))
             assert g == 1
+
+
+@pytest.mark.parametrize("tag", ["C", "H", "O"])
+def test_basis_matches_direct_construction(tag):
+    # Constraint rows read off the structure constants and the incremental
+    # Cartan-first completion give the basis of the direct construction.
+    t = triality_algebra(tag)
+    basis, cartan_dim = reference_triality_basis(t.alg)
+    assert len(t.basis) == len(basis)
+    for got, want in zip(t.basis, basis):
+        assert got == want
+    assert t.cartan_dim == cartan_dim
 
 
 def test_bracket_closure_and_antisymmetry():
@@ -109,7 +122,7 @@ def test_psi_duality_all_slots():
             for i in (1, 2, 3):
                 x = psi(t, i, u, v)
                 for b in t.basis[:5]:
-                    lhs = t.k_form(x, b)
+                    lhs = k_form(t, x, b)
                     rhs = t.alg.qform(mat_vec(b.component(i), u), v)
                     assert lhs == rhs
 

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+from magicsquare.exact import rat
+from magicsquare.linalg import F0, nullspace, primitive_integer_vector, rref
+from magicsquare.triality import TrialityTriple, combine
+
 
 def omega_pair(mod, p, q):
     """Pair two module vectors through the module's Gram-matrix form."""
@@ -13,6 +17,21 @@ def omega_pair(mod, p, q):
             if q[c] != 0 and row[c] != 0:
                 out += p[r] * row[c] * q[c]
     return out
+
+
+def is_associative_triple(alg, x, y, z):
+    """(x y) z == x (y z) in the composition algebra alg."""
+    return alg.multiply(alg.multiply(x, y), z) == alg.multiply(x, alg.multiply(y, z))
+
+
+def mul_scalar(lfp, c):
+    """Multiply the scalar of a LinearFactorProduct by c in place."""
+    lfp.scalar *= rat(c)
+
+
+def k_form(t, x, y):
+    """The invariant form K of t(A) on two triples, through their coordinates."""
+    return t.k_form_coords(t.coords(x), t.coords(y))
 
 
 def describe_index(g, i):
@@ -31,3 +50,56 @@ def gram_matrix(g):
     """The invariant form of a magic algebra g on its basis, as a dense matrix."""
     basis = [g.basis_element(i) for i in range(g.dim)]
     return [[g.invariant_form(x, y) for y in basis] for x in basis]
+
+
+def reference_triality_basis(alg):
+    """t(A)'s Cartan-first basis and Cartan dimension by the direct construction.
+
+    The constraint rows come from `alg.multiply` on basis vectors, and the
+    Cartan-first completion runs one `rref` per candidate on the whole trial
+    set.  `TrialityAlgebra` must give the same basis, triple for triple.
+    """
+    n = alg.dim
+    so_basis = alg.so_q_basis()
+    d = len(so_basis)
+    if d == 0:
+        return [], 0
+    rows = []
+    for i in range(n):
+        ei = alg.basis_element(i)
+        for j in range(n):
+            ej = alg.basis_element(j)
+            prod = alg.ctable[i][j]
+            for r in range(n):
+                row = [F0] * (3 * d)
+                for k, m in enumerate(so_basis):
+                    col = [m[t][i] for t in range(n)]
+                    row[k] -= alg.multiply(col, ej)[r]
+                    col = [m[t][j] for t in range(n)]
+                    row[d + k] -= alg.multiply(ei, col)[r]
+                    row[2 * d + k] += sum((c * m[r][kk] for kk, c in prod.items()), F0)
+                rows.append(row)
+    basis = []
+    for v in nullspace(rows, 3 * d):
+        v = primitive_integer_vector(v)
+        mats = []
+        for c in range(3):
+            m = [[F0] * n for _ in range(n)]
+            for k, x in enumerate(v[c * d:(c + 1) * d]):
+                for r in range(n):
+                    for s in range(n):
+                        m[r][s] += x * so_basis[k][r][s]
+            mats.append(m)
+        basis.append(TrialityTriple.from_mats(*mats))
+    flats = [t.flat() for t in basis]
+    off_positions = [c * n * n + r * n + s
+                     for c in range(3) for r in range(n) for s in range(n) if r != s]
+    rows = [[f[pos] for f in flats] for pos in off_positions]
+    cartan = [combine(primitive_integer_vector(v), basis)
+              for v in nullspace(rows, len(basis))]
+    chosen = list(cartan)
+    for b in basis:
+        trial = [t.flat() for t in chosen] + [b.flat()]
+        if len(rref(trial)[1]) == len(trial):
+            chosen.append(b)
+    return chosen, len(cartan)
