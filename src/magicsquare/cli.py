@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from .compalg import build_split_algebra, parse_tag
 from .exact import parse_rat, rat_str
 from .magic import MAGIC_DIMS, build_magic_algebra
-from .roots import RootDatum, builtin_datum, datum_for, dynkin_type, extract_root_datum
+from .roots import RootDatum, builtin_datum, datum_for, dynkin_type
 from .triality import triality_algebra
 from . import series as S
 from .crosscheck import load_known_suspects, run_crosscheck
@@ -177,11 +177,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    if args.A.upper() == "R" and args.B.upper() == "R":
-        rd = datum_for("R", "R")
-    else:
-        g = build_magic_algebra(args.A, args.B)
-        rd = extract_root_datum(g)
+    rd = datum_for(args.A, args.B)
     data = rd.to_json()
     data["dynkin_type"] = dynkin_type(rd)
     _emit(data, args.out)

@@ -70,12 +70,17 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), F0) for row in a]
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def commutator(a: Mat, b: Mat) -> Mat:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """ab - ba, subtracting only the nonzero terms of ba from ab."""
+    out = mat_mul(a, b)
+    for oi, bi in zip(out, b):
+        for t, c in enumerate(bi):
+            if c == 0:
+                continue
+            for j, x in enumerate(a[t]):
+                if x != 0:
+                    oi[j] -= c * x
+    return out
 
 
 def trace_of_product(a: Mat, b: Mat) -> Fraction:
@@ -269,31 +274,6 @@ class SolveCache:
         if residual:
             raise ValueError("SolveCache.solve: vector outside column span")
         return x
-
-
-def eigenspaces(vecs: Mat, images: Mat, values: Sequence[Fraction]) -> List[Mat]:
-    """Eigenvectors of an operator A on the invariant subspace span(vecs).
-
-    vecs are independent and images[j] = A vecs[j]; for each c in values the
-    result holds a basis of {v in span(vecs) : A v = c v}, in the ambient
-    coordinates of vecs (empty when c is not an eigenvalue there).
-    """
-    solver = SolveCache(vecs)
-    restricted = [solver.solve(img) for img in images]
-    k, n = len(vecs), len(vecs[0])
-    out = []
-    for c in values:
-        rows = [[restricted[j][i] - (c if i == j else F0) for j in range(k)] for i in range(k)]
-        space = []
-        for coeffs in nullspace(rows, k):
-            vec = [F0] * n
-            for x, v in zip(coeffs, vecs):
-                if x != 0:
-                    for i in range(n):
-                        vec[i] += x * v[i]
-            space.append(vec)
-        out.append(space)
-    return out
 
 
 def det(a: Mat) -> Fraction:

@@ -36,15 +36,14 @@ from .linalg import (
     bilinear,
     columns,
     det,
-    eigenspaces,
+    e_vector,
     inverse,
     mat_vec,
-    nullspace,
     rep_defect_column,
     zeros,
 )
 from .magic import MagicAlgebra, build_magic_algebra
-from .roots import cartan_chart, line_weights
+from .roots import cartan_chart, factor_weights, line_weights, slot_weights
 
 # Contraction scalars for the V-module maps, in the order
 #   (UUU -> A_s@U_s, A_s@U_s -> UUU, A_{s+1} -> A_{s+2}, A_{s+2} -> A_{s+1});
@@ -125,41 +124,31 @@ def _slot_mult(algA, s: int, actor, actee_idx: int, direction: str):
 
 
 def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, Vec]]:
-    """For B = H: coordinates (in the t(B) basis) of e, h, f per sl2 factor."""
+    """For B = H: coordinates (in the t(B) basis) of e, h, f per sl2 factor.
+
+    h is the chart element h_fi of factor fi; e and f are the basis vectors
+    of weight +2 and -2 under it, with f scaled so that [e, f] = h.
+    """
     tb = g.tB
-    chart = cartan_chart(tb)  # h_1, h_2, h_3: factor i acts trivially on slot i
+    weights = factor_weights(tb)
     d = tb.dim
     out = []
-    for fi in range(3):
-        h = chart[fi]
+    for fi, h in enumerate(cartan_chart(tb)):  # factor fi acts trivially on slot fi+1
         hc = tb.coords(h)
-        # factor fi = elements with vanishing slot-(fi+1) component
-        rows = []
-        n = tb.alg.dim
-        for r in range(n):
-            for c in range(n):
-                rows.append([t.component(fi + 1)[r][c] for t in tb.basis])
-        factor = nullspace(rows, d)
-        if len(factor) != 3:
-            raise ValueError("t(H) factor is not 3-dimensional")
-        # ad(h) on the factor: eigenvectors with eigenvalues 2, -2
-        spaces = eigenspaces(factor, [tb.bracket_vec(hc, vec) for vec in factor], (2, -2))
-        if any(len(space) != 1 for space in spaces):
+        found = [[k for k, w in enumerate(weights) if w[fi] == c] for c in (2, -2)]
+        if any(len(ks) != 1 for ks in found):
             raise ValueError("sl2 weight space not one-dimensional")
-        (e_vec,), (f_vec,) = spaces
-        # normalize [e,f] = h
-        ef = tb.bracket_vec(e_vec, f_vec)
-        ratio = None
-        for t in range(d):
-            if hc[t] != 0:
-                ratio = ef[t] / hc[t]
-                break
-        if ratio is None or ratio == 0:
+        (k,), (l,) = found
+        ef = tb.bracket_coords(k, l)
+        ratio = next((ef[t] / hc[t] for t in range(d) if hc[t] != 0), None)
+        if not ratio:
             raise ValueError("degenerate sl2 triple")
-        f_vec = [c / ratio for c in f_vec]
-        if tb.bracket_vec(e_vec, f_vec) != hc:
+        # normalize [e,f] = h
+        if [c / ratio for c in ef] != hc:
             raise ValueError("sl2 normalization failed")
-        out.append({"h": hc, "e": e_vec, "f": f_vec})
+        f_vec = [F0] * d
+        f_vec[l] = 1 / ratio
+        out.append({"h": hc, "e": e_vector(d, k), "f": f_vec})
     return out
 
 
@@ -167,16 +156,11 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[Mat]:
     """Per slot s: matrix T with column (2*eps+del) = coordinates in the H basis
     of the vector identified with u_eps(j) @ u_del(k), j,k the acting factors."""
     tb = g.tB
-    chart = cartan_chart(tb)
     n = tb.alg.dim  # 4
     out = []
     for s in range(3):
         j, k = [i for i in range(3) if i != s]
-        diag_j = [chart[j].component(s + 1)[t][t] for t in range(n)]
-        diag_k = [chart[k].component(s + 1)[t][t] for t in range(n)]
-        pos = {}
-        for t in range(n):
-            pos[(diag_j[t], diag_k[t])] = t
+        pos = {(w[j], w[k]): t for t, w in enumerate(slot_weights(tb)[s])}
         if len(pos) != 4:
             raise ValueError("slot weights are degenerate")
         top = pos[(F1, F1)]
@@ -401,7 +385,7 @@ def build_W_module(tag_a: str) -> GModule:
     dim = ix.dim
     chart = cartan_chart(g.tB)
     # Signed slot weights (against the chart torus) and the line weights.
-    diffs, omega_lines = line_weights(chart)
+    diffs, omega_lines = line_weights(g.tB)
 
     actions = _t_a_actions(g, ix)
 
@@ -425,8 +409,7 @@ def build_W_module(tag_a: str) -> GModule:
             ep = algA.basis_element(p)
             for q in range(2):
                 # orientation: does this monomial carry weight +diffs[s] or -diffs[s]?
-                wt = tuple(h.component(s + 1)[q][q] for h in chart)
-                if wt == diffs[s]:
+                if slot_weights(g.tB)[s][q] == diffs[s]:
                     src, dst, direction, (w1, w2, w3) = s1, s2, "fwd", W_SCALARS_PLUS[s]
                 else:
                     src, dst, direction, (w1, w2, w3) = s2, s1, "bwd", W_SCALARS_MINUS[s]

@@ -1,11 +1,16 @@
 """Root data: extraction from magic-square algebras, builtin catalog, Weyl formula.
 
 Coordinates of an extracted datum are eigenvalue tuples against a normalized
-Cartan basis taken inside t(A) x t(B), with the t(B)-side coordinates first;
-positivity is plain lexicographic order on those coordinates, which realizes
-the series orderings (the fixed-side root contributions dominate).  The inner
-product comes from the invariant form restricted to the Cartan, rescaled so
-the longest roots have squared length 2.
+Cartan basis (the chart) taken inside t(A) x t(B), with the t(B)-side
+coordinates first.  The chart elements are diagonal in every slot, so the
+grading of g(A,B) by their torus is read straight off the matrices, once per
+t(A): `slot_weights` holds the slot diagonals, `factor_weights` the weight of
+each basis vector of t(A) (which must be a weight vector), and
+`basis_weights` the weight of each basis index of g(A,B), whose nonzero
+entries are the roots.  Positivity is plain lexicographic order on the
+coordinates, which realizes the series orderings (the fixed-side root
+contributions dominate).  The inner product comes from the invariant form
+restricted to the chart, rescaled so the longest roots have squared length 2.
 
 Builtin data for A-D-E-F-G types use simple-root coordinates with the
 standard normalization and carry their fundamental weights.
@@ -26,8 +31,6 @@ from .linalg import (
     Mat,
     Vec,
     bilinear,
-    eigenspaces,
-    identity,
     inverse,
     mat_vec,
     nullspace,
@@ -456,80 +459,81 @@ def _chart_h(t: TrialityAlgebra, cartan) -> Tuple[TrialityTriple, ...]:
     return tuple(out)
 
 
-def _slot_diag(h: TrialityTriple, slot: int) -> Vec:
-    comp = h.component(slot)
-    n = len(comp)
-    for r in range(n):
-        for c in range(n):
-            if r != c and comp[r][c] != 0:
-                raise ExtractionError("Cartan chart element is not diagonal")
-    return [comp[i][i] for i in range(n)]
+# -- the torus grading ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def slot_weights(t: TrialityAlgebra) -> Tuple[Tuple[Weight, ...], ...]:
+    """Weights of the slots of t against its chart: [s][p] is that of e_p in slot s + 1.
+
+    Entry j of a weight is the (p, p) entry of the slot component of the
+    j-th chart element; every chart element must be diagonal.
+    """
+    chart = cartan_chart(t)
+    n = t.alg.dim
+    out = []
+    for slot in range(1, 4):
+        comps = [h.component(slot) for h in chart]
+        if any(m[r][c] for m in comps for r in range(n) for c in range(n) if r != c):
+            raise ExtractionError("Cartan chart element is not diagonal")
+        out.append(tuple(_tup(m[p][p] for m in comps) for p in range(n)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def factor_weights(t: TrialityAlgebra) -> Tuple[Weight, ...]:
+    """The weight of each basis vector of t under ad(chart), read off its entries.
+
+    ad(h) scales entry (r, c) of a slot component by d_r - d_c, with d the
+    slot diagonal of h, so a basis vector is a weight vector iff every
+    nonzero entry of its three components gives the same difference.
+    """
+    weights = slot_weights(t)
+    out = []
+    for k, b in enumerate(t.basis):
+        found = {tuple(x - y for x, y in zip(d[r], d[c]))
+                 for d, m in zip(weights, (b.theta1, b.theta2, b.theta3))
+                 for r, row in enumerate(m) for c, x in enumerate(row) if x}
+        if len(found) != 1:
+            raise ExtractionError(
+                f"basis vector {k} of t({t.alg.tag.name}) is not a weight vector of the chart")
+        out.append(found.pop())
+    return tuple(out)
+
+
+def basis_weights(g: MagicAlgebra) -> List[Weight]:
+    """The weight of every basis index of g(A,B), in datum coordinates (t(B) side first).
+
+    g is graded by the torus of t(A) x t(B): each factor keeps its own
+    weights, and e_p @ e_q in slot s has the slot weight of e_q in t(B)
+    followed by that of e_p in t(A).
+    """
+    zeroA = tuple([F0] * len(cartan_chart(g.tA)))
+    zeroB = tuple([F0] * len(cartan_chart(g.tB)))
+    sA, sB = slot_weights(g.tA), slot_weights(g.tB)
+    out = [zeroB + w for w in factor_weights(g.tA)]
+    out += [w + zeroA for w in factor_weights(g.tB)]
+    out += [sB[s][q] + sA[s][p] for s in range(3) for p in range(g.a) for q in range(g.b)]
+    return out
 
 
 # -- extraction ---------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def factor_root_data(t: TrialityAlgebra) -> Tuple[Tuple[Weight, ...], Tuple[Weight, ...]]:
-    """The roots of t against its chart, with multiplicity, and K on the chart.
-
-    The roots are the nonzero joint eigenvalues of ad(chart) on t; the
-    second entry is the Gram matrix of the invariant form on the chart.
-    """
-    chart = cartan_chart(t)
-    if not chart:
-        return (), ()
-    coords = [t.coords(h) for h in chart]
-    gram = tuple(_tup(t.k_form_coords(x, y) for y in coords) for x in coords)
-    spaces: List[Tuple[Tuple[Fraction, ...], Mat]] = [((), identity(t.dim))]
-    for h, hc in zip(chart, coords):
-        # ad(h) can only have the differences of h's slot eigenvalues as eigenvalues.
-        candidates = set()
-        for slot in range(1, 4):
-            diag = _slot_diag(h, slot)
-            candidates.update(x - y for x in diag for y in diag)
-        candidates = sorted(candidates)
-        new_spaces = []
-        for vals, vecs in spaces:
-            found = eigenspaces(vecs, [t.bracket_vec(hc, v) for v in vecs], candidates)
-            if sum(map(len, found)) != len(vecs):
-                raise ExtractionError("adjoint action not diagonalizable over Q")
-            new_spaces += [(vals + (c,), sub) for c, sub in zip(candidates, found) if sub]
-        spaces = new_spaces
-    roots = []
-    for vals, vecs in spaces:
-        if any(vals):
-            roots.extend([_tup(vals)] * len(vecs))
-    return tuple(roots), gram
-
-
 def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum:
-    """Root datum of g(A,B): coordinates (t(B)-side first), lex positivity."""
+    """Root datum of g(A,B): coordinates (t(B)-side first), lex positivity.
+
+    The roots are the nonzero entries of `basis_weights`.
+    """
     chartA = cartan_chart(g.tA)
     chartB = cartan_chart(g.tB)
-    rank = len(chartA) + len(chartB)
+    rA, rB = len(chartA), len(chartB)
+    rank = rA + rB
     if rank == 0:
         raise ExtractionError(
             "g(R,R) carries no split Cartan inside t(A) x t(B); over the rationals "
             "this integral form is anisotropic (ad eigenvalues are imaginary)")
-    rB, rA = len(chartB), len(chartA)
-    diagB = [[_slot_diag(h, slot) for slot in (1, 2, 3)] for h in chartB]
-    diagA = [[_slot_diag(h, slot) for slot in (1, 2, 3)] for h in chartA]
-    rootsB, kB = factor_root_data(g.tB)
-    rootsA, kA = factor_root_data(g.tA)
-
-    roots: List[Weight] = []
-    for w in rootsB:
-        roots.append(_tup(list(w) + [F0] * rA))
-    for w in rootsA:
-        roots.append(_tup([F0] * rB + list(w)))
-    for slot in range(3):
-        for p in range(g.a):
-            for q in range(g.b):
-                coords = [diagB[k][slot][q] for k in range(rB)] + \
-                         [diagA[k][slot][p] for k in range(rA)]
-                roots.append(_tup(coords))
-
+    roots = [w for w in basis_weights(g) if any(w)]
     if len(roots) != g.dim - rank:
         raise ExtractionError(
             f"root count {len(roots)} != dim - rank = {g.dim - rank}")
@@ -539,8 +543,14 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
     if 2 * len(positive) != len(roots):
         raise ExtractionError("positivity did not split the roots in half")
 
-    # Invariant form restricted to the chart Cartan, inverted, long roots -> 2.
-    kc = [list(row) + [F0] * rA for row in kB] + [[F0] * rB + list(row) for row in kA]
+    # Invariant form restricted to the chart Cartan (t(B) block first), inverted,
+    # long roots -> 2.
+    kc = [[F0] * rank for _ in range(rank)]
+    for t, chart, off in ((g.tB, chartB, 0), (g.tA, chartA, rB)):
+        coords = [t.coords(h) for h in chart]
+        for i, x in enumerate(coords):
+            for j, y in enumerate(coords):
+                kc[off + i][off + j] = t.k_form_coords(x, y)
     gram = inverse(kc)
     # K restricted to this Cartan may be negative definite; normalize so the
     # longest roots have squared length exactly +2.
@@ -571,21 +581,21 @@ def _markers_for(g: MagicAlgebra, rd: RootDatum, rB: int) -> Dict[str, Weight]:
         markers["V"] = emb(F1, F1, F1)
         markers["V2"] = emb(Fraction(2), Fraction(2), F0)
     elif tag == "C":
-        omegas = sorted(line_weights(cartan_chart(g.tB))[1], reverse=True)
+        omegas = sorted(line_weights(g.tB)[1], reverse=True)
         markers["W"] = emb(*[2 * c for c in omegas[0]])
         markers["Wstar"] = emb(*[-2 * c for c in omegas[2]])
     return markers
 
 
-def line_weights(chart: Sequence[TrialityTriple]) -> Tuple[List[Weight], List[Weight]]:
+def line_weights(t: TrialityAlgebra) -> Tuple[List[Weight], List[Weight]]:
     """Slot weights d_s and line weights w_s of t(C) against its 2-element chart.
 
-    The weight of slot s (read off the first diagonal entry) is +/- a
+    The weight of slot s (that of its first basis vector) is +/- a
     difference of the three line weights w_1, w_2, w_3, which sum to zero.
     The first sign choice whose signed slot weights d_s sum to zero fixes
     the d_s; the w_s are their third-differences, in slot order.
     """
-    b = [_tup(_slot_diag(h, slot + 1)[0] for h in chart) for slot in range(3)]
+    b = [slot_weights(t)[slot][0] for slot in range(3)]
     for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (1, -1, -1),
                   (-1, 1, -1), (-1, -1, 1), (1, 1, 1), (-1, -1, -1)):
         d = [tuple(s * c for c in w) for s, w in zip(signs, b)]

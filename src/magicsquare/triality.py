@@ -264,21 +264,6 @@ class TrialityAlgebra:
         self._bracket_cache[(l, k)] = [-c for c in out]
         return out
 
-    def bracket_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
-        """Coordinates of [x, y] for coordinate vectors x, y (bilinear in both)."""
-        out = [F0] * self.dim
-        for k, a in enumerate(x):
-            if a == 0:
-                continue
-            for l, b in enumerate(y):
-                if b == 0:
-                    continue
-                ab = a * b
-                for i, c in enumerate(self.bracket_coords(k, l)):
-                    if c != 0:
-                        out[i] += ab * c
-        return out
-
     # -- order-3 symmetry --------------------------------------------------------
 
     def cyclic_shift(self, t: TrialityTriple, check: bool = True) -> TrialityTriple:

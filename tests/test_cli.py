@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,14 @@ def test_roots_command(capsys, tmp_path):
     assert data["rank"] == 6
     assert len(data["positive_roots"]) == 36
     assert set(data["markers"]) >= {"adjoint", "W", "Wstar"}
+
+
+def test_roots_e8_report_is_pinned(capsys):
+    # The one extracted datum whose report coldbench/golden.json does not hold.
+    code, out = run(capsys, ["roots", "--A", "O", "--B", "O"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9e5bdc42d100fb2f49e1da9213a89baeeb84994217accc0cb051260c2f904f7c")
 
 
 def test_dim_series(capsys):

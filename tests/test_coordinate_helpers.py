@@ -1,42 +1,26 @@
-"""The coordinate bracket, the solver and the restricted eigenspace routine on random elements.
+"""The solver on random columns, and the torus grading of t(A) against the ad(chart) action.
 
-`bracket_vec` must be the bilinear extension of the basis bracket,
 `SolveCache` must keep sparse rows and columns, solve exactly as a dense
-reduction does and refuse dependent columns, and `eigenspaces` must return
-eigenvectors inside the given invariant subspace, with dimensions that add
-up when the operator is diagonalizable.  The operators are ad(h) for random
-rational h in the split chart of t(A).  The stored basis of t(A) consists
-of root vectors and Cartan elements, so the span of any set of basis
-vectors is ad(h)-invariant; the subspaces here are spanned by random
-rational mixtures of up to 8 basis vectors, so their given basis is not an
-eigenbasis.
+reduction does and refuse dependent columns.  `factor_weights` reads the
+weight of each basis vector of t(A) off the entries of its matrices; the
+reference here brackets every chart element with every basis vector and
+solves for the coordinates of the result, which must be the weight times
+that basis vector.  A basis vector that is not a weight vector must be
+refused.
 """
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from magicsquare.linalg import F0, SolveCache, e_vector, eigenspaces, rref
-from magicsquare.roots import cartan_chart, factor_root_data
-from magicsquare.triality import triality_algebra, triality_bracket
+from magicsquare.compalg import build_split_algebra
+from magicsquare.linalg import F0, SolveCache, e_vector, rref
+from magicsquare.roots import ExtractionError, cartan_chart, factor_weights
+from magicsquare.triality import TrialityAlgebra, triality_algebra, triality_bracket
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 # tag -> number of examples; t(O) has dimension 28, so it gets fewer.
 TAGS = {"C": 25, "H": 15, "O": 4}
-
-
-@pytest.mark.parametrize("tag", sorted(TAGS))
-def test_bracket_vec_is_the_bilinear_bracket(tag):
-    t = triality_algebra(tag)
-    vec = st.lists(RATIONALS, min_size=t.dim, max_size=t.dim)
-
-    @settings(max_examples=TAGS[tag], deadline=None)
-    @given(vec, vec)
-    def check(x, y):
-        expected = t.coords(triality_bracket(t.from_coords(x), t.from_coords(y)))
-        assert t.bracket_vec(x, y) == expected
-
-    check()
 
 
 @pytest.mark.parametrize("tag", sorted(TAGS))
@@ -110,42 +94,21 @@ def test_solve_cache_on_random_columns(shape, n, data):
 
 
 @pytest.mark.parametrize("tag", sorted(TAGS))
-def test_eigenspaces_of_ad_chart_element(tag):
+def test_chart_scales_each_basis_vector_by_its_weight(tag):
     t = triality_algebra(tag)
-    chart = cartan_chart(t)
-    roots, _ = factor_root_data(t)
-    chart_coords = [t.coords(h) for h in chart]
-    size = min(t.dim, 8)
+    weights = factor_weights(t)
+    assert len(weights) == t.dim
+    for j, h in enumerate(cartan_chart(t)):
+        for k, b in enumerate(t.basis):
+            expected = [weights[k][j] * x for x in e_vector(t.dim, k)]
+            assert t.coords(triality_bracket(h, b)) == expected, (j, k)
 
-    @settings(max_examples=2 * TAGS[tag], deadline=None)
-    @given(st.lists(RATIONALS, min_size=len(chart), max_size=len(chart)),
-           st.lists(st.integers(0, t.dim - 1), min_size=1, max_size=size, unique=True),
-           st.lists(st.lists(RATIONALS, min_size=size, max_size=size),
-                    min_size=size, max_size=size),
-           RATIONALS)
-    def check(r, support, mix, extra):
-        k = len(support)
-        mix = [row[:k] for row in mix[:k]]
-        assume(len(rref(mix)[1]) == k)
-        hc = [sum(c * x[i] for c, x in zip(r, chart_coords)) for i in range(t.dim)]
-        vecs = []
-        for row in mix:
-            v = [F0] * t.dim
-            for c, i in zip(row, support):
-                v[i] = c
-            vecs.append(v)
-        images = [t.bracket_vec(hc, v) for v in vecs]
-        # Every eigenvalue of ad(h) is a root evaluated at h, or 0; extra is
-        # either one of those or must give an empty space.
-        values = sorted({sum(c * a for c, a in zip(r, alpha)) for alpha in roots}
-                        | {0, extra})
-        spaces = eigenspaces(vecs, images, values)
-        assert len(spaces) == len(values)
-        assert sum(len(space) for space in spaces) == len(vecs)
-        solver = SolveCache(vecs)
-        for c, space in zip(values, spaces):
-            for v in space:
-                solver.solve(v)  # raises unless v lies in span(vecs)
-                assert t.bracket_vec(hc, v) == [c * x for x in v]
 
-    check()
+def test_factor_weights_refuses_a_mixed_basis_vector():
+    weights = factor_weights(triality_algebra("H"))
+    t = TrialityAlgebra(build_split_algebra("H"))
+    k = t.cartan_dim
+    l = next(i for i in range(k + 1, t.dim) if weights[i] != weights[k])
+    t.basis[k] = t.basis[k].add(t.basis[l])
+    with pytest.raises(ExtractionError, match="not a weight vector"):
+        factor_weights(t)

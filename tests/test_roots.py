@@ -9,6 +9,7 @@ from magicsquare.magic import build_magic_algebra
 from magicsquare.roots import (
     ExtractionError,
     RootDatum,
+    basis_weights,
     builtin_datum,
     datum_for,
     dynkin_type,
@@ -63,6 +64,18 @@ def test_extraction_types_and_counts():
         for a in rd.positive_roots[:20]:
             for b in rd.positive_roots[:20]:
                 assert rd.pairing(a, b).denominator == 1
+
+
+@pytest.mark.parametrize("a,b", sorted(EXPECTED_TYPES))
+def test_bracket_table_is_graded(a, b):
+    # [b_i, b_j] lies in weight w_i + w_j, and the zero weight space is the Cartan.
+    g = build_magic_algebra(a, b)
+    weights = basis_weights(g)
+    for i, row in enumerate(g.table()):
+        for j, sv in row.items():
+            wij = tuple(x + y for x, y in zip(weights[i], weights[j]))
+            assert all(weights[k] == wij for k in sv), (i, j)
+    assert sum(not any(w) for w in weights) == datum_for(a, b).rank
 
 
 def test_f4_long_short_split():
