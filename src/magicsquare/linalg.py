@@ -83,16 +83,6 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def trace_of_product(a: Mat, b: Mat) -> Fraction:
-    n = len(a)
-    out = F0
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != 0 and b[j][i] != 0:
-                out += a[i][j] * b[j][i]
-    return out
-
-
 def bilinear(gram: Mat, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     """x^T G y for a dense Gram matrix G."""
     out = F0

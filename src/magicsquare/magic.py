@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .compalg import AlgebraTag, CompAlg, parse_tag
 from .linalg import (
@@ -149,9 +149,9 @@ class MagicAlgebra:
                         put(self.idx_tB(k), self.idx_m(slot, p, q), sv)
 
         # Same slot: quadratic-form contraction into t(A) x t(B) via Psi.
-        psiA = [self._psi_pairs(self.tA, i) for i in range(3)]
+        psiA = [self.tA.psi_table(i) for i in (1, 2, 3)]
         psiB = [{pq: {self.idx_tB(k): c for k, c in sv.items()}
-                 for pq, sv in self._psi_pairs(self.tB, i).items()} for i in range(3)]
+                 for pq, sv in self.tB.psi_table(i).items()} for i in (1, 2, 3)]
         for slot in range(3):
             for p in range(a):
                 for q in range(b):
@@ -212,18 +212,6 @@ class MagicAlgebra:
                                 sv[self.idx_m(1, k, l)] = c * d
                         put(self.idx_m(2, p, q), self.idx_m(0, p2, q2), sv)
         return tab
-
-    @staticmethod
-    def _psi_pairs(t: TrialityAlgebra, slot: int) -> Dict[Tuple[int, int], SVec]:
-        out: Dict[Tuple[int, int], SVec] = {}
-        n = t.alg.dim
-        for p in range(n):
-            for q in range(p + 1, n):
-                coords = t.psi_coords(slot + 1, t.alg.basis_element(p), t.alg.basis_element(q))
-                sv = {k: c for k, c in enumerate(coords) if c != 0}
-                if sv:
-                    out[(p, q)] = sv
-        return out
 
     # -- operations ---------------------------------------------------------------
 

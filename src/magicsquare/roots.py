@@ -62,6 +62,7 @@ class RootDatum:
         self._rho: Optional[Weight] = None
         self._fund: Optional[List[Weight]] = None
         self._simple_inv: Optional[Mat] = None
+        self._weyl: Optional[List[Tuple[Fraction, List[Tuple[int, Fraction]]]]] = None
 
     # -- basic geometry ---------------------------------------------------------
 
@@ -159,16 +160,23 @@ class RootDatum:
 
     # -- Weyl dimension formula ---------------------------------------------------
 
+    def _weyl_factors(self) -> List[Tuple[Fraction, List[Tuple[int, Fraction]]]]:
+        """((rho, alpha), nonzero entries of G alpha) for each positive root alpha."""
+        if self._weyl is None:
+            rho = self.rho
+            self._weyl = []
+            for a in self.positive_roots:
+                ga = [(t, x) for t, x in enumerate(mat_vec(self.gram, a)) if x]
+                self._weyl.append((sum((rho[t] * x for t, x in ga), F0), ga))
+        return self._weyl
+
     def weyl_dim(self, w: Sequence[Fraction]) -> int:
         if not self.is_dominant_integral(w):
             raise ValueError(f"weight {tuple(map(rat_str, w))} is not dominant integral")
-        rho = self.rho
         num = F1
         den = F1
-        for a in self.positive_roots:
-            ra = self.inner(rho, a)
-            wa = self.inner(w, a)
-            num *= ra + wa
+        for ra, ga in self._weyl_factors():
+            num *= ra + sum((w[t] * x for t, x in ga), F0)
             den *= ra
         out = num / den
         if out.denominator != 1 or out <= 0:

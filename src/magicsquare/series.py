@@ -466,6 +466,8 @@ def severi_dim(p: int, pstar: int, a: RatLike) -> SeriesResult:
 
 def so_family_dim(k: int, t: int) -> SeriesResult:
     """dim so(2t+4)^(k), closed form as printed."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if t < 1:
         raise ValueError("t must be >= 1")
     den = (2 * t + 1) * t * (t + 1) * (k + 1)

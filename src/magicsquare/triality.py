@@ -10,18 +10,20 @@ completes it greedily with one incremental echelon; coordinates in it come
 from one `SolveCache` (pivot-position solves with an exact reconstruction
 check).
 
-The invariant form on t(A) is a single rational multiple of the sum of the
-three componentwise trace forms; the multiple, and the normalization of the
-dual maps Psi_i, are solved for so that
+The invariant form K on t(A) is a single rational multiple of the sum of the
+three componentwise trace forms.  Psi_i is the K-dual of slot i:
 
-  * K(Psi_1(u ^ v), theta) = Q(theta_1(u), v)          (duality),
+  * K(Psi_i(u ^ v), theta) = Q(theta_i(u), v)   for i = 1, 2, 3   (duality),
+
+solved on the basis pairs e_p ^ e_q, p < q.  K is shared by the three
+slots, so one multiple serves all of them; it is fixed on slot 1 by
+
   * Psi_1(u ^ v)_2 x  =  conj(v)(u x) - conj(u)(v x)   (bracket scale).
 
-The order-3 symmetry is the conjugation-twisted shift
-    tau(theta1, theta2, theta3) = (theta2, C theta3 C, C theta1 C)
-with C the conjugation of A; the plain shift does not preserve the triality
-relation in these split models, the twisted one does, and this is asserted
-at construction time.  Psi_2 = tau^2 Psi_1 and Psi_3(u^v) = tau Psi_1(conj u ^ conj v).
+The tables this gives also satisfy Psi_2 = tau^2 Psi_1 and
+Psi_3(u ^ v) = tau Psi_1(conj u ^ conj v) for the conjugation-twisted shift
+tau(theta1, theta2, theta3) = (theta2, C theta3 C, C theta1 C), C the
+conjugation of A; the test suite checks this on every basis pair.
 """
 
 from __future__ import annotations
@@ -43,11 +45,8 @@ from .linalg import (
     axpy,
     bilinear,
     commutator,
-    mat_mul,
-    mat_vec,
     nullspace,
     primitive_integer_vector,
-    trace_of_product,
     zeros,
 )
 
@@ -114,26 +113,6 @@ def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
     return TrialityTriple.from_mats(commutator(a1, b1), commutator(a2, b2), commutator(a3, b3))
 
 
-def satisfies_triality(alg: CompAlg, t: TrialityTriple) -> bool:
-    """theta3(e_i e_j) == theta1(e_i) e_j + e_i theta2(e_j) on all basis pairs."""
-    n = alg.dim
-    m1, m2, m3 = t.mats()
-    for i in range(n):
-        col1 = [m1[r][i] for r in range(n)]
-        for j in range(n):
-            col2 = [m2[r][j] for r in range(n)]
-            prod = alg.ctable[i][j]
-            lhs = [F0] * n
-            for k, c in prod.items():
-                for r in range(n):
-                    lhs[r] += c * m3[r][k]
-            rhs = alg.multiply(col1, alg.basis_element(j))
-            rhs2 = alg.multiply(alg.basis_element(i), col2)
-            if any(lhs[r] != rhs[r] + rhs2[r] for r in range(n)):
-                return False
-    return True
-
-
 class TrialityAlgebra:
     """t(A) with a basis (Cartan-adapted), bracket data, K form and Psi maps."""
 
@@ -144,7 +123,7 @@ class TrialityAlgebra:
         if self.dim:
             self._solver = SolveCache([t.flat() for t in self.basis])
         self._bracket_cache: Dict[Tuple[int, int], Vec] = {}
-        self._psi_tables: Optional[List[Dict[Tuple[int, int], Vec]]] = None
+        self._psi_tables: Optional[List[Dict[Tuple[int, int], SVec]]] = None
         self._k_matrix: Optional[Mat] = None
 
     # -- basis ----------------------------------------------------------------
@@ -264,31 +243,20 @@ class TrialityAlgebra:
         self._bracket_cache[(l, k)] = [-c for c in out]
         return out
 
-    # -- order-3 symmetry --------------------------------------------------------
-
-    def cyclic_shift(self, t: TrialityTriple, check: bool = True) -> TrialityTriple:
-        """tau(theta) = (theta2, C theta3 C, C theta1 C); verified order 3.
-
-        The naive shift (theta2, theta3, theta1) fails the triality relation
-        in these split models; conjugating the two moved slots repairs it.
-        """
-        cj = self.alg.conj_matrix
-        tw = lambda m: mat_mul(cj, mat_mul(m, cj))
-        m1, m2, m3 = t.mats()
-        out = TrialityTriple.from_mats(m2, tw(m3), tw(m1))
-        if check and not satisfies_triality(self.alg, out):
-            raise ValueError("cyclic_shift output fails the triality relation")
-        return out
-
     # -- invariant form and Psi ---------------------------------------------------
 
-    def trace_form(self, i: int) -> Mat:
-        """Gram matrix of (x, y) -> trace(x_i y_i) on the stored basis."""
-        mats = [t.component(i) for t in self.basis]
-        return [[trace_of_product(a, b) for b in mats] for a in mats]
-
     def _calibrate(self) -> None:
-        """Solve for the K normalization and the Psi_1 table simultaneously."""
+        """Solve for K and the three Psi tables from the one duality rule.
+
+        K is 1/scale times the sum S of the trace forms tr(x_i y_i) over the
+        slots i = 1, 2, 3.  For each slot i and basis pair p < q, the
+        coordinates c of Psi_i(e_p ^ e_q) solve S c = scale f, with
+        f[k] = Q(theta^k_i e_p, e_q) = sum_r theta^k_i[r][p] gram[r][q] read
+        off the entries of basis triple k.  The scale makes
+        Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x); K is shared by the
+        slots, so it serves all three.  Each table maps (p, q) to the sparse
+        coordinates of Psi_i(e_p ^ e_q), zero images left out.
+        """
         alg = self.alg
         n = alg.dim
         d = self.dim
@@ -296,23 +264,26 @@ class TrialityAlgebra:
             self._k_matrix = []
             self._psi_tables = [{}, {}, {}]
             return
-        t_sum = self.trace_form(1)
-        for i in (2, 3):
-            extra = self.trace_form(i)
-            t_sum = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(t_sum, extra)]
+        gram = alg.gram
+        comps = [(t.theta1, t.theta2, t.theta3) for t in self.basis]
+        # tr(x_i y_i) = sum over the nonzero entries x_i[r][s] of x_i[r][s] y_i[s][r].
+        entries = [[(i, r, s, x) for i, m in enumerate(ms) for r, row in enumerate(m)
+                    for s, x in enumerate(row) if x] for ms in comps]
+        t_sum = [[sum((x * my[i][s][r] for i, r, s, x in ex if my[i][s][r]), F0)
+                  for my in comps] for ex in entries]
         sum_solver = SolveCache([[t_sum[r][c] for r in range(d)] for c in range(d)])
-        raw: Dict[Tuple[int, int], Vec] = {}
-        for p in range(n):
-            for q in range(p + 1, n):
-                ep, eq = alg.basis_element(p), alg.basis_element(q)
-                f = []
-                for t in self.basis:
-                    m1 = t.component(1)
-                    f.append(alg.qform(mat_vec(m1, ep), eq))
-                raw[(p, q)] = sum_solver.solve(f)
+        raw: List[Dict[Tuple[int, int], Vec]] = []
+        for i in range(3):
+            table = {}
+            for p in range(n):
+                for q in range(p + 1, n):
+                    f = [sum((ms[i][r][p] * gram[r][q] for r in range(n) if gram[r][q]), F0)
+                         for ms in comps]
+                    table[(p, q)] = sum_solver.solve(f)
+            raw.append(table)
         # Scale so that Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) exactly.
         scale = None
-        for (p, q), coords in raw.items():
+        for (p, q), coords in raw[0].items():
             t = self.from_coords(coords)
             m2 = t.component(2)
             u, v = alg.basis_element(p), alg.basis_element(q)
@@ -334,42 +305,34 @@ class TrialityAlgebra:
                             raise ValueError("inconsistent Psi_1 normalization ratios")
         if scale is None:
             scale = F1
-        # K = (1/scale) * (tr1 + tr2 + tr3): duality K(Psi1(u^v), th) = Q(th_1 u, v).
         inv = 1 / scale
         self._k_matrix = [[inv * t_sum[r][c] for c in range(d)] for r in range(d)]
-        tab1 = {pq: [scale * c for c in coords] for pq, coords in raw.items()}
-        tab2 = {}
-        tab3 = {}
-        for (p, q), coords in tab1.items():
-            t = self.from_coords(coords)
-            tab2[(p, q)] = self.coords(self.cyclic_shift(self.cyclic_shift(t, check=False), check=False))
-            u = alg.conjugate(alg.basis_element(p))
-            v = alg.conjugate(alg.basis_element(q))
-            t_conj = self.from_coords(self._wedge_sum(tab1, u, v))
-            tab3[(p, q)] = self.coords(self.cyclic_shift(t_conj, check=False))
-        self._psi_tables = [tab1, tab2, tab3]
+        self._psi_tables = []
+        for solved in raw:
+            table = {}
+            for pq, coords in solved.items():
+                sv = {k: scale * c for k, c in enumerate(coords) if c}
+                if sv:
+                    table[pq] = sv
+            self._psi_tables.append(table)
 
-    def _wedge_sum(self, table: Dict[Tuple[int, int], Vec], u: Sequence[Fraction],
-                   v: Sequence[Fraction]) -> Vec:
-        """sum over p < q of (u_p v_q - u_q v_p) table[(p, q)]: a map on u ^ v."""
-        n = self.alg.dim
-        acc = [F0] * self.dim
-        for p in range(n):
-            for q in range(p + 1, n):
-                c = u[p] * v[q] - u[q] * v[p]
-                if c == 0:
-                    continue
-                for k, x in enumerate(table[(p, q)]):
-                    acc[k] += c * x
-        return acc
-
-    def psi_coords(self, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        """Coordinates in the t(A) basis of Psi_i(u ^ v)."""
+    def psi_table(self, i: int) -> Dict[Tuple[int, int], SVec]:
+        """(p, q) -> sparse coordinates of Psi_i(e_p ^ e_q), p < q, zero images left out."""
         if i not in (1, 2, 3):
             raise ValueError("Psi slot index must be 1, 2 or 3")
         if self._psi_tables is None:
             self._calibrate()
-        return self._wedge_sum(self._psi_tables[i - 1], u, v)
+        return self._psi_tables[i - 1]
+
+    def psi_coords(self, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+        """Coordinates in the t(A) basis of Psi_i(u ^ v)."""
+        acc = [F0] * self.dim
+        for (p, q), sv in self.psi_table(i).items():
+            c = u[p] * v[q] - u[q] * v[p]
+            if c:
+                for k, x in sv.items():
+                    acc[k] += c * x
+        return acc
 
     def k_matrix(self) -> Mat:
         if self._k_matrix is None:

@@ -206,6 +206,21 @@ def test_dim_series_without_a_is_usage_error(capsys, series):
     assert captured.err == f"dim: --series {series} requires -a\n"
 
 
+def test_dim_so_family_negative_k_is_usage_error(capsys):
+    # At k = -1 the closed form's denominator factor (k + 1) vanishes.
+    assert main(["dim", "--series", "so-family", "-k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "magicsquare: k must be >= 0\n"
+
+
+def test_table_so_family_negative_k_is_usage_error(capsys):
+    assert main(["table", "--series", "so-family", "--k-min", "-1", "--k-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "table: k must be >= 0\n"
+
+
 def test_crosscheck_quick(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run(capsys, ["crosscheck", "--suite", "quick", "--out", str(out_path)])

@@ -5,8 +5,8 @@ import pytest
 
 from magicsquare.compalg import TAGS, build_split_algebra, parse_tag
 from magicsquare.linalg import mat_mul, transpose
-from magicsquare.triality import psi, satisfies_triality, triality_algebra
-from tests_helpers import is_associative_triple
+from magicsquare.triality import psi, triality_algebra
+from tests_helpers import is_associative_triple, satisfies_triality
 
 
 def rand_elt(rng, n, lo=-3, hi=3):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from magicsquare.exact import rat
-from magicsquare.linalg import F0, nullspace, primitive_integer_vector, rref
+from magicsquare.linalg import F0, mat_mul, nullspace, primitive_integer_vector, rref
 from magicsquare.triality import TrialityTriple, combine
 
 
@@ -32,6 +32,36 @@ def mul_scalar(lfp, c):
 def k_form(t, x, y):
     """The invariant form K of t(A) on two triples, through their coordinates."""
     return t.k_form_coords(t.coords(x), t.coords(y))
+
+
+def satisfies_triality(alg, t):
+    """theta3(e_i e_j) == theta1(e_i) e_j + e_i theta2(e_j) on all basis pairs."""
+    n = alg.dim
+    m1, m2, m3 = t.mats()
+    for i in range(n):
+        col1 = [m1[r][i] for r in range(n)]
+        for j in range(n):
+            col2 = [m2[r][j] for r in range(n)]
+            lhs = [F0] * n
+            for k, c in alg.ctable[i][j].items():
+                for r in range(n):
+                    lhs[r] += c * m3[r][k]
+            rhs = alg.multiply(col1, alg.basis_element(j))
+            rhs2 = alg.multiply(alg.basis_element(i), col2)
+            if any(lhs[r] != rhs[r] + rhs2[r] for r in range(n)):
+                return False
+    return True
+
+
+def cyclic_shift(alg, t):
+    """The twisted shift tau(theta) = (theta2, C theta3 C, C theta1 C), C the conjugation.
+
+    The plain rotation (theta2, theta3, theta1) leaves t(A) in these split
+    models; conjugating the two moved slots keeps the triality relation.
+    """
+    cj = alg.conj_matrix
+    m1, m2, m3 = t.mats()
+    return TrialityTriple.from_mats(m2, mat_mul(cj, mat_mul(m3, cj)), mat_mul(cj, mat_mul(m1, cj)))
 
 
 def describe_index(g, i):
