@@ -1,19 +1,20 @@
 """Root data: extraction from magic-square algebras, builtin catalog, Weyl formula.
 
-Coordinates of an extracted datum are eigenvalue tuples against a normalized
-Cartan basis (the chart) taken inside t(A) x t(B), with the t(B)-side
-coordinates first.  The chart elements are diagonal in every slot, so the
-grading of g(A,B) by their torus is read straight off the matrices, once per
-t(A): `slot_weights` holds the slot diagonals, `factor_weights` the weight of
-each basis vector of t(A) (which must be a weight vector), and
-`basis_weights` the weight of each basis index of g(A,B), whose nonzero
-entries are the roots.  Positivity is plain lexicographic order on the
-coordinates, which realizes the series orderings (the fixed-side root
-contributions dominate).  The inner product comes from the invariant form
-restricted to the chart, rescaled so the longest roots have squared length 2.
+A `RootDatum` is given by its positive roots, as `Fraction` tuples in chart
+coordinates, and a Gram matrix.  From these it derives once, the same way for
+every source, an integer frame: the simple roots, the Cartan matrix, and the
+simple-root coordinates of each positive root, from one scan by increasing
+(alpha, rho).  Dominance, the Weyl formula, Freudenthal's recursion and the
+reflection closures run on that frame; chart coordinates stay at the boundary.
 
-Builtin data for A-D-E-F-G types use simple-root coordinates with the
-standard normalization and carry their fundamental weights.
+An extracted datum's chart is a normalized Cartan basis inside t(A) x t(B),
+t(B)-side coordinates first.  Its elements are diagonal in every slot, so the
+grading of g(A,B) is read straight off the matrices, once per t(A):
+`slot_weights`, `factor_weights` and `basis_weights`, whose nonzero entries
+are the roots.  Positivity is lexicographic order on the chart coordinates.
+The Gram matrix comes from the invariant form restricted to the chart,
+rescaled so the longest roots have squared length 2.  Builtin data use
+simple-root coordinates in the Bourbaki normalization.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compalg import parse_tag
@@ -29,7 +31,6 @@ from .linalg import (
     F0,
     F1,
     Mat,
-    Vec,
     bilinear,
     inverse,
     mat_vec,
@@ -49,6 +50,17 @@ def _tup(v: Sequence) -> Weight:
     return tuple(Fraction(x) for x in v)
 
 
+def _exact(x: Fraction):
+    """x as an int when it is one, so integral data stay on int arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _reflect(cartan: Sequence[Sequence[int]], c: Tuple[int, ...], i: int) -> Tuple[int, ...]:
+    """s_i on simple-root coordinates, c - <c, alpha_i-check> e_i, from a Cartan matrix."""
+    p = sum(x * row[i] for x, row in zip(c, cartan) if x)
+    return c[:i] + (c[i] - p,) + c[i + 1:]
+
+
 @dataclass
 class RootDatum:
     name: str
@@ -58,11 +70,9 @@ class RootDatum:
     markers: Dict[str, Weight] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._simple: Optional[List[Weight]] = None
         self._rho: Optional[Weight] = None
         self._fund: Optional[List[Weight]] = None
-        self._simple_inv: Optional[Mat] = None
-        self._weyl: Optional[List[Tuple[Fraction, List[Tuple[int, Fraction]]]]] = None
+        self._simple: Optional[List[Weight]] = None  # set, with the frame, by `_frame`
 
     # -- basic geometry ---------------------------------------------------------
 
@@ -83,169 +93,161 @@ class RootDatum:
             self._rho = _tup(c / 2 for c in acc)
         return self._rho
 
+    def _frame(self) -> None:
+        """Simple roots, Cartan matrix and simple-root coordinates, from one scan.
+
+        The positive roots go by increasing (alpha, rho).  A root is simple
+        unless subtracting a simple root found so far leaves a root already
+        seen, and then its coordinates are that root's plus one; every
+        non-simple positive root has this form (Humphreys §10.2).  The simple
+        roots end in decreasing chart order.
+        """
+        if self._simple is not None:
+            return
+        roots = self.positive_roots
+        height = mat_vec(roots, mat_vec(self.gram, self.rho))
+        sign = -1 if sum(height) < 0 else 1  # a negative definite Gram
+        den = lcm(*(x.denominator for r in roots for x in r))
+        keys = [tuple(x.numerator * (den // x.denominator) for x in r) for r in roots]
+        # chart key -> coordinates; the zero key makes a repeated simple root
+        # come out as that simple root.
+        seen: Dict[Tuple[int, ...], Dict[int, int]] = {tuple([0] * self.rank): {}}
+        simple: List[int] = []  # root indices, in the order found
+        ip: Dict[Tuple[int, int], Fraction] = {}  # (alpha_i, alpha_j) between them
+        for k in sorted(range(len(roots)), key=lambda k: sign * height[k]):
+            for i, s in enumerate(simple):
+                c = seen.get(tuple(x - y for x, y in zip(keys[k], keys[s])))
+                if c is not None:
+                    seen[keys[k]] = {**c, i: c.get(i, 0) + 1}
+                    break
+            else:
+                n, ga = len(simple), mat_vec(self.gram, roots[k])
+                simple.append(k)
+                for i, s in enumerate(simple):
+                    ip[i, n] = ip[n, i] = sum((x * y for x, y in zip(roots[s], ga) if x), F0)
+                seen[keys[k]] = {n: 1}
+        order = sorted(range(len(simple)), key=lambda i: roots[simple[i]], reverse=True)
+        self._simple = [roots[simple[i]] for i in order]
+        self._cartan = [[_exact(2 * ip[i, j] / ip[j, j]) for j in order] for i in order]
+        self._label_rows = [_tup(2 * x / ip[i, i] for x in mat_vec(self.gram, roots[simple[i]]))
+                            for i in order]
+        self._coords = [tuple(seen[key].get(i, 0) for i in order) for key in keys]
+        scale = lcm(*(ip[i, i].denominator for i in order))
+        self._norms = [_exact(scale * ip[i, i]) for i in order]  # |alpha_j|^2, times scale
+
     def simple_roots(self) -> List[Weight]:
-        if self._simple is None:
-            pos = set(self.positive_roots)
-            simple = []
-            for a in self.positive_roots:
-                decomposable = False
-                for b in self.positive_roots:
-                    c = tuple(x - y for x, y in zip(a, b))
-                    if any(c) and c in pos:
-                        decomposable = True
-                        break
-                if not decomposable:
-                    simple.append(a)
-            simple.sort(reverse=True)
-            self._simple = simple
+        self._frame()
         return self._simple
 
     def cartan_matrix(self) -> List[List[int]]:
-        simple = self.simple_roots()
-        out = []
-        for a in simple:
-            row = []
-            for b in simple:
-                v = self.pairing(a, b)
-                if v.denominator != 1:
-                    raise ValueError("non-integer Cartan pairing; bad extraction")
-                row.append(int(v))
-            out.append(row)
-        return out
+        """[<alpha_i, alpha_j-check>] over the simple roots, in `simple_roots` order."""
+        self._frame()
+        if any(type(x) is not int for row in self._cartan for x in row):
+            raise ValueError("non-integer Cartan pairing; bad extraction")
+        return [list(row) for row in self._cartan]
+
+    def root_coords(self) -> List[Tuple[int, ...]]:
+        """Simple-root coordinates of each positive root, in `positive_roots` order."""
+        self._frame()
+        return self._coords
+
+    def dynkin_labels(self, w: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+        """<w, alpha_i-check> for the simple roots, in `simple_roots` order."""
+        self._frame()
+        return tuple(mat_vec(self._label_rows, w))
 
     def fundamental_weights(self) -> List[Weight]:
-        """omega_i with <omega_i, alpha_j-check> = delta_ij."""
+        """omega_i = sum_j X_ij alpha_j, with X the inverse of the Cartan matrix."""
         if self._fund is None:
             simple = self.simple_roots()
-            n = self.rank
-            if len(simple) != n:
+            if len(simple) != self.rank:
                 raise ValueError("simple root count differs from rank")
-            rows = [[self.pairing_base(j, i) for j in range(n)] for i in range(n)]
-            # omega_i = sum_j x_j alpha_j; constraint sum_j x_j <alpha_j, alpha_i-check> = delta.
-            inv = inverse(rows)
-            self._fund = []
-            for i in range(n):
-                w = [F0] * n
-                for j in range(n):
-                    if inv[j][i] != 0:
-                        for t in range(n):
-                            w[t] += inv[j][i] * simple[j][t]
-                self._fund.append(_tup(w))
+            self._fund_coords = inverse([[Fraction(x) for x in row] for row in self._cartan])
+            self._fund = [_tup(mat_vec(list(zip(*simple)), row)) for row in self._fund_coords]
         return self._fund
-
-    def pairing_base(self, j: int, i: int) -> Fraction:
-        simple = self.simple_roots()
-        return self.pairing(simple[j], simple[i])
 
     def weight_from_fund(self, labels: Sequence[int]) -> Weight:
         fw = self.fundamental_weights()
         if len(labels) != self.rank:
             raise ValueError(f"expected {self.rank} Dynkin labels")
-        w = [F0] * self.rank
-        for c, omega in zip(labels, fw):
-            if c:
-                for t in range(self.rank):
-                    w[t] += c * omega[t]
-        return _tup(w)
+        return _tup(mat_vec(list(zip(*fw)), labels))
 
     def highest_root(self) -> Weight:
         return max(self.positive_roots)
 
     def is_dominant_integral(self, w: Sequence[Fraction]) -> bool:
-        for a in self.simple_roots():
-            p = self.pairing(w, a)
-            if p.denominator != 1 or p < 0:
-                return False
-        return True
+        return all(x.denominator == 1 and x >= 0 for x in self.dynkin_labels(w))
 
     # -- Weyl dimension formula ---------------------------------------------------
 
-    def _weyl_factors(self) -> List[Tuple[Fraction, List[Tuple[int, Fraction]]]]:
-        """((rho, alpha), nonzero entries of G alpha) for each positive root alpha."""
-        if self._weyl is None:
-            rho = self.rho
-            self._weyl = []
-            for a in self.positive_roots:
-                ga = [(t, x) for t, x in enumerate(mat_vec(self.gram, a)) if x]
-                self._weyl.append((sum((rho[t] * x for t, x in ga), F0), ga))
-        return self._weyl
-
     def weyl_dim(self, w: Sequence[Fraction]) -> int:
+        """prod over positive alpha of (w + rho, alpha) / (rho, alpha).
+
+        With alpha = sum_j c_j alpha_j and lambda the Dynkin labels of w, a
+        factor is sum_j m_j (lambda_j + 1) / sum_j m_j with m_j = c_j |alpha_j|^2,
+        proportional to the coroot coordinates of alpha.
+        """
         if not self.is_dominant_integral(w):
             raise ValueError(f"weight {tuple(map(rat_str, w))} is not dominant integral")
-        num = F1
-        den = F1
-        for ra, ga in self._weyl_factors():
-            num *= ra + sum((w[t] * x for t, x in ga), F0)
-            den *= ra
-        out = num / den
+        lam = [x.numerator + 1 for x in self.dynkin_labels(w)]
+        num = den = 1
+        for c in self._coords:
+            m = [x * h for x, h in zip(c, self._norms)]
+            num *= sum(x * y for x, y in zip(m, lam) if x)
+            den *= sum(m)
+        out = Fraction(num, den)
         if out.denominator != 1 or out <= 0:
             raise ValueError("Weyl dimension did not come out a positive integer")
         return int(out)
 
     # -- weight multiplicities (Freudenthal recursion) ------------------------------
 
-    def _to_dominant(self, w: Weight) -> Weight:
-        simple = self.simple_roots()
-        w = list(w)
-        moved = True
-        while moved:
-            moved = False
-            for a in simple:
-                p = self.pairing(w, a)
-                if p < 0:
-                    for t in range(self.rank):
-                        w[t] -= p * a[t]
-                    moved = True
-        return _tup(w)
-
-    def _simple_coords(self, v: Weight) -> Optional[Vec]:
-        """Coordinates of v in the simple-root basis, or None if not in the lattice."""
-        if self._simple_inv is None:
-            simple = self.simple_roots()
-            cols = [[simple[j][i] for j in range(self.rank)] for i in range(self.rank)]
-            self._simple_inv = inverse(cols)
-        return mat_vec(self._simple_inv, list(v))
-
     def weight_multiplicity(self, lam: Sequence[Fraction], mu: Sequence[Fraction]) -> int:
-        lam = _tup(lam)
+        """Freudenthal's recursion on nu = lam - sum_j c_j alpha_j, keyed by the integers c.
+
+        With Dynkin labels nu_j and h_j = |alpha_j|^2 (times a common scale,
+        which cancels), (nu, sum_j a_j alpha_j) is
+        sum_j a_j h_j nu_j / 2, and |lam + rho|^2 - |nu + rho|^2 is
+        sum_j c_j h_j (lam_j + nu_j + 2) / 2.
+        """
         if not self.is_dominant_integral(lam):
             raise ValueError("highest weight is not dominant integral")
-        rho = self.rho
-        lam_norm = self.inner([a + b for a, b in zip(lam, rho)],
-                              [a + b for a, b in zip(lam, rho)])
-        memo: Dict[Weight, Fraction] = {lam: F1}
+        top = [x.numerator for x in self.dynkin_labels(lam)]
+        self.fundamental_weights()  # fills _fund_coords
+        cartan, n = self._cartan, len(top)
+        d = [t - x for t, x in zip(top, self.dynkin_labels(mu))]
+        start = mat_vec(list(zip(*self._fund_coords)), d)
+        if any(x.denominator != 1 for x in start):
+            return 0  # lam - mu is not in the root lattice
+        h = self._norms
+        roots = [(a, [sum(x * row[j] for x, row in zip(a, cartan)) for j in range(n)])
+                 for a in self._coords]
+        memo: Dict[Tuple[int, ...], Fraction] = {}
 
-        def mult(nu: Weight) -> Fraction:
-            nu = self._to_dominant(nu)
-            if nu in memo:
-                return memo[nu]
-            diff = tuple(a - b for a, b in zip(lam, nu))
-            coords = self._simple_coords(diff)
-            if coords is None or any(c.denominator != 1 or c < 0 for c in coords):
-                memo[nu] = F0
-                return F0
-            denom = lam_norm - self.inner([a + b for a, b in zip(nu, rho)],
-                                          [a + b for a, b in zip(nu, rho)])
-            if denom == 0:
-                # nu is in the Weyl orbit of lam only if nu == lam (both dominant).
-                memo[nu] = F1 if nu == lam else F0
-                return memo[nu]
-            acc = F0
-            for a in self.positive_roots:
-                j = 1
-                while True:
-                    shifted = tuple(x + j * y for x, y in zip(nu, a))
-                    m = mult(shifted)
-                    if m == 0:
+        def mult(c: Tuple[int, ...]) -> Fraction:
+            nu = [t - sum(x * row[j] for x, row in zip(c, cartan)) for j, t in enumerate(top)]
+            while min(nu) < 0:  # reflect into the dominant chamber
+                i = nu.index(min(nu))
+                c = c[:i] + (c[i] + nu[i],) + c[i + 1:]
+                nu = [x - nu[i] * y for x, y in zip(nu, cartan[i])]
+            if c not in memo:
+                denom = sum(x * y * (t + v + 2) for x, y, t, v in zip(c, h, top, nu))
+                if min(c) < 0 or denom == 0:
+                    # Below lam, or in its Weyl orbit and so lam itself (both dominant).
+                    memo[c] = F0 if min(c) < 0 or any(c) else F1
+                else:
+                    acc = F0
+                    for a, al in roots:
+                        k = 1
                         # Once we leave the weight system along a root we stay out.
-                        break
-                    acc += m * self.inner(shifted, a)
-                    j += 1
-            memo[nu] = 2 * acc / denom
-            return memo[nu]
+                        while m := mult(tuple(x - k * y for x, y in zip(c, a))):
+                            acc += m * sum(x * y * (v + k * z)
+                                           for x, y, v, z in zip(a, h, nu, al))
+                            k += 1
+                    memo[c] = 2 * acc / denom
+            return memo[c]
 
-        out = mult(_tup(mu))
+        out = mult(tuple(x.numerator for x in start))
         if out.denominator != 1 or out < 0:
             raise ValueError("multiplicity did not come out a nonnegative integer")
         return int(out)
@@ -290,7 +292,7 @@ class RootDatum:
         gram = [list(row) for row in gram]
         roots = vectors("positive_roots")
         for i, r in enumerate(roots):
-            if bilinear(gram, r, r) == 0:  # `pairing` divides by it
+            if bilinear(gram, r, r) == 0:  # the frame divides by it
                 raise ValueError(f"root datum: positive_roots[{i}] has (alpha, alpha) = 0")
         markers = data.get("markers", {})
         if not isinstance(markers, dict):
@@ -304,16 +306,20 @@ class RootDatum:
         )
         # The roots and their negatives must be closed under the simple
         # reflections; s(-b) = -s(b), so reflecting the positive ones suffices.
-        system = set(roots) | {tuple(-c for c in r) for r in roots}
-        for a in rd.simple_roots():
-            ga = mat_vec(gram, a)
-            coroot = [2 * c / rd.inner(a, a) for c in ga]  # <b, a-check> = b . coroot
-            for j, b in enumerate(roots):
-                p = sum((x * y for x, y in zip(b, coroot) if x and y), F0)
-                if tuple(x - p * y for x, y in zip(b, a)) not in system:
+        coords = rd.root_coords()
+        system = set(coords) | {tuple(-x for x in c) for c in coords}
+        for i, a in enumerate(rd.simple_roots()):
+            for j, c in enumerate(coords):
+                if _reflect(rd._cartan, c, i) not in system:
                     raise ValueError(
                         f"root datum: 'positive_roots' is not a positive system: reflecting "
                         f"positive_roots[{j}] in positive_roots[{roots.index(a)}] gives no root")
+        # `weyl_dim` needs <rho, alpha-check> = 1; repeated roots or 2 alpha break it.
+        for a, p in zip(rd.simple_roots(), rd.dynkin_labels(rd.rho)):
+            if p != 1:
+                raise ValueError(
+                    f"root datum: 'positive_roots' is not a positive system: <rho, alpha-check> "
+                    f"= {rat_str(p)} for positive_roots[{roots.index(a)}], not 1")
         return rd
 
 
@@ -322,9 +328,8 @@ class RootDatum:
 
 def dynkin_type(rd: RootDatum) -> str:
     """Type label such as 'E8', 'F4', 'C3', or 'A2xA2' for products."""
-    simple = rd.simple_roots()
-    n = len(simple)
     a = rd.cartan_matrix()
+    n = len(a)
     adj = {i: [j for j in range(n) if j != i and a[i][j] != 0] for i in range(n)}
     seen: set = set()
     labels = []
@@ -341,31 +346,26 @@ def dynkin_type(rd: RootDatum) -> str:
                     seen.add(j)
                     comp.append(j)
                     queue.append(j)
-        labels.append(_classify_component(rd, a, adj, sorted(comp)))
+        labels.append(_classify_component(a, adj, sorted(comp)))
     return "x".join(sorted(labels))
 
 
-def _classify_component(rd: RootDatum, a: List[List[int]], adj, comp: List[int]) -> str:
-    simple = rd.simple_roots()
+def _classify_component(a: List[List[int]], adj, comp: List[int]) -> str:
     n = len(comp)
     if n == 1:
         return "A1"
-    edges = [(i, j) for i in comp for j in adj[i] if j > i and j in comp]
-    prods = {e: a[e[0]][e[1]] * a[e[1]][e[0]] for e in edges}
-    maxp = max(prods.values())
+    maxp = max(a[i][j] * a[j][i] for i in comp for j in adj[i])
     degs = {i: len([j for j in adj[i] if j in comp]) for i in comp}
     if maxp == 3:
         return "G2"
     if maxp == 2:
         if n == 2:
             return "B2"
-        lengths = {i: rd.inner(simple[i], simple[i]) for i in comp}
-        long_count = sum(1 for i in comp if lengths[i] == max(lengths.values()))
-        if n == 4:
-            double = [e for e, p in prods.items() if p == 2][0]
-            if degs[double[0]] == 2 and degs[double[1]] == 2:
-                return "F4"
-        return f"B{n}" if long_count == n - 1 else f"C{n}"
+        # <long, short-check> = -2; F4 has both ends inner, B_n ends in the short root.
+        long, short = next((i, j) for i in comp for j in adj[i] if a[i][j] == -2)
+        if degs[long] == 2 and degs[short] == 2:
+            return "F4"
+        return f"B{n}" if degs[short] == 1 else f"C{n}"
     # simply laced
     if max(degs.values()) <= 2:
         return f"A{n}"
@@ -678,19 +678,18 @@ def _simple_gram(kind: str, n: int) -> Mat:
     return g
 
 
-def _close_roots(gram: Mat, n: int) -> List[Weight]:
-    """All roots as the reflection closure of the simple roots (simple-root coords)."""
-    simples = [_tup([F1 if j == i else F0 for j in range(n)]) for i in range(n)]
-
-    roots = set(simples) | {tuple(-c for c in s) for s in simples}
+def _close_roots(cartan: List[List[int]]) -> List[Tuple[int, ...]]:
+    """The positive roots in simple-root coordinates: the simple roots closed under the
+    simple reflections, which permute the positive roots other than alpha_i."""
+    n = len(cartan)
+    roots = {tuple(int(j == i) for j in range(n)) for i in range(n)}
     frontier = list(roots)
     while frontier:
         nxt = []
         for r in frontier:
-            for s in simples:
-                p = 2 * bilinear(gram, r, s) / bilinear(gram, s, s)
-                refl = tuple(rc - p * sc for rc, sc in zip(r, s))
-                if refl not in roots:
+            for i in range(n):
+                refl = _reflect(cartan, r, i)
+                if min(refl) >= 0 and refl not in roots:
                     roots.add(refl)
                     nxt.append(refl)
         frontier = nxt
@@ -712,12 +711,8 @@ def builtin_datum(name: str) -> RootDatum:
     if not (lo <= n <= hi):
         raise ValueError(f"rank out of range for builtin datum {name!r}")
     gram = _simple_gram(kind, n)
-    roots = _close_roots(gram, n)
-    zero = tuple([F0] * n)
-    positive = sorted((r for r in roots if all(c >= 0 for c in r) and r != zero),
-                      reverse=True)
-    if 2 * len(positive) != len(roots):
-        raise ValueError("builtin positivity failed")
+    cartan = [[int(2 * x / gram[j][j]) for j, x in enumerate(row)] for row in gram]
+    positive = [_tup(r) for r in sorted(_close_roots(cartan), reverse=True)]
     rd = RootDatum(key, n, positive, gram)
     rd.markers["adjoint"] = rd.highest_root()
     if key == "d4":

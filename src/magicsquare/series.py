@@ -266,6 +266,8 @@ def lambda_of_a(a: RatLike) -> Fraction:
 
 def adjoint_cartan_power(k: int, a: RatLike) -> Fraction:
     """dim g^(k) along the exceptional series, exact in the parameter a."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     a = rat(a)
     if 3 * a + 5 == 0:
         raise ZeroDivisionError("pole at 3a+5 = 0")
@@ -442,6 +444,8 @@ def subexc_V2_printed(k: int, a: RatLike) -> Fraction:
 
 
 def severi_dim(p: int, pstar: int, a: RatLike) -> SeriesResult:
+    if p < 0 or pstar < 0:
+        raise ValueError("p and pstar must be >= 0")
     a = rat(a)
     if a == 0:
         return SeriesResult(None, None, pole=True)
@@ -483,6 +487,8 @@ def so_family_interval(k: int, t: int) -> SeriesResult:
 
 def thirdrow_dim(k: int, r: int, a: RatLike) -> SeriesResult:
     """dim of the k-th adjoint Cartan power in the generalized third row."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if r < 2:
         raise ValueError("r must be >= 2")
     a = rat(a)

@@ -186,11 +186,51 @@ def test_dim_datum_not_a_positive_system_is_usage_error(capsys, tmp_path):
     assert captured.err.startswith("magicsquare: root datum: 'positive_roots' is not a positive system")
 
 
+def test_dim_datum_not_a_positive_system_names_the_reflection(capsys, tmp_path):
+    # The closure check runs before the rho check and names the failing pair.
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(dict(A2, positive_roots=[["1", "0"], ["0", "1"]])))
+    assert main(["dim", "--datum", str(path), "--weight", "1,1"]) == 2
+    assert capsys.readouterr().err == (
+        "magicsquare: root datum: 'positive_roots' is not a positive system: reflecting "
+        "positive_roots[1] in positive_roots[0] gives no root\n")
+
+
 def test_dim_datum_file_well_formed(capsys, tmp_path):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(A2))
     code, out = run(capsys, ["dim", "--datum", str(path), "--weight", "1,1"])
     assert code == 0 and out == "8\n"
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive-gram", "negative-gram"])
+@pytest.mark.parametrize("weight,dim", [("1,1", "8"), ("1,0", "3")])
+def test_dim_datum_positive_system_not_lexicographic(capsys, tmp_path, weight, dim, sign):
+    # Simple roots (1,0) and (-1,1): lexicographic order puts (-1,1) < (0,1) < (1,0),
+    # so only the order by (alpha, rho) finds (0,1) as their sum.  The Weyl
+    # formula does not see the sign of the Gram matrix, so neither may the order.
+    path = tmp_path / "datum.json"
+    gram = [[sign + "2", sign + "1"], [sign + "1", sign + "2"]]
+    path.write_text(json.dumps({"rank": 2, "gram": gram,
+                                "positive_roots": [["1", "0"], ["-1", "1"], ["0", "1"]]}))
+    code, out = run(capsys, ["dim", "--datum", str(path), "--weight", weight])
+    assert code == 0 and out == dim + "\n"
+
+
+@pytest.mark.parametrize("roots,err", [
+    ([["1"], ["2"]], "<rho, alpha-check> = 3 for positive_roots[0], not 1"),
+    ([["1"], ["1"]], "<rho, alpha-check> = 2 for positive_roots[0], not 1"),
+], ids=["root-and-double", "repeated-root"])
+def test_dim_datum_rho_off_the_simple_coroots_is_usage_error(capsys, tmp_path, roots, err):
+    # Both sets are closed under the reflection, but rho is not the sum of the
+    # fundamental weights, so the Weyl formula does not apply.
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 1, "gram": [["1"]], "positive_roots": roots}))
+    assert main(["dim", "--datum", str(path), "--weight", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("magicsquare: root datum: 'positive_roots' is not a positive "
+                            "system: " + err + "\n")
 
 
 def test_dim_usage_errors(capsys):
@@ -219,6 +259,24 @@ def test_table_so_family_negative_k_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "table: k must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["dim", "--series", "severi", "-p", "-1", "-a", "0"],
+     "magicsquare: p and pstar must be >= 0\n"),
+    (["dim", "--series", "thirdrow", "-k", "-1", "--r-param", "3", "-a=-1/2"],
+     "magicsquare: k must be >= 0\n"),
+    (["table", "--series", "exceptional", "--k-min", "-1", "--k-max", "0", "--a=-5/3"],
+     "table: k must be >= 0\n"),
+    (["table", "--series", "severi", "--k-min", "-1", "--k-max", "0", "--a=0"],
+     "table: p and pstar must be >= 0\n"),
+], ids=["dim-severi", "dim-thirdrow", "table-exceptional", "table-severi"])
+def test_negative_exponent_at_a_pole_is_usage_error(capsys, argv, err):
+    # Each parameter is a pole of its closed form; the exponent check comes first.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_crosscheck_quick(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicsquare.compalg import H_TAG, O_TAG, build_split_algebra
 from magicsquare.magic import build_magic_algebra
@@ -17,6 +18,7 @@ from magicsquare.roots import (
 )
 from magicsquare.series import admissible_weight
 from magicsquare.triality import triality_algebra
+from tests_helpers import reference_simple_roots, reference_weyl_dim
 
 EXPECTED_TYPES = {
     ("R", "C"): "A2", ("C", "R"): "A2", ("R", "H"): "C3", ("H", "R"): "C3",
@@ -34,7 +36,7 @@ def test_builtin_catalog():
         rd = builtin_datum(name)
         assert dynkin_type(rd) == typ
         assert 2 * len(rd.positive_roots) + rd.rank == dim
-        assert rd.weyl_dim(rd.markers["adjoint"]) == dim or name == "a1" and True
+        assert rd.weyl_dim(rd.markers["adjoint"]) == dim
     with pytest.raises(ValueError):
         builtin_datum("zz9")
 
@@ -105,7 +107,6 @@ def test_adjoint_selfconsistency_all_sixteen():
             g = build_magic_algebra(A, B)
             rd = datum_for(A, B)
             simple = rd.simple_roots()
-            inv = rd._simple_coords
             comps = {}
             adj = {i: [j for j in range(rd.rank) if j != i
                        and rd.inner(simple[i], simple[j]) != 0] for i in range(rd.rank)}
@@ -125,14 +126,12 @@ def test_adjoint_selfconsistency_all_sixteen():
                     stack.extend(adj[i])
                 cid += 1
             tops = {}
-            for root in rd.positive_roots:
-                coords = inv(root)
+            for root, coords in zip(rd.positive_roots, rd.root_coords()):
                 support = [i for i, c in enumerate(coords) if c != 0]
                 c = comp_ids[support[0]]
                 h = sum(coords)
                 if c not in tops or h > tops[c][0]:
                     tops[c] = (h, root)
-            total = rd.rank - len(tops)  # torus directions beyond components: none
             total = sum(rd.weyl_dim(r) for _, r in tops.values())
             expected = g.dim if (A, B) != ("R", "R") else 3
             assert total == expected, (A, B)
@@ -263,7 +262,7 @@ def _assert_json_roundtrip(rd):
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a5", "b3", "b4", "c3", "c4", "d4", "d6",
-                                  "e6", "e7", "e8", "f4", "g2"])
+                                  "e6", "e7", "e8", "f4", "g2", "b30", "d30"])
 def test_builtin_datum_json_roundtrip(name):
     # from_json checks that the roots form a positive system; every builtin does.
     _assert_json_roundtrip(builtin_datum(name))
@@ -272,6 +271,31 @@ def test_builtin_datum_json_roundtrip(name):
 @pytest.mark.parametrize("a,b", sorted(EXPECTED_TYPES) + [("R", "R")])
 def test_extracted_datum_json_roundtrip(a, b):
     _assert_json_roundtrip(datum_for(a, b))
+
+
+BUILTINS_TO_RANK_8 = ([f"a{n}" for n in range(1, 9)] + [f"b{n}" for n in range(2, 9)]
+                      + [f"c{n}" for n in range(2, 9)] + [f"d{n}" for n in range(3, 9)]
+                      + ["e6", "e7", "e8", "f4", "g2"])
+
+
+@pytest.mark.parametrize("source", BUILTINS_TO_RANK_8 + sorted(EXPECTED_TYPES) + [("R", "R")],
+                         ids=lambda s: s if isinstance(s, str) else "-".join(s))
+def test_frame_matches_pair_search_and_fraction_weyl(source):
+    rd = builtin_datum(source) if isinstance(source, str) else datum_for(*source)
+    simple = rd.simple_roots()
+    assert simple == reference_simple_roots(rd)
+    assert rd.cartan_matrix() == [[rd.pairing(a, b) for b in simple] for a in simple]
+    for root, c in zip(rd.positive_roots, rd.root_coords()):
+        assert all(type(x) is int and x >= 0 for x in c)
+        assert tuple(sum(x * s[t] for x, s in zip(c, simple)) for t in range(rd.rank)) == root
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=rd.rank, max_size=rd.rank))
+    def weyl_agrees(labels):
+        w = rd.weight_from_fund(labels)
+        assert rd.weyl_dim(w) == reference_weyl_dim(rd, w)
+
+    weyl_agrees()
 
 
 def test_one_object_per_tag_name():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from magicsquare.exact import rat
-from magicsquare.linalg import F0, mat_mul, nullspace, primitive_integer_vector, rref
+from magicsquare.linalg import F0, mat_mul, mat_vec, nullspace, primitive_integer_vector, rref
 from magicsquare.triality import TrialityTriple, combine
 
 
@@ -133,3 +133,36 @@ def reference_triality_basis(alg):
         if len(rref(trial)[1]) == len(trial):
             chosen.append(b)
     return chosen, len(cartan)
+
+
+def reference_simple_roots(rd):
+    """The simple roots of a datum by comparing every pair of positive roots.
+
+    A positive root is simple when no other positive root leaves a positive
+    root when subtracted from it; they come in decreasing chart order.
+    """
+    pos = set(rd.positive_roots)
+    simple = []
+    for a in rd.positive_roots:
+        decomposable = False
+        for b in rd.positive_roots:
+            c = tuple(x - y for x, y in zip(a, b))
+            if any(c) and c in pos:
+                decomposable = True
+                break
+        if not decomposable:
+            simple.append(a)
+    simple.sort(reverse=True)
+    return simple
+
+
+def reference_weyl_dim(rd, w):
+    """prod (w + rho, alpha) / (rho, alpha) over the positive roots, in chart coordinates."""
+    rho = rd.rho
+    num = den = Fraction(1)
+    for a in rd.positive_roots:
+        ga = [(t, x) for t, x in enumerate(mat_vec(rd.gram, a)) if x]
+        ra = sum((rho[t] * x for t, x in ga), F0)
+        num *= ra + sum((w[t] * x for t, x in ga), F0)
+        den *= ra
+    return num / den

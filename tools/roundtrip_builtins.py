@@ -1,0 +1,49 @@
+"""Round-trip every builtin root datum through to_json and from_json.
+
+    python3 tools/roundtrip_builtins.py
+
+Builds each of the 121 builtin data (A1-A30, B2-B30, C2-C30, D3-D30, E6-E8,
+F4, G2), serializes it with `RootDatum.to_json`, passes the text through
+`json`, loads it back with `RootDatum.from_json` (which also checks that the
+roots form a positive system) and compares name, rank, Gram matrix, positive
+roots and markers. Prints one line per datum that differs or fails to load
+and a summary; exits 1 if any did. Imports the package from the checkout's
+`src` and writes nothing.
+"""
+
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from magicsquare.roots import RootDatum, builtin_datum  # noqa: E402
+
+RANKS = {"a": range(1, 31), "b": range(2, 31), "c": range(2, 31), "d": range(3, 31),
+         "e": range(6, 9), "f": [4], "g": [2]}
+
+
+def differences(rd):
+    """The fields of rd that do not survive the JSON round trip."""
+    try:
+        back = RootDatum.from_json(json.loads(json.dumps(rd.to_json())))
+    except ValueError as exc:
+        return [f"from_json: {exc}"]
+    fields = ("name", "rank", "gram", "positive_roots", "markers")
+    return [f for f in fields if getattr(back, f) != getattr(rd, f)]
+
+
+def main():
+    names = [f"{kind}{n}" for kind, ranks in RANKS.items() for n in ranks]
+    failed = 0
+    for name in names:
+        bad = differences(builtin_datum(name))
+        if bad:
+            failed += 1
+            print(f"{name}: {', '.join(bad)}")
+    print(f"{len(names)} builtin data, {failed} failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
