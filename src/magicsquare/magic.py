@@ -15,9 +15,10 @@ all structure constants are exact rationals, one shared Fraction object per
 distinct value.  Row i of the table is ad(b_i) as a column map, so the
 Jacobi identity is the representation axiom of ad.  The sampled check uses
 `linalg.rep_defect_column`, the Fraction check the modules use.  The
-exhaustive check uses `linalg.int_rep_defect_column`, the same formula on
-a copy of the table scaled to integers by the lcm D of its denominators;
-that defect is D^2 times the Fraction one, so both count the same triples.
+exhaustive check uses `linalg.int_rep_defect_pair`, the same formula for
+all columns k > j of one pair i < j at once, on a copy of the table scaled
+to integers by the lcm D of its denominators; that defect is D^2 times the
+Fraction one, so both count the same triples.
 Dimensions land on the classical 4x4 table (sl2 ... e8) and the test suite
 checks Jacobi exhaustively on all sixteen algebras.
 """
@@ -37,7 +38,7 @@ from .linalg import (
     SVec,
     apply_into,
     axpy,
-    int_rep_defect_column,
+    int_rep_defect_pair,
     rep_defect_column,
     scaled_int_columns,
 )
@@ -236,30 +237,22 @@ class MagicAlgebra:
     def jacobi_exhaustive(self) -> int:
         """Number of basis triples i<j<k with nonzero defect (0 for a Lie algebra).
 
-        Runs `linalg.int_rep_defect_column` on the table scaled to integers.
-        The scaled copy is made on every call, so a changed table is always
-        seen, and its defect is D^2 times the Fraction defect, so the count
-        is exact.
+        Runs `linalg.int_rep_defect_pair` once per pair i<j on the table
+        scaled to integers, and adds the number of distinct k > j whose
+        defect column is nonzero; the count needs no antisymmetry of the
+        table.  The scaled copy is made on every call, so a changed table is
+        always seen, and its defect is D^2 times the Fraction defect, so the
+        count is exact.
         """
         n = self.dim
-        _, rows = scaled_int_columns(self.table(), n)
-        support = [sum(1 << k for k, col in enumerate(row) if col) for row in rows]
+        _, rows, nonzero = scaled_int_columns(self.table(), n)
         bad = 0
         for i in range(n):
+            row_i = rows[i]
             for j in range(i + 1, n):
-                br = rows[i][j]
-                # Column k of the defect is zero unless A_i, A_j or an A_t
-                # with t in [b_i, b_j] has a nonzero column k.
-                reach = support[i] | support[j]
-                for t, _ in br or ():
-                    reach |= support[t]
-                reach >>= j + 1
-                while reach:
-                    low = reach & -reach
-                    reach ^= low
-                    k = j + low.bit_length()  # bit 0 of reach is column j + 1
-                    if any(int_rep_defect_column(rows, br, i, j, k).values()):
-                        bad += 1
+                out = int_rep_defect_pair(rows, nonzero, row_i[j], i, j)
+                if any(out.values()):
+                    bad += len({key // n for key, v in out.items() if v})
         return bad
 
     def jacobi_sample(self, count: int, seed: int = 0) -> int:

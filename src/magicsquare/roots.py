@@ -291,8 +291,11 @@ class RootDatum:
             raise ValueError(f"root datum: 'gram' must have {rank} rows")
         gram = [list(row) for row in gram]
         roots = vectors("positive_roots")
+        # (alpha, alpha) over the nonzero entries of the root and of the Gram
+        # matrix; the frame divides by it.
+        gram_rows = [[(t, c) for t, c in enumerate(row) if c] for row in gram]
         for i, r in enumerate(roots):
-            if bilinear(gram, r, r) == 0:  # the frame divides by it
+            if sum(x * c * r[t] for s, x in enumerate(r) if x for t, c in gram_rows[s] if r[t]) == 0:
                 raise ValueError(f"root datum: positive_roots[{i}] has (alpha, alpha) = 0")
         markers = data.get("markers", {})
         if not isinstance(markers, dict):

@@ -308,6 +308,8 @@ def deligne_Yk(k: int, lam: RatLike) -> Fraction:
 
 def qdim_adjoint_cartan_power(k: int, a: RatLike) -> QPoly:
     """q-analog of dim g^(k); requires integral exponents (a even, >= 0)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     a = rat(a)
     if a.denominator != 1 or a < 0 or a % 2 != 0:
         raise ValueError("q-analog needs a an even nonnegative integer")

@@ -261,6 +261,13 @@ def test_table_so_family_negative_k_is_usage_error(capsys):
     assert captured.err == "table: k must be >= 0\n"
 
 
+def test_table_qdim_negative_k_is_usage_error(capsys):
+    assert main(["table", "--series", "qdim", "--k-min", "-1", "--k-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "table: k must be >= 0\n"
+
+
 @pytest.mark.parametrize("argv,err", [
     (["dim", "--series", "severi", "-p", "-1", "-a", "0"],
      "magicsquare: p and pstar must be >= 0\n"),

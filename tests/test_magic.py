@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magicsquare.linalg import det, int_rep_defect_column, rep_defect_column, scaled_int_columns
+from magicsquare.linalg import det, int_rep_defect_pair, rep_defect_column, scaled_int_columns
 from magicsquare.magic import H_SUBALGEBRA_DIMS, MAGIC_DIMS, build_magic_algebra
-from tests_helpers import describe_index, gram_matrix
+from tests_helpers import describe_index, gram_matrix, reference_jacobi_count
 
 ALL_PAIRS = [(A, B) for A in "RCHO" for B in "RCHO"]
 
@@ -139,30 +139,33 @@ def test_jacobi_exhaustive_counts_corrupted_table(data):
 @given(data=st.data())
 def test_int_kernel_is_the_scaled_fraction_defect(data):
     # On corrupted g(C,C) tables, one of whose new entries has denominator 3,
-    # the integer defect is D^2 times the Fraction defect on every triple.
+    # the pair kernel's entry (k, s) is D^2 times the Fraction defect, for
+    # every i, j and every k > j, and it holds no column k <= j.
     g = build_magic_algebra("C", "C")
+    n = g.dim
     tab = g.table()
     pairs = data.draw(st.lists(st.tuples(CC_INDEX, CC_INDEX).filter(lambda p: p[0] < p[1]),
                                min_size=1, max_size=3, unique=True))
     saved = [(i, j, tab[i].get(j), tab[j].get(i)) for i, j in pairs]
     try:
-        for n, (i, j) in enumerate(pairs):
+        for m, (i, j) in enumerate(pairs):
             sv = data.draw(SPARSE_VECTORS)
-            if n == 0:
+            if m == 0:
                 sv[data.draw(CC_INDEX)] = Fraction(data.draw(st.sampled_from([-2, -1, 1, 2])), 3)
             for a, b, sign in ((i, j, 1), (j, i, -1)):
                 if sv:
                     tab[a][b] = {k: sign * c for k, c in sv.items()}
                 else:
                     tab[a].pop(b, None)
-        d, rows = scaled_int_columns(tab, g.dim)
+        d, rows, nonzero = scaled_int_columns(tab, n)
         assert d % 3 == 0
-        for i in range(g.dim):
-            for j in range(g.dim):
-                for k in range(g.dim):
-                    scaled = int_rep_defect_column(rows, rows[i][j], i, j, k)
+        for i in range(n):
+            for j in range(n):
+                scaled = int_rep_defect_pair(rows, nonzero, rows[i][j], i, j)
+                assert all(key // n > j for key in scaled)
+                for k in range(j + 1, n):
                     exact = rep_defect_column(tab, tab[i].get(j, {}), i, j, k)
-                    assert ({s: v for s, v in scaled.items() if v}
+                    assert ({s: scaled[k * n + s] for s in range(n) if scaled.get(k * n + s)}
                             == {s: d * d * c for s, c in exact.items()})
     finally:
         for i, j, sij, sji in saved:
@@ -171,6 +174,72 @@ def test_int_kernel_is_the_scaled_fraction_defect(data):
                     tab[a].pop(b, None)
                 else:
                     tab[a][b] = sv
+
+
+def _corrupt_one_sided(tab, edits):
+    """Set tab[a][b] = sv for each (a, b, sv), leaving tab[b][a] alone; returns the undo list."""
+    saved = [(a, b, tab[a].get(b)) for a, b, _ in edits]
+    for a, b, sv in edits:
+        if sv:
+            tab[a][b] = sv
+        else:
+            tab[a].pop(b, None)
+    return saved
+
+
+def _restore(tab, saved):
+    for a, b, sv in reversed(saved):
+        if sv is None:
+            tab[a].pop(b, None)
+        else:
+            tab[a][b] = sv
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pair_kernel_counts_one_sided_corruptions(data):
+    # Each edit sets [b_a, b_b] alone, so the table stops being antisymmetric;
+    # the first two edits carry denominators 2 and 3.  The pair kernel counts
+    # the same triples i<j<k as the per-triple reference.
+    g = build_magic_algebra("C", "C")
+    tab = g.table()
+    cells = data.draw(st.lists(st.tuples(CC_INDEX, CC_INDEX), min_size=2, max_size=4, unique=True))
+    edits = []
+    for m, (a, b) in enumerate(cells):
+        sv = data.draw(SPARSE_VECTORS)
+        if m < 2:
+            sv[data.draw(CC_INDEX)] = Fraction(data.draw(st.sampled_from([-1, 1])), 2 + m)
+        edits.append((a, b, sv))
+    saved = _corrupt_one_sided(tab, edits)
+    try:
+        assert g.jacobi_exhaustive() == reference_jacobi_count(g)
+    finally:
+        _restore(tab, saved)
+    assert g.jacobi_exhaustive() == 0
+
+
+def test_pair_kernel_counts_corrupted_g_ro():
+    # g(R,O) = f4 (dim 52): one-sided edits with denominators 2 and 3, one of
+    # them on a pair whose bracket was zero and one on the diagonal.
+    g = build_magic_algebra("R", "O")
+    assert g.dim == 52
+    tab = g.table()
+    x = g.idx_m(0, 0, 1)
+    y = g.idx_m(1, 0, 3)
+    edits = [
+        (g.idx_tB(0), x, {g.idx_m(0, 0, 2): Fraction(1, 2), g.idx_m(0, 0, 5): Fraction(-3)}),
+        (x, y, {g.idx_tB(3): Fraction(2, 3)}),
+        (y, y, {g.idx_m(2, 0, 4): Fraction(1)}),
+        (g.idx_tB(5), g.idx_tB(7), {}),
+    ]
+    saved = _corrupt_one_sided(tab, edits)
+    try:
+        count = g.jacobi_exhaustive()
+        assert count > 0
+        assert count == reference_jacobi_count(g)
+    finally:
+        _restore(tab, saved)
+    assert g.jacobi_exhaustive() == 0
 
 
 @pytest.mark.parametrize("A,B", ALL_PAIRS)

@@ -145,6 +145,13 @@ def test_qdim_properties():
         qdim_adjoint_cartan_power(1, -2)
 
 
+@pytest.mark.parametrize("a", [0, 1])
+def test_qdim_negative_k_is_rejected_first(a):
+    # The exponent check comes before the parameter check, as in the other series.
+    with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+        qdim_adjoint_cartan_power(-1, a)
+
+
 def test_printed_hilbert_functions_vs_series():
     for a in (0, 1, 2, 4, 8):
         for k in (1, 2):

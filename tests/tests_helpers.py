@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 from magicsquare.exact import rat
-from magicsquare.linalg import F0, mat_mul, mat_vec, nullspace, primitive_integer_vector, rref
+from magicsquare.linalg import (F0, mat_mul, mat_vec, nullspace, primitive_integer_vector, rref,
+                                scaled_int_columns)
 from magicsquare.triality import TrialityTriple, combine
 
 
@@ -166,3 +167,30 @@ def reference_weyl_dim(rd, w):
         num *= ra + sum((w[t] * x for t, x in ga), F0)
         den *= ra
     return num / den
+
+
+def int_rep_defect_column(rows, br, i, j, k):
+    """`rep_defect_column` on integer maps rows[t] = D A_t with br = D [b_i, b_j], one triple.
+
+    The result is D^2 times the Fraction defect; entries that cancel stay as
+    zeros, so the column vanishes iff no value is nonzero.
+    """
+    out = {}
+    for t, x in rows[j][k] or ():
+        for s, y in rows[i][t] or ():
+            out[s] = out.get(s, 0) + x * y
+    for t, x in rows[i][k] or ():
+        for s, y in rows[j][t] or ():
+            out[s] = out.get(s, 0) - x * y
+    for t, x in br or ():
+        for s, y in rows[t][k] or ():
+            out[s] = out.get(s, 0) - x * y
+    return out
+
+
+def reference_jacobi_count(g):
+    """Triples i<j<k whose per-triple integer defect column is nonzero."""
+    n = g.dim
+    _, rows, _ = scaled_int_columns(g.table(), n)
+    return sum(any(int_rep_defect_column(rows, rows[i][j], i, j, k).values())
+               for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
