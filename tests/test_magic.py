@@ -219,8 +219,9 @@ def test_pair_kernel_counts_one_sided_corruptions(data):
 
 
 def test_pair_kernel_counts_corrupted_g_ro():
-    # g(R,O) = f4 (dim 52): one-sided edits with denominators 2 and 3, one of
-    # them on a pair whose bracket was zero and one on the diagonal.
+    # g(R,O) = f4 (dim 52): one-sided edits with denominators 2 and 3, one on
+    # a pair whose bracket was zero, one on the diagonal and one that deletes
+    # a nonzero bracket.
     g = build_magic_algebra("R", "O")
     assert g.dim == 52
     tab = g.table()
@@ -230,8 +231,9 @@ def test_pair_kernel_counts_corrupted_g_ro():
         (g.idx_tB(0), x, {g.idx_m(0, 0, 2): Fraction(1, 2), g.idx_m(0, 0, 5): Fraction(-3)}),
         (x, y, {g.idx_tB(3): Fraction(2, 3)}),
         (y, y, {g.idx_m(2, 0, 4): Fraction(1)}),
-        (g.idx_tB(5), g.idx_tB(7), {}),
+        (g.idx_tB(1), g.idx_tB(5), {}),
     ]
+    assert tab[g.idx_tB(1)].get(g.idx_tB(5)) and y not in tab[x] and y not in tab[y]
     saved = _corrupt_one_sided(tab, edits)
     try:
         count = g.jacobi_exhaustive()
