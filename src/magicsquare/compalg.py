@@ -6,7 +6,9 @@ quadratic form's Gram matrix is anti-diagonal in 2x2 blocks and the
 diagonal matrices inside so(Q) form a split Cartan-friendly torus.
 Products of basis elements are always 0 or +/- a basis element; the
 composition law is verified exhaustively by the test suite rather than
-assumed.
+assumed.  The conjugation is a signed permutation of the basis, read off
+once per algebra; `CompAlg.slot_product` is the one place where the mixed
+triality slots multiply through it.
 
 Conventions: qform is the polarized norm, qform(x, x) = x * conj(x) read
 off in the unit direction, and qform(e, e) = 1 for the unit e.  In the
@@ -62,6 +64,17 @@ def parse_tag(name: str) -> AlgebraTag:
 AlgElement = List[Fraction]
 
 
+def _one_per_column(mat: Mat, error: str) -> List[Tuple[int, Fraction]]:
+    """(j, mat[j][i]) for the single nonzero entry of each column i; ValueError(error) otherwise."""
+    out = []
+    for i in range(len(mat)):
+        nz = [(j, row[i]) for j, row in enumerate(mat) if row[i] != 0]
+        if len(nz) != 1:
+            raise ValueError(error)
+        out.append(nz[0])
+    return out
+
+
 class CompAlg:
     """A split composition algebra with exact rational structure constants."""
 
@@ -73,19 +86,10 @@ class CompAlg:
         self.conj_matrix = conj
         self.gram = gram
         self.unit = unit
-        self.partner = self._pairing_partners()
-
-    # -- construction helpers ----------------------------------------------
-
-    def _pairing_partners(self) -> List[int]:
-        """partner[i] = unique j with gram[i][j] != 0 (i itself for dim 1)."""
-        partners = []
-        for i in range(self.dim):
-            nz = [j for j in range(self.dim) if self.gram[i][j] != 0]
-            if len(nz) != 1:
-                raise ValueError("gram is not hyperbolic-paired")
-            partners.append(nz[0])
-        return partners
+        # partner[i] = the unique j with gram[j][i] != 0 (i itself for dim 1).
+        self.partner = [j for j, _ in _one_per_column(gram, "gram is not hyperbolic-paired")]
+        # conj[i] = (j, c) with conj(e_i) = c e_j.
+        self.conj = _one_per_column(conj, "conjugation is not a signed permutation")
 
     # -- algebra operations --------------------------------------------------
 
@@ -103,6 +107,22 @@ class CompAlg:
                 for k, c in row[j].items():
                     out[k] += xi * yj * c
         return out
+
+    def slot_product(self, s: int, p: int, q: int) -> SVec:
+        """e_p in triality slot s times e_q in slot s+1, landing in slot s+2.
+
+        The cyclic rule of the mixed slots: e_p e_q, e_q conj(e_p) and
+        conj(e_q) e_p for s = 0, 1, 2.
+        """
+        if s == 0:
+            return self.ctable[p][q]
+        if s == 1:
+            j, c = self.conj[p]
+            return {k: c * x for k, x in self.ctable[q][j].items()}
+        if s == 2:
+            j, c = self.conj[q]
+            return {k: c * x for k, x in self.ctable[j][p].items()}
+        raise ValueError(f"triality slot {s} is not 0, 1 or 2")
 
     def conjugate(self, x: Sequence[Fraction]) -> AlgElement:
         if len(x) != self.dim:

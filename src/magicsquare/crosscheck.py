@@ -139,12 +139,21 @@ class Crosscheck:
 
 
 def load_known_suspects(path: Optional[str] = None) -> List[str]:
+    """Formula names from a JSON list of objects with a string "formula".
+
+    Reads the shipped list when path is None; raises ValueError, naming the
+    file, when the JSON has another shape.
+    """
     if path is None:
         data = json.loads(resources.files("magicsquare.data")
                           .joinpath("known_suspects.json").read_text())
     else:
         with open(path) as fh:
             data = json.load(fh)
+    if not isinstance(data, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("formula"), str) for e in data):
+        raise ValueError(f"{path or 'known_suspects.json'}: expected a JSON list of "
+                         'objects, each with a string "formula"')
     return [e["formula"] for e in data]
 
 

@@ -3,7 +3,8 @@
 Dense matrices are lists of lists of Fraction; sparse vectors are
 dict[int, Fraction] with no zero values stored.  A linear map acting on a
 Lie algebra or on a module is a column map: dict[int, SVec] whose entry j
-is the image of basis vector j, with zero columns left out.  For the
+is the image of basis vector j, with zero columns left out; `columns`
+builds one from (row, col) -> value entries.  For the
 exhaustive Jacobi check a list of column maps is scaled to integers by the
 lcm of its denominators (`scaled_int_columns`), and the representation
 defect of a pair i, j is formed on all columns k > j at once
@@ -22,6 +23,8 @@ Vec = List[Fraction]
 Mat = List[Vec]
 SVec = Dict[int, Fraction]
 ColMap = Dict[int, SVec]
+# A matrix as its (row, col) -> value entries, the input of `columns`.
+Entries = Dict[Tuple[int, int], Fraction]
 # A column map scaled to integers, as a list: row[j] is None or the (k, c)
 # pairs of column j.
 IntCol = Tuple[Tuple[int, int], ...]
@@ -118,13 +121,15 @@ def apply_into(out: SVec, m: ColMap, v: SVec, c: Fraction = F1) -> None:
             axpy(out, c * x, col)
 
 
-def columns(m: Mat) -> ColMap:
-    """The column map of a dense matrix."""
+def columns(m: Entries) -> ColMap:
+    """The column map of a matrix given by its (row, col) -> value entries.
+
+    Zero values are dropped, so a column whose entries all cancel is left out.
+    """
     out: ColMap = {}
-    for j, entries in enumerate(zip(*m)):
-        col = {i: x for i, x in enumerate(entries) if x}
-        if col:
-            out[j] = col
+    for (i, j), x in m.items():
+        if x:
+            out.setdefault(j, {})[i] = x
     return out
 
 

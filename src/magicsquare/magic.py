@@ -5,7 +5,8 @@ g(A,B) = t(A) x t(B)  +  A_1@B_1  +  A_2@B_2  +  A_3@B_3, with bracket:
   * t(A) x t(B) acts on A_i@B_i through the i-th projections,
   * two elements of the same A_i@B_i bracket into t(A) x t(B) through the
     quadratic-form contractions and the dual maps Psi_i,
-  * mixed slots multiply into the third slot:
+  * mixed slots multiply into the third slot, by the one cyclic rule of
+    `CompAlg.slot_product` on each factor:
         [u1@v1, u2@v2] = u1 u2 @ v1 v2
         [u2@v2, u3@v3] = u3 conj(u2) @ v3 conj(v2)
         [u3@v3, u1@v1] = conj(u1) u3 @ conj(v1) v3
@@ -173,45 +174,20 @@ class MagicAlgebra:
                                 axpy(sv, sgn * ca, psiB[slot].get((min(q, q2), max(q, q2)), {}))
                             put(i1, i2, sv)
 
-        # Mixed slots multiply into the remaining slot.
-        conjA = algA.conj_matrix
-        conjB = algB.conj_matrix
-
-        def conj_index(mat, i):
-            nz = [(r, mat[r][i]) for r in range(len(mat)) if mat[r][i] != 0]
-            assert len(nz) == 1
-            return nz[0]
-
-        for p in range(a):
-            for q in range(b):
+        # Mixed slots multiply into the remaining slot by CompAlg.slot_product:
+        # [m_s(p,q), m_{s+1}(p2,q2)] = A-product @ B-product in slot s+2.
+        for s in range(3):
+            s1, s2 = (s + 1) % 3, (s + 2) % 3
+            prodB = [[algB.slot_product(s, q, q2) for q2 in range(b)] for q in range(b)]
+            for p in range(a):
                 for p2 in range(a):
-                    prodA_12 = algA.ctable[p][p2]          # slot1 x slot2 -> slot3
-                    cp, sp = conj_index(conjA, p)          # conj(e_p)
-                    cp2, sp2 = conj_index(conjA, p2)
-                    prodA_23 = {k: sp * c for k, c in algA.ctable[p2][cp].items()}
-                    prodA_31 = {k: sp2 * c for k, c in algA.ctable[cp2][p].items()}
-                    for q2 in range(b):
-                        prodB_12 = algB.ctable[q][q2]
-                        cq, sq = conj_index(conjB, q)
-                        cq2, sq2 = conj_index(conjB, q2)
-                        # [m1(p,q), m2(p2,q2)] = (e_p e_p2) @ (e_q e_q2) in slot 3
-                        sv = {}
-                        for k, c in prodA_12.items():
-                            for l, d in prodB_12.items():
-                                sv[self.idx_m(2, k, l)] = c * d
-                        put(self.idx_m(0, p, q), self.idx_m(1, p2, q2), sv)
-                        # [m2(p,q), m3(p2,q2)] = e_p2 conj(e_p) @ e_q2 conj(e_q) in slot 1
-                        sv = {}
-                        for k, c in prodA_23.items():
-                            for l, d in {kk: sq * cc for kk, cc in algB.ctable[q2][cq].items()}.items():
-                                sv[self.idx_m(0, k, l)] = c * d
-                        put(self.idx_m(1, p, q), self.idx_m(2, p2, q2), sv)
-                        # [m3(p,q), m1(p2,q2)] = conj(e_p2) e_p @ conj(e_q2) e_q in slot 2
-                        sv = {}
-                        for k, c in prodA_31.items():
-                            for l, d in {kk: sq2 * cc for kk, cc in algB.ctable[cq2][q].items()}.items():
-                                sv[self.idx_m(1, k, l)] = c * d
-                        put(self.idx_m(2, p, q), self.idx_m(0, p2, q2), sv)
+                    prodA = algA.slot_product(s, p, p2)
+                    for q in range(b):
+                        for q2 in range(b):
+                            sv = {self.idx_m(s2, k, l): c * d
+                                  for k, c in prodA.items()
+                                  for l, d in prodB[q][q2].items()}
+                            put(self.idx_m(s, p, q), self.idx_m(s1, p2, q2), sv)
         return tab
 
     # -- operations ---------------------------------------------------------------

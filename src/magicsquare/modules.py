@@ -11,14 +11,20 @@ with L_i, M_i weight lines of the 2-torus t(C+C); it carries an invariant
 cubic form x1 x2 x3 + theta(X1, X2, X3) built from the triality trilinear
 Q(X1 X2, conj X3).
 
-The graded pieces are glued by quadratic-form contractions and the slot
-multiplications; the relative scalars below were calibrated once by making
-the representation axiom hold on the smallest members (a = 1) and are
-re-verified for every A by the test suite.
+The graded pieces are glued by quadratic-form contractions, read off the
+pairing partner of each basis vector, and by the slot multiplications of
+`CompAlg.slot_product`, the rule the parent bracket uses: the forward map
+A_s x A_{s+1} -> A_{s+2} is slot_product(s, p, y), the backward map
+A_s x A_{s+2} -> A_{s+1} is slot_product(s+2, y, p).  The relative scalars
+below were calibrated once by making the representation axiom hold on the
+smallest members (a = 1) and are re-verified for every A by the test suite.
+Every action is accumulated as (row, col) -> value entries and turned into
+a column map by `linalg.columns`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -28,6 +34,7 @@ from .linalg import (
     F0,
     F1,
     ColMap,
+    Entries,
     Mat,
     SolveCache,
     SVec,
@@ -97,27 +104,6 @@ class GModule:
         """True if rho([b_i,b_j]) != [rho(b_i), rho(b_j)] for parent basis i, j."""
         br = self.parent.bracket_basis(i, j)
         return any(rep_defect_column(self.actions, br, i, j, k) for k in range(self.dimension))
-
-
-def _slot_mult(algA, s: int, actor, actee_idx: int, direction: str):
-    """Equivariant slot multiplications, matching the parent bracket rules.
-
-    fwd: A_s x A_{s+1} -> A_{s+2}; bwd: A_s x A_{s+2} -> A_{s+1}.  The
-    conjugation pattern is forced by t(A)-equivariance (the slot actions
-    differ by the triality twist) and is checked by the module test suite.
-    """
-    x = algA.basis_element(actee_idx)
-    if direction == "fwd":
-        if s == 0:
-            return algA.multiply(actor, x)
-        if s == 1:
-            return algA.multiply(x, algA.conjugate(actor))
-        return algA.multiply(algA.conjugate(x), actor)
-    if s == 0:
-        return algA.multiply(algA.conjugate(actor), x)
-    if s == 1:
-        return algA.multiply(x, actor)
-    return algA.multiply(actor, algA.conjugate(x))
 
 
 # -- sl2 structure of the t(H) factors -----------------------------------------
@@ -190,14 +176,14 @@ def _t_a_actions(g: MagicAlgebra, ix) -> List[ColMap]:
     a = g.algA.dim
     actions = []
     for t in g.tA.basis:
-        m = zeros(ix.dim, ix.dim)
+        m: Entries = defaultdict(Fraction)
         for s in range(3):
             comp = t.component(s + 1)
             for p in range(a):
                 for r in range(a):
                     if comp[r][p] != 0:
                         for i, j in zip(ix.legs(s, r), ix.legs(s, p)):
-                            m[i][j] += comp[r][p]
+                            m[i, j] += comp[r][p]
         actions.append(columns(m))
     return actions
 
@@ -253,7 +239,7 @@ def build_V_module(tag_a: str) -> GModule:
 
     for t in g.tB.basis:
         coords = fact_solver.solve(g.tB.coords(t))
-        m = zeros(dim, dim)
+        m: Entries = defaultdict(Fraction)
         for fi in range(3):
             for wi, which in enumerate(("h", "e", "f")):
                 coeff = coords[3 * fi + wi]
@@ -265,7 +251,7 @@ def build_V_module(tag_a: str) -> GModule:
                     for r in range(2):
                         for cc in range(2):
                             if u[r][cc] != 0:
-                                m[ix.au(fi, p, r)][ix.au(fi, p, cc)] += coeff * u[r][cc]
+                                m[ix.au(fi, p, r), ix.au(fi, p, cc)] += coeff * u[r][cc]
                 # on UUU, slot fi of the triple tensor
                 for al in range(2):
                     for be in range(2):
@@ -275,17 +261,21 @@ def build_V_module(tag_a: str) -> GModule:
                                 if u[r][idx[fi]] != 0:
                                     jdx = list(idx)
                                     jdx[fi] = r
-                                    m[ix.uuu(*jdx)][ix.uuu(*idx)] += coeff * u[r][idx[fi]]
+                                    m[ix.uuu(*jdx), ix.uuu(*idx)] += coeff * u[r][idx[fi]]
         actions.append(columns(m))
 
     # Mixed slots: e_p @ w with w in the H slot identified as u_eps(j) @ u_del(k).
+    pA = algA.partner
     for s in range(3):
         jf, kf = [i for i in range(3) if i != s]
+        s1, s2 = (s + 1) % 3, (s + 2) % 3
         tinv = tensors_inv[s]
         for p in range(a):
-            ep = algA.basis_element(p)
+            # (3) A_{s+1} @ U_{s+1} -> A_{s+2} @ U_{s+2} and (4) back.
+            mults = ((s1, s2, c3, [algA.slot_product(s, p, y) for y in range(a)]),
+                     (s2, s1, c4, [algA.slot_product(s2, y, p) for y in range(a)]))
             for q in range(4):
-                m = zeros(dim, dim)
+                m: Entries = defaultdict(Fraction)
                 # decompose the H basis vector q into tensor coordinates
                 tens = [tinv[c][q] for c in range(4)]  # coords over ++, +-, -+, --
                 for ci, coeff in enumerate(tens):
@@ -300,34 +290,23 @@ def build_V_module(tag_a: str) -> GModule:
                                 w = omega(eps, idx[jf]) * omega(dl, idx[kf])
                                 if w == 0:
                                     continue
-                                m[ix.au(s, p, idx[s])][ix.uuu(al, be, ga)] += c1 * coeff * w
-                    # (2) A_s @ U_s -> UUU
-                    for x in range(a):
-                        qv = algA.qform(ep, algA.basis_element(x))
-                        if qv == 0:
-                            continue
-                        for us in range(2):
-                            idx = [None, None, None]
-                            idx[s] = us
-                            idx[jf] = eps
-                            idx[kf] = dl
-                            m[ix.uuu(*idx)][ix.au(s, x, us)] += c2 * coeff * qv
-                    # (3) A_{s+1} @ U_{s+1} -> A_{s+2} @ U_{s+2} and (4) back.
-                    s1, s2 = (s + 1) % 3, (s + 2) % 3
-                    for src, dst, direction, cs in ((s1, s2, "fwd", c3), (s2, s1, "bwd", c4)):
+                                m[ix.au(s, p, idx[s]), ix.uuu(al, be, ga)] += c1 * coeff * w
+                    # (2) A_s @ U_s -> UUU; Q(e_p, e_x) is nonzero only at x = partner[p]
+                    for us in range(2):
+                        idx = [None, None, None]
+                        idx[s] = us
+                        idx[jf] = eps
+                        idx[kf] = dl
+                        m[ix.uuu(*idx), ix.au(s, pA[p], us)] += c2 * coeff * algA.gram[p][pA[p]]
+                    for src, dst, cs, prods in mults:
                         # U_src is the factor j or k matching index src
                         pair_eps, out_eps = (eps, dl) if src == jf else (dl, eps)
-                        for y in range(a):
-                            prod = _slot_mult(algA, s, ep, y, direction)
-                            for r, pv in enumerate(prod):
-                                if pv == 0:
-                                    continue
-                                row = m[ix.au(dst, r, out_eps)]
+                        for y, prod in enumerate(prods):
+                            for r, pv in prod.items():
                                 for u in range(2):
-                                    w = omega(pair_eps, u)
-                                    if w == 0:
-                                        continue
-                                    row[ix.au(src, y, u)] += cs * coeff * w * pv
+                                    w = cs * coeff * omega(pair_eps, u) * pv
+                                    if w != 0:
+                                        m[ix.au(dst, r, out_eps), ix.au(src, y, u)] += w
                 actions.append(columns(m))
 
     # Invariant symplectic form.
@@ -394,39 +373,36 @@ def build_W_module(tag_a: str) -> GModule:
     chart_solver = SolveCache([g.tB.coords(h) for h in chart])
     for t in g.tB.basis:
         chart_coords = chart_solver.solve(g.tB.coords(t))
-        m = zeros(dim, dim)
+        m: Entries = defaultdict(Fraction)
         for s in range(3):
             wt = sum(c * w for c, w in zip(chart_coords, omega_lines[s]))
             for p in range(a):
-                m[ix.al(s, p)][ix.al(s, p)] += -wt
-            m[ix.line(s)][ix.line(s)] += 2 * wt
+                m[ix.al(s, p), ix.al(s, p)] += -wt
+            m[ix.line(s), ix.line(s)] += 2 * wt
         actions.append(columns(m))
 
     # Mixed slots.
+    pA = algA.partner
     for s in range(3):
         s1, s2 = (s + 1) % 3, (s + 2) % 3
         for p in range(a):
-            ep = algA.basis_element(p)
             for q in range(2):
                 # orientation: does this monomial carry weight +diffs[s] or -diffs[s]?
                 if slot_weights(g.tB)[s][q] == diffs[s]:
-                    src, dst, direction, (w1, w2, w3) = s1, s2, "fwd", W_SCALARS_PLUS[s]
+                    src, dst, (w1, w2, w3) = s1, s2, W_SCALARS_PLUS[s]
+                    prods = [algA.slot_product(s, p, y) for y in range(a)]
                 else:
-                    src, dst, direction, (w1, w2, w3) = s2, s1, "bwd", W_SCALARS_MINUS[s]
-                m = zeros(dim, dim)
+                    src, dst, (w1, w2, w3) = s2, s1, W_SCALARS_MINUS[s]
+                    prods = [algA.slot_product(s2, y, p) for y in range(a)]
+                m: Entries = defaultdict(Fraction)
                 # M_dst -> A_s @ L_s
-                m[ix.al(s, p)][ix.line(dst)] += w1
-                # A_s -> M_src
-                for x in range(a):
-                    qv = algA.qform(ep, algA.basis_element(x))
-                    if qv != 0:
-                        m[ix.line(src)][ix.al(s, x)] += w2 * qv
+                m[ix.al(s, p), ix.line(dst)] += w1
+                # A_s -> M_src; Q(e_p, e_x) is nonzero only at x = partner[p]
+                m[ix.line(src), ix.al(s, pA[p])] += w2 * algA.gram[p][pA[p]]
                 # A_src -> A_dst
-                for y in range(a):
-                    prod = _slot_mult(algA, s, ep, y, direction)
-                    for r, pv in enumerate(prod):
-                        if pv != 0:
-                            m[ix.al(dst, r)][ix.al(src, y)] += w3 * pv
+                for y, prod in enumerate(prods):
+                    for r, pv in prod.items():
+                        m[ix.al(dst, r), ix.al(src, y)] += w3 * pv
                 actions.append(columns(m))
 
     def cubic(u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:

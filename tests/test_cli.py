@@ -413,3 +413,28 @@ def test_table_rational_parameters(capsys):
                              "--a=-2/3,8"])
     assert code == 0
     assert out.splitlines()[1:] == ["1,-2/3,14,ok", "1,8,248,ok"]
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"formula": "x"}', '[{"name": "x"}]',
+                                     '[{"formula": 3}]', '"adjoint"'])
+def test_crosscheck_suspects_of_the_wrong_shape_are_usage_errors(capsys, tmp_path, content):
+    suspects = tmp_path / "bad.json"
+    suspects.write_text(content)
+    code = main(["crosscheck", "--suite", "quick", "--known-suspect", str(suspects)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert str(suspects) in captured.err and '"formula"' in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--A", "C", "--B", "H", "--verify", "jacobi=sample:200", "--seed", "3"],
+    ["verify", "--A", "R", "--B", "C", "--jacobi", "full"],
+])
+def test_timing_adds_only_a_nonnegative_elapsed_ms(capsys, argv):
+    code, out = run(capsys, argv)
+    timed_code, timed_out = run(capsys, argv + ["--timing"])
+    assert timed_code == code == 0
+    timed = json.loads(timed_out)
+    elapsed = timed.pop("elapsed_ms")
+    assert type(elapsed) is int and elapsed >= 0
+    assert timed == json.loads(out)

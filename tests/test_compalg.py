@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from magicsquare.compalg import TAGS, build_split_algebra, parse_tag
+from magicsquare.compalg import TAGS, CompAlg, build_split_algebra, parse_tag
 from magicsquare.linalg import mat_mul, transpose
 from magicsquare.triality import psi, triality_algebra
 from tests_helpers import is_associative_triple, satisfies_triality
@@ -108,6 +108,52 @@ def test_gram_is_hyperbolic_paired(alg):
         nz = [j for j in range(n) if alg.gram[i][j] != 0]
         assert len(nz) == 1
         assert alg.partner[alg.partner[i]] == i
+
+
+def dense(alg, sv):
+    return [sv.get(k, Fraction(0)) for k in range(alg.dim)]
+
+
+def test_slot_product_matches_multiply_and_conjugate(alg):
+    # e_p in slot s times e_q in slot s+1: e_p e_q, e_q conj(e_p), conj(e_q) e_p.
+    mul, conj, e = alg.multiply, alg.conjugate, alg.basis_element
+    rules = (lambda p, q: mul(e(p), e(q)),
+             lambda p, q: mul(e(q), conj(e(p))),
+             lambda p, q: mul(conj(e(q)), e(p)))
+    for s, rule in enumerate(rules):
+        for p in range(alg.dim):
+            for q in range(alg.dim):
+                sv = alg.slot_product(s, p, q)
+                assert all(c != 0 for c in sv.values())
+                assert dense(alg, sv) == rule(p, q)
+
+
+def test_slot_product_backward_rule(alg):
+    # The module maps A_s x A_{s+2} -> A_{s+1} read slot_product(s+2, y, p):
+    # conj(e_p) e_y, e_y e_p and e_p conj(e_y) for s = 0, 1, 2.
+    mul, conj, e = alg.multiply, alg.conjugate, alg.basis_element
+    rules = (lambda p, y: mul(conj(e(p)), e(y)),
+             lambda p, y: mul(e(y), e(p)),
+             lambda p, y: mul(e(p), conj(e(y))))
+    for s, rule in enumerate(rules):
+        for p in range(alg.dim):
+            for y in range(alg.dim):
+                assert dense(alg, alg.slot_product((s + 2) % 3, y, p)) == rule(p, y)
+
+
+def test_slot_product_rejects_a_slot_outside_0_1_2(alg):
+    with pytest.raises(ValueError):
+        alg.slot_product(3, 0, 0)
+
+
+def test_conjugation_must_be_a_signed_permutation():
+    c = build_split_algebra("C")
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="signed permutation"):
+        CompAlg(c.tag, c.ctable, [[half, half], [half, -half]], c.gram, c.unit)
+    with pytest.raises(ValueError, match="signed permutation"):
+        CompAlg(c.tag, c.ctable, [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]],
+                c.gram, c.unit)
 
 
 def test_dump_schema(alg):

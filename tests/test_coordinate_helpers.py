@@ -6,14 +6,17 @@ weight of each basis vector of t(A) off the entries of its matrices; the
 reference here brackets every chart element with every basis vector and
 solves for the coordinates of the result, which must be the weight times
 that basis vector.  A basis vector that is not a weight vector must be
-refused.
+refused.  `columns` must turn (row, col) entries into a column map
+without zeros.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from magicsquare.compalg import build_split_algebra
-from magicsquare.linalg import F0, SolveCache, e_vector, rref
+from magicsquare.linalg import F0, SolveCache, columns, e_vector, rref
 from magicsquare.roots import ExtractionError, cartan_chart, factor_weights
 from magicsquare.triality import TrialityAlgebra, triality_algebra, triality_bracket
 
@@ -112,3 +115,8 @@ def test_factor_weights_refuses_a_mixed_basis_vector():
     t.basis[k] = t.basis[k].add(t.basis[l])
     with pytest.raises(ExtractionError, match="not a weight vector"):
         factor_weights(t)
+
+
+def test_columns_drops_zero_entries_and_empty_columns():
+    entries = {(0, 1): F0, (1, 1): Fraction(2), (2, 0): Fraction(1) - 1, (0, 3): Fraction(-1, 2)}
+    assert columns(entries) == {1: {1: Fraction(2)}, 3: {0: Fraction(-1, 2)}}
