@@ -12,7 +12,6 @@ from .exact import (
     LinearFactorProduct,
     LinearForm,
     QPoly,
-    Rat,
     factorial_ratio,
     gauss_binomial,
     gen_binomial,

@@ -1,20 +1,21 @@
 """Exact rational arithmetic primitives.
 
-Everything in this package computes over Python's `fractions.Fraction`;
-no floating point is used anywhere.  This module provides the generalized
-binomial coefficient (rational upper argument), factorial ratios with
-half-integer arguments paired so the gap is an integer, Gauss q-binomials,
-and a factored product-of-linear-forms container used for provenance and
-factor counting.
+Everything in this package computes over Python's `fractions.Fraction`
+or `int`; no floating point is used anywhere.  This module provides the
+generalized binomial coefficient (rational upper argument), factorial
+ratios with half-integer arguments paired so the gap is an integer,
+q-analogs as integer products of factors (1 - q^n)^(+-1) (Gauss
+q-binomials among them), and a factored product-of-linear-forms container
+used for provenance and factor counting.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 
@@ -58,17 +59,6 @@ def gen_binomial(x: RatLike, k: int) -> Fraction:
     return num
 
 
-def falling_factorial(x: RatLike, k: int) -> Fraction:
-    """x (x-1) ... (x-k+1), exact."""
-    if k < 0:
-        raise ValueError("falling_factorial: k must be >= 0")
-    x = rat(x)
-    out = Fraction(1)
-    for i in range(k):
-        out *= (x - i)
-    return out
-
-
 def factorial_ratio(x: RatLike, y: RatLike) -> Fraction:
     """x!/y! computed as prod_{j=1..x-y} (y + j), requiring x - y a nonneg integer.
 
@@ -90,106 +80,28 @@ def factorial_ratio(x: RatLike, y: RatLike) -> Fraction:
 
 
 class QPoly:
-    """Polynomial in q with exact rational coefficients (dense, trimmed)."""
+    """Polynomial in q with integer coefficients (dense, trimmed)."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()):  # coeffs[i] is the q^i coefficient
-        cs = [rat(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):  # coeffs[i] is the q^i coefficient
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise ValueError(f"QPoly: coefficients must be ints, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
-
-    @staticmethod
-    def one() -> "QPoly":
-        return QPoly([1])
-
-    @staticmethod
-    def monomial(n: int, c: RatLike = 1) -> "QPoly":
-        return QPoly([0] * n + [rat(c)])
-
-    @staticmethod
-    def one_minus_q_pow(n: int) -> "QPoly":
-        """1 - q^n."""
-        if n == 0:
-            return QPoly()
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        out[n] = Fraction(-1)
-        return QPoly(out)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return QPoly(out)
-
-    def divexact(self, other: "QPoly") -> "QPoly":
-        """Exact polynomial division; raises if the remainder is nonzero."""
-        if other.is_zero():
-            raise ZeroDivisionError("QPoly division by zero polynomial")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        out = [Fraction(0)] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            out[i - d] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - d + j] -= q * b
-        if any(c != 0 for c in rem):
-            raise ValueError("QPoly.divexact: division is not exact")
-        return QPoly(out)
-
-    def eval(self, q: RatLike) -> Fraction:
-        q = rat(q)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * q + c
-        return out
-
-    def at_one(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
+    def at_one(self) -> int:
+        return sum(self.coeffs)
 
     def has_nonneg_coeffs(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -202,21 +114,49 @@ class QPoly:
             if c == 0:
                 continue
             if i == 0:
-                terms.append(rat_str(c))
+                terms.append(str(c))
             else:
                 q = "q" if i == 1 else f"q^{i}"
-                terms.append(q if c == 1 else f"{rat_str(c)}*{q}")
+                terms.append(q if c == 1 else f"{c}*{q}")
         return " + ".join(terms).replace("+ -", "- ")
+
+
+def q_product(exps: Mapping[int, int]) -> QPoly:
+    """prod_n (1 - q^n)^(e_n) over a map n -> e_n, on integer coefficients.
+
+    The factors with e_n > 0 are multiplied in first, each as a shift and
+    subtract.  Each factor with e_n < 0 is then divided out by the running
+    sum c_i += c_(i-n), the power series of c / (1 - q^n) up to the degree
+    of c; it is the polynomial quotient iff its top n coefficients vanish,
+    and anything else raises ValueError.
+    """
+    if any(n < 1 for n in exps):
+        raise ValueError(f"q_product: a factor 1 - q^n needs n >= 1, got n = {min(exps)}")
+    c = [1]
+    for n, e in exps.items():
+        for _ in range(e):
+            c.extend([0] * n)
+            for i in range(len(c) - 1, n - 1, -1):
+                c[i] -= c[i - n]
+    for n, e in exps.items():
+        for _ in range(-e):
+            for i in range(n, len(c)):
+                c[i] += c[i - n]
+            if any(c[-n:]):
+                raise ValueError(f"q_product: 1 - q^{n} does not divide the product")
+            del c[-n:]
+    return QPoly(c)
 
 
 def gauss_binomial(l: int, k: int) -> QPoly:
     """The Gauss polynomial [l+k choose k]_q = prod_{i=1..k} (1-q^{l+i})/(1-q^i)."""
     if l < 0 or k < 0:
         raise ValueError("gauss_binomial: l, k must be >= 0")
-    out = QPoly.one()
+    exps = Counter()
     for i in range(1, k + 1):
-        out = (out * QPoly.one_minus_q_pow(l + i)).divexact(QPoly.one_minus_q_pow(i))
-    return out
+        exps[l + i] += 1
+        exps[i] -= 1
+    return q_product(exps)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,10 @@ class MagicAlgebra:
                         sv = {self.idx_m(slot, p, r): c for r, c in col}
                         put(self.idx_tB(k), self.idx_m(slot, p, q), sv)
 
-        # Same slot: quadratic-form contraction into t(A) x t(B) via Psi.
+        # Same slot: quadratic-form contraction into t(A) x t(B) via Psi.  Each
+        # Gram column has one nonzero entry, at the pairing partner, so only
+        # pairs with q2 = partner[q] or p2 = partner[p] can contract; they are
+        # visited in index order, so every column dict fills in index order.
         psiA = [self.tA.psi_table(i) for i in (1, 2, 3)]
         psiB = [{pq: {self.idx_tB(k): c for k, c in sv.items()}
                  for pq, sv in self.tB.psi_table(i).items()} for i in (1, 2, 3)]
@@ -158,21 +161,22 @@ class MagicAlgebra:
             for p in range(a):
                 for q in range(b):
                     i1 = self.idx_m(slot, p, q)
-                    for p2 in range(a):
-                        for q2 in range(b):
-                            i2 = self.idx_m(slot, p2, q2)
-                            if i2 <= i1:
-                                continue
-                            sv: SVec = {}
-                            cb = algB.gram[q][q2]
-                            if cb != 0 and p != p2:
-                                sgn = 1 if p < p2 else -1
-                                axpy(sv, sgn * cb, psiA[slot].get((min(p, p2), max(p, p2)), {}))
-                            ca = algA.gram[p][p2]
-                            if ca != 0 and q != q2:
-                                sgn = 1 if q < q2 else -1
-                                axpy(sv, sgn * ca, psiB[slot].get((min(q, q2), max(q, q2)), {}))
-                            put(i1, i2, sv)
+                    pairs = ({(x, algB.partner[q]) for x in range(a)}
+                             | {(algA.partner[p], y) for y in range(b)})
+                    for p2, q2 in sorted(pairs):
+                        i2 = self.idx_m(slot, p2, q2)
+                        if i2 <= i1:
+                            continue
+                        sv: SVec = {}
+                        cb = algB.gram[q][q2]
+                        if cb != 0 and p != p2:
+                            sgn = 1 if p < p2 else -1
+                            axpy(sv, sgn * cb, psiA[slot].get((min(p, p2), max(p, p2)), {}))
+                        ca = algA.gram[p][p2]
+                        if ca != 0 and q != q2:
+                            sgn = 1 if q < q2 else -1
+                            axpy(sv, sgn * ca, psiB[slot].get((min(q, q2), max(q, q2)), {}))
+                        put(i1, i2, sv)
 
         # Mixed slots multiply into the remaining slot by CompAlg.slot_product:
         # [m_s(p,q), m_{s+1}(p2,q2)] = A-product @ B-product in slot s+2.

@@ -21,6 +21,7 @@ compares each against the Weyl oracle and records the outcome.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -31,8 +32,8 @@ from .exact import (
     QPoly,
     RatLike,
     factorial_ratio,
-    gauss_binomial,
     gen_binomial,
+    q_product,
     rat,
 )
 
@@ -307,26 +308,28 @@ def deligne_Yk(k: int, lam: RatLike) -> Fraction:
 
 
 def qdim_adjoint_cartan_power(k: int, a: RatLike) -> QPoly:
-    """q-analog of dim g^(k); requires integral exponents (a even, >= 0)."""
+    """q-analog of dim g^(k); requires integral exponents (a even, >= 0).
+
+    The prefactor (1 - q^(3a+2k+5)) / (1 - q^(3a+5)) and the five Gauss
+    binomials [l+k choose k]_q, l = 2a+3, 5a/2+3, 3a+4 upstairs and
+    a/2+1, a+1 downstairs, are one count of (1 - q^n) exponents.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     a = rat(a)
     if a.denominator != 1 or a < 0 or a % 2 != 0:
         raise ValueError("q-analog needs a an even nonnegative integer")
     a = int(a)
-    num_exps = [3 * a + 2 * k + 5]
-    den_exps = [3 * a + 5]
-    num = QPoly.one()
-    den = QPoly.one()
-    for e in num_exps:
-        num = num * QPoly.one_minus_q_pow(e)
-    for e in den_exps:
-        den = den * QPoly.one_minus_q_pow(e)
-    for l in (2 * a + 3, 5 * a // 2 + 3, 3 * a + 4):
-        num = num * gauss_binomial(l, k)
-    for l in (a // 2 + 1, a + 1):
-        den = den * gauss_binomial(l, k)
-    return num.divexact(den)
+    exps = Counter({3 * a + 2 * k + 5: 1})
+    exps[3 * a + 5] -= 1
+    for l, e in ((2 * a + 3, 1), (5 * a // 2 + 3, 1), (3 * a + 4, 1), (a // 2 + 1, -1), (a + 1, -1)):
+        for i in range(1, k + 1):
+            exps[l + i] += e
+            exps[i] -= e
+    try:
+        return q_product(exps)
+    except ValueError:
+        raise ValueError(f"the q-analog is not a polynomial at a = {a}, k = {k}") from None
 
 
 # -- printed Hilbert functions of the exceptional orbit varieties ---------------------
@@ -618,96 +621,3 @@ def admissible_weight(o: Sequence[int]) -> bool:
     """True iff o1 w1 + o2 w2 + o3 w3 + o4 w4 lies in the index-four sublattice."""
     o1, _, o3, o4 = (int(c) for c in o)
     return (o1 + o3) % 2 == 0 and (o1 + o4) % 2 == 0 and (o3 + o4) % 2 == 0
-
-
-# -- descriptor recomputation (the independent second source) -----------------------------
-
-
-def recompute_exceptional_rows() -> List[DescriptorRow]:
-    """Regenerate the 24 exceptional rows from hand-rolled so8 data."""
-    eps = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-
-    def dot(x, y):
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(x, y))
-
-    pos_roots = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for s in (1, -1):
-                pos_roots.append(tuple(Fraction(eps[i][t] + s * eps[j][t])
-                                       for t in range(4)))
-    spinor = []
-    for s2 in (1, -1):
-        for s3 in (1, -1):
-            for s4 in (1, -1):
-                spinor.append((HALF, s2 * HALF, s3 * HALF, s4 * HALF))
-    sigma = [tuple(map(Fraction, e)) for e in eps] + spinor
-    rho = (Fraction(3), Fraction(2), Fraction(1), Fraction(0))
-    gamma = (Fraction(5, 2), HALF, HALF, HALF)
-    markers = [(1, 1, 0, 0), (2, 1, 1, 0), (3, 1, 1, 1), (2, 0, 0, 0)]
-    rows = []
-    for alpha in pos_roots:
-        pair = tuple(int(dot(m, alpha)) for m in markers)
-        rows.append(DescriptorRow(pair, dot(rho, alpha), dot(gamma, alpha), "unit"))
-    for beta in sigma:
-        pair = tuple(int(dot(m, beta)) for m in markers)
-        rows.append(DescriptorRow(pair, dot(rho, beta), dot(gamma, beta), "afold"))
-    return rows
-
-
-def recompute_subexceptional_rows() -> List[DescriptorRow]:
-    """Regenerate the 9 subexceptional rows from sl2 x sl2 x sl2 data."""
-    def dot(x, y):
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(x, y)) * HALF
-
-    alphas = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    gammas = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for s in (1, -1):
-                w = [0, 0, 0]
-                w[i] = 1
-                w[j] = s
-                gammas.append(tuple(w))
-    rho = (1, 1, 1)
-    gamma = (2, 1, 0)
-    markers = [(2, 0, 0), (1, 1, 1), (2, 2, 0)]
-    rows = []
-    for alpha in alphas:
-        pair = tuple(int(dot(m, alpha)) for m in markers)
-        rows.append(DescriptorRow(pair, dot(rho, alpha), dot(gamma, alpha), "unit"))
-    for beta in gammas:
-        pair = tuple(int(dot(m, beta)) for m in markers)
-        rows.append(DescriptorRow(pair, dot(rho, beta), dot(gamma, beta), "afold"))
-    return rows
-
-
-def recompute_severi_rows() -> List[DescriptorRow]:
-    """Regenerate the 3 Severi rows from the plane z1+z2+z3 = 0 metric."""
-    third = Fraction(1, 3)
-    sixth = Fraction(1, 6)
-    gram = [[third if i == j else -sixth for j in range(3)] for i in range(3)]
-
-    def dot(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(3) for j in range(3))
-
-    omegas = [(F1, F0, F0), (F0, F1, F0), (F0, F0, F1)]
-
-    def diff(i, j):
-        return tuple(omegas[i][t] - omegas[j][t] for t in range(3))
-
-    w = tuple(2 * c for c in omegas[0])
-    wstar = tuple(-2 * c for c in omegas[2])
-    gamma = diff(0, 2)
-    rows = []
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        beta = diff(i, j)
-        pair = (int(dot(w, beta)), int(dot(wstar, beta)))
-        rows.append(DescriptorRow(pair, F0, dot(gamma, beta), "afold"))
-    return rows
-
-
-def rows_match(a: Sequence[DescriptorRow], b: Sequence[DescriptorRow]) -> bool:
-    """Multiset equality of descriptor rows."""
-    key = lambda r: (r.cls, r.pairings, r.u, r.v)
-    return sorted(map(key, a)) == sorted(map(key, b))

@@ -344,6 +344,15 @@ def test_table_qdim_non_integer_a_is_usage_error(capsys):
     assert half.err == odd.err == "table: q-analog needs a an even nonnegative integer\n"
 
 
+@pytest.mark.parametrize("a", ["10", "12", "16"])
+def test_table_qdim_non_polynomial_a_is_usage_error(capsys, a):
+    # Even a whose product of (1 - q^n) factors does not divide out.
+    assert main(["table", "--series", "qdim", "--a", a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"table: the q-analog is not a polynomial at a = {a}, k = 1\n"
+
+
 def test_table_degrees_negative_dimension_is_usage_error(capsys):
     # At a = -1 the flines variety would have dimension 11a+9 = -2.
     assert main(["table", "--series", "degrees", "--a=-1"]) == 2

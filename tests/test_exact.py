@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +11,13 @@ from magicsquare.exact import (
     LinearForm,
     QPoly,
     factorial_ratio,
-    falling_factorial,
     gauss_binomial,
     gen_binomial,
     parse_rat,
+    q_product,
     rat_str,
 )
-from tests_helpers import mul_scalar
+from tests_helpers import falling_factorial, is_palindromic, mul_scalar, reference_q_product
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -76,16 +78,75 @@ def test_gauss_binomial_palindromic_nonneg():
     for l in range(13):
         for k in range(13):
             g = gauss_binomial(l, k)
-            assert g.is_palindromic()
+            assert is_palindromic(g)
             assert g.has_nonneg_coeffs()
 
 
-def test_qpoly_divexact():
-    a = QPoly([1, 2, 1])
-    b = QPoly([1, 1])
-    assert a.divexact(b) == b
-    with pytest.raises(ValueError):
-        QPoly([1, 1, 1]).divexact(QPoly([1, 1]))
+@lru_cache(maxsize=None)
+def partitions_in_box(j, k, l):
+    """The number of partitions of j into at most k parts, each at most l."""
+    if j == 0:
+        return 1
+    if k == 0 or l == 0:
+        return 0
+    # Either no part equals l, or remove one part equal to l.
+    return partitions_in_box(j, k, l - 1) + (partitions_in_box(j - l, k - 1, l) if j >= l else 0)
+
+
+exponent_maps = st.dictionaries(st.integers(min_value=1, max_value=12),
+                                st.integers(min_value=0, max_value=3), max_size=5)
+
+
+@given(exponent_maps)
+@settings(max_examples=100)
+def test_q_product_matches_convolution(exps):
+    assert q_product(exps).coeffs == reference_q_product(exps)
+
+
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
+@settings(max_examples=60)
+def test_gauss_binomial_counts_partitions_in_a_box(l, k):
+    g = gauss_binomial(l, k)
+    assert g.degree == l * k
+    assert g.coeffs == [partitions_in_box(j, k, l) for j in range(l * k + 1)]
+
+
+def convolve(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+@given(exponent_maps, st.lists(st.integers(min_value=1, max_value=3), min_size=12, max_size=12))
+@settings(max_examples=100)
+def test_q_product_divides_exactly(den, mult):
+    # (1 - q^n) divides (1 - q^(m n)), so prod (1-q^(m_n n))^e_n / (1-q^n)^e_n is a polynomial
+    # whose product with the denominators gives back the numerators.
+    num = Counter()
+    for n, e in den.items():
+        num[mult[n - 1] * n] += e
+    exps = num.copy()
+    for n, e in den.items():
+        exps[n] -= e
+    quotient = q_product(exps).coeffs
+    assert convolve(quotient, reference_q_product(den)) == reference_q_product(num)
+
+
+def test_q_product_rejects_non_polynomials():
+    # 1/(1-q), (1-q^2)/(1-q^3) and (1-q^2)/(1-q)^3 are no polynomials; 1 - q^0 is no factor.
+    for exps in ({1: -1}, {2: 1, 3: -1}, {2: 1, 1: -3}, {0: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            q_product(exps)
+
+
+def test_qpoly_holds_only_int_coefficients():
+    assert QPoly([1, 2, 0, 0]).coeffs == [1, 2]
+    assert repr(QPoly([1, -2, 0, 3])) == "1 - 2*q + 3*q^3"
+    for bad in (Fraction(1), 1.0, "1"):
+        with pytest.raises(ValueError):
+            QPoly([1, bad])
 
 
 def test_rat_strings():

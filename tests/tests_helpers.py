@@ -3,6 +3,7 @@ from fractions import Fraction
 from magicsquare.exact import rat
 from magicsquare.linalg import (F0, mat_mul, mat_vec, nullspace, primitive_integer_vector, rref,
                                 scaled_int_columns)
+from magicsquare.series import F1, HALF, DescriptorRow
 from magicsquare.triality import TrialityTriple, combine
 
 
@@ -194,3 +195,125 @@ def reference_jacobi_count(g):
     _, rows, _ = scaled_int_columns(g.table(), n)
     return sum(any(int_rep_defect_column(rows, rows[i][j], i, j, k).values())
                for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+
+
+def falling_factorial(x, k):
+    """x (x-1) ... (x-k+1), exact."""
+    if k < 0:
+        raise ValueError("falling_factorial: k must be >= 0")
+    x = rat(x)
+    out = Fraction(1)
+    for i in range(k):
+        out *= (x - i)
+    return out
+
+
+def is_palindromic(poly):
+    """True iff the coefficient list of a QPoly reads the same both ways."""
+    return poly.coeffs == poly.coeffs[::-1]
+
+
+def reference_q_product(exps):
+    """prod (1 - q^n)^e_n for e_n >= 0 by plain convolution, as a coefficient list."""
+    out = [1]
+    for n, e in exps.items():
+        factor = [1] + [0] * (n - 1) + [-1]
+        for _ in range(e):
+            prod = [0] * (len(out) + n)
+            for i, x in enumerate(out):
+                for j, y in enumerate(factor):
+                    prod[i + j] += x * y
+            out = prod
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def recompute_exceptional_rows():
+    """Regenerate the 24 exceptional rows from hand-rolled so8 data."""
+    eps = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+    def dot(x, y):
+        return sum(Fraction(a) * Fraction(b) for a, b in zip(x, y))
+
+    pos_roots = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for s in (1, -1):
+                pos_roots.append(tuple(Fraction(eps[i][t] + s * eps[j][t])
+                                       for t in range(4)))
+    spinor = []
+    for s2 in (1, -1):
+        for s3 in (1, -1):
+            for s4 in (1, -1):
+                spinor.append((HALF, s2 * HALF, s3 * HALF, s4 * HALF))
+    sigma = [tuple(map(Fraction, e)) for e in eps] + spinor
+    rho = (Fraction(3), Fraction(2), Fraction(1), Fraction(0))
+    gamma = (Fraction(5, 2), HALF, HALF, HALF)
+    markers = [(1, 1, 0, 0), (2, 1, 1, 0), (3, 1, 1, 1), (2, 0, 0, 0)]
+    rows = []
+    for alpha in pos_roots:
+        pair = tuple(int(dot(m, alpha)) for m in markers)
+        rows.append(DescriptorRow(pair, dot(rho, alpha), dot(gamma, alpha), "unit"))
+    for beta in sigma:
+        pair = tuple(int(dot(m, beta)) for m in markers)
+        rows.append(DescriptorRow(pair, dot(rho, beta), dot(gamma, beta), "afold"))
+    return rows
+
+
+def recompute_subexceptional_rows():
+    """Regenerate the 9 subexceptional rows from sl2 x sl2 x sl2 data."""
+    def dot(x, y):
+        return sum(Fraction(a) * Fraction(b) for a, b in zip(x, y)) * HALF
+
+    alphas = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    gammas = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for s in (1, -1):
+                w = [0, 0, 0]
+                w[i] = 1
+                w[j] = s
+                gammas.append(tuple(w))
+    rho = (1, 1, 1)
+    gamma = (2, 1, 0)
+    markers = [(2, 0, 0), (1, 1, 1), (2, 2, 0)]
+    rows = []
+    for alpha in alphas:
+        pair = tuple(int(dot(m, alpha)) for m in markers)
+        rows.append(DescriptorRow(pair, dot(rho, alpha), dot(gamma, alpha), "unit"))
+    for beta in gammas:
+        pair = tuple(int(dot(m, beta)) for m in markers)
+        rows.append(DescriptorRow(pair, dot(rho, beta), dot(gamma, beta), "afold"))
+    return rows
+
+
+def recompute_severi_rows():
+    """Regenerate the 3 Severi rows from the plane z1+z2+z3 = 0 metric."""
+    third = Fraction(1, 3)
+    sixth = Fraction(1, 6)
+    gram = [[third if i == j else -sixth for j in range(3)] for i in range(3)]
+
+    def dot(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(3) for j in range(3))
+
+    omegas = [(F1, F0, F0), (F0, F1, F0), (F0, F0, F1)]
+
+    def diff(i, j):
+        return tuple(omegas[i][t] - omegas[j][t] for t in range(3))
+
+    w = tuple(2 * c for c in omegas[0])
+    wstar = tuple(-2 * c for c in omegas[2])
+    gamma = diff(0, 2)
+    rows = []
+    for (i, j) in ((0, 1), (0, 2), (1, 2)):
+        beta = diff(i, j)
+        pair = (int(dot(w, beta)), int(dot(wstar, beta)))
+        rows.append(DescriptorRow(pair, F0, dot(gamma, beta), "afold"))
+    return rows
+
+
+def rows_match(a, b):
+    """Multiset equality of descriptor rows."""
+    key = lambda r: (r.cls, r.pairings, r.u, r.v)
+    return sorted(map(key, a)) == sorted(map(key, b))
