@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -191,6 +192,11 @@ def _load_datum(spec: str) -> RootDatum:
         return RootDatum.from_json(json.load(fh))
 
 
+# The series whose dimension is the product of a descriptor, and so has a factored form.
+FACTORED_SERIES = {"exceptional": S.EXCEPTIONAL, "subexceptional": S.SUBEXCEPTIONAL,
+                   "severi": S.SEVERI}
+
+
 def cmd_dim(args) -> int:
     if args.datum:
         if not args.weight:
@@ -215,6 +221,7 @@ def cmd_dim(args) -> int:
         exps = {"p": args.p, "q": args.q, "r": args.r}
         res = S.evaluate_series(S.SUBEXCEPTIONAL, exps, a)
     elif args.series == "severi":
+        exps = {"p": args.p, "pstar": args.pstar}
         res = S.severi_dim(args.p, args.pstar, a)
     elif args.series == "thirdrow":
         res = S.thirdrow_dim(args.k, args.r_param, a)
@@ -226,14 +233,16 @@ def cmd_dim(args) -> int:
     if res.pole:
         print("pole: a denominator linear form vanishes at these parameters")
         return 0
-    if args.factored and res.factored is None:
+    descriptor = FACTORED_SERIES.get(args.series)
+    if args.factored and descriptor is None:
         print(f"dim: --series {args.series} has no factored form", file=sys.stderr)
         return 2
     print(rat_str(res.value))
     if args.factored:
-        print(str(res.factored))
-        print(f"numerator factors: {res.factored.numerator_count()}, "
-              f"denominator factors: {res.factored.denominator_count()}")
+        factored = S.series_factors(descriptor, exps)
+        print(str(factored))
+        print(f"numerator factors: {factored.numerator_count()}, "
+              f"denominator factors: {factored.denominator_count()}")
     return 0
 
 
@@ -341,10 +350,21 @@ def cmd_table(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads -4/3 and -4/3,-1 as values, as it reads -1.
+
+    argparse takes an argument for a negative number, and not for an option,
+    only when it looks like -1 or -0.5; no option here starts with a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="magicsquare",
-                                 description="Exact magic-square Lie algebra "
-                                             "constructions and dimension formulas")
+    ap = _Parser(prog="magicsquare",
+                 description="Exact magic-square Lie algebra constructions and dimension formulas")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="dump a split composition algebra")

@@ -41,14 +41,17 @@ def _exc_datum(a: Fraction) -> Optional[RootDatum]:
 
 def _marker_weyl_dim(rd: RootDatum, exponents: Dict[str, int],
                      markers: Dict[str, str]) -> int:
-    """weyl_dim at sum e * marker, e the exponent of each symbol in markers."""
-    w = [Fraction(0)] * rd.rank
+    """weyl_dim at sum e * marker, e the exponent of each symbol in markers.
+
+    The weight's Dynkin labels are the same sum of the markers' integer labels.
+    """
+    lam = [0] * rd.rank
     for sym, mk in markers.items():
         e = exponents.get(sym, 0)
         if e:
-            for i, c in enumerate(rd.markers[mk]):
-                w[i] += e * c
-    return rd.weyl_dim(w)
+            for i, x in enumerate(rd.marker_labels(mk)):
+                lam[i] += e * x
+    return rd.weyl_dim_labels(lam)
 
 
 def exceptional_oracle(exponents: Dict[str, int], a: Fraction) -> Optional[int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compalg import parse_tag
@@ -73,6 +73,7 @@ class RootDatum:
         self._rho: Optional[Weight] = None
         self._fund: Optional[List[Weight]] = None
         self._simple: Optional[List[Weight]] = None  # set, with the frame, by `_frame`
+        self._marker_labels: Dict[Weight, Tuple[int, ...]] = {}
 
     # -- basic geometry ---------------------------------------------------------
 
@@ -134,6 +135,10 @@ class RootDatum:
         self._coords = [tuple(seen[key].get(i, 0) for i in order) for key in keys]
         scale = lcm(*(ip[i, i].denominator for i in order))
         self._norms = [_exact(scale * ip[i, i]) for i in order]  # |alpha_j|^2, times scale
+        # (j, c_j |alpha_j|^2) over the nonzero coordinates of each positive root
+        self._coroot_terms = [[(j, x * h) for j, (x, h) in enumerate(zip(c, self._norms)) if x]
+                              for c in self._coords]
+        self._rho_product = prod(sum(x for _, x in m) for m in self._coroot_terms)
 
     def simple_roots(self) -> List[Weight]:
         self._frame()
@@ -175,27 +180,42 @@ class RootDatum:
     def highest_root(self) -> Weight:
         return max(self.positive_roots)
 
-    def is_dominant_integral(self, w: Sequence[Fraction]) -> bool:
-        return all(x.denominator == 1 and x >= 0 for x in self.dynkin_labels(w))
+    def marker_labels(self, name: str) -> Tuple[int, ...]:
+        """The Dynkin labels of markers[name], as ints; computed once per marker weight."""
+        w = tuple(self.markers[name])
+        labels = self._marker_labels.get(w)
+        if labels is None:
+            labels = self._marker_labels[w] = self._dominant_labels(w)
+        return labels
+
+    def _dominant_labels(self, w: Sequence[Fraction]) -> Tuple[int, ...]:
+        """The Dynkin labels of w as ints; ValueError unless w is dominant integral."""
+        labels = self.dynkin_labels(w)
+        if not all(x.denominator == 1 and x >= 0 for x in labels):
+            raise ValueError(f"weight {tuple(map(rat_str, w))} is not dominant integral")
+        return tuple(x.numerator for x in labels)
 
     # -- Weyl dimension formula ---------------------------------------------------
 
     def weyl_dim(self, w: Sequence[Fraction]) -> int:
-        """prod over positive alpha of (w + rho, alpha) / (rho, alpha).
+        """prod over positive alpha of (w + rho, alpha) / (rho, alpha)."""
+        return self.weyl_dim_labels(self._dominant_labels(w))
 
-        With alpha = sum_j c_j alpha_j and lambda the Dynkin labels of w, a
-        factor is sum_j m_j (lambda_j + 1) / sum_j m_j with m_j = c_j |alpha_j|^2,
+    def weyl_dim_labels(self, labels: Sequence[int]) -> int:
+        """The Weyl dimension of the weight with these nonnegative integer Dynkin labels.
+
+        With alpha = sum_j c_j alpha_j and lambda the labels, the factor of
+        alpha is sum_j m_j (lambda_j + 1) / sum_j m_j with m_j = c_j |alpha_j|^2,
         proportional to the coroot coordinates of alpha.
         """
-        if not self.is_dominant_integral(w):
-            raise ValueError(f"weight {tuple(map(rat_str, w))} is not dominant integral")
-        lam = [x.numerator + 1 for x in self.dynkin_labels(w)]
-        num = den = 1
-        for c in self._coords:
-            m = [x * h for x, h in zip(c, self._norms)]
-            num *= sum(x * y for x, y in zip(m, lam) if x)
-            den *= sum(m)
-        out = Fraction(num, den)
+        self._frame()
+        if len(labels) != len(self._norms) or min(labels) < 0:
+            raise ValueError(f"Dynkin labels {tuple(labels)} are not dominant")
+        lam = [x + 1 for x in labels]
+        num = 1
+        for m in self._coroot_terms:
+            num *= sum(x * lam[j] for j, x in m)
+        out = Fraction(num, self._rho_product)
         if out.denominator != 1 or out <= 0:
             raise ValueError("Weyl dimension did not come out a positive integer")
         return int(out)
@@ -210,9 +230,10 @@ class RootDatum:
         sum_j a_j h_j nu_j / 2, and |lam + rho|^2 - |nu + rho|^2 is
         sum_j c_j h_j (lam_j + nu_j + 2) / 2.
         """
-        if not self.is_dominant_integral(lam):
-            raise ValueError("highest weight is not dominant integral")
-        top = [x.numerator for x in self.dynkin_labels(lam)]
+        try:
+            top = self._dominant_labels(lam)
+        except ValueError:
+            raise ValueError("highest weight is not dominant integral") from None
         self.fundamental_weights()  # fills _fund_coords
         cartan, n = self._cartan, len(top)
         d = [t - x for t, x in zip(top, self.dynkin_labels(mu))]

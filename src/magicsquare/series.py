@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, gcd, lcm
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
@@ -60,23 +61,24 @@ class _TermProduct:
         self.den = 1
         self.zeros = 0
 
-    def mul_interval(self, num0: Fraction, den0: Fraction, lo: int, hi: int) -> None:
-        """Multiply by prod_{lo <= t < hi} (num0 + t) / (den0 + t)."""
-        p, q = num0.numerator, num0.denominator
-        r, s = den0.numerator, den0.denominator
+    def mul_interval(self, n: int, d: int, step: int, lo: int, hi: int) -> None:
+        """Multiply by prod_{lo <= t < hi} (n/step + t) / (d/step + t).
+
+        The step cancels between two nonzero terms; a term left alone by a
+        zero is top / step or step / bottom.
+        """
         for t in range(lo, hi):
-            # num0 + t = top / q and den0 + t = bottom / s
-            top, bottom = p + t * q, r + t * s
+            top, bottom = n + t * step, d + t * step
             if top:
                 self.num *= top
-                self.den *= q
             else:
                 self.zeros += 1
+                self.num *= step
             if bottom:
-                self.num *= s
                 self.den *= bottom
             else:
                 self.zeros -= 1
+                self.den *= step
 
     def value(self) -> Optional[Fraction]:
         """The product; None if it is a pole."""
@@ -95,18 +97,23 @@ class DescriptorRow:
     v: Fraction
     cls: str  # "unit" or "afold"
 
-    def interval_starts(self, a: Fraction) -> List[Tuple[Fraction, Fraction]]:
-        """Pairs (n0, d0): the row's factor at marker pairing x is the product
-        over the pairs of prod_{0 <= t < x} (n0 + t) / (d0 + t).
+    def interval_starts(self, a: Fraction) -> List[Tuple[int, int, int]]:
+        """Triples (n, d, D): the row's factor at marker pairing x is the product
+        over the triples of prod_{0 <= t < x} (n/D + t) / (d/D + t).
 
-        The unit factor (c + x) / c, c = u + a v, telescopes into (c + 1, c);
-        an afold row adds its interval ratio C(c+x+a/2-1, x) / C(c+x-a/2, x)
-        as (c + a/2, c - a/2 + 1).
+        The unit factor (c + x) / c, c = u + a v, telescopes into
+        n/D = c + 1, d/D = c; an afold row adds its interval ratio
+        C(c+x+a/2-1, x) / C(c+x-a/2, x) as n/D = c + a/2, d/D = c - a/2 + 1.
+        With a = p/q, D = 2 q times the denominators of u and v.
         """
-        c = self.u + a * self.v
+        p, q = a.numerator, a.denominator
+        (un, ud), (vn, vd) = self.u.as_integer_ratio(), self.v.as_integer_ratio()
+        den = 2 * ud * vd * q
+        c = 2 * (un * vd * q + vn * ud * p)
         if self.cls == "afold":
-            return [(c + 1, c), (c + a / 2, c - a / 2 + 1)]
-        return [(c + 1, c)]
+            h = ud * vd * p  # a/2, times den
+            return [(c + den, c, den), (c + h, c - h + den, den)]
+        return [(c + den, c, den)]
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,16 @@ class IntervalRow:
     n: Tuple[Fraction, Fraction]  # n0 + n1 * t
     m: Tuple[Fraction, Fraction]
 
-    def interval_starts(self, a: Fraction) -> List[Tuple[Fraction, Fraction]]:
-        """As DescriptorRow.interval_starts: prod_{0 <= t < x} (m(a)+1+t) / (n(a)+1+t)."""
-        return [(self.m[0] + a * self.m[1] + 1, self.n[0] + a * self.n[1] + 1)]
+    def interval_starts(self, a: Fraction) -> List[Tuple[int, int, int]]:
+        """As DescriptorRow.interval_starts, with n/D = m(a) + 1 and d/D = n(a) + 1."""
+        p, q = a.numerator, a.denominator
+        den = q * lcm(*(x.denominator for x in (*self.m, *self.n)))
+
+        def plus_one(c0: Fraction, c1: Fraction) -> int:  # (c0 + c1 a + 1) den
+            return (c0.numerator * (den // c0.denominator) + den
+                    + c1.numerator * (den // q // c1.denominator) * p)
+
+        return [(plus_one(*self.m), plus_one(*self.n), den)]
 
 
 @dataclass
@@ -132,7 +146,6 @@ class SeriesDescriptor:
 @dataclass
 class SeriesResult:
     value: Optional[Fraction]
-    factored: Optional[LinearFactorProduct]  # None: the formula has no factored form
     pole: bool = False
 
     @property
@@ -198,20 +211,43 @@ SO_FAMILY = SeriesDescriptor(
 # -- the generic evaluator ---------------------------------------------------------
 
 
+def _exponent_list(d: SeriesDescriptor, exponents: Mapping[str, int]) -> List[int]:
+    exps = [int(exponents.get(s, 0)) for s in d.symbols]
+    if any(e < 0 for e in exps):
+        raise ValueError("exponents must be nonnegative integers")
+    return exps
+
+
 def evaluate_series(d: SeriesDescriptor, exponents: Mapping[str, int],
                     a: RatLike) -> SeriesResult:
     """Weyl-product evaluation of the series at given exponents and parameter."""
     a = rat(a)
-    exps = [int(exponents.get(s, 0)) for s in d.symbols]
-    if any(e < 0 for e in exps):
-        raise ValueError("exponents must be nonnegative integers")
-    p = d.param
-    lfp = LinearFactorProduct()
+    exps = _exponent_list(d, exponents)
     prod = _TermProduct()
     for row in d.rows:
         x = sum(t * e for t, e in zip(row.pairings, exps))
-        for n0, d0 in row.interval_starts(a):
-            prod.mul_interval(n0, d0, 0, x)
+        for num, den, step in row.interval_starts(a):
+            prod.mul_interval(num, den, step, 0, x)
+    for row in d.intervals:
+        x = row.pairing * (exps[0] if exps else 0)
+        for num, den, step in row.interval_starts(a):
+            prod.mul_interval(num, den, step, 0, x)
+    value = prod.value()
+    return SeriesResult(value, pole=value is None)
+
+
+def series_factors(d: SeriesDescriptor, exponents: Mapping[str, int]) -> LinearFactorProduct:
+    """The product that evaluate_series evaluates, as linear forms in the parameter.
+
+    It depends on the exponents only: one factor (u + x + v a) / (u + v a)
+    per row, an afold row's interval ratio term by term, and each interval
+    row's (m(a) + 1 + t) / (n(a) + 1 + t) for t < x.
+    """
+    exps = _exponent_list(d, exponents)
+    p = d.param
+    lfp = LinearFactorProduct()
+    for row in d.rows:
+        x = sum(t * e for t, e in zip(row.pairings, exps))
         lfp.mul_factor(LinearForm.make(row.u + x, **{p: row.v}), 1)
         lfp.mul_factor(LinearForm.make(row.u, **{p: row.v}), -1)
         if row.cls == "afold":
@@ -220,13 +256,10 @@ def evaluate_series(d: SeriesDescriptor, exponents: Mapping[str, int],
                 lfp.mul_factor(LinearForm.make(row.u + 1 + t, **{p: row.v - HALF}), -1)
     for row in d.intervals:
         x = row.pairing * (exps[0] if exps else 0)
-        for n0, d0 in row.interval_starts(a):
-            prod.mul_interval(n0, d0, 0, x)
         for t in range(x):
             lfp.mul_factor(LinearForm.make(row.m[0] + 1 + t, **{p: row.m[1]}), 1)
             lfp.mul_factor(LinearForm.make(row.n[0] + 1 + t, **{p: row.n[1]}), -1)
-    value = prod.value()
-    return SeriesResult(value, lfp, pole=value is None)
+    return lfp
 
 
 def hilbert_ray(d: SeriesDescriptor, sym: str, a: RatLike,
@@ -243,14 +276,14 @@ def hilbert_ray(d: SeriesDescriptor, sym: str, a: RatLike,
     rows = [(row, row.pairings[i]) for row in d.rows]
     if i == 0:
         rows += [(row, row.pairing) for row in d.intervals]
-    steps = [(n0, d0, pairing) for row, pairing in rows if pairing
-             for n0, d0 in row.interval_starts(a)]
+    steps = [(num, den, step, pairing) for row, pairing in rows if pairing
+             for num, den, step in row.interval_starts(a)]
     prod = _TermProduct()
     values = []
     for k in range(kmax + 1):
         if k:
-            for n0, d0, pairing in steps:
-                prod.mul_interval(n0, d0, pairing * (k - 1), pairing * k)
+            for num, den, step, pairing in steps:
+                prod.mul_interval(num, den, step, pairing * (k - 1), pairing * k)
         values.append(prod.value())
     return values
 
@@ -265,19 +298,38 @@ def lambda_of_a(a: RatLike) -> Fraction:
     return Fraction(-2) / (a + 2)
 
 
-def adjoint_cartan_power(k: int, a: RatLike) -> Fraction:
-    """dim g^(k) along the exceptional series, exact in the parameter a."""
-    if k < 0:
+def adjoint_cartan_ray(a: RatLike, kmax: int) -> List[Fraction]:
+    """dim g^(k) along the exceptional series for k = 0..kmax, exact in a.
+
+    dim g^(k) = (3a+2k+5)/(3a+5) * C(k+2a+3, k) C(k+5a/2+3, k) C(k+3a+4, k)
+    / (C(k+a/2+1, k) C(k+a+1, k)); step k multiplies the binomial ratio by
+    (2a+3+k)(5a/2+3+k)(3a+4+k) / (k (a/2+1+k)(a+1+k)), over the integers
+    with a = p/q and every linear term scaled by 2q.
+    """
+    if kmax < 0:
         raise ValueError("k must be >= 0")
     a = rat(a)
-    if 3 * a + 5 == 0:
+    p, q = a.numerator, a.denominator
+    if 3 * p + 5 * q == 0:
         raise ZeroDivisionError("pole at 3a+5 = 0")
-    b = gen_binomial
-    num = b(k + 2 * a + 3, k) * b(k + Fraction(5, 2) * a + 3, k) * b(k + 3 * a + 4, k)
-    den = b(k + a / 2 + 1, k) * b(k + a + 1, k)
-    if den == 0:
-        raise ZeroDivisionError("pole in the binomial denominator")
-    return (3 * a + 2 * k + 5) / (3 * a + 5) * num / den
+    num = den = 1
+    values = [F1]
+    for k in range(1, kmax + 1):
+        top = (4 * p + 2 * q * (3 + k)) * (5 * p + 2 * q * (3 + k)) * (6 * p + 2 * q * (4 + k))
+        bottom = 2 * q * k * (p + 2 * q * (1 + k)) * (2 * p + 2 * q * (1 + k))
+        if bottom == 0:
+            raise ZeroDivisionError("pole in the binomial denominator")
+        num *= top
+        den *= bottom
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        values.append(Fraction((3 * p + (2 * k + 5) * q) * num, (3 * p + 5 * q) * den))
+    return values
+
+
+def adjoint_cartan_power(k: int, a: RatLike) -> Fraction:
+    """dim g^(k) along the exceptional series, exact in the parameter a."""
+    return adjoint_cartan_ray(a, k)[-1]
 
 
 def deligne_Yk_printed(k: int, lam: RatLike) -> Fraction:
@@ -346,12 +398,15 @@ def _bprod(k: int, a: Fraction, tops: Sequence[Fraction], bots: Sequence[Fractio
     0/0 pairs.
     """
     prod = _TermProduct()
+    # C(mk+c, mk) = prod_{0 <= t < mk} (c + 1 + t) / (1 + t), over c's denominator
     for mult, cs in ((1, tops), (2, tops2k), (3, tops3k)):
         for c in cs:
-            prod.mul_interval(c + 1, F1, 0, mult * k)
+            prod.mul_interval(c.numerator + c.denominator, c.denominator, c.denominator,
+                              0, mult * k)
     for mult, cs in ((1, bots), (2, bots2k), (3, bots3k)):
         for c in cs:
-            prod.mul_interval(F1, c + 1, 0, mult * k)
+            prod.mul_interval(c.denominator, c.numerator + c.denominator, c.denominator,
+                              0, mult * k)
     value = prod.value()
     if value is None:
         raise ZeroDivisionError("pole in binomial denominator")
@@ -453,21 +508,21 @@ def severi_dim(p: int, pstar: int, a: RatLike) -> SeriesResult:
         raise ValueError("p and pstar must be >= 0")
     a = rat(a)
     if a == 0:
-        return SeriesResult(None, None, pole=True)
+        return SeriesResult(None, pole=True)
     h = a / 2
     b = gen_binomial
     pref = (2 * p + a) * (p + pstar + a) * (2 * pstar + a) / a ** 3
     num = b(p + a - 1, p) * b(p + pstar + 3 * h - 1, p + pstar) * b(pstar + a - 1, pstar)
     den = b(p + pstar + h, p + pstar)
-    res = evaluate_series(SEVERI, {"p": p, "pstar": pstar}, a)
     if den == 0:
-        return SeriesResult(None, res.factored, pole=True)
+        return SeriesResult(None, pole=True)
     value = pref * num / den
     # The printed product and the descriptor product are the same formula;
     # assert they agree whenever both are finite.
+    res = evaluate_series(SEVERI, {"p": p, "pstar": pstar}, a)
     if res.value is not None and res.value != value:
         raise AssertionError("severi closed form disagrees with its descriptor")
-    return SeriesResult(value, res.factored)
+    return SeriesResult(value)
 
 
 # -- orthogonal family and the generalized third row ----------------------------------
@@ -482,7 +537,7 @@ def so_family_dim(k: int, t: int) -> SeriesResult:
     den = (2 * t + 1) * t * (t + 1) * (k + 1)
     value = (Fraction((2 * k + 2 * t + 1) * (k + t) * (k + t + 1), den)
              * gen_binomial(k + 2 * t - 1, k) * gen_binomial(k + 2 * t, k))
-    return SeriesResult(value, None)
+    return SeriesResult(value)
 
 
 def so_family_interval(k: int, t: int) -> SeriesResult:
@@ -500,14 +555,14 @@ def thirdrow_dim(k: int, r: int, a: RatLike) -> SeriesResult:
     b = gen_binomial
     pref_den = a * (r - 1) + 1
     if pref_den == 0:
-        return SeriesResult(None, None, pole=True)
+        return SeriesResult(None, pole=True)
     num = (b(k + a * r / 2 - 1, k) * b(k + a * r - a, k)
            * b(k + (a * r - a) / 2, k) * b(k + a * r + 1 - 3 * a / 2, k))
     den = (b(k + a / 2 - 1, k) * b(k + a * r / 2 + 1 - a, k)
            * b(k + (a * r - a) / 2, k))
     if den == 0:
-        return SeriesResult(None, None, pole=True)
-    return SeriesResult((2 * k + a * (r - 1) + 1) / pref_den * num / den, None)
+        return SeriesResult(None, pole=True)
+    return SeriesResult((2 * k + a * (r - 1) + 1) / pref_den * num / den)
 
 
 # -- degrees of the closed orbits ------------------------------------------------------
@@ -600,18 +655,13 @@ def degree_from_hilbert(variety: str, a: RatLike) -> Fraction:
         raise ValueError(f"variety dimension {d} is negative here")
     d = int(d)
     if variety == "ad":
-        values = [adjoint_cartan_power(k, a) for k in range(d + 1)]
+        values = adjoint_cartan_ray(a, d)
     else:
         values = hilbert_ray(*VARIETY_RAYS[variety], a, d)
-    acc = F0
-    sign = 1 if d % 2 == 0 else -1
-    binom = F1
-    for i in range(d + 1):
-        # (-1)^(d-i) C(d,i) f(i)
-        acc += sign * binom * values[i]
-        sign = -sign
-        binom = binom * (d - i) / (i + 1)
-    return acc
+    # (-1)^(d-i) C(d,i) f(i), summed over the common denominator of the f(i)
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(sum((-1) ** (d - i) * comb(d, i) * v.numerator * (den // v.denominator)
+                        for i, v in enumerate(values)), den)
 
 
 # -- lattice predicate ------------------------------------------------------------------

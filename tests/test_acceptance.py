@@ -143,10 +143,10 @@ def test_criterion_07_factor_counts_without_r():
     for exps in _exponent_tuples(2):
         if exps["r"]:
             continue
-        res = S.evaluate_series(S.EXCEPTIONAL, exps, 8)
+        factored = S.series_factors(S.EXCEPTIONAL, exps)
         expect = 24 + 6 * exps["p"] + 12 * exps["q"] + 16 * exps["r"] + 10 * exps["s"]
-        assert res.factored.numerator_count() == expect
-        assert res.factored.denominator_count() == expect
+        assert factored.numerator_count() == expect
+        assert factored.denominator_count() == expect
     print("[criterion 7] PASS — factor counts match 6p+12q+16r+10s+24 on every "
           "r-free exponent vector")
 
@@ -163,18 +163,18 @@ def test_criterion_07_factor_counts_with_r_as_stated():
     for exps in _exponent_tuples(2):
         if not exps["r"]:
             continue
-        res = S.evaluate_series(S.EXCEPTIONAL, exps, 8)
+        factored = S.series_factors(S.EXCEPTIONAL, exps)
         expect = 24 + 6 * exps["p"] + 12 * exps["q"] + 16 * exps["r"] + 10 * exps["s"]
-        assert res.factored.numerator_count() == expect
+        assert factored.numerator_count() == expect
 
 
 def test_criterion_07_factor_counts_r_coefficient_regression():
     # guards the actual behavior: the r coefficient is 18
     for exps in _exponent_tuples(2):
-        res = S.evaluate_series(S.EXCEPTIONAL, exps, 8)
+        factored = S.series_factors(S.EXCEPTIONAL, exps)
         expect = 24 + 6 * exps["p"] + 12 * exps["q"] + 18 * exps["r"] + 10 * exps["s"]
-        assert res.factored.numerator_count() == expect
-        assert res.factored.denominator_count() == expect
+        assert factored.numerator_count() == expect
+        assert factored.denominator_count() == expect
 
 
 def test_criterion_08_subexceptional_and_severi_grids():

@@ -101,6 +101,18 @@ def test_dim_factored(capsys):
     assert "numerator factors: 30" in lines[-1]
 
 
+@pytest.mark.parametrize("argv,value,count", [
+    (["--series", "severi", "-p", "1", "--pstar", "1"], "650", 7),
+    (["--series", "subexceptional", "-p", "1"], "133", 13),
+])
+def test_dim_factored_descriptor_series(capsys, argv, value, count):
+    code, out = run(capsys, ["dim"] + argv + ["-a", "8", "--factored"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == value
+    assert lines[-1] == f"numerator factors: {count}, denominator factors: {count}"
+
+
 def test_dim_pole(capsys):
     code, out = run(capsys, ["dim", "--series", "severi", "-p", "1",
                              "--pstar", "0", "-a", "0"])
@@ -422,6 +434,20 @@ def test_table_rational_parameters(capsys):
                              "--a=-2/3,8"])
     assert code == 0
     assert out.splitlines()[1:] == ["1,-2/3,14,ok", "1,8,248,ok"]
+
+
+def test_dim_negative_rational_parameter_as_separate_argument(capsys):
+    code, out = run(capsys, ["dim", "--series", "exceptional", "-p", "1", "-a", "-4/3"])
+    assert code == 0 and out == "3\n"
+
+
+def test_table_negative_rational_parameters_as_separate_argument(capsys):
+    code, out = run(capsys, ["table", "--series", "exceptional", "--k-max", "2",
+                             "--a", "-4/3,-1"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,-4/3,3,ok", "1,-1,8,ok", "2,-4/3,5,ok", "2,-1,27,ok"]
+    assert run(capsys, ["table", "--series", "exceptional", "--k-max", "2",
+                        "--a=-4/3,-1"]) == (code, out)
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '{"formula": "x"}', '[{"name": "x"}]',

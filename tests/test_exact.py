@@ -17,6 +17,14 @@ from magicsquare.exact import (
     q_product,
     rat_str,
 )
+from magicsquare.series import (
+    EXCEPTIONAL,
+    SEVERI,
+    SO_FAMILY,
+    SUBEXCEPTIONAL,
+    evaluate_series,
+    series_factors,
+)
 from tests_helpers import falling_factorial, is_palindromic, mul_scalar, reference_q_product
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -170,8 +178,6 @@ def test_linear_factor_product_eval():
 def test_linear_factor_product_matches_series_value():
     # evaluation of the factored form equals the formula value at 50
     # assignments that avoid poles
-    from magicsquare.series import EXCEPTIONAL, evaluate_series
-
     rng = random.Random(7)
     checked = 0
     while checked < 50:
@@ -181,8 +187,22 @@ def test_linear_factor_product_matches_series_value():
         if res.pole:
             continue
         try:
-            v = res.factored.eval({"a": a})
+            v = series_factors(EXCEPTIONAL, exps).eval({"a": a})
         except ZeroDivisionError:
             continue
         assert v == res.value
         checked += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([EXCEPTIONAL, SUBEXCEPTIONAL, SEVERI, SO_FAMILY]),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4), rationals)
+def test_series_factors_evaluate_to_the_series_value(d, exponents, a):
+    # The factored form, built apart from the value, evaluates to the value
+    # wherever no denominator factor vanishes.
+    exps = dict(zip(d.symbols, exponents))
+    try:
+        v = series_factors(d, exps).eval({d.param: a})
+    except ZeroDivisionError:
+        return
+    assert v == evaluate_series(d, exps, a).value

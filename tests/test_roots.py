@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicsquare.compalg import H_TAG, O_TAG, build_split_algebra
+from magicsquare.crosscheck import _marker_weyl_dim
 from magicsquare.magic import build_magic_algebra
 from magicsquare.roots import (
     ExtractionError,
@@ -237,10 +238,41 @@ def test_weight_multiplicities_so8():
 def test_weyl_dim_rejects_bad_weights():
     rd = builtin_datum("a2")
     fw = rd.fundamental_weights()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight \('-2/3', '-1/3'\) is not dominant integral$"):
         rd.weyl_dim([-c for c in fw[0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight \('1/3', '1/6'\) is not dominant integral$"):
         rd.weyl_dim([c / 2 for c in fw[0]])
+
+
+def test_marker_labels_reject_a_marker_that_is_not_dominant_integral():
+    rd = builtin_datum("a2")
+    fw = rd.fundamental_weights()
+    bad = RootDatum("a2", rd.rank, rd.positive_roots, rd.gram,
+                    {"minus": tuple(-c for c in fw[0]), "half": tuple(c / 2 for c in fw[0])})
+    for name in bad.markers:
+        with pytest.raises(ValueError, match="is not dominant integral"):
+            _marker_weyl_dim(bad, {"x": 1}, {"x": name})
+
+
+@pytest.mark.parametrize("source", [("R", "O"), ("C", "O"), ("H", "O"), ("O", "O"), ("R", "C"),
+                                    ("C", "C"), ("H", "C"), ("O", "C"), ("R", "H"), ("C", "H"),
+                                    ("H", "H"), ("O", "H"), "so8", "a1", "a2", "g2", "d3", "d4",
+                                    "d5", "d6", "d7", "d8"],
+                         ids=lambda s: s if isinstance(s, str) else "-".join(s))
+def test_marker_label_oracle_equals_weyl_dim(source):
+    # The crosscheck's oracle sums integer marker labels; it must give
+    # weyl_dim at the weight sum e * marker in chart coordinates.
+    rd = builtin_datum(source) if isinstance(source, str) else datum_for(*source)
+    names = sorted(rd.markers)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)))
+    def agrees(exps):
+        w = [sum(e * rd.markers[n][i] for e, n in zip(exps, names)) for i in range(rd.rank)]
+        oracle = _marker_weyl_dim(rd, dict(zip(names, exps)), {n: n for n in names})
+        assert oracle == rd.weyl_dim(w)
+
+    agrees()
 
 
 def test_datum_json_roundtrip(tmp_path):

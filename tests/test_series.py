@@ -16,6 +16,7 @@ from magicsquare.series import (
     VARIETY_DIMENSIONS,
     VARIETY_RAYS,
     adjoint_cartan_power,
+    adjoint_cartan_ray,
     admissible_weight,
     degree_formulas,
     degree_from_hilbert,
@@ -25,6 +26,7 @@ from magicsquare.series import (
     hilbert_ray,
     lambda_of_a,
     qdim_adjoint_cartan_power,
+    series_factors,
     severi_dim,
     so_family_dim,
     so_family_interval,
@@ -40,6 +42,8 @@ from tests_helpers import (
     recompute_exceptional_rows,
     recompute_severi_rows,
     recompute_subexceptional_rows,
+    reference_adjoint_cartan_power,
+    reference_degree_from_hilbert,
     rows_match,
 )
 
@@ -103,17 +107,17 @@ def test_evaluate_series_spot_values():
 def test_factored_counts_raw_rule():
     for exps in ({"p": 1}, {"q": 1}, {"r": 1}, {"s": 1}, {"p": 2}, {"r": 2},
                  {"p": 1, "q": 1}, {"q": 1, "s": 1}):
-        res = evaluate_series(EXCEPTIONAL, exps, 8)
+        factored = series_factors(EXCEPTIONAL, exps)
         p, q, r, s = (exps.get(x, 0) for x in "pqrs")
         expect = 24 + 6 * p + 12 * q + 18 * r + 10 * s
-        assert res.factored.numerator_count() == expect
-        assert res.factored.denominator_count() == expect
+        assert factored.numerator_count() == expect
+        assert factored.denominator_count() == expect
     for exps in ({"p": 1}, {"q": 1}, {"r": 1}, {"p": 1, "r": 1}):
-        res = evaluate_series(SUBEXCEPTIONAL, exps, 4)
+        factored = series_factors(SUBEXCEPTIONAL, exps)
         p, q, r = (exps.get(x, 0) for x in "pqr")
         expect = 9 + 4 * p + 3 * q + 6 * r
-        assert res.factored.numerator_count() == expect
-        assert res.factored.denominator_count() == expect
+        assert factored.numerator_count() == expect
+        assert factored.denominator_count() == expect
 
 
 def test_series_pole_reporting():
@@ -248,6 +252,37 @@ def test_degree_formulas_documented_mismatches():
         # the misprint is exactly the factorial of the linear factor
         from magicsquare.exact import factorial_ratio
         assert ratio == factorial_ratio(3 * a + 1, 0)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("variety", sorted(VARIETY_DIMENSIONS))
+@pytest.mark.parametrize("a", [0, 1, 2, 4, 8, F(-1), F(-1, 3), F(1, 2)])
+def test_degree_from_hilbert_matches_pointwise_reference(variety, a):
+    # The stepped "ad" ray and the integer finite difference give the
+    # reference's value, or raise what it raises.
+    assert outcome(degree_from_hilbert, variety, a) == \
+        outcome(reference_degree_from_hilbert, variety, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([F(-4, 3), F(-1), F(-2, 3), F(0), F(-5, 3), F(-4), F(-3)]),
+                 st.fractions(min_value=-12, max_value=12, max_denominator=6)),
+       st.integers(0, 12))
+def test_adjoint_cartan_ray_matches_closed_form_pointwise(a, kmax):
+    expected = [outcome(reference_adjoint_cartan_power, k, a) for k in range(kmax + 1)]
+    assert [outcome(adjoint_cartan_power, k, a) for k in range(kmax + 1)] == expected
+    ray = outcome(adjoint_cartan_ray, a, kmax)
+    if isinstance(expected[-1], tuple):  # the ray raises what its last point raises
+        assert ray == expected[-1]
+    else:
+        assert ray == expected
 
 
 @pytest.mark.parametrize("variety,a", [("flines", -1), ("fpoints", -1), ("ad", -2)])

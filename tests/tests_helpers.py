@@ -1,9 +1,10 @@
 from fractions import Fraction
 
-from magicsquare.exact import rat
+from magicsquare.exact import gen_binomial, rat
 from magicsquare.linalg import (F0, mat_mul, mat_vec, nullspace, primitive_integer_vector, rref,
                                 scaled_int_columns)
-from magicsquare.series import F1, HALF, DescriptorRow
+from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
+                                hilbert_ray)
 from magicsquare.triality import TrialityTriple, combine
 
 
@@ -206,6 +207,45 @@ def falling_factorial(x, k):
     for i in range(k):
         out *= (x - i)
     return out
+
+
+def reference_adjoint_cartan_power(k, a):
+    """dim g^(k) along the exceptional series, each binomial a separate gen_binomial product."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    a = rat(a)
+    if 3 * a + 5 == 0:
+        raise ZeroDivisionError("pole at 3a+5 = 0")
+    b = gen_binomial
+    num = b(k + 2 * a + 3, k) * b(k + Fraction(5, 2) * a + 3, k) * b(k + 3 * a + 4, k)
+    den = b(k + a / 2 + 1, k) * b(k + a + 1, k)
+    if den == 0:
+        raise ZeroDivisionError("pole in the binomial denominator")
+    return (3 * a + 2 * k + 5) / (3 * a + 5) * num / den
+
+
+def reference_degree_from_hilbert(variety, a):
+    """(dim X)! times the leading Hilbert coefficient: a pointwise Fraction finite
+    difference with a running Fraction binomial, "ad" from separate closed forms."""
+    a = rat(a)
+    d = VARIETY_DIMENSIONS[variety](a)
+    if d.denominator != 1:
+        raise ValueError("variety dimension not integral here")
+    if d < 0:
+        raise ValueError(f"variety dimension {d} is negative here")
+    d = int(d)
+    if variety == "ad":
+        values = [reference_adjoint_cartan_power(k, a) for k in range(d + 1)]
+    else:
+        values = hilbert_ray(*VARIETY_RAYS[variety], a, d)
+    acc = F0
+    sign = 1 if d % 2 == 0 else -1
+    binom = F1
+    for i in range(d + 1):
+        acc += sign * binom * values[i]
+        sign = -sign
+        binom = binom * (d - i) / (i + 1)
+    return acc
 
 
 def is_palindromic(poly):
