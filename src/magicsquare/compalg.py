@@ -51,6 +51,7 @@ H_TAG = AlgebraTag("H", 4)
 O_TAG = AlgebraTag("O", 8)
 
 TAGS = {"R": R_TAG, "C": C_TAG, "H": H_TAG, "O": O_TAG}
+# The tag of each dimension; an integral Fraction finds its tag too.
 TAG_BY_DIM = {t.dim: t for t in TAGS.values()}
 
 

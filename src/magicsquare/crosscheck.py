@@ -16,11 +16,11 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence
 
+from .compalg import TAG_BY_DIM
 from .exact import rat_str
 from . import series as S
 from .roots import builtin_datum, datum_for, RootDatum
 
-A_TAG = {1: "R", 2: "C", 4: "H", 8: "O"}
 NEGATIVE_A_ORACLES = {
     Fraction(-4, 3): "a1",
     Fraction(-1): "a2",
@@ -34,8 +34,8 @@ SERIES_A_GRID = [Fraction(-4, 3), Fraction(-1), Fraction(-2, 3),
 def _exc_datum(a: Fraction) -> Optional[RootDatum]:
     if a == 0:
         return builtin_datum("so8")
-    if int(a) in A_TAG and a == int(a):
-        return datum_for(A_TAG[int(a)], "O")
+    if a in TAG_BY_DIM:
+        return datum_for(TAG_BY_DIM[a].name, "O")
     return None
 
 
@@ -69,16 +69,16 @@ def exceptional_oracle(exponents: Dict[str, int], a: Fraction) -> Optional[int]:
 
 
 def subexceptional_oracle(exponents: Dict[str, int], a: Fraction) -> Optional[int]:
-    if not (a == int(a) and int(a) in A_TAG):
+    if a not in TAG_BY_DIM:
         return None
-    rd = datum_for(A_TAG[int(a)], "H")
+    rd = datum_for(TAG_BY_DIM[a].name, "H")
     return _marker_weyl_dim(rd, exponents, {"p": "g", "q": "V", "r": "V2"})
 
 
 def severi_oracle(p: int, pstar: int, a: Fraction) -> Optional[int]:
-    if not (a == int(a) and int(a) in A_TAG):
+    if a not in TAG_BY_DIM:
         return None
-    rd = datum_for(A_TAG[int(a)], "C")
+    rd = datum_for(TAG_BY_DIM[a].name, "C")
     return _marker_weyl_dim(rd, {"p": p, "pstar": pstar}, {"p": "W", "pstar": "Wstar"})
 
 

@@ -4,7 +4,8 @@ Dense matrices are lists of lists of Fraction; sparse vectors are
 dict[int, Fraction] with no zero values stored.  A linear map acting on a
 Lie algebra or on a module is a column map: dict[int, SVec] whose entry j
 is the image of basis vector j, with zero columns left out; `columns`
-builds one from (row, col) -> value entries.  For the
+builds one from (row, col) -> value entries, and `map_combination` adds
+scaled maps.  For the
 exhaustive Jacobi check a list of column maps is scaled to integers by the
 lcm of its denominators (`scaled_int_columns`), and the representation
 defect of a pair i, j is formed on all columns k > j at once
@@ -77,19 +78,6 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), F0) for row in a]
 
 
-def commutator(a: Mat, b: Mat) -> Mat:
-    """ab - ba, subtracting only the nonzero terms of ba from ab."""
-    out = mat_mul(a, b)
-    for oi, bi in zip(out, b):
-        for t, c in enumerate(bi):
-            if c == 0:
-                continue
-            for j, x in enumerate(a[t]):
-                if x != 0:
-                    oi[j] -= c * x
-    return out
-
-
 def bilinear(gram: Mat, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     """x^T G y for a dense Gram matrix G."""
     out = F0
@@ -119,6 +107,18 @@ def apply_into(out: SVec, m: ColMap, v: SVec, c: Fraction = F1) -> None:
         col = m.get(j)
         if col:
             axpy(out, c * x, col)
+
+
+def map_combination(coeffs: Sequence[Fraction], maps: Sequence[ColMap]) -> ColMap:
+    """sum_k coeffs[k] maps[k] as a column map, dropping what cancels to zero."""
+    out: ColMap = {}
+    for c, m in zip(coeffs, maps):
+        if c:
+            for j, col in m.items():
+                axpy(out.setdefault(j, {}), c, col)
+                if not out[j]:
+                    del out[j]
+    return out
 
 
 def columns(m: Entries) -> ColMap:

@@ -106,7 +106,7 @@ class MagicAlgebra:
 
     def _build_table(self) -> List[ColMap]:
         dim, a, b = self.dim, self.a, self.b
-        dA, dB = self.dA, self.dB
+        dA = self.dA
         algA, algB = self.algA, self.algB
         tab: List[ColMap] = [dict() for _ in range(dim)]
         # One shared Fraction per distinct value (e8 has 8 of them).
@@ -117,38 +117,21 @@ class MagicAlgebra:
                 tab[i][j] = {k: values.setdefault(c, c) for k, c in sv.items()}
                 tab[j][i] = {k: values.setdefault(-c, -c) for k, c in sv.items()}
 
-        # t-t brackets, each factor internally.
-        for k in range(dA):
-            for l in range(k + 1, dA):
-                sv = {i: c for i, c in enumerate(self.tA.bracket_coords(k, l)) if c != 0}
-                put(self.idx_tA(k), self.idx_tA(l), sv)
-        for k in range(dB):
-            for l in range(k + 1, dB):
-                sv = {self.idx_tB(i): c
-                      for i, c in enumerate(self.tB.bracket_coords(k, l)) if c != 0}
-                put(self.idx_tB(k), self.idx_tB(l), sv)
-
-        # t acting on the monomial slots.
-        for k in range(dA):
-            for slot in range(3):
-                comp = self.tA.basis[k].component(slot + 1)
-                for p in range(a):
-                    col = [(r, comp[r][p]) for r in range(a) if comp[r][p] != 0]
-                    if not col:
-                        continue
-                    for q in range(b):
-                        sv = {self.idx_m(slot, r, q): c for r, c in col}
-                        put(self.idx_tA(k), self.idx_m(slot, p, q), sv)
-        for k in range(dB):
-            for slot in range(3):
-                comp = self.tB.basis[k].component(slot + 1)
-                for q in range(b):
-                    col = [(r, comp[r][q]) for r in range(b) if comp[r][q] != 0]
-                    if not col:
-                        continue
-                    for p in range(a):
-                        sv = {self.idx_m(slot, p, r): c for r, c in col}
-                        put(self.idx_tB(k), self.idx_m(slot, p, q), sv)
+        # Each factor t of t(A) x t(B): its own brackets, and slot s of each
+        # triple moving its leg of A_s @ B_s.  leg[s][p] lists the indices of
+        # e_p in slot s, one per basis vector of the other leg, in the same
+        # order for every p.
+        legA = [[[self.idx_m(s, p, q) for q in range(b)] for p in range(a)] for s in range(3)]
+        legB = [[[self.idx_m(s, p, q) for p in range(a)] for q in range(b)] for s in range(3)]
+        for t, off, leg in ((self.tA, 0, legA), (self.tB, dA, legB)):
+            for k, x in enumerate(t.basis):
+                for l in range(k + 1, t.dim):
+                    put(off + k, off + l,
+                        {off + i: c for i, c in enumerate(t.bracket_coords(k, l)) if c})
+                for s, theta in enumerate(x.thetas):
+                    for p, col in theta.items():
+                        for pos, j in enumerate(leg[s][p]):
+                            put(off + k, j, {leg[s][r][pos]: c for r, c in col.items()})
 
         # Same slot: quadratic-form contraction into t(A) x t(B) via Psi.  Each
         # Gram column has one nonzero entry, at the pairing partner, so only
@@ -198,6 +181,8 @@ class MagicAlgebra:
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> MagicElement:
         """[x, y] = sum_i x_i ad(b_i) y."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("element dimension mismatch")
         tab = self.table()
         ys = {j: c for j, c in enumerate(y) if c}
         out: SVec = {}
@@ -251,6 +236,8 @@ class MagicAlgebra:
 
     def invariant_form(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         """K = K_t(A) + K_t(B) + sum_i Q_A @ Q_B on the slots."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("element dimension mismatch")
         dA, dAB = self.dA, self.dA + self.dB
         out = (self.tA.k_form_coords(x[:dA], y[:dA])
                + self.tB.k_form_coords(x[dA:dAB], y[dA:dAB]))

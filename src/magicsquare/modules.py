@@ -96,6 +96,8 @@ class GModule:
 
     def act_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
         """rho(b_i) v for the parent basis element b_i."""
+        if len(v) != self.dimension:
+            raise ValueError("element dimension mismatch")
         out: SVec = {}
         apply_into(out, self.actions[i], {j: c for j, c in enumerate(v) if c != 0})
         return [out.get(r, F0) for r in range(self.dimension)]
@@ -173,17 +175,14 @@ def _t_a_actions(g: MagicAlgebra, ix) -> List[ColMap]:
     ix.legs(s, p) lists the module indices of e_p in slot s, one per basis
     vector of the other leg, in the same order for every p.
     """
-    a = g.algA.dim
     actions = []
     for t in g.tA.basis:
         m: Entries = defaultdict(Fraction)
-        for s in range(3):
-            comp = t.component(s + 1)
-            for p in range(a):
-                for r in range(a):
-                    if comp[r][p] != 0:
-                        for i, j in zip(ix.legs(s, r), ix.legs(s, p)):
-                            m[i, j] += comp[r][p]
+        for s, theta in enumerate(t.thetas):
+            for p, col in theta.items():
+                for r, c in col.items():
+                    for i, j in zip(ix.legs(s, r), ix.legs(s, p)):
+                        m[i, j] += c
         actions.append(columns(m))
     return actions
 

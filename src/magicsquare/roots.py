@@ -449,13 +449,8 @@ def _chart_from_reps(t: TrialityAlgebra, cartan, specs) -> Tuple[TrialityTriple,
     """
     tag = t.alg.tag.name
     reps = _pair_reps(t)
-    m = []
-    for h in cartan:
-        row = []
-        for slot, r in specs:
-            pos = reps[r] if tag == "O" else 0
-            row.append(h.component(slot)[pos][pos])
-        m.append(row)
+    m = [[h.diagonal(slot)[reps[r] if tag == "O" else 0] for slot, r in specs]
+         for h in cartan]
     # h_j = sum_i c[i][j] cartan_i with M^T c = I.
     c = inverse([list(col) for col in zip(*m)])
     return tuple(combine([row[j] for row in c], cartan) for j in range(len(specs)))
@@ -464,29 +459,16 @@ def _chart_from_reps(t: TrialityAlgebra, cartan, specs) -> Tuple[TrialityTriple,
 def _chart_h(t: TrialityAlgebra, cartan) -> Tuple[TrialityTriple, ...]:
     """Cartan basis h_1, h_2, h_3 of t(H): h_i spans the factor trivial on slot i."""
     out = []
-    n = t.alg.dim
     for slot in range(1, 4):
         # Solve for combinations whose slot-`slot` component vanishes.
-        rows = []
-        for pos in range(n):
-            rows.append([h.component(slot)[pos][pos] for h in cartan])
+        rows = [list(row) for row in zip(*(h.diagonal(slot) for h in cartan))]
         kernel = nullspace(rows, len(cartan))
         if len(kernel) != 1:
             raise ExtractionError("t(H) factor extraction failed")
         h = combine(kernel[0], cartan)
         # Normalize: the nontrivial slots act with eigenvalues +/-1.
-        val = None
-        for s in range(1, 4):
-            if s == slot:
-                continue
-            comp = h.component(s)
-            for pos in range(n):
-                if comp[pos][pos] != 0:
-                    val = comp[pos][pos]
-                    break
-            if val is not None:
-                break
-        h = h.scale(1 / val)
+        val = next(x for s in range(1, 4) if s != slot for x in h.diagonal(s) if x)
+        h = combine([1 / val], [h])
         out.append(h)
     return tuple(out)
 
@@ -505,10 +487,10 @@ def slot_weights(t: TrialityAlgebra) -> Tuple[Tuple[Weight, ...], ...]:
     n = t.alg.dim
     out = []
     for slot in range(1, 4):
-        comps = [h.component(slot) for h in chart]
-        if any(m[r][c] for m in comps for r in range(n) for c in range(n) if r != c):
+        if any(r != c for h in chart for c, col in h.thetas[slot - 1].items() for r in col):
             raise ExtractionError("Cartan chart element is not diagonal")
-        out.append(tuple(_tup(m[p][p] for m in comps) for p in range(n)))
+        diags = [h.diagonal(slot) for h in chart]
+        out.append(tuple(_tup(dg[p] for dg in diags) for p in range(n)))
     return tuple(out)
 
 
@@ -524,8 +506,7 @@ def factor_weights(t: TrialityAlgebra) -> Tuple[Weight, ...]:
     out = []
     for k, b in enumerate(t.basis):
         found = {tuple(x - y for x, y in zip(d[r], d[c]))
-                 for d, m in zip(weights, (b.theta1, b.theta2, b.theta3))
-                 for r, row in enumerate(m) for c, x in enumerate(row) if x}
+                 for d, m in zip(weights, b.thetas) for c, col in m.items() for r in col}
         if len(found) != 1:
             raise ExtractionError(
                 f"basis vector {k} of t({t.alg.tag.name}) is not a weight vector of the chart")

@@ -387,7 +387,7 @@ def qdim_adjoint_cartan_power(k: int, a: RatLike) -> QPoly:
 # -- printed Hilbert functions of the exceptional orbit varieties ---------------------
 
 
-def _bprod(k: int, a: Fraction, tops: Sequence[Fraction], bots: Sequence[Fraction],
+def _bprod(k: int, tops: Sequence[Fraction], bots: Sequence[Fraction],
            tops2k: Sequence[Fraction] = (), bots2k: Sequence[Fraction] = (),
            tops3k: Sequence[Fraction] = (), bots3k: Sequence[Fraction] = ()) -> Fraction:
     """Product of C(mk+c, mk) ratios, evaluated with zero-term cancellation.
@@ -420,7 +420,7 @@ def hilbert_X2_printed(k: int, a: RatLike) -> Fraction:
             * (3 * k + 3 * a + 5) / (3 * a + 5))
     h = a / 2
     return pref * _bprod(
-        k, a,
+        k,
         tops=[3 * h + 1, 3 * h + 2, 2 * a + 1, 2 * a + 2],
         bots=[F1, h, h + 1],
         tops2k=[5 * h + 3, 3 * a + 3],
@@ -436,7 +436,7 @@ def hilbert_X3_printed(k: int, a: RatLike) -> Fraction:
             * (4 * k + 3 * a + 3) / (3 * a + 3) * (4 * k + 3 * a + 4) / (3 * a + 4)
             * (4 * k + 3 * a + 5) / (3 * a + 5))
     return pref * _bprod(
-        k, a,
+        k,
         tops=[a, a + 1, a + 2, 3 * h - 1, 3 * h, 3 * h + 1],
         bots=[F1, Fraction(2), h - 1, h, h + 1],
         tops2k=[2 * a + 1, 2 * a + 2, 2 * a + 3],
@@ -451,7 +451,7 @@ def hilbert_Y2star_printed(k: int, a: RatLike) -> Fraction:
     h = a / 2
     pref = (2 * k + 5 * h + 3) / (5 * h + 3)
     return pref * _bprod(
-        k, a,
+        k,
         tops=[2 * a, 2 * a + 1, 2 * a + 3, 5 * h + 2],
         bots=[h - 1, h + 1, h + 2, a + 1, a + 3],
         tops2k=[3 * a + 5],
@@ -466,7 +466,7 @@ def subexc_g_printed(k: int, a: RatLike) -> Fraction:
     a = rat(a)
     h = a / 2
     pref = (2 * k + 2 * a + 1) / (2 * a + 1)
-    return pref * _bprod(k, a, tops=[3 * h - 1, 3 * h + 1, 2 * a],
+    return pref * _bprod(k, tops=[3 * h - 1, 3 * h + 1, 2 * a],
                          bots=[h - 1, h + 1])
 
 
@@ -474,7 +474,7 @@ def subexc_V_printed(k: int, a: RatLike) -> Fraction:
     a = rat(a)
     h = a / 2
     pref = (2 * a + 2 * k + 2) / (a + 1)
-    return pref * _bprod(k, a, tops=[2 * a + 1, 3 * h + 1], bots=[h + 1])
+    return pref * _bprod(k, tops=[2 * a + 1, 3 * h + 1], bots=[h + 1])
 
 
 def subexc_V_corrected(k: int, a: RatLike) -> Fraction:
@@ -486,14 +486,14 @@ def subexc_V_corrected(k: int, a: RatLike) -> Fraction:
     a = rat(a)
     h = a / 2
     pref = (k + a + 1) * (a + 2 * k + 2) / ((a + 1) * (a + 2))
-    return pref * _bprod(k, a, tops=[2 * a + 1, 3 * h + 1], bots=[h + 1])
+    return pref * _bprod(k, tops=[2 * a + 1, 3 * h + 1], bots=[h + 1])
 
 
 def subexc_V2_printed(k: int, a: RatLike) -> Fraction:
     a = rat(a)
     h = a / 2
     pref = (4 * k + 3 * a + 2) / ((k + 1) * (3 * a + 2))
-    return pref * _bprod(k, a,
+    return pref * _bprod(k,
                          tops=[a + 1, 3 * h, 3 * h - 1, a],
                          bots=[h, h - 1],
                          tops2k=[2 * a + 1],

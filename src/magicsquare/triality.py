@@ -8,7 +8,10 @@ structure constants of A, one row per coefficient e_r of the relation on
 e_i, e_j.  The basis puts a basis of the diagonal (Cartan) part first and
 completes it greedily with one incremental echelon; coordinates in it come
 from one `SolveCache` (pivot-position solves with an exact reconstruction
-check).
+check).  Each element is stored as its three components in the column-map
+format of `linalg` (column j is theta_i(e_j), no zeros stored);
+combinations, brackets, the calibration and the consumers in `magic`,
+`modules` and `roots` read the maps.
 
 The invariant form K on t(A) is a single rational multiple of the sum of the
 three componentwise trace forms.  Psi_i is the K-dual of slot i:
@@ -38,79 +41,84 @@ from .exact import rat_str
 from .linalg import (
     F0,
     F1,
+    ColMap,
     Mat,
     SVec,
     SolveCache,
     Vec,
+    apply_into,
     axpy,
     bilinear,
-    commutator,
+    columns,
+    map_combination,
     nullspace,
     primitive_integer_vector,
     zeros,
 )
 
 
+def _col_map(m: Sequence[Sequence[Fraction]]) -> ColMap:
+    return columns({(r, s): x for r, row in enumerate(m) for s, x in enumerate(row) if x})
+
+
 @dataclass(frozen=True)
 class TrialityTriple:
-    theta1: tuple
-    theta2: tuple
-    theta3: tuple
+    """(theta1, theta2, theta3) in so(Q)^3 as the column maps of the n x n components.
+
+    Column j of thetas[i - 1] is theta_i(e_j); zero entries and zero columns
+    are left out, so two triples are equal iff their maps are.  `component`,
+    `mats` and `flat` are dense views.
+    """
+    thetas: Tuple[ColMap, ColMap, ColMap]
+    n: int
 
     @staticmethod
     def from_mats(m1: Mat, m2: Mat, m3: Mat) -> "TrialityTriple":
-        tup = lambda m: tuple(tuple(row) for row in m)
-        return TrialityTriple(tup(m1), tup(m2), tup(m3))
-
-    def mats(self) -> Tuple[Mat, Mat, Mat]:
-        lst = lambda m: [list(row) for row in m]
-        return lst(self.theta1), lst(self.theta2), lst(self.theta3)
+        return TrialityTriple((_col_map(m1), _col_map(m2), _col_map(m3)), len(m1))
 
     def component(self, i: int) -> Mat:
-        return [list(row) for row in (self.theta1, self.theta2, self.theta3)[i - 1]]
-
-    def flat(self) -> Vec:
-        out: Vec = []
-        for m in (self.theta1, self.theta2, self.theta3):
-            for row in m:
-                out.extend(row)
+        out = zeros(self.n, self.n)
+        for j, col in self.thetas[i - 1].items():
+            for r, x in col.items():
+                out[r][j] = x
         return out
 
+    def mats(self) -> Tuple[Mat, Mat, Mat]:
+        return self.component(1), self.component(2), self.component(3)
+
+    def flat(self) -> Vec:
+        return [x for m in self.mats() for row in m for x in row]
+
+    def diagonal(self, i: int) -> Vec:
+        """The diagonal entries of theta_i."""
+        m = self.thetas[i - 1]
+        return [m.get(p, {}).get(p, F0) for p in range(self.n)]
+
     def is_zero(self) -> bool:
-        return all(all(all(x == 0 for x in row) for row in m)
-                   for m in (self.theta1, self.theta2, self.theta3))
-
-    def scale(self, c: Fraction) -> "TrialityTriple":
-        sc = lambda m: tuple(tuple(c * x for x in row) for row in m)
-        return TrialityTriple(sc(self.theta1), sc(self.theta2), sc(self.theta3))
-
-    def add(self, other: "TrialityTriple") -> "TrialityTriple":
-        ad = lambda m, n: tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(m, n))
-        return TrialityTriple(ad(self.theta1, other.theta1),
-                              ad(self.theta2, other.theta2),
-                              ad(self.theta3, other.theta3))
+        return not any(self.thetas)
 
 
 def combine(coeffs: Sequence[Fraction], triples: Sequence[TrialityTriple]) -> TrialityTriple:
     """The linear combination sum_i coeffs[i] triples[i] of a nonempty list of triples."""
-    n = len(triples[0].theta1)
-    acc = [zeros(n, n) for _ in range(3)]
-    for c, t in zip(coeffs, triples):
-        if c == 0:
-            continue
-        for m, src in zip(acc, (t.theta1, t.theta2, t.theta3)):
-            for row, src_row in zip(m, src):
-                for j, x in enumerate(src_row):
-                    if x != 0:
-                        row[j] += c * x
-    return TrialityTriple.from_mats(*acc)
+    return TrialityTriple(tuple(map_combination(coeffs, [t.thetas[i] for t in triples])
+                                for i in range(3)), triples[0].n)
+
+
+def _commutator(x: ColMap, y: ColMap) -> ColMap:
+    """[X, Y] e_j = X(Y e_j) - Y(X e_j), column by column."""
+    out: ColMap = {}
+    for j in x.keys() | y.keys():
+        col: SVec = {}
+        apply_into(col, x, y.get(j, {}))
+        apply_into(col, y, x.get(j, {}), -F1)
+        if col:
+            out[j] = col
+    return out
 
 
 def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
-    """Componentwise matrix commutator; t(A) is closed under it."""
-    a1, a2, a3 = x.mats()
-    b1, b2, b3 = y.mats()
-    return TrialityTriple.from_mats(commutator(a1, b1), commutator(a2, b2), commutator(a3, b3))
+    """Componentwise commutator; t(A) is closed under it."""
+    return TrialityTriple(tuple(_commutator(a, b) for a, b in zip(x.thetas, y.thetas)), x.n)
 
 
 class TrialityAlgebra:
@@ -139,14 +147,14 @@ class TrialityAlgebra:
         # Unknowns: coordinates of (theta1, theta2, theta3) in the so(Q) basis.
         # Row (i, j, r) is the e_r coefficient of
         #   theta3(e_i e_j) - theta1(e_i) e_j - e_i theta2(e_j),
-        # read off the structure constants with theta(e_s) = sum_t m[t][s] e_t.
+        # read off the structure constants with theta(e_s) = sum_t m[s][t] e_t
+        # for the column map m of each so(Q) basis matrix.
         ct = alg.ctable
+        so_maps = [_col_map(m) for m in so_basis]
         rows: List[Vec] = [[F0] * (3 * d) for _ in range(n ** 3)]
-        for k, m in enumerate(so_basis):
-            for t in range(n):
-                for s, c in enumerate(m[t]):
-                    if not c:
-                        continue
+        for k, m in enumerate(so_maps):
+            for s, col in m.items():
+                for t, c in col.items():
                     for j in range(n):
                         for r, x in ct[t][j].items():
                             rows[(s * n + j) * n + r][k] -= c * x
@@ -155,26 +163,13 @@ class TrialityAlgebra:
             for i in range(n):
                 for j in range(n):
                     for s, x in ct[i][j].items():
-                        for r in range(n):
-                            if m[r][s]:
-                                rows[(i * n + j) * n + r][2 * d + k] += x * m[r][s]
+                        for r, y in m.get(s, {}).items():
+                            rows[(i * n + j) * n + r][2 * d + k] += x * y
         basis = []
         for v in nullspace(rows, 3 * d):
             v = primitive_integer_vector(v)
-            mats = []
-            for c in range(3):
-                coords = v[c * d:(c + 1) * d]
-                m = [[F0] * n for _ in range(n)]
-                for k, x in enumerate(coords):
-                    if x == 0:
-                        continue
-                    mk = so_basis[k]
-                    for r in range(n):
-                        for s in range(n):
-                            if mk[r][s] != 0:
-                                m[r][s] += x * mk[r][s]
-                mats.append(m)
-            basis.append(TrialityTriple.from_mats(*mats))
+            basis.append(TrialityTriple(tuple(map_combination(v[c * d:(c + 1) * d], so_maps)
+                                              for c in range(3)), n))
         return self._cartan_first(basis)
 
     def _cartan_first(self, basis: List[TrialityTriple]) -> Tuple[List[TrialityTriple], int]:
@@ -230,8 +225,7 @@ class TrialityAlgebra:
 
     def from_coords(self, v: Sequence[Fraction]) -> TrialityTriple:
         if self.dim == 0:
-            z = zeros(self.alg.dim, self.alg.dim)
-            return TrialityTriple.from_mats(z, z, z)
+            return TrialityTriple(({}, {}, {}), self.alg.dim)
         return combine(v, self.basis)
 
     def bracket_coords(self, k: int, l: int) -> Vec:
@@ -251,8 +245,8 @@ class TrialityAlgebra:
         K is 1/scale times the sum S of the trace forms tr(x_i y_i) over the
         slots i = 1, 2, 3.  For each slot i and basis pair p < q, the
         coordinates c of Psi_i(e_p ^ e_q) solve S c = scale f, with
-        f[k] = Q(theta^k_i e_p, e_q) = sum_r theta^k_i[r][p] gram[r][q] read
-        off the entries of basis triple k.  The scale makes
+        f[k] = Q(theta^k_i e_p, e_q) = theta^k_i[partner[q]][p] gram[partner[q]][q]
+        read off the entries of basis triple k.  The scale makes
         Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x); K is shared by the
         slots, so it serves all three.  Each table maps (p, q) to the sparse
         coordinates of Psi_i(e_p ^ e_q), zero images left out.
@@ -264,28 +258,28 @@ class TrialityAlgebra:
             self._k_matrix = []
             self._psi_tables = [{}, {}, {}]
             return
-        gram = alg.gram
-        comps = [(t.theta1, t.theta2, t.theta3) for t in self.basis]
-        # tr(x_i y_i) = sum over the nonzero entries x_i[r][s] of x_i[r][s] y_i[s][r].
-        entries = [[(i, r, s, x) for i, m in enumerate(ms) for r, row in enumerate(m)
-                    for s, x in enumerate(row) if x] for ms in comps]
-        t_sum = [[sum((x * my[i][s][r] for i, r, s, x in ex if my[i][s][r]), F0)
-                  for my in comps] for ex in entries]
+        gram, partner = alg.gram, alg.partner
+        # Entry (r, s) of theta_i of each basis triple, keyed (i, r, s).
+        entries = [{(i, r, s): x for i, m in enumerate(t.thetas) for s, col in m.items()
+                    for r, x in col.items()} for t in self.basis]
+        # tr(x_i y_i) = sum over the entries x_i[r][s] of x_i[r][s] y_i[s][r].
+        t_sum = [[sum((x * ey[i, s, r] for (i, r, s), x in ex.items() if (i, s, r) in ey), F0)
+                  for ey in entries] for ex in entries]
         sum_solver = SolveCache([[t_sum[r][c] for r in range(d)] for c in range(d)])
         raw: List[Dict[Tuple[int, int], Vec]] = []
         for i in range(3):
             table = {}
             for p in range(n):
                 for q in range(p + 1, n):
-                    f = [sum((ms[i][r][p] * gram[r][q] for r in range(n) if gram[r][q]), F0)
-                         for ms in comps]
+                    # Column q of the Gram matrix is nonzero only at partner[q].
+                    r = partner[q]
+                    f = [ex.get((i, r, p), F0) * gram[r][q] for ex in entries]
                     table[(p, q)] = sum_solver.solve(f)
             raw.append(table)
         # Scale so that Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) exactly.
         scale = None
         for (p, q), coords in raw[0].items():
-            t = self.from_coords(coords)
-            m2 = t.component(2)
+            m2 = self.from_coords(coords).thetas[1]
             u, v = alg.basis_element(p), alg.basis_element(q)
             cu, cv = alg.conjugate(u), alg.conjugate(v)
             for j in range(n):
@@ -293,8 +287,9 @@ class TrialityAlgebra:
                 target = [a - b for a, b in
                           zip(alg.multiply(cv, alg.multiply(u, x)),
                               alg.multiply(cu, alg.multiply(v, x)))]
-                got = [m2[r][j] for r in range(n)]
-                for tg, gt in zip(target, got):
+                got = m2.get(j, {})
+                for r, tg in enumerate(target):
+                    gt = got.get(r, F0)
                     if tg != 0 or gt != 0:
                         if gt == 0:
                             raise ValueError("Psi_1 slot-2 not proportional to the product map")
@@ -326,6 +321,8 @@ class TrialityAlgebra:
 
     def psi_coords(self, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
         """Coordinates in the t(A) basis of Psi_i(u ^ v)."""
+        if len(u) != self.alg.dim or len(v) != self.alg.dim:
+            raise ValueError("element dimension mismatch")
         acc = [F0] * self.dim
         for (p, q), sv in self.psi_table(i).items():
             c = u[p] * v[q] - u[q] * v[p]

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from magicsquare.compalg import build_split_algebra
 from magicsquare.linalg import F0, SolveCache, columns, e_vector, rref
 from magicsquare.roots import ExtractionError, cartan_chart, factor_weights
-from magicsquare.triality import TrialityAlgebra, triality_algebra, triality_bracket
+from magicsquare.triality import TrialityAlgebra, combine, triality_algebra, triality_bracket
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -112,7 +112,7 @@ def test_factor_weights_refuses_a_mixed_basis_vector():
     t = TrialityAlgebra(build_split_algebra("H"))
     k = t.cartan_dim
     l = next(i for i in range(k + 1, t.dim) if weights[i] != weights[k])
-    t.basis[k] = t.basis[k].add(t.basis[l])
+    t.basis[k] = combine([1, 1], [t.basis[k], t.basis[l]])
     with pytest.raises(ExtractionError, match="not a weight vector"):
         factor_weights(t)
 

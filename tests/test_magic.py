@@ -294,3 +294,14 @@ def test_magic_element_roundtrip():
     names = [describe_index(g, i) for i in range(g.dim)]
     assert names[0].startswith("tB") or names[0].startswith("tA") or names[0].startswith("m")
     assert len(set(names)) == g.dim
+
+
+def test_operations_reject_wrong_length():
+    g = build_magic_algebra("C", "C")
+    e = g.basis_element(5)
+    for bad in ([Fraction(1)], e + [Fraction(1)]):
+        for x, y in ((bad, e), (e, bad)):
+            with pytest.raises(ValueError, match="element dimension mismatch"):
+                g.bracket(x, y)
+            with pytest.raises(ValueError, match="element dimension mismatch"):
+                g.invariant_form(x, y)

@@ -131,3 +131,10 @@ def test_representation_defect_detects_a_changed_entry(build, data):
     finally:
         col[r] = old
     assert not any(mod.representation_defect(i, k) for i, k in pairs)
+
+
+def test_act_basis_rejects_wrong_length():
+    w = build_W_module("C")
+    for bad in ([Fraction(1)], [Fraction(1)] * (w.dimension + 2)):
+        with pytest.raises(ValueError, match="element dimension mismatch"):
+            w.act_basis(0, bad)

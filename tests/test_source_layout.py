@@ -17,3 +17,23 @@ def test_no_function_local_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.append(f"{path.name}:{node.lineno} in {fn.name}")
     assert found == []
+
+
+def test_every_module_level_import_is_used():
+    # Each name a module-level import binds is read somewhere in its module;
+    # the imports of __init__.py are the package's exports and are exempt.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

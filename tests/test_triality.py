@@ -4,10 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magicsquare.linalg import SolveCache, mat_mul, mat_vec, nullspace, transpose
-from magicsquare.triality import TrialityTriple, psi, triality_algebra, triality_bracket
-from tests_helpers import cyclic_shift, k_form, reference_triality_basis, satisfies_triality
+from magicsquare.triality import TrialityTriple, combine, psi, triality_algebra, triality_bracket
+from tests_helpers import (commutator, cyclic_shift, dense_combination, k_form,
+                           reference_triality_basis, satisfies_triality, stores_no_zero)
 
 
 def rand_elt(rng, n, lo=-2, hi=2):
@@ -79,7 +81,7 @@ def test_cyclic_shift_order_three_and_relation():
             assert cyclic_shift(t.alg, cyclic_shift(t.alg, s1)) == b
         n = t.alg.dim
         zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-        z = TrialityTriple(zero, zero, zero)
+        z = TrialityTriple.from_mats(zero, zero, zero)
         assert cyclic_shift(t.alg, z).is_zero()
 
 
@@ -88,7 +90,8 @@ def test_naive_shift_fails_where_twist_needed():
     t = triality_algebra("O")
     broken = 0
     for b in t.basis:
-        naive = TrialityTriple(b.theta2, b.theta3, b.theta1)
+        m1, m2, m3 = b.mats()
+        naive = TrialityTriple.from_mats(m2, m3, m1)
         if not satisfies_triality(t.alg, naive):
             broken += 1
     assert broken > 0
@@ -128,6 +131,17 @@ def test_psi_coords_rejects_bad_slot():
             psi(t, i, u, v)
 
 
+def test_psi_coords_rejects_wrong_length():
+    for tag in "RCHO":
+        t = triality_algebra(tag)
+        u = t.alg.basis_element(0)
+        for bad in ([], u + [Fraction(1)]):
+            with pytest.raises(ValueError, match="element dimension mismatch"):
+                t.psi_coords(1, bad, u)
+            with pytest.raises(ValueError, match="element dimension mismatch"):
+                t.psi_coords(1, u, bad)
+
+
 def test_psi_shift_compatibility():
     # Each Psi_i is solved from its own duality; on every basis pair they
     # agree with the twisted shift tau:
@@ -156,9 +170,9 @@ def test_psi_sum_identity():
             a = rand_elt(rng, n, -1, 1)
             c = rand_elt(rng, n, -1, 1)
             e = rand_elt(rng, n, -1, 1)
-            s = psi(t, 3, alg.multiply(a, c), e)
-            s = s.add(psi(t, 1, alg.multiply(e, alg.conjugate(c)), a))
-            s = s.add(psi(t, 2, alg.multiply(alg.conjugate(a), e), c))
+            s = combine([1, 1, 1], [psi(t, 3, alg.multiply(a, c), e),
+                                    psi(t, 1, alg.multiply(e, alg.conjugate(c)), a),
+                                    psi(t, 2, alg.multiply(alg.conjugate(a), e), c)])
             assert s.is_zero()
 
 
@@ -213,3 +227,32 @@ def test_dump_and_alias():
     d = t.dump()
     assert d["dim"] == 9 and d["algebra"] == "H"
     assert len(d["basis"]) == 9
+
+
+# tag -> number of examples; t(O) has dimension 28, so it gets fewer.
+MAP_EXAMPLES = {"C": 40, "H": 40, "O": 20}
+
+
+@pytest.mark.parametrize("tag", sorted(MAP_EXAMPLES))
+def test_column_maps_match_dense_reference(tag):
+    # Random integer combinations of the basis, their bracket and their
+    # cancelling sum, against dense matrices; no map stores a zero entry or
+    # an empty column.
+    t = triality_algebra(tag)
+    assert all(stores_no_zero(b) for b in t.basis)
+    coeffs = st.lists(st.integers(-2, 2), min_size=t.dim, max_size=t.dim)
+
+    @settings(max_examples=MAP_EXAMPLES[tag], deadline=None)
+    @given(coeffs, coeffs)
+    def check(cx, cy):
+        x, y = combine(cx, t.basis), combine(cy, t.basis)
+        assert x.mats() == dense_combination(cx, t.basis)
+        z = triality_bracket(x, y)
+        assert z.mats() == tuple(commutator(a, b) for a, b in zip(x.mats(), y.mats()))
+        for u in (x, y, z):
+            assert TrialityTriple.from_mats(*u.mats()) == u
+            assert stores_no_zero(u)
+        zero = combine(cx + [-c for c in cx], t.basis + t.basis)
+        assert zero.thetas == ({}, {}, {}) == triality_bracket(x, x).thetas
+
+    check()

@@ -67,6 +67,39 @@ def cyclic_shift(alg, t):
     return TrialityTriple.from_mats(m2, mat_mul(cj, mat_mul(m3, cj)), mat_mul(cj, mat_mul(m1, cj)))
 
 
+def commutator(a, b):
+    """ab - ba for dense matrices, subtracting only the nonzero terms of ba from ab.
+
+    The dense reference for the column-map commutator of `triality_bracket`.
+    """
+    out = mat_mul(a, b)
+    for oi, bi in zip(out, b):
+        for t, c in enumerate(bi):
+            if c == 0:
+                continue
+            for j, x in enumerate(a[t]):
+                if x != 0:
+                    oi[j] -= c * x
+    return out
+
+
+def dense_combination(coeffs, triples):
+    """sum_i coeffs[i] triples[i] as three dense matrices, entry by entry."""
+    n = triples[0].n
+    out = tuple([[F0] * n for _ in range(n)] for _ in range(3))
+    for c, t in zip(coeffs, triples):
+        for acc, m in zip(out, t.mats()):
+            for acc_row, row in zip(acc, m):
+                for s, x in enumerate(row):
+                    acc_row[s] += c * x
+    return out
+
+
+def stores_no_zero(t):
+    """No component of the triple stores an empty column or a zero entry."""
+    return all(col and all(col.values()) for m in t.thetas for col in m.values())
+
+
 def describe_index(g, i):
     """Name of basis index i of a magic algebra g: tA[k], tB[k] or m<slot>[p,q]."""
     if i < g.dA:
