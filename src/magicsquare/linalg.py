@@ -5,17 +5,18 @@ dict[int, Fraction] with no zero values stored.  A linear map acting on a
 Lie algebra or on a module is a column map: dict[int, SVec] whose entry j
 is the image of basis vector j, with zero columns left out; `columns`
 builds one from (row, col) -> value entries, and `map_combination` adds
-scaled maps.  For the
-exhaustive Jacobi check a list of column maps is scaled to integers by the
-lcm of its denominators (`scaled_int_columns`), and the representation
-defect of a pair i, j is formed on all columns k > j at once
-(`int_rep_defect_pair`).  Sizes in this package stay below a few hundred,
-so straightforward Gaussian elimination is fine.
+scaled maps.  `Echelon` is the one incremental row echelon of sparse
+vectors, for independence tests and rank counts.  For the Jacobi check a
+list of column maps is scaled to integers by the lcm of its denominators
+(`scaled_int_columns`), and the representation defect of a pair i, j is
+formed on all columns k from a first one on at once (`int_rep_defect_pair`).
+Sizes in this package stay below a few hundred, so straightforward Gaussian
+elimination is fine.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -91,6 +92,11 @@ def bilinear(gram: Mat, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fractio
     return out
 
 
+def sparse(v: Sequence[Fraction]) -> SVec:
+    """The nonzero entries of a dense vector, keyed by position."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
 def axpy(out: SVec, c: Fraction, v: SVec) -> None:
     """out += c v in place, dropping the entries that cancel to zero."""
     for k, x in v.items():
@@ -133,6 +139,36 @@ def columns(m: Entries) -> ColMap:
     return out
 
 
+class Echelon:
+    """An incremental row echelon of sparse vectors over Q.
+
+    Each stored row is keyed by its pivot, its least index, where it is 1.
+    `add` clears the leading entry of a copy of v against the row with that
+    pivot until the lead is no pivot, so v reduces to zero iff it lies in
+    the span of the rows; otherwise the rest, scaled to lead 1, is stored.
+    """
+
+    def __init__(self) -> None:
+        self.rows: Dict[int, SVec] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, v: SVec) -> bool:
+        """Store v if it is independent of the rows; True if it was."""
+        rows = self.rows
+        row = dict(v)
+        while row:
+            lead = min(row)
+            pivot = rows.get(lead)
+            if pivot is None:
+                inv = 1 / row[lead]
+                rows[lead] = {k: c * inv for k, c in row.items()}
+                return True
+            axpy(row, -row[lead], pivot)
+        return False
+
+
 def rep_defect_column(maps: Sequence[ColMap], br: SVec, i: int, j: int, k: int) -> SVec:
     """([A_i, A_j] - sum_t br_t A_t) e_k for the column maps A_t = maps[t].
 
@@ -173,22 +209,26 @@ def scaled_int_columns(maps: Sequence[ColMap],
 
 
 def int_rep_defect_pair(rows: Sequence[IntCols], nonzero: Sequence[List[int]],
-                        br: Optional[IntCol], i: int, j: int) -> Dict[int, int]:
-    """`rep_defect_column` for every k > j at once, on integer maps rows[t] = D A_t.
+                        br: Optional[IntCol], i: int, j: int,
+                        first_k: Optional[int] = None) -> Dict[int, int]:
+    """`rep_defect_column` for every k >= first_k at once, on integer maps rows[t] = D A_t.
 
-    br = D [b_i, b_j], and rows and nonzero are as `scaled_int_columns`
-    gives them.  Entry (k, s) of the defect is keyed k n + s, n =
-    len(rows), and is D^2 times the Fraction one; entries that cancel stay
-    as zeros, so column k vanishes iff none of its values is nonzero.
+    first_k defaults to j + 1.  br = D [b_i, b_j], and rows and nonzero are
+    as `scaled_int_columns` gives them.  Entry (k, s) of the defect is keyed
+    k n + s, n = len(rows), and is D^2 times the Fraction one; entries that
+    cancel stay as zeros, so column k vanishes iff none of its values is
+    nonzero.
     """
     n = len(rows)
+    if first_k is None:
+        first_k = j + 1
     out: Dict[int, int] = {}
     get = out.get
     for left, right, sign in ((rows[i], j, 1), (rows[j], i, -1)):
         # sign A_left A_right: column k of A_right, then A_left on each entry.
         row = rows[right]
         cols = nonzero[right]
-        for k in cols[bisect_right(cols, j):]:
+        for k in cols[bisect_left(cols, first_k):]:
             base = k * n
             for t, x in row[k]:
                 col = left[t]
@@ -200,7 +240,7 @@ def int_rep_defect_pair(rows: Sequence[IntCols], nonzero: Sequence[List[int]],
     for t, x in br or ():
         row = rows[t]
         cols = nonzero[t]
-        for k in cols[bisect_right(cols, j):]:
+        for k in cols[bisect_left(cols, first_k):]:
             base = k * n
             for s, y in row[k]:
                 key = base + s
@@ -265,7 +305,8 @@ class SolveCache:
     the inverse of A_P, the n x n restriction of A to those rows.  Solving
     A x = b is then x = (A_P)^-1 b_P, followed by the exact reconstruction
     check A x == b: since A_P is invertible, it holds iff b lies in the span.
-    The rows of (A_P)^-1 and the columns of A are kept as sparse vectors.
+    The rows of (A_P)^-1 and the columns of A are kept as sparse vectors,
+    and b is given as one.
     """
 
     def __init__(self, columns: Mat):
@@ -279,13 +320,13 @@ class SolveCache:
         self.pivots = pivots
         self.inverse_rows: List[SVec] = [{r: row[m + j] for r, row in enumerate(red) if row[m + j]}
                                          for j in range(n)]
-        self.columns: List[SVec] = [{i: c for i, c in enumerate(col) if c} for col in columns]
+        self.columns: List[SVec] = [sparse(col) for col in columns]
 
-    def solve(self, b: Sequence[Fraction]) -> Vec:
-        """Coefficients x with columns @ x = b; raises if b is outside the span."""
-        bp = [b[i] for i in self.pivots]
+    def solve(self, b: SVec) -> Vec:
+        """Coefficients x with columns @ x = b for a sparse b; raises if b is outside the span."""
+        bp = [b.get(i, F0) for i in self.pivots]
         x = [sum((c * bp[r] for r, c in row.items() if bp[r]), F0) for row in self.inverse_rows]
-        residual = {i: c for i, c in enumerate(b) if c}
+        residual = dict(b)
         for xj, col in zip(x, self.columns):
             if xj:
                 axpy(residual, -xj, col)

@@ -47,6 +47,7 @@ from .linalg import (
     inverse,
     mat_vec,
     rep_defect_column,
+    sparse,
     zeros,
 )
 from .magic import MagicAlgebra, build_magic_algebra
@@ -99,7 +100,7 @@ class GModule:
         if len(v) != self.dimension:
             raise ValueError("element dimension mismatch")
         out: SVec = {}
-        apply_into(out, self.actions[i], {j: c for j, c in enumerate(v) if c != 0})
+        apply_into(out, self.actions[i], sparse(v))
         return [out.get(r, F0) for r in range(self.dimension)]
 
     def representation_defect(self, i: int, j: int) -> bool:
@@ -237,7 +238,7 @@ def build_V_module(tag_a: str) -> GModule:
                 "f": [[F0, F0], [F1, F0]]}
 
     for t in g.tB.basis:
-        coords = fact_solver.solve(g.tB.coords(t))
+        coords = fact_solver.solve(sparse(g.tB.coords(t)))
         m: Entries = defaultdict(Fraction)
         for fi in range(3):
             for wi, which in enumerate(("h", "e", "f")):
@@ -371,7 +372,7 @@ def build_W_module(tag_a: str) -> GModule:
     # t(C+C) is its own Cartan, so every basis element is a chart combination.
     chart_solver = SolveCache([g.tB.coords(h) for h in chart])
     for t in g.tB.basis:
-        chart_coords = chart_solver.solve(g.tB.coords(t))
+        chart_coords = chart_solver.solve(sparse(g.tB.coords(t)))
         m: Entries = defaultdict(Fraction)
         for s in range(3):
             wt = sum(c * w for c, w in zip(chart_coords, omega_lines[s]))

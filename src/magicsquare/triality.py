@@ -42,12 +42,12 @@ from .linalg import (
     F0,
     F1,
     ColMap,
+    Echelon,
     Mat,
     SVec,
     SolveCache,
     Vec,
     apply_into,
-    axpy,
     bilinear,
     columns,
     map_combination,
@@ -88,6 +88,12 @@ class TrialityTriple:
 
     def flat(self) -> Vec:
         return [x for m in self.mats() for row in m for x in row]
+
+    def sparse_flat(self) -> SVec:
+        """The nonzero entries of `flat()`, keyed by position, read off the maps."""
+        n = self.n
+        return {(i * n + r) * n + s: x for i, m in enumerate(self.thetas)
+                for s, col in m.items() for r, x in col.items()}
 
     def diagonal(self, i: int) -> Vec:
         """The diagonal entries of theta_i."""
@@ -177,7 +183,7 @@ class TrialityAlgebra:
 
         The Cartan basis is followed by the vectors of `basis`, in order, that
         are independent of those chosen before them; independence is read
-        off one incremental echelon of the chosen flats, so each candidate is
+        off one `linalg.Echelon` of the chosen flats, so each candidate is
         reduced once against the rows already there.  Returns the reordered
         basis and the dimension of the Cartan subspace.
         """
@@ -191,25 +197,10 @@ class TrialityAlgebra:
         rows = [[f[pos] for f in flats] for pos in off_positions]
         cartan_coords = nullspace(rows, len(basis))
         cartan = [combine(primitive_integer_vector(v), basis) for v in cartan_coords]
-        # Complete greedily to a full basis: keep the chosen flats in echelon
-        # form, each row zero at the pivots of the rows before it, and take b
-        # when its flat does not reduce to zero against them.
-        echelon: List[Tuple[int, SVec]] = []
-
-        def independent(t: TrialityTriple) -> bool:
-            v = {i: x for i, x in enumerate(t.flat()) if x}
-            for p, row in echelon:
-                c = v.get(p)
-                if c:
-                    axpy(v, -c, row)
-            if not v:
-                return False
-            p = min(v)
-            inv = 1 / v[p]
-            echelon.append((p, {i: x * inv for i, x in v.items()}))
-            return True
-
-        chosen = [t for t in cartan + basis if independent(t)]
+        # Complete greedily to a full basis: take b when its flat does not
+        # reduce to zero against the echelon of the flats chosen before it.
+        echelon = Echelon()
+        chosen = [t for t in cartan + basis if echelon.add(t.sparse_flat())]
         assert chosen[:len(cartan)] == cartan and len(chosen) == len(basis)
         return chosen, len(cartan)
 
@@ -221,7 +212,7 @@ class TrialityAlgebra:
             if not t.is_zero():
                 raise ValueError("nonzero triple in trivial t(A)")
             return []
-        return self._solver.solve(t.flat())
+        return self._solver.solve(t.sparse_flat())
 
     def from_coords(self, v: Sequence[Fraction]) -> TrialityTriple:
         if self.dim == 0:
@@ -234,7 +225,7 @@ class TrialityAlgebra:
             return self._bracket_cache[(k, l)]
         out = self.coords(triality_bracket(self.basis[k], self.basis[l]))
         self._bracket_cache[(k, l)] = out
-        self._bracket_cache[(l, k)] = [-c for c in out]
+        self._bracket_cache[(l, k)] = [-c if c else c for c in out]
         return out
 
     # -- invariant form and Psi ---------------------------------------------------
@@ -273,7 +264,8 @@ class TrialityAlgebra:
                 for q in range(p + 1, n):
                     # Column q of the Gram matrix is nonzero only at partner[q].
                     r = partner[q]
-                    f = [ex.get((i, r, p), F0) * gram[r][q] for ex in entries]
+                    f = {k: ex[i, r, p] * gram[r][q]
+                         for k, ex in enumerate(entries) if (i, r, p) in ex}
                     table[(p, q)] = sum_solver.solve(f)
             raw.append(table)
         # Scale so that Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) exactly.

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from magicsquare.compalg import build_split_algebra
-from magicsquare.linalg import F0, SolveCache, columns, e_vector, rref
+from magicsquare.linalg import F0, SolveCache, columns, e_vector, rref, sparse
 from magicsquare.roots import ExtractionError, cartan_chart, factor_weights
 from magicsquare.triality import TrialityAlgebra, combine, triality_algebra, triality_bracket
 
@@ -47,13 +47,13 @@ def test_solve_cache_matches_dense_reduction(tag):
            RATIONALS.filter(bool))
     def check(x, r, c):
         b = [sum((xi * col[i] for xi, col in zip(x, cols)), F0) for i in range(m)]
-        assert solver.solve(b) == apply(dense[:n], b) == x
+        assert solver.solve(sparse(b)) == apply(dense[:n], b) == x
         b[r] += c
         if any(apply(dense[n:], b)):
             with pytest.raises(ValueError):
-                solver.solve(b)
+                solver.solve(sparse(b))
         else:
-            assert solver.solve(b) == apply(dense[:n], b)
+            assert solver.solve(sparse(b)) == apply(dense[:n], b)
 
     check()
 
@@ -86,13 +86,13 @@ def test_solve_cache_on_random_columns(shape, n, data):
     assert all(c != 0 for vec in solver.inverse_rows + solver.columns for c in vec.values())
     x = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
     b = [sum((xi * col[i] for xi, col in zip(x, cols)), F0) for i in range(m)]
-    assert solver.solve(b) == x
+    assert solver.solve(sparse(b)) == x
     b[data.draw(st.integers(0, m - 1))] += data.draw(RATIONALS.filter(bool))
     if len(rref(cols + [b])[1]) > n:
         with pytest.raises(ValueError):
-            solver.solve(b)
+            solver.solve(sparse(b))
     else:
-        y = solver.solve(b)
+        y = solver.solve(sparse(b))
         assert [sum((yi * col[i] for yi, col in zip(y, cols)), F0) for i in range(m)] == b
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magicsquare import magic
 from magicsquare.linalg import det, int_rep_defect_pair, rep_defect_column, scaled_int_columns
 from magicsquare.magic import H_SUBALGEBRA_DIMS, MAGIC_DIMS, build_magic_algebra
 from tests_helpers import describe_index, gram_matrix, reference_jacobi_count
@@ -140,7 +141,8 @@ def test_jacobi_exhaustive_counts_corrupted_table(data):
 def test_int_kernel_is_the_scaled_fraction_defect(data):
     # On corrupted g(C,C) tables, one of whose new entries has denominator 3,
     # the pair kernel's entry (k, s) is D^2 times the Fraction defect, for
-    # every i, j and every k > j, and it holds no column k <= j.
+    # every i, j and every k > j, and it holds no column k <= j; from
+    # first_k = 0 on it does the same for every k.
     g = build_magic_algebra("C", "C")
     n = g.dim
     tab = g.table()
@@ -161,12 +163,16 @@ def test_int_kernel_is_the_scaled_fraction_defect(data):
         assert d % 3 == 0
         for i in range(n):
             for j in range(n):
-                scaled = int_rep_defect_pair(rows, nonzero, rows[i][j], i, j)
-                assert all(key // n > j for key in scaled)
-                for k in range(j + 1, n):
-                    exact = rep_defect_column(tab, tab[i].get(j, {}), i, j, k)
-                    assert ({s: scaled[k * n + s] for s in range(n) if scaled.get(k * n + s)}
-                            == {s: d * d * c for s, c in exact.items()})
+                # The default first column j + 1, and the all-k form the
+                # derivation certificate runs, k <= j included.
+                for first_k in (None, 0):
+                    lo = j + 1 if first_k is None else 0
+                    scaled = int_rep_defect_pair(rows, nonzero, rows[i][j], i, j, first_k)
+                    assert all(key // n >= lo for key in scaled)
+                    for k in range(lo, n):
+                        exact = rep_defect_column(tab, tab[i].get(j, {}), i, j, k)
+                        assert ({s: scaled[k * n + s] for s in range(n) if scaled.get(k * n + s)}
+                                == {s: d * d * c for s, c in exact.items()})
     finally:
         for i, j, sij, sji in saved:
             for a, b, sv in ((i, j, sij), (j, i, sji)):
@@ -242,6 +248,114 @@ def test_pair_kernel_counts_corrupted_g_ro():
     finally:
         _restore(tab, saved)
     assert g.jacobi_exhaustive() == 0
+
+
+def _corrupt(tab, data, antisymmetric):
+    """Edit g(C,C) as the tests above do: set [b_i, b_j] and [b_j, b_i] = -[b_i, b_j]
+    on pairs i < j, or set single cells [b_a, b_b] alone; the first two edits
+    carry denominators 2 and 3.  Returns the undo list of `_restore`."""
+    cell = st.tuples(CC_INDEX, CC_INDEX)
+    if antisymmetric:
+        cell = cell.filter(lambda p: p[0] < p[1])
+    cells = data.draw(st.lists(cell, min_size=2, max_size=3 if antisymmetric else 4,
+                               unique=True))
+    edits = []
+    for m, (a, b) in enumerate(cells):
+        sv = data.draw(SPARSE_VECTORS)
+        if m < 2:
+            sv[data.draw(CC_INDEX)] = Fraction(data.draw(st.sampled_from([-1, 1])), 2 + m)
+        edits.append((a, b, sv))
+        if antisymmetric:
+            edits.append((b, a, {k: -c for k, c in sv.items()}))
+    return _corrupt_one_sided(tab, edits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(antisymmetric=st.booleans(), data=st.data())
+def test_jacobi_certificate_on_corrupted_tables(antisymmetric, data):
+    # The lemma of jacobi_exhaustive: a certificate that holds leaves no
+    # failing triple, with or without antisymmetry.  On an antisymmetric table
+    # the Jacobi sum is alternating, so no failing triple i<j<k means every
+    # defect vanishes and the certificate must hold.
+    g = build_magic_algebra("C", "C")
+    tab = g.table()
+    saved = _corrupt(tab, data, antisymmetric)
+    try:
+        certified = g.jacobi_certificate()
+        count = reference_jacobi_count(g)
+        if certified:
+            assert count == 0
+        if antisymmetric:
+            assert certified == (count == 0)
+        assert g.jacobi_exhaustive() == count
+    finally:
+        _restore(tab, saved)
+    assert g.jacobi_certificate()
+
+
+P = 2 ** 31 - 1
+
+
+def _closure_rank_mod_p(g, gens):
+    """Rank mod the prime P of the closure of gens under their ad, by breadth
+    first search.  Full rank proves the closure over Q is g: every vector is
+    the reduction of a vector of that closure with denominators prime to P."""
+    tab = [{j: {k: c.numerator * pow(c.denominator, -1, P) % P for k, c in col.items()}
+            for j, col in row.items()} for row in g.table()]
+    pivots = {}
+
+    def independent(v):
+        v = dict(v)
+        while v:
+            lead = min(v)
+            if lead not in pivots:
+                inv = pow(v[lead], -1, P)
+                pivots[lead] = {k: c * inv % P for k, c in v.items()}
+                return True
+            f = v[lead]
+            for k, c in pivots[lead].items():
+                x = (v.get(k, 0) - f * c) % P
+                if x:
+                    v[k] = x
+                else:
+                    v.pop(k, None)
+        return False
+
+    queue = [{s: 1} for s in gens if independent({s: 1})]
+    while queue and len(pivots) < g.dim:
+        v = queue.pop(0)
+        for s in gens:
+            w = {}
+            for j, x in v.items():
+                for k, c in tab[s].get(j, {}).items():
+                    w[k] = (w.get(k, 0) + x * c) % P
+            w = {k: c for k, c in w.items() if c}
+            if independent(w):
+                queue.append(w)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("A,B", ALL_PAIRS)
+def test_jacobi_certificate_holds_on_every_algebra(A, B, monkeypatch):
+    # The greedy generators close up to g, each ad s is a derivation, and so
+    # the triple count never runs on a correct table: every pair-kernel call
+    # of jacobi_exhaustive is an all-k one of the certificate.
+    g = build_magic_algebra(A, B)
+    gens = g.jacobi_generators()
+    assert len(set(gens)) == len(gens)
+    assert _closure_rank_mod_p(g, gens) == g.dim
+    if (A, B) == ("O", "O"):
+        assert len(gens) == 18
+    assert g.jacobi_certificate()
+    first_ks = []
+
+    def kernel(rows, nonzero, br, i, j, first_k=None):
+        first_ks.append(first_k)
+        return int_rep_defect_pair(rows, nonzero, br, i, j, first_k)
+
+    monkeypatch.setattr(magic, "int_rep_defect_pair", kernel)
+    assert g.jacobi_exhaustive() == 0
+    assert first_ks and set(first_ks) == {0}
 
 
 @pytest.mark.parametrize("A,B", ALL_PAIRS)

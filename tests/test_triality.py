@@ -219,7 +219,7 @@ def test_t_h_three_commuting_ideals():
     for ideal in ideals:
         solver = SolveCache([x.flat() for x in ideal])
         for x, y in itertools.combinations(ideal, 2):
-            solver.solve(triality_bracket(x, y).flat())  # raises if outside
+            solver.solve(triality_bracket(x, y).sparse_flat())  # raises if outside
 
 
 def test_dump_and_alias():
