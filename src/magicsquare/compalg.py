@@ -149,12 +149,12 @@ class CompAlg:
         for r in range(n):
             for c in range(r, n):
                 # equation (M^T Q + Q M)[r][c] = 0, unknowns M[i][j] flattened
-                row = [F0] * (n * n)
+                row: SVec = {}
                 for k in range(n):
                     if self.gram[k][c] != 0:
-                        row[k * n + r] += self.gram[k][c]
+                        row[k * n + r] = row.get(k * n + r, F0) + self.gram[k][c]
                     if self.gram[r][k] != 0:
-                        row[k * n + c] += self.gram[r][k]
+                        row[k * n + c] = row.get(k * n + c, F0) + self.gram[r][k]
                 rows.append(row)
         return [
             [v[i * n:(i + 1) * n] for i in range(n)]

@@ -5,13 +5,17 @@ dict[int, Fraction] with no zero values stored.  A linear map acting on a
 Lie algebra or on a module is a column map: dict[int, SVec] whose entry j
 is the image of basis vector j, with zero columns left out; `columns`
 builds one from (row, col) -> value entries, and `map_combination` adds
-scaled maps.  `Echelon` is the one incremental row echelon of sparse
-vectors, for independence tests and rank counts.  For the Jacobi check a
+scaled maps.  `Echelon` is the one elimination of the module: an
+incremental row echelon of sparse vectors, for independence tests and rank
+counts, whose forward step `rref` shares before back-substituting.  The
+solvers go through `rref` on sparse rows: `nullspace`, `inverse` and
+`SolveCache` (pivot-position solves with an exact reconstruction check).
+Constraint matrices here are large and very sparse (the t(O) triality
+constraint has 320 nonzero rows of 84 columns, about two entries of +-1
+each), so the elimination never forms a dense row.  For the Jacobi check a
 list of column maps is scaled to integers by the lcm of its denominators
 (`scaled_int_columns`), and the representation defect of a pair i, j is
 formed on all columns k from a first one on at once (`int_rep_defect_pair`).
-Sizes in this package stay below a few hundred, so straightforward Gaussian
-elimination is fine.
 """
 
 from __future__ import annotations
@@ -45,10 +49,6 @@ def identity(n: int) -> Mat:
     for i in range(n):
         out[i][i] = F1
     return out
-
-
-def mat_copy(a: Mat) -> Mat:
-    return [row[:] for row in a]
 
 
 def transpose(a: Mat) -> Mat:
@@ -139,13 +139,35 @@ def columns(m: Entries) -> ColMap:
     return out
 
 
+def _eliminate(row: SVec, c: Fraction, pivot: SVec) -> None:
+    """row -= c pivot in place, dropping what cancels; no multiply when c is +-1."""
+    if c == 1:
+        terms = ((k, -x) for k, x in pivot.items())
+    elif c == -1:
+        terms = pivot.items()
+    else:
+        terms = ((k, -c * x) for k, x in pivot.items())
+    for k, x in terms:
+        old = row.get(k)
+        if old is None:
+            row[k] = x
+        else:
+            nv = old + x
+            if nv:
+                row[k] = nv
+            else:
+                del row[k]
+
+
 class Echelon:
     """An incremental row echelon of sparse vectors over Q.
 
     Each stored row is keyed by its pivot, its least index, where it is 1.
-    `add` clears the leading entry of a copy of v against the row with that
-    pivot until the lead is no pivot, so v reduces to zero iff it lies in
-    the span of the rows; otherwise the rest, scaled to lead 1, is stored.
+    `add` clears the leading entry of a copy of v (zero entries dropped)
+    against the row with that pivot until the lead is no pivot, so v reduces
+    to zero iff it lies in the span of the rows; otherwise the rest, scaled
+    to lead 1, is stored.  This forward step is the one elimination of the
+    module: `rref` back-substitutes its rows.
     """
 
     def __init__(self) -> None:
@@ -157,15 +179,20 @@ class Echelon:
     def add(self, v: SVec) -> bool:
         """Store v if it is independent of the rows; True if it was."""
         rows = self.rows
-        row = dict(v)
+        row = {k: c for k, c in v.items() if c}
         while row:
             lead = min(row)
             pivot = rows.get(lead)
             if pivot is None:
-                inv = 1 / row[lead]
-                rows[lead] = {k: c * inv for k, c in row.items()}
+                c = row[lead]
+                if c == -1:
+                    row = {k: -x for k, x in row.items()}
+                elif c != 1:
+                    inv = 1 / c
+                    row = {k: x * inv for k, x in row.items()}
+                rows[lead] = row
                 return True
-            axpy(row, -row[lead], pivot)
+            _eliminate(row, row[lead], pivot)
         return False
 
 
@@ -248,46 +275,43 @@ def int_rep_defect_pair(rows: Sequence[IntCols], nonzero: Sequence[List[int]],
     return out
 
 
-def rref(rows: Mat) -> tuple[Mat, List[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    a = mat_copy(rows)
-    n = len(a)
-    m = len(a[0]) if a else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv if x else x for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return a[:r], pivots
+def rref(rows: Sequence[SVec]) -> Tuple[List[SVec], List[int]]:
+    """Reduced row echelon form of sparse rows; returns (rows, pivot columns).
+
+    The forward step is `Echelon.add` on each row; then each row, in
+    decreasing pivot order, clears its entries at the later pivots against
+    the rows already reduced.  The reduced rows come in increasing pivot
+    order, each with a 1 at its pivot and no zero stored.
+    """
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    red = echelon.rows
+    pivots = sorted(red)
+    for p in reversed(pivots):
+        row = red[p]
+        for q in [q for q in row if q != p and q in red]:
+            _eliminate(row, row[q], red[q])
+    return [red[p] for p in pivots], pivots
 
 
-def nullspace(rows: Mat, ncols: Optional[int] = None) -> List[Vec]:
-    """Basis of {x : A x = 0} from the RREF, free variables set to 1."""
-    m = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-    if not rows:
-        return [e_vector(m, i) for i in range(m)]
+def nullspace(rows: List[SVec], ncols: int) -> List[Vec]:
+    """Basis of {x : A x = 0} for the sparse rows of A with ncols columns.
+
+    One vector per free (non-pivot) column of the RREF, in increasing order,
+    with that variable 1, the other free ones 0, and each pivot variable
+    minus its reduced row's entry at the free column.
+    """
     red, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [F0] * m
-        v[fc] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    free = {c: k for k, c in enumerate(c for c in range(ncols) if c not in pivot_set)}
+    basis = [[F0] * ncols for _ in free]
+    for c, k in free.items():
+        basis[k][c] = F1
+    for pc, row in zip(pivots, red):
+        for c, x in row.items():
+            if c != pc:
+                basis[free[c]][pc] = -x
     return basis
 
 
@@ -300,88 +324,67 @@ def e_vector(n: int, i: int) -> Vec:
 class SolveCache:
     """Repeated exact solves expressing vectors in a fixed independent column set.
 
-    One rref of [A^T | I] (A has the n given columns, of length m) finds n
-    pivot positions P, rows of A on which the columns are independent, and
-    the inverse of A_P, the n x n restriction of A to those rows.  Solving
-    A x = b is then x = (A_P)^-1 b_P, followed by the exact reconstruction
-    check A x == b: since A_P is invertible, it holds iff b lies in the span.
-    The rows of (A_P)^-1 and the columns of A are kept as sparse vectors,
-    and b is given as one.
+    One rref of the sparse rows of [A^T | I] (A has the n given columns, of
+    length m) finds n pivot positions P, rows of A on which the columns are
+    independent, and the inverse of A_P, the n x n restriction of A to
+    those rows.  Solving A x = b is then x = (A_P)^-1 b_P, accumulated from
+    the columns of (A_P)^-1 at the nonzero entries of b on P, followed by
+    the exact reconstruction check A x == b: since A_P is invertible, it
+    holds iff b lies in the span.  The columns of (A_P)^-1 and of A are
+    kept as sparse vectors, and b is given as one.
     """
 
     def __init__(self, columns: Mat):
-        n = len(columns)
+        self.n = n = len(columns)
         m = len(columns[0]) if columns else 0
-        red, pivots = rref([list(col) + e_vector(n, j) for j, col in enumerate(columns)])
+        self.columns: List[SVec] = [sparse(col) for col in columns]
+        red, pivots = rref([{**col, m + j: F1} for j, col in enumerate(self.columns)])
         if pivots and pivots[-1] >= m:
             raise ValueError("SolveCache: columns are not independent")
         # red = E [A^T | I] with E A^T = I on the pivot columns, so the right
-        # block E is the transpose of (A_P)^-1.
+        # block E is the transpose of (A_P)^-1: row r of it is column r.
         self.pivots = pivots
-        self.inverse_rows: List[SVec] = [{r: row[m + j] for r, row in enumerate(red) if row[m + j]}
-                                         for j in range(n)]
-        self.columns: List[SVec] = [sparse(col) for col in columns]
+        self._position = {p: r for r, p in enumerate(pivots)}
+        self.inverse_columns: List[SVec] = [{k - m: x for k, x in row.items() if k >= m}
+                                            for row in red]
 
     def solve(self, b: SVec) -> Vec:
         """Coefficients x with columns @ x = b for a sparse b; raises if b is outside the span."""
-        bp = [b.get(i, F0) for i in self.pivots]
-        x = [sum((c * bp[r] for r, c in row.items() if bp[r]), F0) for row in self.inverse_rows]
+        x: SVec = {}
+        for i, c in b.items():
+            r = self._position.get(i)
+            if r is not None:
+                axpy(x, c, self.inverse_columns[r])
         residual = dict(b)
-        for xj, col in zip(x, self.columns):
-            if xj:
-                axpy(residual, -xj, col)
+        for j, xj in x.items():
+            axpy(residual, -xj, self.columns[j])
         if residual:
             raise ValueError("SolveCache.solve: vector outside column span")
-        return x
-
-
-def det(a: Mat) -> Fraction:
-    """Determinant by fraction-free style elimination over Fraction."""
-    n = len(a)
-    m = mat_copy(a)
-    out = F1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return F0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
+        return [x.get(j, F0) for j in range(self.n)]
 
 
 def inverse(a: Mat) -> Mat:
+    """The inverse of a square matrix, from the rref of the sparse rows of [A | I]."""
     n = len(a)
-    aug = [a[i][:] + e_vector(n, i) for i in range(n)]
-    red, pivots = rref(aug)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse: matrix is not square")
+    red, pivots = rref([{**sparse(row), n + i: F1} for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("inverse: matrix is singular")
-    return [row[n:] for row in red]
+    return [[row.get(n + j, F0) for j in range(n)] for row in red]
 
 
 def primitive_integer_vector(v: Sequence[Fraction]) -> Vec:
     """Rescale a rational vector to integer entries with content 1.
 
-    The sign is normalized so the first nonzero entry is positive.
+    The scale is the lcm of the denominators over the gcd of the numerators
+    of the nonzero entries; its sign makes the first nonzero entry positive.
     """
-    denoms = [x.denominator for x in v if x != 0]
-    if not denoms:
+    nonzero = [x for x in v if x]
+    if not nonzero:
         return list(v)
-    mult = 1
-    for d in denoms:
-        mult = mult * d // gcd(mult, d)
-    ints = [int(x * mult) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+    den = lcm(*(x.denominator for x in nonzero))
+    num = gcd(*(x.numerator for x in nonzero))
+    if nonzero[0] < 0:
+        num = -num
+    return [Fraction(x.numerator * (den // x.denominator) // num) if x else F0 for x in v]

@@ -42,11 +42,11 @@ from .linalg import (
     apply_into,
     bilinear,
     columns,
-    det,
     e_vector,
     inverse,
     mat_vec,
     rep_defect_column,
+    rref,
     sparse,
     zeros,
 )
@@ -164,7 +164,7 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[Mat]:
         cols[2] = mat_vec(fj, base)
         cols[3] = mat_vec(fk, mat_vec(fj, base))
         t_mat = [[cols[c][r] for c in range(4)] for r in range(n)]
-        if det(t_mat) == 0:
+        if len(rref([sparse(row) for row in t_mat])[1]) < 4:
             raise ValueError("tensor identification is singular")
         out.append(t_mat)
     return out

@@ -35,6 +35,7 @@ from .linalg import (
     inverse,
     mat_vec,
     nullspace,
+    sparse,
 )
 from .magic import MagicAlgebra, build_magic_algebra
 from .triality import TrialityAlgebra, TrialityTriple, combine
@@ -461,7 +462,7 @@ def _chart_h(t: TrialityAlgebra, cartan) -> Tuple[TrialityTriple, ...]:
     out = []
     for slot in range(1, 4):
         # Solve for combinations whose slot-`slot` component vanishes.
-        rows = [list(row) for row in zip(*(h.diagonal(slot) for h in cartan))]
+        rows = [sparse(row) for row in zip(*(h.diagonal(slot) for h in cartan))]
         kernel = nullspace(rows, len(cartan))
         if len(kernel) != 1:
             raise ExtractionError("t(H) factor extraction failed")

@@ -4,14 +4,16 @@ t(A) is computed as the nullspace of the infinitesimal triality constraint
     theta3(x y) = theta1(x) y + x theta2(y)   for all x, y in A,
 inside so(Q)^3; the known type table (0, 2-dim abelian, sl2^3, so8) is a
 test expectation, not an input.  The constraint rows are read off the
-structure constants of A, one row per coefficient e_r of the relation on
-e_i, e_j.  The basis puts a basis of the diagonal (Cartan) part first and
-completes it greedily with one incremental echelon; coordinates in it come
-from one `SolveCache` (pivot-position solves with an exact reconstruction
-check).  Each element is stored as its three components in the column-map
-format of `linalg` (column j is theta_i(e_j), no zeros stored);
-combinations, brackets, the calibration and the consumers in `magic`,
-`modules` and `roots` read the maps.
+structure constants of A as sparse rows, one per coefficient e_r of the
+relation on e_i, e_j, and only the nonzero ones (320 of 512 for t(O)) go
+to the sparse exact elimination of `linalg.nullspace`.  The basis puts a
+basis of the diagonal (Cartan) part first, found by a second sparse
+nullspace, and completes it greedily with one incremental echelon;
+coordinates in it come from one `SolveCache` (pivot-position solves with
+an exact reconstruction check).  Each element is stored as its three
+components in the column-map format of `linalg` (column j is theta_i(e_j),
+no zeros stored); combinations, brackets, the calibration and the
+consumers in `magic`, `modules` and `roots` read the maps.
 
 The invariant form K on t(A) is a single rational multiple of the sum of the
 three componentwise trace forms.  Psi_i is the K-dual of slot i:
@@ -157,22 +159,27 @@ class TrialityAlgebra:
         # for the column map m of each so(Q) basis matrix.
         ct = alg.ctable
         so_maps = [_col_map(m) for m in so_basis]
-        rows: List[Vec] = [[F0] * (3 * d) for _ in range(n ** 3)]
+        rows: Dict[int, SVec] = {}
+
+        def add(key: int, k: int, x: Fraction) -> None:
+            row = rows.setdefault(key, {})
+            row[k] = row.get(k, F0) + x
+
         for k, m in enumerate(so_maps):
             for s, col in m.items():
                 for t, c in col.items():
                     for j in range(n):
                         for r, x in ct[t][j].items():
-                            rows[(s * n + j) * n + r][k] -= c * x
+                            add((s * n + j) * n + r, k, -c * x)
                         for r, x in ct[j][t].items():
-                            rows[(j * n + s) * n + r][d + k] -= c * x
+                            add((j * n + s) * n + r, d + k, -c * x)
             for i in range(n):
                 for j in range(n):
                     for s, x in ct[i][j].items():
                         for r, y in m.get(s, {}).items():
-                            rows[(i * n + j) * n + r][2 * d + k] += x * y
+                            add((i * n + j) * n + r, 2 * d + k, x * y)
         basis = []
-        for v in nullspace(rows, 3 * d):
+        for v in nullspace(list(rows.values()), 3 * d):
             v = primitive_integer_vector(v)
             basis.append(TrialityTriple(tuple(map_combination(v[c * d:(c + 1) * d], so_maps)
                                               for c in range(3)), n))
@@ -189,13 +196,16 @@ class TrialityAlgebra:
         """
         if not basis:
             return basis, 0
-        n = self.alg.dim
-        flats = [t.flat() for t in basis]
-        # Conditions: off-diagonal entries of all three components vanish.
-        off_positions = [c * n * n + r * n + s
-                         for c in range(3) for r in range(n) for s in range(n) if r != s]
-        rows = [[f[pos] for f in flats] for pos in off_positions]
-        cartan_coords = nullspace(rows, len(basis))
+        # Conditions: off-diagonal entries of all three components vanish;
+        # the row of entry (i, r, s) holds that entry of each basis triple.
+        rows: Dict[Tuple[int, int, int], SVec] = {}
+        for k, t in enumerate(basis):
+            for i, m in enumerate(t.thetas):
+                for s, col in m.items():
+                    for r, x in col.items():
+                        if r != s:
+                            rows.setdefault((i, r, s), {})[k] = x
+        cartan_coords = nullspace(list(rows.values()), len(basis))
         cartan = [combine(primitive_integer_vector(v), basis) for v in cartan_coords]
         # Complete greedily to a full basis: take b when its flat does not
         # reduce to zero against the echelon of the flats chosen before it.
@@ -208,6 +218,8 @@ class TrialityAlgebra:
 
     def coords(self, t: TrialityTriple) -> Vec:
         """Coordinates of a triple in the stored basis (raises if outside t(A))."""
+        if t.n != self.alg.dim:
+            raise ValueError("element dimension mismatch")
         if self.dim == 0:
             if not t.is_zero():
                 raise ValueError("nonzero triple in trivial t(A)")
@@ -215,6 +227,8 @@ class TrialityAlgebra:
         return self._solver.solve(t.sparse_flat())
 
     def from_coords(self, v: Sequence[Fraction]) -> TrialityTriple:
+        if len(v) != self.dim:
+            raise ValueError("element dimension mismatch")
         if self.dim == 0:
             return TrialityTriple(({}, {}, {}), self.alg.dim)
         return combine(v, self.basis)
@@ -268,19 +282,25 @@ class TrialityAlgebra:
                          for k, ex in enumerate(entries) if (i, r, p) in ex}
                     table[(p, q)] = sum_solver.solve(f)
             raw.append(table)
-        # Scale so that Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) exactly.
+        # Scale so that Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) exactly,
+        # on every basis pair u = e_p, v = e_q and every x = e_j, comparing the
+        # entries where either side is nonzero.
+        ct, conj = alg.ctable, alg.conj
+        slot2 = [t.thetas[1] for t in self.basis]
         scale = None
         for (p, q), coords in raw[0].items():
-            m2 = self.from_coords(coords).thetas[1]
-            u, v = alg.basis_element(p), alg.basis_element(q)
-            cu, cv = alg.conjugate(u), alg.conjugate(v)
+            m2 = map_combination(coords, slot2)
             for j in range(n):
-                x = alg.basis_element(j)
-                target = [a - b for a, b in
-                          zip(alg.multiply(cv, alg.multiply(u, x)),
-                              alg.multiply(cu, alg.multiply(v, x)))]
+                target: SVec = {}
+                for a, b, sign in ((q, p, F1), (p, q, -F1)):
+                    # sign conj(e_a)(e_b e_j), conj(e_a) = c e_l.
+                    l, c = conj[a]
+                    for s, x in ct[b][j].items():
+                        for r, y in ct[l][s].items():
+                            target[r] = target.get(r, F0) + sign * c * x * y
                 got = m2.get(j, {})
-                for r, tg in enumerate(target):
+                for r in sorted(target.keys() | got.keys()):
+                    tg = target.get(r, F0)
                     gt = got.get(r, F0)
                     if tg != 0 or gt != 0:
                         if gt == 0:
@@ -330,6 +350,8 @@ class TrialityAlgebra:
 
     def k_form_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         """K on two coordinate vectors in the stored basis."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("element dimension mismatch")
         return bilinear(self.k_matrix(), x, y)
 
     def cartan_basis(self) -> List[TrialityTriple]:

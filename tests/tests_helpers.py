@@ -1,8 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import (F0, mat_mul, mat_vec, nullspace, primitive_integer_vector, rref,
-                                scaled_int_columns)
+from magicsquare.linalg import F0, mat_mul, mat_vec, scaled_int_columns
 from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
                                 hilbert_ray)
 from magicsquare.triality import TrialityTriple, combine
@@ -118,11 +118,88 @@ def gram_matrix(g):
     return [[g.invariant_form(x, y) for y in basis] for x in basis]
 
 
+def reference_rref(rows):
+    """Dense reduced row echelon form: (rows, pivot columns), by column-wise pivoting.
+
+    The reference for the sparse `linalg.rref`; an RREF is unique, so both
+    must agree exactly on the nonzero rows.
+    """
+    a = [row[:] for row in rows]
+    n = len(a)
+    m = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(m):
+        pivot = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv if x else x for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return a[:r], pivots
+
+
+def reference_nullspace(rows, ncols):
+    """Basis of {x : A x = 0} for dense rows, read off `reference_rref`, free variables set to 1."""
+    red, pivots = reference_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [F0] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_inverse(a):
+    """The inverse of a dense square matrix from `reference_rref` of [A | I]."""
+    n = len(a)
+    red, pivots = reference_rref([row[:] + [Fraction(int(i == j)) for j in range(n)]
+                                  for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ValueError("singular")
+    return [row[n:] for row in red]
+
+
+def reference_primitive_integer_vector(v):
+    """v scaled by the lcm of all denominators, divided by the gcd, first nonzero entry positive."""
+    denoms = [x.denominator for x in v if x != 0]
+    if not denoms:
+        return list(v)
+    mult = 1
+    for d in denoms:
+        mult = mult * d // gcd(mult, d)
+    ints = [int(x * mult) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    ints = [x // g for x in ints]
+    if next(x for x in ints if x != 0) < 0:
+        ints = [-x for x in ints]
+    return [Fraction(x) for x in ints]
+
+
+def full_rank(a):
+    """A dense matrix has rank equal to its number of rows, by `reference_rref`."""
+    return len(reference_rref(a)[1]) == len(a)
+
+
 def reference_triality_basis(alg):
     """t(A)'s Cartan-first basis and Cartan dimension by the direct construction.
 
-    The constraint rows come from `alg.multiply` on basis vectors, and the
-    Cartan-first completion runs one `rref` per candidate on the whole trial
+    The constraint rows come from `alg.multiply` on basis vectors, the
+    elimination is the dense `reference_rref`, and the Cartan-first
+    completion runs one `reference_rref` per candidate on the whole trial
     set.  `TrialityAlgebra` must give the same basis, triple for triple.
     """
     n = alg.dim
@@ -146,8 +223,8 @@ def reference_triality_basis(alg):
                     row[2 * d + k] += sum((c * m[r][kk] for kk, c in prod.items()), F0)
                 rows.append(row)
     basis = []
-    for v in nullspace(rows, 3 * d):
-        v = primitive_integer_vector(v)
+    for v in reference_nullspace(rows, 3 * d):
+        v = reference_primitive_integer_vector(v)
         mats = []
         for c in range(3):
             m = [[F0] * n for _ in range(n)]
@@ -161,12 +238,11 @@ def reference_triality_basis(alg):
     off_positions = [c * n * n + r * n + s
                      for c in range(3) for r in range(n) for s in range(n) if r != s]
     rows = [[f[pos] for f in flats] for pos in off_positions]
-    cartan = [combine(primitive_integer_vector(v), basis)
-              for v in nullspace(rows, len(basis))]
+    cartan = [combine(reference_primitive_integer_vector(v), basis)
+              for v in reference_nullspace(rows, len(basis))]
     chosen = list(cartan)
     for b in basis:
-        trial = [t.flat() for t in chosen] + [b.flat()]
-        if len(rref(trial)[1]) == len(trial):
+        if full_rank([t.flat() for t in chosen] + [b.flat()]):
             chosen.append(b)
     return chosen, len(cartan)
 
