@@ -61,6 +61,15 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _labels(text: str) -> List[int]:
+    """Comma-separated integer Dynkin labels."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer labels, got {text!r}") from None
+
+
 def _rationals(text: str) -> List[Fraction]:
     """Comma-separated rationals; an empty string selects the default grid."""
     return [_rational(x) for x in text.split(",")] if text else []
@@ -196,24 +205,51 @@ def _load_datum(spec: str) -> RootDatum:
 FACTORED_SERIES = {"exceptional": S.EXCEPTIONAL, "subexceptional": S.SUBEXCEPTIONAL,
                    "severi": S.SEVERI}
 
+# The options each dim mode reads; giving any other one is a usage error.
+DIM_MODES = {
+    "--datum": ("--datum", "--weight"),
+    "--series exceptional": ("--series", "-p", "-q", "-r", "-s", "-a", "--factored"),
+    "--series subexceptional": ("--series", "-p", "-q", "-r", "-a", "--factored"),
+    "--series severi": ("--series", "-p", "--pstar", "-a", "--factored"),
+    "--series thirdrow": ("--series", "-k", "--r-param", "-a", "--factored"),
+    "--series so-family": ("--series", "-k", "-t", "--factored"),
+}
+# The integer parameters' defaults: the parser stores None for an option not
+# given, so that a given one is told apart from its default.
+DIM_DEFAULTS = {"-p": 0, "-q": 0, "-r": 0, "-s": 0, "--pstar": 0, "-k": 1, "-t": 1,
+                "--r-param": 3}
+DIM_OPTIONS = ("--series", "--datum", "--weight", "-a", "--factored", *DIM_DEFAULTS)
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
 
 def cmd_dim(args) -> int:
     if args.datum:
-        if not args.weight:
+        if args.weight is None:
             print("dim: --datum requires --weight", file=sys.stderr)
             return 2
-        rd = _load_datum(args.datum)
-        labels = [int(x) for x in args.weight.split(",")]
-        w = rd.weight_from_fund(labels)
-        print(rd.weyl_dim(w))
-        return 0
-    if not args.series:
+    elif not args.series:
         print("dim: need --series or --datum", file=sys.stderr)
         return 2
-    a = args.a
-    if a is None and args.series != "so-family":
+    elif args.a is None and args.series != "so-family":
         print(f"dim: --series {args.series} requires -a", file=sys.stderr)
         return 2
+    mode = "--datum" if args.datum else f"--series {args.series}"
+    extra = [f for f in DIM_OPTIONS
+             if f not in DIM_MODES[mode] and getattr(args, _dest(f)) is not None]
+    if extra:
+        print(f"dim: {mode} does not take {extra[0]}", file=sys.stderr)
+        return 2
+    for flag, default in DIM_DEFAULTS.items():
+        if getattr(args, _dest(flag)) is None:
+            setattr(args, _dest(flag), default)
+    if args.datum:
+        rd = _load_datum(args.datum)
+        print(rd.weyl_dim(rd.weight_from_fund(args.weight)))
+        return 0
+    a = args.a
     if args.series == "exceptional":
         exps = {"p": args.p, "q": args.q, "r": args.r, "s": args.s}
         res = S.evaluate_series(S.EXCEPTIONAL, exps, a)
@@ -225,11 +261,8 @@ def cmd_dim(args) -> int:
         res = S.severi_dim(args.p, args.pstar, a)
     elif args.series == "thirdrow":
         res = S.thirdrow_dim(args.k, args.r_param, a)
-    elif args.series == "so-family":
-        res = S.so_family_dim(args.k, args.t)
     else:
-        print(f"dim: unknown series {args.series}", file=sys.stderr)
-        return 2
+        res = S.so_family_dim(args.k, args.t)
     if res.pole:
         print("pole: a denominator linear form vanishes at these parameters")
         return 0
@@ -408,18 +441,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--series",
                    choices=["exceptional", "subexceptional", "severi",
                             "thirdrow", "so-family"])
-    p.add_argument("-p", type=int, default=0)
-    p.add_argument("-q", type=int, default=0)
-    p.add_argument("-r", type=int, default=0)
-    p.add_argument("-s", type=int, default=0)
-    p.add_argument("--pstar", type=int, default=0)
-    p.add_argument("-k", type=int, default=1)
-    p.add_argument("-t", type=int, default=1)
-    p.add_argument("--r-param", type=int, default=3, help="row parameter for thirdrow")
+    for flag, default in DIM_DEFAULTS.items():
+        p.add_argument(flag, type=int, help=f"default {default}")
     p.add_argument("-a", type=_rational)
-    p.add_argument("--factored", action="store_true")
+    p.add_argument("--factored", action="store_true", default=None)
     p.add_argument("--datum", help="builtin:<name> or a root-datum JSON file")
-    p.add_argument("--weight", help="comma-separated fundamental-weight labels")
+    p.add_argument("--weight", type=_labels, help="comma-separated fundamental-weight labels")
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("crosscheck", help="run the formula-vs-oracle harness")

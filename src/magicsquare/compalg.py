@@ -26,10 +26,12 @@ from .exact import rat_str
 from .linalg import (
     F0,
     F1,
+    ColMap,
     Mat,
     SVec,
     Vec,
     bilinear,
+    columns,
     identity,
     inverse,
     mat_mul,
@@ -142,8 +144,8 @@ class CompAlg:
 
     # -- so(Q) ----------------------------------------------------------------
 
-    def so_q_basis(self) -> List[Mat]:
-        """Basis of {M : M^T Q + Q M = 0} as dense matrices."""
+    def so_q_basis(self) -> List[ColMap]:
+        """Basis of {M : M^T Q + Q M = 0} as column maps (column j is M e_j)."""
         n = self.dim
         rows = []
         for r in range(n):
@@ -156,10 +158,8 @@ class CompAlg:
                     if self.gram[r][k] != 0:
                         row[k * n + c] = row.get(k * n + c, F0) + self.gram[r][k]
                 rows.append(row)
-        return [
-            [v[i * n:(i + 1) * n] for i in range(n)]
-            for v in nullspace(rows, n * n)
-        ]
+        return [columns({divmod(k, n): x for k, x in enumerate(v)})
+                for v in nullspace(rows, n * n)]
 
     def dump(self) -> dict:
         return {

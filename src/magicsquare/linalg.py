@@ -9,7 +9,8 @@ scaled maps.  `Echelon` is the one elimination of the module: an
 incremental row echelon of sparse vectors, for independence tests and rank
 counts, whose forward step `rref` shares before back-substituting.  The
 solvers go through `rref` on sparse rows: `nullspace`, `inverse` and
-`SolveCache` (pivot-position solves with an exact reconstruction check).
+`SolveCache` (pivot-position solves with an exact reconstruction check,
+sparse columns in, sparse solutions out).
 Constraint matrices here are large and very sparse (the t(O) triality
 constraint has 320 nonzero rows of 84 columns, about two entries of +-1
 each), so the elimination never forms a dense row.  For the Jacobi check a
@@ -115,15 +116,15 @@ def apply_into(out: SVec, m: ColMap, v: SVec, c: Fraction = F1) -> None:
             axpy(out, c * x, col)
 
 
-def map_combination(coeffs: Sequence[Fraction], maps: Sequence[ColMap]) -> ColMap:
-    """sum_k coeffs[k] maps[k] as a column map, dropping what cancels to zero."""
+def map_combination(coeffs: SVec, maps: Sequence[ColMap]) -> ColMap:
+    """sum_k coeffs[k] maps[k] over the entries of the sparse coeffs, as a column
+    map, dropping what cancels to zero."""
     out: ColMap = {}
-    for c, m in zip(coeffs, maps):
-        if c:
-            for j, col in m.items():
-                axpy(out.setdefault(j, {}), c, col)
-                if not out[j]:
-                    del out[j]
+    for k, c in coeffs.items():
+        for j, col in maps[k].items():
+            axpy(out.setdefault(j, {}), c, col)
+            if not out[j]:
+                del out[j]
     return out
 
 
@@ -315,29 +316,23 @@ def nullspace(rows: List[SVec], ncols: int) -> List[Vec]:
     return basis
 
 
-def e_vector(n: int, i: int) -> Vec:
-    v = [F0] * n
-    v[i] = F1
-    return v
-
-
 class SolveCache:
-    """Repeated exact solves expressing vectors in a fixed independent column set.
+    """Repeated exact solves expressing sparse vectors in a fixed independent column set.
 
-    One rref of the sparse rows of [A^T | I] (A has the n given columns, of
-    length m) finds n pivot positions P, rows of A on which the columns are
+    The n columns of A are sparse vectors; m, one past their largest index,
+    is the offset of the identity block.  One rref of the sparse rows of
+    [A^T | I] finds n pivot positions P, rows of A on which the columns are
     independent, and the inverse of A_P, the n x n restriction of A to
-    those rows.  Solving A x = b is then x = (A_P)^-1 b_P, accumulated from
-    the columns of (A_P)^-1 at the nonzero entries of b on P, followed by
-    the exact reconstruction check A x == b: since A_P is invertible, it
-    holds iff b lies in the span.  The columns of (A_P)^-1 and of A are
-    kept as sparse vectors, and b is given as one.
+    those rows (leads go by least index, so only the two blocks' relative
+    order matters).  Solving A x = b is then x = (A_P)^-1 b_P, accumulated
+    from the columns of (A_P)^-1 at the nonzero entries of b on P, followed
+    by the exact reconstruction check A x == b: since A_P is invertible, it
+    holds iff b lies in the span.  b and x are sparse, no zero stored.
     """
 
-    def __init__(self, columns: Mat):
-        self.n = n = len(columns)
-        m = len(columns[0]) if columns else 0
-        self.columns: List[SVec] = [sparse(col) for col in columns]
+    def __init__(self, columns: Sequence[SVec]):
+        self.columns: List[SVec] = list(columns)
+        m = 1 + max((k for col in self.columns for k in col), default=-1)
         red, pivots = rref([{**col, m + j: F1} for j, col in enumerate(self.columns)])
         if pivots and pivots[-1] >= m:
             raise ValueError("SolveCache: columns are not independent")
@@ -348,8 +343,8 @@ class SolveCache:
         self.inverse_columns: List[SVec] = [{k - m: x for k, x in row.items() if k >= m}
                                             for row in red]
 
-    def solve(self, b: SVec) -> Vec:
-        """Coefficients x with columns @ x = b for a sparse b; raises if b is outside the span."""
+    def solve(self, b: SVec) -> SVec:
+        """Coefficients x with columns @ x = b; raises if b is outside the span."""
         x: SVec = {}
         for i, c in b.items():
             r = self._position.get(i)
@@ -360,7 +355,7 @@ class SolveCache:
             axpy(residual, -xj, self.columns[j])
         if residual:
             raise ValueError("SolveCache.solve: vector outside column span")
-        return [x.get(j, F0) for j in range(self.n)]
+        return x
 
 
 def inverse(a: Mat) -> Mat:

@@ -135,7 +135,7 @@ class MagicAlgebra:
             for k, x in enumerate(t.basis):
                 for l in range(k + 1, t.dim):
                     put(off + k, off + l,
-                        {off + i: c for i, c in enumerate(t.bracket_coords(k, l)) if c})
+                        {off + i: c for i, c in t.bracket_coords(k, l).items()})
                 for s, theta in enumerate(x.thetas):
                     for p, col in theta.items():
                         for pos, j in enumerate(leg[s][p]):

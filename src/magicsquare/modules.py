@@ -35,18 +35,14 @@ from .linalg import (
     F1,
     ColMap,
     Entries,
-    Mat,
     SolveCache,
     SVec,
     Vec,
     apply_into,
     bilinear,
     columns,
-    e_vector,
-    inverse,
-    mat_vec,
+    map_combination,
     rep_defect_column,
-    rref,
     sparse,
     zeros,
 )
@@ -112,61 +108,52 @@ class GModule:
 # -- sl2 structure of the t(H) factors -----------------------------------------
 
 
-def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, Vec]]:
-    """For B = H: coordinates (in the t(B) basis) of e, h, f per sl2 factor.
+def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, SVec]]:
+    """For B = H: sparse coordinates (in the t(B) basis) of e, h, f per sl2 factor.
 
     h is the chart element h_fi of factor fi; e and f are the basis vectors
     of weight +2 and -2 under it, with f scaled so that [e, f] = h.
     """
     tb = g.tB
     weights = factor_weights(tb)
-    d = tb.dim
     out = []
     for fi, h in enumerate(cartan_chart(tb)):  # factor fi acts trivially on slot fi+1
-        hc = tb.coords(h)
+        hc = tb.sparse_coords(h)
         found = [[k for k, w in enumerate(weights) if w[fi] == c] for c in (2, -2)]
         if any(len(ks) != 1 for ks in found):
             raise ValueError("sl2 weight space not one-dimensional")
         (k,), (l,) = found
         ef = tb.bracket_coords(k, l)
-        ratio = next((ef[t] / hc[t] for t in range(d) if hc[t] != 0), None)
+        ratio = ef.get(min(hc), F0) / hc[min(hc)] if hc else None
         if not ratio:
             raise ValueError("degenerate sl2 triple")
         # normalize [e,f] = h
-        if [c / ratio for c in ef] != hc:
+        if {t: c / ratio for t, c in ef.items()} != hc:
             raise ValueError("sl2 normalization failed")
-        f_vec = [F0] * d
-        f_vec[l] = 1 / ratio
-        out.append({"h": hc, "e": e_vector(d, k), "f": f_vec})
+        out.append({"h": hc, "e": {k: F1}, "f": {l: 1 / ratio}})
     return out
 
 
-def _tensor_identification(g: MagicAlgebra, factors) -> List[Mat]:
-    """Per slot s: matrix T with column (2*eps+del) = coordinates in the H basis
-    of the vector identified with u_eps(j) @ u_del(k), j,k the acting factors."""
+def _tensor_identification(g: MagicAlgebra, factors) -> List[SolveCache]:
+    """Per slot s: the solver over the columns T_(2*eps+del), the coordinates in
+    the H basis of the vector identified with u_eps(j) @ u_del(k), j,k the
+    acting factors; it raises if the four are dependent."""
     tb = g.tB
-    n = tb.alg.dim  # 4
     out = []
     for s in range(3):
         j, k = [i for i in range(3) if i != s]
         pos = {(w[j], w[k]): t for t, w in enumerate(slot_weights(tb)[s])}
         if len(pos) != 4:
             raise ValueError("slot weights are degenerate")
-        top = pos[(F1, F1)]
         # Lowering operators of the two factors, acting in slot s+1.
-        fj = tb.from_coords(factors[j]["f"]).component(s + 1)
-        fk = tb.from_coords(factors[k]["f"]).component(s + 1)
-        cols: List[Vec] = [None] * 4  # order: ++, +-, -+, --
-        base = [F0] * n
-        base[top] = F1
-        cols[0] = base
-        cols[1] = mat_vec(fk, base)
-        cols[2] = mat_vec(fj, base)
-        cols[3] = mat_vec(fk, mat_vec(fj, base))
-        t_mat = [[cols[c][r] for c in range(4)] for r in range(n)]
-        if len(rref([sparse(row) for row in t_mat])[1]) < 4:
-            raise ValueError("tensor identification is singular")
-        out.append(t_mat)
+        slot_maps = [t.thetas[s] for t in tb.basis]
+        fj, fk = (map_combination(factors[i]["f"], slot_maps) for i in (j, k))
+        base = {pos[(F1, F1)]: F1}
+        cols: List[SVec] = [base, {}, {}, {}]  # order: ++, +-, -+, --
+        apply_into(cols[1], fk, base)
+        apply_into(cols[2], fj, base)
+        apply_into(cols[3], fk, cols[2])
+        out.append(SolveCache(cols))
     return out
 
 
@@ -218,7 +205,6 @@ def build_V_module(tag_a: str) -> GModule:
     dim = ix.dim
     factors = _sl2_factor_bases(g)
     tensors = _tensor_identification(g, factors)
-    tensors_inv = [inverse(t) for t in tensors]
     c1, c2, c3, c4 = V_SCALARS
 
     def omega(x: int, y: int) -> Fraction:
@@ -237,13 +223,13 @@ def build_V_module(tag_a: str) -> GModule:
     sl2_mats = {"h": [[F1, F0], [F0, -F1]], "e": [[F0, F1], [F0, F0]],
                 "f": [[F0, F0], [F1, F0]]}
 
-    for t in g.tB.basis:
-        coords = fact_solver.solve(sparse(g.tB.coords(t)))
+    for b in range(g.tB.dim):
+        coords = fact_solver.solve({b: F1})
         m: Entries = defaultdict(Fraction)
         for fi in range(3):
             for wi, which in enumerate(("h", "e", "f")):
-                coeff = coords[3 * fi + wi]
-                if coeff == 0:
+                coeff = coords.get(3 * fi + wi)
+                if coeff is None:
                     continue
                 u = sl2_mats[which]
                 # on A_s @ U_s with s = fi
@@ -269,7 +255,6 @@ def build_V_module(tag_a: str) -> GModule:
     for s in range(3):
         jf, kf = [i for i in range(3) if i != s]
         s1, s2 = (s + 1) % 3, (s + 2) % 3
-        tinv = tensors_inv[s]
         for p in range(a):
             # (3) A_{s+1} @ U_{s+1} -> A_{s+2} @ U_{s+2} and (4) back.
             mults = ((s1, s2, c3, [algA.slot_product(s, p, y) for y in range(a)]),
@@ -277,10 +262,8 @@ def build_V_module(tag_a: str) -> GModule:
             for q in range(4):
                 m: Entries = defaultdict(Fraction)
                 # decompose the H basis vector q into tensor coordinates
-                tens = [tinv[c][q] for c in range(4)]  # coords over ++, +-, -+, --
-                for ci, coeff in enumerate(tens):
-                    if coeff == 0:
-                        continue
+                tens = tensors[s].solve({q: F1})  # coords over ++, +-, -+, --
+                for ci, coeff in sorted(tens.items()):
                     eps, dl = divmod(ci, 2)
                     # (1) UUU -> A_s @ U_s
                     for al in range(2):
@@ -370,12 +353,12 @@ def build_W_module(tag_a: str) -> GModule:
 
     # The torus t(B) acts by weights: -w_s on A_s @ L_s, +2 w_s on the lines.
     # t(C+C) is its own Cartan, so every basis element is a chart combination.
-    chart_solver = SolveCache([g.tB.coords(h) for h in chart])
-    for t in g.tB.basis:
-        chart_coords = chart_solver.solve(sparse(g.tB.coords(t)))
+    chart_solver = SolveCache([g.tB.sparse_coords(h) for h in chart])
+    for b in range(g.tB.dim):
+        chart_coords = chart_solver.solve({b: F1})
         m: Entries = defaultdict(Fraction)
         for s in range(3):
-            wt = sum(c * w for c, w in zip(chart_coords, omega_lines[s]))
+            wt = sum((c * omega_lines[s][i] for i, c in chart_coords.items()), F0)
             for p in range(a):
                 m[ix.al(s, p), ix.al(s, p)] += -wt
             m[ix.line(s), ix.line(s)] += 2 * wt

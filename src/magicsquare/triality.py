@@ -10,10 +10,11 @@ to the sparse exact elimination of `linalg.nullspace`.  The basis puts a
 basis of the diagonal (Cartan) part first, found by a second sparse
 nullspace, and completes it greedily with one incremental echelon;
 coordinates in it come from one `SolveCache` (pivot-position solves with
-an exact reconstruction check).  Each element is stored as its three
-components in the column-map format of `linalg` (column j is theta_i(e_j),
-no zeros stored); combinations, brackets, the calibration and the
-consumers in `magic`, `modules` and `roots` read the maps.
+an exact reconstruction check), sparse in and out.  Each element, like
+each so(Q) basis matrix, is stored in the column-map format of `linalg`
+(column j is theta_i(e_j), no zeros stored); combinations, brackets, the
+calibration and the consumers in `magic`, `modules` and `roots` read the
+maps.  `coords` and `component` are the only dense views.
 
 The invariant form K on t(A) is a single rational multiple of the sum of the
 three componentwise trace forms.  Psi_i is the K-dual of slot i:
@@ -51,16 +52,12 @@ from .linalg import (
     Vec,
     apply_into,
     bilinear,
-    columns,
     map_combination,
     nullspace,
     primitive_integer_vector,
+    sparse,
     zeros,
 )
-
-
-def _col_map(m: Sequence[Sequence[Fraction]]) -> ColMap:
-    return columns({(r, s): x for r, row in enumerate(m) for s, x in enumerate(row) if x})
 
 
 @dataclass(frozen=True)
@@ -68,15 +65,11 @@ class TrialityTriple:
     """(theta1, theta2, theta3) in so(Q)^3 as the column maps of the n x n components.
 
     Column j of thetas[i - 1] is theta_i(e_j); zero entries and zero columns
-    are left out, so two triples are equal iff their maps are.  `component`,
-    `mats` and `flat` are dense views.
+    are left out, so two triples are equal iff their maps are.  `component`
+    is the one dense view, for `TrialityAlgebra.dump`.
     """
     thetas: Tuple[ColMap, ColMap, ColMap]
     n: int
-
-    @staticmethod
-    def from_mats(m1: Mat, m2: Mat, m3: Mat) -> "TrialityTriple":
-        return TrialityTriple((_col_map(m1), _col_map(m2), _col_map(m3)), len(m1))
 
     def component(self, i: int) -> Mat:
         out = zeros(self.n, self.n)
@@ -85,14 +78,9 @@ class TrialityTriple:
                 out[r][j] = x
         return out
 
-    def mats(self) -> Tuple[Mat, Mat, Mat]:
-        return self.component(1), self.component(2), self.component(3)
-
-    def flat(self) -> Vec:
-        return [x for m in self.mats() for row in m for x in row]
-
     def sparse_flat(self) -> SVec:
-        """The nonzero entries of `flat()`, keyed by position, read off the maps."""
+        """The nonzero entries of the three components, entry (r, s) of theta_i
+        at ((i - 1) n + r) n + s, read off the maps."""
         n = self.n
         return {(i * n + r) * n + s: x for i, m in enumerate(self.thetas)
                 for s, col in m.items() for r, x in col.items()}
@@ -108,7 +96,8 @@ class TrialityTriple:
 
 def combine(coeffs: Sequence[Fraction], triples: Sequence[TrialityTriple]) -> TrialityTriple:
     """The linear combination sum_i coeffs[i] triples[i] of a nonempty list of triples."""
-    return TrialityTriple(tuple(map_combination(coeffs, [t.thetas[i] for t in triples])
+    sv = sparse(coeffs)
+    return TrialityTriple(tuple(map_combination(sv, [t.thetas[i] for t in triples])
                                 for i in range(3)), triples[0].n)
 
 
@@ -136,9 +125,8 @@ class TrialityAlgebra:
         self.alg = alg
         self.basis, self.cartan_dim = self._compute_basis()
         self.dim = len(self.basis)
-        if self.dim:
-            self._solver = SolveCache([t.flat() for t in self.basis])
-        self._bracket_cache: Dict[Tuple[int, int], Vec] = {}
+        self._solver = SolveCache([t.sparse_flat() for t in self.basis])
+        self._bracket_cache: Dict[Tuple[int, int], SVec] = {}
         self._psi_tables: Optional[List[Dict[Tuple[int, int], SVec]]] = None
         self._k_matrix: Optional[Mat] = None
 
@@ -148,8 +136,8 @@ class TrialityAlgebra:
         """Basis of t(A), Cartan-first, and the number of Cartan elements."""
         alg = self.alg
         n = alg.dim
-        so_basis = alg.so_q_basis()
-        d = len(so_basis)
+        so_maps = alg.so_q_basis()
+        d = len(so_maps)
         if d == 0:
             return [], 0
         # Unknowns: coordinates of (theta1, theta2, theta3) in the so(Q) basis.
@@ -158,7 +146,6 @@ class TrialityAlgebra:
         # read off the structure constants with theta(e_s) = sum_t m[s][t] e_t
         # for the column map m of each so(Q) basis matrix.
         ct = alg.ctable
-        so_maps = [_col_map(m) for m in so_basis]
         rows: Dict[int, SVec] = {}
 
         def add(key: int, k: int, x: Fraction) -> None:
@@ -181,8 +168,8 @@ class TrialityAlgebra:
         basis = []
         for v in nullspace(list(rows.values()), 3 * d):
             v = primitive_integer_vector(v)
-            basis.append(TrialityTriple(tuple(map_combination(v[c * d:(c + 1) * d], so_maps)
-                                              for c in range(3)), n))
+            basis.append(TrialityTriple(tuple(
+                map_combination(sparse(v[c * d:(c + 1) * d]), so_maps) for c in range(3)), n))
         return self._cartan_first(basis)
 
     def _cartan_first(self, basis: List[TrialityTriple]) -> Tuple[List[TrialityTriple], int]:
@@ -216,15 +203,16 @@ class TrialityAlgebra:
 
     # -- coordinates and bracket ------------------------------------------------
 
-    def coords(self, t: TrialityTriple) -> Vec:
-        """Coordinates of a triple in the stored basis (raises if outside t(A))."""
+    def sparse_coords(self, t: TrialityTriple) -> SVec:
+        """Sparse coordinates of a triple in the stored basis (raises if outside t(A))."""
         if t.n != self.alg.dim:
             raise ValueError("element dimension mismatch")
-        if self.dim == 0:
-            if not t.is_zero():
-                raise ValueError("nonzero triple in trivial t(A)")
-            return []
         return self._solver.solve(t.sparse_flat())
+
+    def coords(self, t: TrialityTriple) -> Vec:
+        """`sparse_coords` as a dense vector of length dim."""
+        x = self.sparse_coords(t)
+        return [x.get(k, F0) for k in range(self.dim)]
 
     def from_coords(self, v: Sequence[Fraction]) -> TrialityTriple:
         if len(v) != self.dim:
@@ -233,13 +221,13 @@ class TrialityAlgebra:
             return TrialityTriple(({}, {}, {}), self.alg.dim)
         return combine(v, self.basis)
 
-    def bracket_coords(self, k: int, l: int) -> Vec:
-        """Coordinates of [basis_k, basis_l]; cached."""
+    def bracket_coords(self, k: int, l: int) -> SVec:
+        """Sparse coordinates of [basis_k, basis_l]; cached."""
         if (k, l) in self._bracket_cache:
             return self._bracket_cache[(k, l)]
-        out = self.coords(triality_bracket(self.basis[k], self.basis[l]))
+        out = self.sparse_coords(triality_bracket(self.basis[k], self.basis[l]))
         self._bracket_cache[(k, l)] = out
-        self._bracket_cache[(l, k)] = [-c if c else c for c in out]
+        self._bracket_cache[(l, k)] = {i: -c for i, c in out.items()}
         return out
 
     # -- invariant form and Psi ---------------------------------------------------
@@ -259,19 +247,22 @@ class TrialityAlgebra:
         alg = self.alg
         n = alg.dim
         d = self.dim
-        if d == 0:
-            self._k_matrix = []
-            self._psi_tables = [{}, {}, {}]
-            return
         gram, partner = alg.gram, alg.partner
         # Entry (r, s) of theta_i of each basis triple, keyed (i, r, s).
         entries = [{(i, r, s): x for i, m in enumerate(t.thetas) for s, col in m.items()
                     for r, x in col.items()} for t in self.basis]
-        # tr(x_i y_i) = sum over the entries x_i[r][s] of x_i[r][s] y_i[s][r].
-        t_sum = [[sum((x * ey[i, s, r] for (i, r, s), x in ex.items() if (i, s, r) in ey), F0)
-                  for ey in entries] for ex in entries]
-        sum_solver = SolveCache([[t_sum[r][c] for r in range(d)] for c in range(d)])
-        raw: List[Dict[Tuple[int, int], Vec]] = []
+        # Column c of S, sparse: entry row is tr(x_i y_i) for x = basis[row] and
+        # y = basis[c], the sum over the entries x_i[r][s] of x_i[r][s] y_i[s][r].
+        t_cols: List[SVec] = []
+        for ey in entries:
+            col: SVec = {}
+            for row, ex in enumerate(entries):
+                v = sum((x * ey[i, s, r] for (i, r, s), x in ex.items() if (i, s, r) in ey), F0)
+                if v:
+                    col[row] = v
+            t_cols.append(col)
+        sum_solver = SolveCache(t_cols)
+        raw: List[Dict[Tuple[int, int], SVec]] = []
         for i in range(3):
             table = {}
             for p in range(n):
@@ -313,15 +304,9 @@ class TrialityAlgebra:
         if scale is None:
             scale = F1
         inv = 1 / scale
-        self._k_matrix = [[inv * t_sum[r][c] for c in range(d)] for r in range(d)]
-        self._psi_tables = []
-        for solved in raw:
-            table = {}
-            for pq, coords in solved.items():
-                sv = {k: scale * c for k, c in enumerate(coords) if c}
-                if sv:
-                    table[pq] = sv
-            self._psi_tables.append(table)
+        self._k_matrix = [[inv * t_cols[c].get(r, F0) for c in range(d)] for r in range(d)]
+        self._psi_tables = [{pq: {k: scale * c for k, c in coords.items()}
+                             for pq, coords in solved.items() if coords} for solved in raw]
 
     def psi_table(self, i: int) -> Dict[Tuple[int, int], SVec]:
         """(p, q) -> sparse coordinates of Psi_i(e_p ^ e_q), p < q, zero images left out."""

@@ -473,3 +473,50 @@ def test_timing_adds_only_a_nonnegative_elapsed_ms(capsys, argv):
     elapsed = timed.pop("elapsed_ms")
     assert type(elapsed) is int and elapsed >= 0
     assert timed == json.loads(out)
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["--series", "exceptional", "-k", "3", "-a", "1"], "--series exceptional does not take -k"),
+    (["--series", "exceptional", "-p", "1", "-t", "1", "-a", "1"],
+     "--series exceptional does not take -t"),
+    (["--series", "subexceptional", "-s", "1", "-a", "1"],
+     "--series subexceptional does not take -s"),
+    (["--series", "severi", "-q", "1", "-a", "1"], "--series severi does not take -q"),
+    (["--series", "thirdrow", "-k", "1", "-p", "0", "-a", "8"],
+     "--series thirdrow does not take -p"),
+    (["--series", "so-family", "-k", "1", "-a", "8"], "--series so-family does not take -a"),
+    (["--series", "so-family", "--r-param", "3"], "--series so-family does not take --r-param"),
+    (["--datum", "builtin:so8", "--weight", "0,1,0,0", "--series", "exceptional"],
+     "--datum does not take --series"),
+    (["--datum", "builtin:so8", "--weight", "0,1,0,0", "-a", "1"], "--datum does not take -a"),
+    (["--datum", "builtin:so8", "--weight", "0,1,0,0", "--factored"],
+     "--datum does not take --factored"),
+])
+def test_dim_flag_outside_the_mode_is_usage_error(capsys, argv, err):
+    # A flag is refused because it was given, even at its default value.
+    assert main(["dim"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dim: {err}\n"
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["--series", "thirdrow", "-k", "1", "-a", "8"], "133"),
+    (["--series", "so-family", "-t", "2"], "28"),
+    (["--series", "exceptional", "-p", "0", "-q", "0", "-r", "0", "-s", "0", "-a", "8"], "1"),
+    (["--series", "severi", "-p", "0", "--pstar", "1", "-a", "8"], "27"),
+])
+def test_dim_flags_of_the_mode_at_their_defaults(capsys, argv, value):
+    code, out = run(capsys, ["dim"] + argv)
+    assert code == 0 and out.strip() == value
+
+
+@pytest.mark.parametrize("weight", ["x,1", "1,,0", "", "1.5,0"])
+def test_dim_weight_is_parsed_by_argparse(capsys, weight):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--datum", "builtin:so8", "--weight", weight])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument --weight: expected comma-separated integer labels, "
+            f"got {weight!r}\n") in err
+    assert "invalid literal" not in err

@@ -1,7 +1,8 @@
 """The solver on random columns, and the torus grading of t(A) against the ad(chart) action.
 
-`SolveCache` must keep sparse rows and columns, solve exactly as a dense
-reduction does and refuse dependent columns.  `factor_weights` reads the
+`SolveCache` takes sparse columns, at any indices, and must keep sparse
+rows and columns, return sparse solutions with no zero stored, solve
+exactly as a dense reduction does and refuse dependent or zero columns.  `factor_weights` reads the
 weight of each basis vector of t(A) off the entries of its matrices; the
 reference here brackets every chart element with every basis vector and
 solves for the coordinates of the result, which must be the weight times
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from magicsquare.compalg import build_split_algebra
-from magicsquare.linalg import F0, SolveCache, columns, e_vector, sparse
+from magicsquare.linalg import F0, SolveCache, columns, sparse
 from magicsquare.roots import ExtractionError, cartan_chart, factor_weights
 from magicsquare.triality import TrialityAlgebra, combine, triality_algebra, triality_bracket
-from tests_helpers import reference_rref
+from tests_helpers import dense_flat, e_vector, reference_rref
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -27,16 +28,25 @@ RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 TAGS = {"C": 25, "H": 15, "O": 4}
 
 
+def densify(sv, m):
+    return [sv.get(i, F0) for i in range(m)]
+
+
+def is_sparse(sv):
+    return all(c != 0 for c in sv.values())
+
+
 @pytest.mark.parametrize("tag", sorted(TAGS))
 def test_solve_cache_matches_dense_reduction(tag):
     t = triality_algebra(tag)
-    cols = [x.flat() for x in t.basis]
+    cols = [dense_flat(x) for x in t.basis]
     n, m = len(cols), len(cols[0])
-    solver = SolveCache(cols)
+    solver = SolveCache([x.sparse_flat() for x in t.basis])
     assert len(solver.pivots) == n
-    assert all(c != 0 for vec in solver.inverse_columns + solver.columns for c in vec.values())
+    assert all(is_sparse(vec) for vec in solver.inverse_columns + solver.columns)
     # Dense reference: the reduced [A | I] with every zero entry kept; its
     # first n rows give the coordinates, the others vanish exactly on the span.
+    # Many of the m positions are touched by no column, the last ones too.
     red, _ = reference_rref([[col[i] for col in cols] + e_vector(m, i) for i in range(m)])
     dense = [row[n:] for row in red]
 
@@ -48,53 +58,78 @@ def test_solve_cache_matches_dense_reduction(tag):
            RATIONALS.filter(bool))
     def check(x, r, c):
         b = [sum((xi * col[i] for xi, col in zip(x, cols)), F0) for i in range(m)]
-        assert solver.solve(sparse(b)) == apply(dense[:n], b) == x
+        got = solver.solve(sparse(b))
+        assert is_sparse(got)
+        assert densify(got, n) == apply(dense[:n], b) == x
         b[r] += c
         if any(apply(dense[n:], b)):
             with pytest.raises(ValueError):
                 solver.solve(sparse(b))
         else:
-            assert solver.solve(sparse(b)) == apply(dense[:n], b)
+            got = solver.solve(sparse(b))
+            assert is_sparse(got) and densify(got, n) == apply(dense[:n], b)
 
     check()
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["square", "tall", "dependent"]), st.integers(1, 5), st.data())
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["square", "tall", "scattered", "dependent", "zero"]),
+       st.integers(1, 5), st.data())
 def test_solve_cache_on_random_columns(shape, n, data):
-    # Columns that are not a t(A) basis: an n x n set, a taller one, or a set
-    # with one column a combination of the others, which must be refused.
-    # Membership of the span is decided by a rank count, not by the solver.
+    # Columns that are not a t(A) basis: an n x n set, a taller one, a tall
+    # one whose rows sit at scattered, unordered indices with gaps that no
+    # column touches, or a set with one column a combination of the others
+    # or zero, which must be refused.  Membership of the span is decided by
+    # a rank count on dense rows, not by the solver.
     if shape == "square":
         m = n
-    elif shape == "tall":
+    elif shape in ("tall", "scattered"):
         m = n + data.draw(st.integers(1, 3))
     else:
         m = max(1, n + data.draw(st.integers(-1, 2)))
     cols = data.draw(st.lists(st.lists(RATIONALS, min_size=m, max_size=m),
                               min_size=n, max_size=n))
-    if shape == "dependent":
+    if shape == "scattered":
+        place = data.draw(st.permutations(range(m + data.draw(st.integers(1, 4)))))[:m]
+    else:
+        place = list(range(m))
+    # One position past the ambient ones, touched by no column.
+    width = max(place) + 2
+
+    def embed(v):
+        return {place[i]: c for i, c in enumerate(v) if c}
+
+    if shape in ("dependent", "zero"):
         k = data.draw(st.integers(0, n - 1))
         coeffs = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
         others = [(a, col) for j, (a, col) in enumerate(zip(coeffs, cols)) if j != k]
+        if shape == "zero":
+            others = []
         cols[k] = [sum((a * col[i] for a, col in others), F0) for i in range(m)]
         with pytest.raises(ValueError):
-            SolveCache(cols)
+            SolveCache([embed(col) for col in cols])
         return
     assume(len(reference_rref(cols)[1]) == n)
-    solver = SolveCache(cols)
+    sparse_cols = [embed(col) for col in cols]
+    solver = SolveCache(sparse_cols)
     assert len(solver.pivots) == n
-    assert all(c != 0 for vec in solver.inverse_columns + solver.columns for c in vec.values())
+    assert all(is_sparse(vec) for vec in solver.inverse_columns + solver.columns)
     x = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
-    b = [sum((xi * col[i] for xi, col in zip(x, cols)), F0) for i in range(m)]
-    assert solver.solve(sparse(b)) == x
-    b[data.draw(st.integers(0, m - 1))] += data.draw(RATIONALS.filter(bool))
-    if len(reference_rref(cols + [b])[1]) > n:
+    b = embed([sum((xi * col[i] for xi, col in zip(x, cols)), F0) for i in range(m)])
+    got = solver.solve(b)
+    assert is_sparse(got) and densify(got, n) == x
+    r = data.draw(st.integers(0, width - 1))
+    b[r] = b.get(r, F0) + data.draw(RATIONALS.filter(bool))
+    b = {i: c for i, c in b.items() if c}
+    dense_cols = [densify(col, width) for col in sparse_cols]
+    if len(reference_rref(dense_cols + [densify(b, width)])[1]) > n:
         with pytest.raises(ValueError):
-            solver.solve(sparse(b))
+            solver.solve(b)
     else:
-        y = solver.solve(sparse(b))
-        assert [sum((yi * col[i] for yi, col in zip(y, cols)), F0) for i in range(m)] == b
+        y = solver.solve(b)
+        assert is_sparse(y)
+        assert [sum((y.get(j, F0) * col[i] for j, col in enumerate(dense_cols)), F0)
+                for i in range(width)] == densify(b, width)
 
 
 @pytest.mark.parametrize("tag", sorted(TAGS))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicsquare.linalg import SolveCache, mat_mul, mat_vec, transpose
-from magicsquare.triality import TrialityTriple, combine, psi, triality_algebra, triality_bracket
-from tests_helpers import (commutator, cyclic_shift, dense_combination, k_form,
-                           reference_nullspace, reference_triality_basis, satisfies_triality,
-                           stores_no_zero)
+from magicsquare.triality import combine, psi, triality_algebra, triality_bracket
+from tests_helpers import (commutator, cyclic_shift, dense_combination, dense_flat, dense_mats,
+                           k_form, reference_nullspace, reference_triality_basis,
+                           satisfies_triality, stores_no_zero, triple_from_mats)
 
 
 def rand_elt(rng, n, lo=-2, hi=2):
@@ -38,7 +38,7 @@ def test_basis_invariants():
                 assert all(mtq[r][c] + qm[r][c] == 0
                            for r in range(n) for c in range(n))
             # integer matrices with content one
-            flat = [x for x in b.flat()]
+            flat = dense_flat(b)
             assert all(x.denominator == 1 for x in flat)
             g = 0
             for x in flat:
@@ -67,7 +67,8 @@ def test_bracket_closure_and_antisymmetry():
         z = triality_bracket(x, y)
         coords = t.coords(z)  # membership: raises if outside t(O)
         back = t.bracket_coords(l, k)
-        assert [(-c) for c in coords] == back
+        assert [(-c) for c in coords] == [back.get(i, 0) for i in range(t.dim)]
+        assert all(back.values())
         assert satisfies_triality(t.alg, z)
     x = t.basis[3]
     assert triality_bracket(x, x).is_zero()
@@ -82,7 +83,7 @@ def test_cyclic_shift_order_three_and_relation():
             assert cyclic_shift(t.alg, cyclic_shift(t.alg, s1)) == b
         n = t.alg.dim
         zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-        z = TrialityTriple.from_mats(zero, zero, zero)
+        z = triple_from_mats(zero, zero, zero)
         assert cyclic_shift(t.alg, z).is_zero()
 
 
@@ -91,8 +92,8 @@ def test_naive_shift_fails_where_twist_needed():
     t = triality_algebra("O")
     broken = 0
     for b in t.basis:
-        m1, m2, m3 = b.mats()
-        naive = TrialityTriple.from_mats(m2, m3, m1)
+        m1, m2, m3 = dense_mats(b)
+        naive = triple_from_mats(m2, m3, m1)
         if not satisfies_triality(t.alg, naive):
             broken += 1
     assert broken > 0
@@ -218,7 +219,7 @@ def test_t_h_three_commuting_ideals():
                 assert triality_bracket(x, y).is_zero()
     # each ideal closes under bracket: [x,y] stays in the ideal's span
     for ideal in ideals:
-        solver = SolveCache([x.flat() for x in ideal])
+        solver = SolveCache([x.sparse_flat() for x in ideal])
         for x, y in itertools.combinations(ideal, 2):
             solver.solve(triality_bracket(x, y).sparse_flat())  # raises if outside
 
@@ -247,11 +248,13 @@ def test_column_maps_match_dense_reference(tag):
     @given(coeffs, coeffs)
     def check(cx, cy):
         x, y = combine(cx, t.basis), combine(cy, t.basis)
-        assert x.mats() == dense_combination(cx, t.basis)
+        assert dense_mats(x) == dense_combination(cx, t.basis)
         z = triality_bracket(x, y)
-        assert z.mats() == tuple(commutator(a, b) for a, b in zip(x.mats(), y.mats()))
+        assert dense_mats(z) == tuple(commutator(a, b)
+                                      for a, b in zip(dense_mats(x), dense_mats(y)))
         for u in (x, y, z):
-            assert TrialityTriple.from_mats(*u.mats()) == u
+            assert triple_from_mats(*dense_mats(u)) == u
+            assert [u.component(i) for i in (1, 2, 3)] == list(dense_mats(u))
             assert stores_no_zero(u)
         zero = combine(cx + [-c for c in cx], t.basis + t.basis)
         assert zero.thetas == ({}, {}, {}) == triality_bracket(x, x).thetas

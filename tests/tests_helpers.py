@@ -2,10 +2,43 @@ from fractions import Fraction
 from math import gcd
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import F0, mat_mul, mat_vec, scaled_int_columns
+from magicsquare.linalg import F0, columns, mat_mul, mat_vec, scaled_int_columns
 from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
                                 hilbert_ray)
 from magicsquare.triality import TrialityTriple, combine
+
+
+def e_vector(n, i):
+    """The i-th standard basis vector of length n, dense."""
+    v = [F0] * n
+    v[i] = Fraction(1)
+    return v
+
+
+def dense_matrix(m, n):
+    """A column map (column j is the image of e_j) as a dense n x n matrix."""
+    out = [[F0] * n for _ in range(n)]
+    for j, col in m.items():
+        for r, x in col.items():
+            out[r][j] = x
+    return out
+
+
+def dense_mats(t):
+    """The three components of a triple as dense matrices."""
+    return tuple(dense_matrix(m, t.n) for m in t.thetas)
+
+
+def dense_flat(t):
+    """The three components of a triple, dense and flattened row by row."""
+    return [x for m in dense_mats(t) for row in m for x in row]
+
+
+def triple_from_mats(m1, m2, m3):
+    """The triple whose components are the three dense matrices."""
+    return TrialityTriple(tuple(columns({(r, s): x for r, row in enumerate(m)
+                                         for s, x in enumerate(row)})
+                                for m in (m1, m2, m3)), len(m1))
 
 
 def omega_pair(mod, p, q):
@@ -40,7 +73,7 @@ def k_form(t, x, y):
 def satisfies_triality(alg, t):
     """theta3(e_i e_j) == theta1(e_i) e_j + e_i theta2(e_j) on all basis pairs."""
     n = alg.dim
-    m1, m2, m3 = t.mats()
+    m1, m2, m3 = dense_mats(t)
     for i in range(n):
         col1 = [m1[r][i] for r in range(n)]
         for j in range(n):
@@ -63,8 +96,8 @@ def cyclic_shift(alg, t):
     models; conjugating the two moved slots keeps the triality relation.
     """
     cj = alg.conj_matrix
-    m1, m2, m3 = t.mats()
-    return TrialityTriple.from_mats(m2, mat_mul(cj, mat_mul(m3, cj)), mat_mul(cj, mat_mul(m1, cj)))
+    m1, m2, m3 = dense_mats(t)
+    return triple_from_mats(m2, mat_mul(cj, mat_mul(m3, cj)), mat_mul(cj, mat_mul(m1, cj)))
 
 
 def commutator(a, b):
@@ -88,7 +121,7 @@ def dense_combination(coeffs, triples):
     n = triples[0].n
     out = tuple([[F0] * n for _ in range(n)] for _ in range(3))
     for c, t in zip(coeffs, triples):
-        for acc, m in zip(out, t.mats()):
+        for acc, m in zip(out, dense_mats(t)):
             for acc_row, row in zip(acc, m):
                 for s, x in enumerate(row):
                     acc_row[s] += c * x
@@ -203,7 +236,7 @@ def reference_triality_basis(alg):
     set.  `TrialityAlgebra` must give the same basis, triple for triple.
     """
     n = alg.dim
-    so_basis = alg.so_q_basis()
+    so_basis = [dense_matrix(m, n) for m in alg.so_q_basis()]
     d = len(so_basis)
     if d == 0:
         return [], 0
@@ -233,8 +266,8 @@ def reference_triality_basis(alg):
                     for s in range(n):
                         m[r][s] += x * so_basis[k][r][s]
             mats.append(m)
-        basis.append(TrialityTriple.from_mats(*mats))
-    flats = [t.flat() for t in basis]
+        basis.append(triple_from_mats(*mats))
+    flats = [dense_flat(t) for t in basis]
     off_positions = [c * n * n + r * n + s
                      for c in range(3) for r in range(n) for s in range(n) if r != s]
     rows = [[f[pos] for f in flats] for pos in off_positions]
@@ -242,7 +275,7 @@ def reference_triality_basis(alg):
               for v in reference_nullspace(rows, len(basis))]
     chosen = list(cartan)
     for b in basis:
-        if full_rank([t.flat() for t in chosen] + [b.flat()]):
+        if full_rank([dense_flat(t) for t in chosen] + [dense_flat(b)]):
             chosen.append(b)
     return chosen, len(cartan)
 
