@@ -158,8 +158,7 @@ class CompAlg:
                     if self.gram[r][k] != 0:
                         row[k * n + c] = row.get(k * n + c, F0) + self.gram[r][k]
                 rows.append(row)
-        return [columns({divmod(k, n): x for k, x in enumerate(v)})
-                for v in nullspace(rows, n * n)]
+        return [columns({divmod(k, n): x for k, x in v.items()}) for v in nullspace(rows, n * n)]
 
     def dump(self) -> dict:
         return {

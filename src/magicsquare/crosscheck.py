@@ -101,7 +101,7 @@ class Crosscheck:
         self.entries: List[dict] = []
         self.suspects = set(suspects if suspects is not None else load_known_suspects())
 
-    def record(self, formula: str, params: Dict, printed, oracle, elapsed_ms: int = 0):
+    def record(self, formula: str, params: Dict, printed, oracle):
         if oracle is None:
             status = "ORACLE_UNAVAILABLE"
         elif printed is None:

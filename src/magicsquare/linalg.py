@@ -9,8 +9,10 @@ scaled maps.  `Echelon` is the one elimination of the module: an
 incremental row echelon of sparse vectors, for independence tests and rank
 counts, whose forward step `rref` shares before back-substituting.  The
 solvers go through `rref` on sparse rows: `nullspace`, `inverse` and
-`SolveCache` (pivot-position solves with an exact reconstruction check,
-sparse columns in, sparse solutions out).
+`SolveCache` (pivot-position solves with an exact reconstruction check),
+all but `inverse` sparse in and out, as is `primitive_integer_vector`.
+Dense data enters through `sparse`; the dense views of t(A) are `coords`,
+`from_coords`, `component` and `diagonal` in `triality`.
 Constraint matrices here are large and very sparse (the t(O) triality
 constraint has 320 nonzero rows of 84 columns, about two entries of +-1
 each), so the elimination never forms a dense row.  For the Jacobi check a
@@ -296,24 +298,21 @@ def rref(rows: Sequence[SVec]) -> Tuple[List[SVec], List[int]]:
     return [red[p] for p in pivots], pivots
 
 
-def nullspace(rows: List[SVec], ncols: int) -> List[Vec]:
+def nullspace(rows: List[SVec], ncols: int) -> List[SVec]:
     """Basis of {x : A x = 0} for the sparse rows of A with ncols columns.
 
-    One vector per free (non-pivot) column of the RREF, in increasing order,
-    with that variable 1, the other free ones 0, and each pivot variable
-    minus its reduced row's entry at the free column.
+    One sparse vector per free (non-pivot) column of the RREF, in increasing
+    order: that variable 1, inserted first, and each pivot variable minus
+    its reduced row's entry at the free column, where that entry is nonzero.
     """
     red, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = {c: k for k, c in enumerate(c for c in range(ncols) if c not in pivot_set)}
-    basis = [[F0] * ncols for _ in free]
-    for c, k in free.items():
-        basis[k][c] = F1
+    basis = {c: {c: F1} for c in range(ncols) if c not in pivot_set}
     for pc, row in zip(pivots, red):
         for c, x in row.items():
             if c != pc:
-                basis[free[c]][pc] = -x
-    return basis
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 class SolveCache:
@@ -369,17 +368,18 @@ def inverse(a: Mat) -> Mat:
     return [[row.get(n + j, F0) for j in range(n)] for row in red]
 
 
-def primitive_integer_vector(v: Sequence[Fraction]) -> Vec:
-    """Rescale a rational vector to integer entries with content 1.
+def primitive_integer_vector(v: SVec) -> SVec:
+    """Rescale a sparse rational vector to integer entries with content 1.
 
     The scale is the lcm of the denominators over the gcd of the numerators
-    of the nonzero entries; its sign makes the first nonzero entry positive.
+    of the nonzero entries; its sign makes the entry at the least index
+    positive, whatever the order of the keys.  Stored zeros are dropped.
     """
-    nonzero = [x for x in v if x]
+    nonzero = {k: x for k, x in v.items() if x}
     if not nonzero:
-        return list(v)
-    den = lcm(*(x.denominator for x in nonzero))
-    num = gcd(*(x.numerator for x in nonzero))
-    if nonzero[0] < 0:
+        return {}
+    den = lcm(*(x.denominator for x in nonzero.values()))
+    num = gcd(*(x.numerator for x in nonzero.values()))
+    if nonzero[min(nonzero)] < 0:
         num = -num
-    return [Fraction(x.numerator * (den // x.denominator) // num) if x else F0 for x in v]
+    return {k: Fraction(x.numerator * (den // x.denominator) // num) for k, x in nonzero.items()}

@@ -125,10 +125,8 @@ class MagicAlgebra:
                 tab[i][j] = {k: values.setdefault(c, c) for k, c in sv.items()}
                 tab[j][i] = {k: values.setdefault(-c, -c) for k, c in sv.items()}
 
-        # Each factor t of t(A) x t(B): its own brackets, and slot s of each
-        # triple moving its leg of A_s @ B_s.  leg[s][p] lists the indices of
-        # e_p in slot s, one per basis vector of the other leg, in the same
-        # order for every p.
+        # Each factor t of t(A) x t(B): its own brackets, and each triple
+        # moving its leg of every A_s @ B_s (`TrialityTriple.leg_action`).
         legA = [[[self.idx_m(s, p, q) for q in range(b)] for p in range(a)] for s in range(3)]
         legB = [[[self.idx_m(s, p, q) for p in range(a)] for q in range(b)] for s in range(3)]
         for t, off, leg in ((self.tA, 0, legA), (self.tB, dA, legB)):
@@ -136,10 +134,8 @@ class MagicAlgebra:
                 for l in range(k + 1, t.dim):
                     put(off + k, off + l,
                         {off + i: c for i, c in t.bracket_coords(k, l).items()})
-                for s, theta in enumerate(x.thetas):
-                    for p, col in theta.items():
-                        for pos, j in enumerate(leg[s][p]):
-                            put(off + k, j, {leg[s][r][pos]: c for r, c in col.items()})
+                for j, col in x.leg_action(leg).items():
+                    put(off + k, j, col)
 
         # Same slot: quadratic-form contraction into t(A) x t(B) via Psi.  Each
         # Gram column has one nonzero entry, at the pairing partner, so only
@@ -200,6 +196,9 @@ class MagicAlgebra:
         return [out.get(k, F0) for k in range(self.dim)]
 
     def bracket_basis(self, i: int, j: int) -> SVec:
+        """[b_i, b_j] as a sparse vector, for basis indices in 0..dim-1."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"basis index out of range: ({i}, {j})")
         return self.table()[i].get(j, {})
 
     def jacobi_defect_basis(self, i: int, j: int, k: int) -> SVec:

@@ -18,8 +18,9 @@ A_s x A_{s+1} -> A_{s+2} is slot_product(s, p, y), the backward map
 A_s x A_{s+2} -> A_{s+1} is slot_product(s+2, y, p).  The relative scalars
 below were calibrated once by making the representation axiom hold on the
 smallest members (a = 1) and are re-verified for every A by the test suite.
-Every action is accumulated as (row, col) -> value entries and turned into
-a column map by `linalg.columns`.
+t(A) moves the A legs by `TrialityTriple.leg_action`, as in the parent
+bracket; every other action is accumulated as (row, col) -> value entries
+and turned into a column map by `linalg.columns`.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ class GModule:
     form_data: object           # Gram matrix, or trilinear evaluator
 
     def act_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
-        """rho(b_i) v for the parent basis element b_i."""
+        """rho(b_i) v for the parent basis element b_i, i in 0..parent.dim-1."""
+        if not 0 <= i < len(self.actions):
+            raise IndexError(f"parent basis index out of range: {i}")
         if len(v) != self.dimension:
             raise ValueError("element dimension mismatch")
         out: SVec = {}
@@ -157,24 +160,6 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[SolveCache]:
     return out
 
 
-def _t_a_actions(g: MagicAlgebra, ix) -> List[ColMap]:
-    """t(A) acting on the A legs: slot s of each triple moves the A_s leg.
-
-    ix.legs(s, p) lists the module indices of e_p in slot s, one per basis
-    vector of the other leg, in the same order for every p.
-    """
-    actions = []
-    for t in g.tA.basis:
-        m: Entries = defaultdict(Fraction)
-        for s, theta in enumerate(t.thetas):
-            for p, col in theta.items():
-                for r, c in col.items():
-                    for i, j in zip(ix.legs(s, r), ix.legs(s, p)):
-                        m[i, j] += c
-        actions.append(columns(m))
-    return actions
-
-
 # -- the V module ------------------------------------------------------------------
 
 
@@ -190,10 +175,6 @@ class _VIndex:
 
     def uuu(self, al: int, be: int, ga: int) -> int:
         return 6 * self.a + 4 * al + 2 * be + ga
-
-    def legs(self, s: int, p: int) -> Tuple[int, int]:
-        """The indices of e_p @ U_s in slot s, in the order of the U_s basis."""
-        return self.au(s, p, 0), self.au(s, p, 1)
 
 
 def build_V_module(tag_a: str) -> GModule:
@@ -213,7 +194,9 @@ def build_V_module(tag_a: str) -> GModule:
             return F0
         return F1 if (x, y) == (0, 1) else -F1
 
-    actions = _t_a_actions(g, ix)
+    # t(A) moves the A leg of each A_s @ U_s, in the order of the U_s basis.
+    legs = [[(ix.au(s, p, 0), ix.au(s, p, 1)) for p in range(a)] for s in range(3)]
+    actions = [t.leg_action(legs) for t in g.tA.basis]
 
     # t(B) acts through the sl2 factor decomposition on the U legs.
     factor_cols = []
@@ -333,10 +316,6 @@ class _WIndex:
     def line(self, s: int) -> int:         # M_s = L_s^{-2}-dual line (x_s coordinate)
         return 3 * self.a + s
 
-    def legs(self, s: int, p: int) -> Tuple[int]:
-        """The index of e_p @ L_s in slot s."""
-        return (self.al(s, p),)
-
 
 def build_W_module(tag_a: str) -> GModule:
     """The distinguished cubic module of g(A, C+C), dimension 3a+3."""
@@ -349,7 +328,9 @@ def build_W_module(tag_a: str) -> GModule:
     # Signed slot weights (against the chart torus) and the line weights.
     diffs, omega_lines = line_weights(g.tB)
 
-    actions = _t_a_actions(g, ix)
+    # t(A) moves the A leg of each A_s @ L_s.
+    legs = [[(ix.al(s, p),) for p in range(a)] for s in range(3)]
+    actions = [t.leg_action(legs) for t in g.tA.basis]
 
     # The torus t(B) acts by weights: -w_s on A_s @ L_s, +2 w_s on the lines.
     # t(C+C) is its own Cartan, so every basis element is a chart combination.

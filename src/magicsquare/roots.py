@@ -454,7 +454,7 @@ def _chart_from_reps(t: TrialityAlgebra, cartan, specs) -> Tuple[TrialityTriple,
          for h in cartan]
     # h_j = sum_i c[i][j] cartan_i with M^T c = I.
     c = inverse([list(col) for col in zip(*m)])
-    return tuple(combine([row[j] for row in c], cartan) for j in range(len(specs)))
+    return tuple(combine(sparse([row[j] for row in c]), cartan) for j in range(len(specs)))
 
 
 def _chart_h(t: TrialityAlgebra, cartan) -> Tuple[TrialityTriple, ...]:
@@ -469,7 +469,7 @@ def _chart_h(t: TrialityAlgebra, cartan) -> Tuple[TrialityTriple, ...]:
         h = combine(kernel[0], cartan)
         # Normalize: the nontrivial slots act with eigenvalues +/-1.
         val = next(x for s in range(1, 4) if s != slot for x in h.diagonal(s) if x)
-        h = combine([1 / val], [h])
+        h = combine({0: 1 / val}, [h])
         out.append(h)
     return tuple(out)
 

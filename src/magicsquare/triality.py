@@ -6,15 +6,18 @@ inside so(Q)^3; the known type table (0, 2-dim abelian, sl2^3, so8) is a
 test expectation, not an input.  The constraint rows are read off the
 structure constants of A as sparse rows, one per coefficient e_r of the
 relation on e_i, e_j, and only the nonzero ones (320 of 512 for t(O)) go
-to the sparse exact elimination of `linalg.nullspace`.  The basis puts a
-basis of the diagonal (Cartan) part first, found by a second sparse
-nullspace, and completes it greedily with one incremental echelon;
+to the sparse exact elimination of `linalg.nullspace`, whose sparse kernel
+vectors are rescaled sparse and split by slot into so(Q) coefficients.  The
+basis puts a basis of the diagonal (Cartan) part first, found by a second
+sparse nullspace, and completes it greedily with one incremental echelon;
 coordinates in it come from one `SolveCache` (pivot-position solves with
 an exact reconstruction check), sparse in and out.  Each element, like
 each so(Q) basis matrix, is stored in the column-map format of `linalg`
-(column j is theta_i(e_j), no zeros stored); combinations, brackets, the
-calibration and the consumers in `magic`, `modules` and `roots` read the
-maps.  `coords` and `component` are the only dense views.
+(column j is theta_i(e_j), no zeros stored); `combine` takes sparse
+coefficients, `psi_coords` returns them, and brackets, the calibration,
+the leg actions (`leg_action`) and the consumers in `magic`, `modules` and
+`roots` read the maps.  The only dense views are `coords`, `from_coords`,
+`component` and `diagonal`.
 
 The invariant form K on t(A) is a single rational multiple of the sum of the
 three componentwise trace forms.  Psi_i is the K-dual of slot i:
@@ -51,6 +54,7 @@ from .linalg import (
     SolveCache,
     Vec,
     apply_into,
+    axpy,
     bilinear,
     map_combination,
     nullspace,
@@ -93,11 +97,20 @@ class TrialityTriple:
     def is_zero(self) -> bool:
         return not any(self.thetas)
 
+    def leg_action(self, legs: Sequence[Sequence[Sequence[int]]]) -> ColMap:
+        """The triple acting on three legs, slot s moving leg s, as a column map.
 
-def combine(coeffs: Sequence[Fraction], triples: Sequence[TrialityTriple]) -> TrialityTriple:
-    """The linear combination sum_i coeffs[i] triples[i] of a nonempty list of triples."""
-    sv = sparse(coeffs)
-    return TrialityTriple(tuple(map_combination(sv, [t.thetas[i] for t in triples])
+        legs[s][p] lists the indices of e_p in leg s, no index twice, in the same
+        order for every p; column legs[s][p][pos] is theta_s(e_p) at position pos."""
+        return {j: {legs[s][r][pos]: c for r, c in col.items()}
+                for s, theta in enumerate(self.thetas)
+                for p, col in theta.items()
+                for pos, j in enumerate(legs[s][p])}
+
+
+def combine(coeffs: SVec, triples: Sequence[TrialityTriple]) -> TrialityTriple:
+    """sum_k coeffs[k] triples[k] for sparse coeffs and a nonempty list of triples."""
+    return TrialityTriple(tuple(map_combination(coeffs, [t.thetas[i] for t in triples])
                                 for i in range(3)), triples[0].n)
 
 
@@ -167,9 +180,11 @@ class TrialityAlgebra:
                             add((i * n + j) * n + r, 2 * d + k, x * y)
         basis = []
         for v in nullspace(list(rows.values()), 3 * d):
-            v = primitive_integer_vector(v)
-            basis.append(TrialityTriple(tuple(
-                map_combination(sparse(v[c * d:(c + 1) * d]), so_maps) for c in range(3)), n))
+            slots: Tuple[SVec, SVec, SVec] = ({}, {}, {})
+            for k, x in primitive_integer_vector(v).items():
+                c, k = divmod(k, d)
+                slots[c][k] = x
+            basis.append(TrialityTriple(tuple(map_combination(sv, so_maps) for sv in slots), n))
         return self._cartan_first(basis)
 
     def _cartan_first(self, basis: List[TrialityTriple]) -> Tuple[List[TrialityTriple], int]:
@@ -217,14 +232,21 @@ class TrialityAlgebra:
     def from_coords(self, v: Sequence[Fraction]) -> TrialityTriple:
         if len(v) != self.dim:
             raise ValueError("element dimension mismatch")
-        if self.dim == 0:
+        return self._from_sparse_coords(sparse(v))
+
+    def _from_sparse_coords(self, coeffs: SVec) -> TrialityTriple:
+        """The triple with sparse coordinates coeffs; zero if empty, as for all of t(R)."""
+        if not coeffs:
             return TrialityTriple(({}, {}, {}), self.alg.dim)
-        return combine(v, self.basis)
+        return combine(coeffs, self.basis)
 
     def bracket_coords(self, k: int, l: int) -> SVec:
         """Sparse coordinates of [basis_k, basis_l]; cached."""
-        if (k, l) in self._bracket_cache:
-            return self._bracket_cache[(k, l)]
+        out = self._bracket_cache.get((k, l))
+        if out is not None:
+            return out
+        if not (0 <= k < self.dim and 0 <= l < self.dim):
+            raise IndexError(f"t({self.alg.tag.name}) basis index out of range: ({k}, {l})")
         out = self.sparse_coords(triality_bracket(self.basis[k], self.basis[l]))
         self._bracket_cache[(k, l)] = out
         self._bracket_cache[(l, k)] = {i: -c for i, c in out.items()}
@@ -316,16 +338,15 @@ class TrialityAlgebra:
             self._calibrate()
         return self._psi_tables[i - 1]
 
-    def psi_coords(self, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        """Coordinates in the t(A) basis of Psi_i(u ^ v)."""
+    def psi_coords(self, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> SVec:
+        """Sparse coordinates in the t(A) basis of Psi_i(u ^ v), no zero stored."""
         if len(u) != self.alg.dim or len(v) != self.alg.dim:
             raise ValueError("element dimension mismatch")
-        acc = [F0] * self.dim
+        acc: SVec = {}
         for (p, q), sv in self.psi_table(i).items():
             c = u[p] * v[q] - u[q] * v[p]
             if c:
-                for k, x in sv.items():
-                    acc[k] += c * x
+                axpy(acc, c, sv)
         return acc
 
     def k_matrix(self) -> Mat:
@@ -371,4 +392,4 @@ def _triality_algebra(name: str) -> TrialityAlgebra:
 
 
 def psi(ta: TrialityAlgebra, i: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> TrialityTriple:
-    return ta.from_coords(ta.psi_coords(i, u, v))
+    return ta._from_sparse_coords(ta.psi_coords(i, u, v))

@@ -148,7 +148,7 @@ def test_factor_weights_refuses_a_mixed_basis_vector():
     t = TrialityAlgebra(build_split_algebra("H"))
     k = t.cartan_dim
     l = next(i for i in range(k + 1, t.dim) if weights[i] != weights[k])
-    t.basis[k] = combine([1, 1], [t.basis[k], t.basis[l]])
+    t.basis[k] = combine({0: 1, 1: 1}, [t.basis[k], t.basis[l]])
     with pytest.raises(ExtractionError, match="not a weight vector"):
         factor_weights(t)
 

@@ -3,10 +3,11 @@
 `rref`, `nullspace` and `inverse` work on sparse rows; an RREF is unique,
 so on every matrix they must give exactly what the dense column-pivoting
 reduction of `tests_helpers` gives, zero rows, repeated rows and all-zero
-matrices included.  `primitive_integer_vector` must match the all-entries
-lcm/gcd rescaling.  `inverse` refuses a non-square matrix, `Echelon.add`
-ignores stored zeros, and t(A) refuses coordinates and triples of the
-wrong size.
+matrices included.  `nullspace` returns sparse vectors with no stored
+zero.  `primitive_integer_vector` takes and returns sparse vectors and must
+match the all-entries lcm/gcd rescaling whatever the order of the keys.
+`inverse` refuses a non-square matrix, `Echelon.add` ignores stored zeros,
+and t(A) refuses coordinates and triples of the wrong size.
 """
 
 from fractions import Fraction
@@ -72,7 +73,9 @@ def test_rref_and_nullspace_match_dense_reference(shape, data):
     assert dense(red, m) == ref_red
     assert all(all(row.values()) for row in red)
     assert rows == copies
-    assert nullspace(rows, m) == reference_nullspace(a, m)
+    kernel = nullspace(rows, m)
+    assert dense(kernel, m) == reference_nullspace(a, m)
+    assert all(all(v.values()) for v in kernel)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,15 +104,28 @@ def test_rref_and_nullspace_on_edge_shapes(a, m):
     red, pivots = rref(rows)
     ref_red, ref_pivots = reference_rref(a)
     assert (dense(red, m), pivots) == (ref_red, ref_pivots)
-    assert nullspace(rows, m) == reference_nullspace(a, m)
+    kernel = nullspace(rows, m)
+    assert dense(kernel, m) == reference_nullspace(a, m)
+    assert all(all(v.values()) for v in kernel)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(ENTRIES, min_size=1, max_size=8))
 def test_primitive_integer_vector_matches_reference(v):
-    got = primitive_integer_vector(v)
+    got = primitive_integer_vector(sparse(v))
+    assert all(got.values())
+    [got] = dense([got], len(v))
     assert got == reference_primitive_integer_vector(v)
     assert all(isinstance(x, Fraction) and x.denominator == 1 for x in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ENTRIES, min_size=1, max_size=8))
+def test_primitive_integer_vector_signs_the_least_index(v):
+    # Keys in decreasing order: the sign must come from the entry at the
+    # least index, not from the first key.
+    got = primitive_integer_vector(dict(reversed(sparse(v).items())))
+    assert dense([got], len(v)) == [reference_primitive_integer_vector(v)]
 
 
 @pytest.mark.parametrize("a", [[[F1, Fraction(2), Fraction(3)]], [[F1, F0], [F0]], [[F1], [F1]]])

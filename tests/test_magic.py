@@ -403,6 +403,14 @@ def test_g_rr_is_the_rotation_algebra():
     assert g.bracket_basis(2, 0) == {1: Fraction(1)}
 
 
+def test_bracket_basis_refuses_an_index_outside_the_basis():
+    g = build_magic_algebra("R", "C")
+    assert g.bracket_basis(g.dim - 1, 0) == g.table()[g.dim - 1].get(0, {})
+    for i, j in ((-1, 0), (0, -1), (g.dim, 0), (0, g.dim)):
+        with pytest.raises(IndexError, match="out of range"):
+            g.bracket_basis(i, j)
+
+
 def test_magic_element_roundtrip():
     g = build_magic_algebra("R", "C")
     names = [describe_index(g, i) for i in range(g.dim)]

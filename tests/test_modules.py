@@ -137,3 +137,12 @@ def test_act_basis_rejects_wrong_length():
     for bad in ([Fraction(1)], [Fraction(1)] * (w.dimension + 2)):
         with pytest.raises(ValueError, match="element dimension mismatch"):
             w.act_basis(0, bad)
+
+
+def test_act_basis_refuses_an_index_outside_the_parent_basis():
+    w = build_W_module("C")
+    v = [Fraction(1)] * w.dimension
+    assert w.act_basis(w.parent.dim - 1, v) is not None
+    for i in (-1, w.parent.dim):
+        with pytest.raises(IndexError, match="out of range"):
+            w.act_basis(i, v)

@@ -6,8 +6,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magicsquare.linalg import SolveCache, mat_mul, mat_vec, transpose
-from magicsquare.triality import combine, psi, triality_algebra, triality_bracket
+from magicsquare.linalg import SolveCache, axpy, mat_mul, mat_vec, sparse, transpose
+from magicsquare.compalg import build_split_algebra
+from magicsquare.triality import (TrialityAlgebra, combine, psi, triality_algebra,
+                                  triality_bracket)
 from tests_helpers import (commutator, cyclic_shift, dense_combination, dense_flat, dense_mats,
                            k_form, reference_nullspace, reference_triality_basis,
                            satisfies_triality, stores_no_zero, triple_from_mats)
@@ -172,7 +174,7 @@ def test_psi_sum_identity():
             a = rand_elt(rng, n, -1, 1)
             c = rand_elt(rng, n, -1, 1)
             e = rand_elt(rng, n, -1, 1)
-            s = combine([1, 1, 1], [psi(t, 3, alg.multiply(a, c), e),
+            s = combine({0: 1, 1: 1, 2: 1}, [psi(t, 3, alg.multiply(a, c), e),
                                     psi(t, 1, alg.multiply(e, alg.conjugate(c)), a),
                                     psi(t, 2, alg.multiply(alg.conjugate(a), e), c)])
             assert s.is_zero()
@@ -188,8 +190,9 @@ def test_psi_equivariance():
             th = t.basis[rng.randrange(t.dim)]
             tu = mat_vec(th.component(1), u)
             tv = mat_vec(th.component(1), v)
-            lhs = t.from_coords([x + y for x, y in
-                                 zip(t.psi_coords(1, tu, v), t.psi_coords(1, u, tv))])
+            coords = t.psi_coords(1, tu, v)
+            axpy(coords, 1, t.psi_coords(1, u, tv))
+            lhs = t.from_coords([coords.get(k, 0) for k in range(t.dim)])
             assert lhs == triality_bracket(th, psi(t, 1, u, v))
 
 
@@ -224,6 +227,25 @@ def test_t_h_three_commuting_ideals():
             solver.solve(triality_bracket(x, y).sparse_flat())  # raises if outside
 
 
+def test_psi_of_a_wedge_square_is_zero():
+    # Psi_i(u ^ u) has no coordinates, also on t(R), which has no basis.
+    rng = random.Random(8)
+    for tag in "RCHO":
+        t = triality_algebra(tag)
+        u = rand_elt(rng, t.alg.dim)
+        for i in (1, 2, 3):
+            assert t.psi_coords(i, u, u) == {}
+            assert psi(t, i, u, u).is_zero()
+
+
+def test_bracket_coords_refuses_an_index_outside_the_basis():
+    t = TrialityAlgebra(build_split_algebra("H"))
+    for k, l in ((-1, 0), (0, -1), (t.dim, 0), (0, t.dim)):
+        with pytest.raises(IndexError, match="out of range"):
+            t.bracket_coords(k, l)
+    assert t._bracket_cache == {}
+
+
 def test_dump_and_alias():
     t = triality_algebra("H")
     d = t.dump()
@@ -247,7 +269,7 @@ def test_column_maps_match_dense_reference(tag):
     @settings(max_examples=MAP_EXAMPLES[tag], deadline=None)
     @given(coeffs, coeffs)
     def check(cx, cy):
-        x, y = combine(cx, t.basis), combine(cy, t.basis)
+        x, y = combine(sparse(cx), t.basis), combine(sparse(cy), t.basis)
         assert dense_mats(x) == dense_combination(cx, t.basis)
         z = triality_bracket(x, y)
         assert dense_mats(z) == tuple(commutator(a, b)
@@ -256,7 +278,7 @@ def test_column_maps_match_dense_reference(tag):
             assert triple_from_mats(*dense_mats(u)) == u
             assert [u.component(i) for i in (1, 2, 3)] == list(dense_mats(u))
             assert stores_no_zero(u)
-        zero = combine(cx + [-c for c in cx], t.basis + t.basis)
+        zero = combine(sparse(cx + [-c for c in cx]), t.basis + t.basis)
         assert zero.thetas == ({}, {}, {}) == triality_bracket(x, x).thetas
 
     check()

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import F0, columns, mat_mul, mat_vec, scaled_int_columns
+from magicsquare.linalg import F0, columns, mat_mul, mat_vec, scaled_int_columns, sparse
 from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
                                 hilbert_ray)
 from magicsquare.triality import TrialityTriple, combine
@@ -271,7 +271,7 @@ def reference_triality_basis(alg):
     off_positions = [c * n * n + r * n + s
                      for c in range(3) for r in range(n) for s in range(n) if r != s]
     rows = [[f[pos] for f in flats] for pos in off_positions]
-    cartan = [combine(reference_primitive_integer_vector(v), basis)
+    cartan = [combine(sparse(reference_primitive_integer_vector(v)), basis)
               for v in reference_nullspace(rows, len(basis))]
     chosen = list(cartan)
     for b in basis:
