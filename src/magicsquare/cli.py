@@ -152,9 +152,7 @@ def cmd_verify(args) -> int:
     anti_bad = 0
     for _ in range(200):
         i, j = rng.randrange(g.dim), rng.randrange(g.dim)
-        sv = tab[i].get(j, {})
-        back = tab[j].get(i, {})
-        if {k: -v for k, v in sv.items()} != back:
+        if {k: -c for k, c in tab[i].get(j, ())} != dict(tab[j].get(i, ())):
             anti_bad += 1
     report["antisymmetry_defects"] = anti_bad
     if anti_bad:

@@ -15,15 +15,15 @@ Dense data enters through `sparse`; the dense views of t(A) are `coords`,
 `from_coords`, `component` and `diagonal` in `triality`.
 Constraint matrices here are large and very sparse (the t(O) triality
 constraint has 320 nonzero rows of 84 columns, about two entries of +-1
-each), so the elimination never forms a dense row.  For the Jacobi check a
-list of column maps is scaled to integers by the lcm of its denominators
-(`scaled_int_columns`), and the representation defect of a pair i, j is
-formed on all columns k from a first one on at once (`int_rep_defect_pair`).
+each), so the elimination never forms a dense row; on integer input every
+stored row is still Fraction.  An integer column map (`IntMap`), the format
+of the g(A,B) table (D times its structure constants), keeps each column as
+the tuple of its (k, c) pairs; `int_rep_defect_pair` forms the
+representation defect of a pair i, j on all columns k from a first one on.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,10 +34,9 @@ SVec = Dict[int, Fraction]
 ColMap = Dict[int, SVec]
 # A matrix as its (row, col) -> value entries, the input of `columns`.
 Entries = Dict[Tuple[int, int], Fraction]
-# A column map scaled to integers, as a list: row[j] is None or the (k, c)
-# pairs of column j.
+# An integer column map: column j as the tuple of its nonzero (k, c) pairs.
 IntCol = Tuple[Tuple[int, int], ...]
-IntCols = List[Optional[IntCol]]
+IntMap = Dict[int, IntCol]
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -169,8 +168,9 @@ class Echelon:
     `add` clears the leading entry of a copy of v (zero entries dropped)
     against the row with that pivot until the lead is no pivot, so v reduces
     to zero iff it lies in the span of the rows; otherwise the rest, scaled
-    to lead 1, is stored.  This forward step is the one elimination of the
-    module: `rref` back-substitutes its rows.
+    by F1 / lead, is stored, so a stored row is Fraction even for integer
+    input.  This forward step is the one elimination of the module: `rref`
+    back-substitutes its rows.
     """
 
     def __init__(self) -> None:
@@ -187,13 +187,8 @@ class Echelon:
             lead = min(row)
             pivot = rows.get(lead)
             if pivot is None:
-                c = row[lead]
-                if c == -1:
-                    row = {k: -x for k, x in row.items()}
-                elif c != 1:
-                    inv = 1 / c
-                    row = {k: x * inv for k, x in row.items()}
-                rows[lead] = row
+                inv = F1 / row[lead]
+                rows[lead] = {k: x * inv for k, x in row.items()}
                 return True
             _eliminate(row, row[lead], pivot)
         return False
@@ -217,37 +212,14 @@ def rep_defect_column(maps: Sequence[ColMap], br: SVec, i: int, j: int, k: int) 
     return out
 
 
-def scaled_int_columns(maps: Sequence[ColMap],
-                       n: int) -> Tuple[int, List[IntCols], List[List[int]]]:
-    """D, the lcm of every denominator in maps, each map times D as IntCols of
-    length n, and the sorted nonzero columns of each map."""
-    d = 1
-    for m in maps:
-        for col in m.values():
-            for c in col.values():
-                d = lcm(d, c.denominator)
-    # One shared (k, c) tuple per distinct pair (e8: 736 of 17184 entries).
-    pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    out = []
-    for m in maps:
-        row: IntCols = [None] * n
-        for j, col in m.items():
-            row[j] = tuple(pairs.setdefault(p, p) for p in
-                           ((k, c.numerator * (d // c.denominator)) for k, c in col.items()))
-        out.append(row)
-    return d, out, [sorted(m) for m in maps]
-
-
-def int_rep_defect_pair(rows: Sequence[IntCols], nonzero: Sequence[List[int]],
-                        br: Optional[IntCol], i: int, j: int,
+def int_rep_defect_pair(rows: Sequence[IntMap], br: IntCol, i: int, j: int,
                         first_k: Optional[int] = None) -> Dict[int, int]:
     """`rep_defect_column` for every k >= first_k at once, on integer maps rows[t] = D A_t.
 
-    first_k defaults to j + 1.  br = D [b_i, b_j], and rows and nonzero are
-    as `scaled_int_columns` gives them.  Entry (k, s) of the defect is keyed
-    k n + s, n = len(rows), and is D^2 times the Fraction one; entries that
-    cancel stay as zeros, so column k vanishes iff none of its values is
-    nonzero.
+    first_k defaults to j + 1, and br = D [b_i, b_j].  Entry (k, s) of the
+    defect is keyed k n + s, n = len(rows), and is D^2 times the Fraction
+    one; entries that cancel stay as zeros, so column k vanishes iff none of
+    its values is nonzero.
     """
     n = len(rows)
     if first_k is None:
@@ -256,23 +228,23 @@ def int_rep_defect_pair(rows: Sequence[IntCols], nonzero: Sequence[List[int]],
     get = out.get
     for left, right, sign in ((rows[i], j, 1), (rows[j], i, -1)):
         # sign A_left A_right: column k of A_right, then A_left on each entry.
-        row = rows[right]
-        cols = nonzero[right]
-        for k in cols[bisect_left(cols, first_k):]:
+        for k, col_k in rows[right].items():
+            if k < first_k:
+                continue
             base = k * n
-            for t, x in row[k]:
-                col = left[t]
+            for t, x in col_k:
+                col = left.get(t)
                 if col:
                     x *= sign
                     for s, y in col:
                         key = base + s
                         out[key] = get(key, 0) + x * y
-    for t, x in br or ():
-        row = rows[t]
-        cols = nonzero[t]
-        for k in cols[bisect_left(cols, first_k):]:
+    for t, x in br:
+        for k, col in rows[t].items():
+            if k < first_k:
+                continue
             base = k * n
-            for s, y in row[k]:
+            for s, y in col:
                 key = base + s
                 out[key] = get(key, 0) - x * y
     return out

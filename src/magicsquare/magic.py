@@ -11,22 +11,20 @@ g(A,B) = t(A) x t(B)  +  A_1@B_1  +  A_2@B_2  +  A_3@B_3, with bracket:
         [u2@v2, u3@v3] = u3 conj(u2) @ v3 conj(v2)
         [u3@v3, u1@v1] = conj(u1) u3 @ conj(v1) v3
 
-The bracket table over the concatenated basis is built once and cached;
-all structure constants are exact rationals, one shared Fraction object per
-distinct value.  Row i of the table is ad(b_i) as a column map, so the
-Jacobi identity is the representation axiom of ad.  The sampled check uses
-`linalg.rep_defect_column`, the Fraction check the modules use.  The
-exhaustive check proves Jacobi for every triple from a generating set: the
-x with ad x a derivation form a subalgebra, so it is enough that ad s is a
-derivation for each s of a set S of basis vectors whose closure under the
-ad s spans g.  S is chosen greedily over Q (`jacobi_generators`, 18 of the
-248 basis vectors on e8), and each ad s is checked on every pair by
-`linalg.int_rep_defect_pair` over all columns, on a copy of the table
-scaled to integers by the lcm D of its denominators (that defect is D^2
-times the Fraction one).  Only when that certificate fails are the failing
-triples i < j < k counted, one pair i < j at a time on the same copy.
-Dimensions land on the classical 4x4 table (sl2 ... e8) and the test suite
-checks Jacobi on all sixteen algebras.
+The bracket table over the concatenated basis is built once, cached and
+stored once: the structure constants are exact rationals with a small
+common denominator D (4 on e8), and row i is D ad(b_i) as an integer column
+map (`linalg.IntMap`).  Readers that return rationals divide by D where the
+value leaves the table; spans and zero patterns do not see the scale.
+Jacobi is the representation axiom of ad.  The exhaustive check proves it
+for every triple from a generating set: the x with ad x a derivation form a
+subalgebra, so it is enough that ad s is a derivation for each s of a set S
+of basis vectors whose closure under the ad s spans g.  S is chosen
+greedily over Q (`jacobi_generators`, 18 of the 248 basis vectors on e8),
+and each ad s is checked on every pair by `linalg.int_rep_defect_pair` over
+all columns of the stored table (that defect is D^2 times the Fraction
+one).  Only when that certificate fails are the failing triples counted.
+Dimensions land on the classical 4x4 table (sl2 ... e8).
 """
 
 from __future__ import annotations
@@ -34,21 +32,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Sequence
 
 from .compalg import AlgebraTag, CompAlg, parse_tag
 from .linalg import (
     F0,
     F1,
-    ColMap,
     Echelon,
-    IntCols,
+    IntMap,
     SVec,
-    apply_into,
     axpy,
     int_rep_defect_pair,
-    rep_defect_column,
-    scaled_int_columns,
     sparse,
 )
 from .triality import TrialityAlgebra, triality_algebra
@@ -83,7 +78,7 @@ class MagicAlgebra:
         self.dA = self.tA.dim
         self.dB = self.tB.dim
         self.dim = self.dA + self.dB + 3 * self.a * self.b
-        self._table: Optional[List[ColMap]] = None
+        self._table: Optional[List[IntMap]] = None
 
     # -- index layout -----------------------------------------------------------
 
@@ -106,24 +101,39 @@ class MagicAlgebra:
 
     # -- bracket table -----------------------------------------------------------
 
-    def table(self) -> List[ColMap]:
-        """ad(b_i) for every basis index i: tab[i][j] = [b_i, b_j], zeros left out."""
+    def table(self) -> List[IntMap]:
+        """D ad(b_i) for every basis index i: tab[i][j] holds the (k, c) pairs
+        of D [b_i, b_j], zeros left out, and tab[j][i] their negation."""
         if self._table is None:
             self._table = self._build_table()
         return self._table
 
-    def _build_table(self) -> List[ColMap]:
+    @property
+    def denominator(self) -> int:
+        """D, the least common denominator of the structure constants."""
+        self.table()
+        return self._denominator
+
+    def _build_table(self) -> List[IntMap]:
         dim, a, b = self.dim, self.a, self.b
         dA = self.dA
         algA, algB = self.algA, self.algB
-        tab: List[ColMap] = [dict() for _ in range(dim)]
-        # One shared Fraction per distinct value (e8 has 8 of them).
-        values: Dict[Fraction, Fraction] = {}
+        tab: List[IntMap] = [dict() for _ in range(dim)]
+        self._denominator = 1
 
         def put(i: int, j: int, sv: SVec) -> None:
+            # A denominator that does not divide D rescales what is stored
+            # (at most log2 D times), so no second copy of the table is held.
+            d = lcm(self._denominator, *(c.denominator for c in sv.values()))
+            if d != self._denominator:
+                for row in tab:
+                    for j2, col in row.items():
+                        row[j2] = tuple((k, c * (d // self._denominator)) for k, c in col)
+                self._denominator = d
             if sv:
-                tab[i][j] = {k: values.setdefault(c, c) for k, c in sv.items()}
-                tab[j][i] = {k: values.setdefault(-c, -c) for k, c in sv.items()}
+                col = tuple((k, c.numerator * (d // c.denominator)) for k, c in sv.items())
+                tab[i][j] = col
+                tab[j][i] = tuple((k, -c) for k, c in col)
 
         # Each factor t of t(A) x t(B): its own brackets, and each triple
         # moving its leg of every A_s @ B_s (`TrialityTriple.leg_action`).
@@ -184,7 +194,7 @@ class MagicAlgebra:
     # -- operations ---------------------------------------------------------------
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> MagicElement:
-        """[x, y] = sum_i x_i ad(b_i) y."""
+        """[x, y] = sum_i x_i ad(b_i) y, formed as D [x, y] on the table."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element dimension mismatch")
         tab = self.table()
@@ -192,19 +202,24 @@ class MagicAlgebra:
         out: SVec = {}
         for i, xi in enumerate(x):
             if xi:
-                apply_into(out, tab[i], ys, xi)
-        return [out.get(k, F0) for k in range(self.dim)]
+                _apply_into(out, tab[i], ys, xi)
+        return [Fraction(out[k], self._denominator) if out.get(k) else F0
+                for k in range(self.dim)]
 
     def bracket_basis(self, i: int, j: int) -> SVec:
         """[b_i, b_j] as a sparse vector, for basis indices in 0..dim-1."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError(f"basis index out of range: ({i}, {j})")
-        return self.table()[i].get(j, {})
+        d = self.denominator
+        return {k: Fraction(c, d) for k, c in self.table()[i].get(j, ())}
 
     def jacobi_defect_basis(self, i: int, j: int, k: int) -> SVec:
-        """Minus the Jacobi sum [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]."""
+        """[b_k,[b_i,b_j]] + [b_i,[b_j,b_k]] + [b_j,[b_k,b_i]], minus the Jacobi sum."""
         tab = self.table()
-        return rep_defect_column(tab, tab[i].get(j, {}), i, j, k)
+        out: SVec = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            _apply_into(out, tab[z], self.bracket_basis(x, y))
+        return {s: v / self._denominator for s, v in out.items() if v}
 
     def jacobi_generators(self) -> List[int]:
         """A set S of basis indices whose closure under the ad s, s in S, spans g.
@@ -218,7 +233,8 @@ class MagicAlgebra:
         something nonzero, until C is closed or spans g.  Each kept vector
         is an iterated ad s of a generator, so it lies in C, and every basis
         vector is a candidate, so the kept vectors end spanning g: C = g.
-        The arithmetic is exact, on the current table.
+        The arithmetic is exact, on the current table; its scale D changes
+        no span.
         """
         tab = self.table()
         n = self.dim
@@ -237,7 +253,7 @@ class MagicAlgebra:
             while todo and len(span) < n:
                 s, v = todo.pop()
                 w: SVec = {}
-                apply_into(w, tab[s], v)
+                _apply_into(w, tab[s], v)
                 if span.add(w):
                     vecs.append(w)
                     todo.extend((t, w) for t in gens)
@@ -249,15 +265,12 @@ class MagicAlgebra:
         Then the table satisfies Jacobi on every triple (see
         `jacobi_exhaustive`).
         """
-        _, rows, nonzero = scaled_int_columns(self.table(), self.dim)
-        return self._derivations(rows, nonzero)
-
-    def _derivations(self, rows: List[IntCols], nonzero: List[List[int]]) -> bool:
         # Defect (s, y, k) is Leibniz for ad s at (b_y, b_k), for all y and k.
+        tab = self.table()
         for s in self.jacobi_generators():
-            row_s = rows[s]
+            row_s = tab[s]
             for y in range(self.dim):
-                if any(int_rep_defect_pair(rows, nonzero, row_s[y], s, y, first_k=0).values()):
+                if any(int_rep_defect_pair(tab, row_s.get(y, ()), s, y, first_k=0).values()):
                     return False
         return True
 
@@ -281,19 +294,19 @@ class MagicAlgebra:
         stopping at the first nonzero one.  If every ad s is a derivation the
         count is 0.  Otherwise `int_rep_defect_pair` runs once per pair i<j on
         the columns k > j, and the distinct k whose defect column is nonzero
-        are added up.  Both run on one copy of the table scaled to integers,
-        made on every call, so a changed table is always seen; its defect is
-        D^2 times the Fraction defect, so the answer is exact.
+        are added up.  Both run on the stored table, so a changed table is
+        always seen; its defect is D^2 times the Fraction defect, so the
+        answer is exact.
         """
-        n = self.dim
-        _, rows, nonzero = scaled_int_columns(self.table(), n)
-        if self._derivations(rows, nonzero):
+        if self.jacobi_certificate():
             return 0
+        n = self.dim
+        tab = self.table()
         bad = 0
         for i in range(n):
-            row_i = rows[i]
+            row_i = tab[i]
             for j in range(i + 1, n):
-                out = int_rep_defect_pair(rows, nonzero, row_i[j], i, j)
+                out = int_rep_defect_pair(tab, row_i.get(j, ()), i, j)
                 if any(out.values()):
                     bad += len({key // n for key, v in out.items() if v})
         return bad
@@ -343,8 +356,8 @@ class MagicAlgebra:
         idx = set(self.h_subalgebra_indices(slot))
         tab = self.table()
         for i in idx:
-            for j, sv in tab[i].items():
-                if j in idx and any(k not in idx for k in sv):
+            for j, col in tab[i].items():
+                if j in idx and any(k not in idx for k, _ in col):
                     return False
         return True
 
@@ -356,14 +369,22 @@ class MagicAlgebra:
         for j in range(n):
             rows: Dict[int, SVec] = {}
             for i in range(n):
-                sv = tab[i].get(j)
-                if sv:
-                    for k, c in sv.items():
-                        rows.setdefault(k, {})[i] = c
+                for k, c in tab[i].get(j, ()):
+                    rows.setdefault(k, {})[i] = c
             for row in rows.values():
                 if span.add(row) and len(span) == n:
                     return 0
         return n - len(span)
+
+
+def _apply_into(out: SVec, m: IntMap, v: SVec, c: Fraction = F1) -> None:
+    """out += c m v for an integer column map m, leaving what cancels as zeros."""
+    for j, x in v.items():
+        col = m.get(j)
+        if col:
+            x *= c
+            for k, y in col:
+                out[k] = out.get(k, F0) + x * y
 
 
 def build_magic_algebra(tag_a: AlgebraTag | str, tag_b: AlgebraTag | str) -> MagicAlgebra:

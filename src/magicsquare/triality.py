@@ -75,9 +75,14 @@ class TrialityTriple:
     thetas: Tuple[ColMap, ColMap, ColMap]
     n: int
 
+    def _theta(self, i: int) -> ColMap:
+        if i not in (1, 2, 3):
+            raise ValueError("slot index must be 1, 2 or 3")
+        return self.thetas[i - 1]
+
     def component(self, i: int) -> Mat:
         out = zeros(self.n, self.n)
-        for j, col in self.thetas[i - 1].items():
+        for j, col in self._theta(i).items():
             for r, x in col.items():
                 out[r][j] = x
         return out
@@ -91,7 +96,7 @@ class TrialityTriple:
 
     def diagonal(self, i: int) -> Vec:
         """The diagonal entries of theta_i."""
-        m = self.thetas[i - 1]
+        m = self._theta(i)
         return [m.get(p, {}).get(p, F0) for p in range(self.n)]
 
     def is_zero(self) -> bool:
@@ -110,6 +115,9 @@ class TrialityTriple:
 
 def combine(coeffs: SVec, triples: Sequence[TrialityTriple]) -> TrialityTriple:
     """sum_k coeffs[k] triples[k] for sparse coeffs and a nonempty list of triples."""
+    for k in coeffs:
+        if not 0 <= k < len(triples):
+            raise IndexError(f"basis index out of range: {k}")
     return TrialityTriple(tuple(map_combination(coeffs, [t.thetas[i] for t in triples])
                                 for i in range(3)), triples[0].n)
 

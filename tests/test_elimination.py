@@ -6,8 +6,9 @@ reduction of `tests_helpers` gives, zero rows, repeated rows and all-zero
 matrices included.  `nullspace` returns sparse vectors with no stored
 zero.  `primitive_integer_vector` takes and returns sparse vectors and must
 match the all-entries lcm/gcd rescaling whatever the order of the keys.
-`inverse` refuses a non-square matrix, `Echelon.add` ignores stored zeros,
-and t(A) refuses coordinates and triples of the wrong size.
+`inverse` refuses a non-square matrix, `Echelon.add` ignores stored zeros
+and is exact on integer rows, and t(A) refuses coordinates and triples of
+the wrong size.
 """
 
 from fractions import Fraction
@@ -145,6 +146,35 @@ def test_echelon_add_ignores_stored_zeros():
     assert not echelon.add({0: F0, 1: Fraction(-3)})
     assert not echelon.add({2: F0})
     assert len(echelon) == 1
+
+
+def as_fractions(rows):
+    return [{k: Fraction(c) for k, c in row.items()} for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 6), st.integers(-6, 6), max_size=5), max_size=6))
+def test_elimination_is_exact_on_integer_rows(rows):
+    # Integer rows and their Fraction copies give equal rows, every one of
+    # them Fraction: in the echelon, in `rref` and in `nullspace`.
+    ints, fracs = Echelon(), Echelon()
+    for row, copy in zip(rows, as_fractions(rows)):
+        assert ints.add(row) == fracs.add(copy)
+    red = rref(rows)
+    kernel = nullspace(rows, 7)
+    assert ints.rows == fracs.rows
+    assert red == rref(as_fractions(rows))
+    assert kernel == nullspace(as_fractions(rows), 7)
+    values = ([c for row in ints.rows.values() for c in row.values()]
+              + [c for row in red[0] + kernel for c in row.values()])
+    assert all(type(c) is Fraction for c in values)
+
+
+def test_echelon_add_scales_an_integer_lead_exactly():
+    echelon = Echelon()
+    assert echelon.add({0: 3, 1: 1})
+    assert echelon.rows == {0: {0: F1, 1: Fraction(1, 3)}}
+    assert all(type(c) is Fraction for c in echelon.rows[0].values())
 
 
 def test_triality_refuses_wrong_length_coordinates():

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicsquare import magic
-from magicsquare.linalg import int_rep_defect_pair, rep_defect_column, scaled_int_columns
+from magicsquare.linalg import int_rep_defect_pair, rep_defect_column
 from magicsquare.magic import H_SUBALGEBRA_DIMS, MAGIC_DIMS, build_magic_algebra
-from tests_helpers import describe_index, full_rank, gram_matrix, reference_jacobi_count
+from tests_helpers import (describe_index, fraction_table, full_rank, gram_matrix,
+                           reference_jacobi_count)
 
 ALL_PAIRS = [(A, B) for A in "RCHO" for B in "RCHO"]
 
@@ -39,12 +41,19 @@ def test_bracket_grading_rules():
 
 
 def test_bracket_antisymmetry_sampled():
+    # On the Fraction view, and on the stored integer columns, whose mirror
+    # is the negated tuple; `bracket` of two basis vectors reads the view.
     g = build_magic_algebra("H", "H")
-    tab = g.table()
+    tab = fraction_table(g)
+    ints = g.table()
     rng = random.Random(1)
     for _ in range(300):
         i, j = rng.randrange(g.dim), rng.randrange(g.dim)
         assert {k: -v for k, v in tab[i].get(j, {}).items()} == tab[j].get(i, {})
+        assert tuple((k, -c) for k, c in ints[i].get(j, ())) == ints[j].get(i, ())
+        br = tab[i].get(j, {})
+        assert g.bracket(g.basis_element(i), g.basis_element(j)) == [
+            br.get(k, 0) for k in range(g.dim)]
     x = [Fraction(rng.randint(-2, 2)) for _ in range(g.dim)]
     assert g.bracket(x, x) == g.zero()
 
@@ -65,9 +74,9 @@ def test_jacobi_defect_detects_corruption():
     g = build_magic_algebra("R", "C")
     tab = g.table()
     i, j = g.idx_tB(0), g.idx_m(0, 0, 0)
-    saved = dict(tab[i].get(j, {}))
+    saved = tab[i].get(j)
     try:
-        tab[i][j] = {g.idx_m(0, 0, 1): Fraction(17)}
+        tab[i][j] = ((g.idx_m(0, 0, 1), 17),)
         assert g.jacobi_exhaustive() > 0
     finally:
         if saved:
@@ -79,7 +88,7 @@ def test_jacobi_defect_detects_corruption():
 
 def _jacobi_sum_count(g):
     """Triples i<j<k with [[i,j],k] + [[j,k],i] + [[k,i],j] != 0, term by term."""
-    tab = g.table()
+    tab = fraction_table(g)
 
     def bracket_with(sv, k):
         out = {}
@@ -101,9 +110,11 @@ def _jacobi_sum_count(g):
 
 
 CC_INDEX = st.integers(0, 15)
-SPARSE_VECTORS = st.dictionaries(
-    CC_INDEX, st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(lambda c: c != 0),
-    max_size=3)
+# Columns written into the stored integer table of g(C,C), whose D is 2: an
+# odd value is a Fraction view entry with denominator 2.
+SPARSE_VECTORS = st.dictionaries(CC_INDEX, st.integers(-4, 4).filter(lambda c: c != 0),
+                                 max_size=3)
+ODD = st.sampled_from([-3, -1, 1, 3])
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,7 +133,7 @@ def test_jacobi_exhaustive_counts_corrupted_table(data):
             sv = data.draw(SPARSE_VECTORS)
             for a, b, sign in ((i, j, 1), (j, i, -1)):
                 if sv:
-                    tab[a][b] = {k: sign * c for k, c in sv.items()}
+                    tab[a][b] = tuple((k, sign * c) for k, c in sv.items())
                 else:
                     tab[a].pop(b, None)
         assert g.jacobi_exhaustive() == _jacobi_sum_count(g)
@@ -139,12 +150,13 @@ def test_jacobi_exhaustive_counts_corrupted_table(data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_int_kernel_is_the_scaled_fraction_defect(data):
-    # On corrupted g(C,C) tables, one of whose new entries has denominator 3,
-    # the pair kernel's entry (k, s) is D^2 times the Fraction defect, for
-    # every i, j and every k > j, and it holds no column k <= j; from
-    # first_k = 0 on it does the same for every k.
+    # On corrupted stored g(C,C) tables, one of whose new entries is odd,
+    # the pair kernel's entry (k, s) is D^2 times the Fraction defect of the
+    # view, for every i, j and every k > j, and it holds no column k <= j;
+    # from first_k = 0 on it does the same for every k.
     g = build_magic_algebra("C", "C")
-    n = g.dim
+    n, d = g.dim, g.denominator
+    assert d == 2
     tab = g.table()
     pairs = data.draw(st.lists(st.tuples(CC_INDEX, CC_INDEX).filter(lambda p: p[0] < p[1]),
                                min_size=1, max_size=3, unique=True))
@@ -153,24 +165,25 @@ def test_int_kernel_is_the_scaled_fraction_defect(data):
         for m, (i, j) in enumerate(pairs):
             sv = data.draw(SPARSE_VECTORS)
             if m == 0:
-                sv[data.draw(CC_INDEX)] = Fraction(data.draw(st.sampled_from([-2, -1, 1, 2])), 3)
+                sv[data.draw(CC_INDEX)] = data.draw(ODD)
             for a, b, sign in ((i, j, 1), (j, i, -1)):
                 if sv:
-                    tab[a][b] = {k: sign * c for k, c in sv.items()}
+                    tab[a][b] = tuple((k, sign * c) for k, c in sv.items())
                 else:
                     tab[a].pop(b, None)
-        d, rows, nonzero = scaled_int_columns(tab, n)
-        assert d % 3 == 0
+        view = fraction_table(g)
+        assert any(c.denominator == d for row in view for col in row.values()
+                   for c in col.values())
         for i in range(n):
             for j in range(n):
                 # The default first column j + 1, and the all-k form the
                 # derivation certificate runs, k <= j included.
                 for first_k in (None, 0):
                     lo = j + 1 if first_k is None else 0
-                    scaled = int_rep_defect_pair(rows, nonzero, rows[i][j], i, j, first_k)
+                    scaled = int_rep_defect_pair(tab, tab[i].get(j, ()), i, j, first_k)
                     assert all(key // n >= lo for key in scaled)
                     for k in range(lo, n):
-                        exact = rep_defect_column(tab, tab[i].get(j, {}), i, j, k)
+                        exact = rep_defect_column(view, view[i].get(j, {}), i, j, k)
                         assert ({s: scaled[k * n + s] for s in range(n) if scaled.get(k * n + s)}
                                 == {s: d * d * c for s, c in exact.items()})
     finally:
@@ -183,11 +196,12 @@ def test_int_kernel_is_the_scaled_fraction_defect(data):
 
 
 def _corrupt_one_sided(tab, edits):
-    """Set tab[a][b] = sv for each (a, b, sv), leaving tab[b][a] alone; returns the undo list."""
+    """Set the stored column tab[a][b] to the integer entries sv for each
+    (a, b, sv), leaving tab[b][a] alone; returns the undo list."""
     saved = [(a, b, tab[a].get(b)) for a, b, _ in edits]
     for a, b, sv in edits:
         if sv:
-            tab[a][b] = sv
+            tab[a][b] = tuple(sv.items())
         else:
             tab[a].pop(b, None)
     return saved
@@ -205,8 +219,9 @@ def _restore(tab, saved):
 @given(data=st.data())
 def test_pair_kernel_counts_one_sided_corruptions(data):
     # Each edit sets [b_a, b_b] alone, so the table stops being antisymmetric;
-    # the first two edits carry denominators 2 and 3.  The pair kernel counts
-    # the same triples i<j<k as the per-triple reference.
+    # the first two edits carry odd values (denominator D = 2 in the view).
+    # The pair kernel counts the same triples i<j<k as the per-triple
+    # reference.
     g = build_magic_algebra("C", "C")
     tab = g.table()
     cells = data.draw(st.lists(st.tuples(CC_INDEX, CC_INDEX), min_size=2, max_size=4, unique=True))
@@ -214,7 +229,7 @@ def test_pair_kernel_counts_one_sided_corruptions(data):
     for m, (a, b) in enumerate(cells):
         sv = data.draw(SPARSE_VECTORS)
         if m < 2:
-            sv[data.draw(CC_INDEX)] = Fraction(data.draw(st.sampled_from([-1, 1])), 2 + m)
+            sv[data.draw(CC_INDEX)] = data.draw(ODD)
         edits.append((a, b, sv))
     saved = _corrupt_one_sided(tab, edits)
     try:
@@ -225,18 +240,19 @@ def test_pair_kernel_counts_one_sided_corruptions(data):
 
 
 def test_pair_kernel_counts_corrupted_g_ro():
-    # g(R,O) = f4 (dim 52): one-sided edits with denominators 2 and 3, one on
-    # a pair whose bracket was zero, one on the diagonal and one that deletes
-    # a nonzero bracket.
+    # g(R,O) = f4 (dim 52, D = 2): one-sided edits of the stored integer
+    # columns, two with odd values (denominator 2 in the view), one on a pair
+    # whose bracket was zero, one on the diagonal and one that deletes a
+    # nonzero bracket.
     g = build_magic_algebra("R", "O")
-    assert g.dim == 52
+    assert g.dim == 52 and g.denominator == 2
     tab = g.table()
     x = g.idx_m(0, 0, 1)
     y = g.idx_m(1, 0, 3)
     edits = [
-        (g.idx_tB(0), x, {g.idx_m(0, 0, 2): Fraction(1, 2), g.idx_m(0, 0, 5): Fraction(-3)}),
-        (x, y, {g.idx_tB(3): Fraction(2, 3)}),
-        (y, y, {g.idx_m(2, 0, 4): Fraction(1)}),
+        (g.idx_tB(0), x, {g.idx_m(0, 0, 2): 1, g.idx_m(0, 0, 5): -6}),
+        (x, y, {g.idx_tB(3): 3}),
+        (y, y, {g.idx_m(2, 0, 4): 2}),
         (g.idx_tB(1), g.idx_tB(5), {}),
     ]
     assert tab[g.idx_tB(1)].get(g.idx_tB(5)) and y not in tab[x] and y not in tab[y]
@@ -251,9 +267,10 @@ def test_pair_kernel_counts_corrupted_g_ro():
 
 
 def _corrupt(tab, data, antisymmetric):
-    """Edit g(C,C) as the tests above do: set [b_i, b_j] and [b_j, b_i] = -[b_i, b_j]
-    on pairs i < j, or set single cells [b_a, b_b] alone; the first two edits
-    carry denominators 2 and 3.  Returns the undo list of `_restore`."""
+    """Edit the stored g(C,C) table as the tests above do: set [b_i, b_j] and
+    [b_j, b_i] = -[b_i, b_j] on pairs i < j, or set single cells [b_a, b_b]
+    alone; the first two edits carry odd values.  Returns the undo list of
+    `_restore`."""
     cell = st.tuples(CC_INDEX, CC_INDEX)
     if antisymmetric:
         cell = cell.filter(lambda p: p[0] < p[1])
@@ -263,7 +280,7 @@ def _corrupt(tab, data, antisymmetric):
     for m, (a, b) in enumerate(cells):
         sv = data.draw(SPARSE_VECTORS)
         if m < 2:
-            sv[data.draw(CC_INDEX)] = Fraction(data.draw(st.sampled_from([-1, 1])), 2 + m)
+            sv[data.draw(CC_INDEX)] = data.draw(ODD)
         edits.append((a, b, sv))
         if antisymmetric:
             edits.append((b, a, {k: -c for k, c in sv.items()}))
@@ -301,7 +318,7 @@ def _closure_rank_mod_p(g, gens):
     first search.  Full rank proves the closure over Q is g: every vector is
     the reduction of a vector of that closure with denominators prime to P."""
     tab = [{j: {k: c.numerator * pow(c.denominator, -1, P) % P for k, c in col.items()}
-            for j, col in row.items()} for row in g.table()]
+            for j, col in row.items()} for row in fraction_table(g)]
     pivots = {}
 
     def independent(v):
@@ -349,9 +366,9 @@ def test_jacobi_certificate_holds_on_every_algebra(A, B, monkeypatch):
     assert g.jacobi_certificate()
     first_ks = []
 
-    def kernel(rows, nonzero, br, i, j, first_k=None):
+    def kernel(rows, br, i, j, first_k=None):
         first_ks.append(first_k)
-        return int_rep_defect_pair(rows, nonzero, br, i, j, first_k)
+        return int_rep_defect_pair(rows, br, i, j, first_k)
 
     monkeypatch.setattr(magic, "int_rep_defect_pair", kernel)
     assert g.jacobi_exhaustive() == 0
@@ -360,8 +377,27 @@ def test_jacobi_certificate_holds_on_every_algebra(A, B, monkeypatch):
 
 @pytest.mark.parametrize("A,B", ALL_PAIRS)
 def test_table_stores_no_zeros(A, B):
-    for row in build_magic_algebra(A, B).table():
-        assert all(col and all(c != 0 for c in col.values()) for col in row.values())
+    # Every stored value is a nonzero int, and column (j, i) negates (i, j).
+    tab = build_magic_algebra(A, B).table()
+    for i, row in enumerate(tab):
+        assert all(col and all(type(c) is int and c != 0 for _, c in col) for col in row.values())
+        for j, col in row.items():
+            assert tab[j][i] == tuple((k, -c) for k, c in col)
+
+
+# D by rows A = R, C, H, O and columns B = R, C, H, O.
+DENOMINATORS = {"R": (1, 1, 1, 2), "C": (1, 2, 2, 4), "H": (1, 2, 2, 4), "O": (2, 4, 4, 4)}
+
+
+@pytest.mark.parametrize("A,B", ALL_PAIRS)
+def test_table_denominator_is_the_least_common_one(A, B):
+    g = build_magic_algebra(A, B)
+    d = g.denominator
+    assert d == DENOMINATORS[A]["RCHO".index(B)]
+    # The view's entries have lcm D: no smaller scale makes them integers.
+    dens = {c.denominator for row in fraction_table(g) for col in row.values()
+            for c in col.values()}
+    assert lcm(*dens) == d
 
 
 def test_invariant_form_symmetric_and_invariant():
@@ -405,10 +441,18 @@ def test_g_rr_is_the_rotation_algebra():
 
 def test_bracket_basis_refuses_an_index_outside_the_basis():
     g = build_magic_algebra("R", "C")
-    assert g.bracket_basis(g.dim - 1, 0) == g.table()[g.dim - 1].get(0, {})
+    assert g.bracket_basis(g.dim - 1, 0) == fraction_table(g)[g.dim - 1].get(0, {})
     for i, j in ((-1, 0), (0, -1), (g.dim, 0), (0, g.dim)):
         with pytest.raises(IndexError, match="out of range"):
             g.bracket_basis(i, j)
+
+
+def test_jacobi_defect_basis_refuses_an_index_outside_the_basis():
+    g = build_magic_algebra("R", "C")
+    assert g.jacobi_defect_basis(g.dim - 1, 0, 1) == {}
+    for triple in ((-1, 0, 1), (0, -1, 1), (0, 1, -1), (g.dim, 0, 1), (0, 1, g.dim)):
+        with pytest.raises(IndexError, match="out of range"):
+            g.jacobi_defect_basis(*triple)
 
 
 def test_magic_element_roundtrip():

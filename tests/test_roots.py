@@ -75,9 +75,9 @@ def test_bracket_table_is_graded(a, b):
     g = build_magic_algebra(a, b)
     weights = basis_weights(g)
     for i, row in enumerate(g.table()):
-        for j, sv in row.items():
+        for j, col in row.items():
             wij = tuple(x + y for x, y in zip(weights[i], weights[j]))
-            assert all(weights[k] == wij for k in sv), (i, j)
+            assert all(weights[k] == wij for k, _ in col), (i, j)
     assert sum(not any(w) for w in weights) == datum_for(a, b).rank
 
 

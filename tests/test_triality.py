@@ -246,6 +246,22 @@ def test_bracket_coords_refuses_an_index_outside_the_basis():
     assert t._bracket_cache == {}
 
 
+@pytest.mark.parametrize("view", ["component", "diagonal"])
+def test_slot_views_refuse_a_slot_outside_1_to_3(view):
+    b = triality_algebra("H").basis[5]
+    for i in (0, 4, -1):
+        with pytest.raises(ValueError, match="slot index"):
+            getattr(b, view)(i)
+
+
+def test_combine_refuses_an_index_outside_the_basis():
+    t = triality_algebra("H")
+    assert combine({t.dim - 1: Fraction(1)}, t.basis) == t.basis[-1]
+    for k in (-1, t.dim):
+        with pytest.raises(IndexError, match="out of range"):
+            combine({k: Fraction(1)}, t.basis)
+
+
 def test_dump_and_alias():
     t = triality_algebra("H")
     d = t.dump()

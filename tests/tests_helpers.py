@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import F0, columns, mat_mul, mat_vec, scaled_int_columns, sparse
+from magicsquare.linalg import F0, columns, mat_mul, mat_vec, sparse
 from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
                                 hilbert_ray)
 from magicsquare.triality import TrialityTriple, combine
@@ -313,6 +313,13 @@ def reference_weyl_dim(rd, w):
     return num / den
 
 
+def fraction_table(g):
+    """The bracket table of g as Fractions: tab[i][j] = [b_i, b_j] as a sparse vector."""
+    d = g.denominator
+    return [{j: {k: Fraction(c, d) for k, c in col} for j, col in row.items()}
+            for row in g.table()]
+
+
 def int_rep_defect_column(rows, br, i, j, k):
     """`rep_defect_column` on integer maps rows[t] = D A_t with br = D [b_i, b_j], one triple.
 
@@ -320,14 +327,14 @@ def int_rep_defect_column(rows, br, i, j, k):
     zeros, so the column vanishes iff no value is nonzero.
     """
     out = {}
-    for t, x in rows[j][k] or ():
-        for s, y in rows[i][t] or ():
+    for t, x in rows[j].get(k, ()):
+        for s, y in rows[i].get(t, ()):
             out[s] = out.get(s, 0) + x * y
-    for t, x in rows[i][k] or ():
-        for s, y in rows[j][t] or ():
+    for t, x in rows[i].get(k, ()):
+        for s, y in rows[j].get(t, ()):
             out[s] = out.get(s, 0) - x * y
-    for t, x in br or ():
-        for s, y in rows[t][k] or ():
+    for t, x in br:
+        for s, y in rows[t].get(k, ()):
             out[s] = out.get(s, 0) - x * y
     return out
 
@@ -335,8 +342,8 @@ def int_rep_defect_column(rows, br, i, j, k):
 def reference_jacobi_count(g):
     """Triples i<j<k whose per-triple integer defect column is nonzero."""
     n = g.dim
-    _, rows, _ = scaled_int_columns(g.table(), n)
-    return sum(any(int_rep_defect_column(rows, rows[i][j], i, j, k).values())
+    tab = g.table()
+    return sum(any(int_rep_defect_column(tab, tab[i].get(j, ()), i, j, k).values())
                for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
 
 
