@@ -30,7 +30,6 @@ from .linalg import (
     Mat,
     SVec,
     Vec,
-    bilinear,
     columns,
     identity,
     inverse,
@@ -89,8 +88,10 @@ class CompAlg:
         self.conj_matrix = conj
         self.gram = gram
         self.unit = unit
-        # partner[i] = the unique j with gram[j][i] != 0 (i itself for dim 1).
-        self.partner = [j for j, _ in _one_per_column(gram, "gram is not hyperbolic-paired")]
+        # (partner[i], gram[partner[i]][i]) for the unique nonzero entry of
+        # each Gram column i (partner[i] = i for dim 1).
+        self._pairing = _one_per_column(gram, "gram is not hyperbolic-paired")
+        self.partner = [j for j, _ in self._pairing]
         # conj[i] = (j, c) with conj(e_i) = c e_j.
         self.conj = _one_per_column(conj, "conjugation is not a signed permutation")
 
@@ -100,15 +101,13 @@ class CompAlg:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element dimension mismatch")
         out = [F0] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.ctable[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in row[j].items():
-                    out[k] += xi * yj * c
+            if xi:
+                row = self.ctable[i]
+                for j, yj in ys:
+                    for k, c in row[j].items():
+                        out[k] += xi * yj * c
         return out
 
     def slot_product(self, s: int, p: int, q: int) -> SVec:
@@ -135,7 +134,12 @@ class CompAlg:
     def qform(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element dimension mismatch")
-        return bilinear(self.gram, x, y)
+        # x^T G y over the one nonzero entry of each Gram column.
+        out = F0
+        for i, (j, c) in enumerate(self._pairing):
+            if x[j] and y[i]:
+                out += x[j] * c * y[i]
+        return out
 
     def basis_element(self, i: int) -> AlgElement:
         v = [F0] * self.dim

@@ -20,6 +20,10 @@ stored row is still Fraction.  An integer column map (`IntMap`), the format
 of the g(A,B) table (D times its structure constants), keeps each column as
 the tuple of its (k, c) pairs; `int_rep_defect_pair` forms the
 representation defect of a pair i, j on all columns k from a first one on.
+Zero tests go by truthiness (`if c:`), which holds for int and Fraction
+entries alike and calls no `Fraction.__eq__`: `bilinear` skips the zero
+entries of x, y and G that way, and it and `mat_vec` raise ValueError on
+a vector whose length does not fit the matrix rather than truncating it.
 """
 
 from __future__ import annotations
@@ -78,19 +82,26 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), F0) for row in a]
+    """A v; ValueError when v's length is not the row length of A."""
+    n = len(v)
+    if any(len(row) != n for row in a):
+        raise ValueError("mat_vec: vector length differs from the matrix's")
+    nonzero = [j for j in range(n) if v[j]]
+    return [sum((row[j] * v[j] for j in nonzero), F0) for row in a]
 
 
 def bilinear(gram: Mat, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    """x^T G y for a dense Gram matrix G."""
+    """x^T G y for a dense Gram matrix G; ValueError when x or y does not fit G."""
+    if len(x) != len(gram) or any(len(row) != len(y) for row in gram):
+        raise ValueError("bilinear: vector length differs from the matrix's")
+    ys = [(c, b) for c, b in enumerate(y) if b]
     out = F0
     for r, a in enumerate(x):
-        if a == 0:
-            continue
-        row = gram[r]
-        for c, b in enumerate(y):
-            if b != 0 and row[c] != 0:
-                out += a * row[c] * b
+        if a:
+            row = gram[r]
+            for c, b in ys:
+                if row[c]:
+                    out += a * row[c] * b
     return out
 
 

@@ -20,10 +20,14 @@ Jacobi is the representation axiom of ad.  The exhaustive check proves it
 for every triple from a generating set: the x with ad x a derivation form a
 subalgebra, so it is enough that ad s is a derivation for each s of a set S
 of basis vectors whose closure under the ad s spans g.  S is chosen
-greedily over Q (`jacobi_generators`, 18 of the 248 basis vectors on e8),
-and each ad s is checked on every pair by `linalg.int_rep_defect_pair` over
-all columns of the stored table (that defect is D^2 times the Fraction
-one).  Only when that certificate fails are the failing triples counted.
+greedily over Q (`jacobi_generators`, 18 of the 248 basis vectors on e8).
+One exact pass over the stored entries proves the table alternating; then
+the Leibniz defect of ad s is alternating in its pair, and each ad s is
+checked by `linalg.int_rep_defect_pair` on the columns k > y of every row y
+(that defect is D^2 times the Fraction one).  Only when the pass or the
+certificate fails are the failing triples counted, with no antisymmetry
+assumed.  The invariant form K has one evaluation, over its nonzero entries
+(`invariant_form_sparse`), which the dense `invariant_form` calls.
 Dimensions land on the classical 4x4 table (sl2 ... e8).
 """
 
@@ -79,6 +83,7 @@ class MagicAlgebra:
         self.dB = self.tB.dim
         self.dim = self.dA + self.dB + 3 * self.a * self.b
         self._table: Optional[List[IntMap]] = None
+        self._form: Optional[List[SVec]] = None
 
     # -- index layout -----------------------------------------------------------
 
@@ -166,29 +171,34 @@ class MagicAlgebra:
                             continue
                         sv: SVec = {}
                         cb = algB.gram[q][q2]
-                        if cb != 0 and p != p2:
+                        if cb and p != p2:
                             sgn = 1 if p < p2 else -1
                             axpy(sv, sgn * cb, psiA[slot].get((min(p, p2), max(p, p2)), {}))
                         ca = algA.gram[p][p2]
-                        if ca != 0 and q != q2:
+                        if ca and q != q2:
                             sgn = 1 if q < q2 else -1
                             axpy(sv, sgn * ca, psiB[slot].get((min(q, q2), max(q, q2)), {}))
                         put(i1, i2, sv)
 
         # Mixed slots multiply into the remaining slot by CompAlg.slot_product:
         # [m_s(p,q), m_{s+1}(p2,q2)] = A-product @ B-product in slot s+2.
+        # A zero factor product stores nothing, so it is skipped before `put`
+        # (9,216 of the 12,288 pairs on g(O,O)).
         for s in range(3):
             s1, s2 = (s + 1) % 3, (s + 2) % 3
             prodB = [[algB.slot_product(s, q, q2) for q2 in range(b)] for q in range(b)]
             for p in range(a):
                 for p2 in range(a):
                     prodA = algA.slot_product(s, p, p2)
+                    if not prodA:
+                        continue
                     for q in range(b):
                         for q2 in range(b):
-                            sv = {self.idx_m(s2, k, l): c * d
-                                  for k, c in prodA.items()
-                                  for l, d in prodB[q][q2].items()}
-                            put(self.idx_m(s, p, q), self.idx_m(s1, p2, q2), sv)
+                            if prodB[q][q2]:
+                                sv = {self.idx_m(s2, k, l): c * d
+                                      for k, c in prodA.items()
+                                      for l, d in prodB[q][q2].items()}
+                                put(self.idx_m(s, p, q), self.idx_m(s1, p2, q2), sv)
         return tab
 
     # -- operations ---------------------------------------------------------------
@@ -260,17 +270,28 @@ class MagicAlgebra:
         return gens
 
     def jacobi_certificate(self) -> bool:
-        """True when ad s is a derivation for every s in `jacobi_generators`.
+        """True when the table is alternating and ad s is a derivation for
+        every s in `jacobi_generators`.
 
         Then the table satisfies Jacobi on every triple (see
         `jacobi_exhaustive`).
         """
-        # Defect (s, y, k) is Leibniz for ad s at (b_y, b_k), for all y and k.
         tab = self.table()
+        # One exact pass proves the stored table alternating: no row i stores
+        # column i, and every stored tab[i][j] has tab[j][i] its negation.
+        for i, row in enumerate(tab):
+            if i in row:
+                return False
+            for j, col in row.items():
+                if tab[j].get(i) != tuple((k, -c) for k, c in col):
+                    return False
+        # Defect (s, y, k) is Leibniz for ad s at (b_y, b_k).  On an
+        # alternating table it is alternating in y, k, so the columns k > y
+        # (the kernel's default) cover every pair.
         for s in self.jacobi_generators():
             row_s = tab[s]
             for y in range(self.dim):
-                if any(int_rep_defect_pair(tab, row_s.get(y, ()), s, y, first_k=0).values()):
+                if any(int_rep_defect_pair(tab, row_s.get(y, ()), s, y).values()):
                     return False
         return True
 
@@ -285,18 +306,23 @@ class MagicAlgebra:
         in D, D contains S and is closed under ad s for every s in S, so it
         contains their closure C.  If C = g, every ad x is a derivation, and
         every rep defect (i, j, k) -- Leibniz for ad b_i at (b_j, b_k) --
-        vanishes in every order, so no triple i<j<k fails.  No antisymmetry
-        of the table is used.
+        vanishes in every order, so no triple i<j<k fails.  The lemma uses
+        no antisymmetry of the table.
 
-        So the count first tries that certificate: S from `jacobi_generators`
-        (its closure spans g, computed over Q), and for each s in S and every
-        y, y = s included, `linalg.int_rep_defect_pair` on all columns k,
-        stopping at the first nonzero one.  If every ad s is a derivation the
-        count is 0.  Otherwise `int_rep_defect_pair` runs once per pair i<j on
-        the columns k > j, and the distinct k whose defect column is nonzero
-        are added up.  Both run on the stored table, so a changed table is
-        always seen; its defect is D^2 times the Fraction defect, so the
-        answer is exact.
+        So the count first tries that certificate.  It proves the stored
+        table alternating in one exact pass (no row i stores column i, and
+        every stored tab[i][j] has tab[j][i] equal to its negation).  Then
+        the Leibniz defect d_s(y, k) of ad s at (b_y, b_k) satisfies
+        d_s(k, y) = -d_s(y, k) and d_s(y, y) = 0, so it is enough to take S
+        from `jacobi_generators` (its closure spans g, computed over Q) and,
+        for each s in S and every y, y = s included, run
+        `linalg.int_rep_defect_pair` on the columns k > y, stopping at the
+        first nonzero one.  If every ad s is a derivation the count is 0.  If
+        the pass or a derivation check fails, `int_rep_defect_pair` runs once
+        per pair i<j on the columns k > j, and the distinct k whose defect
+        column is nonzero are added up; that count uses no antisymmetry.
+        Both run on the stored table, so a changed table is always seen; its
+        defect is D^2 times the Fraction defect, so the answer is exact.
         """
         if self.jacobi_certificate():
             return 0
@@ -329,21 +355,39 @@ class MagicAlgebra:
         """K = K_t(A) + K_t(B) + sum_i Q_A @ Q_B on the slots."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("element dimension mismatch")
-        dA, dAB = self.dA, self.dA + self.dB
-        out = (self.tA.k_form_coords(x[:dA], y[:dA])
-               + self.tB.k_form_coords(x[dA:dAB], y[dA:dAB]))
-        gA, gB = self.algA.gram, self.algB.gram
-        pA, pB = self.algA.partner, self.algB.partner
-        for slot in range(3):
-            for p in range(self.a):
-                for q in range(self.b):
-                    xi = x[self.idx_m(slot, p, q)]
-                    if xi == 0:
-                        continue
-                    yj = y[self.idx_m(slot, pA[p], pB[q])]
-                    if yj != 0:
-                        out += xi * gA[p][pA[p]] * gB[q][pB[q]] * yj
+        return self.invariant_form_sparse(sparse(x), sparse(y))
+
+    def invariant_form_sparse(self, x: SVec, y: SVec) -> Fraction:
+        """K(x, y) for sparse x, y, over the nonzero entries of K."""
+        if any(not 0 <= i < self.dim for v in (x, y) for i in v):
+            raise IndexError("basis index out of range")
+        rows = self._form_rows()
+        out = F0
+        for i, a in x.items():
+            for j, c in rows[i].items():
+                b = y.get(j)
+                if b:
+                    out += a * c * b
         return out
+
+    def _form_rows(self) -> List[SVec]:
+        """K(b_i, .) for every basis index i, zeros left out.
+
+        K_t(A) and K_t(B) on their blocks; on the slots, m_s(p, q) pairs
+        only with m_s(partner p, partner q), with value Q_A Q_B there.
+        """
+        if self._form is None:
+            rows: List[SVec] = []
+            for off, t in ((0, self.tA), (self.dA, self.tB)):
+                rows.extend({off + c: v for c, v in enumerate(row) if v} for row in t.k_matrix())
+            gA, gB = self.algA.gram, self.algB.gram
+            pA, pB = self.algA.partner, self.algB.partner
+            for slot in range(3):
+                for p in range(self.a):
+                    for q in range(self.b):
+                        rows.append({self.idx_m(slot, pA[p], pB[q]): gA[p][pA[p]] * gB[q][pB[q]]})
+            self._form = rows
+        return self._form
 
     # -- structure checks ----------------------------------------------------------
 

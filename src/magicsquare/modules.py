@@ -26,7 +26,7 @@ and turned into a column map by `linalg.columns`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
@@ -40,7 +40,6 @@ from .linalg import (
     SVec,
     Vec,
     apply_into,
-    bilinear,
     columns,
     map_combination,
     rep_defect_column,
@@ -91,6 +90,14 @@ class GModule:
     actions: List[ColMap]       # rho(b_i) as a column map, per parent basis element
     form_kind: str              # "symplectic" | "cubic"
     form_data: object           # Gram matrix, or trilinear evaluator
+    # The nonzero entries of a symplectic Gram, the ones its invariance
+    # check visits (56 of 3,136 on V(O)); empty for a cubic form.
+    form_entries: Entries = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.form_entries = ({(r, c): x for r, row in enumerate(self.form_data)
+                              for c, x in enumerate(row) if x}
+                             if self.form_kind == "symplectic" else {})
 
     def act_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
         """rho(b_i) v for the parent basis element b_i, i in 0..parent.dim-1."""
@@ -392,10 +399,16 @@ def build_W_module(tag_a: str) -> GModule:
 
 
 def symplectic_invariance_defect(mod: GModule, x_idx: int, v: Vec, w: Vec) -> Fraction:
-    gram = mod.form_data
+    """Omega(x.v, w) + Omega(v, x.w), over the nonzero Gram entries; zero for invariance."""
     xv = mod.act_basis(x_idx, v)
     xw = mod.act_basis(x_idx, w)
-    return bilinear(gram, xv, w) + bilinear(gram, v, xw)
+    out = F0
+    for (r, c), x in mod.form_entries.items():
+        if xv[r] and w[c]:
+            out += xv[r] * x * w[c]
+        if v[r] and xw[c]:
+            out += v[r] * x * xw[c]
+    return out
 
 
 def cubic_invariance_defect(mod: GModule, x_idx: int, v: Vec) -> Fraction:

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from magicsquare.cli import main
+from magicsquare.magic import build_magic_algebra
+from tests_helpers import reference_invariant_form
 
 
 def run(capsys, argv):
@@ -520,3 +523,45 @@ def test_dim_weight_is_parsed_by_argparse(capsys, weight):
     assert ("argument --weight: expected comma-separated integer labels, "
             f"got {weight!r}\n") in err
     assert "invalid literal" not in err
+
+
+def _dense_invariant_form_defects(g, seed):
+    """verify's invariant-form spot check as a dense loop: the rng draws of
+    the 200 antisymmetry checks, then 100 basis triples z, x, y with
+    K([z,x],y) + K(x,[z,y]) from `bracket` and the block-by-block K."""
+    rng = random.Random(seed)
+    for _ in range(400):
+        rng.randrange(g.dim)
+    bad = 0
+    for _ in range(100):
+        z, x, y = (g.basis_element(rng.randrange(g.dim)) for _ in range(3))
+        zx, zy = g.bracket(z, x), g.bracket(z, y)
+        bad += reference_invariant_form(g, zx, y) + reference_invariant_form(g, x, zy) != 0
+    return bad
+
+
+def test_verify_spot_check_counts_as_the_dense_loop_on_a_corrupted_table(capsys):
+    # Tripling [b_a, b_b] in the stored g(C,C) table wherever a + b is a
+    # multiple of 3, mirrors included, breaks the invariance of K on some
+    # triples; the sparse spot check of verify must count what the dense
+    # loop counts.
+    g = build_magic_algebra("C", "C")
+    tab = g.table()
+    saved = [(a, b, col) for a in range(g.dim) for b, col in tab[a].items() if (a + b) % 3 == 0]
+    try:
+        for a, b, col in saved:
+            tab[a][b] = tuple((k, 3 * c) for k, c in col)
+        counts = []
+        for seed in range(6):
+            _, out = run(capsys, ["verify", "--A", "C", "--B", "C", "--jacobi", "sample:0",
+                                  "--seed", str(seed)])
+            data = json.loads(out)
+            counts.append(data["invariant_form_defects"])
+            assert counts[-1] == _dense_invariant_form_defects(g, seed)
+            assert ("invariant_form" in data["failures"]) == bool(counts[-1])
+        assert any(counts)
+    finally:
+        for a, b, col in saved:
+            tab[a][b] = col
+    code, out = run(capsys, ["verify", "--A", "C", "--B", "C", "--jacobi", "sample:0"])
+    assert code == 0 and json.loads(out)["invariant_form_defects"] == 0

@@ -2,16 +2,24 @@
 
 Basis vectors alone cannot tell a bilinear form from one that ignores the
 size of a coefficient, so the elements here are random rational
-combinations, and the checks are exact equalities.
+combinations, and the checks are exact equalities.  The sparse evaluations
+equal dense references: `linalg.bilinear` the term-by-term sum of
+`tests_helpers`, with zeros stored as fresh `Fraction(0)` objects, and
+`CompAlg.qform`, which pairs through the partner of each basis vector,
+`bilinear` on the Gram matrix.  A vector whose length does not fit the
+matrix is refused.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractions import Fraction
+
 from magicsquare.compalg import build_split_algebra
+from magicsquare.linalg import bilinear, mat_vec
 from magicsquare.magic import build_magic_algebra
 from magicsquare.triality import triality_algebra
-from tests_helpers import k_form
+from tests_helpers import k_form, reference_bilinear
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -61,3 +69,45 @@ def test_form_bilinear_and_symmetric(name):
         assert form(y, combo) == c * fxy + c2 * fx2y
 
     check()
+
+
+# Zeros drawn as new Fraction(0) objects, never the shared F0, and as ints.
+ZERO_HEAVY = st.one_of(st.builds(Fraction, st.just(0)), st.builds(Fraction, st.just(0)),
+                       st.just(0), RATIONALS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bilinear_matches_dense_reference(data):
+    n = data.draw(st.integers(0, 6))
+    m = data.draw(st.integers(1, 6))
+    gram = data.draw(st.lists(st.lists(ZERO_HEAVY, min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    x = data.draw(st.lists(ZERO_HEAVY, min_size=n, max_size=n))
+    y = data.draw(st.lists(ZERO_HEAVY, min_size=m, max_size=m))
+    assert bilinear(gram, x, y) == reference_bilinear(gram, x, y)
+
+
+@pytest.mark.parametrize("tag", "RCHO")
+def test_qform_is_bilinear_on_the_gram(tag):
+    alg = build_split_algebra(tag)
+    vec = st.lists(ZERO_HEAVY, min_size=alg.dim, max_size=alg.dim)
+
+    @settings(max_examples=40, deadline=None)
+    @given(vec, vec)
+    def check(x, y):
+        assert alg.qform(x, y) == bilinear(alg.gram, x, y)
+
+    check()
+
+
+def test_bilinear_and_mat_vec_refuse_a_length_that_does_not_fit():
+    gram = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(3)]]
+    ok2, ok3 = [Fraction(1)] * 2, [Fraction(1)] * 3
+    assert bilinear(gram, ok2, ok3) == 7 and mat_vec(gram, ok3) == [3, 4]
+    for x, y in ((ok3, ok3), (ok2, ok2), (ok2, ok3 + [Fraction(1)]), ([], ok3)):
+        with pytest.raises(ValueError, match="length"):
+            bilinear(gram, x, y)
+    for v in (ok2, ok3 + [Fraction(1)], []):
+        with pytest.raises(ValueError, match="length"):
+            mat_vec(gram, v)

@@ -9,7 +9,7 @@ from magicsquare import magic
 from magicsquare.linalg import int_rep_defect_pair, rep_defect_column
 from magicsquare.magic import H_SUBALGEBRA_DIMS, MAGIC_DIMS, build_magic_algebra
 from tests_helpers import (describe_index, fraction_table, full_rank, gram_matrix,
-                           reference_jacobi_count)
+                           reference_invariant_form, reference_jacobi_count)
 
 ALL_PAIRS = [(A, B) for A in "RCHO" for B in "RCHO"]
 
@@ -310,6 +310,34 @@ def test_jacobi_certificate_on_corrupted_tables(antisymmetric, data):
     assert g.jacobi_certificate()
 
 
+def _stored_pair(tab):
+    """A stored column (i, j), i < j, of the g(C,C) table."""
+    return next((i, j) for i, row in enumerate(tab) for j in row if i < j)
+
+
+@pytest.mark.parametrize("kind", ["one-sided", "diagonal", "mirror-missing"])
+def test_alternating_pass_refuses_a_table_that_is_not(kind):
+    # The certificate halves its columns only on a table proved alternating;
+    # each corruption breaks that, so the certificate fails and the count,
+    # which assumes no antisymmetry, runs on the corrupted table.
+    g = build_magic_algebra("C", "C")
+    tab = g.table()
+    i, j = _stored_pair(tab)
+    if kind == "one-sided":
+        edits = [(i, j, {k: 3 * c for k, c in tab[i][j]})]
+    elif kind == "diagonal":
+        edits = [(i, i, {j: 1})]
+    else:
+        edits = [(j, i, {})]
+    saved = _corrupt_one_sided(tab, edits)
+    try:
+        assert not g.jacobi_certificate()
+        assert g.jacobi_exhaustive() == reference_jacobi_count(g)
+    finally:
+        _restore(tab, saved)
+    assert g.jacobi_certificate()
+
+
 P = 2 ** 31 - 1
 
 
@@ -356,7 +384,8 @@ def _closure_rank_mod_p(g, gens):
 def test_jacobi_certificate_holds_on_every_algebra(A, B, monkeypatch):
     # The greedy generators close up to g, each ad s is a derivation, and so
     # the triple count never runs on a correct table: every pair-kernel call
-    # of jacobi_exhaustive is an all-k one of the certificate.
+    # of jacobi_exhaustive is a certificate one, on the columns k > j of one
+    # generator i and one row j, one call per generator and row.
     g = build_magic_algebra(A, B)
     gens = g.jacobi_generators()
     assert len(set(gens)) == len(gens)
@@ -364,15 +393,18 @@ def test_jacobi_certificate_holds_on_every_algebra(A, B, monkeypatch):
     if (A, B) == ("O", "O"):
         assert len(gens) == 18
     assert g.jacobi_certificate()
-    first_ks = []
+    calls = []
 
     def kernel(rows, br, i, j, first_k=None):
-        first_ks.append(first_k)
-        return int_rep_defect_pair(rows, br, i, j, first_k)
+        out = int_rep_defect_pair(rows, br, i, j, first_k)
+        calls.append((i, j, first_k, all(key // len(rows) > j for key in out)))
+        return out
 
     monkeypatch.setattr(magic, "int_rep_defect_pair", kernel)
     assert g.jacobi_exhaustive() == 0
-    assert first_ks and set(first_ks) == {0}
+    assert len(calls) == len(gens) * g.dim
+    assert {(i, j) for i, j, _, _ in calls} == {(s, y) for s in gens for y in range(g.dim)}
+    assert all(first_k is None and above for _, _, first_k, above in calls)
 
 
 @pytest.mark.parametrize("A,B", ALL_PAIRS)
@@ -408,6 +440,29 @@ def test_invariant_form_symmetric_and_invariant():
         assert g.invariant_form(x, y) == g.invariant_form(y, x)
         zx, zy = g.bracket(z, x), g.bracket(z, y)
         assert g.invariant_form(zx, y) + g.invariant_form(x, zy) == 0
+
+
+@pytest.mark.parametrize("A,B", [("R", "R"), ("C", "H"), ("R", "O"), ("O", "O")])
+def test_invariant_form_matches_the_dense_reference(A, B):
+    # K over its nonzero entries, on dense and on sparse input, against the
+    # block-by-block sum of `tests_helpers`, on random sparse elements.
+    g = build_magic_algebra(A, B)
+    rng = random.Random(3)
+    for _ in range(40):
+        x, y = ({rng.randrange(g.dim): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 12))} for _ in range(2))
+        dx, dy = ([v.get(k, Fraction(0)) for k in range(g.dim)] for v in (x, y))
+        expected = reference_invariant_form(g, dx, dy)
+        assert g.invariant_form(dx, dy) == expected
+        assert g.invariant_form_sparse(x, y) == expected
+
+
+def test_invariant_form_sparse_refuses_an_index_outside_the_basis():
+    g = build_magic_algebra("R", "C")
+    assert g.invariant_form_sparse({0: Fraction(1)}, {g.dim - 1: Fraction(1)}) is not None
+    for x, y in (({-1: Fraction(1)}, {}), ({}, {g.dim: Fraction(1)})):
+        with pytest.raises(IndexError, match="out of range"):
+            g.invariant_form_sparse(x, y)
 
 
 def test_invariant_form_nondegenerate_ch():

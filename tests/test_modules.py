@@ -9,6 +9,7 @@ from magicsquare.modules import (
     build_V_module,
     build_W_module,
     cubic_invariance_defect,
+    symplectic_invariance_defect,
 )
 
 
@@ -76,6 +77,35 @@ def test_symplectic_form(tag):
             xv = mod.act_basis(x, v)
             xw = mod.act_basis(x, w)
             assert omega_pair(mod, xv, w) + omega_pair(mod, v, xw) == 0
+
+
+@pytest.mark.parametrize("tag", ["C", "O"])
+def test_symplectic_invariance_defect_is_the_dense_pairing(tag):
+    # The check visits the nonzero Gram entries only; with one action entry
+    # changed its defects are nonzero, and they equal the dense pairing's.
+    mod = build_V_module(tag)
+    n = mod.dimension
+    gram = mod.form_data
+    assert mod.form_entries == {(r, c): x for r in range(n) for c, x in enumerate(gram[r])
+                                if x != 0}
+    assert build_W_module(tag).form_entries == {}
+    rng = random.Random(23)
+    t = rng.randrange(mod.parent.dim)
+    j, col = next(iter(mod.actions[t].items()))
+    r, old = next(iter(col.items()))
+    col[r] = old + 1
+    try:
+        defects = []
+        for _ in range(20):
+            x = rng.choice([t, rng.randrange(mod.parent.dim)])
+            v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+            w = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+            xv, xw = mod.act_basis(x, v), mod.act_basis(x, w)
+            defects.append(symplectic_invariance_defect(mod, x, v, w))
+            assert defects[-1] == omega_pair(mod, xv, w) + omega_pair(mod, v, xw)
+        assert any(defects)
+    finally:
+        col[r] = old
 
 
 @pytest.mark.parametrize("tag", ["R", "C", "H", "O"])

@@ -338,3 +338,19 @@ def test_one_object_per_tag_name():
     g = build_magic_algebra("O", "H")
     assert build_magic_algebra("o", "h") is g and build_magic_algebra(O_TAG, H_TAG) is g
     assert datum_for("c", "h") is datum_for("C", "H")
+
+
+def test_datum_refuses_a_vector_of_the_wrong_length():
+    # e8 has rank 8: a 3-vector or a 9-vector is no weight of it, and the
+    # Gram and label products must not truncate it to fit.
+    rd = builtin_datum("e8")
+    one = [Fraction(1)] * 8
+    for bad in ([Fraction(1)] * 3, [Fraction(1)] * 9):
+        for x, y in ((bad, one), (one, bad)):
+            with pytest.raises(ValueError, match="length"):
+                rd.inner(x, y)
+            with pytest.raises(ValueError, match="length"):
+                rd.pairing(x, y)
+        with pytest.raises(ValueError, match="length"):
+            rd.dynkin_labels(bad)
+    assert len(rd.dynkin_labels(one)) == 8

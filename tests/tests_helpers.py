@@ -41,17 +41,30 @@ def triple_from_mats(m1, m2, m3):
                                 for m in (m1, m2, m3)), len(m1))
 
 
+def reference_bilinear(gram, x, y):
+    """x^T G y term by term over the entries of G, skipping the terms with a zero factor."""
+    return sum((x[r] * row[c] * y[c] for r, row in enumerate(gram) if x[r] != 0
+                for c in range(len(y)) if row[c] != 0 and y[c] != 0), Fraction(0))
+
+
 def omega_pair(mod, p, q):
     """Pair two module vectors through the module's Gram-matrix form."""
-    gram = mod.form_data
-    out = Fraction(0)
-    for r in range(mod.dimension):
-        if p[r] == 0:
-            continue
-        row = gram[r]
-        for c in range(mod.dimension):
-            if q[c] != 0 and row[c] != 0:
-                out += p[r] * row[c] * q[c]
+    return reference_bilinear(mod.form_data, p, q)
+
+
+def reference_invariant_form(g, x, y):
+    """K on two dense elements of g(A,B), block by block: the K forms of
+    t(A) and t(B) through `k_form_coords`, and on each slot the pairing of
+    m_s(p, q) with m_s(partner p, partner q) by Q_A Q_B."""
+    dA, dAB = g.dA, g.dA + g.dB
+    out = g.tA.k_form_coords(x[:dA], y[:dA]) + g.tB.k_form_coords(x[dA:dAB], y[dA:dAB])
+    gA, gB = g.algA.gram, g.algB.gram
+    pA, pB = g.algA.partner, g.algB.partner
+    for slot in range(3):
+        for p in range(g.a):
+            for q in range(g.b):
+                out += (x[g.idx_m(slot, p, q)] * gA[p][pA[p]] * gB[q][pB[q]]
+                        * y[g.idx_m(slot, pA[p], pB[q])])
     return out
 
 
