@@ -23,7 +23,7 @@ from .magic import MAGIC_DIMS, build_magic_algebra
 from .roots import RootDatum, builtin_datum, datum_for, dynkin_type
 from .triality import triality_algebra
 from . import series as S
-from .crosscheck import load_known_suspects, run_crosscheck
+from .crosscheck import SERIES_A_GRID, load_known_suspects, run_crosscheck
 
 
 JacobiMode = Tuple[str, Optional[int]]
@@ -293,8 +293,7 @@ def _table_rows(args) -> List[Dict]:
         return "ok" if res.integrality else "nonintegral"
 
     if args.series == "exceptional":
-        avals = args.a or [Fraction(-4, 3), Fraction(-1), Fraction(-2, 3),
-                           Fraction(0), Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
+        avals = args.a or SERIES_A_GRID
         for k in range(args.k_min, args.k_max + 1):
             for a in avals:
                 try:

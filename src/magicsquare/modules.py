@@ -7,9 +7,9 @@ three sl2 factors of t(H); it carries an invariant symplectic form.
 
 W(A), a g(A,C+C)-module of dimension 3a+3, is built on
     A_1@L_1 + A_2@L_2 + A_3@L_3 + M_1 + M_2 + M_3
-with L_i, M_i weight lines of the 2-torus t(C+C); it carries an invariant
-cubic form x1 x2 x3 + theta(X1, X2, X3) built from the triality trilinear
-Q(X1 X2, conj X3).
+with L_i, M_i weight lines of the 2-torus t(C+C); it carries the invariant cubic
+    C = 4 x1 x2 x3 - Q(X1 X2, X3) + x1 Q(X1,X1) - x2 Q(X2,X2) + x3 Q(X3,X3),
+x_s the coordinate on M_s and X_s the A-vector of A_s@L_s.
 
 The graded pieces are glued by quadratic-form contractions, read off the
 pairing partner of each basis vector, and by the slot multiplications of
@@ -20,7 +20,9 @@ below were calibrated once by making the representation axiom hold on the
 smallest members (a = 1) and are re-verified for every A by the test suite.
 t(A) moves the A legs by `TrialityTriple.leg_action`, as in the parent
 bracket; every other action is accumulated as (row, col) -> value entries
-and turned into a column map by `linalg.columns`.
+and turned into a column map by `linalg.columns`.  Each invariant form is
+stored once, as its nonzero coefficients read off the construction
+(`GModule.form_entries`), and checked by one invariance defect.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from functools import cached_property
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (
@@ -36,6 +39,7 @@ from .linalg import (
     F1,
     ColMap,
     Entries,
+    Mat,
     SolveCache,
     SVec,
     Vec,
@@ -83,21 +87,58 @@ W_CUBIC_COEFFS: Tuple[Fraction, ...] = (
 )
 
 
+# An invariant form as its nonzero coefficients: (r, c) -> Omega_rc for a
+# symplectic form, (r, c, s) -> T_rcs for a cubic one, C(v) = sum T_rcs v_r v_c v_s.
+FormEntries = Dict[Tuple[int, ...], Fraction]
+FORM_KINDS = {2: "symplectic", 3: "cubic"}
+
+
 @dataclass
 class GModule:
     parent: MagicAlgebra
     dimension: int
     actions: List[ColMap]       # rho(b_i) as a column map, per parent basis element
-    form_kind: str              # "symplectic" | "cubic"
-    form_data: object           # Gram matrix, or trilinear evaluator
-    # The nonzero entries of a symplectic Gram, the ones its invariance
-    # check visits (56 of 3,136 on V(O)); empty for a cubic form.
-    form_entries: Entries = field(init=False, repr=False)
+    # The invariant form, the only entries its evaluation and invariance
+    # check visit: 56 on V(O), 57 on W(O).
+    form_entries: FormEntries
+    form_arity: int = field(init=False, repr=False)  # vectors the form takes
 
     def __post_init__(self) -> None:
-        self.form_entries = ({(r, c): x for r, row in enumerate(self.form_data)
-                              for c, x in enumerate(row) if x}
-                             if self.form_kind == "symplectic" else {})
+        arities = {len(key) for key in self.form_entries}
+        if len(arities) != 1 or not arities <= FORM_KINDS.keys():
+            raise ValueError("form entries must be all pairs or all triples")
+        (self.form_arity,) = arities
+
+    @property
+    def form_kind(self) -> str:
+        """"symplectic" or "cubic", by the arity of the form entries."""
+        return FORM_KINDS[self.form_arity]
+
+    @cached_property
+    def form_data(self) -> Mat:
+        """The dense Gram matrix of a symplectic form."""
+        if self.form_kind != "symplectic":
+            raise ValueError(f"a {self.form_kind} form has no Gram matrix")
+        gram = zeros(self.dimension, self.dimension)
+        for (r, c), x in self.form_entries.items():
+            gram[r][c] = x
+        return gram
+
+    def form_value(self, *vectors: Sequence[Fraction]) -> Fraction:
+        """Sum over the entries (key, c) of c * prod_p vectors[p][key[p]]."""
+        if len(vectors) != self.form_arity:
+            raise ValueError(f"a {self.form_kind} form takes {self.form_arity} vectors")
+        if any(len(v) != self.dimension for v in vectors):
+            raise ValueError("element dimension mismatch")
+        out = F0
+        for key, c in self.form_entries.items():
+            for v, r in zip(vectors, key):
+                if not v[r]:
+                    break
+                c *= v[r]
+            else:
+                out += c
+        return out
 
     def act_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
         """rho(b_i) v for the parent basis element b_i, i in 0..parent.dim-1."""
@@ -190,54 +231,35 @@ def build_V_module(tag_a: str) -> GModule:
     algA = g.algA
     a = algA.dim
     ix = _VIndex(a)
-    dim = ix.dim
     factors = _sl2_factor_bases(g)
     tensors = _tensor_identification(g, factors)
     c1, c2, c3, c4 = V_SCALARS
+    sign = (F1, -F1)
 
     def omega(x: int, y: int) -> Fraction:
         # symplectic pairing of u_x, u_y in a 2-dim slot: omega(u0, u1) = 1
-        if x == y:
-            return F0
-        return F1 if (x, y) == (0, 1) else -F1
+        return F0 if x == y else sign[x]
 
     # t(A) moves the A leg of each A_s @ U_s, in the order of the U_s basis.
     legs = [[(ix.au(s, p, 0), ix.au(s, p, 1)) for p in range(a)] for s in range(3)]
     actions = [t.leg_action(legs) for t in g.tA.basis]
 
     # t(B) acts through the sl2 factor decomposition on the U legs.
-    factor_cols = []
-    for f in factors:
-        factor_cols.extend([f["h"], f["e"], f["f"]])
-    fact_solver = SolveCache(factor_cols)
-    sl2_mats = {"h": [[F1, F0], [F0, -F1]], "e": [[F0, F1], [F0, F0]],
-                "f": [[F0, F0], [F1, F0]]}
-
+    fact_solver = SolveCache([f[w] for f in factors for w in ("h", "e", "f")])
+    sl2_mats = ({(0, 0): F1, (1, 1): -F1}, {(0, 1): F1}, {(1, 0): F1})  # h, e, f on U
     for b in range(g.tB.dim):
-        coords = fact_solver.solve({b: F1})
         m: Entries = defaultdict(Fraction)
-        for fi in range(3):
-            for wi, which in enumerate(("h", "e", "f")):
-                coeff = coords.get(3 * fi + wi)
-                if coeff is None:
-                    continue
-                u = sl2_mats[which]
-                # on A_s @ U_s with s = fi
+        for ci, coeff in sorted(fact_solver.solve({b: F1}).items()):
+            fi, wi = divmod(ci, 3)
+            for (r, cc), x in sl2_mats[wi].items():
+                # on A_s @ U_s with s = fi, and on slot fi of UUU
                 for p in range(a):
-                    for r in range(2):
-                        for cc in range(2):
-                            if u[r][cc] != 0:
-                                m[ix.au(fi, p, r), ix.au(fi, p, cc)] += coeff * u[r][cc]
-                # on UUU, slot fi of the triple tensor
-                for al in range(2):
-                    for be in range(2):
-                        for ga in range(2):
-                            idx = [al, be, ga]
-                            for r in range(2):
-                                if u[r][idx[fi]] != 0:
-                                    jdx = list(idx)
-                                    jdx[fi] = r
-                                    m[ix.uuu(*jdx), ix.uuu(*idx)] += coeff * u[r][idx[fi]]
+                    m[ix.au(fi, p, r), ix.au(fi, p, cc)] += coeff * x
+                for idx in product(range(2), repeat=3):
+                    if idx[fi] == cc:
+                        jdx = list(idx)
+                        jdx[fi] = r
+                        m[ix.uuu(*jdx), ix.uuu(*idx)] += coeff * x
         actions.append(columns(m))
 
     # Mixed slots: e_p @ w with w in the H slot identified as u_eps(j) @ u_del(k).
@@ -256,57 +278,39 @@ def build_V_module(tag_a: str) -> GModule:
                 for ci, coeff in sorted(tens.items()):
                     eps, dl = divmod(ci, 2)
                     # (1) UUU -> A_s @ U_s
-                    for al in range(2):
-                        for be in range(2):
-                            for ga in range(2):
-                                idx = [al, be, ga]
-                                w = omega(eps, idx[jf]) * omega(dl, idx[kf])
-                                if w == 0:
-                                    continue
-                                m[ix.au(s, p, idx[s]), ix.uuu(al, be, ga)] += c1 * coeff * w
+                    for idx in product(range(2), repeat=3):
+                        w = omega(eps, idx[jf]) * omega(dl, idx[kf])
+                        if w:
+                            m[ix.au(s, p, idx[s]), ix.uuu(*idx)] += c1 * coeff * w
                     # (2) A_s @ U_s -> UUU; Q(e_p, e_x) is nonzero only at x = partner[p]
                     for us in range(2):
-                        idx = [None, None, None]
-                        idx[s] = us
-                        idx[jf] = eps
-                        idx[kf] = dl
+                        idx = [0] * 3
+                        idx[s], idx[jf], idx[kf] = us, eps, dl
                         m[ix.uuu(*idx), ix.au(s, pA[p], us)] += c2 * coeff * algA.gram[p][pA[p]]
                     for src, dst, cs, prods in mults:
                         # U_src is the factor j or k matching index src
+                        # and pairs through omega(pair_eps, u), nonzero at u = 1 - pair_eps
                         pair_eps, out_eps = (eps, dl) if src == jf else (dl, eps)
+                        u, w = 1 - pair_eps, cs * coeff * sign[pair_eps]
                         for y, prod in enumerate(prods):
                             for r, pv in prod.items():
-                                for u in range(2):
-                                    w = cs * coeff * omega(pair_eps, u) * pv
-                                    if w != 0:
-                                        m[ix.au(dst, r, out_eps), ix.au(src, y, u)] += w
+                                m[ix.au(dst, r, out_eps), ix.au(src, y, u)] += w * pv
                 actions.append(columns(m))
 
-    # Invariant symplectic form.
-    d0, d1, d2, d3 = V_OMEGA_WEIGHTS
-    gram = zeros(dim, dim)
-    ds = (d1, d2, d3)
+    # Invariant symplectic form: d_s * omega (x) Q on A_s @ U_s pairs (p, eps)
+    # with (partner p, 1 - eps), and d0 * omega^(x)3 on UUU pairs each triple
+    # with its complement; omega(u0, u1) = 1 = -omega(u1, u0).
+    d0, *ds = V_OMEGA_WEIGHTS
+    form: FormEntries = {}
     for s in range(3):
         for p in range(a):
-            for p2 in range(a):
-                qv = algA.gram[p][p2]
-                if qv == 0:
-                    continue
-                for e1 in range(2):
-                    for e2 in range(2):
-                        w = omega(e1, e2)
-                        if w != 0:
-                            gram[ix.au(s, p, e1)][ix.au(s, p2, e2)] += ds[s] * qv * w
-    for al in range(2):
-        for be in range(2):
-            for ga in range(2):
-                for al2 in range(2):
-                    for be2 in range(2):
-                        for ga2 in range(2):
-                            w = omega(al, al2) * omega(be, be2) * omega(ga, ga2)
-                            if w != 0:
-                                gram[ix.uuu(al, be, ga)][ix.uuu(al2, be2, ga2)] += d0 * w
-    return GModule(g, dim, actions, "symplectic", gram)
+            for e in range(2):
+                form[ix.au(s, p, e), ix.au(s, pA[p], 1 - e)] = (
+                    ds[s] * algA.gram[p][pA[p]] * sign[e])
+    for al, be, ga in product(range(2), repeat=3):
+        form[ix.uuu(al, be, ga), ix.uuu(1 - al, 1 - be, 1 - ga)] = (
+            d0 * sign[al] * sign[be] * sign[ga])
+    return GModule(g, ix.dim, actions, form)
 
 
 # -- the W module -------------------------------------------------------------------
@@ -330,8 +334,6 @@ def build_W_module(tag_a: str) -> GModule:
     algA = g.algA
     a = algA.dim
     ix = _WIndex(a)
-    dim = ix.dim
-    chart = cartan_chart(g.tB)
     # Signed slot weights (against the chart torus) and the line weights.
     diffs, omega_lines = line_weights(g.tB)
 
@@ -341,7 +343,7 @@ def build_W_module(tag_a: str) -> GModule:
 
     # The torus t(B) acts by weights: -w_s on A_s @ L_s, +2 w_s on the lines.
     # t(C+C) is its own Cartan, so every basis element is a chart combination.
-    chart_solver = SolveCache([g.tB.sparse_coords(h) for h in chart])
+    chart_solver = SolveCache([g.tB.sparse_coords(h) for h in cartan_chart(g.tB)])
     for b in range(g.tB.dim):
         chart_coords = chart_solver.solve({b: F1})
         m: Entries = defaultdict(Fraction)
@@ -376,43 +378,41 @@ def build_W_module(tag_a: str) -> GModule:
                         m[ix.al(dst, r), ix.al(src, y)] += w3 * pv
                 actions.append(columns(m))
 
-    def cubic(u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
-        """Symmetric trilinear polarization of the invariant cubic."""
-        total = F0
-        c_lines, c_theta, c1, c2, c3 = W_CUBIC_COEFFS
-        for x, y, z in permutations((u, v, w)):
-            total += c_lines * x[ix.line(0)] * y[ix.line(1)] * z[ix.line(2)]
-            x1 = [x[ix.al(0, p)] for p in range(a)]
-            y2 = [y[ix.al(1, p)] for p in range(a)]
-            z3 = [z[ix.al(2, p)] for p in range(a)]
-            total += c_theta * algA.qform(algA.multiply(x1, y2), z3)
-            for s, cs in ((0, c1), (1, c2), (2, c3)):
-                xs = [y[ix.al(s, p)] for p in range(a)]
-                zs = [z[ix.al(s, p)] for p in range(a)]
-                total += cs * x[ix.line(s)] * algA.qform(xs, zs)
-        return total / 6
-
-    return GModule(g, dim, actions, "cubic", cubic)
+    # Invariant cubic, one entry per monomial of the five W_CUBIC_COEFFS
+    # families: Q(X1 X2, X3) pairs each component e_k of e_p e_q with
+    # e_{partner k} in X3, and x_s Q(X_s, X_s) pairs e_p with e_{partner p}.
+    c_lines, c_theta, *cs = W_CUBIC_COEFFS
+    qp = [algA.gram[p][pA[p]] for p in range(a)]
+    form: FormEntries = {(ix.line(0), ix.line(1), ix.line(2)): c_lines}
+    for p in range(a):
+        for q in range(a):
+            for k, c in algA.ctable[p][q].items():
+                form[ix.al(0, p), ix.al(1, q), ix.al(2, pA[k])] = c_theta * c * qp[k]
+    for s in range(3):
+        for p in range(a):
+            form[ix.line(s), ix.al(s, p), ix.al(s, pA[p])] = cs[s] * qp[p]
+    return GModule(g, ix.dim, actions, form)
 
 
 # -- validation helpers ----------------------------------------------------------------
 
 
+def _invariance_defect(mod: GModule, kind: str, x_idx: int, vectors: Sequence[Vec]) -> Fraction:
+    """The sum over the positions p of the form with vectors[p] replaced by
+    rho(b_x) vectors[p], rho applied once per distinct vector; zero for invariance."""
+    if mod.form_kind != kind:
+        raise ValueError(f"the module carries a {mod.form_kind} form, not a {kind} one")
+    moved = {id(v): v for v in vectors}
+    moved = {k: mod.act_basis(x_idx, v) for k, v in moved.items()}
+    return sum((mod.form_value(*vectors[:p], moved[id(v)], *vectors[p + 1:])
+                for p, v in enumerate(vectors)), F0)
+
+
 def symplectic_invariance_defect(mod: GModule, x_idx: int, v: Vec, w: Vec) -> Fraction:
-    """Omega(x.v, w) + Omega(v, x.w), over the nonzero Gram entries; zero for invariance."""
-    xv = mod.act_basis(x_idx, v)
-    xw = mod.act_basis(x_idx, w)
-    out = F0
-    for (r, c), x in mod.form_entries.items():
-        if xv[r] and w[c]:
-            out += xv[r] * x * w[c]
-        if v[r] and xw[c]:
-            out += v[r] * x * xw[c]
-    return out
+    """Omega(x.v, w) + Omega(v, x.w); zero for invariance."""
+    return _invariance_defect(mod, "symplectic", x_idx, (v, w))
 
 
 def cubic_invariance_defect(mod: GModule, x_idx: int, v: Vec) -> Fraction:
-    """d/dt C(v + t x.v) at t=0 = 3 C~(x.v, v, v); zero for invariance."""
-    cubic = mod.form_data
-    xv = mod.act_basis(x_idx, v)
-    return cubic(xv, v, v)
+    """d/dt C(v + t x.v) at t=0, over 3: C~(x.v, v, v); zero for invariance."""
+    return _invariance_defect(mod, "cubic", x_idx, (v, v, v)) / 3

@@ -1,16 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from tests_helpers import full_rank, omega_pair
+from tests_helpers import full_rank, omega_pair, reference_cubic, reference_symplectic_gram
 
 from magicsquare.modules import (
+    GModule,
     build_V_module,
     build_W_module,
     cubic_invariance_defect,
     symplectic_invariance_defect,
 )
+
+
+def _vector(rng, n):
+    return [Fraction(rng.randint(-2, 2)) for _ in range(n)]
 
 
 @pytest.mark.parametrize("tag,a", [("R", 1), ("C", 2), ("H", 4), ("O", 8)])
@@ -88,7 +94,7 @@ def test_symplectic_invariance_defect_is_the_dense_pairing(tag):
     gram = mod.form_data
     assert mod.form_entries == {(r, c): x for r in range(n) for c, x in enumerate(gram[r])
                                 if x != 0}
-    assert build_W_module(tag).form_entries == {}
+    assert gram == reference_symplectic_gram(mod)
     rng = random.Random(23)
     t = rng.randrange(mod.parent.dim)
     j, col = next(iter(mod.actions[t].items()))
@@ -124,7 +130,80 @@ def test_cubic_form(tag):
                 bad += 1
     assert bad == 0
     ones = [Fraction(1)] * n
-    assert mod.form_data(ones, ones, ones) != 0
+    assert mod.form_value(ones, ones, ones) == reference_cubic(mod, ones, ones, ones) != 0
+
+
+@pytest.mark.parametrize("tag,a,cubic_entries", [("R", 1, 5), ("C", 2, 9), ("H", 4, 21),
+                                                 ("O", 8, 57)])
+def test_form_entries_are_the_nonzero_coefficients(tag, a, cubic_entries):
+    # V: 6a entries on the A_s @ U_s pairs and 8 on UUU.  W: the line
+    # monomial, one per nonzero e_p e_q and 3a for the x_s Q(X_s, X_s).
+    for mod, count, arity in ((build_V_module(tag), 6 * a + 8, 2),
+                              (build_W_module(tag), cubic_entries, 3)):
+        assert len(mod.form_entries) == count
+        assert all(len(key) == arity and c != 0 for key, c in mod.form_entries.items())
+
+
+@pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
+def test_symmetrized_form_value_is_the_reference_cubic(tag):
+    mod = build_W_module(tag)
+    rng = random.Random(29)
+    for _ in range(30):
+        u, v, w = (_vector(rng, mod.dimension) for _ in range(3))
+        if u == v or v == w or u == w:
+            continue
+        sym = sum(mod.form_value(*p) for p in permutations((u, v, w))) / 6
+        assert sym == reference_cubic(mod, u, v, w)
+
+
+@pytest.mark.parametrize("tag", ["C", "O"])
+def test_cubic_invariance_defect_is_the_reference_cubic(tag):
+    # With one action entry changed the defects are nonzero, and they equal
+    # the polarization C~(x.v, v, v) of the reference cubic.
+    mod = build_W_module(tag)
+    n = mod.dimension
+    rng = random.Random(37)
+    t = rng.randrange(mod.parent.dim)
+    j, col = next(iter(mod.actions[t].items()))
+    r, old = next(iter(col.items()))
+    col[r] = old + 1
+    try:
+        defects = []
+        for _ in range(20):
+            x = rng.choice([t, rng.randrange(mod.parent.dim)])
+            v = _vector(rng, n)
+            defects.append(cubic_invariance_defect(mod, x, v))
+            assert defects[-1] == reference_cubic(mod, mod.act_basis(x, v), v, v)
+        assert any(defects)
+    finally:
+        col[r] = old
+
+
+def test_invariance_defects_refuse_the_other_form_kind():
+    v, w = build_V_module("C"), build_W_module("C")
+    vv, wv = [Fraction(1)] * v.dimension, [Fraction(1)] * w.dimension
+    with pytest.raises(ValueError, match="cubic form, not a symplectic"):
+        symplectic_invariance_defect(w, 0, wv, wv)
+    with pytest.raises(ValueError, match="symplectic form, not a cubic"):
+        cubic_invariance_defect(v, 0, vv)
+    with pytest.raises(ValueError, match="cubic form has no Gram"):
+        w.form_data
+
+
+def test_form_value_refuses_the_wrong_vectors():
+    w = build_W_module("C")
+    ones = [Fraction(1)] * w.dimension
+    with pytest.raises(ValueError, match="cubic form takes 3 vectors"):
+        w.form_value(ones, ones)
+    with pytest.raises(ValueError, match="element dimension mismatch"):
+        w.form_value(ones, ones, ones[1:])
+
+
+def test_module_refuses_form_entries_of_mixed_arity():
+    w = build_W_module("R")
+    for entries in ({}, {(0, 1): Fraction(1), (0, 1, 2): Fraction(1)}, {(0,): Fraction(1)}):
+        with pytest.raises(ValueError, match="all pairs or all triples"):
+            GModule(w.parent, w.dimension, w.actions, entries)
 
 
 def test_form_kinds():

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import F0, columns, mat_mul, mat_vec, sparse
+from magicsquare.linalg import F0, columns, mat_mul, mat_vec, sparse, zeros
+from magicsquare.modules import V_OMEGA_WEIGHTS, W_CUBIC_COEFFS
 from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
                                 hilbert_ray)
 from magicsquare.triality import TrialityTriple, combine
@@ -50,6 +52,52 @@ def reference_bilinear(gram, x, y):
 def omega_pair(mod, p, q):
     """Pair two module vectors through the module's Gram-matrix form."""
     return reference_bilinear(mod.form_data, p, q)
+
+
+def reference_symplectic_gram(mod):
+    """The Gram matrix of V's symplectic form, summed term by term over
+    d_s * omega (x) Q on each A_s @ U_s (index 2a s + 2p + eps) and
+    d0 * omega^(x)3 on UUU (index 6a + 4 al + 2 be + ga), omega(u0, u1) = 1."""
+    alg = mod.parent.algA
+    a = alg.dim
+    d0, *ds = V_OMEGA_WEIGHTS
+
+    def omega(x, y):
+        return F0 if x == y else (F1 if (x, y) == (0, 1) else -F1)
+
+    gram = zeros(mod.dimension, mod.dimension)
+    for s in range(3):
+        for p in range(a):
+            for p2 in range(a):
+                for e1 in range(2):
+                    for e2 in range(2):
+                        gram[2 * a * s + 2 * p + e1][2 * a * s + 2 * p2 + e2] += (
+                            ds[s] * alg.gram[p][p2] * omega(e1, e2))
+    for i in range(8):
+        for j in range(8):
+            w = d0
+            for k in range(3):
+                w *= omega((i >> k) & 1, (j >> k) & 1)
+            gram[6 * a + i][6 * a + j] += w
+    return gram
+
+
+def reference_cubic(mod, u, v, w):
+    """The symmetric trilinear polarization of W's invariant cubic
+    C = 4 x1 x2 x3 - Q(X1 X2, X3) + x1 Q(X1,X1) - x2 Q(X2,X2) + x3 Q(X3,X3),
+    through `CompAlg.multiply` and `qform` on the A-slot lists (X_s at
+    indices s a .. s a + a - 1, x_s at 3a + s) over all six argument orders."""
+    alg = mod.parent.algA
+    a = alg.dim
+    total = F0
+    c_lines, c_theta, c1, c2, c3 = W_CUBIC_COEFFS
+    for x, y, z in permutations((u, v, w)):
+        total += c_lines * x[3 * a] * y[3 * a + 1] * z[3 * a + 2]
+        x1, y2, z3 = x[:a], y[a:2 * a], z[2 * a:3 * a]
+        total += c_theta * alg.qform(alg.multiply(x1, y2), z3)
+        for s, cs in ((0, c1), (1, c2), (2, c3)):
+            total += cs * x[3 * a + s] * alg.qform(y[s * a:(s + 1) * a], z[s * a:(s + 1) * a])
+    return total / 6
 
 
 def reference_invariant_form(g, x, y):
