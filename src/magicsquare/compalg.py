@@ -116,6 +116,8 @@ class CompAlg:
         The cyclic rule of the mixed slots: e_p e_q, e_q conj(e_p) and
         conj(e_q) e_p for s = 0, 1, 2.
         """
+        if not (0 <= p < self.dim and 0 <= q < self.dim):
+            raise IndexError(f"basis index out of range: ({p}, {q})")
         if s == 0:
             return self.ctable[p][q]
         if s == 1:
@@ -142,6 +144,8 @@ class CompAlg:
         return out
 
     def basis_element(self, i: int) -> AlgElement:
+        if not 0 <= i < self.dim:
+            raise IndexError(f"basis index out of range: {i}")
         v = [F0] * self.dim
         v[i] = F1
         return v

@@ -1,29 +1,21 @@
 """Small exact linear algebra toolkit over Fraction.
 
-Dense matrices are lists of lists of Fraction; sparse vectors are
-dict[int, Fraction] with no zero values stored.  A linear map acting on a
-Lie algebra or on a module is a column map: dict[int, SVec] whose entry j
-is the image of basis vector j, with zero columns left out; `columns`
-builds one from (row, col) -> value entries, and `map_combination` adds
-scaled maps.  `Echelon` is the one elimination of the module: an
-incremental row echelon of sparse vectors, for independence tests and rank
-counts, whose forward step `rref` shares before back-substituting.  The
-solvers go through `rref` on sparse rows: `nullspace`, `inverse` and
-`SolveCache` (pivot-position solves with an exact reconstruction check),
-all but `inverse` sparse in and out, as is `primitive_integer_vector`.
-Dense data enters through `sparse`; the dense views of t(A) are `coords`,
-`from_coords`, `component` and `diagonal` in `triality`.
-Constraint matrices here are large and very sparse (the t(O) triality
-constraint has 320 nonzero rows of 84 columns, about two entries of +-1
-each), so the elimination never forms a dense row; on integer input every
-stored row is still Fraction.  An integer column map (`IntMap`), the format
-of the g(A,B) table (D times its structure constants), keeps each column as
-the tuple of its (k, c) pairs; `int_rep_defect_pair` forms the
-representation defect of a pair i, j on all columns k from a first one on.
+Dense matrices are lists of lists of Fraction; sparse vectors (`SVec`) are
+dict[int, Fraction] with no zero stored.  A linear map on a Lie algebra or
+a module is a column map: entry j is the image of basis vector j, zero
+columns left out; `columns` builds one from (row, col) -> value entries,
+`map_combination` adds scaled maps and `apply_into` applies one (the
+Fraction maps of t(A)).  `Echelon` is the one elimination, whose forward
+step `rref` shares; `nullspace`, `inverse` and `SolveCache` go through
+`rref` on sparse rows and never form a dense row (the t(O) triality
+constraint has 320 nonzero rows of 84 columns, about two entries each).
+Every representation of g(A,B), D ad(b_i) in the table and D rho(b_i) in a
+module (D a common denominator), is an integer column map (`IntMap`), each
+column the tuple of its (k, c) pairs: made by `int_column`, applied by
+`int_apply_into` and checked by the one kernel `int_rep_defect_pair`.
 Zero tests go by truthiness (`if c:`), which holds for int and Fraction
-entries alike and calls no `Fraction.__eq__`: `bilinear` skips the zero
-entries of x, y and G that way, and it and `mat_vec` raise ValueError on
-a vector whose length does not fit the matrix rather than truncating it.
+entries alike and calls no `Fraction.__eq__`; `bilinear` and `mat_vec`
+raise ValueError on a vector whose length does not fit the matrix.
 """
 
 from __future__ import annotations
@@ -205,34 +197,32 @@ class Echelon:
         return False
 
 
-def rep_defect_column(maps: Sequence[ColMap], br: SVec, i: int, j: int, k: int) -> SVec:
-    """([A_i, A_j] - sum_t br_t A_t) e_k for the column maps A_t = maps[t].
+def int_column(col: SVec, d: int) -> IntCol:
+    """d col as the tuple of its (k, c) pairs, for a d that every denominator divides."""
+    return tuple((k, x.numerator * (d // x.denominator)) for k, x in col.items())
 
-    With br = [b_i, b_j] this is the representation axiom on the pair i, j,
-    read off one column; b -> A_b is a representation iff it vanishes for
-    every i, j, k.  For the bracket table itself (A_t = ad b_t) it is minus
-    the Jacobi sum of the triple i, j, k.
-    """
-    out: SVec = {}
-    apply_into(out, maps[i], maps[j].get(k, {}))
-    apply_into(out, maps[j], maps[i].get(k, {}), -F1)
-    for t, c in br.items():
-        col = maps[t].get(k)
+
+def int_apply_into(out: SVec, m: IntMap, v: SVec, c: Fraction = F1) -> None:
+    """out += c m v for an integer column map m, leaving what cancels as zeros."""
+    for j, x in v.items():
+        col = m.get(j)
         if col:
-            axpy(out, -c, col)
-    return out
+            x *= c
+            for k, y in col:
+                out[k] = out.get(k, F0) + x * y
 
 
 def int_rep_defect_pair(rows: Sequence[IntMap], br: IntCol, i: int, j: int,
-                        first_k: Optional[int] = None) -> Dict[int, int]:
-    """`rep_defect_column` for every k >= first_k at once, on integer maps rows[t] = D A_t.
+                        first_k: Optional[int] = None, dim: Optional[int] = None) -> Dict[int, int]:
+    """The representation defect of the pair i, j on integer maps rows[t] = D A_t.
 
-    first_k defaults to j + 1, and br = D [b_i, b_j].  Entry (k, s) of the
-    defect is keyed k n + s, n = len(rows), and is D^2 times the Fraction
-    one; entries that cancel stay as zeros, so column k vanishes iff none of
-    its values is nonzero.
+    With br = D [b_i, b_j], column k is D^2 ([A_i, A_j] - sum_t br_t A_t) e_k,
+    for every k >= first_k (default j + 1); for ad it is minus the Jacobi sum
+    of i, j, k.  Entry (k, s) is keyed k dim + s, dim the dimension the maps
+    act on (default len(rows), as for ad), so no two entries collide.
+    Entries that cancel stay as zeros: column k vanishes iff none is nonzero.
     """
-    n = len(rows)
+    n = len(rows) if dim is None else dim
     if first_k is None:
         first_k = j + 1
     out: Dict[int, int] = {}

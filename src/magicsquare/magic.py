@@ -14,21 +14,17 @@ g(A,B) = t(A) x t(B)  +  A_1@B_1  +  A_2@B_2  +  A_3@B_3, with bracket:
 The bracket table over the concatenated basis is built once, cached and
 stored once: the structure constants are exact rationals with a small
 common denominator D (4 on e8), and row i is D ad(b_i) as an integer column
-map (`linalg.IntMap`).  Readers that return rationals divide by D where the
-value leaves the table; spans and zero patterns do not see the scale.
-Jacobi is the representation axiom of ad.  The exhaustive check proves it
-for every triple from a generating set: the x with ad x a derivation form a
-subalgebra, so it is enough that ad s is a derivation for each s of a set S
-of basis vectors whose closure under the ad s spans g.  S is chosen
-greedily over Q (`jacobi_generators`, 18 of the 248 basis vectors on e8).
-One exact pass over the stored entries proves the table alternating; then
-the Leibniz defect of ad s is alternating in its pair, and each ad s is
-checked by `linalg.int_rep_defect_pair` on the columns k > y of every row y
-(that defect is D^2 times the Fraction one).  Only when the pass or the
-certificate fails are the failing triples counted, with no antisymmetry
-assumed.  The invariant form K has one evaluation, over its nonzero entries
-(`invariant_form_sparse`), which the dense `invariant_form` calls.
-Dimensions land on the classical 4x4 table (sl2 ... e8).
+map (`linalg.IntMap`), applied by `linalg.int_apply_into`.  Readers that
+return rationals divide by D where the value leaves the table; spans and
+zero patterns do not see the scale.  Jacobi is the representation axiom of
+ad, checked by `linalg.int_rep_defect_pair`, the kernel that also checks
+the V/W modules of `modules` (stored in the same format):
+`jacobi_exhaustive` proves it for every triple from a generating set of
+derivations (`jacobi_generators`, 18 of the 248 basis vectors on e8; the
+lemma and proof are in its docstring), and counts the failing triples only
+when that certificate fails.  The invariant form K has one evaluation,
+over its nonzero entries (`invariant_form_sparse`), which the dense
+`invariant_form` calls.  Dimensions land on the classical 4x4 table.
 """
 
 from __future__ import annotations
@@ -47,6 +43,8 @@ from .linalg import (
     IntMap,
     SVec,
     axpy,
+    int_apply_into,
+    int_column,
     int_rep_defect_pair,
     sparse,
 )
@@ -100,6 +98,8 @@ class MagicAlgebra:
         return [F0] * self.dim
 
     def basis_element(self, i: int) -> MagicElement:
+        if not 0 <= i < self.dim:
+            raise IndexError(f"basis index out of range: {i}")
         v = self.zero()
         v[i] = F1
         return v
@@ -136,8 +136,7 @@ class MagicAlgebra:
                         row[j2] = tuple((k, c * (d // self._denominator)) for k, c in col)
                 self._denominator = d
             if sv:
-                col = tuple((k, c.numerator * (d // c.denominator)) for k, c in sv.items())
-                tab[i][j] = col
+                tab[i][j] = col = int_column(sv, d)
                 tab[j][i] = tuple((k, -c) for k, c in col)
 
         # Each factor t of t(A) x t(B): its own brackets, and each triple
@@ -212,7 +211,7 @@ class MagicAlgebra:
         out: SVec = {}
         for i, xi in enumerate(x):
             if xi:
-                _apply_into(out, tab[i], ys, xi)
+                int_apply_into(out, tab[i], ys, xi)
         return [Fraction(out[k], self._denominator) if out.get(k) else F0
                 for k in range(self.dim)]
 
@@ -228,7 +227,7 @@ class MagicAlgebra:
         tab = self.table()
         out: SVec = {}
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            _apply_into(out, tab[z], self.bracket_basis(x, y))
+            int_apply_into(out, tab[z], self.bracket_basis(x, y))
         return {s: v / self._denominator for s, v in out.items() if v}
 
     def jacobi_generators(self) -> List[int]:
@@ -263,7 +262,7 @@ class MagicAlgebra:
             while todo and len(span) < n:
                 s, v = todo.pop()
                 w: SVec = {}
-                _apply_into(w, tab[s], v)
+                int_apply_into(w, tab[s], v)
                 if span.add(w):
                     vecs.append(w)
                     todo.extend((t, w) for t in gens)
@@ -309,20 +308,14 @@ class MagicAlgebra:
         vanishes in every order, so no triple i<j<k fails.  The lemma uses
         no antisymmetry of the table.
 
-        So the count first tries that certificate.  It proves the stored
-        table alternating in one exact pass (no row i stores column i, and
-        every stored tab[i][j] has tab[j][i] equal to its negation).  Then
-        the Leibniz defect d_s(y, k) of ad s at (b_y, b_k) satisfies
-        d_s(k, y) = -d_s(y, k) and d_s(y, y) = 0, so it is enough to take S
-        from `jacobi_generators` (its closure spans g, computed over Q) and,
-        for each s in S and every y, y = s included, run
-        `linalg.int_rep_defect_pair` on the columns k > y, stopping at the
-        first nonzero one.  If every ad s is a derivation the count is 0.  If
-        the pass or a derivation check fails, `int_rep_defect_pair` runs once
-        per pair i<j on the columns k > j, and the distinct k whose defect
-        column is nonzero are added up; that count uses no antisymmetry.
-        Both run on the stored table, so a changed table is always seen; its
-        defect is D^2 times the Fraction defect, so the answer is exact.
+        So the count first tries `jacobi_certificate`: once one exact pass
+        proves the table alternating, the Leibniz defect d_s(y, k) of ad s is
+        alternating in y, k, so each s of `jacobi_generators` is checked on
+        the columns k > y of every row y.  Only if that fails does
+        `linalg.int_rep_defect_pair` run per pair i<j on the columns k > j,
+        adding up the distinct k whose column is nonzero, with no antisymmetry
+        assumed; both read the stored table, whose defect is D^2 times the
+        Fraction one, so the count is exact.
         """
         if self.jacobi_certificate():
             return 0
@@ -338,6 +331,8 @@ class MagicAlgebra:
         return bad
 
     def jacobi_sample(self, count: int, seed: int = 0) -> int:
+        if count < 0:
+            raise ValueError("jacobi_sample: count must be >= 0")
         rng = random.Random(seed)
         n = self.dim
         bad = 0
@@ -392,6 +387,8 @@ class MagicAlgebra:
     # -- structure checks ----------------------------------------------------------
 
     def h_subalgebra_indices(self, slot: int) -> List[int]:
+        if slot not in (0, 1, 2):
+            raise ValueError("slot must be 0, 1 or 2")
         idx = list(range(self.dA + self.dB))
         idx += [self.idx_m(slot, p, q) for p in range(self.a) for q in range(self.b)]
         return idx
@@ -419,16 +416,6 @@ class MagicAlgebra:
                 if span.add(row) and len(span) == n:
                     return 0
         return n - len(span)
-
-
-def _apply_into(out: SVec, m: IntMap, v: SVec, c: Fraction = F1) -> None:
-    """out += c m v for an integer column map m, leaving what cancels as zeros."""
-    for j, x in v.items():
-        col = m.get(j)
-        if col:
-            x *= c
-            for k, y in col:
-                out[k] = out.get(k, F0) + x * y
 
 
 def build_magic_algebra(tag_a: AlgebraTag | str, tag_b: AlgebraTag | str) -> MagicAlgebra:

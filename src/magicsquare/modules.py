@@ -20,9 +20,12 @@ below were calibrated once by making the representation axiom hold on the
 smallest members (a = 1) and are re-verified for every A by the test suite.
 t(A) moves the A legs by `TrialityTriple.leg_action`, as in the parent
 bracket; every other action is accumulated as (row, col) -> value entries
-and turned into a column map by `linalg.columns`.  Each invariant form is
-stored once, as its nonzero coefficients read off the construction
-(`GModule.form_entries`), and checked by one invariance defect.
+and turned into a column map by `linalg.columns`, then stored in the
+parent table's format, D rho(b_i) as an integer `linalg.IntMap`, D the lcm
+of its denominators and the table's D_g (2, 2, 2, 4 on V(R, C, H, O); 3,
+6, 6, 12 on W), so the table's kernel checks the representation axiom.  Each
+invariant form is stored once, as its nonzero coefficients read off the
+construction (`GModule.form_entries`), and checked by one invariance defect.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (
@@ -39,14 +43,17 @@ from .linalg import (
     F1,
     ColMap,
     Entries,
+    IntMap,
     Mat,
     SolveCache,
     SVec,
     Vec,
     apply_into,
     columns,
+    int_apply_into,
+    int_column,
+    int_rep_defect_pair,
     map_combination,
-    rep_defect_column,
     sparse,
     zeros,
 )
@@ -97,13 +104,16 @@ FORM_KINDS = {2: "symplectic", 3: "cubic"}
 class GModule:
     parent: MagicAlgebra
     dimension: int
-    actions: List[ColMap]       # rho(b_i) as a column map, per parent basis element
+    actions: List[IntMap]  # D rho(b_i) per parent basis element, in the table's format
+    denominator: int  # D, a multiple of the parent table's
     # The invariant form, the only entries its evaluation and invariance
     # check visit: 56 on V(O), 57 on W(O).
     form_entries: FormEntries
     form_arity: int = field(init=False, repr=False)  # vectors the form takes
 
     def __post_init__(self) -> None:
+        if self.denominator % self.parent.denominator:
+            raise ValueError("the module's denominator is not a multiple of the parent's")
         arities = {len(key) for key in self.form_entries}
         if len(arities) != 1 or not arities <= FORM_KINDS.keys():
             raise ValueError("form entries must be all pairs or all triples")
@@ -147,13 +157,21 @@ class GModule:
         if len(v) != self.dimension:
             raise ValueError("element dimension mismatch")
         out: SVec = {}
-        apply_into(out, self.actions[i], sparse(v))
-        return [out.get(r, F0) for r in range(self.dimension)]
+        int_apply_into(out, self.actions[i], sparse(v))
+        return [out[r] / self.denominator if out.get(r) else F0 for r in range(self.dimension)]
 
     def representation_defect(self, i: int, j: int) -> bool:
-        """True if rho([b_i,b_j]) != [rho(b_i), rho(b_j)] for parent basis i, j."""
-        br = self.parent.bracket_basis(i, j)
-        return any(rep_defect_column(self.actions, br, i, j, k) for k in range(self.dimension))
+        """True if rho([b_i,b_j]) != [rho(b_i), rho(b_j)] for parent basis i, j,
+        checked on every column by the table's kernel."""
+        br = int_column(self.parent.bracket_basis(i, j), self.denominator)
+        return any(int_rep_defect_pair(self.actions, br, i, j, 0, self.dimension).values())
+
+
+def _module(g: MagicAlgebra, dimension: int, maps: Sequence[ColMap], form: FormEntries) -> GModule:
+    """The module acting by the Fraction column maps, stored as D times them."""
+    d = lcm(g.denominator, *(x.denominator for m in maps for c in m.values() for x in c.values()))
+    ints = [{j: int_column(c, d) for j, c in m.items()} for m in maps]
+    return GModule(g, dimension, ints, d, form)
 
 
 # -- sl2 structure of the t(H) factors -----------------------------------------
@@ -310,7 +328,7 @@ def build_V_module(tag_a: str) -> GModule:
     for al, be, ga in product(range(2), repeat=3):
         form[ix.uuu(al, be, ga), ix.uuu(1 - al, 1 - be, 1 - ga)] = (
             d0 * sign[al] * sign[be] * sign[ga])
-    return GModule(g, ix.dim, actions, form)
+    return _module(g, ix.dim, actions, form)
 
 
 # -- the W module -------------------------------------------------------------------
@@ -391,7 +409,7 @@ def build_W_module(tag_a: str) -> GModule:
     for s in range(3):
         for p in range(a):
             form[ix.line(s), ix.al(s, p), ix.al(s, pA[p])] = cs[s] * qp[p]
-    return GModule(g, ix.dim, actions, form)
+    return _module(g, ix.dim, actions, form)
 
 
 # -- validation helpers ----------------------------------------------------------------

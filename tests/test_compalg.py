@@ -146,6 +146,18 @@ def test_slot_product_rejects_a_slot_outside_0_1_2(alg):
         alg.slot_product(3, 0, 0)
 
 
+def test_indices_outside_the_basis_raise(alg):
+    # Negative indices used to wrap to the last basis vector.
+    n = alg.dim
+    for s in range(3):
+        for p, q in ((-1, 0), (0, -1), (n, 0), (0, n)):
+            with pytest.raises(IndexError, match="out of range"):
+                alg.slot_product(s, p, q)
+    for i in (-1, n):
+        with pytest.raises(IndexError, match="out of range"):
+            alg.basis_element(i)
+
+
 def test_conjugation_must_be_a_signed_permutation():
     c = build_split_algebra("C")
     half = Fraction(1, 2)

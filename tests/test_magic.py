@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicsquare import magic
-from magicsquare.linalg import int_rep_defect_pair, rep_defect_column
+from magicsquare.linalg import int_rep_defect_pair
 from magicsquare.magic import H_SUBALGEBRA_DIMS, MAGIC_DIMS, build_magic_algebra
-from tests_helpers import (describe_index, fraction_table, full_rank, gram_matrix,
-                           reference_invariant_form, reference_jacobi_count)
+from tests_helpers import (describe_index, fraction_table, fraction_view, full_rank, gram_matrix,
+                           reference_invariant_form, reference_jacobi_count, rep_defect_column)
 
 ALL_PAIRS = [(A, B) for A in "RCHO" for B in "RCHO"]
 
@@ -193,6 +193,48 @@ def test_int_kernel_is_the_scaled_fraction_defect(data):
                     tab[a].pop(b, None)
                 else:
                     tab[a][b] = sv
+
+
+def _sl2_on_binary_forms(n):
+    """e, h, f of sl2 as integer column maps on the n + 1 binary forms of
+    degree n (h v_k = (n - 2k) v_k, f v_k = v_(k+1), e v_k = k (n - k + 1) v_(k-1)),
+    and the bracket table D [b_i, b_j] of sl2 in the same order, D = 1."""
+    e = {k: ((k - 1, k * (n - k + 1)),) for k in range(1, n + 1)}
+    h = {k: ((k, n - 2 * k),) for k in range(n + 1) if n != 2 * k}
+    f = {k: ((k + 1, 1),) for k in range(n)}
+    br = {(0, 1): ((0, -2),), (0, 2): ((1, 1),), (1, 2): ((2, -2),)}
+    br.update({(j, i): tuple((k, -c) for k, c in col) for (i, j), col in list(br.items())})
+    return [e, h, f], br
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 6), d=st.integers(1, 3), change=st.booleans(), data=st.data())
+def test_int_kernel_keys_a_module_with_more_rows_than_maps(n, d, change, data):
+    # Three maps on n + 1 > 3 forms: entry (k, s) is keyed k (n + 1) + s, so
+    # no two entries collide, and every column is D^2 times the Fraction
+    # defect, nonzero somewhere iff one entry was changed.
+    maps, br = _sl2_on_binary_forms(n)
+    rows = [{j: tuple((k, d * c) for k, c in col) for j, col in m.items()} for m in maps]
+    if change:
+        t = data.draw(st.integers(0, 2))
+        j = data.draw(st.sampled_from(sorted(rows[t])))
+        (k, c), = rows[t][j]
+        rows[t][j] = ((k, c + data.draw(st.sampled_from([-1, 1]))),)
+    view = fraction_view(rows, d)
+    dim = n + 1
+    nonzero = False
+    for i in range(3):
+        for j in range(3):
+            col = tuple((k, d * c) for k, c in br.get((i, j), ()))
+            scaled = int_rep_defect_pair(rows, col, i, j, 0, dim)
+            exact_br = {k: Fraction(c) for k, c in br.get((i, j), ())}
+            for k in range(dim):
+                exact = rep_defect_column(view, exact_br, i, j, k)
+                assert ({s: scaled[k * dim + s] for s in range(dim) if scaled.get(k * dim + s)}
+                        == {s: d * d * x for s, x in exact.items()})
+                nonzero = nonzero or bool(exact)
+            assert all(0 <= key < dim * dim for key in scaled)
+    assert nonzero == change
 
 
 def _corrupt_one_sided(tab, edits):
@@ -478,6 +520,26 @@ def test_h_subalgebras():
         expected = H_SUBALGEBRA_DIMS.get((g.a, g.b))
         if expected is not None:
             assert len(g.h_subalgebra_indices(0)) == expected
+
+
+def test_h_subalgebra_refuses_a_slot_outside_0_1_2():
+    # Slot -1 used to wrap to 2, and slot 3 to raise a bare IndexError.
+    g = build_magic_algebra("C", "H")
+    for slot in (-1, 3):
+        for method in (g.h_subalgebra_indices, g.h_subalgebra_closed):
+            with pytest.raises(ValueError, match="slot must be 0, 1 or 2"):
+                method(slot)
+
+
+def test_negative_indices_and_counts_are_refused():
+    g = build_magic_algebra("R", "C")
+    assert g.basis_element(g.dim - 1)[-1] == 1
+    for i in (-1, g.dim):
+        with pytest.raises(IndexError, match="out of range"):
+            g.basis_element(i)
+    assert g.jacobi_sample(0) == 0
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        g.jacobi_sample(-1)
 
 
 def test_center_trivial():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from tests_helpers import full_rank, omega_pair, reference_cubic, reference_symplectic_gram
+from tests_helpers import (fraction_view, full_rank, omega_pair, reference_cubic,
+                           reference_symplectic_gram, rep_defect_column)
 
 from magicsquare.modules import (
     GModule,
@@ -29,7 +31,7 @@ def test_W_dimensions(tag, a):
     assert build_W_module(tag).dimension == 3 * a + 3
 
 
-@pytest.mark.parametrize("tag", ["R", "C"])
+@pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
 def test_V_representation_axiom_exhaustive_small(tag):
     mod = build_V_module(tag)
     g = mod.parent
@@ -47,7 +49,7 @@ def test_V_representation_axiom_sampled(tag):
         assert not mod.representation_defect(rng.randrange(g.dim), rng.randrange(g.dim))
 
 
-@pytest.mark.parametrize("tag", ["R", "C"])
+@pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
 def test_W_representation_axiom_exhaustive_small(tag):
     mod = build_W_module(tag)
     g = mod.parent
@@ -98,8 +100,7 @@ def test_symplectic_invariance_defect_is_the_dense_pairing(tag):
     rng = random.Random(23)
     t = rng.randrange(mod.parent.dim)
     j, col = next(iter(mod.actions[t].items()))
-    r, old = next(iter(col.items()))
-    col[r] = old + 1
+    mod.actions[t][j] = _bump_first_entry(col)
     try:
         defects = []
         for _ in range(20):
@@ -111,7 +112,7 @@ def test_symplectic_invariance_defect_is_the_dense_pairing(tag):
             assert defects[-1] == omega_pair(mod, xv, w) + omega_pair(mod, v, xw)
         assert any(defects)
     finally:
-        col[r] = old
+        mod.actions[t][j] = col
 
 
 @pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
@@ -165,8 +166,7 @@ def test_cubic_invariance_defect_is_the_reference_cubic(tag):
     rng = random.Random(37)
     t = rng.randrange(mod.parent.dim)
     j, col = next(iter(mod.actions[t].items()))
-    r, old = next(iter(col.items()))
-    col[r] = old + 1
+    mod.actions[t][j] = _bump_first_entry(col)
     try:
         defects = []
         for _ in range(20):
@@ -176,7 +176,7 @@ def test_cubic_invariance_defect_is_the_reference_cubic(tag):
             assert defects[-1] == reference_cubic(mod, mod.act_basis(x, v), v, v)
         assert any(defects)
     finally:
-        col[r] = old
+        mod.actions[t][j] = col
 
 
 def test_invariance_defects_refuse_the_other_form_kind():
@@ -203,7 +203,14 @@ def test_module_refuses_form_entries_of_mixed_arity():
     w = build_W_module("R")
     for entries in ({}, {(0, 1): Fraction(1), (0, 1, 2): Fraction(1)}, {(0,): Fraction(1)}):
         with pytest.raises(ValueError, match="all pairs or all triples"):
-            GModule(w.parent, w.dimension, w.actions, entries)
+            GModule(w.parent, w.dimension, w.actions, w.denominator, entries)
+
+
+def test_module_refuses_a_denominator_the_parent_does_not_divide():
+    w = build_W_module("C")
+    assert w.parent.denominator == 2
+    with pytest.raises(ValueError, match="not a multiple of the parent's"):
+        GModule(w.parent, w.dimension, w.actions, 3, w.form_entries)
 
 
 def test_form_kinds():
@@ -215,7 +222,20 @@ def test_form_kinds():
 @pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
 def test_actions_store_no_zeros(build, tag):
     for m in build(tag).actions:
-        assert all(col and all(c != 0 for c in col.values()) for col in m.values())
+        assert all(col and all(type(c) is int and c != 0 for _, c in col) for col in m.values())
+
+
+@pytest.mark.parametrize("build,dens", [(build_V_module, (2, 2, 2, 4)),
+                                        (build_W_module, (3, 6, 6, 12))])
+def test_action_denominator_is_the_least_common_one(build, dens):
+    # D is the least common multiple of the parent's D_g and the
+    # denominators of the rho(b_i) entries, read back from the integers.
+    for tag, d in zip("RCHO", dens):
+        mod = build(tag)
+        assert mod.denominator == d
+        view = fraction_view(mod.actions, d)
+        assert d == lcm(mod.parent.denominator,
+                        *(x.denominator for m in view for col in m.values() for x in col.values()))
 
 
 @pytest.mark.parametrize("build", [build_V_module, build_W_module])
@@ -228,17 +248,55 @@ def test_representation_defect_detects_a_changed_entry(build, data):
     mod = build("R")
     n = mod.parent.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    entries = [(t, j, r) for t, m in enumerate(mod.actions) for j, col in m.items() for r in col]
-    t, j, r = data.draw(st.sampled_from(entries))
-    col = mod.actions[t][j]
-    old = col[r]
-    col[r] = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=2)
-                       .filter(lambda x: x not in (0, old)))
+    t, j, col = _change_one_entry(mod, data)
     try:
         assert any(mod.representation_defect(i, k) for i, k in pairs)
     finally:
-        col[r] = old
+        mod.actions[t][j] = col
     assert not any(mod.representation_defect(i, k) for i, k in pairs)
+
+
+@pytest.mark.parametrize("build", [build_V_module, build_W_module])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_representation_defect_is_the_fraction_reference(build, data):
+    # With one integer entry changed, the table's kernel on D rho and
+    # D [b_i, b_j] flags exactly the ordered pairs whose Fraction defect
+    # has a nonzero column.
+    mod = build("R")
+    g = mod.parent
+    t, j, col = _change_one_entry(mod, data)
+    try:
+        view = fraction_view(mod.actions, mod.denominator)
+        flagged = 0
+        for i in range(g.dim):
+            for k in range(g.dim):
+                br = g.bracket_basis(i, k)
+                exact = any(rep_defect_column(view, br, i, k, c) for c in range(mod.dimension))
+                assert mod.representation_defect(i, k) == exact
+                flagged += exact
+        assert flagged
+    finally:
+        mod.actions[t][j] = col
+
+
+def _bump_first_entry(col):
+    """The integer column col with 1 added to its first entry."""
+    (r, old), *rest = col
+    return ((r, old + 1), *rest)
+
+
+def _change_one_entry(mod, data):
+    """Set one drawn entry of one action to another nonzero integer; returns
+    (t, j, the old column) to restore mod.actions[t][j]."""
+    entries = [(t, j, pos) for t, m in enumerate(mod.actions) for j, col in m.items()
+               for pos in range(len(col))]
+    t, j, pos = data.draw(st.sampled_from(entries))
+    col = mod.actions[t][j]
+    r, old = col[pos]
+    new = data.draw(st.integers(-6, 6).filter(lambda x: x not in (0, old)))
+    mod.actions[t][j] = col[:pos] + ((r, new),) + col[pos + 1:]
+    return t, j, col
 
 
 def test_act_basis_rejects_wrong_length():
@@ -255,3 +313,24 @@ def test_act_basis_refuses_an_index_outside_the_parent_basis():
     for i in (-1, w.parent.dim):
         with pytest.raises(IndexError, match="out of range"):
             w.act_basis(i, v)
+
+
+def test_representation_defect_refuses_an_index_outside_the_parent_basis():
+    w = build_W_module("C")
+    n = w.parent.dim
+    assert not w.representation_defect(n - 1, 0)
+    for i, j in ((-1, 0), (0, -1), (n, 0), (0, n)):
+        with pytest.raises(IndexError, match="out of range"):
+            w.representation_defect(i, j)
+
+
+def test_act_basis_divides_by_the_denominator():
+    # rho(b_i) e_j read back through act_basis is the stored column over D.
+    for mod in (build_V_module("O"), build_W_module("O")):
+        for i in (0, mod.parent.dim // 2, mod.parent.dim - 1):
+            for j, col in mod.actions[i].items():
+                e = [Fraction(0)] * mod.dimension
+                e[j] = Fraction(1)
+                image = mod.act_basis(i, e)
+                assert {r: x for r, x in enumerate(image) if x} == {
+                    r: Fraction(c, mod.denominator) for r, c in col}

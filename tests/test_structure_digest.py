@@ -3,10 +3,10 @@ of the t(A) layer below them.
 
 The digest is a sha256 over the sorted lines "<name> i j k c", one per
 nonzero entry c of column j of map i, so it does not depend on the order in
-which a builder fills its dicts; a bracket table is hashed through its
-Fraction view.  Any change to a bracket table or to a module action matrix
-changes it.  The triality digest does the same for
-t(R), t(C), t(H) and t(O): every entry of every basis map, the Cartan
+which a builder fills its dicts; a bracket table and the module actions
+are hashed through their Fraction views.  Any change to a bracket table or
+to a module action matrix changes it.  The triality digest does the same
+for t(R), t(C), t(H) and t(O): every entry of every basis map, the Cartan
 dimension, the K matrix, the three Psi tables and every bracket_coords(k, l).
 """
 
@@ -15,7 +15,7 @@ import hashlib
 from magicsquare.magic import build_magic_algebra
 from magicsquare.modules import build_V_module, build_W_module
 from magicsquare.triality import triality_algebra
-from tests_helpers import fraction_table
+from tests_helpers import fraction_table, fraction_view
 
 STRUCTURE_DIGEST = "003745fe87489ca24963755b56710cd97005f103527d6fc3f8a54e20cb6c2327"
 TRIALITY_DIGEST = "09938e3e927ab96664f0b55bc8254226c2159e367d957157da53f2964cc8cefb"
@@ -33,8 +33,8 @@ def structure_digest() -> str:
     for x in "RCHO":
         for y in "RCHO":
             lines.extend(_lines(f"g({x},{y})", fraction_table(build_magic_algebra(x, y))))
-        lines.extend(_lines(f"V({x})", build_V_module(x).actions))
-        lines.extend(_lines(f"W({x})", build_W_module(x).actions))
+        for name, mod in (("V", build_V_module(x)), ("W", build_W_module(x))):
+            lines.extend(_lines(f"{name}({x})", fraction_view(mod.actions, mod.denominator)))
     return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
 

@@ -3,7 +3,7 @@ from itertools import permutations
 from math import gcd
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import F0, columns, mat_mul, mat_vec, sparse, zeros
+from magicsquare.linalg import F0, apply_into, axpy, columns, mat_mul, mat_vec, sparse, zeros
 from magicsquare.modules import V_OMEGA_WEIGHTS, W_CUBIC_COEFFS
 from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
                                 hilbert_ray)
@@ -374,11 +374,33 @@ def reference_weyl_dim(rd, w):
     return num / den
 
 
+def fraction_view(maps, d):
+    """Integer column maps D A_t as the Fraction column maps A_t."""
+    return [{j: {k: Fraction(c, d) for k, c in col} for j, col in m.items()} for m in maps]
+
+
 def fraction_table(g):
     """The bracket table of g as Fractions: tab[i][j] = [b_i, b_j] as a sparse vector."""
-    d = g.denominator
-    return [{j: {k: Fraction(c, d) for k, c in col} for j, col in row.items()}
-            for row in g.table()]
+    return fraction_view(g.table(), g.denominator)
+
+
+def rep_defect_column(maps, br, i, j, k):
+    """([A_i, A_j] - sum_t br_t A_t) e_k for the Fraction column maps A_t = maps[t].
+
+    With br = [b_i, b_j] this is the representation axiom on the pair i, j,
+    read off one column; b -> A_b is a representation iff it vanishes for
+    every i, j, k.  For the bracket table itself (A_t = ad b_t) it is minus
+    the Jacobi sum of the triple i, j, k.  The reference of
+    `linalg.int_rep_defect_pair`.
+    """
+    out = {}
+    apply_into(out, maps[i], maps[j].get(k, {}))
+    apply_into(out, maps[j], maps[i].get(k, {}), -F1)
+    for t, c in br.items():
+        col = maps[t].get(k)
+        if col:
+            axpy(out, -c, col)
+    return out
 
 
 def int_rep_defect_column(rows, br, i, j, k):
