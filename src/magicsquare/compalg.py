@@ -26,12 +26,12 @@ from .exact import rat_str
 from .linalg import (
     F0,
     F1,
-    ColMap,
+    IntMap,
     Mat,
     SVec,
     Vec,
-    columns,
     identity,
+    int_maps,
     inverse,
     mat_mul,
     mat_vec,
@@ -152,8 +152,9 @@ class CompAlg:
 
     # -- so(Q) ----------------------------------------------------------------
 
-    def so_q_basis(self) -> List[ColMap]:
-        """Basis of {M : M^T Q + Q M = 0} as column maps (column j is M e_j)."""
+    def so_q_basis(self) -> Tuple[List[IntMap], int]:
+        """Basis of {M : M^T Q + Q M = 0} as the integer column maps D M
+        (column j is D M e_j) and their common denominator D."""
         n = self.dim
         rows = []
         for r in range(n):
@@ -166,7 +167,7 @@ class CompAlg:
                     if self.gram[r][k] != 0:
                         row[k * n + c] = row.get(k * n + c, F0) + self.gram[r][k]
                 rows.append(row)
-        return [columns({divmod(k, n): x for k, x in v.items()}) for v in nullspace(rows, n * n)]
+        return int_maps([{divmod(k, n): x for k, x in v.items()} for v in nullspace(rows, n * n)])
 
     def dump(self) -> dict:
         return {

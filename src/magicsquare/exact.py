@@ -191,12 +191,8 @@ class LinearForm:
     def __str__(self) -> str:
         def term(s: str, c: Fraction) -> str:
             mag = abs(c)
-            if mag == 1:
-                body = s
-            elif mag.denominator == 1:
-                body = f"{mag.numerator}{s}"
-            else:
-                body = f"{mag.numerator}{s}/{mag.denominator}"
+            body = "" if mag.numerator == 1 else str(mag.numerator)
+            body += s if mag.denominator == 1 else f"{s}/{mag.denominator}"
             return ("+ " if c > 0 else "- ") + body
 
         parts = []

@@ -1,21 +1,21 @@
 """Small exact linear algebra toolkit over Fraction.
 
 Dense matrices are lists of lists of Fraction; sparse vectors (`SVec`) are
-dict[int, Fraction] with no zero stored.  A linear map on a Lie algebra or
-a module is a column map: entry j is the image of basis vector j, zero
-columns left out; `columns` builds one from (row, col) -> value entries,
-`map_combination` adds scaled maps and `apply_into` applies one (the
-Fraction maps of t(A)).  `Echelon` is the one elimination, whose forward
-step `rref` shares; `nullspace`, `inverse` and `SolveCache` go through
-`rref` on sparse rows and never form a dense row (the t(O) triality
+dict[int, Fraction] with no zero stored.  `Echelon` is the one elimination,
+whose forward step `rref` shares; `nullspace`, `inverse` and `SolveCache` go
+through `rref` on sparse rows and never form a dense row (the t(O) triality
 constraint has 320 nonzero rows of 84 columns, about two entries each).
-Every representation of g(A,B), D ad(b_i) in the table and D rho(b_i) in a
-module (D a common denominator), is an integer column map (`IntMap`), each
-column the tuple of its (k, c) pairs: made by `int_column`, applied by
-`int_apply_into` and checked by the one kernel `int_rep_defect_pair`.
-Zero tests go by truthiness (`if c:`), which holds for int and Fraction
-entries alike and calls no `Fraction.__eq__`; `bilinear` and `mat_vec`
-raise ValueError on a vector whose length does not fit the matrix.
+Every linear map of the package (the so(Q) basis, the components of a t(A)
+triple, D ad(b_i) in the bracket table and D rho(b_i) in a module) is stored
+one way: D times the map, for a common denominator D, as an integer column
+map (`IntMap`), column j the tuple of the (k, c) pairs of the image of
+basis vector j, zero columns left out.  `int_maps` builds such maps from
+(row, col) -> value entries, `int_column` one column from a sparse vector,
+`int_apply_into` is the one apply and `int_rep_defect_pair` the one
+representation-axiom kernel.  Zero tests go by truthiness (`if c:`), which
+holds for int and Fraction entries alike and calls no `Fraction.__eq__`;
+`bilinear` and `mat_vec` raise ValueError on a vector whose length does not
+fit the matrix.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 Vec = List[Fraction]
 Mat = List[Vec]
 SVec = Dict[int, Fraction]
-ColMap = Dict[int, SVec]
-# A matrix as its (row, col) -> value entries, the input of `columns`.
+# A matrix as its (row, col) -> value entries, the input of `int_maps`.
 Entries = Dict[Tuple[int, int], Fraction]
 # An integer column map: column j as the tuple of its nonzero (k, c) pairs.
 IntCol = Tuple[Tuple[int, int], ...]
@@ -112,38 +111,6 @@ def axpy(out: SVec, c: Fraction, v: SVec) -> None:
             out.pop(k, None)
 
 
-def apply_into(out: SVec, m: ColMap, v: SVec, c: Fraction = F1) -> None:
-    """out += c m v for a column map m and a sparse vector v."""
-    for j, x in v.items():
-        col = m.get(j)
-        if col:
-            axpy(out, c * x, col)
-
-
-def map_combination(coeffs: SVec, maps: Sequence[ColMap]) -> ColMap:
-    """sum_k coeffs[k] maps[k] over the entries of the sparse coeffs, as a column
-    map, dropping what cancels to zero."""
-    out: ColMap = {}
-    for k, c in coeffs.items():
-        for j, col in maps[k].items():
-            axpy(out.setdefault(j, {}), c, col)
-            if not out[j]:
-                del out[j]
-    return out
-
-
-def columns(m: Entries) -> ColMap:
-    """The column map of a matrix given by its (row, col) -> value entries.
-
-    Zero values are dropped, so a column whose entries all cancel is left out.
-    """
-    out: ColMap = {}
-    for (i, j), x in m.items():
-        if x:
-            out.setdefault(j, {})[i] = x
-    return out
-
-
 def _eliminate(row: SVec, c: Fraction, pivot: SVec) -> None:
     """row -= c pivot in place, dropping what cancels; no multiply when c is +-1."""
     if c == 1:
@@ -200,6 +167,24 @@ class Echelon:
 def int_column(col: SVec, d: int) -> IntCol:
     """d col as the tuple of its (k, c) pairs, for a d that every denominator divides."""
     return tuple((k, x.numerator * (d // x.denominator)) for k, x in col.items())
+
+
+def int_maps(entries: Sequence[Entries], d: int = 1) -> Tuple[List[IntMap], int]:
+    """The maps with the given (row, col) -> value entries as integer column
+    maps D m, with D the least multiple of d that clears their denominators.
+
+    Zero values and empty columns are left out, and each column lists its
+    rows in increasing order, so equal maps over equal D store equal pairs.
+    """
+    d = lcm(d, *(x.denominator for m in entries for x in m.values() if x))
+    maps = []
+    for m in entries:
+        cols: Dict[int, SVec] = {}
+        for (r, j), x in sorted(m.items()):
+            if x:
+                cols.setdefault(j, {})[r] = x
+        maps.append({j: int_column(col, d) for j, col in cols.items()})
+    return maps, d
 
 
 def int_apply_into(out: SVec, m: IntMap, v: SVec, c: Fraction = F1) -> None:

@@ -140,7 +140,8 @@ class MagicAlgebra:
                 tab[j][i] = tuple((k, -c) for k, c in col)
 
         # Each factor t of t(A) x t(B): its own brackets, and each triple
-        # moving its leg of every A_s @ B_s (`TrialityTriple.leg_action`).
+        # moving its leg of every A_s @ B_s (`TrialityTriple.leg_action`),
+        # whose integers are the entries: every basis triple has D = 1.
         legA = [[[self.idx_m(s, p, q) for q in range(b)] for p in range(a)] for s in range(3)]
         legB = [[[self.idx_m(s, p, q) for p in range(a)] for q in range(b)] for s in range(3)]
         for t, off, leg in ((self.tA, 0, legA), (self.tB, dA, legB)):
@@ -149,7 +150,7 @@ class MagicAlgebra:
                     put(off + k, off + l,
                         {off + i: c for i, c in t.bracket_coords(k, l).items()})
                 for j, col in x.leg_action(leg).items():
-                    put(off + k, j, col)
+                    put(off + k, j, dict(col))
 
         # Same slot: quadratic-form contraction into t(A) x t(B) via Psi.  Each
         # Gram column has one nonzero entry, at the pairing partner, so only

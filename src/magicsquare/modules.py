@@ -19,11 +19,12 @@ A_s x A_{s+2} -> A_{s+1} is slot_product(s+2, y, p).  The relative scalars
 below were calibrated once by making the representation axiom hold on the
 smallest members (a = 1) and are re-verified for every A by the test suite.
 t(A) moves the A legs by `TrialityTriple.leg_action`, as in the parent
-bracket; every other action is accumulated as (row, col) -> value entries
-and turned into a column map by `linalg.columns`, then stored in the
-parent table's format, D rho(b_i) as an integer `linalg.IntMap`, D the lcm
-of its denominators and the table's D_g (2, 2, 2, 4 on V(R, C, H, O); 3,
-6, 6, 12 on W), so the table's kernel checks the representation axiom.  Each
+bracket; every action is accumulated as (row, col) -> value entries and
+stored by `linalg.int_maps` in the parent table's format, D rho(b_i) as an
+integer `linalg.IntMap`, D the lcm of its denominators and the table's D_g
+(2, 2, 2, 4 on V(R, C, H, O); 3, 6, 6, 12 on W), so the table's kernel
+checks the representation axiom.  The lowering operators that identify an
+H slot with U @ U are t(H) triples, applied by `linalg.int_apply_into`.  Each
 invariant form is stored once, as its nonzero coefficients read off the
 construction (`GModule.form_entries`), and checked by one invariance defect.
 """
@@ -35,30 +36,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (
     F0,
     F1,
-    ColMap,
     Entries,
     IntMap,
     Mat,
     SolveCache,
     SVec,
     Vec,
-    apply_into,
-    columns,
     int_apply_into,
     int_column,
+    int_maps,
     int_rep_defect_pair,
-    map_combination,
     sparse,
     zeros,
 )
 from .magic import MagicAlgebra, build_magic_algebra
 from .roots import cartan_chart, factor_weights, line_weights, slot_weights
+from .triality import TrialityAlgebra, combine
 
 # Contraction scalars for the V-module maps, in the order
 #   (UUU -> A_s@U_s, A_s@U_s -> UUU, A_{s+1} -> A_{s+2}, A_{s+2} -> A_{s+1});
@@ -167,11 +165,11 @@ class GModule:
         return any(int_rep_defect_pair(self.actions, br, i, j, 0, self.dimension).values())
 
 
-def _module(g: MagicAlgebra, dimension: int, maps: Sequence[ColMap], form: FormEntries) -> GModule:
-    """The module acting by the Fraction column maps, stored as D times them."""
-    d = lcm(g.denominator, *(x.denominator for m in maps for c in m.values() for x in c.values()))
-    ints = [{j: int_column(c, d) for j, c in m.items()} for m in maps]
-    return GModule(g, dimension, ints, d, form)
+def _leg_entries(t: TrialityAlgebra, legs: Sequence[Sequence[Sequence[int]]]) -> List[Entries]:
+    """The (row, col) -> value entries of each basis triple of t moving the
+    legs (`TrialityTriple.leg_action`), read as its integers: every basis
+    triple has D = 1."""
+    return [{(r, j): c for j, col in b.leg_action(legs).items() for r, c in col} for b in t.basis]
 
 
 # -- sl2 structure of the t(H) factors -----------------------------------------
@@ -215,13 +213,11 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[SolveCache]:
         if len(pos) != 4:
             raise ValueError("slot weights are degenerate")
         # Lowering operators of the two factors, acting in slot s+1.
-        slot_maps = [t.thetas[s] for t in tb.basis]
-        fj, fk = (map_combination(factors[i]["f"], slot_maps) for i in (j, k))
+        fj, fk = (combine(factors[i]["f"], tb.basis) for i in (j, k))
         base = {pos[(F1, F1)]: F1}
         cols: List[SVec] = [base, {}, {}, {}]  # order: ++, +-, -+, --
-        apply_into(cols[1], fk, base)
-        apply_into(cols[2], fj, base)
-        apply_into(cols[3], fk, cols[2])
+        for col, f, v in ((cols[1], fk, base), (cols[2], fj, base), (cols[3], fk, cols[2])):
+            int_apply_into(col, f.thetas[s], v, Fraction(1, f.denominator))
         out.append(SolveCache(cols))
     return out
 
@@ -260,7 +256,7 @@ def build_V_module(tag_a: str) -> GModule:
 
     # t(A) moves the A leg of each A_s @ U_s, in the order of the U_s basis.
     legs = [[(ix.au(s, p, 0), ix.au(s, p, 1)) for p in range(a)] for s in range(3)]
-    actions = [t.leg_action(legs) for t in g.tA.basis]
+    actions = _leg_entries(g.tA, legs)
 
     # t(B) acts through the sl2 factor decomposition on the U legs.
     fact_solver = SolveCache([f[w] for f in factors for w in ("h", "e", "f")])
@@ -278,7 +274,7 @@ def build_V_module(tag_a: str) -> GModule:
                         jdx = list(idx)
                         jdx[fi] = r
                         m[ix.uuu(*jdx), ix.uuu(*idx)] += coeff * x
-        actions.append(columns(m))
+        actions.append(m)
 
     # Mixed slots: e_p @ w with w in the H slot identified as u_eps(j) @ u_del(k).
     pA = algA.partner
@@ -313,7 +309,7 @@ def build_V_module(tag_a: str) -> GModule:
                         for y, prod in enumerate(prods):
                             for r, pv in prod.items():
                                 m[ix.au(dst, r, out_eps), ix.au(src, y, u)] += w * pv
-                actions.append(columns(m))
+                actions.append(m)
 
     # Invariant symplectic form: d_s * omega (x) Q on A_s @ U_s pairs (p, eps)
     # with (partner p, 1 - eps), and d0 * omega^(x)3 on UUU pairs each triple
@@ -328,7 +324,7 @@ def build_V_module(tag_a: str) -> GModule:
     for al, be, ga in product(range(2), repeat=3):
         form[ix.uuu(al, be, ga), ix.uuu(1 - al, 1 - be, 1 - ga)] = (
             d0 * sign[al] * sign[be] * sign[ga])
-    return _module(g, ix.dim, actions, form)
+    return GModule(g, ix.dim, *int_maps(actions, g.denominator), form)
 
 
 # -- the W module -------------------------------------------------------------------
@@ -357,7 +353,7 @@ def build_W_module(tag_a: str) -> GModule:
 
     # t(A) moves the A leg of each A_s @ L_s.
     legs = [[(ix.al(s, p),) for p in range(a)] for s in range(3)]
-    actions = [t.leg_action(legs) for t in g.tA.basis]
+    actions = _leg_entries(g.tA, legs)
 
     # The torus t(B) acts by weights: -w_s on A_s @ L_s, +2 w_s on the lines.
     # t(C+C) is its own Cartan, so every basis element is a chart combination.
@@ -370,7 +366,7 @@ def build_W_module(tag_a: str) -> GModule:
             for p in range(a):
                 m[ix.al(s, p), ix.al(s, p)] += -wt
             m[ix.line(s), ix.line(s)] += 2 * wt
-        actions.append(columns(m))
+        actions.append(m)
 
     # Mixed slots.
     pA = algA.partner
@@ -394,7 +390,7 @@ def build_W_module(tag_a: str) -> GModule:
                 for y, prod in enumerate(prods):
                     for r, pv in prod.items():
                         m[ix.al(dst, r), ix.al(src, y)] += w3 * pv
-                actions.append(columns(m))
+                actions.append(m)
 
     # Invariant cubic, one entry per monomial of the five W_CUBIC_COEFFS
     # families: Q(X1 X2, X3) pairs each component e_k of e_p e_q with
@@ -409,7 +405,7 @@ def build_W_module(tag_a: str) -> GModule:
     for s in range(3):
         for p in range(a):
             form[ix.line(s), ix.al(s, p), ix.al(s, pA[p])] = cs[s] * qp[p]
-    return _module(g, ix.dim, actions, form)
+    return GModule(g, ix.dim, *int_maps(actions, g.denominator), form)
 
 
 # -- validation helpers ----------------------------------------------------------------

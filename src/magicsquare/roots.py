@@ -488,7 +488,7 @@ def slot_weights(t: TrialityAlgebra) -> Tuple[Tuple[Weight, ...], ...]:
     n = t.alg.dim
     out = []
     for slot in range(1, 4):
-        if any(r != c for h in chart for c, col in h.thetas[slot - 1].items() for r in col):
+        if any(r != c for h in chart for c, col in h.thetas[slot - 1].items() for r, _ in col):
             raise ExtractionError("Cartan chart element is not diagonal")
         diags = [h.diagonal(slot) for h in chart]
         out.append(tuple(_tup(dg[p] for dg in diags) for p in range(n)))
@@ -507,7 +507,7 @@ def factor_weights(t: TrialityAlgebra) -> Tuple[Weight, ...]:
     out = []
     for k, b in enumerate(t.basis):
         found = {tuple(x - y for x, y in zip(d[r], d[c]))
-                 for d, m in zip(weights, b.thetas) for c, col in m.items() for r in col}
+                 for d, m in zip(weights, b.thetas) for c, col in m.items() for r, _ in col}
         if len(found) != 1:
             raise ExtractionError(
                 f"basis vector {k} of t({t.alg.tag.name}) is not a weight vector of the chart")

@@ -49,9 +49,12 @@ class _TermProduct:
     Nonzero terms multiply into the integer pair num/den; zero terms are only
     counted, numerator minus denominator.  This is what multiset cancellation
     of the two term lists gives: more zeros downstairs is a pole, more
-    upstairs is the value 0, and equal counts cancel, so degenerate
-    parameters (a = 0 collapses every row to 1) give the limit instead of a
-    spurious 0/0.
+    upstairs is the value 0, and equal counts cancel: a zero term upstairs
+    and one downstairs are dropped as a pair, instead of giving 0/0.  That
+    is not the limit in the parameter.  At a = 0 every afold row collapses
+    to 1, so the classes that are empty there count as 1: at r = 1 the
+    exceptional series gives 840, the Weyl dimension of so8's X3, while its
+    a -> 0 limit is 2520.
     """
 
     __slots__ = ("num", "den", "zeros")
@@ -212,10 +215,21 @@ SO_FAMILY = SeriesDescriptor(
 
 
 def _exponent_list(d: SeriesDescriptor, exponents: Mapping[str, int]) -> List[int]:
-    exps = [int(exponents.get(s, 0)) for s in d.symbols]
-    if any(e < 0 for e in exps):
-        raise ValueError("exponents must be nonnegative integers")
+    """The exponents in the order of d.symbols, 0 where not given; ValueError
+    on a symbol that d lacks or an exponent that is not an integer >= 0."""
+    for s in exponents:
+        _symbol_index(d, s)
+    exps = [exponents.get(s, 0) for s in d.symbols]
+    for s, e in zip(d.symbols, exps):
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValueError(f"exponents must be nonnegative integers, got {s} = {e!r}")
     return exps
+
+
+def _symbol_index(d: SeriesDescriptor, sym: str) -> int:
+    if sym not in d.symbols:
+        raise ValueError(f"unknown exponent symbol {sym!r}; the series has {', '.join(d.symbols)}")
+    return d.symbols.index(sym)
 
 
 def evaluate_series(d: SeriesDescriptor, exponents: Mapping[str, int],
@@ -272,7 +286,7 @@ def hilbert_ray(d: SeriesDescriptor, sym: str, a: RatLike,
     evaluations.  None stands for a pole.
     """
     a = rat(a)
-    i = d.symbols.index(sym)
+    i = _symbol_index(d, sym)
     rows = [(row, row.pairings[i]) for row in d.rows]
     if i == 0:
         rows += [(row, row.pairing) for row in d.intervals]
@@ -334,6 +348,8 @@ def adjoint_cartan_power(k: int, a: RatLike) -> Fraction:
 
 def deligne_Yk_printed(k: int, lam: RatLike) -> Fraction:
     """The lambda-parametrized product exactly as printed (overall sign slip)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     lam = rat(lam)
     if lam == 0 or lam == -6:
         raise ZeroDivisionError("pole at lambda in {0, -6}")
@@ -392,10 +408,11 @@ def _bprod(k: int, tops: Sequence[Fraction], bots: Sequence[Fraction],
            tops3k: Sequence[Fraction] = (), bots3k: Sequence[Fraction] = ()) -> Fraction:
     """Product of C(mk+c, mk) ratios, evaluated with zero-term cancellation.
 
-    Expanding every binomial C(mk+c, mk) = prod_{i=1..mk} (c+i)/i into its
-    terms and cancelling zero terms first gives the standard limit reading
-    at degenerate parameters, where verbatim evaluation would hit removable
-    0/0 pairs.
+    Every binomial C(mk+c, mk) = prod_{i=1..mk} (c+i)/i is expanded into its
+    terms, and a zero term upstairs is dropped with one downstairs
+    (`_TermProduct`), where verbatim evaluation would divide 0 by 0.  This
+    is not the limit in the parameter: at a = 0, hilbert_X3_printed(1, 0)
+    is 840, like the descriptor, while the a -> 0 limit is 2520.
     """
     prod = _TermProduct()
     # C(mk+c, mk) = prod_{0 <= t < mk} (c + 1 + t) / (1 + t), over c's denominator
@@ -528,12 +545,16 @@ def severi_dim(p: int, pstar: int, a: RatLike) -> SeriesResult:
 # -- orthogonal family and the generalized third row ----------------------------------
 
 
-def so_family_dim(k: int, t: int) -> SeriesResult:
-    """dim so(2t+4)^(k), closed form as printed."""
+def _so_family_args(k: int, t: int) -> None:
     if k < 0:
         raise ValueError("k must be >= 0")
     if t < 1:
         raise ValueError("t must be >= 1")
+
+
+def so_family_dim(k: int, t: int) -> SeriesResult:
+    """dim so(2t+4)^(k), closed form as printed."""
+    _so_family_args(k, t)
     den = (2 * t + 1) * t * (t + 1) * (k + 1)
     value = (Fraction((2 * k + 2 * t + 1) * (k + t) * (k + t + 1), den)
              * gen_binomial(k + 2 * t - 1, k) * gen_binomial(k + 2 * t, k))
@@ -542,6 +563,7 @@ def so_family_dim(k: int, t: int) -> SeriesResult:
 
 def so_family_interval(k: int, t: int) -> SeriesResult:
     """The same dimension from the interval descriptor (independent route)."""
+    _so_family_args(k, t)
     return evaluate_series(SO_FAMILY, {"k": k}, t)
 
 
@@ -549,6 +571,8 @@ def thirdrow_dim(k: int, r: int, a: RatLike) -> SeriesResult:
     """dim of the k-th adjoint Cartan power in the generalized third row."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"r must be an integer, got {r!r}")
     if r < 2:
         raise ValueError("r must be >= 2")
     a = rat(a)
@@ -647,6 +671,8 @@ def degree_from_hilbert(variety: str, a: RatLike) -> Fraction:
     The leading coefficient is extracted by exact finite differences, an
     independent route from the factorial-ratio degree formulas.
     """
+    if variety not in VARIETY_DIMENSIONS:
+        raise ValueError(f"unknown variety {variety!r}")
     a = rat(a)
     d = VARIETY_DIMENSIONS[variety](a)
     if d.denominator != 1:

@@ -7,17 +7,19 @@ test expectation, not an input.  The constraint rows are read off the
 structure constants of A as sparse rows, one per coefficient e_r of the
 relation on e_i, e_j, and only the nonzero ones (320 of 512 for t(O)) go
 to the sparse exact elimination of `linalg.nullspace`, whose sparse kernel
-vectors are rescaled sparse and split by slot into so(Q) coefficients.  The
-basis puts a basis of the diagonal (Cartan) part first, found by a second
-sparse nullspace, and completes it greedily with one incremental echelon;
-coordinates in it come from one `SolveCache` (pivot-position solves with
-an exact reconstruction check), sparse in and out.  Each element, like
-each so(Q) basis matrix, is stored in the column-map format of `linalg`
-(column j is theta_i(e_j), no zeros stored); `combine` takes sparse
-coefficients, `psi_coords` returns them, and brackets, the calibration,
-the leg actions (`leg_action`) and the consumers in `magic`, `modules` and
-`roots` read the maps.  The only dense views are `coords`, `from_coords`,
-`component` and `diagonal`.
+vectors, rescaled to primitive integer vectors, combine the so(Q) basis maps
+placed in each slot.  The basis puts a basis of the diagonal (Cartan) part
+first, found by a second sparse nullspace, and completes it greedily with
+one incremental echelon; coordinates in it come from one `SolveCache`
+(pivot-position solves with an exact reconstruction check), sparse in and
+out.  Each element is stored in the one map format of `linalg`: D theta_i as
+integer column maps (column j is D theta_i(e_j), no zeros stored) over the
+least common denominator D of the triple, which is 1 on every basis triple
+and 2 on the t(O) chart.  `combine` takes sparse coefficients, `psi_coords`
+returns them, and the bracket (an integer commutator), the calibration, the
+leg actions (`leg_action`) and the consumers in `magic`, `modules` and
+`roots` read the maps.  The views `component`, `diagonal`, `sparse_flat`,
+`coords` and `from_coords` give Fractions.
 
 The invariant form K on t(A) is a single rational multiple of the sum of the
 three componentwise trace forms.  Psi_i is the K-dual of slot i:
@@ -47,16 +49,17 @@ from .exact import rat_str
 from .linalg import (
     F0,
     F1,
-    ColMap,
     Echelon,
+    Entries,
+    IntMap,
     Mat,
     SVec,
     SolveCache,
     Vec,
-    apply_into,
     axpy,
     bilinear,
-    map_combination,
+    int_apply_into,
+    int_maps,
     nullspace,
     primitive_integer_vector,
     sparse,
@@ -66,16 +69,20 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class TrialityTriple:
-    """(theta1, theta2, theta3) in so(Q)^3 as the column maps of the n x n components.
+    """(theta1, theta2, theta3) in so(Q)^3 as D times the n x n components.
 
-    Column j of thetas[i - 1] is theta_i(e_j); zero entries and zero columns
-    are left out, so two triples are equal iff their maps are.  `component`
-    is the one dense view, for `TrialityAlgebra.dump`.
+    thetas[i - 1] is the integer column map of D theta_i (`linalg.int_maps`),
+    column j the pairs of D theta_i(e_j) in increasing row order, zero
+    entries and zero columns left out, and D is the least common
+    denominator, so two triples are equal iff their maps and D are.  The
+    views divide by D; `component` is the one dense view, for
+    `TrialityAlgebra.dump`.
     """
-    thetas: Tuple[ColMap, ColMap, ColMap]
+    thetas: Tuple[IntMap, IntMap, IntMap]
     n: int
+    denominator: int
 
-    def _theta(self, i: int) -> ColMap:
+    def _theta(self, i: int) -> IntMap:
         if i not in (1, 2, 3):
             raise ValueError("slot index must be 1, 2 or 3")
         return self.thetas[i - 1]
@@ -83,60 +90,73 @@ class TrialityTriple:
     def component(self, i: int) -> Mat:
         out = zeros(self.n, self.n)
         for j, col in self._theta(i).items():
-            for r, x in col.items():
-                out[r][j] = x
+            for r, x in col:
+                out[r][j] = Fraction(x, self.denominator)
         return out
 
     def sparse_flat(self) -> SVec:
         """The nonzero entries of the three components, entry (r, s) of theta_i
         at ((i - 1) n + r) n + s, read off the maps."""
-        n = self.n
-        return {(i * n + r) * n + s: x for i, m in enumerate(self.thetas)
-                for s, col in m.items() for r, x in col.items()}
+        n, d = self.n, self.denominator
+        return {(i * n + r) * n + s: Fraction(x, d) for i, m in enumerate(self.thetas)
+                for s, col in m.items() for r, x in col}
 
     def diagonal(self, i: int) -> Vec:
         """The diagonal entries of theta_i."""
         m = self._theta(i)
-        return [m.get(p, {}).get(p, F0) for p in range(self.n)]
+        return [Fraction(dict(m.get(p, ())).get(p, 0), self.denominator) for p in range(self.n)]
 
     def is_zero(self) -> bool:
         return not any(self.thetas)
 
-    def leg_action(self, legs: Sequence[Sequence[Sequence[int]]]) -> ColMap:
-        """The triple acting on three legs, slot s moving leg s, as a column map.
+    def leg_action(self, legs: Sequence[Sequence[Sequence[int]]]) -> IntMap:
+        """D times the triple acting on three legs, slot s moving leg s, as an
+        integer column map over the triple's D.
 
         legs[s][p] lists the indices of e_p in leg s, no index twice, in the same
-        order for every p; column legs[s][p][pos] is theta_s(e_p) at position pos."""
-        return {j: {legs[s][r][pos]: c for r, c in col.items()}
+        order for every p; column legs[s][p][pos] is D theta_s(e_p) at position pos."""
+        return {j: tuple((legs[s][r][pos], c) for r, c in col)
                 for s, theta in enumerate(self.thetas)
                 for p, col in theta.items()
                 for pos, j in enumerate(legs[s][p])}
 
 
+def _triple(entries: Sequence[Entries], n: int) -> TrialityTriple:
+    """The triple with the given (row, col) -> value entries of its three components."""
+    maps, d = int_maps(entries)
+    return TrialityTriple(tuple(maps), n, d)
+
+
 def combine(coeffs: SVec, triples: Sequence[TrialityTriple]) -> TrialityTriple:
     """sum_k coeffs[k] triples[k] for sparse coeffs and a nonempty list of triples."""
-    for k in coeffs:
+    entries: Tuple[Entries, Entries, Entries] = ({}, {}, {})
+    for k, c in coeffs.items():
         if not 0 <= k < len(triples):
             raise IndexError(f"basis index out of range: {k}")
-    return TrialityTriple(tuple(map_combination(coeffs, [t.thetas[i] for t in triples])
-                                for i in range(3)), triples[0].n)
-
-
-def _commutator(x: ColMap, y: ColMap) -> ColMap:
-    """[X, Y] e_j = X(Y e_j) - Y(X e_j), column by column."""
-    out: ColMap = {}
-    for j in x.keys() | y.keys():
-        col: SVec = {}
-        apply_into(col, x, y.get(j, {}))
-        apply_into(col, y, x.get(j, {}), -F1)
-        if col:
-            out[j] = col
-    return out
+        c = Fraction(c, triples[k].denominator)
+        for acc, m in zip(entries, triples[k].thetas):
+            for j, col in m.items():
+                for r, x in col:
+                    acc[r, j] = acc.get((r, j), 0) + c * x
+    return _triple(entries, triples[0].n)
 
 
 def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
-    """Componentwise commutator; t(A) is closed under it."""
-    return TrialityTriple(tuple(_commutator(a, b) for a, b in zip(x.thetas, y.thetas)), x.n)
+    """Componentwise commutator; t(A) is closed under it.
+
+    [X, Y] e_j = X(Y e_j) - Y(X e_j) column by column on the integer maps,
+    scaled by 1 / (D_x D_y); entries that cancel are dropped by `int_maps`.
+    """
+    d = x.denominator * y.denominator
+    c = Fraction(1, d) if d > 1 else 1  # int products on integral triples, about 2x faster
+    entries: Tuple[Entries, Entries, Entries] = ({}, {}, {})
+    for acc, a, b in zip(entries, x.thetas, y.thetas):
+        for j in a.keys() | b.keys():
+            col: SVec = {}
+            int_apply_into(col, a, dict(b.get(j, ())), c)
+            int_apply_into(col, b, dict(a.get(j, ())), -c)
+            acc.update(((r, j), v) for r, v in col.items())
+    return _triple(entries, x.n)
 
 
 class TrialityAlgebra:
@@ -157,15 +177,16 @@ class TrialityAlgebra:
         """Basis of t(A), Cartan-first, and the number of Cartan elements."""
         alg = self.alg
         n = alg.dim
-        so_maps = alg.so_q_basis()
+        so_maps, so_d = alg.so_q_basis()
         d = len(so_maps)
         if d == 0:
             return [], 0
         # Unknowns: coordinates of (theta1, theta2, theta3) in the so(Q) basis.
         # Row (i, j, r) is the e_r coefficient of
         #   theta3(e_i e_j) - theta1(e_i) e_j - e_i theta2(e_j),
-        # read off the structure constants with theta(e_s) = sum_t m[s][t] e_t
-        # for the column map m of each so(Q) basis matrix.
+        # read off the structure constants with D theta(e_s) = sum_t m[s][t] e_t
+        # for the integer column map m of each so(Q) basis matrix; the maps
+        # share D, so the scale changes no kernel vector.
         ct = alg.ctable
         rows: Dict[int, SVec] = {}
 
@@ -175,7 +196,7 @@ class TrialityAlgebra:
 
         for k, m in enumerate(so_maps):
             for s, col in m.items():
-                for t, c in col.items():
+                for t, c in col:
                     for j in range(n):
                         for r, x in ct[t][j].items():
                             add((s * n + j) * n + r, k, -c * x)
@@ -184,15 +205,13 @@ class TrialityAlgebra:
             for i in range(n):
                 for j in range(n):
                     for s, x in ct[i][j].items():
-                        for r, y in m.get(s, {}).items():
+                        for r, y in m.get(s, ()):
                             add((i * n + j) * n + r, 2 * d + k, x * y)
-        basis = []
-        for v in nullspace(list(rows.values()), 3 * d):
-            slots: Tuple[SVec, SVec, SVec] = ({}, {}, {})
-            for k, x in primitive_integer_vector(v).items():
-                c, k = divmod(k, d)
-                slots[c][k] = x
-            basis.append(TrialityTriple(tuple(map_combination(sv, so_maps) for sv in slots), n))
+        # units[i d + k] is so(Q) map k in slot i + 1.
+        units = [TrialityTriple(tuple(m if c == i else {} for c in range(3)), n, so_d)
+                 for i in range(3) for m in so_maps]
+        basis = [combine(primitive_integer_vector(v), units)
+                 for v in nullspace(list(rows.values()), 3 * d)]
         return self._cartan_first(basis)
 
     def _cartan_first(self, basis: List[TrialityTriple]) -> Tuple[List[TrialityTriple], int]:
@@ -207,12 +226,13 @@ class TrialityAlgebra:
         if not basis:
             return basis, 0
         # Conditions: off-diagonal entries of all three components vanish;
-        # the row of entry (i, r, s) holds that entry of each basis triple.
+        # the row of entry (i, r, s) holds that entry of each basis triple,
+        # read as the stored integer: every basis triple has D = 1.
         rows: Dict[Tuple[int, int, int], SVec] = {}
         for k, t in enumerate(basis):
             for i, m in enumerate(t.thetas):
                 for s, col in m.items():
-                    for r, x in col.items():
+                    for r, x in col:
                         if r != s:
                             rows.setdefault((i, r, s), {})[k] = x
         cartan_coords = nullspace(list(rows.values()), len(basis))
@@ -245,7 +265,7 @@ class TrialityAlgebra:
     def _from_sparse_coords(self, coeffs: SVec) -> TrialityTriple:
         """The triple with sparse coordinates coeffs; zero if empty, as for all of t(R)."""
         if not coeffs:
-            return TrialityTriple(({}, {}, {}), self.alg.dim)
+            return TrialityTriple(({}, {}, {}), self.alg.dim, 1)
         return combine(coeffs, self.basis)
 
     def bracket_coords(self, k: int, l: int) -> SVec:
@@ -278,9 +298,10 @@ class TrialityAlgebra:
         n = alg.dim
         d = self.dim
         gram, partner = alg.gram, alg.partner
-        # Entry (r, s) of theta_i of each basis triple, keyed (i, r, s).
+        # Entry (r, s) of theta_i of each basis triple, keyed (i, r, s): the
+        # stored integer, as every basis triple has D = 1.
         entries = [{(i, r, s): x for i, m in enumerate(t.thetas) for s, col in m.items()
-                    for r, x in col.items()} for t in self.basis]
+                    for r, x in col} for t in self.basis]
         # Column c of S, sparse: entry row is tr(x_i y_i) for x = basis[row] and
         # y = basis[c], the sum over the entries x_i[r][s] of x_i[r][s] y_i[s][r].
         t_cols: List[SVec] = []
@@ -305,12 +326,11 @@ class TrialityAlgebra:
             raw.append(table)
         # Scale so that Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) exactly,
         # on every basis pair u = e_p, v = e_q and every x = e_j, comparing the
-        # entries where either side is nonzero.
+        # entries where either side is nonzero; got holds D times slot 2.
         ct, conj = alg.ctable, alg.conj
-        slot2 = [t.thetas[1] for t in self.basis]
         scale = None
         for (p, q), coords in raw[0].items():
-            m2 = map_combination(coords, slot2)
+            m = combine(coords, self.basis)
             for j in range(n):
                 target: SVec = {}
                 for a, b, sign in ((q, p, F1), (p, q, -F1)):
@@ -319,14 +339,14 @@ class TrialityAlgebra:
                     for s, x in ct[b][j].items():
                         for r, y in ct[l][s].items():
                             target[r] = target.get(r, F0) + sign * c * x * y
-                got = m2.get(j, {})
+                got = dict(m.thetas[1].get(j, ()))
                 for r in sorted(target.keys() | got.keys()):
                     tg = target.get(r, F0)
                     gt = got.get(r, F0)
                     if tg != 0 or gt != 0:
                         if gt == 0:
                             raise ValueError("Psi_1 slot-2 not proportional to the product map")
-                        ratio = tg / gt
+                        ratio = tg * m.denominator / gt
                         if scale is None:
                             scale = ratio
                         elif scale != ratio:

@@ -7,8 +7,8 @@ weight of each basis vector of t(A) off the entries of its matrices; the
 reference here brackets every chart element with every basis vector and
 solves for the coordinates of the result, which must be the weight times
 that basis vector.  A basis vector that is not a weight vector must be
-refused.  `columns` must turn (row, col) entries into a column map
-without zeros.
+refused.  `int_maps` must turn (row, col) entries into integer column maps
+over their least denominator, without zeros.
 """
 
 from fractions import Fraction
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from magicsquare.compalg import build_split_algebra
-from magicsquare.linalg import F0, SolveCache, columns, sparse
+from magicsquare.linalg import F0, SolveCache, int_maps, sparse
 from magicsquare.roots import ExtractionError, cartan_chart, factor_weights
 from magicsquare.triality import TrialityAlgebra, combine, triality_algebra, triality_bracket
 from tests_helpers import dense_flat, e_vector, reference_rref
@@ -154,5 +154,12 @@ def test_factor_weights_refuses_a_mixed_basis_vector():
 
 
 def test_columns_drops_zero_entries_and_empty_columns():
+    # `int_maps` drops zero values and the columns they empty, scales every
+    # map by the least D that clears the denominators and a given d, and
+    # lists each column's rows in increasing order.
     entries = {(0, 1): F0, (1, 1): Fraction(2), (2, 0): Fraction(1) - 1, (0, 3): Fraction(-1, 2)}
-    assert columns(entries) == {1: {1: Fraction(2)}, 3: {0: Fraction(-1, 2)}}
+    assert int_maps([entries]) == ([{1: ((1, 4),), 3: ((0, -1),)}], 2)
+    other = {(2, 0): Fraction(1, 3), (0, 0): Fraction(1)}
+    assert int_maps([entries, other], 5) == ([{1: ((1, 60),), 3: ((0, -15),)},
+                                              {0: ((0, 30), (2, 10))}], 30)
+    assert int_maps([{}, {(0, 0): F0}]) == ([{}, {}], 1)

@@ -163,6 +163,16 @@ def test_rat_strings():
     assert parse_rat("-5/2") == Fraction(-5, 2)
 
 
+def test_linear_form_prints_unit_fractions_without_a_numerator():
+    # A numerator of 1 is not printed: +-1/2 a prints as a/2, not 1a/2.
+    assert str(LinearForm.make(3, a=Fraction(1, 2))) == "3 + a/2"
+    assert str(LinearForm.make(0, a=Fraction(1, 2))) == "a/2"
+    assert str(LinearForm.make(1, a=Fraction(-1, 2))) == "1 - a/2"
+    assert str(LinearForm.make(0, a=Fraction(-1, 3))) == "- a/3"
+    assert str(LinearForm.make(4, a=Fraction(3, 2), b=-1)) == "4 + 3a/2 - b"
+    assert str(LinearForm.make(0, a=2)) == "2a"
+
+
 def test_linear_factor_product_eval():
     lfp = LinearFactorProduct()
     mul_scalar(lfp, Fraction(3, 2))

@@ -23,6 +23,7 @@ from magicsquare.series import (
     deligne_Yk,
     deligne_Yk_printed,
     evaluate_series,
+    hilbert_X3_printed,
     hilbert_ray,
     lambda_of_a,
     qdim_adjoint_cartan_power,
@@ -404,3 +405,60 @@ def test_integrality_screen_on_series_grid():
     for a in (1, 2, 4, 8):
         for exps in ({"p": 1}, {"q": 2}, {"r": 1}):
             assert evaluate_series(SUBEXCEPTIONAL, exps, a).integrality
+
+
+@pytest.mark.parametrize("exponents, message", [
+    ({"p": 1.5}, r"got p = 1\.5"),
+    ({"p": Fraction(1)}, r"got p = Fraction\(1, 1\)"),
+    ({"p": True}, r"got p = True"),
+    ({"q": -1}, r"got q = -1"),
+    ({"z": 3}, r"unknown exponent symbol 'z'"),
+], ids=["float", "fraction", "bool", "negative", "unknown-symbol"])
+def test_exponents_are_refused_unless_known_and_integral(exponents, message):
+    # Neither is truncated or ignored: p = 1.5 is not p = 1 (52), and z = 3
+    # is not the empty exponent list (1).
+    with pytest.raises(ValueError, match=message):
+        evaluate_series(EXCEPTIONAL, exponents, 1)
+    with pytest.raises(ValueError, match=message):
+        series_factors(EXCEPTIONAL, exponents)
+
+
+def test_hilbert_ray_refuses_an_unknown_symbol():
+    with pytest.raises(ValueError, match=r"unknown exponent symbol 'z'; the series has p, q, r, s"):
+        hilbert_ray(EXCEPTIONAL, "z", 1, 3)
+
+
+def test_thirdrow_refuses_a_non_integral_r():
+    with pytest.raises(ValueError, match=r"r must be an integer, got 2\.5"):
+        thirdrow_dim(1, 2.5, 1)
+
+
+def test_so_family_interval_checks_like_the_closed_form():
+    for k, t, message in ((1, 0, "t must be >= 1"), (-1, 1, "k must be >= 0")):
+        for route in (so_family_dim, so_family_interval):
+            with pytest.raises(ValueError, match=message):
+                route(k, t)
+
+
+def test_deligne_Yk_refuses_negative_k_like_the_a_form():
+    for route in (deligne_Yk, deligne_Yk_printed, adjoint_cartan_power):
+        with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+            route(-1, 1)
+
+
+def test_degree_from_hilbert_refuses_an_unknown_variety_like_degree_formulas():
+    for route in (degree_from_hilbert, degree_formulas):
+        with pytest.raises(ValueError, match=r"unknown variety 'zz'"):
+            route("zz", 1)
+
+
+def test_paired_zero_terms_are_dropped_not_the_limit():
+    # At a = 0, r = 1 the descriptor and the printed X3 Hilbert function
+    # both drop their paired zero terms: the classes empty at a = 0 count
+    # as 1, which gives 840, so8's X3 Weyl dimension.  The value tends to
+    # 2520 as a -> 0 from either side.
+    assert evaluate_series(EXCEPTIONAL, {"r": 1}, 0).value == 840
+    assert hilbert_X3_printed(1, 0) == 840
+    for eps in (Fraction(1, 10**6), Fraction(-1, 10**6)):
+        for value in (evaluate_series(EXCEPTIONAL, {"r": 1}, eps).value, hilbert_X3_printed(1, eps)):
+            assert abs(value - 2520) < Fraction(1, 100)

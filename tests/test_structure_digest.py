@@ -49,7 +49,7 @@ def triality_digest() -> str:
         name = f"t({x})"
         lines.append(f"{name} cartan_dim {t.cartan_dim}")
         for k, b in enumerate(t.basis):
-            lines.extend(_lines(f"{name} basis {k}", b.thetas))
+            lines.extend(_lines(f"{name} basis {k}", fraction_view(b.thetas, b.denominator)))
         lines.extend(f"{name} K {r} {s} {c}"
                      for r, row in enumerate(t.k_matrix()) for s, c in enumerate(row) if c)
         for i in (1, 2, 3):

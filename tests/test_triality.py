@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from magicsquare.linalg import SolveCache, axpy, mat_mul, mat_vec, sparse, transpose
 from magicsquare.compalg import build_split_algebra
+from magicsquare.roots import cartan_chart
 from magicsquare.triality import (TrialityAlgebra, combine, psi, triality_algebra,
                                   triality_bracket)
 from tests_helpers import (commutator, cyclic_shift, dense_combination, dense_flat, dense_mats,
@@ -275,12 +276,15 @@ MAP_EXAMPLES = {"C": 40, "H": 40, "O": 20}
 
 @pytest.mark.parametrize("tag", sorted(MAP_EXAMPLES))
 def test_column_maps_match_dense_reference(tag):
-    # Random integer combinations of the basis, their bracket and their
+    # Random rational combinations of the basis (denominators up to 3, so
+    # the triples and their brackets carry D > 1), their bracket and their
     # cancelling sum, against dense matrices; no map stores a zero entry or
-    # an empty column.
+    # an empty column, and rebuilding a triple from its dense matrices
+    # gives the same maps and D.
     t = triality_algebra(tag)
     assert all(stores_no_zero(b) for b in t.basis)
-    coeffs = st.lists(st.integers(-2, 2), min_size=t.dim, max_size=t.dim)
+    coeffs = st.lists(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)),
+                      min_size=t.dim, max_size=t.dim)
 
     @settings(max_examples=MAP_EXAMPLES[tag], deadline=None)
     @given(coeffs, coeffs)
@@ -298,3 +302,21 @@ def test_column_maps_match_dense_reference(tag):
         assert zero.thetas == ({}, {}, {}) == triality_bracket(x, x).thetas
 
     check()
+
+
+def test_triple_denominators():
+    # The code reads the integers of the basis triples as their entries
+    # (the Cartan-first reordering, the calibration, the leg actions of
+    # g(A,B) and of its modules): every basis triple has D = 1, as do the
+    # so(Q) maps.  The t(O) chart has D = 2; combinations and brackets
+    # keep the least D.
+    for tag in "RCHO":
+        t = triality_algebra(tag)
+        assert all(b.denominator == 1 for b in t.basis)
+        assert t.alg.so_q_basis()[1] == 1
+    assert [h.denominator for h in cartan_chart(triality_algebra("O"))] == [2, 2, 2, 2]
+    assert {h.denominator for tag in "CH" for h in cartan_chart(triality_algebra(tag))} == {1}
+    t = triality_algebra("O")
+    x = combine({0: Fraction(1, 3), 5: Fraction(1, 2)}, t.basis)
+    assert x.denominator == 6
+    assert combine({0: Fraction(2, 3)}, [combine({0: Fraction(3, 2)}, t.basis)]) == t.basis[0]

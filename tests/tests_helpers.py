@@ -3,7 +3,7 @@ from itertools import permutations
 from math import gcd
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import F0, apply_into, axpy, columns, mat_mul, mat_vec, sparse, zeros
+from magicsquare.linalg import F0, axpy, int_maps, mat_mul, mat_vec, sparse, zeros
 from magicsquare.modules import V_OMEGA_WEIGHTS, W_CUBIC_COEFFS
 from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
                                 hilbert_ray)
@@ -17,18 +17,19 @@ def e_vector(n, i):
     return v
 
 
-def dense_matrix(m, n):
-    """A column map (column j is the image of e_j) as a dense n x n matrix."""
+def dense_matrix(m, n, d=1):
+    """The map of an integer column map m = D M (column j is D M e_j) over
+    D = d, as a dense n x n matrix."""
     out = [[F0] * n for _ in range(n)]
     for j, col in m.items():
-        for r, x in col.items():
-            out[r][j] = x
+        for r, x in col:
+            out[r][j] = Fraction(x, d)
     return out
 
 
 def dense_mats(t):
     """The three components of a triple as dense matrices."""
-    return tuple(dense_matrix(m, t.n) for m in t.thetas)
+    return tuple(dense_matrix(m, t.n, t.denominator) for m in t.thetas)
 
 
 def dense_flat(t):
@@ -37,10 +38,11 @@ def dense_flat(t):
 
 
 def triple_from_mats(m1, m2, m3):
-    """The triple whose components are the three dense matrices."""
-    return TrialityTriple(tuple(columns({(r, s): x for r, row in enumerate(m)
-                                         for s, x in enumerate(row)})
-                                for m in (m1, m2, m3)), len(m1))
+    """The triple whose components are the three dense matrices, in the
+    canonical form: least D, rows in increasing order, no zero stored."""
+    maps, d = int_maps([{(r, s): x for r, row in enumerate(m) for s, x in enumerate(row)}
+                        for m in (m1, m2, m3)])
+    return TrialityTriple(tuple(maps), len(m1), d)
 
 
 def reference_bilinear(gram, x, y):
@@ -190,8 +192,10 @@ def dense_combination(coeffs, triples):
 
 
 def stores_no_zero(t):
-    """No component of the triple stores an empty column or a zero entry."""
-    return all(col and all(col.values()) for m in t.thetas for col in m.values())
+    """No component of the triple stores an empty column or a zero entry, and
+    each column lists its rows in increasing order."""
+    return all(col and all(c for _, c in col) and [r for r, _ in col] == sorted(r for r, _ in col)
+               for m in t.thetas for col in m.values())
 
 
 def describe_index(g, i):
@@ -297,7 +301,8 @@ def reference_triality_basis(alg):
     set.  `TrialityAlgebra` must give the same basis, triple for triple.
     """
     n = alg.dim
-    so_basis = [dense_matrix(m, n) for m in alg.so_q_basis()]
+    so_maps, so_d = alg.so_q_basis()
+    so_basis = [dense_matrix(m, n, so_d) for m in so_maps]
     d = len(so_basis)
     if d == 0:
         return [], 0
@@ -391,11 +396,14 @@ def rep_defect_column(maps, br, i, j, k):
     read off one column; b -> A_b is a representation iff it vanishes for
     every i, j, k.  For the bracket table itself (A_t = ad b_t) it is minus
     the Jacobi sum of the triple i, j, k.  The reference of
-    `linalg.int_rep_defect_pair`.
+    `linalg.int_rep_defect_pair`, applying the maps by its own `axpy` loop.
     """
     out = {}
-    apply_into(out, maps[i], maps[j].get(k, {}))
-    apply_into(out, maps[j], maps[i].get(k, {}), -F1)
+    for left, right, sign in ((i, j, F1), (j, i, -F1)):
+        for t, x in maps[right].get(k, {}).items():
+            col = maps[left].get(t)
+            if col:
+                axpy(out, sign * x, col)
     for t, c in br.items():
         col = maps[t].get(k)
         if col:
