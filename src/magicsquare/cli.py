@@ -247,15 +247,12 @@ def cmd_dim(args) -> int:
         print(rd.weyl_dim(rd.weight_from_fund(args.weight)))
         return 0
     a = args.a
-    if args.series == "exceptional":
-        exps = {"p": args.p, "q": args.q, "r": args.r, "s": args.s}
-        res = S.evaluate_series(S.EXCEPTIONAL, exps, a)
-    elif args.series == "subexceptional":
-        exps = {"p": args.p, "q": args.q, "r": args.r}
-        res = S.evaluate_series(S.SUBEXCEPTIONAL, exps, a)
-    elif args.series == "severi":
-        exps = {"p": args.p, "pstar": args.pstar}
+    descriptor = FACTORED_SERIES.get(args.series)
+    exps = {sym: getattr(args, sym) for sym in descriptor.symbols} if descriptor else {}
+    if args.series == "severi":
         res = S.severi_dim(args.p, args.pstar, a)
+    elif descriptor:
+        res = S.evaluate_series(descriptor, exps, a)
     elif args.series == "thirdrow":
         res = S.thirdrow_dim(args.k, args.r_param, a)
     else:
@@ -263,7 +260,6 @@ def cmd_dim(args) -> int:
     if res.pole:
         print("pole: a denominator linear form vanishes at these parameters")
         return 0
-    descriptor = FACTORED_SERIES.get(args.series)
     if args.factored and descriptor is None:
         print(f"dim: --series {args.series} has no factored form", file=sys.stderr)
         return 2
@@ -346,7 +342,18 @@ def _table_rows(args) -> List[Dict]:
     return rows
 
 
+# The table options that only some series read; giving one to another series is a usage error.
+TABLE_OPTION_SERIES = {
+    "--which": ("subexceptional",),
+    "--a": ("exceptional", "subexceptional", "severi", "qdim", "degrees"),
+}
+
+
 def cmd_table(args) -> int:
+    for flag, series in TABLE_OPTION_SERIES.items():
+        if getattr(args, _dest(flag)) is not None and args.series not in series:
+            print(f"table: --series {args.series} does not take {flag}", file=sys.stderr)
+            return 2
     try:
         rows = _table_rows(args)
     except ValueError as exc:

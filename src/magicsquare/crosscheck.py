@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from typing import Dict, List, Optional, Sequence
 
 from .compalg import TAG_BY_DIM
@@ -85,6 +86,12 @@ def severi_oracle(p: int, pstar: int, a: Fraction) -> Optional[int]:
 def so_family_oracle(k: int, t: int) -> int:
     rd = builtin_datum(f"d{t + 2}")
     return _marker_weyl_dim(rd, {"k": k}, {"k": "adjoint"})
+
+
+def grid(d: S.SeriesDescriptor, budget: int) -> List[Dict[str, int]]:
+    """Every exponent vector over d.symbols with 0 < |e| <= budget, in lexicographic order."""
+    return [dict(zip(d.symbols, e)) for e in product(range(budget + 1), repeat=len(d.symbols))
+            if 0 < sum(e) <= budget]
 
 
 # -- report machinery ----------------------------------------------------------------
@@ -182,47 +189,31 @@ def run_crosscheck(suite: str = "quick",
                           S.deligne_Yk_printed(k, lam), val)
 
     # Exceptional-series grid.
-    tuples = []
-    budget = 2 if full else 1
-    for p in range(budget + 1):
-        for q in range(budget + 1 - p):
-            for r in range(budget + 1 - p - q):
-                for s in range(budget + 1 - p - q - r):
-                    if 0 < p + q + r + s <= budget:
-                        tuples.append({"p": p, "q": q, "r": r, "s": s})
     for a in EXC_A_GRID:
-        for exps in tuples:
+        for exps in grid(S.EXCEPTIONAL, 2 if full else 1):
             res = S.evaluate_series(S.EXCEPTIONAL, exps, a)
             cc.record("exceptional_series", {**exps, "a": a}, res.value,
                       exceptional_oracle(exps, a))
 
     # Sub-exceptional and Severi grids.
-    sub_tuples = [{"p": p, "q": q, "r": r}
-                  for p in range(3) for q in range(3) for r in range(3)
-                  if 0 < p + q + r <= 2]
     for a in (1, 2, 4, 8):
-        for exps in sub_tuples:
+        for exps in grid(S.SUBEXCEPTIONAL, 2):
             res = S.evaluate_series(S.SUBEXCEPTIONAL, exps, a)
             cc.record("subexceptional_series", {**exps, "a": a}, res.value,
                       subexceptional_oracle(exps, Fraction(a)))
-        pmax = 3 if full else 2
-        for p in range(pmax + 1):
-            for ps in range(pmax + 1 - p):
-                if p + ps == 0:
-                    continue
-                res = S.severi_dim(p, ps, a)
-                cc.record("severi_series", {"p": p, "pstar": ps, "a": a},
-                          res.value, severi_oracle(p, ps, Fraction(a)))
+        for exps in grid(S.SEVERI, 3 if full else 2):
+            res = S.severi_dim(exps["p"], exps["pstar"], a)
+            cc.record("severi_series", {**exps, "a": a},
+                      res.value, severi_oracle(exps["p"], exps["pstar"], Fraction(a)))
 
     # Hilbert functions, printed vs descriptor-derived (the oracle chain is
     # descriptor == weyl, already covered above; here the printed text forms).
     kh = 3 if full else 2
     for a in EXC_A_GRID:
         for k in range(1, kh + 1):
-            for which, printed_fn in (("X2", S.hilbert_X2_printed),
-                                      ("X3", S.hilbert_X3_printed),
-                                      ("Y2star", S.hilbert_Y2star_printed)):
-                sym = {"X2": "q", "X3": "r", "Y2star": "s"}[which]
+            for which, sym, printed_fn in (("X2", "q", S.hilbert_X2_printed),
+                                           ("X3", "r", S.hilbert_X3_printed),
+                                           ("Y2star", "s", S.hilbert_Y2star_printed)):
                 oracle = S.evaluate_series(S.EXCEPTIONAL, {sym: k}, a).value
                 try:
                     printed = printed_fn(k, a)
@@ -232,10 +223,9 @@ def run_crosscheck(suite: str = "quick",
                           printed, oracle)
     for a in (1, 2, 4, 8):
         for k in range(1, kh + 1):
-            for which, printed_fn in (("g", S.subexc_g_printed),
-                                      ("V", S.subexc_V_printed),
-                                      ("V2", S.subexc_V2_printed)):
-                sym = {"g": "p", "V": "q", "V2": "r"}[which]
+            for which, sym, printed_fn in (("g", "p", S.subexc_g_printed),
+                                           ("V", "q", S.subexc_V_printed),
+                                           ("V2", "r", S.subexc_V2_printed)):
                 oracle = S.evaluate_series(S.SUBEXCEPTIONAL, {sym: k}, a).value
                 cc.record(f"subexceptional_{which}_hilbert_printed",
                           {"k": k, "a": a}, printed_fn(k, a), oracle)

@@ -44,13 +44,21 @@ def parse_rat(s: str) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
+def check_counts(least: int, **values: int) -> None:
+    """Raise ValueError, naming the argument, unless every value is an int >= least."""
+    for name, v in values.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    if min(values.values()) < least:
+        raise ValueError(f"{' and '.join(values)} must be >= {least}")
+
+
 def gen_binomial(x: RatLike, k: int) -> Fraction:
     """Generalized binomial: prod_{i=1..k} (x - k + i) / i, with rational x.
 
     Agrees with the ordinary binomial coefficient for integer x >= k >= 0.
     """
-    if k < 0:
-        raise ValueError(f"gen_binomial: k must be >= 0, got {k}")
+    check_counts(0, k=k)
     x = rat(x)
     num = Fraction(1)
     for i in range(1, k + 1):
@@ -150,8 +158,7 @@ def q_product(exps: Mapping[int, int]) -> QPoly:
 
 def gauss_binomial(l: int, k: int) -> QPoly:
     """The Gauss polynomial [l+k choose k]_q = prod_{i=1..k} (1-q^{l+i})/(1-q^i)."""
-    if l < 0 or k < 0:
-        raise ValueError("gauss_binomial: l, k must be >= 0")
+    check_counts(0, l=l, k=k)
     exps = Counter()
     for i in range(1, k + 1):
         exps[l + i] += 1

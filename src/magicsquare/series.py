@@ -1,19 +1,22 @@
 """Closed-form dimension series over exact rationals.
 
 The central object is a series descriptor: a table of root classes, each
-carrying the pairing of the distinguished marker weights with that class,
-and the values u, v such that the half-sum of positive roots pairs as
-u + a*v on the class.  A uniform product over the descriptor implements
-the Weyl dimension formula for any member of the series at once:
+carrying the pairings of the distinguished marker weights with that class
+and the intervals over which (rho, alpha), rho the half-sum of positive
+roots, runs on it.  An interval (lo, hi) is a pair of linear forms in the
+series parameter and holds one root at each (rho, alpha) = lo, lo + 1, ...,
+hi.  A uniform product over the descriptor implements the Weyl dimension
+formula for any member of the series at once: each interval contributes
+prod_{0 <= t < x} (hi + 1 + t) / (lo + t), x the marker pairing times the
+chosen exponents.
 
-  * a "unit" row contributes (x + u + a v) / (u + a v), x the marker pairing
-    times the chosen exponents;
-  * an "afold" row (one per weight class of the varying-algebra slots, a
-    positive roots each) additionally contributes the interval ratio
-    C(u+av+x+a/2-1, x) / C(u+av+x-a/2, x) of generalized binomials.
+  * a unit root is the interval [c, c], c = u + a v, with factor (c + x) / c;
+  * an a-fold class (one per weight class of the varying-algebra slots, a
+    positive roots each) is [c, c] plus [c - a/2 + 1, c + a/2 - 1], whose
+    factor is the ratio C(c+x+a/2-1, x) / C(c+x-a/2, x) of generalized
+    binomials;
+  * the orthogonal family so(2t+4) is the same kind of table in t.
 
-Interval descriptors (n(t), m(t) endpoint pairs) implement the same recipe
-for families parametrized by other letters, e.g. the orthogonal family.
 All closed forms are also provided verbatim as printed (suffix _printed
 where they differ from the validated variants); the crosscheck harness
 compares each against the Weyl oracle and records the outcome.
@@ -32,6 +35,7 @@ from .exact import (
     LinearForm,
     QPoly,
     RatLike,
+    check_counts,
     factorial_ratio,
     gen_binomial,
     q_product,
@@ -51,10 +55,11 @@ class _TermProduct:
     of the two term lists gives: more zeros downstairs is a pole, more
     upstairs is the value 0, and equal counts cancel: a zero term upstairs
     and one downstairs are dropped as a pair, instead of giving 0/0.  That
-    is not the limit in the parameter.  At a = 0 every afold row collapses
-    to 1, so the classes that are empty there count as 1: at r = 1 the
-    exceptional series gives 840, the Weyl dimension of so8's X3, while its
-    a -> 0 limit is 2520.
+    is not the limit in the parameter.  At a = 0 the second interval of an
+    a-fold class is [c + 1, c - 1]; its factor c / (c + x) cancels the first
+    interval's, and that is why the classes that are empty there count as 1:
+    at r = 1 the exceptional series gives 840, the Weyl dimension of so8's
+    X3, while its a -> 0 limit is 2520.
     """
 
     __slots__ = ("num", "den", "zeros")
@@ -93,56 +98,47 @@ class _TermProduct:
         return F0 if self.zeros else ratio
 
 
+Form = Tuple[Fraction, Fraction]  # c0 + c1 * parameter
+Interval = Tuple[Form, Form]
+
+
 @dataclass(frozen=True)
 class DescriptorRow:
+    """A class of positive roots with the same marker pairings.
+
+    Each interval (lo, hi) of linear forms in the parameter holds one root
+    at each (rho, alpha) = lo, lo + 1, ..., hi, so its Weyl factor at marker
+    pairing x is prod_{0 <= t < x} (hi + 1 + t) / (lo + t).  A unit root is
+    [c, c], its factor (c + x) / c; an a-fold class is [c, c] plus
+    [c - a/2 + 1, c + a/2 - 1].
+    """
+
     pairings: Tuple[int, ...]
-    u: Fraction
-    v: Fraction
-    cls: str  # "unit" or "afold"
+    intervals: Tuple[Interval, ...]
+    # Per interval (D, D lo0, D lo1, D (hi0 + 1), D hi1), D the lcm of the denominators.
+    _scaled: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scaled = []
+        for (l0, l1), (h0, h1) in self.intervals:
+            forms = (l0, l1, h0 + 1, h1)
+            den = lcm(*(c.denominator for c in forms))
+            scaled.append((den, *(int(c * den) for c in forms)))
+        object.__setattr__(self, "_scaled", tuple(scaled))
 
     def interval_starts(self, a: Fraction) -> List[Tuple[int, int, int]]:
-        """Triples (n, d, D): the row's factor at marker pairing x is the product
-        over the triples of prod_{0 <= t < x} (n/D + t) / (d/D + t).
-
-        The unit factor (c + x) / c, c = u + a v, telescopes into
-        n/D = c + 1, d/D = c; an afold row adds its interval ratio
-        C(c+x+a/2-1, x) / C(c+x-a/2, x) as n/D = c + a/2, d/D = c - a/2 + 1.
-        With a = p/q, D = 2 q times the denominators of u and v.
-        """
+        """Triples (n, d, D), one per interval: n/D = hi(a) + 1 and d/D = lo(a),
+        so the interval's factor at pairing x is prod_{0 <= t < x} (n/D + t) / (d/D + t).
+        With a = p/q, D is q times the lcm of the forms' denominators."""
         p, q = a.numerator, a.denominator
-        (un, ud), (vn, vd) = self.u.as_integer_ratio(), self.v.as_integer_ratio()
-        den = 2 * ud * vd * q
-        c = 2 * (un * vd * q + vn * ud * p)
-        if self.cls == "afold":
-            h = ud * vd * p  # a/2, times den
-            return [(c + den, c, den), (c + h, c - h + den, den)]
-        return [(c + den, c, den)]
-
-
-@dataclass(frozen=True)
-class IntervalRow:
-    pairing: int
-    n: Tuple[Fraction, Fraction]  # n0 + n1 * t
-    m: Tuple[Fraction, Fraction]
-
-    def interval_starts(self, a: Fraction) -> List[Tuple[int, int, int]]:
-        """As DescriptorRow.interval_starts, with n/D = m(a) + 1 and d/D = n(a) + 1."""
-        p, q = a.numerator, a.denominator
-        den = q * lcm(*(x.denominator for x in (*self.m, *self.n)))
-
-        def plus_one(c0: Fraction, c1: Fraction) -> int:  # (c0 + c1 a + 1) den
-            return (c0.numerator * (den // c0.denominator) + den
-                    + c1.numerator * (den // q // c1.denominator) * p)
-
-        return [(plus_one(*self.m), plus_one(*self.n), den)]
+        return [(h0 * q + h1 * p, l0 * q + l1 * p, den * q) for den, l0, l1, h0, h1 in self._scaled]
 
 
 @dataclass
 class SeriesDescriptor:
     name: str
     symbols: Tuple[str, ...]
-    rows: List[DescriptorRow] = field(default_factory=list)
-    intervals: List[IntervalRow] = field(default_factory=list)
+    rows: List[DescriptorRow]
     param: str = "a"
 
 
@@ -159,7 +155,8 @@ class SeriesResult:
 
 # -- descriptor data ------------------------------------------------------------
 # Marker order: exceptional (g, X2, X3, Y2star), subexceptional (g, V, V2),
-# Severi (W, Wstar).  u is the fixed-side half-sum pairing, v the gamma pairing.
+# Severi (W, Wstar).  (rho, alpha) = u + a v on each class: u is the fixed-side
+# half-sum pairing, v the gamma pairing.
 
 _EXC_UNIT = [
     ("0122", 1, "2"), ("1000", 1, "0"), ("0100", 1, "0"), ("0120", 1, "1"),
@@ -179,14 +176,21 @@ _SUB_AFOLD = [
 _SEV_AFOLD = [((1, 0), 0, "1/2"), ((1, 1), 0, "1"), ((0, 1), 0, "1/2")]
 
 
+def _interval(lo, hi) -> Interval:
+    return (Fraction(lo[0]), Fraction(lo[1])), (Fraction(hi[0]), Fraction(hi[1]))
+
+
 def _mkrows(unit, afold) -> List[DescriptorRow]:
+    """A row [c, c] per unit root, and [c, c] plus [c - a/2 + 1, c + a/2 - 1] per
+    a-fold class, c = u + a v."""
     rows = []
-    for digits, u, v in unit:
-        pair = tuple(int(c) for c in digits) if isinstance(digits, str) else tuple(digits)
-        rows.append(DescriptorRow(pair, Fraction(u), Fraction(v), "unit"))
-    for digits, u, v in afold:
-        pair = tuple(int(c) for c in digits) if isinstance(digits, str) else tuple(digits)
-        rows.append(DescriptorRow(pair, Fraction(u), Fraction(v), "afold"))
+    for classes, fold in ((unit, False), (afold, True)):
+        for digits, u, v in classes:
+            v = Fraction(v)
+            ivs = (_interval((u, v), (u, v)),)
+            if fold:
+                ivs += (_interval((u + 1, v - HALF), (u - 1, v + HALF)),)
+            rows.append(DescriptorRow(tuple(int(c) for c in digits), ivs))
     return rows
 
 
@@ -196,19 +200,13 @@ SUBEXCEPTIONAL = SeriesDescriptor("subexceptional", ("p", "q", "r"),
                                   _mkrows(_SUB_UNIT, _SUB_AFOLD))
 SEVERI = SeriesDescriptor("severi", ("p", "pstar"), _mkrows([], _SEV_AFOLD))
 
-# Orthogonal family so(2t+4): one sl2 root plus two intervals and two isolated
-# values [1, 2t-1], [2, 2t], {t}, {t+1}.
-SO_FAMILY = SeriesDescriptor(
-    "so-family", ("k",),
-    rows=[DescriptorRow((2,), F1, Fraction(2), "unit")],
-    intervals=[
-        IntervalRow(1, (F0, F0), (Fraction(-1), Fraction(2))),
-        IntervalRow(1, (F1, F0), (F0, Fraction(2))),
-        IntervalRow(1, (Fraction(-1), F1), (F0, F1)),
-        IntervalRow(1, (F0, F1), (F1, F1)),
-    ],
-    param="t",
-)
+# Orthogonal family so(2t+4): the roots pairing with the highest root, three
+# single roots at 2t+1, t, t+1 and the intervals [1, 2t-1], [2, 2t].
+SO_FAMILY = SeriesDescriptor("so-family", ("k",), [
+    DescriptorRow((2,), (_interval((1, 2), (1, 2)),)),
+    DescriptorRow((1,), (_interval((0, 1), (0, 1)), _interval((1, 1), (1, 1)),
+                         _interval((1, 0), (-1, 2)), _interval((2, 0), (0, 2)))),
+], param="t")
 
 
 # -- the generic evaluator ---------------------------------------------------------
@@ -242,10 +240,6 @@ def evaluate_series(d: SeriesDescriptor, exponents: Mapping[str, int],
         x = sum(t * e for t, e in zip(row.pairings, exps))
         for num, den, step in row.interval_starts(a):
             prod.mul_interval(num, den, step, 0, x)
-    for row in d.intervals:
-        x = row.pairing * (exps[0] if exps else 0)
-        for num, den, step in row.interval_starts(a):
-            prod.mul_interval(num, den, step, 0, x)
     value = prod.value()
     return SeriesResult(value, pole=value is None)
 
@@ -253,26 +247,23 @@ def evaluate_series(d: SeriesDescriptor, exponents: Mapping[str, int],
 def series_factors(d: SeriesDescriptor, exponents: Mapping[str, int]) -> LinearFactorProduct:
     """The product that evaluate_series evaluates, as linear forms in the parameter.
 
-    It depends on the exponents only: one factor (u + x + v a) / (u + v a)
-    per row, an afold row's interval ratio term by term, and each interval
-    row's (m(a) + 1 + t) / (n(a) + 1 + t) for t < x.
+    It depends on the exponents only: a single-root interval [c, c] gives the
+    one factor (c + x) / c, x the row's marker pairing, and any other
+    interval (lo, hi) its terms (hi + 1 + t) / (lo + t) for t < x.
     """
     exps = _exponent_list(d, exponents)
     p = d.param
     lfp = LinearFactorProduct()
     for row in d.rows:
         x = sum(t * e for t, e in zip(row.pairings, exps))
-        lfp.mul_factor(LinearForm.make(row.u + x, **{p: row.v}), 1)
-        lfp.mul_factor(LinearForm.make(row.u, **{p: row.v}), -1)
-        if row.cls == "afold":
-            for t in range(x):
-                lfp.mul_factor(LinearForm.make(row.u + t, **{p: row.v + HALF}), 1)
-                lfp.mul_factor(LinearForm.make(row.u + 1 + t, **{p: row.v - HALF}), -1)
-    for row in d.intervals:
-        x = row.pairing * (exps[0] if exps else 0)
-        for t in range(x):
-            lfp.mul_factor(LinearForm.make(row.m[0] + 1 + t, **{p: row.m[1]}), 1)
-            lfp.mul_factor(LinearForm.make(row.n[0] + 1 + t, **{p: row.n[1]}), -1)
+        for (l0, l1), (h0, h1) in row.intervals:
+            if (l0, l1) == (h0, h1):
+                lfp.mul_factor(LinearForm.make(l0 + x, **{p: l1}), 1)
+                lfp.mul_factor(LinearForm.make(l0, **{p: l1}), -1)
+            else:
+                for t in range(x):
+                    lfp.mul_factor(LinearForm.make(h0 + 1 + t, **{p: h1}), 1)
+                    lfp.mul_factor(LinearForm.make(l0 + t, **{p: l1}), -1)
     return lfp
 
 
@@ -285,12 +276,10 @@ def hilbert_ray(d: SeriesDescriptor, sym: str, a: RatLike,
     the ray costs O(kmax) row steps instead of O(kmax^2) for kmax+1 separate
     evaluations.  None stands for a pole.
     """
+    check_counts(0, k=kmax)
     a = rat(a)
     i = _symbol_index(d, sym)
-    rows = [(row, row.pairings[i]) for row in d.rows]
-    if i == 0:
-        rows += [(row, row.pairing) for row in d.intervals]
-    steps = [(num, den, step, pairing) for row, pairing in rows if pairing
+    steps = [(num, den, step, row.pairings[i]) for row in d.rows if row.pairings[i]
              for num, den, step in row.interval_starts(a)]
     prod = _TermProduct()
     values = []
@@ -320,8 +309,7 @@ def adjoint_cartan_ray(a: RatLike, kmax: int) -> List[Fraction]:
     (2a+3+k)(5a/2+3+k)(3a+4+k) / (k (a/2+1+k)(a+1+k)), over the integers
     with a = p/q and every linear term scaled by 2q.
     """
-    if kmax < 0:
-        raise ValueError("k must be >= 0")
+    check_counts(0, k=kmax)
     a = rat(a)
     p, q = a.numerator, a.denominator
     if 3 * p + 5 * q == 0:
@@ -348,8 +336,7 @@ def adjoint_cartan_power(k: int, a: RatLike) -> Fraction:
 
 def deligne_Yk_printed(k: int, lam: RatLike) -> Fraction:
     """The lambda-parametrized product exactly as printed (overall sign slip)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_counts(0, k=k)
     lam = rat(lam)
     if lam == 0 or lam == -6:
         raise ZeroDivisionError("pole at lambda in {0, -6}")
@@ -382,8 +369,7 @@ def qdim_adjoint_cartan_power(k: int, a: RatLike) -> QPoly:
     binomials [l+k choose k]_q, l = 2a+3, 5a/2+3, 3a+4 upstairs and
     a/2+1, a+1 downstairs, are one count of (1 - q^n) exponents.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_counts(0, k=k)
     a = rat(a)
     if a.denominator != 1 or a < 0 or a % 2 != 0:
         raise ValueError("q-analog needs a an even nonnegative integer")
@@ -431,6 +417,7 @@ def _bprod(k: int, tops: Sequence[Fraction], bots: Sequence[Fraction],
 
 
 def hilbert_X2_printed(k: int, a: RatLike) -> Fraction:
+    check_counts(0, k=k)
     a = rat(a)
     pref = ((k + a + 1) / (a + 1) * (k + a + 2) / (a + 2)
             * (2 * k + 2 * a + 3) / (2 * a + 3) * (3 * k + 3 * a + 4) / (3 * a + 4)
@@ -446,6 +433,7 @@ def hilbert_X2_printed(k: int, a: RatLike) -> Fraction:
 
 
 def hilbert_X3_printed(k: int, a: RatLike) -> Fraction:
+    check_counts(0, k=k)
     a = rat(a)
     h = a / 2
     pref = ((2 * k + 3 * h + 1) / (3 * h + 1) * (2 * k + 3 * h + 2) / (3 * h + 2)
@@ -464,6 +452,7 @@ def hilbert_X3_printed(k: int, a: RatLike) -> Fraction:
 
 
 def hilbert_Y2star_printed(k: int, a: RatLike) -> Fraction:
+    check_counts(0, k=k)
     a = rat(a)
     h = a / 2
     pref = (2 * k + 5 * h + 3) / (5 * h + 3)
@@ -480,6 +469,7 @@ def hilbert_Y2star_printed(k: int, a: RatLike) -> Fraction:
 
 
 def subexc_g_printed(k: int, a: RatLike) -> Fraction:
+    check_counts(0, k=k)
     a = rat(a)
     h = a / 2
     pref = (2 * k + 2 * a + 1) / (2 * a + 1)
@@ -488,6 +478,7 @@ def subexc_g_printed(k: int, a: RatLike) -> Fraction:
 
 
 def subexc_V_printed(k: int, a: RatLike) -> Fraction:
+    check_counts(0, k=k)
     a = rat(a)
     h = a / 2
     pref = (2 * a + 2 * k + 2) / (a + 1)
@@ -500,6 +491,7 @@ def subexc_V_corrected(k: int, a: RatLike) -> Fraction:
     The shipped tables's (2a+2k+2)/(a+1) prefactor contradicts dim V = 6a+8
     already at k=1; (k+a+1)(a+2k+2)/((a+1)(a+2)) restores the series.
     """
+    check_counts(0, k=k)
     a = rat(a)
     h = a / 2
     pref = (k + a + 1) * (a + 2 * k + 2) / ((a + 1) * (a + 2))
@@ -507,6 +499,7 @@ def subexc_V_corrected(k: int, a: RatLike) -> Fraction:
 
 
 def subexc_V2_printed(k: int, a: RatLike) -> Fraction:
+    check_counts(0, k=k)
     a = rat(a)
     h = a / 2
     pref = (4 * k + 3 * a + 2) / ((k + 1) * (3 * a + 2))
@@ -521,8 +514,7 @@ def subexc_V2_printed(k: int, a: RatLike) -> Fraction:
 
 
 def severi_dim(p: int, pstar: int, a: RatLike) -> SeriesResult:
-    if p < 0 or pstar < 0:
-        raise ValueError("p and pstar must be >= 0")
+    check_counts(0, p=p, pstar=pstar)
     a = rat(a)
     if a == 0:
         return SeriesResult(None, pole=True)
@@ -546,10 +538,8 @@ def severi_dim(p: int, pstar: int, a: RatLike) -> SeriesResult:
 
 
 def _so_family_args(k: int, t: int) -> None:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    check_counts(0, k=k)
+    check_counts(1, t=t)
 
 
 def so_family_dim(k: int, t: int) -> SeriesResult:
@@ -569,12 +559,8 @@ def so_family_interval(k: int, t: int) -> SeriesResult:
 
 def thirdrow_dim(k: int, r: int, a: RatLike) -> SeriesResult:
     """dim of the k-th adjoint Cartan power in the generalized third row."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ValueError(f"r must be an integer, got {r!r}")
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    check_counts(0, k=k)
+    check_counts(2, r=r)
     a = rat(a)
     b = gen_binomial
     pref_den = a * (r - 1) + 1

@@ -115,6 +115,60 @@ def test_dim_factored_descriptor_series(capsys, argv, value, count):
     assert lines[0] == value
     assert lines[-1] == f"numerator factors: {count}, denominator factors: {count}"
 
+# sha256 of the standard output of reports that coldbench/golden.json does not
+# hold: the factored form of each descriptor series at a = 8 and at degenerate
+# values of a, and the tables of the subexceptional, Severi, degree and
+# orthogonal series.
+PINNED_REPORTS = [
+    ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=8 --factored",
+     "b1778d5530cdb8232ab8d2407626be8027476a4701f0ac8130d40578dc3e2d1f"),
+    ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=0 --factored",
+     "0fa733f28df21b4b564954ca7756731ae8f4c7cd5c1f2b0a43637e66a33e65f0"),
+    ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=-1 --factored",
+     "a9ccb3ee4f3f4db0a42557a786955bf79b70170a5588dbaa6c69b654de675148"),
+    ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=1/2 --factored",
+     "3c72b8e4508e8df114c395b2da5df54d9c538f51645556e9cdb5de93970ceff5"),
+    ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=-4/3 --factored",
+     "b43a58ed7ec6bd626bb47429c9681cbf3b54d65cce4b9c87a62fdf6d34914360"),
+    ("dim --series subexceptional -p 1 -q 1 -r 1 -a=8 --factored",
+     "7cd4137d3196a3473972a33517c04611fcf9298767de0c9d7ae8fe776e4ac649"),
+    ("dim --series subexceptional -p 1 -q 1 -r 1 -a=0 --factored",
+     "e3df61651caef29cc264e50e0b5364c847fdcb7b7744e41b238e90326beac979"),
+    ("dim --series subexceptional -p 1 -q 1 -r 1 -a=-1 --factored",
+     "5456468e63b5911f55a835aa135868bd4b0c18c1537f0a21d71cdbe446771ba1"),
+    ("dim --series subexceptional -p 1 -q 1 -r 1 -a=1/2 --factored",
+     "db0ca21d787c0554eb70b499928f0dc6a1655d8049bb74ed390b5d165f57b2b6"),
+    ("dim --series subexceptional -p 1 -q 1 -r 1 -a=-4/3 --factored",
+     "0697d80dea92cf873db6d264e630b99d73ea2a8efeff25829b6ec2cedfc1f935"),
+    ("dim --series severi -p 1 --pstar 2 -a=8 --factored",
+     "778e97243497936679f74b4e7c07e330e7e961d9d1ac8d3fd48496594caa4d0c"),
+    ("dim --series severi -p 1 --pstar 2 -a=0 --factored",
+     "74c4542820a1f0c817f513188322185ad935b493230132c3d5debc6d43e10123"),
+    ("dim --series severi -p 1 --pstar 2 -a=-1 --factored",
+     "6dcf5e451820b677787a153d0a4117a5627f0ca0f1f3293d30f0e02855826399"),
+    ("dim --series severi -p 1 --pstar 2 -a=1/2 --factored",
+     "9eb4cf949356c1d54aab3ff5a5b57b775176764cbeed68aa2a15d720741f8be1"),
+    ("dim --series severi -p 1 --pstar 2 -a=-4/3 --factored",
+     "6dcf5e451820b677787a153d0a4117a5627f0ca0f1f3293d30f0e02855826399"),
+    ("table --series subexceptional --which V2 --a=-1,1/2,0,3",
+     "fb645bbe4c9622dd6eaa802cedbfdb793fd57cb8b507cbb838ac9dd1a58299ad"),
+    ("table --series severi --a=0,1,2,-1",
+     "d0f20adae4f56a5c19bea76aadb82e75dad3bb9e3ee70f8afda71c52d1df373e"),
+    ("table --series exceptional --a=-2,-4/3,0,1/2 --k-max 3",
+     "024b3f3e7dfd64b289f35771c0df23a59e2d0f57a7554334bf16147cd7ffd28e"),
+    ("table --series degrees",
+     "44c5107765eb6d0f1b0bf3d4a43356d0455da785038b79bf8cdaa2146caf3634"),
+    ("table --series so-family",
+     "e082a6cef0e6413cd514b2f3e842554a3a4cbee09eff22939375465c4fb51fda"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_REPORTS, ids=[argv for argv, _ in PINNED_REPORTS])
+def test_report_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, argv.split(" "))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def test_dim_pole(capsys):
     code, out = run(capsys, ["dim", "--series", "severi", "-p", "1",
@@ -501,6 +555,20 @@ def test_dim_flag_outside_the_mode_is_usage_error(capsys, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"dim: {err}\n"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--series", "exceptional", "--which", "V", "--a", "8"], "--which"),
+    (["--series", "severi", "--which", "g"], "--which"),
+    (["--series", "so-family", "--a", "8"], "--a"),
+    (["--series", "so-family", "--a="], "--a"),
+])
+def test_table_flag_its_series_does_not_read_is_usage_error(capsys, argv, flag):
+    # As in dim, a flag is refused because it was given, not ignored.
+    assert main(["table"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"table: --series {argv[1]} does not take {flag}\n"
 
 
 @pytest.mark.parametrize("argv,value", [

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicsquare import series as S
+from magicsquare.exact import gauss_binomial, gen_binomial
 from magicsquare.series import (
     EXCEPTIONAL,
     SEVERI,
@@ -46,23 +48,49 @@ from tests_helpers import (
     reference_adjoint_cartan_power,
     reference_degree_from_hilbert,
     rows_match,
+    so_family_root_pairings,
 )
 
 F = Fraction
 
 
 def test_descriptor_row_counts():
+    # A unit root is one interval; an a-fold class is two.
     assert len(EXCEPTIONAL.rows) == 24
-    assert sum(r.cls == "unit" for r in EXCEPTIONAL.rows) == 12
+    assert sum(len(r.intervals) == 1 for r in EXCEPTIONAL.rows) == 12
     assert len(SUBEXCEPTIONAL.rows) == 9
-    assert sum(r.cls == "afold" for r in SUBEXCEPTIONAL.rows) == 6
+    assert sum(len(r.intervals) == 2 for r in SUBEXCEPTIONAL.rows) == 6
     assert len(SEVERI.rows) == 3
+    assert sum(len(r.intervals) for r in SO_FAMILY.rows) == 5
 
 
 def test_descriptor_recomputation_from_root_data():
     assert rows_match(EXCEPTIONAL.rows, recompute_exceptional_rows())
     assert rows_match(SUBEXCEPTIONAL.rows, recompute_subexceptional_rows())
     assert rows_match(SEVERI.rows, recompute_severi_rows())
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_so_family_intervals_recomputed_from_root_data(t):
+    # Each interval [lo, hi] at t holds one root at each (rho, alpha) in lo..hi.
+    expanded = Counter()
+    for row in SO_FAMILY.rows:
+        for (l0, l1), (h0, h1) in row.intervals:
+            lo, hi = l0 + l1 * t, h0 + h1 * t
+            assert lo.denominator == hi.denominator == 1
+            for x in range(int(lo), int(hi) + 1):
+                expanded[row.pairings[0], x] += 1
+    assert expanded == so_family_root_pairings(t)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_so_family_factors_telescope_the_single_roots(k):
+    # The three single roots give one factor each; the two long intervals
+    # one per term, so 2k + 3 factors upstairs and downstairs.
+    factored = series_factors(SO_FAMILY, {"k": k})
+    assert factored.numerator_count() == factored.denominator_count() == 2 * k + 3
+    for t in range(1, 7):
+        assert factored.eval({"t": t}) == so_family_dim(k, t).value
 
 
 def test_adjoint_cartan_power_spot_values():
@@ -133,8 +161,8 @@ def test_series_pole_reporting():
         adjoint_cartan_power(1, F(-5, 3))
     # unpaired denominator zero on a raw descriptor row
     from magicsquare.series import DescriptorRow, SeriesDescriptor
-    toy = SeriesDescriptor("toy", ("p",),
-                           [DescriptorRow((1,), F(0), F(0), "unit")])
+    zero = (F(0), F(0))
+    toy = SeriesDescriptor("toy", ("p",), [DescriptorRow((1,), ((zero, zero),))])
     res = evaluate_series(toy, {"p": 1}, 3)
     assert res.pole
 
@@ -305,9 +333,9 @@ def test_degree_oracle_values_are_integers():
 def _leading_term(desc, sym, a):
     """(degree, coefficient) of the leading k-power of the sym ray, from the rows.
 
-    A unit row with pairing p > 0 grows like (p/c) k, c = u + a v; an afold
-    row also carries (c-a/2+1+pk)_(a-1) / (c-a/2+1)_(a-1), so it grows like
-    p^a / (c (c-a/2+1)_(a-1)) k^a.  Needs a a positive integer.
+    An interval [lo, hi] of n = hi - lo + 1 roots, in a row with pairing p > 0,
+    contributes prod_{t < pk} (hi + 1 + t) / (lo + t), which grows like
+    p^n / (lo (lo + 1) ... hi) k^n.  Needs a a positive integer.
     """
     i = desc.symbols.index(sym)
     degree, coeff = 0, F(1)
@@ -315,14 +343,11 @@ def _leading_term(desc, sym, a):
         p = row.pairings[i]
         if not p:
             continue
-        c = row.u + a * row.v
-        if row.cls == "unit":
-            degree += 1
-            coeff *= F(p) / c
-        else:
-            rising = falling_factorial(c - F(a, 2) + a - 1, a - 1)
-            degree += a
-            coeff *= F(p) ** a / (c * rising)
+        for (l0, l1), (h0, h1) in row.intervals:
+            hi = h0 + a * h1
+            n = int(hi - (l0 + a * l1)) + 1
+            degree += n
+            coeff *= F(p) ** n / falling_factorial(hi, n)
     return degree, coeff
 
 
@@ -344,16 +369,9 @@ def _multiset_value(desc, exps, a):
     num, den = [], []
     for row in desc.rows:
         x = sum(p * k for p, k in zip(row.pairings, e))
-        c = row.u + a * row.v
-        num.append(c + x)
-        den.append(c)
-        if row.cls == "afold":
-            num += [c + a / 2 + t for t in range(x)]
-            den += [c - a / 2 + 1 + t for t in range(x)]
-    for row in desc.intervals:
-        x = row.pairing * e[0]
-        num += [row.m[0] + a * row.m[1] + 1 + t for t in range(x)]
-        den += [row.n[0] + a * row.n[1] + 1 + t for t in range(x)]
+        for (l0, l1), (h0, h1) in row.intervals:
+            num += [h0 + a * h1 + 1 + t for t in range(x)]
+            den += [l0 + a * l1 + t for t in range(x)]
     left = Counter(num)
     left.subtract(den)
     top = prod(t ** n for t, n in left.items() if n > 0)
@@ -444,6 +462,43 @@ def test_deligne_Yk_refuses_negative_k_like_the_a_form():
     for route in (deligne_Yk, deligne_Yk_printed, adjoint_cartan_power):
         with pytest.raises(ValueError, match=r"^k must be >= 0$"):
             route(-1, 1)
+
+
+COUNT_ROUTES = {
+    "adjoint_cartan_power": ("k", lambda c: adjoint_cartan_power(c, 8)),
+    "adjoint_cartan_ray": ("k", lambda c: adjoint_cartan_ray(8, c)),
+    "deligne_Yk": ("k", lambda c: deligne_Yk(c, F(-1, 5))),
+    "qdim": ("k", lambda c: qdim_adjoint_cartan_power(c, 8)),
+    "thirdrow-k": ("k", lambda c: thirdrow_dim(c, 3, 8)),
+    "thirdrow-r": ("r", lambda c: thirdrow_dim(1, c, 8)),
+    "severi-p": ("p", lambda c: severi_dim(c, 0, 8)),
+    "severi-pstar": ("pstar", lambda c: severi_dim(0, c, 8)),
+    "so_family-k": ("k", lambda c: so_family_dim(c, 1)),
+    "so_family-t": ("t", lambda c: so_family_dim(1, c)),
+    "so_family_interval-t": ("t", lambda c: so_family_interval(1, c)),
+    "hilbert_ray": ("k", lambda c: hilbert_ray(EXCEPTIONAL, "p", 1, c)),
+    **{f.__name__: ("k", lambda c, f=f: f(c, 8))
+       for f in (S.hilbert_X2_printed, S.hilbert_X3_printed, S.hilbert_Y2star_printed,
+                 subexc_g_printed, subexc_V_printed, subexc_V_corrected, subexc_V2_printed)},
+    "gen_binomial": ("k", lambda c: gen_binomial(3, c)),
+    "gauss_binomial-l": ("l", lambda c: gauss_binomial(c, 1)),
+    "gauss_binomial-k": ("k", lambda c: gauss_binomial(1, c)),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, F(1)], ids=["float", "bool", "fraction"])
+@pytest.mark.parametrize("route", sorted(COUNT_ROUTES))
+def test_counts_that_are_not_integers_are_refused(route, value):
+    # Neither truncated nor let through to a TypeError: True is not k = 1.
+    name, call = COUNT_ROUTES[route]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_hilbert_ray_refuses_negative_k_like_the_adjoint_ray():
+    for call in (lambda: hilbert_ray(EXCEPTIONAL, "p", 1, -1), lambda: adjoint_cartan_ray(1, -1)):
+        with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+            call()
 
 
 def test_degree_from_hilbert_refuses_an_unknown_variety_like_degree_formulas():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -5,8 +6,7 @@ from math import gcd
 from magicsquare.exact import gen_binomial, rat
 from magicsquare.linalg import F0, axpy, int_maps, mat_mul, mat_vec, sparse, zeros
 from magicsquare.modules import V_OMEGA_WEIGHTS, W_CUBIC_COEFFS
-from magicsquare.series import (F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, DescriptorRow,
-                                hilbert_ray)
+from magicsquare.series import F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, hilbert_ray
 from magicsquare.triality import TrialityTriple, combine
 
 
@@ -509,6 +509,17 @@ def reference_q_product(exps):
     return out
 
 
+def unit_root(c):
+    """The intervals of one root at (rho, alpha) = c, a form (c0, c1) in the parameter a."""
+    return ((c, c),)
+
+
+def afold_class(c):
+    """The intervals of an a-fold class around c: its root at c and its a - 1
+    roots at c - a/2 + 1, ..., c + a/2 - 1."""
+    return (c, c), ((c[0] + 1, c[1] - HALF), (c[0] - 1, c[1] + HALF))
+
+
 def recompute_exceptional_rows():
     """Regenerate the 24 exceptional rows from hand-rolled so8 data."""
     eps = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
@@ -534,10 +545,10 @@ def recompute_exceptional_rows():
     rows = []
     for alpha in pos_roots:
         pair = tuple(int(dot(m, alpha)) for m in markers)
-        rows.append(DescriptorRow(pair, dot(rho, alpha), dot(gamma, alpha), "unit"))
+        rows.append((pair, unit_root((dot(rho, alpha), dot(gamma, alpha)))))
     for beta in sigma:
         pair = tuple(int(dot(m, beta)) for m in markers)
-        rows.append(DescriptorRow(pair, dot(rho, beta), dot(gamma, beta), "afold"))
+        rows.append((pair, afold_class((dot(rho, beta), dot(gamma, beta)))))
     return rows
 
 
@@ -561,10 +572,10 @@ def recompute_subexceptional_rows():
     rows = []
     for alpha in alphas:
         pair = tuple(int(dot(m, alpha)) for m in markers)
-        rows.append(DescriptorRow(pair, dot(rho, alpha), dot(gamma, alpha), "unit"))
+        rows.append((pair, unit_root((dot(rho, alpha), dot(gamma, alpha)))))
     for beta in gammas:
         pair = tuple(int(dot(m, beta)) for m in markers)
-        rows.append(DescriptorRow(pair, dot(rho, beta), dot(gamma, beta), "afold"))
+        rows.append((pair, afold_class((dot(rho, beta), dot(gamma, beta)))))
     return rows
 
 
@@ -589,11 +600,27 @@ def recompute_severi_rows():
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         beta = diff(i, j)
         pair = (int(dot(w, beta)), int(dot(wstar, beta)))
-        rows.append(DescriptorRow(pair, F0, dot(gamma, beta), "afold"))
+        rows.append((pair, afold_class((F0, dot(gamma, beta)))))
     return rows
 
 
-def rows_match(a, b):
-    """Multiset equality of descriptor rows."""
-    key = lambda r: (r.cls, r.pairings, r.u, r.v)
-    return sorted(map(key, a)) == sorted(map(key, b))
+def rows_match(rows, expected):
+    """Multiset equality of descriptor rows with (pairings, intervals) pairs."""
+    return sorted((r.pairings, r.intervals) for r in rows) == sorted(expected)
+
+
+def so_family_root_pairings(t):
+    """Counter of ((theta, alpha), (rho, alpha)) over the positive roots alpha of
+    D_{t+2} with (theta, alpha) != 0, theta = e1 + e2 the highest root."""
+    n = t + 2
+    rho = [n - 1 - i for i in range(n)]
+    out = Counter()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in (1, -1):
+                alpha = [0] * n
+                alpha[i], alpha[j] = 1, s
+                pairing = alpha[0] + alpha[1]
+                if pairing:
+                    out[pairing, sum(r * x for r, x in zip(rho, alpha))] += 1
+    return out
