@@ -248,6 +248,9 @@ def cmd_dim(args) -> int:
         return 0
     a = args.a
     descriptor = FACTORED_SERIES.get(args.series)
+    if args.factored and descriptor is None:
+        print(f"dim: --series {args.series} has no factored form", file=sys.stderr)
+        return 2
     exps = {sym: getattr(args, sym) for sym in descriptor.symbols} if descriptor else {}
     if args.series == "severi":
         res = S.severi_dim(args.p, args.pstar, a)
@@ -260,9 +263,6 @@ def cmd_dim(args) -> int:
     if res.pole:
         print("pole: a denominator linear form vanishes at these parameters")
         return 0
-    if args.factored and descriptor is None:
-        print(f"dim: --series {args.series} has no factored form", file=sys.stderr)
-        return 2
     print(rat_str(res.value))
     if args.factored:
         factored = S.series_factors(descriptor, exps)
@@ -300,7 +300,7 @@ def _table_rows(args) -> List[Dict]:
                     rows.append({"k": k, "a": rat_str(a), "value": "pole", "status": "pole"})
     elif args.series == "subexceptional":
         avals = args.a or [Fraction(x) for x in (1, 2, 4, 8)]
-        sym = {"g": "p", "V": "q", "V2": "r"}[args.which or "g"]
+        sym = {m: s for s, m in S.SUBEXCEPTIONAL.markers.items()}[args.which or "g"]
         for k in range(args.k_min, args.k_max + 1):
             for a in avals:
                 res = S.evaluate_series(S.SUBEXCEPTIONAL, {sym: k}, a)
@@ -462,7 +462,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True,
                    choices=["exceptional", "subexceptional", "severi", "qdim",
                             "degrees", "so-family"])
-    p.add_argument("--which", choices=["g", "V", "V2"])
+    p.add_argument("--which", choices=list(S.SUBEXCEPTIONAL.markers.values()))
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--a", type=_rationals, help="comma-separated parameter values")

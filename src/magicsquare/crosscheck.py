@@ -57,35 +57,35 @@ def _marker_weyl_dim(rd: RootDatum, exponents: Dict[str, int],
 
 def exceptional_oracle(exponents: Dict[str, int], a: Fraction) -> Optional[int]:
     """weyl_dim at p g + q X2 + r X3 + s Y2star on the B = O data."""
+    markers = S.EXCEPTIONAL.markers
     if a in NEGATIVE_A_ORACLES:
-        # Only the adjoint powers extend below a = 0.
-        if any(exponents.get(k, 0) for k in ("q", "r", "s")):
+        # Only the adjoint powers extend below a = 0, on builtin data that call g "adjoint".
+        if any(exponents.get(sym, 0) for sym, m in markers.items() if m != "g"):
             return None
         rd = builtin_datum(NEGATIVE_A_ORACLES[a])
-        return _marker_weyl_dim(rd, exponents, {"p": "adjoint"})
-    rd = _exc_datum(a)
-    if rd is None:
-        return None
-    return _marker_weyl_dim(rd, exponents, {"p": "g", "q": "X2", "r": "X3", "s": "Y2star"})
+        markers = {sym: "adjoint" for sym, m in markers.items() if m == "g"}
+    else:
+        rd = _exc_datum(a)
+    return None if rd is None else _marker_weyl_dim(rd, exponents, markers)
 
 
 def subexceptional_oracle(exponents: Dict[str, int], a: Fraction) -> Optional[int]:
     if a not in TAG_BY_DIM:
         return None
     rd = datum_for(TAG_BY_DIM[a].name, "H")
-    return _marker_weyl_dim(rd, exponents, {"p": "g", "q": "V", "r": "V2"})
+    return _marker_weyl_dim(rd, exponents, S.SUBEXCEPTIONAL.markers)
 
 
 def severi_oracle(p: int, pstar: int, a: Fraction) -> Optional[int]:
     if a not in TAG_BY_DIM:
         return None
     rd = datum_for(TAG_BY_DIM[a].name, "C")
-    return _marker_weyl_dim(rd, {"p": p, "pstar": pstar}, {"p": "W", "pstar": "Wstar"})
+    return _marker_weyl_dim(rd, {"p": p, "pstar": pstar}, S.SEVERI.markers)
 
 
 def so_family_oracle(k: int, t: int) -> int:
     rd = builtin_datum(f"d{t + 2}")
-    return _marker_weyl_dim(rd, {"k": k}, {"k": "adjoint"})
+    return _marker_weyl_dim(rd, {"k": k}, S.SO_FAMILY.markers)
 
 
 def grid(d: S.SeriesDescriptor, budget: int) -> List[Dict[str, int]]:

@@ -12,9 +12,12 @@ t(B)-side coordinates first.  Its elements are diagonal in every slot, so the
 grading of g(A,B) is read straight off the matrices, once per t(A):
 `slot_weights`, `factor_weights` and `basis_weights`, whose nonzero entries
 are the roots.  Positivity is lexicographic order on the chart coordinates.
-The Gram matrix comes from the invariant form restricted to the chart,
-rescaled so the longest roots have squared length 2.  Builtin data use
-simple-root coordinates in the Bourbaki normalization.
+The Gram matrix is block diagonal: `chart_gram` of t(B) and of t(A), the
+inverse of the invariant form K on each chart, rescaled together so the
+longest roots have squared length 2.  The markers are `chart_markers` of
+t(B), padded with zeros.  The series descriptors read the same two
+functions on t(B) alone.  Builtin data use simple-root coordinates in the
+Bourbaki normalization.
 """
 
 from __future__ import annotations
@@ -531,6 +534,37 @@ def basis_weights(g: MagicAlgebra) -> List[Weight]:
     return out
 
 
+def chart_gram(t: TrialityAlgebra) -> Mat:
+    """The inverse of K on `cartan_chart(t)`: the form on chart weights, up to one scale.
+
+    Extraction uses it as the t(A) and t(B) blocks of the Gram of g(A,B),
+    and the series descriptors along the row of t(B) use it on t(B) alone.
+    """
+    coords = [t.coords(h) for h in cartan_chart(t)]
+    return inverse([[t.k_form_coords(x, y) for y in coords] for x in coords])
+
+
+def chart_markers(t: TrialityAlgebra) -> Dict[str, Weight]:
+    """The marker weights of the series along the row of t, in chart coordinates.
+
+    The O and H markers are typed here once, in chart coordinates: on D4 = t(O)
+    epsilon coordinates, omega1 = e1, omega2 = e1 + e2, omega4 = (1, 1, 1, 1)/2;
+    on t(H) the Dynkin labels of its three sl2 factors.  On t(C), W and Wstar
+    are twice the extreme line weights of `line_weights`.
+    """
+    tag = t.alg.tag.name
+    if tag == "O":
+        marks = {"g": (1, 1, 0, 0), "X2": (2, 1, 1, 0), "X3": (3, 1, 1, 1), "Y2star": (2, 0, 0, 0)}
+    elif tag == "H":
+        marks = {"g": (2, 0, 0), "V": (1, 1, 1), "V2": (2, 2, 0)}
+    elif tag == "C":
+        omegas = sorted(line_weights(t)[1], reverse=True)
+        marks = {"W": [2 * c for c in omegas[0]], "Wstar": [-2 * c for c in omegas[2]]}
+    else:
+        marks = {}
+    return {name: _tup(w) for name, w in marks.items()}
+
+
 # -- extraction ---------------------------------------------------------------------
 
 
@@ -539,9 +573,7 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
 
     The roots are the nonzero entries of `basis_weights`.
     """
-    chartA = cartan_chart(g.tA)
-    chartB = cartan_chart(g.tB)
-    rA, rB = len(chartA), len(chartB)
+    rA, rB = len(cartan_chart(g.tA)), len(cartan_chart(g.tB))
     rank = rA + rB
     if rank == 0:
         raise ExtractionError(
@@ -557,48 +589,20 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
     if 2 * len(positive) != len(roots):
         raise ExtractionError("positivity did not split the roots in half")
 
-    # Invariant form restricted to the chart Cartan (t(B) block first), inverted,
-    # long roots -> 2.
-    kc = [[F0] * rank for _ in range(rank)]
-    for t, chart, off in ((g.tB, chartB, 0), (g.tA, chartA, rB)):
-        coords = [t.coords(h) for h in chart]
-        for i, x in enumerate(coords):
-            for j, y in enumerate(coords):
-                kc[off + i][off + j] = t.k_form_coords(x, y)
-    gram = inverse(kc)
-    # K restricted to this Cartan may be negative definite; normalize so the
-    # longest roots have squared length exactly +2.
+    # The two charts are K-orthogonal, so the Gram is block diagonal (t(B)
+    # block first).  K restricted to this Cartan may be negative definite;
+    # normalize so the longest roots have squared length exactly +2.
+    gram = ([row + [F0] * rA for row in chart_gram(g.tB)]
+            + [[F0] * rB + row for row in chart_gram(g.tA)])
     longest = max((bilinear(gram, r, r) for r in positive), key=abs)
     scale = 2 / longest
     rd = RootDatum(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
                    rank, positive, [[scale * x for x in row] for row in gram])
-    rd.markers = _markers_for(g, rd, rB)
+    # The markers of t(B), padded with zeros for the t(A) part.
+    pad = tuple([F0] * rA)
+    rd.markers = {"adjoint": rd.highest_root(),
+                  **{name: w + pad for name, w in chart_markers(g.tB).items()}}
     return rd
-
-
-def _markers_for(g: MagicAlgebra, rd: RootDatum, rB: int) -> Dict[str, Weight]:
-    rank = rd.rank
-    tag = g.algB.tag.name
-
-    def emb(*coords: Fraction) -> Weight:
-        return _tup(list(coords) + [F0] * (rank - rB))
-
-    markers: Dict[str, Weight] = {"adjoint": rd.highest_root()}
-    if tag == "O":
-        # epsilon coordinates; omega1 = e1, omega2 = e1+e2, omega4 = (1,1,1,1)/2.
-        markers["g"] = emb(F1, F1, F0, F0)
-        markers["X2"] = emb(Fraction(2), F1, F1, F0)
-        markers["X3"] = emb(Fraction(3), F1, F1, F1)
-        markers["Y2star"] = emb(Fraction(2), F0, F0, F0)
-    elif tag == "H":
-        markers["g"] = emb(Fraction(2), F0, F0)
-        markers["V"] = emb(F1, F1, F1)
-        markers["V2"] = emb(Fraction(2), Fraction(2), F0)
-    elif tag == "C":
-        omegas = sorted(line_weights(g.tB)[1], reverse=True)
-        markers["W"] = emb(*[2 * c for c in omegas[0]])
-        markers["Wstar"] = emb(*[-2 * c for c in omegas[2]])
-    return markers
 
 
 def line_weights(t: TrialityAlgebra) -> Tuple[List[Weight], List[Weight]]:

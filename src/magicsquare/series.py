@@ -17,6 +17,16 @@ chosen exponents.
     binomials;
   * the orthogonal family so(2t+4) is the same kind of table in t.
 
+The exceptional, subexceptional and Severi descriptors are not typed in:
+their rows are read off t(O), t(H) and t(C) on first use (`_triality_rows`).
+The positive roots of t(B) are the unit roots and its positive slot weights
+the a-fold classes, with u = (rho_t(B), beta), v = (gamma, beta), gamma half
+the sum of the positive slot weights, in the Gram `roots.chart_gram` scaled
+so that the slot weights have squared length 1.  Each descriptor names the
+marker that each exponent symbol multiplies; the markers' chart coordinates
+come from `roots.chart_markers`, the source that extraction pads too.  Only
+`SO_FAMILY` keeps literal intervals.
+
 All closed forms are also provided verbatim as printed (suffix _printed
 where they differ from the validated variants); the crosscheck harness
 compares each against the Weyl oracle and records the outcome.
@@ -27,8 +37,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from math import comb, gcd, lcm
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     LinearFactorProduct,
@@ -41,6 +52,9 @@ from .exact import (
     q_product,
     rat,
 )
+from .linalg import bilinear
+from .roots import chart_gram, chart_markers, factor_weights, slot_weights
+from .triality import triality_algebra
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -136,10 +150,22 @@ class DescriptorRow:
 
 @dataclass
 class SeriesDescriptor:
+    """A series: markers[sym] names the marker weight that the exponent sym
+    multiplies, in exponent order, and make_rows(markers) gives the rows on
+    their first read."""
+
     name: str
-    symbols: Tuple[str, ...]
-    rows: List[DescriptorRow]
+    markers: Dict[str, str]
+    make_rows: Callable[[Mapping[str, str]], List[DescriptorRow]]
     param: str = "a"
+
+    @property
+    def symbols(self) -> Tuple[str, ...]:
+        return tuple(self.markers)
+
+    @cached_property
+    def rows(self) -> List[DescriptorRow]:
+        return self.make_rows(self.markers)
 
 
 @dataclass
@@ -153,56 +179,55 @@ class SeriesResult:
                 and self.value.denominator == 1 and self.value > 0)
 
 
-# -- descriptor data ------------------------------------------------------------
-# Marker order: exceptional (g, X2, X3, Y2star), subexceptional (g, V, V2),
-# Severi (W, Wstar).  (rho, alpha) = u + a v on each class: u is the fixed-side
-# half-sum pairing, v the gamma pairing.
-
-_EXC_UNIT = [
-    ("0122", 1, "2"), ("1000", 1, "0"), ("0100", 1, "0"), ("0120", 1, "1"),
-    ("1122", 2, "2"), ("1100", 2, "0"), ("1120", 2, "1"), ("1220", 3, "1"),
-    ("1242", 3, "3"), ("1222", 3, "2"), ("1342", 4, "3"), ("2342", 5, "3"),
-]
-_EXC_AFOLD = [
-    ("1232", 3, "5/2"), ("1110", 2, "1/2"), ("0110", 1, "1/2"), ("0010", 0, "1/2"),
-    ("1221", 3, "3/2"), ("1121", 2, "3/2"), ("0121", 1, "3/2"), ("0001", 0, "1/2"),
-    ("1231", 3, "2"), ("1111", 2, "1"), ("0111", 1, "1"), ("0011", 0, "1"),
-]
-_SUB_UNIT = [("212", 1, "2"), ("012", 1, "1"), ("010", 1, "0")]
-_SUB_AFOLD = [
-    ("112", 1, "3/2"), ("100", 0, "1/2"), ("111", 1, "1"),
-    ("101", 0, "1"), ("011", 1, "1/2"), ("001", 0, "1/2"),
-]
-_SEV_AFOLD = [((1, 0), 0, "1/2"), ((1, 1), 0, "1"), ((0, 1), 0, "1/2")]
-
-
 def _interval(lo, hi) -> Interval:
     return (Fraction(lo[0]), Fraction(lo[1])), (Fraction(hi[0]), Fraction(hi[1]))
 
 
-def _mkrows(unit, afold) -> List[DescriptorRow]:
-    """A row [c, c] per unit root, and [c, c] plus [c - a/2 + 1, c + a/2 - 1] per
-    a-fold class, c = u + a v."""
+def _triality_rows(tag: str, markers: Mapping[str, str]) -> List[DescriptorRow]:
+    """The rows of the series along the row of B = tag, from t(B) alone.
+
+    On the chart of t(B), with the Gram `chart_gram` scaled so that every
+    slot weight has squared length 1, each positive root beta of t(B) is a
+    unit root and each positive slot weight beta, slot by slot, an a-fold
+    class, at (rho, alpha) = c = u + a v with u = (rho_t(B), beta) and
+    v = (gamma, beta), gamma half the sum of the positive slot weights.  The
+    pairings are those of the markers with beta.  ValueError when the slot
+    weights differ in length or a pairing is not an integer.
+    """
+    t = triality_algebra(tag)
+    gram = chart_gram(t)
+    zero = tuple([F0] * len(gram))
+    units = [w for w in factor_weights(t) if w > zero]
+    slots = [w for ws in slot_weights(t) for w in ws if w > zero]
+    lengths = {bilinear(gram, w, w) for w in slots}
+    if len(lengths) != 1:
+        raise ValueError(f"the slot weights of t({tag}) differ in length")
+    scale = 1 / lengths.pop()
+    rho, gamma = ([sum(c, F0) / 2 for c in zip(zero, *ws)] for ws in (units, slots))
+    weights = chart_markers(t)
+    marks = [weights[m] for m in markers.values()]
     rows = []
-    for classes, fold in ((unit, False), (afold, True)):
-        for digits, u, v in classes:
-            v = Fraction(v)
-            ivs = (_interval((u, v), (u, v)),)
-            if fold:
-                ivs += (_interval((u + 1, v - HALF), (u - 1, v + HALF)),)
-            rows.append(DescriptorRow(tuple(int(c) for c in digits), ivs))
+    for fold, betas in ((False, units), (True, slots)):
+        for beta in betas:
+            pairings = [scale * bilinear(gram, m, beta) for m in marks]
+            if any(x.denominator != 1 for x in pairings):
+                raise ValueError(f"a marker pairs with the weight {beta} of t({tag}) "
+                                 "to a non-integer")
+            u, v = (scale * bilinear(gram, w, beta) for w in (rho, gamma))
+            ivs = ((u, v), (u, v)), ((u + 1, v - HALF), (u - 1, v + HALF))
+            rows.append(DescriptorRow(tuple(int(x) for x in pairings), ivs if fold else ivs[:1]))
     return rows
 
 
-EXCEPTIONAL = SeriesDescriptor("exceptional", ("p", "q", "r", "s"),
-                               _mkrows(_EXC_UNIT, _EXC_AFOLD))
-SUBEXCEPTIONAL = SeriesDescriptor("subexceptional", ("p", "q", "r"),
-                                  _mkrows(_SUB_UNIT, _SUB_AFOLD))
-SEVERI = SeriesDescriptor("severi", ("p", "pstar"), _mkrows([], _SEV_AFOLD))
+EXCEPTIONAL = SeriesDescriptor("exceptional", {"p": "g", "q": "X2", "r": "X3", "s": "Y2star"},
+                               partial(_triality_rows, "O"))
+SUBEXCEPTIONAL = SeriesDescriptor("subexceptional", {"p": "g", "q": "V", "r": "V2"},
+                                  partial(_triality_rows, "H"))
+SEVERI = SeriesDescriptor("severi", {"p": "W", "pstar": "Wstar"}, partial(_triality_rows, "C"))
 
 # Orthogonal family so(2t+4): the roots pairing with the highest root, three
 # single roots at 2t+1, t, t+1 and the intervals [1, 2t-1], [2, 2t].
-SO_FAMILY = SeriesDescriptor("so-family", ("k",), [
+SO_FAMILY = SeriesDescriptor("so-family", {"k": "adjoint"}, lambda markers: [
     DescriptorRow((2,), (_interval((1, 2), (1, 2)),)),
     DescriptorRow((1,), (_interval((0, 1), (0, 1)), _interval((1, 1), (1, 1)),
                          _interval((1, 0), (-1, 2)), _interval((2, 0), (0, 2)))),

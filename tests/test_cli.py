@@ -1,12 +1,24 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from magicsquare.cli import main
+import magicsquare
+from magicsquare.cli import FACTORED_SERIES, main
 from magicsquare.magic import build_magic_algebra
-from tests_helpers import reference_invariant_form
+from magicsquare.series import DescriptorRow, SeriesDescriptor, series_factors
+from tests_helpers import (
+    recompute_exceptional_rows,
+    recompute_severi_rows,
+    recompute_subexceptional_rows,
+    reference_invariant_form,
+)
 
 
 def run(capsys, argv):
@@ -121,35 +133,35 @@ def test_dim_factored_descriptor_series(capsys, argv, value, count):
 # orthogonal series.
 PINNED_REPORTS = [
     ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=8 --factored",
-     "b1778d5530cdb8232ab8d2407626be8027476a4701f0ac8130d40578dc3e2d1f"),
+     "507cc407118fbc3e1cb2d76f80c07ac5c4c5d8d12487d48e67750e410cc820ec"),
     ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=0 --factored",
-     "0fa733f28df21b4b564954ca7756731ae8f4c7cd5c1f2b0a43637e66a33e65f0"),
+     "785edc8a7bc26937e0b434f8855a754343de14b1a53efadb09b66661f27d2875"),
     ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=-1 --factored",
-     "a9ccb3ee4f3f4db0a42557a786955bf79b70170a5588dbaa6c69b654de675148"),
+     "9e78d9ff0fb0d6571cf1bde8d034e2d0c6bd235d4a6b00eee77f6a6dfe29d94f"),
     ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=1/2 --factored",
-     "3c72b8e4508e8df114c395b2da5df54d9c538f51645556e9cdb5de93970ceff5"),
+     "00f26c4ec0116d7f5972acecac41bcaa80f6b660992a0e0da2c63a37b59beb69"),
     ("dim --series exceptional -p 1 -q 1 -r 1 -s 1 -a=-4/3 --factored",
-     "b43a58ed7ec6bd626bb47429c9681cbf3b54d65cce4b9c87a62fdf6d34914360"),
+     "6d86bcac2e303cd1f2513a7c25df03701783c05b6e4ed0d4af1744d21e29138a"),
     ("dim --series subexceptional -p 1 -q 1 -r 1 -a=8 --factored",
-     "7cd4137d3196a3473972a33517c04611fcf9298767de0c9d7ae8fe776e4ac649"),
+     "b31567b0bfd5f98de0af08bbfa34b725b46886e097973182fe18a753d8d56b6f"),
     ("dim --series subexceptional -p 1 -q 1 -r 1 -a=0 --factored",
-     "e3df61651caef29cc264e50e0b5364c847fdcb7b7744e41b238e90326beac979"),
+     "a4bd63852755355f7cb824f66dcfc8c36f34f85f927aa3b55bc95c04a2dbe507"),
     ("dim --series subexceptional -p 1 -q 1 -r 1 -a=-1 --factored",
-     "5456468e63b5911f55a835aa135868bd4b0c18c1537f0a21d71cdbe446771ba1"),
+     "408e300b2f1b53d8a0783b6b2c74c122b03b7fd3f7ae9b33fda25bad3735f93a"),
     ("dim --series subexceptional -p 1 -q 1 -r 1 -a=1/2 --factored",
-     "db0ca21d787c0554eb70b499928f0dc6a1655d8049bb74ed390b5d165f57b2b6"),
+     "1b48542eef53382ec4e00f721e92e3d027c61aaca8fcfc2ea3b2585a0ddd8048"),
     ("dim --series subexceptional -p 1 -q 1 -r 1 -a=-4/3 --factored",
-     "0697d80dea92cf873db6d264e630b99d73ea2a8efeff25829b6ec2cedfc1f935"),
+     "b414850bb25db4dd913c694954b0b908db39a1b5356b54b51012bec5268baa1a"),
     ("dim --series severi -p 1 --pstar 2 -a=8 --factored",
-     "778e97243497936679f74b4e7c07e330e7e961d9d1ac8d3fd48496594caa4d0c"),
+     "45f9d23a9eea06c1bd70dff3969e34594b829219358652e348cf9f282dd6224f"),
     ("dim --series severi -p 1 --pstar 2 -a=0 --factored",
      "74c4542820a1f0c817f513188322185ad935b493230132c3d5debc6d43e10123"),
     ("dim --series severi -p 1 --pstar 2 -a=-1 --factored",
-     "6dcf5e451820b677787a153d0a4117a5627f0ca0f1f3293d30f0e02855826399"),
+     "08616c9e2ae3f6f77ad819f55af71182d3fbb70e1b6f508da20c08794feedd4e"),
     ("dim --series severi -p 1 --pstar 2 -a=1/2 --factored",
-     "9eb4cf949356c1d54aab3ff5a5b57b775176764cbeed68aa2a15d720741f8be1"),
+     "c110ae0c2e2230ccd2248139d28aecef4a5de063f86d30d9e9e00b4a2fce6560"),
     ("dim --series severi -p 1 --pstar 2 -a=-4/3 --factored",
-     "6dcf5e451820b677787a153d0a4117a5627f0ca0f1f3293d30f0e02855826399"),
+     "08616c9e2ae3f6f77ad819f55af71182d3fbb70e1b6f508da20c08794feedd4e"),
     ("table --series subexceptional --which V2 --a=-1,1/2,0,3",
      "fb645bbe4c9622dd6eaa802cedbfdb793fd57cb8b507cbb838ac9dd1a58299ad"),
     ("table --series severi --a=0,1,2,-1",
@@ -168,6 +180,57 @@ def test_report_is_pinned(capsys, argv, digest):
     code, out = run(capsys, argv.split(" "))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The value and factor-count lines of the factored reports above that print a
+# value.  The reference rows of tests_helpers, in their own order, give the
+# same multiset of factors.
+FACTORED_REPORTS = [
+    ("exceptional -p 1 -q 1 -r 1 -s 1 -a=8", "2196916298579968", 70),
+    ("exceptional -p 1 -q 1 -r 1 -s 1 -a=0", "917504", 70),
+    ("exceptional -p 1 -q 1 -r 1 -s 1 -a=-1", "-143", 70),
+    ("exceptional -p 1 -q 1 -r 1 -s 1 -a=1/2", "12125262366049/85527", 70),
+    ("exceptional -p 1 -q 1 -r 1 -s 1 -a=-4/3", "0", 70),
+    ("subexceptional -p 1 -q 1 -r 1 -a=8", "4522000", 22),
+    ("subexceptional -p 1 -q 1 -r 1 -a=0", "48", 22),
+    ("subexceptional -p 1 -q 1 -r 1 -a=-1", "-1", 22),
+    ("subexceptional -p 1 -q 1 -r 1 -a=1/2", "80500/51", 22),
+    ("subexceptional -p 1 -q 1 -r 1 -a=-4/3", "0", 22),
+    ("severi -p 1 --pstar 2 -a=8", "7722", 9),
+    ("severi -p 1 --pstar 2 -a=-1", "0", 9),
+    ("severi -p 1 --pstar 2 -a=1/2", "4851/208", 9),
+    ("severi -p 1 --pstar 2 -a=-4/3", "0", 9),
+]
+REFERENCE_ROWS = {"exceptional": recompute_exceptional_rows,
+                  "subexceptional": recompute_subexceptional_rows,
+                  "severi": recompute_severi_rows}
+
+
+@pytest.mark.parametrize("argv,value,count", FACTORED_REPORTS,
+                         ids=[argv for argv, _, _ in FACTORED_REPORTS])
+def test_factored_report_has_the_reference_factors(capsys, argv, value, count):
+    words = argv.split(" ")
+    code, out = run(capsys, ["dim", "--series"] + words + ["--factored"])
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == value
+    assert lines[2] == f"numerator factors: {count}, denominator factors: {count}"
+    d = FACTORED_SERIES[words[0]]
+    exps = {flag.lstrip("-"): int(e) for flag, e in zip(words[1::2], words[2::2])}
+    reference = SeriesDescriptor("reference", d.markers, lambda markers: [
+        DescriptorRow(pairings, intervals) for pairings, intervals in REFERENCE_ROWS[words[0]]()])
+    assert lines[1] == str(series_factors(d, exps))
+    assert Counter(series_factors(d, exps).factors) == Counter(series_factors(reference, exps).factors)
+
+
+def test_import_builds_no_algebra():
+    # The descriptor rows are built on their first read, not at import; the
+    # child imports the package that the tests import.
+    env = {**os.environ, "PYTHONPATH": str(Path(magicsquare.__file__).resolve().parents[1])}
+    code = ("import magicsquare.cli, magicsquare.triality as t; "
+            "print(t._triality_algebra.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "0\n"
 
 
 def test_dim_pole(capsys):
@@ -432,6 +495,7 @@ def test_table_degrees_negative_dimension_is_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--series", "thirdrow", "-k", "1", "--r-param", "3", "-a", "8"],
+    ["--series", "thirdrow", "-k", "1", "--r-param", "3", "-a=-1/2"],  # a pole
     ["--series", "so-family", "-k", "1", "-t", "2"],
 ])
 def test_dim_factored_without_factored_form_is_usage_error(capsys, argv):

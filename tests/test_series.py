@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicsquare import series as S
+from magicsquare.compalg import TAGS
 from magicsquare.exact import gauss_binomial, gen_binomial
+from magicsquare.roots import cartan_chart, datum_for
 from magicsquare.series import (
     EXCEPTIONAL,
     SEVERI,
@@ -39,6 +41,7 @@ from magicsquare.series import (
     subexc_g_printed,
     thirdrow_dim,
 )
+from magicsquare.triality import triality_algebra
 from tests_helpers import (
     falling_factorial,
     is_palindromic,
@@ -68,6 +71,33 @@ def test_descriptor_recomputation_from_root_data():
     assert rows_match(EXCEPTIONAL.rows, recompute_exceptional_rows())
     assert rows_match(SUBEXCEPTIONAL.rows, recompute_subexceptional_rows())
     assert rows_match(SEVERI.rows, recompute_severi_rows())
+
+
+@pytest.mark.parametrize("tag_b,d", [("O", EXCEPTIONAL), ("H", SUBEXCEPTIONAL), ("C", SEVERI)])
+@pytest.mark.parametrize("tag_a", "RCHO")
+def test_descriptor_rows_expand_to_the_extracted_roots(tag_a, tag_b, d):
+    # At a = dim A the rows' intervals hold, with their marker pairings,
+    # exactly the positive roots of g(A,B) whose t(B) part is nonzero, under
+    # the extracted Gram scaled so that the shortest t(B) parts (the slot
+    # weights) have squared length 1.
+    rd = datum_for(tag_a, tag_b)
+    a = TAGS[tag_a].dim
+    rank_b = len(cartan_chart(triality_algebra(tag_b)))
+    roots = [r for r in rd.positive_roots if any(r[:rank_b])]
+    pad = (F(0),) * (rd.rank - rank_b)
+    scale = 1 / min(rd.inner(r[:rank_b] + pad, r[:rank_b] + pad) for r in roots)
+    markers = [rd.markers[m] for m in d.markers.values()]
+    extracted = Counter((tuple(scale * rd.inner(m, r) for m in markers), scale * rd.inner(rd.rho, r))
+                        for r in roots)
+    expanded = Counter()
+    for row in d.rows:
+        for (l0, l1), (h0, h1) in row.intervals:
+            lo = l0 + l1 * a
+            count = h0 + h1 * a - lo + 1  # 0 for an a-fold class's second interval at a = 1
+            assert count.denominator == 1 and count >= 0
+            for j in range(int(count)):
+                expanded[row.pairings, lo + j] += 1
+    assert expanded == extracted
 
 
 @pytest.mark.parametrize("t", range(1, 7))
@@ -162,7 +192,7 @@ def test_series_pole_reporting():
     # unpaired denominator zero on a raw descriptor row
     from magicsquare.series import DescriptorRow, SeriesDescriptor
     zero = (F(0), F(0))
-    toy = SeriesDescriptor("toy", ("p",), [DescriptorRow((1,), ((zero, zero),))])
+    toy = SeriesDescriptor("toy", {"p": "adjoint"}, lambda markers: [DescriptorRow((1,), ((zero, zero),))])
     res = evaluate_series(toy, {"p": 1}, 3)
     assert res.pole
 
@@ -517,3 +547,16 @@ def test_paired_zero_terms_are_dropped_not_the_limit():
     for eps in (Fraction(1, 10**6), Fraction(-1, 10**6)):
         for value in (evaluate_series(EXCEPTIONAL, {"r": 1}, eps).value, hilbert_X3_printed(1, eps)):
             assert abs(value - 2520) < Fraction(1, 100)
+
+
+def test_triality_rows_refuse_chart_data_that_give_no_descriptor(monkeypatch):
+    slots = S.slot_weights(triality_algebra("H"))
+    # A marker at half a chart weight pairs with the slot weights to 1/2.
+    monkeypatch.setattr(S, "chart_markers", lambda t: {"g": (F(1), F(0), F(0))})
+    with pytest.raises(ValueError, match="to a non-integer"):
+        S._triality_rows("H", {"p": "g"})
+    monkeypatch.undo()
+    longer = tuple(tuple(2 * x for x in w) for w in slots[2])
+    monkeypatch.setattr(S, "slot_weights", lambda t: (slots[0], slots[1], longer))
+    with pytest.raises(ValueError, match="differ in length"):
+        S._triality_rows("H", SUBEXCEPTIONAL.markers)
