@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from .compalg import TAG_BY_DIM
 from .exact import rat_str
 from . import series as S
-from .roots import builtin_datum, datum_for, RootDatum
+from .roots import builtin_datum, datum_for, triality_datum, RootDatum
 
 NEGATIVE_A_ORACLES = {
     Fraction(-4, 3): "a1",
@@ -34,7 +34,7 @@ SERIES_A_GRID = [Fraction(-4, 3), Fraction(-1), Fraction(-2, 3),
 
 def _exc_datum(a: Fraction) -> Optional[RootDatum]:
     if a == 0:
-        return builtin_datum("so8")
+        return triality_datum("O")
     if a in TAG_BY_DIM:
         return datum_for(TAG_BY_DIM[a].name, "O")
     return None

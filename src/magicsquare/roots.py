@@ -12,12 +12,14 @@ t(B)-side coordinates first.  Its elements are diagonal in every slot, so the
 grading of g(A,B) is read straight off the matrices, once per t(A):
 `slot_weights`, `factor_weights` and `basis_weights`, whose nonzero entries
 are the roots.  Positivity is lexicographic order on the chart coordinates.
-The Gram matrix is block diagonal: `chart_gram` of t(B) and of t(A), the
-inverse of the invariant form K on each chart, rescaled together so the
-longest roots have squared length 2.  The markers are `chart_markers` of
-t(B), padded with zeros.  The series descriptors read the same two
-functions on t(B) alone.  Builtin data use simple-root coordinates in the
-Bourbaki normalization.
+There is one Gram rule, `trace_gram`: the inverse of sum_w w w^T over the
+weights of a representation, its trace form on the chart.  Over the weights
+of a basis of g(A,B) it is the Killing form, rescaled so the longest roots
+have squared length 2.  The markers are `chart_markers` of t(B), padded with
+zeros.  `triality_datum` builds t(A)'s own datum the same way from its
+`factor_weights`, and the series descriptors take `trace_gram` of the slot
+weights of t(B); none of them reads the invariant form K.  Builtin data use
+simple-root coordinates in the Bourbaki normalization.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .linalg import (
     sparse,
 )
 from .magic import MagicAlgebra, build_magic_algebra
-from .triality import TrialityAlgebra, TrialityTriple, combine
+from .triality import TrialityAlgebra, TrialityTriple, combine, triality_algebra
 
 Weight = Tuple[Fraction, ...]
 
@@ -315,6 +317,11 @@ class RootDatum:
         if len(gram) != rank:
             raise ValueError(f"root datum: 'gram' must have {rank} rows")
         gram = [list(row) for row in gram]
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if gram[i][j] != gram[j][i]:
+                    raise ValueError(f"root datum: 'gram' is not symmetric: gram[{i}][{j}] = "
+                                     f"{rat_str(gram[i][j])}, gram[{j}][{i}] = {rat_str(gram[j][i])}")
         roots = vectors("positive_roots")
         # (alpha, alpha) over the nonzero entries of the root and of the Gram
         # matrix; the frame divides by it.
@@ -534,14 +541,19 @@ def basis_weights(g: MagicAlgebra) -> List[Weight]:
     return out
 
 
-def chart_gram(t: TrialityAlgebra) -> Mat:
-    """The inverse of K on `cartan_chart(t)`: the form on chart weights, up to one scale.
+def trace_gram(weights: Sequence[Weight]) -> Mat:
+    """The inverse of sum_w w w^T over a multiset of chart weights.
 
-    Extraction uses it as the t(A) and t(B) blocks of the Gram of g(A,B),
-    and the series descriptors along the row of t(B) use it on t(B) alone.
+    Over the weights of a representation the sum is its trace form
+    tr(x y) on the chart, and the inverse is the form it induces on
+    weights; over the weights of a basis of g it is the Killing form.  The
+    sum runs on the integer vectors L w, L the lcm of the denominators, and
+    is inverted once: the Gram is L^2 times that inverse.
     """
-    coords = [t.coords(h) for h in cartan_chart(t)]
-    return inverse([[t.k_form_coords(x, y) for y in coords] for x in coords])
+    den = lcm(*(x.denominator for w in weights for x in w))
+    cols = list(zip(*([x.numerator * (den // x.denominator) for x in w] for w in weights)))
+    form = [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+    return [[den * den * x for x in row] for row in inverse(form)]
 
 
 def chart_markers(t: TrialityAlgebra) -> Dict[str, Weight]:
@@ -568,41 +580,62 @@ def chart_markers(t: TrialityAlgebra) -> Dict[str, Weight]:
 # -- extraction ---------------------------------------------------------------------
 
 
-def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum:
-    """Root datum of g(A,B): coordinates (t(B)-side first), lex positivity.
+def _datum_from_weights(name: str, weights: Sequence[Weight],
+                        markers: Dict[str, Weight]) -> RootDatum:
+    """The root datum of a Lie algebra from the chart weights of its basis.
 
-    The roots are the nonzero entries of `basis_weights`.
+    The roots are the nonzero weights: one weight must be zero per chart
+    coordinate, no root may repeat, and lex positivity must take half of
+    them.  The Gram is `trace_gram(weights)`, scaled so the longest roots
+    have squared length 2.  The markers are padded with zeros to the rank,
+    and "adjoint" is the highest root.
     """
-    rA, rB = len(cartan_chart(g.tA)), len(cartan_chart(g.tB))
-    rank = rA + rB
-    if rank == 0:
+    roots = [w for w in weights if any(w)]
+    if not roots:
+        raise ExtractionError(f"{name} has no roots")
+    rank = len(roots[0])
+    if len(roots) != len(weights) - rank:
         raise ExtractionError(
-            "g(R,R) carries no split Cartan inside t(A) x t(B); over the rationals "
-            "this integral form is anisotropic (ad eigenvalues are imaginary)")
-    roots = [w for w in basis_weights(g) if any(w)]
-    if len(roots) != g.dim - rank:
-        raise ExtractionError(
-            f"root count {len(roots)} != dim - rank = {g.dim - rank}")
+            f"root count {len(roots)} != dim - rank = {len(weights) - rank}")
     if len(set(roots)) != len(roots):
         raise ExtractionError("repeated roots; extraction degenerate")
     positive = sorted((r for r in roots if r > tuple([F0] * rank)), reverse=True)
     if 2 * len(positive) != len(roots):
         raise ExtractionError("positivity did not split the roots in half")
-
-    # The two charts are K-orthogonal, so the Gram is block diagonal (t(B)
-    # block first).  K restricted to this Cartan may be negative definite;
-    # normalize so the longest roots have squared length exactly +2.
-    gram = ([row + [F0] * rA for row in chart_gram(g.tB)]
-            + [[F0] * rB + row for row in chart_gram(g.tA)])
-    longest = max((bilinear(gram, r, r) for r in positive), key=abs)
-    scale = 2 / longest
-    rd = RootDatum(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
-                   rank, positive, [[scale * x for x in row] for row in gram])
-    # The markers of t(B), padded with zeros for the t(A) part.
-    pad = tuple([F0] * rA)
+    gram = trace_gram(weights)
+    scale = 2 / max(bilinear(gram, r, r) for r in positive)
+    rd = RootDatum(name, rank, positive, [[scale * x for x in row] for row in gram])
     rd.markers = {"adjoint": rd.highest_root(),
-                  **{name: w + pad for name, w in chart_markers(g.tB).items()}}
+                  **{k: w + tuple([F0] * (rank - len(w))) for k, w in markers.items()}}
     return rd
+
+
+def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum:
+    """Root datum of g(A,B): coordinates (t(B)-side first), lex positivity.
+
+    The roots are the nonzero entries of `basis_weights`, and the Gram is
+    the inverse of the Killing form of g(A,B) on that chart.  The markers
+    are those of t(B).  g(R,R) has no roots on its chart: over the
+    rationals its integral form is anisotropic (ad eigenvalues are
+    imaginary).
+    """
+    return _datum_from_weights(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
+                               basis_weights(g), chart_markers(g.tB))
+
+
+def triality_datum(tag: str) -> RootDatum:
+    """The root datum of t(A) itself, from its `factor_weights`; one per tag name.
+
+    t(O) gives D4 with the four O markers of `chart_markers`, the exceptional
+    series at a = 0.  ExtractionError for R and C: t(R) and t(C) have no roots.
+    """
+    return _triality_datum(parse_tag(tag).name)
+
+
+@lru_cache(maxsize=None)
+def _triality_datum(name: str) -> RootDatum:
+    t = triality_algebra(name)
+    return _datum_from_weights(f"t({name})", factor_weights(t), chart_markers(t))
 
 
 def line_weights(t: TrialityAlgebra) -> Tuple[List[Weight], List[Weight]]:
@@ -725,10 +758,4 @@ def builtin_datum(name: str) -> RootDatum:
     positive = [_tup(r) for r in sorted(_close_roots(cartan), reverse=True)]
     rd = RootDatum(key, n, positive, gram)
     rd.markers["adjoint"] = rd.highest_root()
-    if key == "d4":
-        fw = rd.fundamental_weights()
-        rd.markers["g"] = fw[1]
-        rd.markers["X2"] = _tup(a + b + c for a, b, c in zip(fw[0], fw[2], fw[3]))
-        rd.markers["X3"] = _tup(2 * a + 2 * b for a, b in zip(fw[0], fw[3]))
-        rd.markers["Y2star"] = _tup(2 * a for a in fw[0])
     return rd

@@ -21,11 +21,11 @@ The exceptional, subexceptional and Severi descriptors are not typed in:
 their rows are read off t(O), t(H) and t(C) on first use (`_triality_rows`).
 The positive roots of t(B) are the unit roots and its positive slot weights
 the a-fold classes, with u = (rho_t(B), beta), v = (gamma, beta), gamma half
-the sum of the positive slot weights, in the Gram `roots.chart_gram` scaled
-so that the slot weights have squared length 1.  Each descriptor names the
-marker that each exponent symbol multiplies; the markers' chart coordinates
-come from `roots.chart_markers`, the source that extraction pads too.  Only
-`SO_FAMILY` keeps literal intervals.
+the sum of the positive slot weights, in the Gram `roots.trace_gram` of all
+the slot weights, scaled so that they have squared length 1.  Each
+descriptor names the marker that each exponent symbol multiplies; the
+markers' chart coordinates come from `roots.chart_markers`, the source that
+extraction pads too.  Only `SO_FAMILY` keeps literal intervals.
 
 All closed forms are also provided verbatim as printed (suffix _printed
 where they differ from the validated variants); the crosscheck harness
@@ -53,7 +53,7 @@ from .exact import (
     rat,
 )
 from .linalg import bilinear
-from .roots import chart_gram, chart_markers, factor_weights, slot_weights
+from .roots import chart_markers, factor_weights, slot_weights, trace_gram
 from .triality import triality_algebra
 
 F0 = Fraction(0)
@@ -186,19 +186,20 @@ def _interval(lo, hi) -> Interval:
 def _triality_rows(tag: str, markers: Mapping[str, str]) -> List[DescriptorRow]:
     """The rows of the series along the row of B = tag, from t(B) alone.
 
-    On the chart of t(B), with the Gram `chart_gram` scaled so that every
-    slot weight has squared length 1, each positive root beta of t(B) is a
-    unit root and each positive slot weight beta, slot by slot, an a-fold
-    class, at (rho, alpha) = c = u + a v with u = (rho_t(B), beta) and
-    v = (gamma, beta), gamma half the sum of the positive slot weights.  The
-    pairings are those of the markers with beta.  ValueError when the slot
+    On the chart of t(B), with the Gram `trace_gram` of the slot weights
+    scaled so that every slot weight has squared length 1, each positive
+    root beta of t(B) is a unit root and each positive slot weight beta,
+    slot by slot, an a-fold class, at (rho, alpha) = c = u + a v with
+    u = (rho_t(B), beta) and v = (gamma, beta), gamma half the sum of the
+    positive slot weights.  The pairings are those of the markers with beta.  ValueError when the slot
     weights differ in length or a pairing is not an integer.
     """
     t = triality_algebra(tag)
-    gram = chart_gram(t)
+    weights = [w for ws in slot_weights(t) for w in ws]
+    gram = trace_gram(weights)
     zero = tuple([F0] * len(gram))
     units = [w for w in factor_weights(t) if w > zero]
-    slots = [w for ws in slot_weights(t) for w in ws if w > zero]
+    slots = [w for w in weights if w > zero]
     lengths = {bilinear(gram, w, w) for w in slots}
     if len(lengths) != 1:
         raise ValueError(f"the slot weights of t({tag}) differ in length")
@@ -705,6 +706,12 @@ def degree_from_hilbert(variety: str, a: RatLike) -> Fraction:
 
 
 def admissible_weight(o: Sequence[int]) -> bool:
-    """True iff o1 w1 + o2 w2 + o3 w3 + o4 w4 lies in the index-four sublattice."""
-    o1, _, o3, o4 = (int(c) for c in o)
+    """True iff o1 w1 + o2 w2 + o3 w3 + o4 w4 lies in the index-four sublattice.
+
+    ValueError unless o holds exactly four integer labels.
+    """
+    o = tuple(o)
+    if len(o) != 4 or not all(isinstance(c, int) and not isinstance(c, bool) for c in o):
+        raise ValueError(f"expected four integer Dynkin labels, got {o!r}")
+    o1, _, o3, o4 = o
     return (o1 + o3) % 2 == 0 and (o1 + o4) % 2 == 0 and (o3 + o4) % 2 == 0

@@ -35,6 +35,11 @@ The tables this gives also satisfy Psi_2 = tau^2 Psi_1 and
 Psi_3(u ^ v) = tau Psi_1(conj u ^ conj v) for the conjugation-twisted shift
 tau(theta1, theta2, theta3) = (theta2, C theta3 C, C theta1 C), C the
 conjugation of A; the test suite checks this on every basis pair.
+
+K and the Psi tables serve only the bracket table of `magic` and the
+invariant form that `verify` checks on it, and are solved on first use.
+Root data and the series descriptors never read them: they take their Gram
+off the chart weights (`roots.trace_gram`).
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .linalg import (
     SolveCache,
     Vec,
     axpy,
-    bilinear,
     int_apply_into,
     int_maps,
     nullspace,
@@ -381,12 +385,6 @@ class TrialityAlgebra:
         if self._k_matrix is None:
             self._calibrate()
         return self._k_matrix
-
-    def k_form_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        """K on two coordinate vectors in the stored basis."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("element dimension mismatch")
-        return bilinear(self.k_matrix(), x, y)
 
     def cartan_basis(self) -> List[TrialityTriple]:
         return self.basis[:self.cartan_dim]

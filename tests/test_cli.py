@@ -172,6 +172,10 @@ PINNED_REPORTS = [
      "44c5107765eb6d0f1b0bf3d4a43356d0455da785038b79bf8cdaa2146caf3634"),
     ("table --series so-family",
      "e082a6cef0e6413cd514b2f3e842554a3a4cbee09eff22939375465c4fb51fda"),
+    ("roots --A O --B O",
+     "9e5bdc42d100fb2f49e1da9213a89baeeb84994217accc0cb051260c2f904f7c"),
+    ("crosscheck --suite quick",
+     "31c11b0747124f68df8ed0a9f1f973f3a7ac58e3dfc02b9cced11ddbb57c749a"),
 ]
 
 
@@ -285,9 +289,11 @@ A2 = {"name": "a2", "rank": 2, "gram": [["2", "-1"], ["-1", "2"]],
     (dict(A2, gram=[["2", "-1"]]), "'gram'"),
     (dict(A2, gram=[["2", "-1"], [None, "2"]]), "gram[1]"),
     (dict(A2, gram=5), "'gram'"),
+    (dict(A2, gram=[["2", "-1"], ["0", "2"]]),
+     "'gram' is not symmetric: gram[0][1] = -1, gram[1][0] = 0"),
 ], ids=["empty", "list", "rank-string", "rank-zero", "markers-number", "marker-short",
         "roots-null", "root-short", "root-not-rational", "gram-rows", "gram-entry",
-        "gram-number"])
+        "gram-number", "gram-not-symmetric"])
 def test_dim_malformed_datum_file_is_usage_error(capsys, tmp_path, datum, field):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum))

@@ -184,10 +184,6 @@ def test_triality_refuses_wrong_length_coordinates():
         with pytest.raises(ValueError, match="element dimension mismatch"):
             t.from_coords(v)
     with pytest.raises(ValueError, match="element dimension mismatch"):
-        t.k_form_coords([F1], [F1])
-    with pytest.raises(ValueError, match="element dimension mismatch"):
-        t.k_form_coords([F1] * 9, [F1] * 8)
-    with pytest.raises(ValueError, match="element dimension mismatch"):
         t.coords(triality_algebra("C").basis[0])
     with pytest.raises(ValueError, match="element dimension mismatch"):
         t.coords(triality_algebra("O").basis[0])

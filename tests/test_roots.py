@@ -1,12 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import magicsquare
 from magicsquare.compalg import H_TAG, O_TAG, build_split_algebra
-from magicsquare.crosscheck import _marker_weyl_dim
+from magicsquare.crosscheck import _marker_weyl_dim, grid
 from magicsquare.magic import build_magic_algebra
 from magicsquare.roots import (
     ExtractionError,
@@ -16,10 +21,19 @@ from magicsquare.roots import (
     datum_for,
     dynkin_type,
     extract_root_datum,
+    slot_weights,
+    trace_gram,
+    triality_datum,
 )
-from magicsquare.series import admissible_weight
+from magicsquare.series import EXCEPTIONAL, admissible_weight
 from magicsquare.triality import triality_algebra
-from tests_helpers import reference_simple_roots, reference_weyl_dim
+from tests_helpers import (
+    chart_k_inverse,
+    reference_gram,
+    reference_simple_roots,
+    reference_weyl_dim,
+    so8_with_exceptional_markers,
+)
 
 EXPECTED_TYPES = {
     ("R", "C"): "A2", ("C", "R"): "A2", ("R", "H"): "C3", ("H", "R"): "C3",
@@ -91,6 +105,62 @@ def test_e8_simply_laced():
     rd = extract_root_datum(build_magic_algebra("O", "O"))
     assert {rd.inner(r, r) for r in rd.positive_roots} == {2}
     assert len(rd.positive_roots) == 120 and rd.rank == 8
+
+
+@pytest.mark.parametrize("a,b", sorted(EXPECTED_TYPES))
+def test_extracted_gram_equals_the_k_reference(a, b):
+    # The Killing form read off the weights and K's two chart blocks give one Gram.
+    assert datum_for(a, b).gram == reference_gram(build_magic_algebra(a, b))
+
+
+@pytest.mark.parametrize("tag,ratio", [("C", -12), ("H", -16), ("O", -24)])
+def test_slot_trace_gram_is_a_multiple_of_inverse_k(tag, ratio):
+    # The slot trace form is ratio times K, so its inverse is K's over ratio.
+    t = triality_algebra(tag)
+    gram = trace_gram([w for ws in slot_weights(t) for w in ws])
+    assert gram == [[x / ratio for x in row] for row in chart_k_inverse(t)]
+
+
+def test_root_data_and_rows_never_calibrate():
+    # Extraction, the descriptor rows and the t(O) datum read their Gram off
+    # the weights: no t(A) solves K or its Psi tables.  A fresh child process,
+    # so that no other test has calibrated first.
+    env = {**os.environ, "PYTHONPATH": str(Path(magicsquare.__file__).resolve().parents[1])}
+    code = ("from magicsquare import roots, series, triality as t\n"
+            "for a in 'RCHO':\n"
+            "    for b in 'RCHO':\n"
+            "        roots.datum_for(a, b)\n"
+            "for d in (series.EXCEPTIONAL, series.SUBEXCEPTIONAL, series.SEVERI):\n"
+            "    assert d.rows\n"
+            "roots.triality_datum('O')\n"
+            "print(t._triality_algebra.cache_info().currsize, [x is None for n in 'RCHO'\n"
+            "      for x in (t.triality_algebra(n)._psi_tables, t.triality_algebra(n)._k_matrix)])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == f"4 {[True] * 8}\n"
+
+
+def test_triality_datum_is_d4_and_agrees_with_builtin_so8():
+    rd, so8 = triality_datum("O"), so8_with_exceptional_markers()
+    assert dynkin_type(rd) == "D4" and triality_datum("o") is rd
+    assert rd.markers["g"] == rd.highest_root()
+    points = grid(EXCEPTIONAL, 4)
+    assert len(points) == 69
+    for e in points:
+        assert (_marker_weyl_dim(rd, e, EXCEPTIONAL.markers)
+                == _marker_weyl_dim(so8, e, EXCEPTIONAL.markers)), e
+
+
+def test_triality_datum_of_t_h_is_three_a1():
+    rd = triality_datum("H")
+    assert dynkin_type(rd) == "A1xA1xA1"
+    assert [rd.weyl_dim(rd.markers[m]) for m in ("g", "V", "V2")] == [3, 8, 9]
+
+
+@pytest.mark.parametrize("tag", ["R", "C"])
+def test_triality_datum_refuses_an_algebra_without_roots(tag):
+    with pytest.raises(ExtractionError, match=rf"^t\({tag}\) has no roots$"):
+        triality_datum(tag)
 
 
 def test_rr_is_anisotropic_but_datum_available():
@@ -256,13 +326,16 @@ def test_marker_labels_reject_a_marker_that_is_not_dominant_integral():
 
 @pytest.mark.parametrize("source", [("R", "O"), ("C", "O"), ("H", "O"), ("O", "O"), ("R", "C"),
                                     ("C", "C"), ("H", "C"), ("O", "C"), ("R", "H"), ("C", "H"),
-                                    ("H", "H"), ("O", "H"), "so8", "a1", "a2", "g2", "d3", "d4",
-                                    "d5", "d6", "d7", "d8"],
+                                    ("H", "H"), ("O", "H"), "t(O)", "so8", "a1", "a2", "g2", "d3",
+                                    "d4", "d5", "d6", "d7", "d8"],
                          ids=lambda s: s if isinstance(s, str) else "-".join(s))
 def test_marker_label_oracle_equals_weyl_dim(source):
     # The crosscheck's oracle sums integer marker labels; it must give
     # weyl_dim at the weight sum e * marker in chart coordinates.
-    rd = builtin_datum(source) if isinstance(source, str) else datum_for(*source)
+    if isinstance(source, tuple):
+        rd = datum_for(*source)
+    else:
+        rd = triality_datum("O") if source == "t(O)" else builtin_datum(source)
     names = sorted(rd.markers)
 
     @settings(max_examples=15, deadline=None)

@@ -443,6 +443,12 @@ def test_admissible_weight():
     assert admissible_weight((1, 3, 1, 2)) is False
     assert admissible_weight((1, 0, 1, 1))
     assert admissible_weight((0, 5, 2, 2))
+    assert admissible_weight([-1, 0, 1, -1])
+    # A label that is not an integer is refused, not truncated; so is a wrong length.
+    for bad in ((Fraction(1, 2), 0, 0, 0), (0, 0, 0, 1.5), (Fraction(2), 0, 0, 0),
+                (True, 0, 1, 1), (0, 1, 0), (0, 1, 0, 0, 0), ()):
+        with pytest.raises(ValueError, match="four integer Dynkin labels"):
+            admissible_weight(bad)
 
 
 def test_integrality_screen_on_series_grid():

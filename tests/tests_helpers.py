@@ -4,8 +4,9 @@ from itertools import permutations
 from math import gcd
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import F0, axpy, int_maps, mat_mul, mat_vec, sparse, zeros
+from magicsquare.linalg import F0, axpy, bilinear, int_maps, inverse, mat_mul, mat_vec, sparse, zeros
 from magicsquare.modules import V_OMEGA_WEIGHTS, W_CUBIC_COEFFS
+from magicsquare.roots import RootDatum, basis_weights, builtin_datum, cartan_chart
 from magicsquare.series import F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, hilbert_ray
 from magicsquare.triality import TrialityTriple, combine
 
@@ -103,11 +104,12 @@ def reference_cubic(mod, u, v, w):
 
 
 def reference_invariant_form(g, x, y):
-    """K on two dense elements of g(A,B), block by block: the K forms of
-    t(A) and t(B) through `k_form_coords`, and on each slot the pairing of
-    m_s(p, q) with m_s(partner p, partner q) by Q_A Q_B."""
+    """K on two dense elements of g(A,B), block by block: the K matrices of
+    t(A) and t(B), and on each slot the pairing of m_s(p, q) with
+    m_s(partner p, partner q) by Q_A Q_B."""
     dA, dAB = g.dA, g.dA + g.dB
-    out = g.tA.k_form_coords(x[:dA], y[:dA]) + g.tB.k_form_coords(x[dA:dAB], y[dA:dAB])
+    out = (bilinear(g.tA.k_matrix(), x[:dA], y[:dA])
+           + bilinear(g.tB.k_matrix(), x[dA:dAB], y[dA:dAB]))
     gA, gB = g.algA.gram, g.algB.gram
     pA, pB = g.algA.partner, g.algB.partner
     for slot in range(3):
@@ -130,7 +132,37 @@ def mul_scalar(lfp, c):
 
 def k_form(t, x, y):
     """The invariant form K of t(A) on two triples, through their coordinates."""
-    return t.k_form_coords(t.coords(x), t.coords(y))
+    return bilinear(t.k_matrix(), t.coords(x), t.coords(y))
+
+
+def chart_k_inverse(t):
+    """The inverse of K on `cartan_chart(t)`, through `k_matrix` and `coords`."""
+    coords = [t.coords(h) for h in cartan_chart(t)]
+    return inverse([[bilinear(t.k_matrix(), x, y) for y in coords] for x in coords])
+
+
+def reference_gram(g):
+    """The Gram of g(A,B) from K: the inverses of K on the charts of t(B)
+    and t(A) as diagonal blocks (t(B) first), which K leaves orthogonal,
+    scaled so the longest roots have squared length 2 (K may be negative
+    definite)."""
+    gB, gA = chart_k_inverse(g.tB), chart_k_inverse(g.tA)
+    gram = [row + [F0] * len(gA) for row in gB] + [[F0] * len(gB) + row for row in gA]
+    roots = [w for w in basis_weights(g) if any(w)]
+    scale = 2 / max((bilinear(gram, r, r) for r in roots), key=abs)
+    return [[scale * x for x in row] for row in gram]
+
+
+def so8_with_exceptional_markers():
+    """Builtin so8 with the exceptional markers from its fundamental weights:
+    g = w2, X2 = w1 + w3 + w4, X3 = 2 w1 + 2 w4, Y2star = 2 w1."""
+    rd = builtin_datum("so8")
+    w1, w2, w3, w4 = rd.fundamental_weights()
+    markers = {"adjoint": rd.markers["adjoint"], "g": w2,
+               "X2": tuple(a + b + c for a, b, c in zip(w1, w3, w4)),
+               "X3": tuple(2 * a + 2 * b for a, b in zip(w1, w4)),
+               "Y2star": tuple(2 * a for a in w1)}
+    return RootDatum("so8", rd.rank, rd.positive_roots, rd.gram, markers)
 
 
 def satisfies_triality(alg, t):
