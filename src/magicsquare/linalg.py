@@ -12,7 +12,10 @@ map (`IntMap`), column j the tuple of the (k, c) pairs of the image of
 basis vector j, zero columns left out.  `int_maps` builds such maps from
 (row, col) -> value entries, `int_column` one column from a sparse vector,
 `int_apply_into` is the one apply and `int_rep_defect_pair` the one
-representation-axiom kernel.  Zero tests go by truthiness (`if c:`), which
+representation-axiom kernel.  `int_vectors` scales sparse rational vectors
+to integers over their least denominator: `SolveCache` solves on its
+columns and its inverse in that form, and the bracket table and the module
+forms convert their inputs with it.  Zero tests go by truthiness (`if c:`), which
 holds for int and Fraction entries alike and calls no `Fraction.__eq__`;
 `bilinear` and `mat_vec` raise ValueError on a vector whose length does not
 fit the matrix.
@@ -21,6 +24,7 @@ fit the matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -188,13 +192,14 @@ def int_maps(entries: Sequence[Entries], d: int = 1) -> Tuple[List[IntMap], int]
 
 
 def int_apply_into(out: SVec, m: IntMap, v: SVec, c: Fraction = F1) -> None:
-    """out += c m v for an integer column map m, leaving what cancels as zeros."""
+    """out += c m v for an integer column map m, leaving what cancels as zeros;
+    on an int v and an int c every entry stays an int."""
     for j, x in v.items():
         col = m.get(j)
         if col:
             x *= c
             for k, y in col:
-                out[k] = out.get(k, F0) + x * y
+                out[k] = out.get(k, 0) + x * y
 
 
 def int_rep_defect_pair(rows: Sequence[IntMap], br: IntCol, i: int, j: int,
@@ -281,10 +286,16 @@ class SolveCache:
     [A^T | I] finds n pivot positions P, rows of A on which the columns are
     independent, and the inverse of A_P, the n x n restriction of A to
     those rows (leads go by least index, so only the two blocks' relative
-    order matters).  Solving A x = b is then x = (A_P)^-1 b_P, accumulated
-    from the columns of (A_P)^-1 at the nonzero entries of b on P, followed
-    by the exact reconstruction check A x == b: since A_P is invertible, it
-    holds iff b lies in the span.  b and x are sparse, no zero stored.
+    order matters).  Solving A x = b runs on integers: D_A A and the
+    columns of D_inv (A_P)^-1, for their least denominators D_A and D_inv,
+    are made once, on the first solve (`roots` and `crosscheck` build
+    t(A)'s solver and never solve).  b is scaled to B = L b by the lcm L of
+    its denominators, X = D_inv (A_P)^-1 B_P is accumulated on ints from the
+    columns at the nonzero entries of B on P, and the reconstruction is
+    checked exactly, on ints: A x = b for x = X / (D_inv L) iff
+    (D_A A) X = D_A D_inv B.  Since A_P is invertible, it holds iff b lies
+    in the span.  x comes back as `Fraction`s; b and x are sparse, no zero
+    stored.
     """
 
     def __init__(self, columns: Sequence[SVec]):
@@ -300,19 +311,42 @@ class SolveCache:
         self.inverse_columns: List[SVec] = [{k - m: x for k, x in row.items() if k >= m}
                                             for row in red]
 
+    @cached_property
+    def _integers(self) -> Tuple[Tuple[List[Dict[int, int]], int], Tuple[List[Dict[int, int]], int]]:
+        """(D_A A, D_A) and (D_inv (A_P)^-1, D_inv) by `int_vectors`."""
+        return int_vectors(self.columns), int_vectors(self.inverse_columns)
+
     def solve(self, b: SVec) -> SVec:
         """Coefficients x with columns @ x = b; raises if b is outside the span."""
-        x: SVec = {}
-        for i, c in b.items():
+        (columns, d_cols), (inverse, d_inv) = self._integers
+        (big,), scale = int_vectors([b])
+        x: Dict[int, int] = {}
+        for i, c in big.items():
             r = self._position.get(i)
             if r is not None:
-                axpy(x, c, self.inverse_columns[r])
-        residual = dict(b)
+                for j, y in inverse[r].items():
+                    x[j] = x.get(j, 0) + c * y
+        s = d_cols * d_inv
+        residual = {i: s * c for i, c in big.items()}
         for j, xj in x.items():
-            axpy(residual, -xj, self.columns[j])
-        if residual:
+            if xj:
+                for k, a in columns[j].items():
+                    residual[k] = residual.get(k, 0) - xj * a
+        if any(residual.values()):
             raise ValueError("SolveCache.solve: vector outside column span")
-        return x
+        d = d_inv * scale
+        return {j: Fraction(xj, d) for j, xj in x.items() if xj}
+
+
+def int_vectors(vectors: Sequence[SVec]) -> Tuple[List[Dict[int, int]], int]:
+    """The vectors times the least D that clears their denominators, as int
+    dicts in the same key order with no zero stored, and D; entries may be
+    int or Fraction."""
+    d = lcm(*{x.denominator for v in vectors for x in v.values()})
+    if d == 1:
+        return [{k: x.numerator for k, x in v.items() if x} for v in vectors], d
+    return [{k: x.numerator * (d // x.denominator) for k, x in v.items() if x}
+            for v in vectors], d
 
 
 def inverse(a: Mat) -> Mat:

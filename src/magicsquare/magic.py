@@ -14,14 +14,18 @@ g(A,B) = t(A) x t(B)  +  A_1@B_1  +  A_2@B_2  +  A_3@B_3, with bracket:
 The bracket table over the concatenated basis is built once, cached and
 stored once: the structure constants are exact rationals with a small
 common denominator D (4 on e8), and row i is D ad(b_i) as an integer column
-map (`linalg.IntMap`), applied by `linalg.int_apply_into`.  Readers that
+map (`linalg.IntMap`), applied by `linalg.int_apply_into`.  The builder
+fixes D first, from the few distinct values of its rational inputs, and
+fills the table on integers.  Readers that
 return rationals divide by D where the value leaves the table; spans and
 zero patterns do not see the scale.  Jacobi is the representation axiom of
 ad, checked by `linalg.int_rep_defect_pair`, the kernel that also checks
 the V/W modules of `modules` (stored in the same format):
 `jacobi_exhaustive` proves it for every triple from a generating set of
-derivations (`jacobi_generators`, 18 of the 248 basis vectors on e8; the
-lemma and proof are in its docstring), and counts the failing triples only
+derivations (`jacobi_generators`: the simple root vectors and the
+lowest-root vector, rank + 1 on every simple g(A,B), 9 of the 248 basis
+vectors on e8; the lemma and proof are in its docstring), and counts the
+failing triples only
 when that certificate fails.  The invariant form K has one evaluation,
 over its nonzero entries (`invariant_form_sparse`), which the dense
 `invariant_form` calls.  Dimensions land on the classical 4x4 table.
@@ -32,20 +36,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Dict, List, Optional, Sequence
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .compalg import AlgebraTag, CompAlg, parse_tag
 from .linalg import (
     F0,
     F1,
     Echelon,
+    IntCol,
     IntMap,
     SVec,
-    axpy,
     int_apply_into,
-    int_column,
     int_rep_defect_pair,
+    int_vectors,
     sparse,
 )
 from .triality import TrialityAlgebra, triality_algebra
@@ -67,6 +71,16 @@ H_SUBALGEBRA_DIMS = {
     (4, 1): 13, (4, 2): 19, (4, 4): 34, (4, 8): 69,
     (8, 1): 36, (8, 2): 46, (8, 4): 69, (8, 8): 120,
 }
+
+
+def _values(vectors: Iterable[Dict[int, int]]) -> Set[int]:
+    """The distinct entries of integer vectors."""
+    return {x for v in vectors for x in v.values()}
+
+
+def _product_denominator(xs: Iterable[int], ys: Iterable[int], d: int) -> int:
+    """The least common denominator of the products x y / d, x in xs and y in ys."""
+    return lcm(*(d // gcd(x * y, d) for x in xs for y in ys))
 
 
 class MagicAlgebra:
@@ -120,23 +134,46 @@ class MagicAlgebra:
         return self._denominator
 
     def _build_table(self) -> List[IntMap]:
-        dim, a, b = self.dim, self.a, self.b
-        dA = self.dA
+        dim, a, b, dA = self.dim, self.a, self.b, self.dA
         algA, algB = self.algA, self.algB
         tab: List[IntMap] = [dict() for _ in range(dim)]
-        self._denominator = 1
 
-        def put(i: int, j: int, sv: SVec) -> None:
-            # A denominator that does not divide D rescales what is stored
-            # (at most log2 D times), so no second copy of the table is held.
-            d = lcm(self._denominator, *(c.denominator for c in sv.values()))
-            if d != self._denominator:
-                for row in tab:
-                    for j2, col in row.items():
-                        row[j2] = tuple((k, c * (d // self._denominator)) for k, c in col)
-                self._denominator = d
-            if sv:
-                tab[i][j] = col = int_column(sv, d)
+        # Every rational input, converted once to integers over its own least
+        # denominator (`linalg.int_vectors`): the brackets and the Psi tables
+        # of each factor, the pairing values Q(e_p, e_partner p) of each
+        # algebra and the slot products.  A stored value is D times one input,
+        # or D times a product x y / d of two, an exact integer once D clears
+        # it.  D, the least common denominator of the stored values, comes
+        # from the few distinct products.
+        factors = ((self.tA, 0), (self.tB, dA))
+        pairs = [[(k, l) for k in range(t.dim) for l in range(k + 1, t.dim)] for t, _ in factors]
+        brackets = [int_vectors([t.bracket_coords(k, l) for k, l in ps])
+                    for (t, _), ps in zip(factors, pairs)]
+        psi = []
+        for t, _ in factors:
+            tables = [t.psi_table(i) for i in (1, 2, 3)]
+            cols, d = int_vectors([sv for table in tables for sv in table.values()])
+            cols = iter(cols)
+            psi.append(([dict(zip(table, cols)) for table in tables], d))
+        (psiA, dpA), (psiB, dpB) = psi
+        ((qA,), dqA), ((qB,), dqB) = (
+            int_vectors([{p: alg.gram[p][alg.partner[p]] for p in range(alg.dim)}])
+            for alg in (algA, algB))
+        products = [(int_vectors([algA.slot_product(s, p, p2) for p in range(a) for p2 in range(a)]),
+                     int_vectors([algB.slot_product(s, q, q2) for q in range(b) for q2 in range(b)]))
+                    for s in range(3)]
+        d_psi = (dpA * dqB, dpB * dqA)
+        d_prod = [dx * dy for (_, dx), (_, dy) in products]
+        self._denominator = D = lcm(
+            *(d for _, d in brackets),
+            _product_denominator(_values(sv for t in psiA for sv in t.values()), qB.values(), d_psi[0]),
+            _product_denominator(_values(sv for t in psiB for sv in t.values()), qA.values(), d_psi[1]),
+            *(_product_denominator(_values(xs), _values(ys), d)
+              for ((xs, _), (ys, _)), d in zip(products, d_prod)))
+
+        def put(i: int, j: int, col: IntCol) -> None:
+            if col:
+                tab[i][j] = col
                 tab[j][i] = tuple((k, -c) for k, c in col)
 
         # Each factor t of t(A) x t(B): its own brackets, and each triple
@@ -144,61 +181,58 @@ class MagicAlgebra:
         # whose integers are the entries: every basis triple has D = 1.
         legA = [[[self.idx_m(s, p, q) for q in range(b)] for p in range(a)] for s in range(3)]
         legB = [[[self.idx_m(s, p, q) for p in range(a)] for q in range(b)] for s in range(3)]
-        for t, off, leg in ((self.tA, 0, legA), (self.tB, dA, legB)):
+        for (t, off), ps, (cols, d), leg in zip(factors, pairs, brackets, (legA, legB)):
+            f = D // d
+            for (k, l), col in zip(ps, cols):
+                put(off + k, off + l, tuple((off + i, f * c) for i, c in col.items()))
             for k, x in enumerate(t.basis):
-                for l in range(k + 1, t.dim):
-                    put(off + k, off + l,
-                        {off + i: c for i, c in t.bracket_coords(k, l).items()})
                 for j, col in x.leg_action(leg).items():
-                    put(off + k, j, dict(col))
+                    put(off + k, j, tuple((i, D * c) for i, c in col))
 
         # Same slot: quadratic-form contraction into t(A) x t(B) via Psi.  Each
         # Gram column has one nonzero entry, at the pairing partner, so only
-        # pairs with q2 = partner[q] or p2 = partner[p] can contract; they are
-        # visited in index order, so every column dict fills in index order.
-        psiA = [self.tA.psi_table(i) for i in (1, 2, 3)]
-        psiB = [{pq: {self.idx_tB(k): c for k, c in sv.items()}
-                 for pq, sv in self.tB.psi_table(i).items()} for i in (1, 2, 3)]
+        # pairs with q2 = partner[q] or p2 = partner[p] can contract: the
+        # t(A) part D Q_B(e_q, e_q2) Psi_slot(e_p ^ e_p2), the t(B) part
+        # D Q_A(e_p, e_p2) Psi_slot(e_q ^ e_q2) on the t(B) indices.
+        pA, pB = algA.partner, algB.partner
         for slot in range(3):
             for p in range(a):
                 for q in range(b):
                     i1 = self.idx_m(slot, p, q)
-                    pairs = ({(x, algB.partner[q]) for x in range(a)}
-                             | {(algA.partner[p], y) for y in range(b)})
-                    for p2, q2 in sorted(pairs):
+                    pairs_pq = ({(x, pB[q]) for x in range(a)} | {(pA[p], y) for y in range(b)})
+                    for p2, q2 in sorted(pairs_pq):
                         i2 = self.idx_m(slot, p2, q2)
                         if i2 <= i1:
                             continue
-                        sv: SVec = {}
-                        cb = algB.gram[q][q2]
-                        if cb and p != p2:
-                            sgn = 1 if p < p2 else -1
-                            axpy(sv, sgn * cb, psiA[slot].get((min(p, p2), max(p, p2)), {}))
-                        ca = algA.gram[p][p2]
-                        if ca and q != q2:
-                            sgn = 1 if q < q2 else -1
-                            axpy(sv, sgn * ca, psiB[slot].get((min(q, q2), max(q, q2)), {}))
-                        put(i1, i2, sv)
+                        col: IntCol = ()
+                        if q2 == pB[q] and p != p2:
+                            c = D * qB[q] * (1 if p < p2 else -1)
+                            sv = psiA[slot].get((min(p, p2), max(p, p2)), {})
+                            col += tuple((k, c * x // d_psi[0]) for k, x in sv.items())
+                        if p2 == pA[p] and q != q2:
+                            c = D * qA[p] * (1 if q < q2 else -1)
+                            sv = psiB[slot].get((min(q, q2), max(q, q2)), {})
+                            col += tuple((dA + k, c * x // d_psi[1]) for k, x in sv.items())
+                        put(i1, i2, col)
 
         # Mixed slots multiply into the remaining slot by CompAlg.slot_product:
         # [m_s(p,q), m_{s+1}(p2,q2)] = A-product @ B-product in slot s+2.
-        # A zero factor product stores nothing, so it is skipped before `put`
+        # A zero factor product stores nothing, so it is skipped
         # (9,216 of the 12,288 pairs on g(O,O)).
-        for s in range(3):
+        for s, (((prodA, _), (prodB, _)), d) in enumerate(zip(products, d_prod)):
             s1, s2 = (s + 1) % 3, (s + 2) % 3
-            prodB = [[algB.slot_product(s, q, q2) for q2 in range(b)] for q in range(b)]
             for p in range(a):
                 for p2 in range(a):
-                    prodA = algA.slot_product(s, p, p2)
-                    if not prodA:
+                    xs = prodA[p * a + p2]
+                    if not xs:
                         continue
                     for q in range(b):
                         for q2 in range(b):
-                            if prodB[q][q2]:
-                                sv = {self.idx_m(s2, k, l): c * d
-                                      for k, c in prodA.items()
-                                      for l, d in prodB[q][q2].items()}
-                                put(self.idx_m(s, p, q), self.idx_m(s1, p2, q2), sv)
+                            ys = prodB[q * b + q2]
+                            if ys:
+                                put(self.idx_m(s, p, q), self.idx_m(s1, p2, q2),
+                                    tuple((self.idx_m(s2, k, l), D * x * y // d)
+                                          for k, x in xs.items() for l, y in ys.items()))
         return tab
 
     # -- operations ---------------------------------------------------------------
@@ -235,9 +269,20 @@ class MagicAlgebra:
         """A set S of basis indices whose closure under the ad s, s in S, spans g.
 
         The closure C is the smallest subspace that contains S and is closed
-        under ad s for every s in S.  Candidates come by increasing nnz of
-        ad(b_i), ties by index; one joins S when it does not reduce to zero
-        against the echelon of C so far.  Then ad of the new generator is
+        under ad s for every s in S.  Candidates come in this order: the basis
+        vectors whose weight is a simple root, then the lowest-root vector,
+        then every other one by increasing nnz of ad(b_i), ties by index.
+        The weights are read as integers off the diagonal of the Cartan rows
+        of t(A) and t(B); positive means lex > 0, and a simple root is a
+        positive weight that is not a sum of two positive ones.  The simple
+        root vectors and the lowest-root vector are the images of the affine
+        Chevalley generators e_1, ..., e_r, e_0 and generate a simple g (Kac,
+        Infinite-dimensional Lie algebras, ch. 7), so S has rank + 1 elements
+        there; on g(C,C) = A2 x A2 the nnz tail completes S, and g(R,R) has
+        no weights, so its candidates are the tail alone.  The order is only
+        a heuristic: a wrong weight costs generators, never soundness.  A
+        candidate joins S when it does not reduce to zero against the
+        echelon of C so far.  Then ad of the new generator is
         applied to every vector already in C, and ad of every generator to
         every vector that joins C, each result kept when it reduces to
         something nonzero, until C is closed or spans g.  Each kept vector
@@ -248,22 +293,47 @@ class MagicAlgebra:
         """
         tab = self.table()
         n = self.dim
+        # The weight of b_i: D times the eigenvalues of ad h on it, h over the
+        # Cartan basis vectors of t(A) and t(B), read off the diagonal.
+        cartan = [*range(self.tA.cartan_dim), *range(self.dA, self.dA + self.tB.cartan_dim)]
+        weights = [tuple(next((c for k, c in tab[h].get(i, ()) if k == i), 0) for h in cartan)
+                   for i in range(n)]
+        zero = (0,) * len(cartan)
+        # A positive root that is not simple is a simple root plus a positive
+        # root (Humphreys §10.2), and each summand is lex-smaller than the
+        # sum, so in increasing lex order the simple roots before a root
+        # decide it.
+        positive = sorted({w for w in weights if w > zero})
+        members = set(positive)
+        simple: Set[tuple] = set()
+        for w in positive:
+            if not any(tuple(x - y for x, y in zip(w, a)) in members for a in simple):
+                simple.add(w)
+        lowest = min(weights)
+
+        def order(i: int) -> tuple:
+            if weights[i] in simple:
+                return (0, i)
+            if weights[i] == lowest < zero:
+                return (1, i)
+            return (2, sum(map(len, tab[i].values())), i)
+
         span = Echelon()
         gens: List[int] = []
         vecs: List[SVec] = []
-        for c in sorted(range(n), key=lambda i: (sum(map(len, tab[i].values())), i)):
+        for c in sorted(range(n), key=order):
             if len(span) == n:
                 break
-            if not span.add({c: F1}):
+            if not span.add({c: 1}):
                 continue
             gens.append(c)
             todo = [(c, v) for v in vecs]
-            vecs.append({c: F1})
+            vecs.append({c: 1})
             todo.extend((s, vecs[-1]) for s in gens)
             while todo and len(span) < n:
                 s, v = todo.pop()
                 w: SVec = {}
-                int_apply_into(w, tab[s], v)
+                int_apply_into(w, tab[s], v, 1)
                 if span.add(w):
                     vecs.append(w)
                     todo.extend((t, w) for t in gens)
@@ -279,11 +349,16 @@ class MagicAlgebra:
         tab = self.table()
         # One exact pass proves the stored table alternating: no row i stores
         # column i, and every stored tab[i][j] has tab[j][i] its negation.
+        # Each pair is compared from its smaller index; the larger one only
+        # checks that the pair is stored there too.
         for i, row in enumerate(tab):
             if i in row:
                 return False
             for j, col in row.items():
-                if tab[j].get(i) != tuple((k, -c) for k, c in col):
+                if j < i:
+                    if i not in tab[j]:
+                        return False
+                elif tab[j].get(i) != tuple((k, -c) for k, c in col):
                     return False
         # Defect (s, y, k) is Leibniz for ad s at (b_y, b_k).  On an
         # alternating table it is alternating in y, k, so the columns k > y

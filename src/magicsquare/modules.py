@@ -27,6 +27,9 @@ checks the representation axiom.  The lowering operators that identify an
 H slot with U @ U are t(H) triples, applied by `linalg.int_apply_into`.  Each
 invariant form is stored once, as its nonzero coefficients read off the
 construction (`GModule.form_entries`), and checked by one invariance defect.
+Both evaluate on integers: the entries over their least denominator, the
+vectors scaled by one lcm, the actions as stored, so each value is one
+integer over one denominator, returned as one `Fraction`.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .linalg import (
     int_column,
     int_maps,
     int_rep_defect_pair,
+    int_vectors,
     sparse,
     zeros,
 )
@@ -138,15 +142,15 @@ class GModule:
             raise ValueError(f"a {self.form_kind} form takes {self.form_arity} vectors")
         if any(len(v) != self.dimension for v in vectors):
             raise ValueError("element dimension mismatch")
-        out = F0
-        for key, c in self.form_entries.items():
-            for v, r in zip(vectors, key):
-                if not v[r]:
-                    break
-                c *= v[r]
-            else:
-                out += c
-        return out
+        big, scale = int_vectors([sparse(v) for v in vectors])
+        entries, d = self._int_form
+        return Fraction(_int_form_value(entries, big), d * scale ** self.form_arity)
+
+    @cached_property
+    def _int_form(self) -> Tuple[Dict[Tuple[int, ...], int], int]:
+        """The form entries times their least denominator d, as ints, and d."""
+        (entries,), d = int_vectors([self.form_entries])
+        return entries, d
 
     def act_basis(self, i: int, v: Sequence[Fraction]) -> Vec:
         """rho(b_i) v for the parent basis element b_i, i in 0..parent.dim-1."""
@@ -411,15 +415,47 @@ def build_W_module(tag_a: str) -> GModule:
 # -- validation helpers ----------------------------------------------------------------
 
 
+def _int_form_value(entries: Dict[Tuple[int, ...], int], vectors: Sequence[Dict[int, int]]) -> int:
+    """Sum over the integer entries (key, c) of c * prod_p vectors[p][key[p]],
+    on sparse integer vectors."""
+    out = 0
+    for key, c in entries.items():
+        for v, r in zip(vectors, key):
+            x = v.get(r)
+            if not x:
+                break
+            c *= x
+        else:
+            out += c
+    return out
+
+
 def _invariance_defect(mod: GModule, kind: str, x_idx: int, vectors: Sequence[Vec]) -> Fraction:
     """The sum over the positions p of the form with vectors[p] replaced by
-    rho(b_x) vectors[p], rho applied once per distinct vector; zero for invariance."""
+    rho(b_x) vectors[p], zero for invariance.
+
+    The distinct vectors are scaled to integers by one lcm L, and D rho(b_x)
+    is applied once to each, on ints; every term then carries the scale
+    d D L^arity (d the form's denominator), so the sum is one integer over it.
+    """
     if mod.form_kind != kind:
         raise ValueError(f"the module carries a {mod.form_kind} form, not a {kind} one")
-    moved = {id(v): v for v in vectors}
-    moved = {k: mod.act_basis(x_idx, v) for k, v in moved.items()}
-    return sum((mod.form_value(*vectors[:p], moved[id(v)], *vectors[p + 1:])
-                for p, v in enumerate(vectors)), F0)
+    if not 0 <= x_idx < len(mod.actions):
+        raise IndexError(f"parent basis index out of range: {x_idx}")
+    if any(len(v) != mod.dimension for v in vectors):
+        raise ValueError("element dimension mismatch")
+    distinct = {id(v): v for v in vectors}
+    big, scale = int_vectors([sparse(v) for v in distinct.values()])
+    big = dict(zip(distinct, big))
+    moved = {}
+    for key, v in big.items():
+        moved[key] = out = {}
+        int_apply_into(out, mod.actions[x_idx], v, 1)
+    entries, d = mod._int_form
+    total = sum(_int_form_value(entries, [moved[id(u)] if q == p else big[id(u)]
+                                         for q, u in enumerate(vectors)])
+                for p in range(len(vectors)))
+    return Fraction(total, d * mod.denominator * scale ** len(vectors))
 
 
 def symplectic_invariance_defect(mod: GModule, x_idx: int, v: Vec, w: Vec) -> Fraction:

@@ -67,6 +67,25 @@ def _reflect(cartan: Sequence[Sequence[int]], c: Tuple[int, ...], i: int) -> Tup
     return c[:i] + (c[i] - p,) + c[i + 1:]
 
 
+def _is_definite(gram: Mat) -> bool:
+    """True when the symmetric Gram is positive or negative definite: its
+    pivots, eliminated in order with no row swap, are all nonzero and of one
+    sign (Sylvester's criterion read off the ratios of leading minors)."""
+    m = [list(row) for row in gram]
+    signs = set()
+    for k, row in enumerate(m):
+        p = row[k]
+        if not p:
+            return False
+        signs.add(p > 0)
+        for below in m[k + 1:]:
+            f = below[k] / p
+            if f:
+                for j in range(k + 1, len(m)):
+                    below[j] -= f * row[j]
+    return len(signs) == 1
+
+
 @dataclass
 class RootDatum:
     name: str
@@ -329,6 +348,8 @@ class RootDatum:
         for i, r in enumerate(roots):
             if sum(x * c * r[t] for s, x in enumerate(r) if x for t, c in gram_rows[s] if r[t]) == 0:
                 raise ValueError(f"root datum: positive_roots[{i}] has (alpha, alpha) = 0")
+        if not _is_definite(gram):
+            raise ValueError("root datum: 'gram' is not definite")
         markers = data.get("markers", {})
         if not isinstance(markers, dict):
             raise ValueError("root datum: 'markers' must be an object")

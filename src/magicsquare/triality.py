@@ -16,10 +16,12 @@ out.  Each element is stored in the one map format of `linalg`: D theta_i as
 integer column maps (column j is D theta_i(e_j), no zeros stored) over the
 least common denominator D of the triple, which is 1 on every basis triple
 and 2 on the t(O) chart.  `combine` takes sparse coefficients, `psi_coords`
-returns them, and the bracket (an integer commutator), the calibration, the
-leg actions (`leg_action`) and the consumers in `magic`, `modules` and
-`roots` read the maps.  The views `component`, `diagonal`, `sparse_flat`,
-`coords` and `from_coords` give Fractions.
+returns them, and the bracket (one integer commutator, which
+`bracket_coords` hands to the integer solve as flat entries), the
+calibration, the leg actions (`leg_action`) and the consumers in `magic`,
+`modules` and `roots` read the maps; `int_flat` gives their integers in one
+flat layout.  The views `component`, `diagonal`, `sparse_flat`, `coords`
+and `from_coords` give Fractions.
 
 The invariant form K on t(A) is a single rational multiple of the sum of the
 three componentwise trace forms.  Psi_i is the K-dual of slot i:
@@ -62,7 +64,6 @@ from .linalg import (
     SolveCache,
     Vec,
     axpy,
-    int_apply_into,
     int_maps,
     nullspace,
     primitive_integer_vector,
@@ -98,12 +99,17 @@ class TrialityTriple:
                 out[r][j] = Fraction(x, self.denominator)
         return out
 
-    def sparse_flat(self) -> SVec:
-        """The nonzero entries of the three components, entry (r, s) of theta_i
-        at ((i - 1) n + r) n + s, read off the maps."""
-        n, d = self.n, self.denominator
-        return {(i * n + r) * n + s: Fraction(x, d) for i, m in enumerate(self.thetas)
+    def int_flat(self) -> Dict[int, int]:
+        """D times the nonzero entries of the three components, entry (r, s)
+        of theta_i at ((i - 1) n + r) n + s: the stored integers."""
+        n = self.n
+        return {(i * n + r) * n + s: x for i, m in enumerate(self.thetas)
                 for s, col in m.items() for r, x in col}
+
+    def sparse_flat(self) -> SVec:
+        """`int_flat` divided by D."""
+        d = self.denominator
+        return {k: Fraction(x, d) for k, x in self.int_flat().items()}
 
     def diagonal(self, i: int) -> Vec:
         """The diagonal entries of theta_i."""
@@ -145,22 +151,38 @@ def combine(coeffs: SVec, triples: Sequence[TrialityTriple]) -> TrialityTriple:
     return _triple(entries, triples[0].n)
 
 
-def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
-    """Componentwise commutator; t(A) is closed under it.
+def _commutator(x: TrialityTriple, y: TrialityTriple) -> Dict[int, int]:
+    """D_x D_y [x, y] as integer flat entries, laid out as `int_flat`.
 
-    [X, Y] e_j = X(Y e_j) - Y(X e_j) column by column on the integer maps,
-    scaled by 1 / (D_x D_y); entries that cancel are dropped by `int_maps`.
+    [X, Y] e_j = X(Y e_j) - Y(X e_j) column by column on the integer maps;
+    entries that cancel stay as zeros.
     """
-    d = x.denominator * y.denominator
-    c = Fraction(1, d) if d > 1 else 1  # int products on integral triples, about 2x faster
+    n = x.n
+    out: Dict[int, int] = {}
+    get = out.get
+    for i, (a, b) in enumerate(zip(x.thetas, y.thetas)):
+        base = i * n * n
+        for first, second, sign in ((a, b, 1), (b, a, -1)):
+            for j, col in second.items():
+                for t, c in col:
+                    col_t = first.get(t)
+                    if col_t:
+                        c *= sign
+                        for r, e in col_t:
+                            key = base + r * n + j
+                            out[key] = get(key, 0) + c * e
+    return out
+
+
+def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
+    """Componentwise commutator; t(A) is closed under it, scaled by 1 / (D_x D_y)
+    off `_commutator`; entries that cancel are dropped by `int_maps`."""
+    n, d = x.n, x.denominator * y.denominator
     entries: Tuple[Entries, Entries, Entries] = ({}, {}, {})
-    for acc, a, b in zip(entries, x.thetas, y.thetas):
-        for j in a.keys() | b.keys():
-            col: SVec = {}
-            int_apply_into(col, a, dict(b.get(j, ())), c)
-            int_apply_into(col, b, dict(a.get(j, ())), -c)
-            acc.update(((r, j), v) for r, v in col.items())
-    return _triple(entries, x.n)
+    for key, v in _commutator(x, y).items():
+        i, rj = divmod(key, n * n)
+        entries[i][divmod(rj, n)] = Fraction(v, d)
+    return _triple(entries, n)
 
 
 class TrialityAlgebra:
@@ -170,7 +192,8 @@ class TrialityAlgebra:
         self.alg = alg
         self.basis, self.cartan_dim = self._compute_basis()
         self.dim = len(self.basis)
-        self._solver = SolveCache([t.sparse_flat() for t in self.basis])
+        # Every basis triple has D = 1: its integers are its entries.
+        self._solver = SolveCache([t.int_flat() for t in self.basis])
         self._bracket_cache: Dict[Tuple[int, int], SVec] = {}
         self._psi_tables: Optional[List[Dict[Tuple[int, int], SVec]]] = None
         self._k_matrix: Optional[Mat] = None
@@ -244,7 +267,7 @@ class TrialityAlgebra:
         # Complete greedily to a full basis: take b when its flat does not
         # reduce to zero against the echelon of the flats chosen before it.
         echelon = Echelon()
-        chosen = [t for t in cartan + basis if echelon.add(t.sparse_flat())]
+        chosen = [t for t in cartan + basis if echelon.add(t.int_flat())]
         assert chosen[:len(cartan)] == cartan and len(chosen) == len(basis)
         return chosen, len(cartan)
 
@@ -279,7 +302,8 @@ class TrialityAlgebra:
             return out
         if not (0 <= k < self.dim and 0 <= l < self.dim):
             raise IndexError(f"t({self.alg.tag.name}) basis index out of range: ({k}, {l})")
-        out = self.sparse_coords(triality_bracket(self.basis[k], self.basis[l]))
+        # Every basis triple has D = 1, so the integers are the entries.
+        out = self._solver.solve(_commutator(self.basis[k], self.basis[l]))
         self._bracket_cache[(k, l)] = out
         self._bracket_cache[(l, k)] = {i: -c for i, c in out.items()}
         return out

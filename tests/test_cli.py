@@ -291,9 +291,10 @@ A2 = {"name": "a2", "rank": 2, "gram": [["2", "-1"], ["-1", "2"]],
     (dict(A2, gram=5), "'gram'"),
     (dict(A2, gram=[["2", "-1"], ["0", "2"]]),
      "'gram' is not symmetric: gram[0][1] = -1, gram[1][0] = 0"),
+    (dict(A2, gram=[["2", "-1"], ["-1", "-2"]]), "'gram' is not definite"),
 ], ids=["empty", "list", "rank-string", "rank-zero", "markers-number", "marker-short",
         "roots-null", "root-short", "root-not-rational", "gram-rows", "gram-entry",
-        "gram-number", "gram-not-symmetric"])
+        "gram-number", "gram-not-symmetric", "gram-indefinite"])
 def test_dim_malformed_datum_file_is_usage_error(capsys, tmp_path, datum, field):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum))

@@ -20,7 +20,7 @@ from magicsquare.compalg import build_split_algebra
 from magicsquare.linalg import F0, SolveCache, int_maps, sparse
 from magicsquare.roots import ExtractionError, cartan_chart, factor_weights
 from magicsquare.triality import TrialityAlgebra, combine, triality_algebra, triality_bracket
-from tests_helpers import dense_flat, e_vector, reference_rref
+from tests_helpers import commutator, dense_flat, dense_mats, e_vector, reference_rref, reference_solver
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -163,3 +163,39 @@ def test_columns_drops_zero_entries_and_empty_columns():
     assert int_maps([entries, other], 5) == ([{1: ((1, 60),), 3: ((0, -15),)},
                                               {0: ((0, 30), (2, 10))}], 30)
     assert int_maps([{}, {(0, 0): F0}]) == ([{}, {}], 1)
+
+
+@pytest.mark.parametrize("tag", ["C", "H", "O"])
+def test_bracket_coords_match_a_dense_fraction_solve(tag):
+    # Every ordered basis pair, its own bracket and the cached reverse order
+    # included: the integer commutator and solve against the dense matrix
+    # commutator and the normal-equations solve.
+    t = triality_algebra(tag)
+    mats = [dense_mats(x) for x in t.basis]
+    solve = reference_solver([dense_flat(x) for x in t.basis])
+    for k in range(t.dim):
+        for l in range(t.dim):
+            flat = [x for a, b in zip(mats[k], mats[l]) for row in commutator(a, b) for x in row]
+            assert t.bracket_coords(k, l) == sparse(solve(flat)), (k, l)
+
+
+def test_solve_cache_on_denominators_two_three_and_four():
+    # b over 2, 3 and 4 on the t(H) basis, and on columns with their own
+    # denominators; one entry more, over 3, puts b outside the span, and
+    # both the solver and the reference refuse it.
+    t = triality_algebra("H")
+    rational = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {1: Fraction(3, 4), 2: Fraction(-1)},
+                {0: Fraction(2, 3), 3: Fraction(-5, 4)}]
+    for cols, dens in (([dense_flat(x) for x in t.basis], {2, 3, 4}),
+                       ([densify(c, 5) for c in rational], {3, 4, 16})):
+        solver, solve = SolveCache([sparse(col) for col in cols]), reference_solver(cols)
+        x = [Fraction((-1) ** j * (j + 1), 2 + j % 3) for j in range(len(cols))]
+        b = [sum((xj * col[i] for xj, col in zip(x, cols)), F0) for i in range(len(cols[0]))]
+        assert dens <= {c.denominator for c in b}
+        assert solver.solve(sparse(b)) == sparse(solve(b)) == sparse(x)
+        r = next(i for i in range(len(b)) if not any(col[i] for col in cols))
+        b[r] += Fraction(1, 3)
+        with pytest.raises(ValueError):
+            solve(b)
+        with pytest.raises(ValueError, match="outside column span"):
+            solver.solve(sparse(b))

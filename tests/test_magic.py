@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from magicsquare import magic
 from magicsquare.linalg import int_rep_defect_pair
 from magicsquare.magic import H_SUBALGEBRA_DIMS, MAGIC_DIMS, build_magic_algebra
+from magicsquare.roots import dynkin_type, extract_root_datum
 from tests_helpers import (describe_index, fraction_table, fraction_view, full_rank, gram_matrix,
                            reference_invariant_form, reference_jacobi_count, rep_defect_column)
 
@@ -427,13 +428,19 @@ def test_jacobi_certificate_holds_on_every_algebra(A, B, monkeypatch):
     # The greedy generators close up to g, each ad s is a derivation, and so
     # the triple count never runs on a correct table: every pair-kernel call
     # of jacobi_exhaustive is a certificate one, on the columns k > j of one
-    # generator i and one row j, one call per generator and row.
+    # generator i and one row j, one call per generator and row.  The simple
+    # root vectors and the lowest-root vector come first, so a simple g takes
+    # rank + 1 of them (the affine Chevalley generators e_0, ..., e_r).
     g = build_magic_algebra(A, B)
     gens = g.jacobi_generators()
     assert len(set(gens)) == len(gens)
     assert _closure_rank_mod_p(g, gens) == g.dim
     if (A, B) == ("O", "O"):
-        assert len(gens) == 18
+        assert len(gens) == 9
+    if (A, B) != ("R", "R"):
+        rd = extract_root_datum(g)
+        if "x" not in dynkin_type(rd):
+            assert len(gens) == rd.rank + 1
     assert g.jacobi_certificate()
     calls = []
 

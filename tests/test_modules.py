@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from tests_helpers import (fraction_view, full_rank, omega_pair, reference_cubic,
+from tests_helpers import (dense_action, fraction_view, full_rank, omega_pair, reference_cubic,
                            reference_symplectic_gram, rep_defect_column)
 
 from magicsquare.modules import (
@@ -334,3 +334,41 @@ def test_act_basis_divides_by_the_denominator():
                 image = mod.act_basis(i, e)
                 assert {r: x for r, x in enumerate(image) if x} == {
                     r: Fraction(c, mod.denominator) for r, c in col}
+
+
+def _rational_vector(rng, n):
+    """Entries over 2, 3 and 4 by position, numerators prime to 6, some zero."""
+    return [Fraction(rng.choice((-5, -1, 0, 1, 7)), (2, 3, 4)[i % 3]) for i in range(n)]
+
+
+@pytest.mark.parametrize("tag", ["C", "O"])
+def test_invariance_defects_on_rational_vectors(tag):
+    # Vectors over 2, 3 and 4, scaled to integers inside the checks, against
+    # the dense Fraction references: the Gram pairing for V, the reference
+    # cubic for W, the action applied as a dense Fraction matrix.  One
+    # action entry is changed, so that some defects are nonzero.
+    rng = random.Random(41)
+    for mod in (build_V_module(tag), build_W_module(tag)):
+        n = mod.dimension
+        t = rng.randrange(mod.parent.dim)
+        j, col = next(iter(mod.actions[t].items()))
+        mod.actions[t][j] = _bump_first_entry(col)
+        try:
+            defects = []
+            for _ in range(20):
+                x = rng.choice([t, rng.randrange(mod.parent.dim)])
+                v, w = _rational_vector(rng, n), _rational_vector(rng, n)
+                assert {c.denominator for c in v + w if c} == {2, 3, 4}
+                if mod.form_kind == "symplectic":
+                    defects.append(symplectic_invariance_defect(mod, x, v, w))
+                    expected = (omega_pair(mod, dense_action(mod, x, v), w)
+                                + omega_pair(mod, v, dense_action(mod, x, w)))
+                    assert mod.form_value(v, w) == omega_pair(mod, v, w)
+                else:
+                    defects.append(cubic_invariance_defect(mod, x, v))
+                    expected = reference_cubic(mod, dense_action(mod, x, v), v, v)
+                    assert mod.form_value(v, v, v) == reference_cubic(mod, v, v, v)
+                assert defects[-1] == expected
+            assert any(defects) and not all(defects)
+        finally:
+            mod.actions[t][j] = col

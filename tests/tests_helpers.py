@@ -301,6 +301,31 @@ def reference_inverse(a):
     return [row[n:] for row in red]
 
 
+def reference_solver(cols):
+    """A dense Fraction solve in the span of independent dense columns A, by
+    the normal equations: x = (A^T A)^-1 A^T b, then A x = b checked entry by
+    entry; ValueError when b is outside the span.  The reference for
+    `linalg.SolveCache`, with no pivot positions and no integer scaling."""
+    m = len(cols[0])
+    gram_inv = reference_inverse([[sum((u[i] * v[i] for i in range(m) if u[i] and v[i]), F0)
+                                   for v in cols] for u in cols])
+
+    def solve(b):
+        atb = [sum((col[i] * b[i] for i in range(m) if b[i] and col[i]), F0) for col in cols]
+        x = [sum((g * c for g, c in zip(row, atb) if g and c), F0) for row in gram_inv]
+        if [sum((xj * col[i] for xj, col in zip(x, cols) if xj and col[i]), F0)
+                for i in range(m)] != list(b):
+            raise ValueError("outside the span")
+        return x
+
+    return solve
+
+
+def dense_action(mod, x, v):
+    """rho(b_x) v for a module, through the dense Fraction matrix of its action."""
+    return mat_vec(dense_matrix(mod.actions[x], mod.dimension, mod.denominator), v)
+
+
 def reference_primitive_integer_vector(v):
     """v scaled by the lcm of all denominators, divided by the gcd, first nonzero entry positive."""
     denoms = [x.denominator for x in v if x != 0]
