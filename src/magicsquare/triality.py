@@ -10,52 +10,57 @@ to the sparse exact elimination of `linalg.nullspace`, whose sparse kernel
 vectors, rescaled to primitive integer vectors, combine the so(Q) basis maps
 placed in each slot.  The basis puts a basis of the diagonal (Cartan) part
 first, found by a second sparse nullspace, and completes it greedily with
-one incremental echelon; coordinates in it come from one `SolveCache`
-(pivot-position solves with an exact reconstruction check), sparse in and
-out.  Each element is stored in the one map format of `linalg`: D theta_i as
-integer column maps (column j is D theta_i(e_j), no zeros stored) over the
-least common denominator D of the triple, which is 1 on every basis triple
-and 2 on the t(O) chart.  `combine` takes sparse coefficients, `psi_coords`
-returns them, and the bracket (one integer commutator, which
-`bracket_coords` hands to the integer solve as flat entries), the
-calibration, the leg actions (`leg_action`) and the consumers in `magic`,
-`modules` and `roots` read the maps; `int_flat` gives their integers in one
-flat layout.  The views `component`, `diagonal`, `sparse_flat`, `coords`
+one incremental echelon; coordinates in it come from one `SolveCache`,
+built on first use (pivot-position solves with an exact reconstruction
+check), sparse in and out.  Each element is stored in the one map format
+of `linalg`: D theta_i as integer column maps (column j is D theta_i(e_j),
+no zeros stored) over the least common denominator D of the triple, which
+is 1 on every basis triple and 2 on the t(O) chart.  `combine` takes
+sparse coefficients, `psi_coords` returns them, and the bracket (one
+integer commutator, which `bracket_coords` hands to the integer solve as
+flat entries), the trace form of K, the leg actions (`leg_action`) and the
+consumers in `magic`, `modules` and `roots` read the maps; `int_flat` gives
+their integers in one flat layout.  The views `component`, `diagonal`, `sparse_flat`, `coords`
 and `from_coords` give Fractions.
 
-The invariant form K on t(A) is a single rational multiple of the sum of the
-three componentwise trace forms.  Psi_i is the K-dual of slot i:
+The invariant form K on t(A) is -1 / (2a + 8) times the sum S of the three
+componentwise trace forms, a = dim A.  The dual maps Psi_i are defined by
+products in A: with sigma(x) = Q(u, x) v - Q(v, x) u,
 
-  * K(Psi_i(u ^ v), theta) = Q(theta_i(u), v)   for i = 1, 2, 3   (duality),
+  * Psi_1(u ^ v) = (4 sigma, x -> conj(v)(u x) - conj(u)(v x),
+                    x -> v(conj(u) x) - u(conj(v) x)),
+  * Psi_2(u ^ v) = (x -> (x u) conj(v) - (x v) conj(u), 4 sigma,
+                    x -> (x conj(u)) v - (x conj(v)) u),
+  * Psi_3(u ^ v) = (x -> v(conj(u) x) - u(conj(v) x),
+                    x -> (x conj(u)) v - (x conj(v)) u, 4 sigma),
 
-solved on the basis pairs e_p ^ e_q, p < q.  K is shared by the three
-slots, so one multiple serves all of them; it is fixed on slot 1 by
+built on the basis pairs e_p ^ e_q, p < q, where the exact span check of
+the solve proves that each lies in t(A).  That Psi_i is the K-dual of slot i,
 
-  * Psi_1(u ^ v)_2 x  =  conj(v)(u x) - conj(u)(v x)   (bracket scale).
+  * K(Psi_i(u ^ v), theta) = Q(theta_i(u), v)   for i = 1, 2, 3,
 
-The tables this gives also satisfy Psi_2 = tau^2 Psi_1 and
-Psi_3(u ^ v) = tau Psi_1(conj u ^ conj v) for the conjugation-twisted shift
-tau(theta1, theta2, theta3) = (theta2, C theta3 C, C theta1 C), C the
-conjugation of A; the test suite checks this on every basis pair.
+and that Psi_2 = tau^2 Psi_1 and Psi_3(u ^ v) = tau Psi_1(conj u ^ conj v)
+for the conjugation-twisted shift tau(theta1, theta2, theta3) =
+(theta2, C theta3 C, C theta1 C), C the conjugation of A, are tests, on
+every basis pair.
 
 K and the Psi tables serve only the bracket table of `magic` and the
-invariant form that `verify` checks on it, and are solved on first use.
-Root data and the series descriptors never read them: they take their Gram
-off the chart weights (`roots.trace_gram`).
+invariant form that `verify` checks on it, and are built on first use, as
+is the solver.  Root data and the series descriptors never read them: they
+take their Gram off the chart weights (`roots.trace_gram`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compalg import AlgebraTag, CompAlg, build_split_algebra, parse_tag
 from .exact import rat_str
 from .linalg import (
     F0,
-    F1,
     Echelon,
     Entries,
     IntMap,
@@ -186,14 +191,14 @@ def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
 
 
 class TrialityAlgebra:
-    """t(A) with a basis (Cartan-adapted), bracket data, K form and Psi maps."""
+    """t(A) with a basis (Cartan-adapted), bracket data, and the K form and
+    Psi maps in closed form; the duality of Psi and the tau relations are
+    tests, not part of the construction."""
 
     def __init__(self, alg: CompAlg):
         self.alg = alg
         self.basis, self.cartan_dim = self._compute_basis()
         self.dim = len(self.basis)
-        # Every basis triple has D = 1: its integers are its entries.
-        self._solver = SolveCache([t.int_flat() for t in self.basis])
         self._bracket_cache: Dict[Tuple[int, int], SVec] = {}
         self._psi_tables: Optional[List[Dict[Tuple[int, int], SVec]]] = None
         self._k_matrix: Optional[Mat] = None
@@ -273,6 +278,13 @@ class TrialityAlgebra:
 
     # -- coordinates and bracket ------------------------------------------------
 
+    @cached_property
+    def _solver(self) -> SolveCache:
+        """The solver for coordinates in the basis, built on first use: root
+        extraction and the series rows never solve."""
+        # Every basis triple has D = 1: its integers are its entries.
+        return SolveCache([t.int_flat() for t in self.basis])
+
     def sparse_coords(self, t: TrialityTriple) -> SVec:
         """Sparse coordinates of a triple in the stored basis (raises if outside t(A))."""
         if t.n != self.alg.dim:
@@ -311,80 +323,72 @@ class TrialityAlgebra:
     # -- invariant form and Psi ---------------------------------------------------
 
     def _calibrate(self) -> None:
-        """Solve for K and the three Psi tables from the one duality rule.
+        """K and the three Psi tables, each from its closed form.
 
-        K is 1/scale times the sum S of the trace forms tr(x_i y_i) over the
-        slots i = 1, 2, 3.  For each slot i and basis pair p < q, the
-        coordinates c of Psi_i(e_p ^ e_q) solve S c = scale f, with
-        f[k] = Q(theta^k_i e_p, e_q) = theta^k_i[partner[q]][p] gram[partner[q]][q]
-        read off the entries of basis triple k.  The scale makes
-        Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x); K is shared by the
-        slots, so it serves all three.  Each table maps (p, q) to the sparse
-        coordinates of Psi_i(e_p ^ e_q), zero images left out.
+        K = -S / (2a + 8) for the sum S of the trace forms tr(x_i y_i) over
+        the slots i = 1, 2, 3 and a = dim A.  For a basis pair u = e_p,
+        v = e_q, p < q, the three slots of Psi_i(u ^ v) are 4 sigma, with
+        sigma(x) = Q(u, x) v - Q(v, x) u, in slot i, and two of the product
+        maps, each antisymmetrised in (u, v):
+
+            Psi_1 = (4 sigma, conj(v)(u x), v(conj(u) x)),
+            Psi_2 = ((x u) conj(v), 4 sigma, (x conj(u)) v),
+            Psi_3 = (v(conj(u) x), (x conj(u)) v, 4 sigma).
+
+        Every map is read through `CompAlg.slot_product` on integers, as
+        basis products are 0 or +-1 times a basis vector, and its entries,
+        laid out as `TrialityTriple.int_flat`, go to the integer solve of
+        t(A), whose exact span check proves that Psi_i(u ^ v) lies in t(A).
+        Each table maps (p, q) to the sparse coordinates of Psi_i(e_p ^ e_q),
+        zero images left out.
         """
         alg = self.alg
         n = alg.dim
-        d = self.dim
-        gram, partner = alg.gram, alg.partner
+        # prod[s][p][q] = (k, c) for slot_product(s, p, q) = c e_k, None for 0.
+        prod = [[[next(((k, int(c)) for k, c in alg.slot_product(s, p, q).items()), None)
+                  for q in range(n)] for p in range(n)] for s in range(3)]
+
+        def mul(s: int, x: Optional[Tuple[int, int]], y: Optional[Tuple[int, int]]):
+            """Slot product s of two signed basis vectors (k, c); None for 0."""
+            if x is None or y is None:
+                return None
+            z = prod[s][x[0]][y[0]]
+            return z and (z[0], z[1] * x[1] * y[1])
+
+        # 4 Q(e_p, e_x), an integer: the Gram entries are +-1/2 (1 on R).
+        four_q = [[int(4 * g) for g in row] for row in alg.gram]
+        maps = (lambda u, v, x: mul(2, mul(0, u, x), v),   # conj(v)(u x)
+                lambda u, v, x: mul(0, v, mul(2, x, u)),   # v(conj(u) x)
+                lambda u, v, x: mul(1, v, mul(0, x, u)),   # (x u) conj(v)
+                lambda u, v, x: mul(0, mul(1, u, x), v),   # (x conj(u)) v
+                lambda u, v, x: (v[0], four_q[u[0]][x[0]]) if four_q[u[0]][x[0]] else None)
+        # The map in each slot of Psi_1, Psi_2, Psi_3; map 4, antisymmetrised,
+        # is 4 sigma.
+        slots = ((4, 0, 1), (2, 4, 3), (1, 3, 4))
+        tables: List[Dict[Tuple[int, int], SVec]] = [{}, {}, {}]
+        for p in range(n):
+            for q in range(p + 1, n):
+                u, v = (p, 1), (q, 1)
+                images = [[(m(u, v, (x, 1)), m(v, u, (x, 1))) for x in range(n)] for m in maps]
+                for table, row in zip(tables, slots):
+                    flat: Dict[int, int] = {}
+                    for i, m in enumerate(row):
+                        for x, pair in enumerate(images[m]):
+                            for image, sign in zip(pair, (1, -1)):
+                                if image:
+                                    key = (i * n + image[0]) * n + x
+                                    flat[key] = flat.get(key, 0) + sign * image[1]
+                    coords = self._solver.solve(flat)
+                    if coords:
+                        table[(p, q)] = coords
         # Entry (r, s) of theta_i of each basis triple, keyed (i, r, s): the
         # stored integer, as every basis triple has D = 1.
         entries = [{(i, r, s): x for i, m in enumerate(t.thetas) for s, col in m.items()
                     for r, x in col} for t in self.basis]
-        # Column c of S, sparse: entry row is tr(x_i y_i) for x = basis[row] and
-        # y = basis[c], the sum over the entries x_i[r][s] of x_i[r][s] y_i[s][r].
-        t_cols: List[SVec] = []
-        for ey in entries:
-            col: SVec = {}
-            for row, ex in enumerate(entries):
-                v = sum((x * ey[i, s, r] for (i, r, s), x in ex.items() if (i, s, r) in ey), F0)
-                if v:
-                    col[row] = v
-            t_cols.append(col)
-        sum_solver = SolveCache(t_cols)
-        raw: List[Dict[Tuple[int, int], SVec]] = []
-        for i in range(3):
-            table = {}
-            for p in range(n):
-                for q in range(p + 1, n):
-                    # Column q of the Gram matrix is nonzero only at partner[q].
-                    r = partner[q]
-                    f = {k: ex[i, r, p] * gram[r][q]
-                         for k, ex in enumerate(entries) if (i, r, p) in ex}
-                    table[(p, q)] = sum_solver.solve(f)
-            raw.append(table)
-        # Scale so that Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) exactly,
-        # on every basis pair u = e_p, v = e_q and every x = e_j, comparing the
-        # entries where either side is nonzero; got holds D times slot 2.
-        ct, conj = alg.ctable, alg.conj
-        scale = None
-        for (p, q), coords in raw[0].items():
-            m = combine(coords, self.basis)
-            for j in range(n):
-                target: SVec = {}
-                for a, b, sign in ((q, p, F1), (p, q, -F1)):
-                    # sign conj(e_a)(e_b e_j), conj(e_a) = c e_l.
-                    l, c = conj[a]
-                    for s, x in ct[b][j].items():
-                        for r, y in ct[l][s].items():
-                            target[r] = target.get(r, F0) + sign * c * x * y
-                got = dict(m.thetas[1].get(j, ()))
-                for r in sorted(target.keys() | got.keys()):
-                    tg = target.get(r, F0)
-                    gt = got.get(r, F0)
-                    if tg != 0 or gt != 0:
-                        if gt == 0:
-                            raise ValueError("Psi_1 slot-2 not proportional to the product map")
-                        ratio = tg * m.denominator / gt
-                        if scale is None:
-                            scale = ratio
-                        elif scale != ratio:
-                            raise ValueError("inconsistent Psi_1 normalization ratios")
-        if scale is None:
-            scale = F1
-        inv = 1 / scale
-        self._k_matrix = [[inv * t_cols[c].get(r, F0) for c in range(d)] for r in range(d)]
-        self._psi_tables = [{pq: {k: scale * c for k, c in coords.items()}
-                             for pq, coords in solved.items() if coords} for solved in raw]
+        k = -(2 * n + 8)
+        self._k_matrix = [[Fraction(sum(x * ey.get((i, s, r), 0) for (i, r, s), x in ex.items()),
+                                    k) for ey in entries] for ex in entries]
+        self._psi_tables = tables
 
     def psi_table(self, i: int) -> Dict[Tuple[int, int], SVec]:
         """(p, q) -> sparse coordinates of Psi_i(e_p ^ e_q), p < q, zero images left out."""

@@ -140,6 +140,24 @@ def test_root_data_and_rows_never_calibrate():
     assert out == f"4 {[True] * 8}\n"
 
 
+def test_root_data_and_rows_never_build_the_solver():
+    # Extraction on all sixteen pairs and the descriptor rows never solve
+    # for coordinates in t(A), so no t(A) builds its solver.  A fresh child
+    # process, so that no other test has solved first.
+    env = {**os.environ, "PYTHONPATH": str(Path(magicsquare.__file__).resolve().parents[1])}
+    code = ("from magicsquare import roots, series, triality as t\n"
+            "for a in 'RCHO':\n"
+            "    for b in 'RCHO':\n"
+            "        roots.datum_for(a, b)\n"
+            "for d in (series.EXCEPTIONAL, series.SUBEXCEPTIONAL, series.SEVERI):\n"
+            "    assert d.rows\n"
+            "print(t._triality_algebra.cache_info().currsize,\n"
+            "      ['_solver' not in vars(t.triality_algebra(n)) for n in 'RCHO'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == f"4 {[True] * 4}\n"
+
+
 def test_triality_datum_is_d4_and_agrees_with_builtin_so8():
     rd, so8 = triality_datum("O"), so8_with_exceptional_markers()
     assert dynkin_type(rd) == "D4" and triality_datum("o") is rd

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicsquare.linalg import SolveCache, axpy, mat_mul, mat_vec, sparse, transpose
-from magicsquare.compalg import build_split_algebra
+from magicsquare.compalg import CompAlg, build_split_algebra
 from magicsquare.roots import cartan_chart
 from magicsquare.triality import (TrialityAlgebra, combine, psi, triality_algebra,
                                   triality_bracket)
 from tests_helpers import (commutator, cyclic_shift, dense_combination, dense_flat, dense_mats,
-                           k_form, reference_nullspace, reference_triality_basis,
-                           satisfies_triality, stores_no_zero, triple_from_mats)
+                           k_form, reference_calibration, reference_nullspace,
+                           reference_triality_basis, satisfies_triality, slot_trace_sum,
+                           stores_no_zero, triple_from_mats)
 
 
 def rand_elt(rng, n, lo=-2, hi=2):
@@ -126,6 +127,51 @@ def test_psi_duality_all_slots():
                     assert lhs == rhs
 
 
+@pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
+def test_calibration_matches_the_duality_solve(tag):
+    # The closed forms of K and Psi give what the duality rule solves for.
+    t = triality_algebra(tag)
+    k, tables = reference_calibration(t)
+    assert t.k_matrix() == k
+    assert [t.psi_table(i) for i in (1, 2, 3)] == tables
+
+
+@pytest.mark.parametrize("tag", ["C", "H", "O"])
+def test_psi_duality_on_every_basis_pair_and_triple(tag):
+    # K(Psi_i(e_p ^ e_q), b_k) = Q(theta^k_i e_p, e_q) for every slot, basis
+    # pair p < q and basis triple k (2352 checks on t(O)), from the sparse
+    # coordinates and the rows of K; and S = -(2a + 8) K entrywise.
+    t = triality_algebra(tag)
+    alg, n, k = t.alg, t.alg.dim, t.k_matrix()
+    comps = [[b.component(i) for i in (1, 2, 3)] for b in t.basis]
+    checks = 0
+    for i in (1, 2, 3):
+        table = t.psi_table(i)
+        for p, q in itertools.combinations(range(n), 2):
+            coords = table.get((p, q), {})
+            e_q = alg.basis_element(q)
+            for col, c in enumerate(comps):
+                lhs = sum((x * k[j][col] for j, x in coords.items()), Fraction(0))
+                assert lhs == alg.qform([row[p] for row in c[i - 1]], e_q), (i, p, q, col)
+                checks += 1
+    assert checks == 3 * n * (n - 1) // 2 * t.dim
+    assert slot_trace_sum(t) == [[-(2 * n + 8) * x for x in row] for row in k]
+
+
+@pytest.mark.parametrize("pq", [(0, 0), (1, 7), (2, 3), (4, 7), (7, 6)])
+def test_calibration_refuses_a_corrupted_product(pq):
+    # One slot product of a private copy of O with its sign flipped: the
+    # product maps no longer land in t(A), and the span check says so.
+    alg = build_split_algebra("O")
+    ctable = [[dict(x) for x in row] for row in alg.ctable]
+    p, q = pq
+    assert ctable[p][q]
+    ctable[p][q] = {r: -x for r, x in ctable[p][q].items()}
+    copy = CompAlg(alg.tag, ctable, alg.conj_matrix, alg.gram, alg.unit)
+    with pytest.raises(ValueError, match="outside column span"):
+        TrialityAlgebra(copy)._calibrate()
+
+
 def test_psi_coords_rejects_bad_slot():
     t = triality_algebra("C")
     u, v = t.alg.basis_element(0), t.alg.basis_element(1)
@@ -148,7 +194,7 @@ def test_psi_coords_rejects_wrong_length():
 
 
 def test_psi_shift_compatibility():
-    # Each Psi_i is solved from its own duality; on every basis pair they
+    # Each Psi_i is built from its own product maps; on every basis pair they
     # agree with the twisted shift tau:
     #   Psi_2(e_p ^ e_q) = tau^2 Psi_1(e_p ^ e_q),
     #   Psi_3(e_p ^ e_q) = tau Psi_1(conj e_p ^ conj e_q).

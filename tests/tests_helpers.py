@@ -153,6 +153,55 @@ def reference_gram(g):
     return [[scale * x for x in row] for row in gram]
 
 
+def slot_trace_sum(t):
+    """S[r][c] = sum over the slots i of tr(x_i y_i) for x = basis r and
+    y = basis c of t(A), through dense Fraction matrices."""
+    n, mats = t.alg.dim, [dense_mats(b) for b in t.basis]
+    return [[sum((x[i][r][c] * y[i][c][r] for i in range(3) for r in range(n) for c in range(n)
+                  if x[i][r][c]), F0) for y in mats] for x in mats]
+
+
+def reference_calibration(t):
+    """K and the three Psi tables of t(A) solved from the duality rule
+    K(Psi_i(u ^ v), theta) = Q(theta_i(u), v): the reference for the closed
+    forms of `TrialityAlgebra._calibrate`.
+
+    K = S / scale for the slot trace sum S; the coordinates c of
+    Psi_i(e_p ^ e_q), p < q, solve S c = scale f with
+    f[k] = Q(theta^k_i e_p, e_q), by the dense inverse of S.  The one scale
+    makes Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) on every basis pair
+    and basis vector x; ValueError when no one scale does.  Returns
+    (K, [table_1, table_2, table_3]), each table (p, q) -> sparse
+    coordinates, zero images left out."""
+    alg, n = t.alg, t.alg.dim
+    s = slot_trace_sum(t)
+    s_inv = inverse(s) if s else []
+    mats = [dense_mats(b) for b in t.basis]
+    e = [e_vector(n, p) for p in range(n)]
+    raw = [{(p, q): mat_vec(s_inv, [alg.qform(mat_vec(m[i], e[p]), e[q]) for m in mats])
+            for p in range(n) for q in range(p + 1, n)} for i in range(3)]
+    scale = None
+    for (p, q), c in raw[0].items():
+        got = dense_combination(c, t.basis)[1]
+        for j in range(n):
+            target = [a - b for a, b in zip(
+                alg.multiply(alg.conjugate(e[q]), alg.multiply(e[p], e[j])),
+                alg.multiply(alg.conjugate(e[p]), alg.multiply(e[q], e[j])))]
+            for r in range(n):
+                if target[r] or got[r][j]:
+                    if not got[r][j]:
+                        raise ValueError("Psi_1 slot 2 is not proportional to the product map")
+                    ratio = target[r] / got[r][j]
+                    if scale is not None and ratio != scale:
+                        raise ValueError("inconsistent Psi_1 normalization ratios")
+                    scale = ratio
+    scale = F1 if scale is None else scale
+    k = [[x / scale for x in row] for row in s]
+    tables = [{pq: sparse([scale * x for x in c]) for pq, c in table.items() if any(c)}
+              for table in raw]
+    return k, tables
+
+
 def so8_with_exceptional_markers():
     """Builtin so8 with the exceptional markers from its fundamental weights:
     g = w2, X2 = w1 + w3 + w4, X3 = 2 w1 + 2 w4, Y2star = 2 w1."""
