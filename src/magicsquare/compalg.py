@@ -1,9 +1,10 @@
 """Split composition algebras of dimension 1, 2, 4, 8 over the rationals.
 
-The algebras are generated by Cayley-Dickson doubling with split sign,
-then expressed in an idempotent-pair (hyperbolic) basis so that the
-quadratic form's Gram matrix is anti-diagonal in 2x2 blocks and the
-diagonal matrices inside so(Q) form a split Cartan-friendly torus.
+C is R + R, written in its two orthogonal idempotents (1, 0) and (0, 1),
+which the conjugation swaps.  H and O come from C by Cayley-Dickson
+doubling with split sign, which keeps this idempotent-pair (hyperbolic)
+basis: the quadratic form's Gram matrix is anti-diagonal in 2x2 blocks and
+the diagonal matrices inside so(Q) form a split Cartan-friendly torus.
 Products of basis elements are always 0 or +/- a basis element; the
 composition law is verified exhaustively by the test suite rather than
 assumed.  The conjugation is a signed permutation of the basis, read off
@@ -32,11 +33,8 @@ from .linalg import (
     Vec,
     identity,
     int_maps,
-    inverse,
-    mat_mul,
     mat_vec,
     nullspace,
-    transpose,
 )
 
 
@@ -229,29 +227,6 @@ def _double(alg: CompAlg) -> Tuple[List[List[SVec]], Mat, Mat, Vec]:
     return ctable, conj, gram, unit
 
 
-def _change_basis(tag: AlgebraTag, ctable, conj, gram, unit, p: Mat) -> CompAlg:
-    """Rewrite the algebra in the basis f_j = sum_i p[i][j] e_i."""
-    n = tag.dim
-    pinv = inverse(p)
-    new_ctable: List[List[SVec]] = [[{} for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = [F0] * n
-            for i in range(n):
-                if p[i][a] == 0:
-                    continue
-                for j in range(n):
-                    if p[j][b] == 0:
-                        continue
-                    coeff = p[i][a] * p[j][b]
-                    for k, c in ctable[i][j].items():
-                        acc[k] += coeff * c
-            new_ctable[a][b] = {r: c for r, c in enumerate(mat_vec(pinv, acc)) if c != 0}
-    new_conj = mat_mul(pinv, mat_mul(conj, p))
-    new_gram = mat_mul(transpose(p), mat_mul(gram, p))
-    return CompAlg(tag, new_ctable, new_conj, new_gram, mat_vec(pinv, unit))
-
-
 def build_split_algebra(tag: AlgebraTag | str) -> CompAlg:
     """The split composition algebra of the given tag, in its hyperbolic basis.
 
@@ -264,11 +239,10 @@ def build_split_algebra(tag: AlgebraTag | str) -> CompAlg:
 def _split_algebra(name: str) -> CompAlg:
     if name == "R":
         return _base_r()
+    # C = R + R: two orthogonal idempotents, swapped by the conjugation.
     half = Fraction(1, 2)
-    # C in the idempotent basis u+/- = (1 +/- v)/2 of the doubled line.
-    ct, cj, gm, un = _double(_base_r())
-    p = [[half, half], [half, -half]]
-    c_alg = _change_basis(C_TAG, ct, cj, gm, un, p)
+    c_alg = CompAlg(C_TAG, [[{0: F1}, {}], [{}, {1: F1}]], [[F0, F1], [F1, F0]],
+                    [[F0, half], [half, F0]], [F1, F1])
     if name == "C":
         return c_alg
     ct, cj, gm, un = _double(c_alg)

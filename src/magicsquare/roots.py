@@ -4,8 +4,13 @@ A `RootDatum` is given by its positive roots, as `Fraction` tuples in chart
 coordinates, and a Gram matrix.  From these it derives once, the same way for
 every source, an integer frame: the simple roots, the Cartan matrix, and the
 simple-root coordinates of each positive root, from one scan by increasing
-(alpha, rho).  Dominance, the Weyl formula, Freudenthal's recursion and the
-reflection closures run on that frame; chart coordinates stay at the boundary.
+(alpha, rho).  Dominance, the Weyl formula, Freudenthal's recursion, the
+reflection closures and `dynkin_type` run on that frame; chart coordinates
+stay at the boundary.  `dynkin_type` names each component of the Cartan
+matrix from its rank r, its positive-root count N and its short simple
+roots (lengths up to sign): simply laced, A_r if 2N = r(r + 1), D_r if
+N = r(r - 1), else E_r; otherwise G2 at length ratio 3, F4 at rank 4 with
+two short, B_r with one short and C_r with more.
 
 An extracted datum's chart is a normalized Cartan basis inside t(A) x t(B),
 t(B)-side coordinates first.  Its elements are diagonal in every slot, so the
@@ -383,72 +388,39 @@ class RootDatum:
 
 
 def dynkin_type(rd: RootDatum) -> str:
-    """Type label such as 'E8', 'F4', 'C3', or 'A2xA2' for products."""
+    """Type label such as 'E8', 'F4', 'C3', or 'A2xA2' for products.
+
+    The simple roots split into components by Cartan adjacency.  A component
+    of rank r is named from N, its positive roots (those supported on it),
+    and its short simple roots, with lengths read up to sign: simply laced,
+    A_r if 2N = r(r + 1), D_r if N = r(r - 1), else E_r; length ratio 3, G2;
+    rank 4 with two short, F4; else B_r with one short and C_r with more.
+    So a rank-2 component with a double bond is B2, and D3 is A3.
+    """
     a = rd.cartan_matrix()
-    n = len(a)
-    adj = {i: [j for j in range(n) if j != i and a[i][j] != 0] for i in range(n)}
-    seen: set = set()
+    comp = list(range(len(a)))  # a component label per simple root
+    for i, row in enumerate(a):
+        for j in range(i):
+            if row[j]:
+                old = comp[i]
+                comp = [comp[j] if c == old else c for c in comp]
     labels = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    comp.append(j)
-                    queue.append(j)
-        labels.append(_classify_component(a, adj, sorted(comp)))
+    for label in set(comp):
+        nodes = [i for i, c in enumerate(comp) if c == label]
+        r = len(nodes)
+        n = sum(1 for c in rd.root_coords() if any(c[i] for i in nodes))
+        norms = [abs(rd._norms[i]) for i in nodes]
+        short = sum(1 for h in norms if h < max(norms))
+        if not short:
+            kind = "A" if 2 * n == r * (r + 1) else "D" if n == r * (r - 1) else "E"
+        elif max(norms) == 3 * min(norms):
+            kind = "G"
+        elif r == 4 and short == 2:
+            kind = "F"
+        else:
+            kind = "B" if short == 1 else "C"
+        labels.append(f"{kind}{r}")
     return "x".join(sorted(labels))
-
-
-def _classify_component(a: List[List[int]], adj, comp: List[int]) -> str:
-    n = len(comp)
-    if n == 1:
-        return "A1"
-    maxp = max(a[i][j] * a[j][i] for i in comp for j in adj[i])
-    degs = {i: len([j for j in adj[i] if j in comp]) for i in comp}
-    if maxp == 3:
-        return "G2"
-    if maxp == 2:
-        if n == 2:
-            return "B2"
-        # <long, short-check> = -2; F4 has both ends inner, B_n ends in the short root.
-        long, short = next((i, j) for i in comp for j in adj[i] if a[i][j] == -2)
-        if degs[long] == 2 and degs[short] == 2:
-            return "F4"
-        return f"B{n}" if degs[short] == 1 else f"C{n}"
-    # simply laced
-    if max(degs.values()) <= 2:
-        return f"A{n}"
-    hub = next(i for i in comp if degs[i] == 3)
-    arms = []
-    for j in adj[hub]:
-        if j not in comp:
-            continue
-        length = 1
-        prev, cur = hub, j
-        while True:
-            nxt = [k for k in adj[cur] if k != prev and k in comp]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return f"D{n}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    raise ValueError(f"unrecognized Dynkin diagram with arms {arms}")
 
 
 # -- Cartan charts for the triality factors -----------------------------------------
@@ -760,13 +732,17 @@ def _close_roots(cartan: List[List[int]]) -> List[Tuple[int, ...]]:
     return sorted(roots)
 
 
-@lru_cache(maxsize=None)
 def builtin_datum(name: str) -> RootDatum:
-    """Standard root datum (simple-root coordinates, Bourbaki conventions)."""
+    """Standard root datum (simple-root coordinates, Bourbaki conventions).
+
+    The name is stripped, lower-cased and resolved through the aliases
+    (sl3 is a2, so8 is d4, ...) before the cache, so every spelling of one
+    datum gives one object, named by its canonical key.
+    """
     key = name.strip().lower()
     key = _SERIES_ALIASES.get(key, key)
-    kind, num = key[0].upper(), key[1:]
-    if kind not in "ABCDEFG" or not num.isdigit():
+    kind, num = key[:1].upper(), key[1:]
+    if kind not in "ABCDEFG" or not num.isdecimal():
         raise ValueError(f"unknown builtin datum {name!r}")
     n = int(num)
     checks = {"E": (6, 8), "F": (4, 4), "G": (2, 2), "A": (1, 30),
@@ -774,9 +750,14 @@ def builtin_datum(name: str) -> RootDatum:
     lo, hi = checks[kind]
     if not (lo <= n <= hi):
         raise ValueError(f"rank out of range for builtin datum {name!r}")
+    return _builtin_datum(kind, n)
+
+
+@lru_cache(maxsize=None)
+def _builtin_datum(kind: str, n: int) -> RootDatum:
     gram = _simple_gram(kind, n)
     cartan = [[int(2 * x / gram[j][j]) for j, x in enumerate(row)] for row in gram]
     positive = [_tup(r) for r in sorted(_close_roots(cartan), reverse=True)]
-    rd = RootDatum(key, n, positive, gram)
+    rd = RootDatum(f"{kind.lower()}{n}", n, positive, gram)
     rd.markers["adjoint"] = rd.highest_root()
     return rd

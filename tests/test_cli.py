@@ -377,6 +377,13 @@ def test_dim_usage_errors(capsys):
     assert main(["dim", "--datum", "builtin:so8"]) == 2
 
 
+def test_dim_refuses_an_empty_builtin_name(capsys):
+    assert main(["dim", "--datum", "builtin:", "--weight", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "magicsquare: unknown builtin datum ''\n"
+
+
 @pytest.mark.parametrize("series", ["exceptional", "subexceptional", "severi", "thirdrow"])
 def test_dim_series_without_a_is_usage_error(capsys, series):
     assert main(["dim", "--series", series, "-p", "1"]) == 2

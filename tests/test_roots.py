@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import magicsquare
 from magicsquare.compalg import H_TAG, O_TAG, build_split_algebra
 from magicsquare.crosscheck import _marker_weyl_dim, grid
+from magicsquare.exact import rat_str
 from magicsquare.magic import build_magic_algebra
 from magicsquare.roots import (
     ExtractionError,
@@ -47,13 +48,41 @@ def test_builtin_catalog():
     for name, typ, dim in [("a1", "A1", 3), ("a2", "A2", 8), ("g2", "G2", 14),
                            ("so8", "D4", 28), ("f4", "F4", 52), ("e6", "E6", 78),
                            ("e7", "E7", 133), ("e8", "E8", 248), ("sp6", "C3", 21),
-                           ("b3", "B3", 21), ("so12", "D6", 66)]:
+                           ("b3", "B3", 21), ("so12", "D6", 66), ("b2", "B2", 10),
+                           ("c2", "B2", 10), ("d3", "A3", 15), ("b4", "B4", 36),
+                           ("c4", "C4", 36), ("d4", "D4", 28)]:
         rd = builtin_datum(name)
         assert dynkin_type(rd) == typ
         assert 2 * len(rd.positive_roots) + rd.rank == dim
         assert rd.weyl_dim(rd.markers["adjoint"]) == dim
-    with pytest.raises(ValueError):
-        builtin_datum("zz9")
+    for bad in ("zz9", "", "  ", "a\u00b2"):
+        with pytest.raises(ValueError, match="unknown builtin datum"):
+            builtin_datum(bad)
+
+
+def test_builtin_datum_caches_the_canonical_name():
+    rd = builtin_datum("A2")
+    assert builtin_datum(" sl3 ") is rd and builtin_datum("a02") is rd
+    assert rd.name == "a2"
+
+
+def test_every_builtin_to_rank_10_is_named_after_itself():
+    # The two conventions: a double bond of rank 2 is B2, and D3 is A3.
+    names = ([f"a{n}" for n in range(1, 11)] + [f"b{n}" for n in range(2, 11)]
+             + [f"c{n}" for n in range(2, 11)] + [f"d{n}" for n in range(3, 11)]
+             + ["e6", "e7", "e8", "f4", "g2"])
+    for name in names:
+        expected = {"c2": "B2", "d3": "A3"}.get(name, name.upper())
+        assert dynkin_type(builtin_datum(name)) == expected, name
+
+
+@pytest.mark.parametrize("name", ["g2", "b3", "c3", "f4"])
+def test_dynkin_type_reads_lengths_up_to_sign(name):
+    # from_json accepts a negative definite Gram; the short roots are then
+    # the ones of larger signed norm, so a signed comparison would misname them.
+    data = builtin_datum(name).to_json()
+    data["gram"] = [[rat_str(-Fraction(x)) for x in row] for row in data["gram"]]
+    assert dynkin_type(RootDatum.from_json(data)) == name.upper()
 
 
 def test_builtin_fundamental_dimensions_pin_numbering():

@@ -6,9 +6,11 @@ Builds each of the 121 builtin data (A1-A30, B2-B30, C2-C30, D3-D30, E6-E8,
 F4, G2), serializes it with `RootDatum.to_json`, passes the text through
 `json`, loads it back with `RootDatum.from_json` (which also checks that the
 roots form a positive system) and compares name, rank, Gram matrix, positive
-roots and markers. Prints one line per datum that differs or fails to load
-and a summary; exits 1 if any did. Imports the package from the checkout's
-`src` and writes nothing.
+roots and markers. It also checks that `dynkin_type` names the loaded datum
+after the builtin's own name (with the two conventions C2 -> B2 and
+D3 -> A3), so every rank up to 30 is classified. Prints one line per datum
+that differs, is misnamed or fails to load and a summary; exits 1 if any
+did. Imports the package from the checkout's `src` and writes nothing.
 """
 
 import json
@@ -17,7 +19,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from magicsquare.roots import RootDatum, builtin_datum  # noqa: E402
+from magicsquare.roots import RootDatum, builtin_datum, dynkin_type  # noqa: E402
 
 RANKS = {"a": range(1, 31), "b": range(2, 31), "c": range(2, 31), "d": range(3, 31),
          "e": range(6, 9), "f": [4], "g": [2]}
@@ -30,7 +32,11 @@ def differences(rd):
     except ValueError as exc:
         return [f"from_json: {exc}"]
     fields = ("name", "rank", "gram", "positive_roots", "markers")
-    return [f for f in fields if getattr(back, f) != getattr(rd, f)]
+    bad = [f for f in fields if getattr(back, f) != getattr(rd, f)]
+    expected = {"c2": "B2", "d3": "A3"}.get(rd.name, rd.name.upper())
+    if dynkin_type(back) != expected:
+        bad.append(f"dynkin_type {dynkin_type(back)}, not {expected}")
+    return bad
 
 
 def main():
