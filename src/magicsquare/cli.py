@@ -15,15 +15,17 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import product
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .compalg import build_split_algebra, parse_tag
-from .exact import parse_rat, rat_str
+from .exact import QPoly, parse_rat, rat_str
 from .magic import MAGIC_DIMS, build_magic_algebra
 from .roots import RootDatum, builtin_datum, datum_for, dynkin_type
 from .triality import triality_algebra
 from . import series as S
-from .crosscheck import SERIES_A_GRID, load_known_suspects, run_crosscheck
+from .crosscheck import (COMPOSITION_A_GRID, DEGREE_A_GRID, QDIM_A_GRID, SERIES_A_GRID,
+                         SO_FAMILY_T, VARIETIES, load_known_suspects, run_crosscheck)
 
 
 JacobiMode = Tuple[str, Optional[int]]
@@ -75,13 +77,17 @@ def _rationals(text: str) -> List[Fraction]:
     return [_rational(x) for x in text.split(",")] if text else []
 
 
-def _emit(data, out: Optional[str]) -> None:
-    text = json.dumps(data, indent=1, sort_keys=True) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(data, out: Optional[str]) -> None:
+    _write(json.dumps(data, indent=1, sort_keys=True) + "\n", out)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -280,106 +286,89 @@ def cmd_crosscheck(args) -> int:
     return report["summary"]["exit_code"]
 
 
-def _table_rows(args) -> List[Dict]:
-    rows = []
-
-    def status_of(res) -> str:
-        if res.pole:
-            return "pole"
-        return "ok" if res.integrality else "nonintegral"
-
-    if args.series == "exceptional":
-        avals = args.a or SERIES_A_GRID
-        for k in range(args.k_min, args.k_max + 1):
-            for a in avals:
-                try:
-                    v = S.adjoint_cartan_power(k, a)
-                    rows.append({"k": k, "a": rat_str(a), "value": rat_str(v),
-                                 "status": "ok" if v.denominator == 1 and v > 0 else "nonintegral"})
-                except ZeroDivisionError:
-                    rows.append({"k": k, "a": rat_str(a), "value": "pole", "status": "pole"})
-    elif args.series == "subexceptional":
-        avals = args.a or [Fraction(x) for x in (1, 2, 4, 8)]
-        sym = {m: s for s, m in S.SUBEXCEPTIONAL.markers.items()}[args.which or "g"]
-        for k in range(args.k_min, args.k_max + 1):
-            for a in avals:
-                res = S.evaluate_series(S.SUBEXCEPTIONAL, {sym: k}, a)
-                rows.append({"k": k, "a": rat_str(a),
-                             "value": "pole" if res.pole else rat_str(res.value),
-                             "status": status_of(res)})
-    elif args.series == "severi":
-        avals = args.a or [Fraction(x) for x in (1, 2, 4, 8)]
-        for p in range(args.k_min, args.k_max + 1):
-            for ps in range(args.k_min, args.k_max + 1):
-                for a in avals:
-                    res = S.severi_dim(p, ps, a)
-                    rows.append({"p": p, "pstar": ps, "a": rat_str(a),
-                                 "value": "pole" if res.pole else rat_str(res.value),
-                                 "status": status_of(res)})
-    elif args.series == "qdim":
-        avals = args.a or [Fraction(x) for x in (0, 2, 4, 8)]
-        for k in range(args.k_min, args.k_max + 1):
-            for a in avals:
-                qp = S.qdim_adjoint_cartan_power(k, a)
-                rows.append({"k": k, "a": rat_str(a), "value": str(qp),
-                             "status": "ok" if qp.has_nonneg_coeffs() else "suspect"})
-    elif args.series == "degrees":
-        avals = args.a or [Fraction(x) for x in (2, 4, 8)]
-        for variety in ("ad", "fplanes", "flines", "fpoints"):
-            for a in avals:
-                v = S.degree_from_hilbert(variety, a)
-                rows.append({"variety": variety, "a": rat_str(a),
-                             "value": rat_str(v),
-                             "status": "ok" if v.denominator == 1 and v > 0 else "nonintegral"})
-    elif args.series == "so-family":
-        for k in range(args.k_min, args.k_max + 1):
-            for t in range(1, 7):
-                res = S.so_family_dim(k, t)
-                rows.append({"k": k, "t": t, "value": rat_str(res.value),
-                             "status": status_of(res)})
-    else:
-        raise ValueError(f"unknown table series {args.series}")
-    return rows
+def _adjoint_cartan_power(k: int, a: Fraction) -> Optional[Fraction]:
+    """dim g^(k), or None at a pole."""
+    try:
+        return S.adjoint_cartan_power(k, a)
+    except ZeroDivisionError:
+        return None
 
 
-# The table options that only some series read; giving one to another series is a usage error.
-TABLE_OPTION_SERIES = {
-    "--which": ("subexceptional",),
-    "--a": ("exceptional", "subexceptional", "severi", "qdim", "degrees"),
-}
+def _table_series(args) -> Dict[str, Tuple[Dict[str, Sequence], Callable, Tuple[str, ...]]]:
+    """Each table series: the range of each parameter, in row and loop order;
+    the series function of the parameters that fills a row; and the options
+    it reads besides those of its ranges.
+
+    Built each time table runs, so that it holds the series functions as
+    they are then, also where a caller has wrapped them since import.
+    """
+    ks = range(1 if args.k_min is None else args.k_min,
+               (4 if args.k_max is None else args.k_max) + 1)
+    sym = {m: s for s, m in S.SUBEXCEPTIONAL.markers.items()}[args.which or "g"]
+    return {
+        "exceptional": ({"k": ks, "a": args.a or SERIES_A_GRID}, _adjoint_cartan_power, ()),
+        "subexceptional": ({"k": ks, "a": args.a or COMPOSITION_A_GRID},
+                           lambda k, a: S.evaluate_series(S.SUBEXCEPTIONAL, {sym: k}, a),
+                           ("--which",)),
+        "severi": ({"p": ks, "pstar": ks, "a": args.a or COMPOSITION_A_GRID}, S.severi_dim, ()),
+        "qdim": ({"k": ks, "a": args.a or QDIM_A_GRID}, S.qdim_adjoint_cartan_power, ()),
+        "degrees": ({"variety": VARIETIES, "a": args.a or DEGREE_A_GRID},
+                    S.degree_from_hilbert, ()),
+        "so-family": ({"k": ks, "t": SO_FAMILY_T}, S.so_family_dim, ()),
+    }
+
+
+# The table options that a series reads through its ranges, each with the
+# parameters whose range it sets.
+TABLE_RANGE_OPTIONS = {"--k-min": ("k", "p", "pstar"), "--k-max": ("k", "p", "pstar"),
+                       "--a": ("a",)}
+
+
+def _cell(value) -> Tuple[str, str]:
+    """The value and status of a table row, from what its series function returned."""
+    if isinstance(value, S.SeriesResult):
+        value = value.value  # None at a pole
+    if value is None:
+        return "pole", "pole"
+    if isinstance(value, QPoly):
+        return str(value), "ok" if value.has_nonneg_coeffs() else "suspect"
+    return rat_str(value), "ok" if value.denominator == 1 and value > 0 else "nonintegral"
 
 
 def cmd_table(args) -> int:
-    for flag, series in TABLE_OPTION_SERIES.items():
-        if getattr(args, _dest(flag)) is not None and args.series not in series:
+    params, fill, options = _table_series(args)[args.series]
+    reads = {*options, *(f for f, names in TABLE_RANGE_OPTIONS.items()
+                         if not params.keys().isdisjoint(names))}
+    for flag in ("--which", *TABLE_RANGE_OPTIONS):
+        if getattr(args, _dest(flag)) is not None and flag not in reads:
             print(f"table: --series {args.series} does not take {flag}", file=sys.stderr)
             return 2
+    rows = []
     try:
-        rows = _table_rows(args)
+        for point in product(*params.values()):
+            row = {name: rat_str(x) if isinstance(x, Fraction) else x
+                   for name, x in zip(params, point)}
+            row["value"], row["status"] = _cell(fill(*point))
+            rows.append(row)
     except ValueError as exc:
         print(f"table: {exc}", file=sys.stderr)
         return 2
     if not rows:
         print("table: empty parameter range", file=sys.stderr)
         return 2
-    cols = list(rows[0].keys())
     if args.format == "json":
-        text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
-    elif args.format == "md":
+        _emit(rows, args.out)
+        return 0
+    cols = list(rows[0])
+    if args.format == "md":
         lines = ["| " + " | ".join(cols) + " |",
                  "|" + "|".join("---" for _ in cols) + "|"]
         lines += ["| " + " | ".join(str(r[c]) for c in cols) + " |" for r in rows]
-        text = "\n".join(lines) + "\n"
     else:
         lines = [",".join(cols)]
         lines += [",".join(f'"{r[c]}"' if "," in str(r[c]) else str(r[c]) for c in cols)
                   for r in rows]
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -463,8 +452,8 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["exceptional", "subexceptional", "severi", "qdim",
                             "degrees", "so-family"])
     p.add_argument("--which", choices=list(S.SUBEXCEPTIONAL.markers.values()))
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
     p.add_argument("--a", type=_rationals, help="comma-separated parameter values")
     p.add_argument("--format", choices=["csv", "json", "md"], default="csv")
     p.add_argument("--out")

@@ -191,27 +191,22 @@ def _base_r() -> CompAlg:
 
 
 def _double(alg: CompAlg) -> Tuple[List[List[SVec]], Mat, Mat, Vec]:
-    """Split Cayley-Dickson double: (a,b)(c,d) = (ac + d conj(b), conj(a) d + c b)."""
+    """Split Cayley-Dickson double: (a,b)(c,d) = (ac + d conj(b), conj(a) d + c b).
+
+    With conj(e_i) = c e_k, the basis products in the quadrants (h, h') =
+    (0,0), (0,1), (1,0), (1,1) are e_i e_j, c e_k e_j, e_j e_i and c e_j e_k,
+    in half (h + h') mod 2.
+    """
     n = alg.dim
     m = 2 * n
 
-    def emb(vec: Vec, half: int) -> SVec:
-        return {i + half * n: c for i, c in enumerate(vec) if c != 0}
+    def basis_prod(ih: int, i: int, jh: int, j: int) -> SVec:
+        k, c = alg.conj[i]
+        x, y, sign = ((i, j, F1), (k, j, c), (j, i, F1), (j, k, c))[2 * ih + jh]
+        half = n * ((ih + jh) % 2)
+        return {t + half: sign * v for t, v in alg.ctable[x][y].items()}
 
-    def basis_prod(i: int, j: int) -> SVec:
-        ih, jh = i // n, j // n
-        ii, jj = i % n, j % n
-        x = alg.basis_element(ii)
-        y = alg.basis_element(jj)
-        if ih == 0 and jh == 0:
-            return emb(alg.multiply(x, y), 0)
-        if ih == 0 and jh == 1:
-            return emb(alg.multiply(alg.conjugate(x), y), 1)
-        if ih == 1 and jh == 0:
-            return emb(alg.multiply(y, x), 1)
-        return emb(alg.multiply(y, alg.conjugate(x)), 0)
-
-    ctable = [[basis_prod(i, j) for j in range(m)] for i in range(m)]
+    ctable = [[basis_prod(*divmod(i, n), *divmod(j, n)) for j in range(m)] for i in range(m)]
     conj = [[F0] * m for _ in range(m)]
     for r in range(n):
         for c in range(n):

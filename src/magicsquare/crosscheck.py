@@ -28,8 +28,17 @@ NEGATIVE_A_ORACLES = {
     Fraction(-2, 3): "g2",
 }
 EXC_A_GRID = [Fraction(x) for x in (0, 1, 2, 4, 8)]
+# The grids below are also the default ranges of `table`: SERIES_A_GRID for
+# the exceptional series, COMPOSITION_A_GRID for the subexceptional and Severi
+# series, QDIM_A_GRID for the q-analog, DEGREE_A_GRID and VARIETIES for the
+# degrees and SO_FAMILY_T for the orthogonal family.
 SERIES_A_GRID = [Fraction(-4, 3), Fraction(-1), Fraction(-2, 3),
                  Fraction(0), Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
+COMPOSITION_A_GRID = [Fraction(x) for x in (1, 2, 4, 8)]
+QDIM_A_GRID = [Fraction(x) for x in (0, 2, 4, 8)]
+DEGREE_A_GRID = [Fraction(x) for x in (2, 4, 8)]
+VARIETIES = ("ad", "fplanes", "flines", "fpoints")
+SO_FAMILY_T = range(1, 7)
 
 
 def _exc_datum(a: Fraction) -> Optional[RootDatum]:
@@ -196,15 +205,15 @@ def run_crosscheck(suite: str = "quick",
                       exceptional_oracle(exps, a))
 
     # Sub-exceptional and Severi grids.
-    for a in (1, 2, 4, 8):
+    for a in COMPOSITION_A_GRID:
         for exps in grid(S.SUBEXCEPTIONAL, 2):
             res = S.evaluate_series(S.SUBEXCEPTIONAL, exps, a)
             cc.record("subexceptional_series", {**exps, "a": a}, res.value,
-                      subexceptional_oracle(exps, Fraction(a)))
+                      subexceptional_oracle(exps, a))
         for exps in grid(S.SEVERI, 3 if full else 2):
             res = S.severi_dim(exps["p"], exps["pstar"], a)
             cc.record("severi_series", {**exps, "a": a},
-                      res.value, severi_oracle(exps["p"], exps["pstar"], Fraction(a)))
+                      res.value, severi_oracle(exps["p"], exps["pstar"], a))
 
     # Hilbert functions, printed vs descriptor-derived (the oracle chain is
     # descriptor == weyl, already covered above; here the printed text forms).
@@ -221,7 +230,7 @@ def run_crosscheck(suite: str = "quick",
                     printed = None
                 cc.record(f"{which.lower()}_hilbert_printed", {"k": k, "a": a},
                           printed, oracle)
-    for a in (1, 2, 4, 8):
+    for a in COMPOSITION_A_GRID:
         for k in range(1, kh + 1):
             for which, sym, printed_fn in (("g", "p", S.subexc_g_printed),
                                            ("V", "q", S.subexc_V_printed),
@@ -234,14 +243,14 @@ def run_crosscheck(suite: str = "quick",
                       S.evaluate_series(S.SUBEXCEPTIONAL, {"q": k}, a).value)
 
     # q-analog at q = 1.
-    for a in (0, 2, 4, 8):
+    for a in QDIM_A_GRID:
         for k in range(1, (3 if full else 2) + 1):
             cc.record("qdim_adjoint_at_one", {"k": k, "a": a},
                       S.qdim_adjoint_cartan_power(k, a).at_one(),
                       S.adjoint_cartan_power(k, a))
 
     # Orthogonal family: printed, interval rederivation, builtin oracle.
-    for t in range(1, 7):
+    for t in SO_FAMILY_T:
         for k in range(1, (3 if full else 2) + 1):
             printed = S.so_family_dim(k, t).value
             cc.record("so_family_printed", {"k": k, "t": t}, printed,
@@ -250,7 +259,7 @@ def run_crosscheck(suite: str = "quick",
                       S.so_family_interval(k, t).value, so_family_oracle(k, t))
 
     # Generalized third row at r = 3 against the subexceptional adjoint powers.
-    for a in (1, 2, 4, 8):
+    for a in COMPOSITION_A_GRID:
         for k in range(1, (3 if full else 2) + 1):
             cc.record("thirdrow_r3", {"k": k, "a": a},
                       S.thirdrow_dim(k, 3, a).value,
@@ -258,12 +267,12 @@ def run_crosscheck(suite: str = "quick",
 
     # Degrees against exact leading Hilbert coefficients.
     if full:
-        for a in (2, 4, 8):
-            for variety in ("ad", "fplanes", "flines", "fpoints"):
+        for a in DEGREE_A_GRID:
+            for variety in VARIETIES:
                 cc.record(f"degree_{variety}", {"a": a},
                           S.degree_formulas(variety, a),
                           S.degree_from_hilbert(variety, a))
-        for a in (1, 2, 4, 8):
+        for a in COMPOSITION_A_GRID:
             cc.record("degree_subexc_ad", {"a": a},
                       S.degree_formulas("subexc_ad", a),
                       S.degree_from_hilbert("subexc_ad", a))

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import magicsquare
+from magicsquare import series
 from magicsquare.cli import FACTORED_SERIES, main
 from magicsquare.magic import build_magic_algebra
 from magicsquare.series import DescriptorRow, SeriesDescriptor, series_factors
@@ -640,6 +643,9 @@ def test_dim_flag_outside_the_mode_is_usage_error(capsys, argv, err):
     (["--series", "severi", "--which", "g"], "--which"),
     (["--series", "so-family", "--a", "8"], "--a"),
     (["--series", "so-family", "--a="], "--a"),
+    (["--series", "degrees", "--k-min", "7", "--k-max", "0"], "--k-min"),
+    (["--series", "degrees", "--k-min", "1"], "--k-min"),  # the default of the k series
+    (["--series", "degrees", "--k-max", "2", "--a=2"], "--k-max"),
 ])
 def test_table_flag_its_series_does_not_read_is_usage_error(capsys, argv, flag):
     # As in dim, a flag is refused because it was given, not ignored.
@@ -647,6 +653,62 @@ def test_table_flag_its_series_does_not_read_is_usage_error(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"table: --series {argv[1]} does not take {flag}\n"
+
+
+# One small table of each series, and the series function that fills its rows.
+TABLE_SERIES = [
+    (["--series", "exceptional", "--k-max", "2", "--a=-4/3,1/2,8"], "adjoint_cartan_power"),
+    (["--series", "subexceptional", "--which", "V", "--k-max", "2", "--a=-1,8"],
+     "evaluate_series"),
+    (["--series", "severi", "--k-min", "0", "--k-max", "1", "--a=0,8"], "severi_dim"),
+    (["--series", "qdim", "--k-max", "2", "--a=0,2"], "qdim_adjoint_cartan_power"),
+    (["--series", "degrees", "--a=1,2"], "degree_from_hilbert"),
+    (["--series", "so-family", "--k-max", "2"], "so_family_dim"),
+]
+
+
+@pytest.mark.parametrize("argv,name", TABLE_SERIES, ids=[argv[1] for argv, _ in TABLE_SERIES])
+def test_table_calls_the_series_function_as_it_is_when_table_runs(capsys, monkeypatch, argv, name):
+    # A wrapper put on the series module after import, as coldbench/tracer.py
+    # puts its spans, sees one call per row.
+    calls = []
+    function = getattr(series, name)
+
+    def spy(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(series, name, spy)
+    code, out = run(capsys, ["table"] + argv)
+    assert code == 0
+    assert len(calls) == len(out.splitlines()) - 1 > 0
+
+
+def _parse_table(text, fmt):
+    """The rows of a table report, every cell as a string."""
+    if fmt == "json":
+        return [{c: str(x) for c, x in row.items()} for row in json.loads(text)]
+    if fmt == "csv":
+        return list(csv.DictReader(io.StringIO(text)))
+    head, rule, *body = text.splitlines()
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in [head] + body]
+    assert rule == "|" + "|".join("---" for _ in cells[0]) + "|"
+    return [dict(zip(cells[0], row)) for row in cells[1:]]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in TABLE_SERIES],
+                         ids=[argv[1] for argv, _ in TABLE_SERIES])
+def test_table_formats_hold_the_same_rows(capsys, tmp_path, argv):
+    tables = []
+    for fmt in ("csv", "json", "md"):
+        code, out = run(capsys, ["table"] + argv + ["--format", fmt])
+        assert code == 0
+        path = tmp_path / f"table.{fmt}"
+        assert run(capsys, ["table"] + argv + ["--format", fmt, "--out", str(path)]) == (0, "")
+        assert path.read_text() == out
+        tables.append(_parse_table(out, fmt))
+    assert tables[0] and tables[0] == tables[1] == tables[2]
+    assert list(tables[0][0])[-2:] == ["value", "status"]
 
 
 @pytest.mark.parametrize("argv,value", [
