@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .compalg import build_split_algebra, parse_tag
+from .compalg import build_split_algebra
 from .exact import QPoly, parse_rat, rat_str
 from .magic import MAGIC_DIMS, build_magic_algebra
 from .roots import RootDatum, builtin_datum, datum_for, dynkin_type
@@ -94,13 +94,13 @@ def _emit(data, out: Optional[str]) -> None:
 
 
 def cmd_algebra(args) -> int:
-    alg = build_split_algebra(parse_tag(args.A))
+    alg = build_split_algebra(args.A)
     _emit(alg.dump(), args.out)
     return 0
 
 
 def cmd_triality(args) -> int:
-    t = triality_algebra(parse_tag(args.A))
+    t = triality_algebra(args.A)
     _emit(t.dump(), args.out)
     return 0
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .exact import rat_str
 from .linalg import (
@@ -52,10 +52,17 @@ O_TAG = AlgebraTag("O", 8)
 TAGS = {"R": R_TAG, "C": C_TAG, "H": H_TAG, "O": O_TAG}
 # The tag of each dimension; an integral Fraction finds its tag too.
 TAG_BY_DIM = {t.dim: t for t in TAGS.values()}
+# What the cached constructors take for an algebra; `parse_tag` reads each kind.
+TagLike = Union[AlgebraTag, "CompAlg", str]
 
 
-def parse_tag(name: str) -> AlgebraTag:
-    key = name.strip().upper()
+def parse_tag(name: TagLike) -> AlgebraTag:
+    """The tag of a name (any case, padded), of an `AlgebraTag` or of a `CompAlg`:
+    the one tag rule of the cached constructors; ValueError on anything else."""
+    tag = name.tag if isinstance(name, CompAlg) else name
+    if tag in TAGS.values():
+        return tag
+    key = tag.strip().upper() if isinstance(tag, str) else None
     if key not in TAGS:
         raise ValueError(f"unknown composition algebra tag {name!r}; expected R, C, H or O")
     return TAGS[key]
@@ -222,12 +229,12 @@ def _double(alg: CompAlg) -> Tuple[List[List[SVec]], Mat, Mat, Vec]:
     return ctable, conj, gram, unit
 
 
-def build_split_algebra(tag: AlgebraTag | str) -> CompAlg:
+def build_split_algebra(tag: TagLike) -> CompAlg:
     """The split composition algebra of the given tag, in its hyperbolic basis.
 
     There is one CompAlg per tag name in a process.
     """
-    return _split_algebra((parse_tag(tag) if isinstance(tag, str) else tag).name)
+    return _split_algebra(parse_tag(tag).name)
 
 
 @lru_cache(maxsize=None)

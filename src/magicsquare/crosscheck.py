@@ -32,8 +32,7 @@ EXC_A_GRID = [Fraction(x) for x in (0, 1, 2, 4, 8)]
 # the exceptional series, COMPOSITION_A_GRID for the subexceptional and Severi
 # series, QDIM_A_GRID for the q-analog, DEGREE_A_GRID and VARIETIES for the
 # degrees and SO_FAMILY_T for the orthogonal family.
-SERIES_A_GRID = [Fraction(-4, 3), Fraction(-1), Fraction(-2, 3),
-                 Fraction(0), Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
+SERIES_A_GRID = [*NEGATIVE_A_ORACLES, *EXC_A_GRID]
 COMPOSITION_A_GRID = [Fraction(x) for x in (1, 2, 4, 8)]
 QDIM_A_GRID = [Fraction(x) for x in (0, 2, 4, 8)]
 DEGREE_A_GRID = [Fraction(x) for x in (2, 4, 8)]

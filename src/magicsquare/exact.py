@@ -21,11 +21,7 @@ RatLike = Union[Fraction, int, str]
 
 def rat(x: RatLike) -> Fraction:
     """Coerce ints, 'n/d' strings and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def rat_str(x: Fraction) -> str:

@@ -12,7 +12,8 @@ map (`IntMap`), column j the tuple of the (k, c) pairs of the image of
 basis vector j, zero columns left out.  `int_maps` builds such maps from
 (row, col) -> value entries, `int_column` one column from a sparse vector,
 `int_apply_into` is the one apply and `int_rep_defect_pair` the one
-representation-axiom kernel.  `int_vectors` scales sparse rational vectors
+representation-axiom kernel; with an empty bracket it is the commutator,
+which is how `triality` brackets t(A).  `int_vectors` scales sparse rational vectors
 to integers over their least denominator: `SolveCache` solves on its
 columns and its inverse in that form, and the bracket table and the module
 forms convert their inputs with it.  Zero tests go by truthiness (`if c:`), which

@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from .compalg import AlgebraTag, CompAlg, parse_tag
+from .compalg import AlgebraTag, CompAlg, TagLike, parse_tag
 from .linalg import (
     F0,
     F1,
@@ -494,13 +494,9 @@ class MagicAlgebra:
         return n - len(span)
 
 
-def build_magic_algebra(tag_a: AlgebraTag | str, tag_b: AlgebraTag | str) -> MagicAlgebra:
+def build_magic_algebra(tag_a: TagLike, tag_b: TagLike) -> MagicAlgebra:
     """The one g(A,B) of the process for each pair of tag names."""
-    if isinstance(tag_a, str):
-        tag_a = parse_tag(tag_a)
-    if isinstance(tag_b, str):
-        tag_b = parse_tag(tag_b)
-    return _magic_algebra(tag_a.name, tag_b.name)
+    return _magic_algebra(parse_tag(tag_a).name, parse_tag(tag_b).name)
 
 
 @lru_cache(maxsize=None)

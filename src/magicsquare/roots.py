@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .compalg import parse_tag
+from .compalg import TagLike, parse_tag
 from .exact import rat_str
 from .linalg import (
     F0,
@@ -451,9 +451,8 @@ def _chart_from_reps(t: TrialityAlgebra, cartan, specs) -> Tuple[TrialityTriple,
     specs is a list of (slot, pair-representative-index); the returned basis
     h_1..h_r satisfies: slot-diagonal of h_j at the k-th spec position = delta_jk.
     """
-    tag = t.alg.tag.name
     reps = _pair_reps(t)
-    m = [[h.diagonal(slot)[reps[r] if tag == "O" else 0] for slot, r in specs]
+    m = [[h.diagonal(slot)[reps[r]] for slot, r in specs]
          for h in cartan]
     # h_j = sum_i c[i][j] cartan_i with M^T c = I.
     c = inverse([list(col) for col in zip(*m)])
@@ -616,7 +615,7 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
                                basis_weights(g), chart_markers(g.tB))
 
 
-def triality_datum(tag: str) -> RootDatum:
+def triality_datum(tag: TagLike) -> RootDatum:
     """The root datum of t(A) itself, from its `factor_weights`; one per tag name.
 
     t(O) gives D4 with the four O markers of `chart_markers`, the exceptional
@@ -651,7 +650,7 @@ def line_weights(t: TrialityAlgebra) -> Tuple[List[Weight], List[Weight]]:
     raise ExtractionError("line-slot weights do not sum to zero under any signs")
 
 
-def datum_for(tag_a: str, tag_b: str) -> RootDatum:
+def datum_for(tag_a: TagLike, tag_b: TagLike) -> RootDatum:
     """Extracted root datum for g(A,B); g(R,R) falls back to builtin A1.
 
     The (R,R) integral form is anisotropic over Q (its invariant form is

@@ -650,22 +650,12 @@ def degree_formulas(variety: str, a: RatLike) -> Fraction:
     raise ValueError(f"unknown variety {variety!r}")
 
 
-VARIETY_DIMENSIONS = {
-    "ad": lambda a: 6 * a + 9,
-    "fplanes": lambda a: 9 * a + 11,
-    "flines": lambda a: 11 * a + 9,
-    "fpoints": lambda a: 9 * a + 6,
-    "subexc_ad": lambda a: 4 * a + 1,
-    "subexc_X": lambda a: 3 * a + 3,
-    "subexc_X_printed": lambda a: 3 * a + 3,
-    "subexc_flines": lambda a: 5 * a + 2,
-    "subexc_flines_printed": lambda a: 5 * a + 2,
-}
-
-# Hilbert function of each orbit variety but "ad", as the ray of one marker
-# symbol through a descriptor; "ad" goes through adjoint_cartan_power, a
-# closed form independent of the descriptor rows.
+# Hilbert function of each orbit variety, as the ray of one marker symbol
+# through a descriptor; the variety's dimension is the ray's degree in k
+# (`ray_degree`).  The values of "ad" come from adjoint_cartan_ray, a closed
+# form independent of the descriptor rows.
 VARIETY_RAYS = {
+    "ad": (EXCEPTIONAL, "p"),
     "fplanes": (EXCEPTIONAL, "q"),
     "flines": (EXCEPTIONAL, "r"),
     "fpoints": (EXCEPTIONAL, "s"),
@@ -677,16 +667,27 @@ VARIETY_RAYS = {
 }
 
 
+def ray_degree(d: SeriesDescriptor, sym: str, a: RatLike) -> Fraction:
+    """The degree in k of the sym ray at a: the number hi - lo + 1 of roots,
+    summed over the intervals of the rows that pair with sym, over the
+    common denominator of their `interval_starts`."""
+    a = rat(a)
+    i = _symbol_index(d, sym)
+    starts = [s for row in d.rows if row.pairings[i] for s in row.interval_starts(a)]
+    den = lcm(*(step for _, _, step in starts))
+    return Fraction(sum((num - lo) * (den // step) for num, lo, step in starts), den)
+
+
 def degree_from_hilbert(variety: str, a: RatLike) -> Fraction:
     """(dim X)! times the leading k-coefficient of the Hilbert function.
 
     The leading coefficient is extracted by exact finite differences, an
     independent route from the factorial-ratio degree formulas.
     """
-    if variety not in VARIETY_DIMENSIONS:
+    if variety not in VARIETY_RAYS:
         raise ValueError(f"unknown variety {variety!r}")
     a = rat(a)
-    d = VARIETY_DIMENSIONS[variety](a)
+    d = ray_degree(*VARIETY_RAYS[variety], a)
     if d.denominator != 1:
         raise ValueError("variety dimension not integral here")
     if d < 0:

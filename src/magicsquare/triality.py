@@ -17,11 +17,13 @@ of `linalg`: D theta_i as integer column maps (column j is D theta_i(e_j),
 no zeros stored) over the least common denominator D of the triple, which
 is 1 on every basis triple and 2 on the t(O) chart.  `combine` takes
 sparse coefficients, `psi_coords` returns them, and the bracket (one
-integer commutator, which `bracket_coords` hands to the integer solve as
-flat entries), the trace form of K, the leg actions (`leg_action`) and the
-consumers in `magic`, `modules` and `roots` read the maps; `int_flat` gives
-their integers in one flat layout.  The views `component`, `diagonal`, `sparse_flat`, `coords`
-and `from_coords` give Fractions.
+integer commutator per slot, the representation kernel
+`linalg.int_rep_defect_pair` with an empty bracket, which `bracket_coords`
+hands to the integer solve as flat entries), the trace form of K, the leg
+actions (`leg_action`) and the consumers in `magic`, `modules` and `roots`
+read the maps; `int_flat` gives their integers in one flat layout.  The
+views `component`, `diagonal`, `sparse_flat`, `coords` and `from_coords`
+give Fractions.
 
 The invariant form K on t(A) is -1 / (2a + 8) times the sum S of the three
 componentwise trace forms, a = dim A.  The dual maps Psi_i are defined by
@@ -57,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .compalg import AlgebraTag, CompAlg, build_split_algebra, parse_tag
+from .compalg import CompAlg, TagLike, build_split_algebra, parse_tag
 from .exact import rat_str
 from .linalg import (
     F0,
@@ -70,6 +72,7 @@ from .linalg import (
     Vec,
     axpy,
     int_maps,
+    int_rep_defect_pair,
     nullspace,
     primitive_integer_vector,
     sparse,
@@ -159,24 +162,14 @@ def combine(coeffs: SVec, triples: Sequence[TrialityTriple]) -> TrialityTriple:
 def _commutator(x: TrialityTriple, y: TrialityTriple) -> Dict[int, int]:
     """D_x D_y [x, y] as integer flat entries, laid out as `int_flat`.
 
-    [X, Y] e_j = X(Y e_j) - Y(X e_j) column by column on the integer maps;
-    entries that cancel stay as zeros.
+    Slot by slot, `int_rep_defect_pair` with an empty bracket is the
+    commutator keyed j n + r (column j, row r); each entry moves to
+    `int_flat`'s key (i n + r) n + j.  Entries that cancel stay as zeros.
     """
     n = x.n
-    out: Dict[int, int] = {}
-    get = out.get
-    for i, (a, b) in enumerate(zip(x.thetas, y.thetas)):
-        base = i * n * n
-        for first, second, sign in ((a, b, 1), (b, a, -1)):
-            for j, col in second.items():
-                for t, c in col:
-                    col_t = first.get(t)
-                    if col_t:
-                        c *= sign
-                        for r, e in col_t:
-                            key = base + r * n + j
-                            out[key] = get(key, 0) + c * e
-    return out
+    return {(i * n + key % n) * n + key // n: v
+            for i, pair in enumerate(zip(x.thetas, y.thetas))
+            for key, v in int_rep_defect_pair(pair, (), 0, 1, 0, n).items()}
 
 
 def triality_bracket(x: TrialityTriple, y: TrialityTriple) -> TrialityTriple:
@@ -433,11 +426,9 @@ class TrialityAlgebra:
         }
 
 
-def triality_algebra(alg: CompAlg | AlgebraTag | str) -> TrialityAlgebra:
+def triality_algebra(alg: TagLike) -> TrialityAlgebra:
     """The one t(A) of the process for each tag name."""
-    if isinstance(alg, str):
-        alg = parse_tag(alg)
-    return _triality_algebra(alg.tag.name if isinstance(alg, CompAlg) else alg.name)
+    return _triality_algebra(parse_tag(alg).name)
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from magicsquare.compalg import TAGS, CompAlg, build_split_algebra, parse_tag
+from magicsquare.compalg import TAGS, AlgebraTag, CompAlg, build_split_algebra, parse_tag
 from magicsquare.linalg import mat_mul, transpose
+from magicsquare.magic import build_magic_algebra
+from magicsquare.roots import datum_for, triality_datum
 from magicsquare.triality import psi, triality_algebra
 from tests_helpers import is_associative_triple, satisfies_triality
 
@@ -22,6 +24,29 @@ def test_tags():
     assert [TAGS[t].dim for t in "RCHO"] == [1, 2, 4, 8]
     with pytest.raises(ValueError):
         parse_tag("X")
+
+
+# Each cached constructor, its tag argument in each slot; the other slot holds C.
+CONSTRUCTORS = {
+    "build_split_algebra": build_split_algebra,
+    "triality_algebra": triality_algebra,
+    "build_magic_algebra(x, C)": lambda x: build_magic_algebra(x, "C"),
+    "build_magic_algebra(C, x)": lambda x: build_magic_algebra("C", x),
+    "triality_datum": triality_datum,
+    "datum_for(x, C)": lambda x: datum_for(x, "C"),
+    "datum_for(C, x)": lambda x: datum_for("C", x),
+}
+
+
+@pytest.mark.parametrize("tag", "OH")
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_cached_constructors_read_every_spelling_of_a_tag(name, tag):
+    make = CONSTRUCTORS[name]
+    spellings = [tag.lower(), f" {tag} ", TAGS[tag], build_split_algebra(tag)]
+    assert all(make(x) is make(tag) for x in spellings)
+    for bad in (8, None, "X", AlgebraTag("O", 4)):
+        with pytest.raises(ValueError, match="unknown composition algebra tag"):
+            make(bad)
 
 
 def test_unit_and_conjugation(alg):

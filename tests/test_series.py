@@ -17,7 +17,6 @@ from magicsquare.series import (
     SEVERI,
     SO_FAMILY,
     SUBEXCEPTIONAL,
-    VARIETY_DIMENSIONS,
     VARIETY_RAYS,
     adjoint_cartan_power,
     adjoint_cartan_ray,
@@ -31,6 +30,7 @@ from magicsquare.series import (
     hilbert_ray,
     lambda_of_a,
     qdim_adjoint_cartan_power,
+    ray_degree,
     series_factors,
     severi_dim,
     so_family_dim,
@@ -43,6 +43,7 @@ from magicsquare.series import (
 )
 from magicsquare.triality import triality_algebra
 from tests_helpers import (
+    VARIETY_DIMENSIONS,
     falling_factorial,
     is_palindromic,
     recompute_exceptional_rows,
@@ -344,6 +345,17 @@ def test_adjoint_cartan_ray_matches_closed_form_pointwise(a, kmax):
         assert ray == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([F(-4, 3), F(-1), F(-2, 3), F(0), F(-5, 3), F(-4), F(-3)]),
+                 st.fractions(min_value=-12, max_value=12, max_denominator=6)))
+def test_ray_degree_is_the_typed_variety_dimension(a):
+    # The rows give each variety's dimension at every rational a, poles and
+    # negative a included, not only where a composition algebra sits.
+    assert set(VARIETY_RAYS) == set(VARIETY_DIMENSIONS)
+    for variety, ray in VARIETY_RAYS.items():
+        assert ray_degree(*ray, a) == VARIETY_DIMENSIONS[variety](a)
+
+
 @pytest.mark.parametrize("variety,a", [("flines", -1), ("fpoints", -1), ("ad", -2)])
 def test_degree_from_hilbert_rejects_negative_dimension(variety, a):
     with pytest.raises(ValueError, match="negative"):
@@ -386,7 +398,7 @@ def _leading_term(desc, sym, a):
 def test_degree_from_descriptor_leading_coefficient(variety):
     # Third route to the degrees: the closed-form leading coefficient of the
     # descriptor product against the finite differences of the Hilbert function.
-    desc, sym = {**VARIETY_RAYS, "ad": (EXCEPTIONAL, "p")}[variety]
+    desc, sym = VARIETY_RAYS[variety]
     for a in ((1, 2, 4, 8) if variety.startswith("subexc") else (2, 4, 8)):
         degree, coeff = _leading_term(desc, sym, a)
         assert degree == VARIETY_DIMENSIONS[variety](a)
@@ -541,6 +553,8 @@ def test_degree_from_hilbert_refuses_an_unknown_variety_like_degree_formulas():
     for route in (degree_from_hilbert, degree_formulas):
         with pytest.raises(ValueError, match=r"unknown variety 'zz'"):
             route("zz", 1)
+    with pytest.raises(ValueError, match=r"unknown variety 'nope'"):
+        degree_from_hilbert("nope", 2)
 
 
 def test_paired_zero_terms_are_dropped_not_the_limit():

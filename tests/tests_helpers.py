@@ -7,7 +7,7 @@ from magicsquare.exact import gen_binomial, rat
 from magicsquare.linalg import F0, axpy, bilinear, int_maps, inverse, mat_mul, mat_vec, sparse, zeros
 from magicsquare.modules import V_OMEGA_WEIGHTS, W_CUBIC_COEFFS
 from magicsquare.roots import RootDatum, basis_weights, builtin_datum, cartan_chart
-from magicsquare.series import F1, HALF, VARIETY_DIMENSIONS, VARIETY_RAYS, hilbert_ray
+from magicsquare.series import F1, HALF, VARIETY_RAYS, hilbert_ray
 from magicsquare.triality import TrialityTriple, combine
 
 
@@ -568,6 +568,21 @@ def reference_adjoint_cartan_power(k, a):
     if den == 0:
         raise ZeroDivisionError("pole in the binomial denominator")
     return (3 * a + 2 * k + 5) / (3 * a + 5) * num / den
+
+
+# The dimension of each orbit variety, typed from the paper: an independent
+# reference for `series.ray_degree`, which reads it off the descriptor rows.
+VARIETY_DIMENSIONS = {
+    "ad": lambda a: 6 * a + 9,
+    "fplanes": lambda a: 9 * a + 11,
+    "flines": lambda a: 11 * a + 9,
+    "fpoints": lambda a: 9 * a + 6,
+    "subexc_ad": lambda a: 4 * a + 1,
+    "subexc_X": lambda a: 3 * a + 3,
+    "subexc_X_printed": lambda a: 3 * a + 3,
+    "subexc_flines": lambda a: 5 * a + 2,
+    "subexc_flines_printed": lambda a: 5 * a + 2,
+}
 
 
 def reference_degree_from_hilbert(variety, a):
