@@ -9,6 +9,7 @@ depend only on the flags and the seed, and are byte-identical across runs
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import re
@@ -294,6 +295,14 @@ def _adjoint_cartan_power(k: int, a: Fraction) -> Optional[Fraction]:
         return None
 
 
+def _degree(variety: str, a: Fraction):
+    """The degree of the variety at a, or "nonintegral" where its dimension is
+    not an integer and it has none."""
+    if S.ray_degree(*S.VARIETY_RAYS[variety], a).denominator != 1:
+        return "nonintegral"
+    return S.degree_from_hilbert(variety, a)
+
+
 def _table_series(args) -> Dict[str, Tuple[Dict[str, Sequence], Callable, Tuple[str, ...]]]:
     """Each table series: the range of each parameter, in row and loop order;
     the series function of the parameters that fills a row; and the options
@@ -312,8 +321,7 @@ def _table_series(args) -> Dict[str, Tuple[Dict[str, Sequence], Callable, Tuple[
                            ("--which",)),
         "severi": ({"p": ks, "pstar": ks, "a": args.a or COMPOSITION_A_GRID}, S.severi_dim, ()),
         "qdim": ({"k": ks, "a": args.a or QDIM_A_GRID}, S.qdim_adjoint_cartan_power, ()),
-        "degrees": ({"variety": VARIETIES, "a": args.a or DEGREE_A_GRID},
-                    S.degree_from_hilbert, ()),
+        "degrees": ({"variety": VARIETIES, "a": args.a or DEGREE_A_GRID}, _degree, ()),
         "so-family": ({"k": ks, "t": SO_FAMILY_T}, S.so_family_dim, ()),
     }
 
@@ -325,7 +333,10 @@ TABLE_RANGE_OPTIONS = {"--k-min": ("k", "p", "pstar"), "--k-max": ("k", "p", "ps
 
 
 def _cell(value) -> Tuple[str, str]:
-    """The value and status of a table row, from what its series function returned."""
+    """The value and status of a table row, from what its series function
+    returned; a status in place of a value is both."""
+    if isinstance(value, str):
+        return value, value
     if isinstance(value, S.SeriesResult):
         value = value.value  # None at a pole
     if value is None:
@@ -471,4 +482,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    sys.stdout.flush()
+    # The collections at interpreter exit would traverse every cached table
+    # once more; frozen objects are left out of them.  After the flush, so
+    # that no output waits on it.
+    gc.freeze()
+    sys.exit(code)

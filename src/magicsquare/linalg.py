@@ -14,7 +14,9 @@ basis vector j, zero columns left out.  `int_maps` builds such maps from
 `int_apply_into` is the one apply and `int_rep_defect_pair` the one
 representation-axiom kernel; with an empty bracket it is the commutator,
 which is how `triality` brackets t(A).  `int_vectors` scales sparse rational vectors
-to integers over their least denominator: `SolveCache` solves on its
+to integers over their least denominator, and `int_rows` dense ones (the
+root data of `roots` run on those integer keys, with `int_mat_vec` and
+`int_dot`): `SolveCache` solves on its
 columns and its inverse in that form, and the bracket table and the module
 forms convert their inputs with it.  Zero tests go by truthiness (`if c:`), which
 holds for int and Fraction entries alike and calls no `Fraction.__eq__`;
@@ -348,6 +350,26 @@ def int_vectors(vectors: Sequence[SVec]) -> Tuple[List[Dict[int, int]], int]:
         return [{k: x.numerator for k, x in v.items() if x} for v in vectors], d
     return [{k: x.numerator * (d // x.denominator) for k, x in v.items() if x}
             for v in vectors], d
+
+
+def int_rows(vectors: Sequence[Sequence[Fraction]]) -> Tuple[List[Tuple[int, ...]], int]:
+    """Dense vectors times the least D that clears their denominators, as int
+    tuples in the same order, and D; entries may be int or Fraction."""
+    d = lcm(*{x.denominator for v in vectors for x in v})
+    if d == 1:
+        return [tuple(x.numerator for x in v) for v in vectors], d
+    return [tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors], d
+
+
+def int_mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
+    """A v for an integer matrix and vector, over the nonzero entries of v."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nonzero) for row in a]
+
+
+def int_dot(x: Sequence[int], y: Sequence[int]) -> int:
+    """x . y for integer vectors, over the nonzero entries of x."""
+    return sum(a * b for a, b in zip(x, y) if a)
 
 
 def inverse(a: Mat) -> Mat:

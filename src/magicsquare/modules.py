@@ -59,7 +59,7 @@ from .linalg import (
     zeros,
 )
 from .magic import MagicAlgebra, build_magic_algebra
-from .roots import cartan_chart, factor_weights, line_weights, slot_weights
+from .roots import cartan_chart, chart_denominator, factor_weights, line_weights, slot_weights
 from .triality import TrialityAlgebra, combine
 
 # Contraction scalars for the V-module maps, in the order
@@ -186,11 +186,11 @@ def _sl2_factor_bases(g: MagicAlgebra) -> List[Dict[str, SVec]]:
     of weight +2 and -2 under it, with f scaled so that [e, f] = h.
     """
     tb = g.tB
-    weights = factor_weights(tb)
+    weights, den = factor_weights(tb), chart_denominator(tb)
     out = []
     for fi, h in enumerate(cartan_chart(tb)):  # factor fi acts trivially on slot fi+1
         hc = tb.sparse_coords(h)
-        found = [[k for k, w in enumerate(weights) if w[fi] == c] for c in (2, -2)]
+        found = [[k for k, w in enumerate(weights) if w[fi] == c * den] for c in (2, -2)]
         if any(len(ks) != 1 for ks in found):
             raise ValueError("sl2 weight space not one-dimensional")
         (k,), (l,) = found
@@ -210,6 +210,7 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[SolveCache]:
     the H basis of the vector identified with u_eps(j) @ u_del(k), j,k the
     acting factors; it raises if the four are dependent."""
     tb = g.tB
+    den = chart_denominator(tb)
     out = []
     for s in range(3):
         j, k = [i for i in range(3) if i != s]
@@ -218,7 +219,7 @@ def _tensor_identification(g: MagicAlgebra, factors) -> List[SolveCache]:
             raise ValueError("slot weights are degenerate")
         # Lowering operators of the two factors, acting in slot s+1.
         fj, fk = (combine(factors[i]["f"], tb.basis) for i in (j, k))
-        base = {pos[(F1, F1)]: F1}
+        base = {pos[(den, den)]: F1}
         cols: List[SVec] = [base, {}, {}, {}]  # order: ++, +-, -+, --
         for col, f, v in ((cols[1], fk, base), (cols[2], fj, base), (cols[3], fk, cols[2])):
             int_apply_into(col, f.thetas[s], v, Fraction(1, f.denominator))

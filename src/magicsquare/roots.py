@@ -2,11 +2,15 @@
 
 A `RootDatum` is given by its positive roots, as `Fraction` tuples in chart
 coordinates, and a Gram matrix.  From these it derives once, the same way for
-every source, an integer frame: the simple roots, the Cartan matrix, and the
-simple-root coordinates of each positive root, from one scan by increasing
-(alpha, rho).  Dominance, the Weyl formula, Freudenthal's recursion, the
-reflection closures and `dynkin_type` run on that frame; chart coordinates
-stay at the boundary.  `dynkin_type` names each component of the Cartan
+every source, an integer frame: the simple roots, the Cartan matrix, the
+simple-root coordinates of each positive root and the integer rows that give
+Dynkin labels, from one scan by increasing (alpha, rho).  The scan runs on
+integer keys: each root times the least common denominator D of the roots,
+against the Gram times the least L that clears its denominators, so every
+inner product is an int, (alpha, beta) times L D^2.  Dominance, the Weyl
+formula, Freudenthal's recursion, the reflection closures and `dynkin_type`
+run on that frame; `positive_roots`, `gram`, the markers and the JSON are
+the `Fraction` boundary.  `dynkin_type` names each component of the Cartan
 matrix from its rank r, its positive-root count N and its short simple
 roots (lengths up to sign): simply laced, A_r if 2N = r(r + 1), D_r if
 N = r(r - 1), else E_r; otherwise G2 at length ratio 3, F4 at rank 4 with
@@ -14,13 +18,15 @@ two short, B_r with one short and C_r with more.
 
 An extracted datum's chart is a normalized Cartan basis inside t(A) x t(B),
 t(B)-side coordinates first.  Its elements are diagonal in every slot, so the
-grading of g(A,B) is read straight off the matrices, once per t(A):
-`slot_weights`, `factor_weights` and `basis_weights`, whose nonzero entries
-are the roots.  Positivity is lexicographic order on the chart coordinates.
-There is one Gram rule, `trace_gram`: the inverse of sum_w w w^T over the
-weights of a representation, its trace form on the chart.  Over the weights
-of a basis of g(A,B) it is the Killing form, rescaled so the longest roots
-have squared length 2.  The markers are `chart_markers` of t(B), padded with
+grading of g(A,B) is read straight off the integer maps of the chart triples,
+once per t(A): `slot_weights`, `factor_weights` and `basis_weights`, integer
+keys over the chart's one denominator (`chart_denominator`), whose nonzero
+entries are the roots.  Positivity is lexicographic order on the keys, which
+is that on the chart coordinates.  There is one Gram rule, `trace_gram`: the
+inverse of sum_k k k^T over the keys of the weights of a representation, its
+trace form, as an integer matrix over a denominator.  Over the weights of a
+basis of g(A,B) it is the Killing form, rescaled so the longest roots have
+squared length 2.  The markers are `chart_markers` of t(B), padded with
 zeros.  `triality_datum` builds t(A)'s own datum the same way from its
 `factor_weights`, and the series descriptors take `trace_gram` of the slot
 weights of t(B); none of them reads the invariant form K.  Builtin data use
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .compalg import TagLike, parse_tag
@@ -42,6 +48,9 @@ from .linalg import (
     F1,
     Mat,
     bilinear,
+    int_dot,
+    int_mat_vec,
+    int_rows,
     inverse,
     mat_vec,
     nullspace,
@@ -51,6 +60,8 @@ from .magic import MagicAlgebra, build_magic_algebra
 from .triality import TrialityAlgebra, TrialityTriple, combine, triality_algebra
 
 Weight = Tuple[Fraction, ...]
+# A weight as integers over a denominator that its caller keeps.
+Key = Tuple[int, ...]
 
 
 class ExtractionError(ValueError):
@@ -61,9 +72,10 @@ def _tup(v: Sequence) -> Weight:
     return tuple(Fraction(x) for x in v)
 
 
-def _exact(x: Fraction):
-    """x as an int when it is one, so integral data stay on int arithmetic."""
-    return x.numerator if x.denominator == 1 else x
+def _quotient(n: int, d: int):
+    """n / d as an int when d divides n, else as a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def _reflect(cartan: Sequence[Sequence[int]], c: Tuple[int, ...], i: int) -> Tuple[int, ...]:
@@ -72,22 +84,26 @@ def _reflect(cartan: Sequence[Sequence[int]], c: Tuple[int, ...], i: int) -> Tup
     return c[:i] + (c[i] - p,) + c[i + 1:]
 
 
-def _is_definite(gram: Mat) -> bool:
-    """True when the symmetric Gram is positive or negative definite: its
-    pivots, eliminated in order with no row swap, are all nonzero and of one
-    sign (Sylvester's criterion read off the ratios of leading minors)."""
+def _is_definite(gram: Sequence[Key]) -> bool:
+    """True when the symmetric integer Gram is positive or negative definite.
+
+    Fraction-free (Bareiss) elimination in order, with no row swap, leaves
+    the k-th leading minor M_k at the k-th pivot; the Gram is definite iff
+    every M_k is nonzero and the ratios M_k / M_(k-1) are of one sign
+    (Sylvester's criterion).
+    """
     m = [list(row) for row in gram]
-    signs = set()
+    prev, signs = 1, set()
     for k, row in enumerate(m):
         p = row[k]
         if not p:
             return False
-        signs.add(p > 0)
+        signs.add((p > 0) == (prev > 0))
         for below in m[k + 1:]:
-            f = below[k] / p
-            if f:
-                for j in range(k + 1, len(m)):
-                    below[j] -= f * row[j]
+            f = below[k]
+            for j in range(k + 1, len(m)):
+                below[j] = (p * below[j] - f * row[j]) // prev
+        prev = p
     return len(signs) == 1
 
 
@@ -117,34 +133,38 @@ class RootDatum:
     @property
     def rho(self) -> Weight:
         if self._rho is None:
-            acc = [F0] * self.rank
-            for r in self.positive_roots:
-                for i, c in enumerate(r):
-                    acc[i] += c
-            self._rho = _tup(c / 2 for c in acc)
+            keys, den = int_rows(self.positive_roots)
+            self._rho = tuple(Fraction(sum(c), 2 * den) for c in zip(*keys))
         return self._rho
 
     def _frame(self) -> None:
         """Simple roots, Cartan matrix and simple-root coordinates, from one scan.
 
-        The positive roots go by increasing (alpha, rho).  A root is simple
-        unless subtracting a simple root found so far leaves a root already
-        seen, and then its coordinates are that root's plus one; every
-        non-simple positive root has this form (Humphreys §10.2).  The simple
-        roots end in decreasing chart order.
+        Everything runs on the integer keys D alpha of the positive roots,
+        D their least common denominator, and the Gram G times the least
+        L > 0 that clears its denominators: key_a . LG key_b is
+        (alpha, beta) times L D^2 > 0, which leaves every ratio and sign
+        below as it is.  The positive roots go by increasing (alpha, rho),
+        the key of alpha against LG times the sum of the keys.  A root is
+        simple unless subtracting a simple root found so far leaves a root
+        already seen, and then its coordinates are that root's plus one;
+        every non-simple positive root has this form (Humphreys §10.2).  The
+        simple roots end in decreasing chart order.
         """
         if self._simple is not None:
             return
         roots = self.positive_roots
-        height = mat_vec(roots, mat_vec(self.gram, self.rho))
+        keys, den = int_rows(roots)
+        gram, _ = int_rows(self.gram)
+        total = int_mat_vec(gram, tuple(sum(c) for c in zip(*keys)))  # LG 2 D rho
+        height = [int_dot(k, total) for k in keys]
         sign = -1 if sum(height) < 0 else 1  # a negative definite Gram
-        den = lcm(*(x.denominator for r in roots for x in r))
-        keys = [tuple(x.numerator * (den // x.denominator) for x in r) for r in roots]
-        # chart key -> coordinates; the zero key makes a repeated simple root
+        # key -> coordinates; the zero key makes a repeated simple root
         # come out as that simple root.
-        seen: Dict[Tuple[int, ...], Dict[int, int]] = {tuple([0] * self.rank): {}}
+        seen: Dict[Key, Dict[int, int]] = {tuple([0] * self.rank): {}}
         simple: List[int] = []  # root indices, in the order found
-        ip: Dict[Tuple[int, int], Fraction] = {}  # (alpha_i, alpha_j) between them
+        rows: List[List[int]] = []  # LG key, per simple root
+        ip: Dict[Tuple[int, int], int] = {}  # (alpha_i, alpha_j) L D^2 between them
         for k in sorted(range(len(roots)), key=lambda k: sign * height[k]):
             for i, s in enumerate(simple):
                 c = seen.get(tuple(x - y for x, y in zip(keys[k], keys[s])))
@@ -152,19 +172,25 @@ class RootDatum:
                     seen[keys[k]] = {**c, i: c.get(i, 0) + 1}
                     break
             else:
-                n, ga = len(simple), mat_vec(self.gram, roots[k])
+                n, row = len(simple), int_mat_vec(gram, keys[k])
                 simple.append(k)
+                rows.append(row)
                 for i, s in enumerate(simple):
-                    ip[i, n] = ip[n, i] = sum((x * y for x, y in zip(roots[s], ga) if x), F0)
+                    ip[i, n] = ip[n, i] = int_dot(keys[s], row)
                 seen[keys[k]] = {n: 1}
-        order = sorted(range(len(simple)), key=lambda i: roots[simple[i]], reverse=True)
+        order = sorted(range(len(simple)), key=lambda i: keys[simple[i]], reverse=True)
         self._simple = [roots[simple[i]] for i in order]
-        self._cartan = [[_exact(2 * ip[i, j] / ip[j, j]) for j in order] for i in order]
-        self._label_rows = [_tup(2 * x / ip[i, i] for x in mat_vec(self.gram, roots[simple[i]]))
-                            for i in order]
+        self._cartan = [[_quotient(2 * ip[i, j], ip[j, j]) for j in order] for i in order]
+        # <w, alpha_i-check> = 2 D (w . LG key_i) / (key_i . LG key_i) for a
+        # weight w: the row 2 D LG key_i over the positive denominator, reduced.
+        self._label_rows = []
+        for i in order:
+            num, q = [2 * den * x for x in rows[i]], ip[i, i]
+            g = gcd(q, *num) * (1 if q > 0 else -1)
+            self._label_rows.append((tuple(x // g for x in num), q // g))
         self._coords = [tuple(seen[key].get(i, 0) for i in order) for key in keys]
-        scale = lcm(*(ip[i, i].denominator for i in order))
-        self._norms = [_exact(scale * ip[i, i]) for i in order]  # |alpha_j|^2, times scale
+        scale = gcd(*(ip[i, i] for i in order))
+        self._norms = [ip[i, i] // scale for i in order]  # |alpha_j|^2, up to a factor > 0
         # (j, c_j |alpha_j|^2) over the nonzero coordinates of each positive root
         self._coroot_terms = [[(j, x * h) for j, (x, h) in enumerate(zip(c, self._norms)) if x]
                               for c in self._coords]
@@ -188,8 +214,16 @@ class RootDatum:
 
     def dynkin_labels(self, w: Sequence[Fraction]) -> Tuple[Fraction, ...]:
         """<w, alpha_i-check> for the simple roots, in `simple_roots` order."""
+        return tuple(Fraction(n, d) for n, d in self._label_pairs(w))
+
+    def _label_pairs(self, w: Sequence[Fraction]) -> List[Tuple[int, int]]:
+        """(n, d) with <w, alpha_i-check> = n / d and d > 0, per simple root:
+        the integer label rows against the key of w over its own denominator."""
+        if len(w) != self.rank:
+            raise ValueError("dynkin_labels: vector length differs from the rank")
         self._frame()
-        return tuple(mat_vec(self._label_rows, w))
+        (key,), den = int_rows([w])
+        return [(int_dot(key, row), den * q) for row, q in self._label_rows]
 
     def fundamental_weights(self) -> List[Weight]:
         """omega_i = sum_j X_ij alpha_j, with X the inverse of the Cartan matrix."""
@@ -220,10 +254,10 @@ class RootDatum:
 
     def _dominant_labels(self, w: Sequence[Fraction]) -> Tuple[int, ...]:
         """The Dynkin labels of w as ints; ValueError unless w is dominant integral."""
-        labels = self.dynkin_labels(w)
-        if not all(x.denominator == 1 and x >= 0 for x in labels):
+        labels = self._label_pairs(w)
+        if any(n % d or n < 0 for n, d in labels):
             raise ValueError(f"weight {tuple(map(rat_str, w))} is not dominant integral")
-        return tuple(x.numerator for x in labels)
+        return tuple(n // d for n, d in labels)
 
     # -- Weyl dimension formula ---------------------------------------------------
 
@@ -347,13 +381,15 @@ class RootDatum:
                     raise ValueError(f"root datum: 'gram' is not symmetric: gram[{i}][{j}] = "
                                      f"{rat_str(gram[i][j])}, gram[{j}][{i}] = {rat_str(gram[j][i])}")
         roots = vectors("positive_roots")
-        # (alpha, alpha) over the nonzero entries of the root and of the Gram
-        # matrix; the frame divides by it.
-        gram_rows = [[(t, c) for t, c in enumerate(row) if c] for row in gram]
-        for i, r in enumerate(roots):
+        # (alpha, alpha), up to a factor > 0, on the integer keys of the roots
+        # and of the Gram, over the nonzero entries of each; the frame divides by it.
+        keys, _ = int_rows(roots)
+        int_gram, _ = int_rows(gram)
+        gram_rows = [[(t, c) for t, c in enumerate(row) if c] for row in int_gram]
+        for i, r in enumerate(keys):
             if sum(x * c * r[t] for s, x in enumerate(r) if x for t, c in gram_rows[s] if r[t]) == 0:
                 raise ValueError(f"root datum: positive_roots[{i}] has (alpha, alpha) = 0")
-        if not _is_definite(gram):
+        if not _is_definite(int_gram):
             raise ValueError("root datum: 'gram' is not definite")
         markers = data.get("markers", {})
         if not isinstance(markers, dict):
@@ -479,27 +515,37 @@ def _chart_h(t: TrialityAlgebra, cartan) -> Tuple[TrialityTriple, ...]:
 # -- the torus grading ---------------------------------------------------------------
 
 
+def chart_denominator(t: TrialityAlgebra) -> int:
+    """The least common denominator of the chart of t: the lcm of the D of its
+    triples, 2 on t(O) and 1 on the others.  The chart weights of t are
+    integer keys over it."""
+    return lcm(*(h.denominator for h in cartan_chart(t)))
+
+
 @lru_cache(maxsize=None)
-def slot_weights(t: TrialityAlgebra) -> Tuple[Tuple[Weight, ...], ...]:
+def slot_weights(t: TrialityAlgebra) -> Tuple[Tuple[Key, ...], ...]:
     """Weights of the slots of t against its chart: [s][p] is that of e_p in slot s + 1.
 
     Entry j of a weight is the (p, p) entry of the slot component of the
-    j-th chart element; every chart element must be diagonal.
+    j-th chart element, read off its integer map: a key over
+    `chart_denominator(t)`.  Every chart element must be diagonal.
     """
-    chart = cartan_chart(t)
-    n = t.alg.dim
+    chart, den = cartan_chart(t), chart_denominator(t)
     out = []
-    for slot in range(1, 4):
-        if any(r != c for h in chart for c, col in h.thetas[slot - 1].items() for r, _ in col):
+    for slot in range(3):
+        if any(r != c for h in chart for c, col in h.thetas[slot].items() for r, _ in col):
             raise ExtractionError("Cartan chart element is not diagonal")
-        diags = [h.diagonal(slot) for h in chart]
-        out.append(tuple(_tup(dg[p] for dg in diags) for p in range(n)))
+        # column p of a diagonal map is the one pair (p, D theta_pp)
+        diags = [{p: col[0][1] * (den // h.denominator) for p, col in h.thetas[slot].items()}
+                 for h in chart]
+        out.append(tuple(tuple(dg.get(p, 0) for dg in diags) for p in range(t.alg.dim)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def factor_weights(t: TrialityAlgebra) -> Tuple[Weight, ...]:
-    """The weight of each basis vector of t under ad(chart), read off its entries.
+def factor_weights(t: TrialityAlgebra) -> Tuple[Key, ...]:
+    """The weight of each basis vector of t under ad(chart), read off its
+    entries, as a key over `chart_denominator(t)`.
 
     ad(h) scales entry (r, c) of a slot component by d_r - d_c, with d the
     slot diagonal of h, so a basis vector is a weight vector iff every
@@ -517,35 +563,44 @@ def factor_weights(t: TrialityAlgebra) -> Tuple[Weight, ...]:
     return tuple(out)
 
 
-def basis_weights(g: MagicAlgebra) -> List[Weight]:
-    """The weight of every basis index of g(A,B), in datum coordinates (t(B) side first).
+def basis_weights(g: MagicAlgebra) -> Tuple[List[Key], int]:
+    """The weight of every basis index of g(A,B), in datum coordinates (t(B)
+    side first), as keys over D, and D: the lcm of the chart denominators.
 
     g is graded by the torus of t(A) x t(B): each factor keeps its own
     weights, and e_p @ e_q in slot s has the slot weight of e_q in t(B)
     followed by that of e_p in t(A).
     """
-    zeroA = tuple([F0] * len(cartan_chart(g.tA)))
-    zeroB = tuple([F0] * len(cartan_chart(g.tB)))
-    sA, sB = slot_weights(g.tA), slot_weights(g.tB)
-    out = [zeroB + w for w in factor_weights(g.tA)]
-    out += [w + zeroA for w in factor_weights(g.tB)]
+    dA, dB = chart_denominator(g.tA), chart_denominator(g.tB)
+    den = lcm(dA, dB)
+    zeroA = tuple([0] * len(cartan_chart(g.tA)))
+    zeroB = tuple([0] * len(cartan_chart(g.tB)))
+
+    def scaled(ws, d):
+        return [tuple(x * (den // d) for x in w) for w in ws]
+
+    sA = [scaled(ws, dA) for ws in slot_weights(g.tA)]
+    sB = [scaled(ws, dB) for ws in slot_weights(g.tB)]
+    out = [zeroB + w for w in scaled(factor_weights(g.tA), dA)]
+    out += [w + zeroA for w in scaled(factor_weights(g.tB), dB)]
     out += [sB[s][q] + sA[s][p] for s in range(3) for p in range(g.a) for q in range(g.b)]
-    return out
+    return out, den
 
 
-def trace_gram(weights: Sequence[Weight]) -> Mat:
-    """The inverse of sum_w w w^T over a multiset of chart weights.
+def trace_gram(keys: Sequence[Key]) -> Tuple[List[Key], int]:
+    """The inverse of sum_k k k^T over a multiset of integer weight keys, as
+    an integer matrix Q over a denominator c > 0: the inverse is Q / c.
 
     Over the weights of a representation the sum is its trace form
-    tr(x y) on the chart, and the inverse is the form it induces on
-    weights; over the weights of a basis of g it is the Killing form.  The
-    sum runs on the integer vectors L w, L the lcm of the denominators, and
-    is inverted once: the Gram is L^2 times that inverse.
+    tr(x y) on the chart, and its inverse the form it induces on weights;
+    over the weights of a basis of g it is the Killing form.  With keys
+    D w of chart weights w the sum is D^2 times the trace form, so for chart
+    weights x and y, (D x) . Q (D y) is c (x, y), and the Gram on chart
+    coordinates is D^2 Q / c.
     """
-    den = lcm(*(x.denominator for w in weights for x in w))
-    cols = list(zip(*([x.numerator * (den // x.denominator) for x in w] for w in weights)))
-    form = [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
-    return [[den * den * x for x in row] for row in inverse(form)]
+    cols = list(zip(*keys))
+    form = [[sum(x * y for x, y in zip(u, v) if x) for v in cols] for u in cols]
+    return int_rows(inverse(form))
 
 
 def chart_markers(t: TrialityAlgebra) -> Dict[str, Weight]:
@@ -572,32 +627,38 @@ def chart_markers(t: TrialityAlgebra) -> Dict[str, Weight]:
 # -- extraction ---------------------------------------------------------------------
 
 
-def _datum_from_weights(name: str, weights: Sequence[Weight],
+def _datum_from_weights(name: str, keys: Sequence[Key], den: int,
                         markers: Dict[str, Weight]) -> RootDatum:
-    """The root datum of a Lie algebra from the chart weights of its basis.
+    """The root datum of a Lie algebra from the chart weights of its basis,
+    given as integer keys over den > 0.
 
     The roots are the nonzero weights: one weight must be zero per chart
     coordinate, no root may repeat, and lex positivity must take half of
-    them.  The Gram is `trace_gram(weights)`, scaled so the longest roots
-    have squared length 2.  The markers are padded with zeros to the rank,
-    and "adjoint" is the highest root.
+    them; all three read the keys, whose order is that of the weights.
+    The Gram is that of `trace_gram(keys)` on chart coordinates, scaled so
+    the longest roots have squared length 2: with Q its integer matrix,
+    2 den^2 Q / max k . Q k over the positive keys k.  The roots and the
+    Gram become Fractions only here.  The markers are padded with zeros to
+    the rank, and "adjoint" is the highest root.
     """
-    roots = [w for w in weights if any(w)]
+    roots = [w for w in keys if any(w)]
     if not roots:
         raise ExtractionError(f"{name} has no roots")
     rank = len(roots[0])
-    if len(roots) != len(weights) - rank:
+    if len(roots) != len(keys) - rank:
         raise ExtractionError(
-            f"root count {len(roots)} != dim - rank = {len(weights) - rank}")
+            f"root count {len(roots)} != dim - rank = {len(keys) - rank}")
     if len(set(roots)) != len(roots):
         raise ExtractionError("repeated roots; extraction degenerate")
-    positive = sorted((r for r in roots if r > tuple([F0] * rank)), reverse=True)
+    positive = sorted((r for r in roots if r > tuple([0] * rank)), reverse=True)
     if 2 * len(positive) != len(roots):
         raise ExtractionError("positivity did not split the roots in half")
-    gram = trace_gram(weights)
-    scale = 2 / max(bilinear(gram, r, r) for r in positive)
-    rd = RootDatum(name, rank, positive, [[scale * x for x in row] for row in gram])
-    rd.markers = {"adjoint": rd.highest_root(),
+    q, _ = trace_gram(keys)
+    top = max(int_dot(r, int_mat_vec(q, r)) for r in positive)
+    scale = 2 * den * den
+    gram = [[Fraction(scale * x, top) for x in row] for row in q]
+    rd = RootDatum(name, rank, [tuple(Fraction(x, den) for x in r) for r in positive], gram)
+    rd.markers = {"adjoint": rd.positive_roots[0],
                   **{k: w + tuple([F0] * (rank - len(w))) for k, w in markers.items()}}
     return rd
 
@@ -612,7 +673,7 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
     imaginary).
     """
     return _datum_from_weights(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
-                               basis_weights(g), chart_markers(g.tB))
+                               *basis_weights(g), chart_markers(g.tB))
 
 
 def triality_datum(tag: TagLike) -> RootDatum:
@@ -627,24 +688,26 @@ def triality_datum(tag: TagLike) -> RootDatum:
 @lru_cache(maxsize=None)
 def _triality_datum(name: str) -> RootDatum:
     t = triality_algebra(name)
-    return _datum_from_weights(f"t({name})", factor_weights(t), chart_markers(t))
+    return _datum_from_weights(f"t({name})", factor_weights(t), chart_denominator(t),
+                               chart_markers(t))
 
 
-def line_weights(t: TrialityAlgebra) -> Tuple[List[Weight], List[Weight]]:
+def line_weights(t: TrialityAlgebra) -> Tuple[List[Key], List[Weight]]:
     """Slot weights d_s and line weights w_s of t(C) against its 2-element chart.
 
     The weight of slot s (that of its first basis vector) is +/- a
     difference of the three line weights w_1, w_2, w_3, which sum to zero.
     The first sign choice whose signed slot weights d_s sum to zero fixes
-    the d_s; the w_s are their third-differences, in slot order.
+    the d_s, keys over `chart_denominator(t)` as `slot_weights`; the w_s
+    are their third-differences, in slot order and chart coordinates.
     """
     b = [slot_weights(t)[slot][0] for slot in range(3)]
     for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (1, -1, -1),
                   (-1, 1, -1), (-1, -1, 1), (1, 1, 1), (-1, -1, -1)):
         d = [tuple(s * c for c in w) for s, w in zip(signs, b)]
         if all(sum(col) == 0 for col in zip(*d)):
-            third = Fraction(1, 3)
-            omegas = [tuple(third * (d[i][c] - d[j][c]) for c in range(2))
+            third = 3 * chart_denominator(t)
+            omegas = [tuple(Fraction(d[i][c] - d[j][c], third) for c in range(2))
                       for i, j in ((2, 1), (0, 2), (1, 0))]
             return d, omegas
     raise ExtractionError("line-slot weights do not sum to zero under any signs")

@@ -52,8 +52,8 @@ from .exact import (
     q_product,
     rat,
 )
-from .linalg import bilinear
-from .roots import chart_markers, factor_weights, slot_weights, trace_gram
+from .linalg import int_dot, int_mat_vec, int_rows
+from .roots import chart_denominator, chart_markers, factor_weights, slot_weights, trace_gram
 from .triality import triality_algebra
 
 F0 = Fraction(0)
@@ -191,32 +191,40 @@ def _triality_rows(tag: str, markers: Mapping[str, str]) -> List[DescriptorRow]:
     root beta of t(B) is a unit root and each positive slot weight beta,
     slot by slot, an a-fold class, at (rho, alpha) = c = u + a v with
     u = (rho_t(B), beta) and v = (gamma, beta), gamma half the sum of the
-    positive slot weights.  The pairings are those of the markers with beta.  ValueError when the slot
-    weights differ in length or a pairing is not an integer.
+    positive slot weights.  The pairings are those of the markers with
+    beta.  All of them are ratios of integer pairings of keys; only u and v
+    become Fractions.  ValueError when the slot weights differ in length or
+    a pairing is not an integer.
     """
     t = triality_algebra(tag)
+    den = chart_denominator(t)
     weights = [w for ws in slot_weights(t) for w in ws]
-    gram = trace_gram(weights)
-    zero = tuple([F0] * len(gram))
+    q, _ = trace_gram(weights)
+    zero = tuple([0] * len(q))
     units = [w for w in factor_weights(t) if w > zero]
     slots = [w for w in weights if w > zero]
-    lengths = {bilinear(gram, w, w) for w in slots}
+    # Every pairing is a ratio of x . Q y on the keys, the Gram up to a factor
+    # > 0: twice rho and gamma are sums of keys, and a marker that is m / mden
+    # in chart coordinates, m an integer vector, has the key den m / mden.
+    lengths = {int_dot(w, int_mat_vec(q, w)) for w in slots}
     if len(lengths) != 1:
         raise ValueError(f"the slot weights of t({tag}) differ in length")
-    scale = 1 / lengths.pop()
-    rho, gamma = ([sum(c, F0) / 2 for c in zip(zero, *ws)] for ws in (units, slots))
-    weights = chart_markers(t)
-    marks = [weights[m] for m in markers.values()]
+    length = lengths.pop()
+    rho, gamma = ([sum(c) for c in zip(zero, *ws)] for ws in (units, slots))
+    chart = chart_markers(t)
+    marks, mden = int_rows([chart[m] for m in markers.values()])
     rows = []
     for fold, betas in ((False, units), (True, slots)):
         for beta in betas:
-            pairings = [scale * bilinear(gram, m, beta) for m in marks]
-            if any(x.denominator != 1 for x in pairings):
-                raise ValueError(f"a marker pairs with the weight {beta} of t({tag}) "
+            qb = int_mat_vec(q, beta)
+            pairings = [divmod(den * int_dot(m, qb), mden * length) for m in marks]
+            if any(r for _, r in pairings):
+                raise ValueError(f"a marker pairs with the weight "
+                                 f"{tuple(Fraction(x, den) for x in beta)} of t({tag}) "
                                  "to a non-integer")
-            u, v = (scale * bilinear(gram, w, beta) for w in (rho, gamma))
+            u, v = (Fraction(int_dot(w, qb), 2 * length) for w in (rho, gamma))
             ivs = ((u, v), (u, v)), ((u + 1, v - HALF), (u - 1, v + HALF))
-            rows.append(DescriptorRow(tuple(int(x) for x in pairings), ivs if fold else ivs[:1]))
+            rows.append(DescriptorRow(tuple(x for x, _ in pairings), ivs if fold else ivs[:1]))
     return rows
 
 

@@ -510,6 +510,22 @@ def test_table_degrees_negative_dimension_is_usage_error(capsys):
     assert captured.err == "table: variety dimension -2 is negative here\n"
 
 
+def test_table_degrees_nonintegral_dimension_is_a_row(capsys):
+    # At a = 2/3 the flines variety has dimension 11a+9 = 49/3: no degree, so
+    # its row says nonintegral, as do the rows whose degree is a fraction.
+    assert main(["table", "--series", "degrees", "--a", "2/3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "variety,a,value,status",
+        "ad,2/3,78732/49,nonintegral",
+        "fplanes,2/3,62446443264/49,nonintegral",
+        "flines,2/3,nonintegral,nonintegral",
+        "fpoints,2/3,1089593171755066713897595650703849/8807019963209277131760684064,"
+        "nonintegral",
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["--series", "thirdrow", "-k", "1", "--r-param", "3", "-a", "8"],
     ["--series", "thirdrow", "-k", "1", "--r-param", "3", "-a=-1/2"],  # a pole

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from magicsquare.compalg import build_split_algebra
 from magicsquare.linalg import F0, SolveCache, int_maps, sparse
-from magicsquare.roots import ExtractionError, cartan_chart, factor_weights
+from magicsquare.roots import ExtractionError, cartan_chart, chart_denominator, factor_weights
 from magicsquare.triality import TrialityAlgebra, combine, triality_algebra, triality_bracket
 from tests_helpers import commutator, dense_flat, dense_mats, e_vector, reference_rref, reference_solver
 
@@ -135,11 +135,11 @@ def test_solve_cache_on_random_columns(shape, n, data):
 @pytest.mark.parametrize("tag", sorted(TAGS))
 def test_chart_scales_each_basis_vector_by_its_weight(tag):
     t = triality_algebra(tag)
-    weights = factor_weights(t)
+    weights, d = factor_weights(t), chart_denominator(t)
     assert len(weights) == t.dim
     for j, h in enumerate(cartan_chart(t)):
         for k, b in enumerate(t.basis):
-            expected = [weights[k][j] * x for x in e_vector(t.dim, k)]
+            expected = [Fraction(weights[k][j], d) * x for x in e_vector(t.dim, k)]
             assert t.coords(triality_bracket(h, b)) == expected, (j, k)
 
 

@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -13,12 +15,16 @@ import magicsquare
 from magicsquare.compalg import H_TAG, O_TAG, build_split_algebra
 from magicsquare.crosscheck import _marker_weyl_dim, grid
 from magicsquare.exact import rat_str
+from magicsquare.linalg import F0, int_rows
 from magicsquare.magic import build_magic_algebra
 from magicsquare.roots import (
     ExtractionError,
     RootDatum,
+    _datum_from_weights,
+    _is_definite,
     basis_weights,
     builtin_datum,
+    chart_denominator,
     datum_for,
     dynkin_type,
     extract_root_datum,
@@ -30,6 +36,7 @@ from magicsquare.series import EXCEPTIONAL, admissible_weight
 from magicsquare.triality import triality_algebra
 from tests_helpers import (
     chart_k_inverse,
+    reference_frame,
     reference_gram,
     reference_simple_roots,
     reference_weyl_dim,
@@ -116,7 +123,7 @@ def test_extraction_types_and_counts():
 def test_bracket_table_is_graded(a, b):
     # [b_i, b_j] lies in weight w_i + w_j, and the zero weight space is the Cartan.
     g = build_magic_algebra(a, b)
-    weights = basis_weights(g)
+    weights, _ = basis_weights(g)
     for i, row in enumerate(g.table()):
         for j, col in row.items():
             wij = tuple(x + y for x, y in zip(weights[i], weights[j]))
@@ -144,9 +151,12 @@ def test_extracted_gram_equals_the_k_reference(a, b):
 
 @pytest.mark.parametrize("tag,ratio", [("C", -12), ("H", -16), ("O", -24)])
 def test_slot_trace_gram_is_a_multiple_of_inverse_k(tag, ratio):
-    # The slot trace form is ratio times K, so its inverse is K's over ratio.
+    # The slot trace form is ratio times K, so its inverse is K's over ratio;
+    # on chart coordinates it is D^2 Q / c, D the chart denominator.
     t = triality_algebra(tag)
-    gram = trace_gram([w for ws in slot_weights(t) for w in ws])
+    q, c = trace_gram([w for ws in slot_weights(t) for w in ws])
+    d = chart_denominator(t)
+    gram = [[Fraction(d * d * x, c) for x in row] for row in q]
     assert gram == [[x / ratio for x in row] for row in chart_k_inverse(t)]
 
 
@@ -448,6 +458,104 @@ def test_frame_matches_pair_search_and_fraction_weyl(source):
         assert rd.weyl_dim(w) == reference_weyl_dim(rd, w)
 
     weyl_agrees()
+
+
+BUILTIN_TYPES = {name: {"c2": "B2", "d3": "A3"}.get(name, name.upper())
+                 for name in BUILTINS_TO_RANK_8}
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@pytest.mark.parametrize("source", BUILTINS_TO_RANK_8 + sorted(EXPECTED_TYPES)
+                         + [("R", "R"), "t(O)", "t(H)"],
+                         ids=lambda s: s if isinstance(s, str) else "-".join(s))
+def test_integer_frame_equals_the_fraction_frame_under_rescaling(source):
+    # The frame runs on integer keys and an integer Gram scaled by its lcm.
+    # Rescaling the roots by c and the Gram by g, both nonzero rationals of
+    # either sign (g < 0 gives a negative definite Gram, c < 0 the opposite
+    # chamber), must leave it equal to the Fraction frame of the same datum.
+    if isinstance(source, tuple):
+        rd, typ = datum_for(*source), EXPECTED_TYPES.get(source, "A1")
+    elif source.startswith("t("):
+        rd, typ = triality_datum(source[2]), {"O": "D4", "H": "A1xA1xA1"}[source[2]]
+    else:
+        rd, typ = builtin_datum(source), BUILTIN_TYPES[source]
+
+    @settings(max_examples=6, deadline=None)
+    @given(rationals, rationals, st.lists(rationals, min_size=rd.rank, max_size=rd.rank))
+    def agrees(c, g, w):
+        scaled = RootDatum(rd.name, rd.rank, [tuple(c * x for x in r) for r in rd.positive_roots],
+                           [[g * x for x in row] for row in rd.gram])
+        ref = reference_frame(scaled)
+        assert scaled.simple_roots() == ref["simple"]
+        assert scaled.cartan_matrix() == ref["cartan"]
+        assert scaled.root_coords() == ref["coords"]
+        norms = scaled._norms
+        assert [Fraction(h, norms[0]) for h in norms] == [h / ref["norms"][0] for h in ref["norms"]]
+        assert scaled.dynkin_labels(w) == tuple(sum(x * y for x, y in zip(row, w))
+                                                for row in ref["label_rows"])
+        assert dynkin_type(scaled) == typ
+
+    agrees()
+
+
+def leibniz_det(m):
+    """The determinant as the signed sum over permutations."""
+    n, out = len(m), Fraction(0)
+    for p in permutations(range(n)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        out += sign * prod((m[i][p[i]] for i in range(n)), start=Fraction(1))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=n * (n + 1) // 2,
+    max_size=n * (n + 1) // 2).map(lambda xs: (n, xs))))
+def test_is_definite_on_integer_keys_is_sylvester(shape):
+    # The fraction-free elimination of the integer Gram against Sylvester's
+    # criterion on the Fraction minors: all positive, or alternating from negative.
+    n, entries = shape
+    gram = [[F0] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = next(it)
+    minors = [leibniz_det([row[:k] for row in gram[:k]]) for k in range(1, n + 1)]
+    expected = (all(m > 0 for m in minors)
+                or all((m < 0) == (k % 2 == 0) and m for k, m in enumerate(minors)))
+    assert _is_definite(int_rows(gram)[0]) == expected
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"rank": 2, "gram": [["1/2", "1/2"], ["1/2", "1/2"]], "positive_roots": [["1", "-1"]]},
+     "root datum: positive_roots[0] has (alpha, alpha) = 0"),
+    ({"rank": 2, "gram": [["1", "0"], ["0", "-1"]], "positive_roots": [["1/3", "2/3"], ["1", "1"]]},
+     "root datum: positive_roots[1] has (alpha, alpha) = 0"),
+    ({"rank": 2, "gram": [["2", "-1"], ["-1", "-2"]], "positive_roots": [["1", "0"]]},
+     "root datum: 'gram' is not definite"),
+    ({"rank": 2, "gram": [["1/3", "1/3"], ["1/3", "1/3"]], "positive_roots": [["1", "0"]]},
+     "root datum: 'gram' is not definite"),
+    ({"rank": 1, "gram": [["1/2"]], "positive_roots": [["1/2"], ["1"]]},
+     "root datum: 'positive_roots' is not a positive system: <rho, alpha-check> = 3 for "
+     "positive_roots[0], not 1"),
+], ids=["zero-length", "zero-length-fractions", "indefinite", "semidefinite", "rho"])
+def test_from_json_refusal_messages(data, message):
+    with pytest.raises(ValueError) as exc:
+        RootDatum.from_json(data)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("keys,message", [
+    ([(0, 0), (0, 0)], "x has no roots"),
+    ([(1, 0), (-1, 0), (0, 1), (0, 0)], "root count 3 != dim - rank = 2"),
+    ([(1, 0), (-1, 0), (1, 0), (-1, 0), (0, 0), (0, 0)], "repeated roots; extraction degenerate"),
+    ([(1, 0), (2, 0), (-3, 0), (3, 1), (0, 0), (0, 0)],
+     "positivity did not split the roots in half"),
+], ids=["no-roots", "root-count", "repeated", "positivity"])
+def test_datum_from_weights_refusal_messages(keys, message):
+    with pytest.raises(ExtractionError) as exc:
+        _datum_from_weights("x", keys, 2, {})
+    assert str(exc.value) == message
 
 
 def test_one_object_per_tag_name():

@@ -148,7 +148,8 @@ def reference_gram(g):
     definite)."""
     gB, gA = chart_k_inverse(g.tB), chart_k_inverse(g.tA)
     gram = [row + [F0] * len(gA) for row in gB] + [[F0] * len(gB) + row for row in gA]
-    roots = [w for w in basis_weights(g) if any(w)]
+    keys, d = basis_weights(g)
+    roots = [[Fraction(x, d) for x in w] for w in keys if any(w)]
     scale = 2 / max((bilinear(gram, r, r) for r in roots), key=abs)
     return [[scale * x for x in row] for row in gram]
 
@@ -471,6 +472,44 @@ def reference_simple_roots(rd):
             simple.append(a)
     simple.sort(reverse=True)
     return simple
+
+
+def reference_frame(rd):
+    """The frame of a datum on Fractions, by the scan of `RootDatum._frame`
+    on chart coordinates and the Gram itself: the positive roots by
+    increasing (alpha, rho), rho half their Fraction sum; a root is simple
+    unless it is a simple root found so far plus a root already seen.
+    Returns the simple roots (decreasing chart order), the Cartan matrix,
+    the rows 2 G alpha_i / (alpha_i, alpha_i) whose product with a weight is
+    its Dynkin labels, the simple-root coordinates of each positive root and
+    the norms (alpha_i, alpha_i)."""
+    roots, gram = rd.positive_roots, rd.gram
+    rho = [sum(c, F0) / 2 for c in zip(*roots)]
+    height = mat_vec(roots, mat_vec(gram, rho))
+    sign = -1 if sum(height) < 0 else 1
+    seen = {tuple([F0] * rd.rank): {}}
+    simple, ip = [], {}
+    for k in sorted(range(len(roots)), key=lambda k: sign * height[k]):
+        for i, s in enumerate(simple):
+            c = seen.get(tuple(x - y for x, y in zip(roots[k], roots[s])))
+            if c is not None:
+                seen[tuple(roots[k])] = {**c, i: c.get(i, 0) + 1}
+                break
+        else:
+            n, ga = len(simple), mat_vec(gram, roots[k])
+            simple.append(k)
+            for i, s in enumerate(simple):
+                ip[i, n] = ip[n, i] = sum((x * y for x, y in zip(roots[s], ga)), F0)
+            seen[tuple(roots[k])] = {n: 1}
+    order = sorted(range(len(simple)), key=lambda i: roots[simple[i]], reverse=True)
+    return {
+        "simple": [roots[simple[i]] for i in order],
+        "cartan": [[2 * ip[i, j] / ip[j, j] for j in order] for i in order],
+        "label_rows": [[2 * x / ip[i, i] for x in mat_vec(gram, roots[simple[i]])]
+                       for i in order],
+        "coords": [tuple(seen[tuple(r)].get(i, 0) for i in order) for r in roots],
+        "norms": [ip[i, i] for i in order],
+    }
 
 
 def reference_weyl_dim(rd, w):

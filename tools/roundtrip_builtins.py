@@ -8,7 +8,10 @@ F4, G2), serializes it with `RootDatum.to_json`, passes the text through
 roots form a positive system) and compares name, rank, Gram matrix, positive
 roots and markers. It also checks that `dynkin_type` names the loaded datum
 after the builtin's own name (with the two conventions C2 -> B2 and
-D3 -> A3), so every rank up to 30 is classified. Prints one line per datum
+D3 -> A3), so every rank up to 30 is classified, and that the loaded
+datum's `cartan_matrix()`, which its integer frame finds from the roots and
+the Gram, is the Bourbaki Cartan matrix 2 (a_i, a_j) / (a_j, a_j) of
+`_simple_gram`, in the same order. Prints one line per datum
 that differs, is misnamed or fails to load and a summary; exits 1 if any
 did. Imports the package from the checkout's `src` and writes nothing.
 """
@@ -19,7 +22,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from magicsquare.roots import RootDatum, builtin_datum, dynkin_type  # noqa: E402
+from magicsquare.roots import RootDatum, _simple_gram, builtin_datum, dynkin_type  # noqa: E402
 
 RANKS = {"a": range(1, 31), "b": range(2, 31), "c": range(2, 31), "d": range(3, 31),
          "e": range(6, 9), "f": [4], "g": [2]}
@@ -36,6 +39,9 @@ def differences(rd):
     expected = {"c2": "B2", "d3": "A3"}.get(rd.name, rd.name.upper())
     if dynkin_type(back) != expected:
         bad.append(f"dynkin_type {dynkin_type(back)}, not {expected}")
+    gram = _simple_gram(rd.name[0].upper(), rd.rank)
+    if back.cartan_matrix() != [[2 * x / gram[j][j] for j, x in enumerate(row)] for row in gram]:
+        bad.append("cartan_matrix is not the Bourbaki one")
     return bad
 
 
