@@ -476,7 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"magicsquare: {exc}", file=sys.stderr)
         return 2
 

@@ -27,9 +27,13 @@ descriptor names the marker that each exponent symbol multiplies; the
 markers' chart coordinates come from `roots.chart_markers`, the source that
 extraction pads too.  Only `SO_FAMILY` keeps literal intervals.
 
-All closed forms are also provided verbatim as printed (suffix _printed
-where they differ from the validated variants); the crosscheck harness
-compares each against the Weyl oracle and records the outcome.
+The paper's closed forms are also provided verbatim as printed (suffix
+_printed where they differ from the validated variants); the crosscheck
+harness compares each against the Weyl oracle and records the outcome.  The
+printed products in k (the Hilbert functions of the orbit varieties, the
+subexceptional powers and so(2t+4)'s closed form) are one table `_PRINTED`
+of factor data, read by one evaluator: a scalar, ratios (mk + c)/c and
+binomials C(mk + c, mk), each c linear in the parameter.
 """
 
 from __future__ import annotations
@@ -73,7 +77,10 @@ class _TermProduct:
     a-fold class is [c + 1, c - 1]; its factor c / (c + x) cancels the first
     interval's, and that is why the classes that are empty there count as 1:
     at r = 1 the exceptional series gives 840, the Weyl dimension of so8's
-    X3, while its a -> 0 limit is 2520.
+    X3, while its a -> 0 limit is 2520.  The binomials of the printed
+    formulas (`_PRINTED`) run through it as well, and so
+    hilbert_X3_printed(1, 0) is 840 too; their prefactors do not, and a
+    prefactor term that vanishes stays a ZeroDivisionError.
     """
 
     __slots__ = ("num", "den", "zeros")
@@ -420,103 +427,95 @@ def qdim_adjoint_cartan_power(k: int, a: RatLike) -> QPoly:
         raise ValueError(f"the q-analog is not a polynomial at a = {a}, k = {k}") from None
 
 
-# -- printed Hilbert functions of the exceptional orbit varieties ---------------------
+# -- the paper's printed products in k -------------------------------------------------
 
 
-def _bprod(k: int, tops: Sequence[Fraction], bots: Sequence[Fraction],
-           tops2k: Sequence[Fraction] = (), bots2k: Sequence[Fraction] = (),
-           tops3k: Sequence[Fraction] = (), bots3k: Sequence[Fraction] = ()) -> Fraction:
-    """Product of C(mk+c, mk) ratios, evaluated with zero-term cancellation.
+# Each formula as printed, typed once as data: a scalar, the prefactor ratios
+# (m, c0, c1), each (m k + c) / c, and the binomials (m, c0, c1, +-1), each
+# C(m k + c, m k) upstairs or downstairs, where c = c0 + c1 x and x is the
+# formula's parameter, a or, for so(2t+4), t.  A printed 1 / (k + 1) is
+# C(k + 1, k) downstairs.
+_PRINTED = {
+    "X2": (1, [(1, 1, 1), (1, 2, 1), (2, 3, 2), (3, 4, 3), (3, 5, 3)],
+           [(1, 1, 3 * HALF, 1), (1, 2, 3 * HALF, 1), (1, 1, 2, 1), (1, 2, 2, 1),
+            (1, 1, 0, -1), (1, 0, HALF, -1), (1, 1, HALF, -1),
+            (2, 3, 5 * HALF, 1), (2, 3, 3, 1), (2, 2, 1, -1), (2, 2, 3 * HALF, -1)]),
+    "X3": (1, [(2, 1, 3 * HALF), (2, 2, 3 * HALF), (2, 3, 3 * HALF),
+               (4, 3, 3), (4, 4, 3), (4, 5, 3)],
+           [(1, 0, 1, 1), (1, 1, 1, 1), (1, 2, 1, 1),
+            (1, -1, 3 * HALF, 1), (1, 0, 3 * HALF, 1), (1, 1, 3 * HALF, 1),
+            (1, 1, 0, -1), (1, 2, 0, -1), (1, -1, HALF, -1), (1, 0, HALF, -1), (1, 1, HALF, -1),
+            (2, 1, 2, 1), (2, 2, 2, 1), (2, 3, 2, 1), (2, 0, 1, -1), (2, 1, 1, -1), (2, 2, 1, -1),
+            (3, 3, 5 * HALF, 1), (3, 2, 3, 1), (3, 3, 3 * HALF, -1), (3, 2, 2, -1)]),
+    "Y2star": (1, [(2, 3, 5 * HALF)],
+               [(1, 0, 2, 1), (1, 1, 2, 1), (1, 3, 2, 1), (1, 2, 5 * HALF, 1),
+                (1, -1, HALF, -1), (1, 1, HALF, -1), (1, 2, HALF, -1), (1, 1, 1, -1), (1, 3, 1, -1),
+                (2, 5, 3, 1), (2, 0, 2, -1)]),
+    "subexc_g": (1, [(2, 1, 2)],
+                 [(1, -1, 3 * HALF, 1), (1, 1, 3 * HALF, 1), (1, 0, 2, 1),
+                  (1, -1, HALF, -1), (1, 1, HALF, -1)]),
+    "subexc_V": (2, [(1, 1, 1)], [(1, 1, 2, 1), (1, 1, 3 * HALF, 1), (1, 1, HALF, -1)]),
+    "subexc_V_corrected": (1, [(1, 1, 1), (2, 2, 1)],
+                           [(1, 1, 2, 1), (1, 1, 3 * HALF, 1), (1, 1, HALF, -1)]),
+    "subexc_V2": (1, [(4, 2, 3)],
+                  [(1, 1, 1, 1), (1, 0, 3 * HALF, 1), (1, -1, 3 * HALF, 1), (1, 0, 1, 1),
+                   (1, 0, HALF, -1), (1, -1, HALF, -1), (1, 1, 0, -1),
+                   (2, 1, 2, 1), (2, 0, 1, -1)]),
+    "so_family": (1, [(2, 1, 2), (1, 0, 1), (1, 1, 1)],
+                  [(1, 1, 0, -1), (1, -1, 2, 1), (1, 0, 2, 1)]),
+}
 
-    Every binomial C(mk+c, mk) = prod_{i=1..mk} (c+i)/i is expanded into its
-    terms, and a zero term upstairs is dropped with one downstairs
-    (`_TermProduct`), where verbatim evaluation would divide 0 by 0.  This
-    is not the limit in the parameter: at a = 0, hilbert_X3_printed(1, 0)
-    is 840, like the descriptor, while the a -> 0 limit is 2520.
+
+def _printed(name: str, k: int, x: RatLike) -> Fraction:
+    """The printed formula _PRINTED[name] at k and parameter x.
+
+    The prefactor is a plain product, so a ratio whose c vanishes raises
+    ZeroDivisionError.  Every binomial C(mk+c, mk) = prod_{i=1..mk} (c+i)/i
+    is expanded into its terms, and a zero term upstairs is dropped with one
+    downstairs (`_TermProduct`), where verbatim evaluation would divide 0 by
+    0; more zeros downstairs is a pole, ZeroDivisionError.  This is not the
+    limit in the parameter: at a = 0, hilbert_X3_printed(1, 0) is 840, like
+    the descriptor, while the a -> 0 limit is 2520.
     """
+    check_counts(0, k=k)
+    x = rat(x)
+    scalar, ratios, binomials = _PRINTED[name]
+    value = Fraction(scalar)
+    for m, c0, c1 in ratios:
+        c = c0 + c1 * x
+        value *= (m * k + c) / c
     prod = _TermProduct()
     # C(mk+c, mk) = prod_{0 <= t < mk} (c + 1 + t) / (1 + t), over c's denominator
-    for mult, cs in ((1, tops), (2, tops2k), (3, tops3k)):
-        for c in cs:
-            prod.mul_interval(c.numerator + c.denominator, c.denominator, c.denominator,
-                              0, mult * k)
-    for mult, cs in ((1, bots), (2, bots2k), (3, bots3k)):
-        for c in cs:
-            prod.mul_interval(c.denominator, c.numerator + c.denominator, c.denominator,
-                              0, mult * k)
-    value = prod.value()
-    if value is None:
+    for m, c0, c1, sign in binomials:
+        c = c0 + c1 * x
+        top, bottom = c.numerator + c.denominator, c.denominator
+        if sign < 0:
+            top, bottom = bottom, top
+        prod.mul_interval(top, bottom, c.denominator, 0, m * k)
+    binomial = prod.value()
+    if binomial is None:
         raise ZeroDivisionError("pole in binomial denominator")
-    return value
+    return value * binomial
 
 
 def hilbert_X2_printed(k: int, a: RatLike) -> Fraction:
-    check_counts(0, k=k)
-    a = rat(a)
-    pref = ((k + a + 1) / (a + 1) * (k + a + 2) / (a + 2)
-            * (2 * k + 2 * a + 3) / (2 * a + 3) * (3 * k + 3 * a + 4) / (3 * a + 4)
-            * (3 * k + 3 * a + 5) / (3 * a + 5))
-    h = a / 2
-    return pref * _bprod(
-        k,
-        tops=[3 * h + 1, 3 * h + 2, 2 * a + 1, 2 * a + 2],
-        bots=[F1, h, h + 1],
-        tops2k=[5 * h + 3, 3 * a + 3],
-        bots2k=[a + 2, 3 * h + 2],
-    )
+    return _printed("X2", k, a)
 
 
 def hilbert_X3_printed(k: int, a: RatLike) -> Fraction:
-    check_counts(0, k=k)
-    a = rat(a)
-    h = a / 2
-    pref = ((2 * k + 3 * h + 1) / (3 * h + 1) * (2 * k + 3 * h + 2) / (3 * h + 2)
-            * (2 * k + 3 * h + 3) / (3 * h + 3)
-            * (4 * k + 3 * a + 3) / (3 * a + 3) * (4 * k + 3 * a + 4) / (3 * a + 4)
-            * (4 * k + 3 * a + 5) / (3 * a + 5))
-    return pref * _bprod(
-        k,
-        tops=[a, a + 1, a + 2, 3 * h - 1, 3 * h, 3 * h + 1],
-        bots=[F1, Fraction(2), h - 1, h, h + 1],
-        tops2k=[2 * a + 1, 2 * a + 2, 2 * a + 3],
-        bots2k=[a, a + 1, a + 2],
-        tops3k=[5 * h + 3, 3 * a + 2],
-        bots3k=[3 * h + 3, 2 * a + 2],
-    )
+    return _printed("X3", k, a)
 
 
 def hilbert_Y2star_printed(k: int, a: RatLike) -> Fraction:
-    check_counts(0, k=k)
-    a = rat(a)
-    h = a / 2
-    pref = (2 * k + 5 * h + 3) / (5 * h + 3)
-    return pref * _bprod(
-        k,
-        tops=[2 * a, 2 * a + 1, 2 * a + 3, 5 * h + 2],
-        bots=[h - 1, h + 1, h + 2, a + 1, a + 3],
-        tops2k=[3 * a + 5],
-        bots2k=[2 * a],
-    )
-
-
-# -- subexceptional series --------------------------------------------------------
+    return _printed("Y2star", k, a)
 
 
 def subexc_g_printed(k: int, a: RatLike) -> Fraction:
-    check_counts(0, k=k)
-    a = rat(a)
-    h = a / 2
-    pref = (2 * k + 2 * a + 1) / (2 * a + 1)
-    return pref * _bprod(k, tops=[3 * h - 1, 3 * h + 1, 2 * a],
-                         bots=[h - 1, h + 1])
+    return _printed("subexc_g", k, a)
 
 
 def subexc_V_printed(k: int, a: RatLike) -> Fraction:
-    check_counts(0, k=k)
-    a = rat(a)
-    h = a / 2
-    pref = (2 * a + 2 * k + 2) / (a + 1)
-    return pref * _bprod(k, tops=[2 * a + 1, 3 * h + 1], bots=[h + 1])
+    return _printed("subexc_V", k, a)
 
 
 def subexc_V_corrected(k: int, a: RatLike) -> Fraction:
@@ -525,23 +524,11 @@ def subexc_V_corrected(k: int, a: RatLike) -> Fraction:
     The shipped tables's (2a+2k+2)/(a+1) prefactor contradicts dim V = 6a+8
     already at k=1; (k+a+1)(a+2k+2)/((a+1)(a+2)) restores the series.
     """
-    check_counts(0, k=k)
-    a = rat(a)
-    h = a / 2
-    pref = (k + a + 1) * (a + 2 * k + 2) / ((a + 1) * (a + 2))
-    return pref * _bprod(k, tops=[2 * a + 1, 3 * h + 1], bots=[h + 1])
+    return _printed("subexc_V_corrected", k, a)
 
 
 def subexc_V2_printed(k: int, a: RatLike) -> Fraction:
-    check_counts(0, k=k)
-    a = rat(a)
-    h = a / 2
-    pref = (4 * k + 3 * a + 2) / ((k + 1) * (3 * a + 2))
-    return pref * _bprod(k,
-                         tops=[a + 1, 3 * h, 3 * h - 1, a],
-                         bots=[h, h - 1],
-                         tops2k=[2 * a + 1],
-                         bots2k=[a])
+    return _printed("subexc_V2", k, a)
 
 
 # -- Severi series ------------------------------------------------------------------
@@ -579,10 +566,7 @@ def _so_family_args(k: int, t: int) -> None:
 def so_family_dim(k: int, t: int) -> SeriesResult:
     """dim so(2t+4)^(k), closed form as printed."""
     _so_family_args(k, t)
-    den = (2 * t + 1) * t * (t + 1) * (k + 1)
-    value = (Fraction((2 * k + 2 * t + 1) * (k + t) * (k + t + 1), den)
-             * gen_binomial(k + 2 * t - 1, k) * gen_binomial(k + 2 * t, k))
-    return SeriesResult(value)
+    return SeriesResult(_printed("so_family", k, t))
 
 
 def so_family_interval(k: int, t: int) -> SeriesResult:

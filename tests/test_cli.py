@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -415,6 +416,16 @@ def test_table_qdim_negative_k_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "table: k must be >= 0\n"
+
+
+@pytest.mark.parametrize("series", ["so-family", "severi", "exceptional"])
+def test_table_k_range_too_long_to_count_is_usage_error(capsys, series):
+    # The parameter product cannot take the length of a range past a C
+    # ssize_t, and raises OverflowError before it computes any row.
+    assert main(["table", "--series", series, "--k-max", str(10**20)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"magicsquare: [^\n]*too large[^\n]*\n", captured.err)
 
 
 @pytest.mark.parametrize("argv,err", [

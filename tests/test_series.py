@@ -569,6 +569,46 @@ def test_paired_zero_terms_are_dropped_not_the_limit():
             assert abs(value - 2520) < Fraction(1, 100)
 
 
+@pytest.mark.parametrize("f,k,a", [
+    (S.hilbert_X2_printed, 3, -5), (S.hilbert_X3_printed, 2, F(-14, 3)),
+    (S.hilbert_Y2star_printed, 1, F(-6, 5)), (subexc_g_printed, 1, F(-1, 2)),
+    (subexc_V_printed, 0, -1), (subexc_V_corrected, 1, -4), (subexc_V2_printed, 1, F(-2, 3)),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_a_printed_prefactor_keeps_its_own_poles(f, k, a):
+    # The prefactor of a printed formula is a plain product: a zero in it is
+    # not dropped against a zero of the binomials, nor (k + c) / c against
+    # itself at c = 0, as the paired zero terms of the binomials are.
+    with pytest.raises(ZeroDivisionError):
+        f(k, a)
+
+
+PRINTED_DESCRIPTOR_PAIRS = [
+    (S.hilbert_X2_printed, EXCEPTIONAL, "q"), (S.hilbert_X3_printed, EXCEPTIONAL, "r"),
+    (subexc_g_printed, SUBEXCEPTIONAL, "p"), (subexc_V_corrected, SUBEXCEPTIONAL, "q"),
+    (subexc_V2_printed, SUBEXCEPTIONAL, "r"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=-40, max_value=40, max_denominator=12), st.integers(0, 4))
+def test_printed_forms_agree_with_the_descriptor_rows(a, k):
+    # Off the grids of the crosscheck: wherever both sides are finite, poles
+    # and paired zero terms included.
+    for f, d, sym in PRINTED_DESCRIPTOR_PAIRS:
+        rows = evaluate_series(d, {sym: k}, a).value
+        try:
+            printed = f(k, a)
+        except ZeroDivisionError:
+            continue
+        assert rows is None or printed == rows, f.__name__
+    # The printed V prefactor is 2 (a + 2) / (a + 2k + 2) times the corrected one.
+    try:
+        printed, corrected = subexc_V_printed(k, a), subexc_V_corrected(k, a)
+    except ZeroDivisionError:
+        return
+    assert printed * (a + 2 * k + 2) == corrected * 2 * (a + 2)
+
+
 def test_triality_rows_refuse_chart_data_that_give_no_descriptor(monkeypatch):
     slots = S.slot_weights(triality_algebra("H"))
     # A marker at half a chart weight pairs with the slot weights to 1/2.

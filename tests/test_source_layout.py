@@ -37,3 +37,26 @@ def test_every_module_level_import_is_used():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_every_private_module_name_is_used():
+    # Each private name a module defines at its top level, by def, class or
+    # assignment, is loaded somewhere in that module; one that its module
+    # never reads is dead code, even where a test still reaches it.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__") and name not in loaded:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
