@@ -121,7 +121,7 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     g = build_magic_algebra(args.A, args.B)
     report = {
-        "A": args.A.upper(), "B": args.B.upper(),
+        "A": g.algA.tag.name, "B": g.algB.tag.name,
         "dim": g.dim, "expected_dim": MAGIC_DIMS[(g.a, g.b)],
         "t_dims": [g.dA, g.dB],
         "seed": args.seed,
@@ -143,7 +143,7 @@ def cmd_verify(args) -> int:
     g = build_magic_algebra(args.A, args.B)
     rng = random.Random(args.seed)
     report: Dict = {
-        "A": args.A.upper(), "B": args.B.upper(), "seed": args.seed,
+        "A": g.algA.tag.name, "B": g.algB.tag.name, "seed": args.seed,
         "dim": g.dim, "expected_dim": MAGIC_DIMS[(g.a, g.b)],
         "triality_dims": [g.dA, g.dB],
     }

@@ -189,12 +189,11 @@ def run_crosscheck(suite: str = "quick",
             val = S.adjoint_cartan_power(k, a)
             cc.record("adjoint_cartan_power", {"k": k, "a": a}, val,
                       exceptional_oracle({"p": k}, a))
-            if a != -2:
-                lam = S.lambda_of_a(a)
-                cc.record("deligne_lambda_form", {"k": k, "a": a},
-                          S.deligne_Yk(k, lam), val)
-                cc.record("deligne_lambda_form_printed", {"k": k, "a": a},
-                          S.deligne_Yk_printed(k, lam), val)
+            lam = S.lambda_of_a(a)
+            cc.record("deligne_lambda_form", {"k": k, "a": a},
+                      S.deligne_Yk(k, lam), val)
+            cc.record("deligne_lambda_form_printed", {"k": k, "a": a},
+                      S.deligne_Yk_printed(k, lam), val)
 
     # Exceptional-series grid.
     for a in EXC_A_GRID:
@@ -216,30 +215,26 @@ def run_crosscheck(suite: str = "quick",
 
     # Hilbert functions, printed vs descriptor-derived (the oracle chain is
     # descriptor == weyl, already covered above; here the printed text forms).
-    kh = 3 if full else 2
-    for a in EXC_A_GRID:
-        for k in range(1, kh + 1):
-            for which, sym, printed_fn in (("X2", "q", S.hilbert_X2_printed),
-                                           ("X3", "r", S.hilbert_X3_printed),
-                                           ("Y2star", "s", S.hilbert_Y2star_printed)):
-                oracle = S.evaluate_series(S.EXCEPTIONAL, {sym: k}, a).value
-                try:
-                    printed = printed_fn(k, a)
-                except ZeroDivisionError:
-                    printed = None
-                cc.record(f"{which.lower()}_hilbert_printed", {"k": k, "a": a},
-                          printed, oracle)
-    for a in COMPOSITION_A_GRID:
-        for k in range(1, kh + 1):
-            for which, sym, printed_fn in (("g", "p", S.subexc_g_printed),
-                                           ("V", "q", S.subexc_V_printed),
-                                           ("V2", "r", S.subexc_V2_printed)):
-                oracle = S.evaluate_series(S.SUBEXCEPTIONAL, {sym: k}, a).value
-                cc.record(f"subexceptional_{which}_hilbert_printed",
-                          {"k": k, "a": a}, printed_fn(k, a), oracle)
-            cc.record("subexceptional_V_hilbert_corrected", {"k": k, "a": a},
-                      S.subexc_V_corrected(k, a),
-                      S.evaluate_series(S.SUBEXCEPTIONAL, {"q": k}, a).value)
+    hilbert_forms = (
+        (EXC_A_GRID, S.EXCEPTIONAL, (("x2_hilbert_printed", "q", S.hilbert_X2_printed),
+                                     ("x3_hilbert_printed", "r", S.hilbert_X3_printed),
+                                     ("y2star_hilbert_printed", "s", S.hilbert_Y2star_printed))),
+        (COMPOSITION_A_GRID, S.SUBEXCEPTIONAL,
+         (("subexceptional_g_hilbert_printed", "p", S.subexc_g_printed),
+          ("subexceptional_V_hilbert_printed", "q", S.subexc_V_printed),
+          ("subexceptional_V2_hilbert_printed", "r", S.subexc_V2_printed),
+          ("subexceptional_V_hilbert_corrected", "q", S.subexc_V_corrected))),
+    )
+    for a_grid, d, forms in hilbert_forms:
+        for a in a_grid:
+            for k in range(1, (3 if full else 2) + 1):
+                for formula, sym, printed_fn in forms:
+                    try:
+                        printed = printed_fn(k, a)
+                    except ZeroDivisionError:
+                        printed = None
+                    cc.record(formula, {"k": k, "a": a}, printed,
+                              S.evaluate_series(d, {sym: k}, a).value)
 
     # q-analog at q = 1.
     for a in QDIM_A_GRID:
@@ -264,22 +259,22 @@ def run_crosscheck(suite: str = "quick",
                       S.thirdrow_dim(k, 3, a).value,
                       S.evaluate_series(S.SUBEXCEPTIONAL, {"p": k}, a).value)
 
-    # Degrees against exact leading Hilbert coefficients.
+    # Degrees against exact leading Hilbert coefficients: each oracle variety's
+    # degree is computed once per a and compared with each of its forms.
     if full:
-        for a in DEGREE_A_GRID:
-            for variety in VARIETIES:
-                cc.record(f"degree_{variety}", {"a": a},
-                          S.degree_formulas(variety, a),
-                          S.degree_from_hilbert(variety, a))
-        for a in COMPOSITION_A_GRID:
-            cc.record("degree_subexc_ad", {"a": a},
-                      S.degree_formulas("subexc_ad", a),
-                      S.degree_from_hilbert("subexc_ad", a))
-            # The printed and corrected forms share one oracle degree each.
-            for variety in ("subexc_X", "subexc_flines"):
-                oracle = S.degree_from_hilbert(variety, a)
-                cc.record(f"degree_{variety}_printed", {"a": a},
-                          S.degree_formulas(f"{variety}_printed", a), oracle)
-                cc.record(f"degree_{variety}_corrected", {"a": a},
-                          S.degree_formulas(variety, a), oracle)
+        degree_forms = (
+            (DEGREE_A_GRID, [(v, [(f"degree_{v}", v)]) for v in VARIETIES]),
+            (COMPOSITION_A_GRID, [
+                ("subexc_ad", [("degree_subexc_ad", "subexc_ad")]),
+                ("subexc_X", [("degree_subexc_X_printed", "subexc_X_printed"),
+                              ("degree_subexc_X_corrected", "subexc_X")]),
+                ("subexc_flines", [("degree_subexc_flines_printed", "subexc_flines_printed"),
+                                   ("degree_subexc_flines_corrected", "subexc_flines")])]),
+        )
+        for a_grid, varieties in degree_forms:
+            for a in a_grid:
+                for variety, forms in varieties:
+                    oracle = S.degree_from_hilbert(variety, a)
+                    for formula, form in forms:
+                        cc.record(formula, {"a": a}, S.degree_formulas(form, a), oracle)
     return cc

@@ -663,7 +663,7 @@ def _datum_from_weights(name: str, keys: Sequence[Key], den: int,
     return rd
 
 
-def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum:
+def extract_root_datum(g: MagicAlgebra) -> RootDatum:
     """Root datum of g(A,B): coordinates (t(B)-side first), lex positivity.
 
     The roots are the nonzero entries of `basis_weights`, and the Gram is
@@ -672,7 +672,7 @@ def extract_root_datum(g: MagicAlgebra, name: Optional[str] = None) -> RootDatum
     rationals its integral form is anisotropic (ad eigenvalues are
     imaginary).
     """
-    return _datum_from_weights(name or f"g({g.algA.tag.name},{g.algB.tag.name})",
+    return _datum_from_weights(f"g({g.algA.tag.name},{g.algB.tag.name})",
                                *basis_weights(g), chart_markers(g.tB))
 
 

@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
@@ -347,26 +347,20 @@ def adjoint_cartan_ray(a: RatLike, kmax: int) -> List[Fraction]:
 
     dim g^(k) = (3a+2k+5)/(3a+5) * C(k+2a+3, k) C(k+5a/2+3, k) C(k+3a+4, k)
     / (C(k+a/2+1, k) C(k+a+1, k)); step k multiplies the binomial ratio by
-    (2a+3+k)(5a/2+3+k)(3a+4+k) / (k (a/2+1+k)(a+1+k)), over the integers
-    with a = p/q and every linear term scaled by 2q.
+    (2a+3+k)(5a/2+3+k)(3a+4+k) / (k (a/2+1+k)(a+1+k)).
     """
     check_counts(0, k=kmax)
     a = rat(a)
-    p, q = a.numerator, a.denominator
-    if 3 * p + 5 * q == 0:
+    if 3 * a + 5 == 0:
         raise ZeroDivisionError("pole at 3a+5 = 0")
-    num = den = 1
+    ratio = F1
     values = [F1]
     for k in range(1, kmax + 1):
-        top = (4 * p + 2 * q * (3 + k)) * (5 * p + 2 * q * (3 + k)) * (6 * p + 2 * q * (4 + k))
-        bottom = 2 * q * k * (p + 2 * q * (1 + k)) * (2 * p + 2 * q * (1 + k))
+        bottom = k * (a / 2 + 1 + k) * (a + 1 + k)
         if bottom == 0:
             raise ZeroDivisionError("pole in the binomial denominator")
-        num *= top
-        den *= bottom
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        values.append(Fraction((3 * p + (2 * k + 5) * q) * num, (3 * p + 5 * q) * den))
+        ratio *= (2 * a + 3 + k) * (5 * a / 2 + 3 + k) * (3 * a + 4 + k) / bottom
+        values.append((3 * a + 2 * k + 5) / (3 * a + 5) * ratio)
     return values
 
 
@@ -644,8 +638,7 @@ def degree_formulas(variety: str, a: RatLike) -> Fraction:
 
 # Hilbert function of each orbit variety, as the ray of one marker symbol
 # through a descriptor; the variety's dimension is the ray's degree in k
-# (`ray_degree`).  The values of "ad" come from adjoint_cartan_ray, a closed
-# form independent of the descriptor rows.
+# (`ray_degree`).
 VARIETY_RAYS = {
     "ad": (EXCEPTIONAL, "p"),
     "fplanes": (EXCEPTIONAL, "q"),
@@ -685,10 +678,7 @@ def degree_from_hilbert(variety: str, a: RatLike) -> Fraction:
     if d < 0:
         raise ValueError(f"variety dimension {d} is negative here")
     d = int(d)
-    if variety == "ad":
-        values = adjoint_cartan_ray(a, d)
-    else:
-        values = hilbert_ray(*VARIETY_RAYS[variety], a, d)
+    values = hilbert_ray(*VARIETY_RAYS[variety], a, d)
     # (-1)^(d-i) C(d,i) f(i), summed over the common denominator of the f(i)
     den = lcm(*(v.denominator for v in values))
     return Fraction(sum((-1) ** (d - i) * comb(d, i) * v.numerator * (den // v.denominator)

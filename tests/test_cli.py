@@ -79,6 +79,14 @@ def test_build_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_reports_name_each_tag_one_way(capsys, command):
+    # parse_tag reads any case and padding; the report prints the tag's own name.
+    _, padded = run(capsys, [command, "--A", " h", "--B", "r", "--seed", "0"])
+    _, canonical = run(capsys, [command, "--A", "H", "--B", "R", "--seed", "0"])
+    assert padded == canonical
+
+
 def test_roots_command(capsys, tmp_path):
     out_path = tmp_path / "e6.json"
     code, _ = run(capsys, ["roots", "--A", "O", "--B", "C", "--out", str(out_path)])
@@ -446,6 +454,13 @@ def test_negative_exponent_at_a_pole_is_usage_error(capsys, argv, err):
     assert captured.err == err
 
 
+def test_table_empty_k_range_is_usage_error(capsys):
+    assert main(["table", "--series", "exceptional", "--k-min", "3", "--k-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "table: empty parameter range\n"
+
+
 def test_crosscheck_quick(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run(capsys, ["crosscheck", "--suite", "quick", "--out", str(out_path)])
@@ -773,6 +788,31 @@ def _dense_invariant_form_defects(g, seed):
         zx, zy = g.bracket(z, x), g.bracket(z, y)
         bad += reference_invariant_form(g, zx, y) + reference_invariant_form(g, x, zy) != 0
     return bad
+
+
+def test_verify_lists_each_failed_check(capsys):
+    # In g(C,C), clearing ad(b_0) breaks antisymmetry against the intact column
+    # of b_0 and leaves b_0 central; a bracket of two vectors of the first
+    # h-subalgebra that leaves it breaks h_closure.
+    g = build_magic_algebra("C", "C")
+    tab = g.table()
+    h = g.h_subalgebra_indices(0)
+    i, j = h[1], h[-1]
+    outside = next(k for k in range(g.dim) if k not in h)
+    saved_0, saved_ij = tab[0], tab[i].get(j)
+    try:
+        tab[0] = {}
+        tab[i][j] = ((outside, 1),)
+        code, out = run(capsys, ["verify", "--A", "C", "--B", "C", "--jacobi", "sample:0"])
+    finally:
+        tab[0] = saved_0
+        tab[i][j] = saved_ij
+    assert code == 1
+    data = json.loads(out)
+    assert {"antisymmetry", "h_closure", "center"} <= set(data["failures"])
+    assert data["center_dim"] == 1 and data["ok"] is False
+    code, out = run(capsys, ["verify", "--A", "C", "--B", "C", "--jacobi", "sample:0"])
+    assert code == 0 and json.loads(out)["failures"] == []
 
 
 def test_verify_spot_check_counts_as_the_dense_loop_on_a_corrupted_table(capsys):

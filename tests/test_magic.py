@@ -555,6 +555,39 @@ def test_center_trivial():
         assert g.center_dim() == 0, (A, B)
 
 
+def test_center_dim_counts_a_basis_vector_with_no_brackets():
+    # Clearing b_0's row and column of g(C,C) makes b_0 central, and nothing else.
+    g = build_magic_algebra("C", "C")
+    tab = g.table()
+    saved = [dict(row) for row in tab]
+    try:
+        tab[0].clear()
+        for row in tab:
+            row.pop(0, None)
+        assert g.center_dim() == 1
+    finally:
+        for row, old in zip(tab, saved):
+            row.clear()
+            row.update(old)
+    assert g.center_dim() == 0
+
+
+def test_jacobi_sample_counts_failing_triples_on_a_corrupted_table():
+    # Tripling [b_a, b_b] wherever a + b is a multiple of 3 breaks Jacobi on
+    # some of the sampled triples of g(C,C).
+    g = build_magic_algebra("C", "C")
+    tab = g.table()
+    saved = [(a, b, col) for a in range(g.dim) for b, col in tab[a].items() if (a + b) % 3 == 0]
+    try:
+        for a, b, col in saved:
+            tab[a][b] = tuple((k, 3 * c) for k, c in col)
+        assert 0 < g.jacobi_sample(100, seed=0) <= 100
+    finally:
+        for a, b, col in saved:
+            tab[a][b] = col
+    assert g.jacobi_sample(100, seed=0) == 0
+
+
 def test_g_rr_is_the_rotation_algebra():
     g = build_magic_algebra("R", "R")
     assert g.dim == 3

@@ -362,6 +362,14 @@ def test_weight_multiplicities_so8():
     assert total == 28
 
 
+def test_weight_multiplicity_is_zero_off_the_root_lattice():
+    # omega_1 of a1 is half a root: 0 is not a weight of that module, omega_1 is.
+    rd = builtin_datum("a1")
+    (w,) = rd.fundamental_weights()
+    assert rd.weight_multiplicity(w, [0] * len(w)) == 0
+    assert rd.weight_multiplicity(w, w) == 1
+
+
 def test_weyl_dim_rejects_bad_weights():
     rd = builtin_datum("a2")
     fw = rd.fundamental_weights()

@@ -543,6 +543,29 @@ def test_counts_that_are_not_integers_are_refused(route, value):
         call(value)
 
 
+@pytest.mark.parametrize("call", [lambda: severi_dim(1, 0, -2),
+                                  lambda: thirdrow_dim(1, 3, F(-1, 2)),
+                                  lambda: thirdrow_dim(1, 3, 0)],
+                         ids=["severi-binomial", "thirdrow-prefactor", "thirdrow-binomial"])
+def test_closed_form_poles_are_results(call):
+    # severi at a = -2 and thirdrow at a = 0 meet a zero binomial denominator;
+    # thirdrow at a = -1/2 a zero prefactor denominator a (r - 1) + 1.
+    res = call()
+    assert res.pole and res.value is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-9, 48))
+def test_adjoint_ray_through_the_descriptor_is_the_closed_form(m):
+    # Every a = n/d with d <= 12 at which the ad variety's dimension 6a + 9 is
+    # an integer is m/6; on -3/2 <= a <= 8 the descriptor's p ray, which
+    # degree_from_hilbert reads for "ad", is the closed form at every k.
+    a = F(m, 6)
+    dim = int(6 * a + 9)
+    assert hilbert_ray(EXCEPTIONAL, "p", a, dim) == \
+        [reference_adjoint_cartan_power(k, a) for k in range(dim + 1)]
+
+
 def test_hilbert_ray_refuses_negative_k_like_the_adjoint_ray():
     for call in (lambda: hilbert_ray(EXCEPTIONAL, "p", 1, -1), lambda: adjoint_cartan_ray(1, -1)):
         with pytest.raises(ValueError, match=r"^k must be >= 0$"):
