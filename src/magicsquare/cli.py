@@ -26,7 +26,8 @@ from .roots import RootDatum, builtin_datum, datum_for, dynkin_type
 from .triality import triality_algebra
 from . import series as S
 from .crosscheck import (COMPOSITION_A_GRID, DEGREE_A_GRID, QDIM_A_GRID, SERIES_A_GRID,
-                         SO_FAMILY_T, VARIETIES, load_known_suspects, run_crosscheck)
+                         SO_FAMILY_T, VARIETIES, load_known_suspects, read_json,
+                         run_crosscheck)
 
 
 JacobiMode = Tuple[str, Optional[int]]
@@ -201,8 +202,7 @@ def cmd_roots(args) -> int:
 def _load_datum(spec: str) -> RootDatum:
     if spec.startswith("builtin:"):
         return builtin_datum(spec.split(":", 1)[1])
-    with open(spec) as fh:
-        return RootDatum.from_json(json.load(fh))
+    return RootDatum.from_json(read_json(spec))
 
 
 # The series whose dimension is the product of a descriptor, and so has a factored form.
@@ -251,7 +251,7 @@ def cmd_dim(args) -> int:
             setattr(args, _dest(flag), default)
     if args.datum:
         rd = _load_datum(args.datum)
-        print(rd.weyl_dim(rd.weight_from_fund(args.weight)))
+        print(rd.weyl_dim_labels(args.weight))
         return 0
     a = args.a
     descriptor = FACTORED_SERIES.get(args.series)

@@ -93,10 +93,11 @@ class CompAlg:
         self.conj_matrix = conj
         self.gram = gram
         self.unit = unit
-        # (partner[i], gram[partner[i]][i]) for the unique nonzero entry of
-        # each Gram column i (partner[i] = i for dim 1).
-        self._pairing = _one_per_column(gram, "gram is not hyperbolic-paired")
-        self.partner = [j for j, _ in self._pairing]
+        # Each Gram column i has one nonzero entry, the pairing value
+        # Q(e_partner[i], e_i), at row partner[i] (partner[i] = i for dim 1).
+        pairing = _one_per_column(gram, "gram is not hyperbolic-paired")
+        self.partner = [j for j, _ in pairing]
+        self.pairing_value = [c for _, c in pairing]
         # conj[i] = (j, c) with conj(e_i) = c e_j.
         self.conj = _one_per_column(conj, "conjugation is not a signed permutation")
 
@@ -143,7 +144,7 @@ class CompAlg:
             raise ValueError("element dimension mismatch")
         # x^T G y over the one nonzero entry of each Gram column.
         out = F0
-        for i, (j, c) in enumerate(self._pairing):
+        for i, (j, c) in enumerate(zip(self.partner, self.pairing_value)):
             if x[j] and y[i]:
                 out += x[j] * c * y[i]
         return out

@@ -156,18 +156,27 @@ class Crosscheck:
                 "known_suspects": sorted(self.suspects)}
 
 
+def read_json(path: str) -> object:
+    """The JSON value in the file at path; ValueError naming the file when
+    its text is not valid JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_known_suspects(path: Optional[str] = None) -> List[str]:
     """Formula names from a JSON list of objects with a string "formula".
 
     Reads the shipped list when path is None; raises ValueError, naming the
-    file, when the JSON has another shape.
+    file, when it is not valid JSON or the JSON has another shape.
     """
     if path is None:
         data = json.loads(resources.files("magicsquare.data")
                           .joinpath("known_suspects.json").read_text())
     else:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
     if not isinstance(data, list) or not all(
             isinstance(e, dict) and isinstance(e.get("formula"), str) for e in data):
         raise ValueError(f"{path or 'known_suspects.json'}: expected a JSON list of "

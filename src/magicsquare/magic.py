@@ -156,9 +156,8 @@ class MagicAlgebra:
             cols = iter(cols)
             psi.append(([dict(zip(table, cols)) for table in tables], d))
         (psiA, dpA), (psiB, dpB) = psi
-        ((qA,), dqA), ((qB,), dqB) = (
-            int_vectors([{p: alg.gram[p][alg.partner[p]] for p in range(alg.dim)}])
-            for alg in (algA, algB))
+        ((qA,), dqA), ((qB,), dqB) = (int_vectors([dict(enumerate(alg.pairing_value))])
+                                      for alg in (algA, algB))
         products = [(int_vectors([algA.slot_product(s, p, p2) for p in range(a) for p2 in range(a)]),
                      int_vectors([algB.slot_product(s, q, q2) for q in range(b) for q2 in range(b)]))
                     for s in range(3)]
@@ -451,12 +450,12 @@ class MagicAlgebra:
             rows: List[SVec] = []
             for off, t in ((0, self.tA), (self.dA, self.tB)):
                 rows.extend({off + c: v for c, v in enumerate(row) if v} for row in t.k_matrix())
-            gA, gB = self.algA.gram, self.algB.gram
+            vA, vB = self.algA.pairing_value, self.algB.pairing_value
             pA, pB = self.algA.partner, self.algB.partner
             for slot in range(3):
                 for p in range(self.a):
                     for q in range(self.b):
-                        rows.append({self.idx_m(slot, pA[p], pB[q]): gA[p][pA[p]] * gB[q][pB[q]]})
+                        rows.append({self.idx_m(slot, pA[p], pB[q]): vA[p] * vB[q]})
             self._form = rows
         return self._form
 

@@ -282,7 +282,7 @@ def build_V_module(tag_a: str) -> GModule:
         actions.append(m)
 
     # Mixed slots: e_p @ w with w in the H slot identified as u_eps(j) @ u_del(k).
-    pA = algA.partner
+    pA, qp = algA.partner, algA.pairing_value
     for s in range(3):
         jf, kf = [i for i in range(3) if i != s]
         s1, s2 = (s + 1) % 3, (s + 2) % 3
@@ -305,7 +305,7 @@ def build_V_module(tag_a: str) -> GModule:
                     for us in range(2):
                         idx = [0] * 3
                         idx[s], idx[jf], idx[kf] = us, eps, dl
-                        m[ix.uuu(*idx), ix.au(s, pA[p], us)] += c2 * coeff * algA.gram[p][pA[p]]
+                        m[ix.uuu(*idx), ix.au(s, pA[p], us)] += c2 * coeff * qp[p]
                     for src, dst, cs, prods in mults:
                         # U_src is the factor j or k matching index src
                         # and pairs through omega(pair_eps, u), nonzero at u = 1 - pair_eps
@@ -325,7 +325,7 @@ def build_V_module(tag_a: str) -> GModule:
         for p in range(a):
             for e in range(2):
                 form[ix.au(s, p, e), ix.au(s, pA[p], 1 - e)] = (
-                    ds[s] * algA.gram[p][pA[p]] * sign[e])
+                    ds[s] * qp[p] * sign[e])
     for al, be, ga in product(range(2), repeat=3):
         form[ix.uuu(al, be, ga), ix.uuu(1 - al, 1 - be, 1 - ga)] = (
             d0 * sign[al] * sign[be] * sign[ga])
@@ -374,7 +374,7 @@ def build_W_module(tag_a: str) -> GModule:
         actions.append(m)
 
     # Mixed slots.
-    pA = algA.partner
+    pA, qp = algA.partner, algA.pairing_value
     for s in range(3):
         s1, s2 = (s + 1) % 3, (s + 2) % 3
         for p in range(a):
@@ -390,7 +390,7 @@ def build_W_module(tag_a: str) -> GModule:
                 # M_dst -> A_s @ L_s
                 m[ix.al(s, p), ix.line(dst)] += w1
                 # A_s -> M_src; Q(e_p, e_x) is nonzero only at x = partner[p]
-                m[ix.line(src), ix.al(s, pA[p])] += w2 * algA.gram[p][pA[p]]
+                m[ix.line(src), ix.al(s, pA[p])] += w2 * qp[p]
                 # A_src -> A_dst
                 for y, prod in enumerate(prods):
                     for r, pv in prod.items():
@@ -401,7 +401,6 @@ def build_W_module(tag_a: str) -> GModule:
     # families: Q(X1 X2, X3) pairs each component e_k of e_p e_q with
     # e_{partner k} in X3, and x_s Q(X_s, X_s) pairs e_p with e_{partner p}.
     c_lines, c_theta, *cs = W_CUBIC_COEFFS
-    qp = [algA.gram[p][pA[p]] for p in range(a)]
     form: FormEntries = {(ix.line(0), ix.line(1), ix.line(2)): c_lines}
     for p in range(a):
         for q in range(a):

@@ -266,14 +266,17 @@ class RootDatum:
         return self.weyl_dim_labels(self._dominant_labels(w))
 
     def weyl_dim_labels(self, labels: Sequence[int]) -> int:
-        """The Weyl dimension of the weight with these nonnegative integer Dynkin labels.
+        """The Weyl dimension of the weight with these nonnegative integer Dynkin labels,
+        one per simple root; ValueError on another count or a negative label.
 
         With alpha = sum_j c_j alpha_j and lambda the labels, the factor of
         alpha is sum_j m_j (lambda_j + 1) / sum_j m_j with m_j = c_j |alpha_j|^2,
         proportional to the coroot coordinates of alpha.
         """
         self._frame()
-        if len(labels) != len(self._norms) or min(labels) < 0:
+        if len(labels) != len(self._norms):
+            raise ValueError(f"expected {len(self._norms)} Dynkin labels, got {len(labels)}")
+        if min(labels) < 0:
             raise ValueError(f"Dynkin labels {tuple(labels)} are not dominant")
         lam = [x + 1 for x in labels]
         num = 1

@@ -33,7 +33,11 @@ harness compares each against the Weyl oracle and records the outcome.  The
 printed products in k (the Hilbert functions of the orbit varieties, the
 subexceptional powers and so(2t+4)'s closed form) are one table `_PRINTED`
 of factor data, read by one evaluator: a scalar, ratios (mk + c)/c and
-binomials C(mk + c, mk), each c linear in the parameter.
+binomials C(mk + c, mk), each c linear in the parameter.  The printed degrees
+of the closed orbits are a second such table `_DEGREES`, read by
+`degree_formulas`: a scalar, powers b^(c0 + c1 a) and factorial ratios
+(x0 + x1 a)! / (y0 + y1 a)!.  A corrected form is its printed entry with
+the correcting factors changed, typed once.
 """
 
 from __future__ import annotations
@@ -449,8 +453,6 @@ _PRINTED = {
                  [(1, -1, 3 * HALF, 1), (1, 1, 3 * HALF, 1), (1, 0, 2, 1),
                   (1, -1, HALF, -1), (1, 1, HALF, -1)]),
     "subexc_V": (2, [(1, 1, 1)], [(1, 1, 2, 1), (1, 1, 3 * HALF, 1), (1, 1, HALF, -1)]),
-    "subexc_V_corrected": (1, [(1, 1, 1), (2, 2, 1)],
-                           [(1, 1, 2, 1), (1, 1, 3 * HALF, 1), (1, 1, HALF, -1)]),
     "subexc_V2": (1, [(4, 2, 3)],
                   [(1, 1, 1, 1), (1, 0, 3 * HALF, 1), (1, -1, 3 * HALF, 1), (1, 0, 1, 1),
                    (1, 0, HALF, -1), (1, -1, HALF, -1), (1, 1, 0, -1),
@@ -458,6 +460,10 @@ _PRINTED = {
     "so_family": (1, [(2, 1, 2), (1, 0, 1), (1, 1, 1)],
                   [(1, 1, 0, -1), (1, -1, 2, 1), (1, 0, 2, 1)]),
 }
+# subexc_V with its prefactor fixed (`subexc_V_corrected`): the scalar 1 for
+# the printed 2, and one more ratio (2k + 2 + a) / (2 + a).
+_V = _PRINTED["subexc_V"]
+_PRINTED["subexc_V_corrected"] = (1, [*_V[1], (2, 2, 1)], _V[2])
 
 
 def _printed(name: str, k: int, x: RatLike) -> Fraction:
@@ -590,50 +596,55 @@ def thirdrow_dim(k: int, r: int, a: RatLike) -> SeriesResult:
 # -- degrees of the closed orbits ------------------------------------------------------
 
 
+# Each printed degree typed once as data: a scalar, the powers (b, c0, c1),
+# each b^(c0 + c1 a), and the factorial ratios (x0, x1, y0, y1, +-1), each
+# ((x0 + x1 a)! / (y0 + y1 a)!)^(+-1).  A bare linear factor c is the ratio
+# c! / (c - 1)!: 1 / (2a + 1) is (1, 2, 0, 2, -1).
+_DEGREES = {
+    "ad": (2, [], [(9, 6, 5, 3, 1), (3, 5 * HALF, 1, HALF, -1), (3, 2, 1, 1, -1)]),
+    "fplanes": (9, [(2, 3, 3)], [(11, 9, 5, 3, 1), (1, 2, 0, 1, -1), (1, 3 * HALF, 0, HALF, -1),
+                                 (3, 5 * HALF, 1, HALF, -1), (3, 2, 0, 0, -1)]),
+    "flines": (1, [(2, 6, 3), (3, 0, 2)], [(9, 11, 3, 2, 1), (-1, 3 * HALF, -1, HALF, -1),
+                                           (1, 3 * HALF, 0, HALF, -1), (3, 5 * HALF, 1, HALF, -1)]),
+    "fpoints": (1, [(2, 6, 1)], [(9, 6, 5, 3, 1), (1, HALF, 0, 0, 1), (3, 2, 1, 1, -1),
+                                 (1, 2, 3, 1, -1), (2, 5 * HALF, 2, HALF, -1)]),
+    "subexc_ad": (2, [], [(1, 2, 0, 2, -1), (1, 4, 0, 2, 1), (-1, 3 * HALF, -1, HALF, -1),
+                          (1, 3 * HALF, 1, HALF, -1)]),
+    "subexc_X_printed": (2, [], [(3, 3, 1, 2, 1), (1, 3 * HALF, 1, HALF, -1)]),
+    "subexc_flines_printed": (1, [(2, 3, 1)], [(2, 5, 2, 3, 1), (0, 3 * HALF, 0, HALF, -1),
+                                               (-1, 3 * HALF, -1, HALF, -1), (1, 1, 0, 0, -1),
+                                               (1, 2, 0, 0, -1)]),
+}
+# The printed subexc_X inherits the V^(k) prefactor slip (`subexc_V_corrected`);
+# one more factor ((a + 2)! / a!)^-1 = 1 / ((a + 1)(a + 2)) fixes it.
+_X = _DEGREES["subexc_X_printed"]
+_DEGREES["subexc_X"] = (*_X[:2], [*_X[2], (2, 1, 0, 1, -1)])
+# As printed, subexc_flines divides by (3a + 2)! through (5a + 2)! / (3a + 2)!; the
+# leading-coefficient oracle shows it must be the bare linear factor 3a + 2, as
+# in the neighbouring adjoint degree: (5a + 2)! / 0! times (3a + 2)^-1.
+_FLINES = _DEGREES["subexc_flines_printed"]
+_DEGREES["subexc_flines"] = (*_FLINES[:2], [(2, 5, 0, 0, 1), (2, 3, 1, 3, -1), *_FLINES[2][1:]])
+
+
 def degree_formulas(variety: str, a: RatLike) -> Fraction:
-    """Exact degree of the named closed orbit, via paired factorial ratios."""
+    """Exact degree of the named closed orbit: the entry _DEGREES[variety] at a.
+
+    The scalar, the powers and the factorial ratios multiply in the entry's
+    order, so the first factor that fails raises: a ratio whose gap is not a
+    nonnegative integer a ValueError (`factorial_ratio`), a vanishing ratio
+    downstairs a ZeroDivisionError.
+    """
     a = rat(a)
-    h = a / 2
-    if variety == "ad":
-        return (Fraction(2) * factorial_ratio(6 * a + 9, 3 * a + 5)
-                / factorial_ratio(Fraction(5, 2) * a + 3, h + 1)
-                / factorial_ratio(2 * a + 3, a + 1))
-    if variety == "fplanes":
-        return (Fraction(2) ** (3 * a + 3) * 9 * factorial_ratio(9 * a + 11, 3 * a + 5)
-                / factorial_ratio(2 * a + 1, a) / factorial_ratio(3 * h + 1, h)
-                / factorial_ratio(Fraction(5, 2) * a + 3, h + 1)
-                / factorial_ratio(2 * a + 3, 0))
-    if variety == "flines":
-        return (Fraction(2) ** (3 * a + 6) * Fraction(3) ** (2 * a)
-                * factorial_ratio(11 * a + 9, 2 * a + 3)
-                / factorial_ratio(3 * h - 1, h - 1) / factorial_ratio(3 * h + 1, h)
-                / factorial_ratio(Fraction(5, 2) * a + 3, h + 1))
-    if variety == "fpoints":
-        return (Fraction(2) ** (a + 6) * factorial_ratio(6 * a + 9, 3 * a + 5)
-                * factorial_ratio(h + 1, 0)
-                / factorial_ratio(2 * a + 3, a + 1) / factorial_ratio(2 * a + 1, a + 3)
-                / factorial_ratio(Fraction(5, 2) * a + 2, h + 2))
-    if variety == "subexc_ad":
-        return (Fraction(2) / (2 * a + 1) * factorial_ratio(4 * a + 1, 2 * a)
-                / factorial_ratio(3 * h - 1, h - 1) / factorial_ratio(3 * h + 1, h + 1))
-    if variety == "subexc_X_printed":
-        return (Fraction(2) * factorial_ratio(3 * a + 3, 2 * a + 1)
-                / factorial_ratio(3 * h + 1, h + 1))
-    if variety == "subexc_X":
-        # Printed form inherits the V^(k) prefactor slip; /(a+1)(a+2) fixes it.
-        return degree_formulas("subexc_X_printed", a) / ((a + 1) * (a + 2))
-    if variety == "subexc_flines_printed":
-        return (Fraction(2) ** (a + 3) * factorial_ratio(5 * a + 2, 3 * a + 2)
-                / factorial_ratio(3 * h, h) / factorial_ratio(3 * h - 1, h - 1)
-                / factorial_ratio(a + 1, 0) / factorial_ratio(2 * a + 1, 0))
-    if variety == "subexc_flines":
-        # As printed the denominator carries (3a+2)!; the leading-coefficient
-        # oracle shows it must be the bare linear factor (3a+2), matching the
-        # style of the neighbouring adjoint-degree formula.
-        return (Fraction(2) ** (a + 3) * factorial_ratio(5 * a + 2, 0) / (3 * a + 2)
-                / factorial_ratio(3 * h, h) / factorial_ratio(3 * h - 1, h - 1)
-                / factorial_ratio(a + 1, 0) / factorial_ratio(2 * a + 1, 0))
-    raise ValueError(f"unknown variety {variety!r}")
+    if variety not in _DEGREES:
+        raise ValueError(f"unknown variety {variety!r}")
+    scalar, powers, ratios = _DEGREES[variety]
+    value = Fraction(scalar)
+    for b, c0, c1 in powers:
+        value *= Fraction(b) ** (c0 + c1 * a)
+    for x0, x1, y0, y1, sign in ratios:
+        ratio = factorial_ratio(x0 + x1 * a, y0 + y1 * a)
+        value = value * ratio if sign > 0 else value / ratio
+    return value
 
 
 # Hilbert function of each orbit variety, as the ray of one marker symbol

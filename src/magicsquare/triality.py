@@ -204,8 +204,6 @@ class TrialityAlgebra:
         n = alg.dim
         so_maps, so_d = alg.so_q_basis()
         d = len(so_maps)
-        if d == 0:
-            return [], 0
         # Unknowns: coordinates of (theta1, theta2, theta3) in the so(Q) basis.
         # Row (i, j, r) is the e_r coefficient of
         #   theta3(e_i e_j) - theta1(e_i) e_j - e_i theta2(e_j),
@@ -248,8 +246,6 @@ class TrialityAlgebra:
         reduced once against the rows already there.  Returns the reordered
         basis and the dimension of the Cartan subspace.
         """
-        if not basis:
-            return basis, 0
         # Conditions: off-diagonal entries of all three components vanish;
         # the row of entry (i, r, s) holds that entry of each basis triple,
         # read as the stored integer: every basis triple has D = 1.

@@ -384,6 +384,42 @@ def test_dim_datum_rho_off_the_simple_coroots_is_usage_error(capsys, tmp_path, r
                             "system: " + err + "\n")
 
 
+@pytest.mark.parametrize("argv", [["dim", "--weight", "1", "--datum"],
+                                  ["crosscheck", "--suite", "quick", "--known-suspect"]],
+                         ids=["datum", "known-suspect"])
+def test_a_file_that_is_not_json_is_named_in_the_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_text("[1 2]")
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"magicsquare: {path}: not valid JSON: "
+                            "Expecting ',' delimiter: line 1 column 4 (char 3)\n")
+
+
+@pytest.mark.parametrize("weight,err", [
+    ("1,0", "expected 8 Dynkin labels, got 2"),
+    ("0,0,0,0,0,0,0,0,1", "expected 8 Dynkin labels, got 9"),
+    ("1,0,0,0,0,0,0,-1", "Dynkin labels (1, 0, 0, 0, 0, 0, 0, -1) are not dominant"),
+], ids=["short", "long", "negative"])
+def test_dim_datum_labels_of_the_wrong_count_or_sign_are_usage_errors(capsys, weight, err):
+    assert main(["dim", "--datum", "builtin:e8", "--weight", weight]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magicsquare: {err}\n"
+
+
+def test_dim_datum_takes_one_label_per_simple_root(capsys, tmp_path):
+    # A1 in a rank-2 lattice: the labels name the weight's pairings with the
+    # one simple coroot, and the Weyl formula reads nothing else.
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"rank": 2, "gram": [["1", "0"], ["0", "1"]],
+                                "positive_roots": [["1", "0"]]}))
+    assert run(capsys, ["dim", "--datum", str(path), "--weight", "1"]) == (0, "2\n")
+    assert main(["dim", "--datum", str(path), "--weight", "1,0"]) == 2
+    assert capsys.readouterr().err == "magicsquare: expected 1 Dynkin labels, got 2\n"
+
+
 def test_dim_usage_errors(capsys):
     assert main(["dim"]) == 2
     assert main(["dim", "--datum", "builtin:so8"]) == 2

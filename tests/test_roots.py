@@ -104,6 +104,21 @@ def test_builtin_fundamental_dimensions_pin_numbering():
     assert builtin_datum("g2").weyl_dim(builtin_datum("g2").fundamental_weights()[0]) == 7
 
 
+@pytest.mark.parametrize("name", ["e7", "e8"])
+def test_labels_through_the_weight_give_the_labels_dimension(name):
+    # `dim --datum` reads the labels directly; the route through the weight
+    # they name gives the same labels and the same dimension.
+    rd = builtin_datum(name)
+    rng = random.Random(name)
+    for labels in [[int(i == j) for j in range(rd.rank)] for i in range(rd.rank)] + \
+            [[rng.randrange(3) for _ in range(rd.rank)] for _ in range(5)]:
+        w = rd.weight_from_fund(labels)
+        assert rd.dynkin_labels(w) == tuple(labels)
+        assert rd.weyl_dim(w) == rd.weyl_dim_labels(labels)
+    with pytest.raises(ValueError, match=rf"^expected {rd.rank} Dynkin labels, got 1$"):
+        rd.weyl_dim_labels([1])
+
+
 def test_extraction_types_and_counts():
     for (A, B), typ in EXPECTED_TYPES.items():
         g = build_magic_algebra(A, B)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from magicsquare import series as S
 from magicsquare.compalg import TAGS
-from magicsquare.exact import gauss_binomial, gen_binomial
+from magicsquare.exact import factorial_ratio, gauss_binomial, gen_binomial
 from magicsquare.roots import cartan_chart, datum_for
 from magicsquare.series import (
     EXCEPTIONAL,
@@ -310,8 +310,63 @@ def test_degree_formulas_documented_mismatches():
         ratio = degree_from_hilbert("subexc_flines", a) / \
             degree_formulas("subexc_flines_printed", a)
         # the misprint is exactly the factorial of the linear factor
-        from magicsquare.exact import factorial_ratio
         assert ratio == factorial_ratio(3 * a + 1, 0)
+
+
+def test_degree_formulas_name_the_varieties_of_the_rays():
+    assert set(S._DEGREES) == set(VARIETY_RAYS)
+
+
+@pytest.mark.parametrize("variety,least", [("ad", -1), ("fplanes", -1), ("subexc_ad", 0),
+                                           ("subexc_X", 0), ("subexc_flines", 0)])
+def test_validated_degrees_are_the_hilbert_degrees_at_every_integer(variety, least):
+    # Away from the composition algebras too: every integer a up to 60.
+    for a in range(least, 61):
+        assert degree_formulas(variety, a) == degree_from_hilbert(variety, a), a
+
+
+def defined(fn, *args):
+    """fn(*args), or None where it raises ValueError or ZeroDivisionError."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def test_printed_lines_and_points_degrees_disagree_wherever_defined():
+    # The documented suspects: wherever the printed form and the Hilbert
+    # degree both exist, they differ.
+    both = 0
+    for variety in ("flines", "fpoints"):
+        for a in range(-1, 61):
+            printed = defined(degree_formulas, variety, a)
+            oracle = defined(degree_from_hilbert, variety, a)
+            if printed is not None and oracle is not None:
+                both += 1
+                assert printed != oracle, (variety, a)
+    assert both == 61 + 30  # flines at 61 of the 62 integers, fpoints at 30
+    # The printed values themselves; the suspect list quotes the one at a = 8.
+    assert degree_formulas("flines", 2) == 559376779195777062430310400000
+    assert [degree_formulas("fpoints", a) for a in (2, 4, 8)] == \
+        [928751616, 313787535360, F(427090342525747200, 221)]
+
+
+def test_corrected_subexceptional_degrees_differ_from_the_printed_by_their_factors():
+    # printed subexc_X = (a+1)(a+2) corrected, and corrected subexc_flines =
+    # printed (3a+1)!, wherever both sides are defined among a = n/d, d <= 8, |n| <= 40.
+    pairs = 0
+    for a in {F(n, d) for d in range(1, 9) for n in range(-40, 41)}:
+        x, x_printed = (defined(degree_formulas, v, a) for v in ("subexc_X", "subexc_X_printed"))
+        if x is not None and x_printed is not None:
+            pairs += 1
+            assert x_printed == (a + 1) * (a + 2) * x, a
+        lines, printed = (defined(degree_formulas, v, a)
+                          for v in ("subexc_flines", "subexc_flines_printed"))
+        scale = defined(factorial_ratio, 3 * a + 1, 0)
+        if lines is not None and printed is not None and scale is not None:
+            pairs += 1
+            assert lines == printed * scale, a
+    assert pairs == 41 + 41
 
 
 def outcome(fn, *args):
@@ -325,8 +380,8 @@ def outcome(fn, *args):
 @pytest.mark.parametrize("variety", sorted(VARIETY_DIMENSIONS))
 @pytest.mark.parametrize("a", [0, 1, 2, 4, 8, F(-1), F(-1, 3), F(1, 2)])
 def test_degree_from_hilbert_matches_pointwise_reference(variety, a):
-    # The stepped "ad" ray and the integer finite difference give the
-    # reference's value, or raise what it raises.
+    # The descriptor ray of each variety, "ad" included, and the integer
+    # finite difference give the reference's value, or raise what it raises.
     assert outcome(degree_from_hilbert, variety, a) == \
         outcome(reference_degree_from_hilbert, variety, a)
 
