@@ -296,11 +296,11 @@ def _adjoint_cartan_power(k: int, a: Fraction) -> Optional[Fraction]:
 
 
 def _degree(variety: str, a: Fraction):
-    """The degree of the variety at a, or "nonintegral" where its dimension is
-    not an integer and it has none."""
-    if S.ray_degree(*S.VARIETY_RAYS[variety], a).denominator != 1:
-        return "nonintegral"
-    return S.degree_from_hilbert(variety, a)
+    """The degree of the variety at a, or "nonintegral" or "negative" where
+    its dimension is not an integer or is negative and it has none."""
+    dim = S.ray_degree(*S.VARIETY_RAYS[variety], a)
+    status = "nonintegral" if dim.denominator != 1 else "negative" if dim < 0 else None
+    return status or S.degree_from_hilbert(variety, a)
 
 
 def _table_series(args) -> Dict[str, Tuple[Dict[str, Sequence], Callable, Tuple[str, ...]]]:

@@ -1,10 +1,13 @@
 """Small exact linear algebra toolkit over Fraction.
 
 Dense matrices are lists of lists of Fraction; sparse vectors (`SVec`) are
-dict[int, Fraction] with no zero stored.  `Echelon` is the one elimination,
-whose forward step `rref` shares; `nullspace`, `inverse` and `SolveCache` go
-through `rref` on sparse rows and never form a dense row (the t(O) triality
-constraint has 320 nonzero rows of 84 columns, about two entries each).
+dict[int, Fraction] with no zero stored.  `Echelon` is the one elimination
+on sparse rows, whose forward step `rref` shares; `nullspace` and
+`SolveCache` go through `rref` and never form a dense row (the t(O)
+triality constraint has 320 nonzero rows of 84 columns, about two entries
+each).  `int_inverse` is the one elimination of a dense square matrix:
+fraction-free on integers, it inverts the Gram, Cartan and chart matrices
+of `roots` and gives their leading minors.
 Every linear map of the package (the so(Q) basis, the components of a t(A)
 triple, D ad(b_i) in the bracket table and D rho(b_i) in a module) is stored
 one way: D times the map, for a common denominator D, as an integer column
@@ -27,7 +30,6 @@ fit the matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -146,7 +148,7 @@ class Echelon:
     against the row with that pivot until the lead is no pivot, so v reduces
     to zero iff it lies in the span of the rows; otherwise the rest, scaled
     by F1 / lead, is stored, so a stored row is Fraction even for integer
-    input.  This forward step is the one elimination of the module: `rref`
+    input.  This forward step is the one elimination on sparse rows: `rref`
     back-substitutes its rows.
     """
 
@@ -291,8 +293,7 @@ class SolveCache:
     those rows (leads go by least index, so only the two blocks' relative
     order matters).  Solving A x = b runs on integers: D_A A and the
     columns of D_inv (A_P)^-1, for their least denominators D_A and D_inv,
-    are made once, on the first solve (`roots` and `crosscheck` build
-    t(A)'s solver and never solve).  b is scaled to B = L b by the lcm L of
+    are made once, with the solver.  b is scaled to B = L b by the lcm L of
     its denominators, X = D_inv (A_P)^-1 B_P is accumulated on ints from the
     columns at the nonzero entries of B on P, and the reconstruction is
     checked exactly, on ints: A x = b for x = X / (D_inv L) iff
@@ -313,11 +314,8 @@ class SolveCache:
         self._position = {p: r for r, p in enumerate(pivots)}
         self.inverse_columns: List[SVec] = [{k - m: x for k, x in row.items() if k >= m}
                                             for row in red]
-
-    @cached_property
-    def _integers(self) -> Tuple[Tuple[List[Dict[int, int]], int], Tuple[List[Dict[int, int]], int]]:
-        """(D_A A, D_A) and (D_inv (A_P)^-1, D_inv) by `int_vectors`."""
-        return int_vectors(self.columns), int_vectors(self.inverse_columns)
+        # (D_A A, D_A) and (D_inv (A_P)^-1, D_inv) by `int_vectors`.
+        self._integers = int_vectors(self.columns), int_vectors(self.inverse_columns)
 
     def solve(self, b: SVec) -> SVec:
         """Coefficients x with columns @ x = b; raises if b is outside the span."""
@@ -372,15 +370,36 @@ def int_dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(x, y) if a)
 
 
-def inverse(a: Mat) -> Mat:
-    """The inverse of a square matrix, from the rref of the sparse rows of [A | I]."""
+def int_inverse(a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int, List[int]]:
+    """(Q, d, minors) with A^-1 = Q / d for a square integer matrix A.
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22 (1968) 565-578) on
+    the rows of [A | I]: step k swaps into place the first row from k on
+    with a nonzero entry in column k, its pivot p, and sets every other row
+    r to (p r - r_k P) / p', P the pivot row and p' the previous pivot (1 at
+    first), an exact division.  The left block ends as d I, d the last pivot
+    (+-det A), and the right block is Q.  Until the first swap the k-th
+    pivot is the k-th leading minor of A, and `minors` lists those: the
+    leading minors up to the first zero one.  ValueError when A is not
+    square or is singular.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
-        raise ValueError("inverse: matrix is not square")
-    red, pivots = rref([{**sparse(row), n + i: F1} for i, row in enumerate(a)])
-    if pivots != list(range(n)):
-        raise ValueError("inverse: matrix is singular")
-    return [[row.get(n + j, F0) for j in range(n)] for row in red]
+        raise ValueError("int_inverse: matrix is not square")
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+    prev, minors = 1, []
+    for k in range(n):
+        swap = next((i for i in range(k, n) if m[i][k]), None)
+        if swap is None:
+            raise ValueError("int_inverse: matrix is singular")
+        m[k], m[swap] = m[swap], m[k]
+        if swap == k == len(minors):  # no swap so far: the pivot is a leading minor
+            minors.append(m[k][k])
+        row, pivot = m[k], m[k][k]
+        m = [r if r is row else [(pivot * x - r[k] * y) // prev for x, y in zip(r, row)]
+             for r in m]
+        prev = pivot
+    return [row[n:] for row in m], prev, minors
 
 
 def primitive_integer_vector(v: SVec) -> SVec:

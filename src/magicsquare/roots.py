@@ -24,13 +24,16 @@ keys over the chart's one denominator (`chart_denominator`), whose nonzero
 entries are the roots.  Positivity is lexicographic order on the keys, which
 is that on the chart coordinates.  There is one Gram rule, `trace_gram`: the
 inverse of sum_k k k^T over the keys of the weights of a representation, its
-trace form, as an integer matrix over a denominator.  Over the weights of a
-basis of g(A,B) it is the Killing form, rescaled so the longest roots have
-squared length 2.  The markers are `chart_markers` of t(B), padded with
-zeros.  `triality_datum` builds t(A)'s own datum the same way from its
-`factor_weights`, and the series descriptors take `trace_gram` of the slot
-weights of t(B); none of them reads the invariant form K.  Builtin data use
-simple-root coordinates in the Bourbaki normalization.
+trace form, as an integer matrix over its determinant.  Over the weights of
+a basis of g(A,B) it is the Killing form, rescaled so the longest roots have
+squared length 2.  Every dense square matrix here (that sum, the Cartan
+matrix, the dual of a Cartan basis, a Gram tested for definiteness) goes
+through the one fraction-free elimination `linalg.int_inverse`.  The
+markers are `chart_markers` of t(B), padded with zeros.  `triality_datum`
+builds t(A)'s own datum the same way from its `factor_weights`, and the
+series descriptors take `trace_gram` of the slot weights of t(B); none of
+them reads the invariant form K.  Builtin data use simple-root coordinates
+in the Bourbaki normalization.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from .linalg import (
     Mat,
     bilinear,
     int_dot,
+    int_inverse,
     int_mat_vec,
     int_rows,
-    inverse,
     mat_vec,
     nullspace,
     sparse,
@@ -85,26 +88,16 @@ def _reflect(cartan: Sequence[Sequence[int]], c: Tuple[int, ...], i: int) -> Tup
 
 
 def _is_definite(gram: Sequence[Key]) -> bool:
-    """True when the symmetric integer Gram is positive or negative definite.
-
-    Fraction-free (Bareiss) elimination in order, with no row swap, leaves
-    the k-th leading minor M_k at the k-th pivot; the Gram is definite iff
-    every M_k is nonzero and the ratios M_k / M_(k-1) are of one sign
-    (Sylvester's criterion).
+    """True when the symmetric integer Gram is positive or negative definite:
+    Sylvester's criterion on the leading minors M_k of `int_inverse`, every
+    one nonzero and the ratios M_k / M_(k-1) (M_0 = 1) of one sign.
     """
-    m = [list(row) for row in gram]
-    prev, signs = 1, set()
-    for k, row in enumerate(m):
-        p = row[k]
-        if not p:
-            return False
-        signs.add((p > 0) == (prev > 0))
-        for below in m[k + 1:]:
-            f = below[k]
-            for j in range(k + 1, len(m)):
-                below[j] = (p * below[j] - f * row[j]) // prev
-        prev = p
-    return len(signs) == 1
+    try:
+        minors = int_inverse(gram)[2]
+    except ValueError:
+        return False
+    signs = {(m > 0) == (prev > 0) for prev, m in zip([1, *minors], minors)}
+    return len(minors) == len(gram) and len(signs) == 1
 
 
 @dataclass
@@ -117,7 +110,6 @@ class RootDatum:
 
     def __post_init__(self):
         self._rho: Optional[Weight] = None
-        self._fund: Optional[List[Weight]] = None
         self._simple: Optional[List[Weight]] = None  # set, with the frame, by `_frame`
         self._marker_labels: Dict[Weight, Tuple[int, ...]] = {}
 
@@ -225,15 +217,18 @@ class RootDatum:
         (key,), den = int_rows([w])
         return [(int_dot(key, row), den * q) for row, q in self._label_rows]
 
+    def _cartan_inverse(self) -> Tuple[List[List[int]], int]:
+        """(Q, d) with Q / d the inverse of the Cartan matrix, by `int_inverse`;
+        ValueError unless the simple roots span the weights."""
+        if len(self.simple_roots()) != self.rank:
+            raise ValueError("simple root count differs from rank")
+        return int_inverse(self.cartan_matrix())[:2]
+
     def fundamental_weights(self) -> List[Weight]:
-        """omega_i = sum_j X_ij alpha_j, with X the inverse of the Cartan matrix."""
-        if self._fund is None:
-            simple = self.simple_roots()
-            if len(simple) != self.rank:
-                raise ValueError("simple root count differs from rank")
-            self._fund_coords = inverse([[Fraction(x) for x in row] for row in self._cartan])
-            self._fund = [_tup(mat_vec(list(zip(*simple)), row)) for row in self._fund_coords]
-        return self._fund
+        """omega_i = sum_j X_ij alpha_j, with X = Q / d the inverse of the Cartan matrix."""
+        q, d = self._cartan_inverse()
+        columns = list(zip(*self._simple))
+        return [tuple(mat_vec(columns, [Fraction(x, d) for x in row])) for row in q]
 
     def weight_from_fund(self, labels: Sequence[int]) -> Weight:
         fw = self.fundamental_weights()
@@ -301,10 +296,11 @@ class RootDatum:
             top = self._dominant_labels(lam)
         except ValueError:
             raise ValueError("highest weight is not dominant integral") from None
-        self.fundamental_weights()  # fills _fund_coords
+        q, det = self._cartan_inverse()
         cartan, n = self._cartan, len(top)
         d = [t - x for t, x in zip(top, self.dynkin_labels(mu))]
-        start = mat_vec(list(zip(*self._fund_coords)), d)
+        # lam - mu = sum_j c_j alpha_j with c = X^T d, X = Q / det.
+        start = [sum((x * y for x, y in zip(col, d) if x), F0) / det for col in zip(*q)]
         if any(x.denominator != 1 for x in start):
             return 0  # lam - mu is not in the root lattice
         h = self._norms
@@ -491,11 +487,11 @@ def _chart_from_reps(t: TrialityAlgebra, cartan, specs) -> Tuple[TrialityTriple,
     h_1..h_r satisfies: slot-diagonal of h_j at the k-th spec position = delta_jk.
     """
     reps = _pair_reps(t)
-    m = [[h.diagonal(slot)[reps[r]] for slot, r in specs]
-         for h in cartan]
-    # h_j = sum_i c[i][j] cartan_i with M^T c = I.
-    c = inverse([list(col) for col in zip(*m)])
-    return tuple(combine(sparse([row[j] for row in c]), cartan) for j in range(len(specs)))
+    # h_j = sum_i c[i][j] cartan_i with M^T c = I: M^T = mt / L, so c = L Q / d.
+    mt, scale = int_rows([[h.diagonal(slot)[reps[r]] for h in cartan] for slot, r in specs])
+    q, d, _ = int_inverse(mt)
+    return tuple(combine(sparse([Fraction(scale * row[j], d) for row in q]), cartan)
+                 for j in range(len(specs)))
 
 
 def _chart_h(t: TrialityAlgebra, cartan) -> Tuple[TrialityTriple, ...]:
@@ -590,9 +586,11 @@ def basis_weights(g: MagicAlgebra) -> Tuple[List[Key], int]:
     return out, den
 
 
-def trace_gram(keys: Sequence[Key]) -> Tuple[List[Key], int]:
+def trace_gram(keys: Sequence[Key]) -> Tuple[List[List[int]], int]:
     """The inverse of sum_k k k^T over a multiset of integer weight keys, as
-    an integer matrix Q over a denominator c > 0: the inverse is Q / c.
+    an integer matrix Q over a denominator c > 0: the inverse is Q / c, by
+    `int_inverse`.  The sum is positive definite, so no row is swapped and c
+    is its determinant.
 
     Over the weights of a representation the sum is its trace form
     tr(x y) on the chart, and its inverse the form it induces on weights;
@@ -603,7 +601,7 @@ def trace_gram(keys: Sequence[Key]) -> Tuple[List[Key], int]:
     """
     cols = list(zip(*keys))
     form = [[sum(x * y for x, y in zip(u, v) if x) for v in cols] for u in cols]
-    return int_rows(inverse(form))
+    return int_inverse(form)[:2]
 
 
 def chart_markers(t: TrialityAlgebra) -> Dict[str, Weight]:

@@ -564,12 +564,23 @@ def test_table_qdim_non_polynomial_a_is_usage_error(capsys, a):
     assert captured.err == f"table: the q-analog is not a polynomial at a = {a}, k = 1\n"
 
 
-def test_table_degrees_negative_dimension_is_usage_error(capsys):
-    # At a = -1 the flines variety would have dimension 11a+9 = -2.
-    assert main(["table", "--series", "degrees", "--a=-1"]) == 2
+def test_table_degrees_negative_dimension_is_a_row(capsys):
+    # At a = -1 the flines and fpoints varieties would have dimensions
+    # 11a+9 = -2 and -3: no degree, so their rows say negative.
+    assert main(["table", "--series", "degrees", "--a=-1"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "table: variety dimension -2 is negative here\n"
+    assert captured.err == ""
+    assert captured.out.splitlines()[-2:] == ["flines,-1,negative,negative",
+                                              "fpoints,-1,negative,negative"]
+
+
+def test_table_degrees_of_the_adjoint_varieties_of_sl2_sl3_and_g2(capsys):
+    # a = -4/3, -1, -2/3 are sl2, sl3 and G2, whose adjoint varieties have
+    # the known degrees 2 (a conic), 6 and 18.
+    assert main(["table", "--series", "degrees", "--a=-4/3,-1,-2/3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r for r in rows if r.startswith("ad,")] == ["ad,-4/3,2,ok", "ad,-1,6,ok",
+                                                        "ad,-2/3,18,ok"]
 
 
 def test_table_degrees_nonintegral_dimension_is_a_row(capsys):

@@ -1,25 +1,28 @@
 """The sparse elimination of `linalg` against the dense reference, and input checks.
 
-`rref`, `nullspace` and `inverse` work on sparse rows; an RREF is unique,
-so on every matrix they must give exactly what the dense column-pivoting
+`rref` and `nullspace` work on sparse rows; an RREF is unique, so on
+every matrix they must give exactly what the dense column-pivoting
 reduction of `tests_helpers` gives, zero rows, repeated rows and all-zero
 matrices included.  `nullspace` returns sparse vectors with no stored
-zero.  `primitive_integer_vector` takes and returns sparse vectors and must
-match the all-entries lcm/gcd rescaling whatever the order of the keys.
-`inverse` refuses a non-square matrix, `Echelon.add` ignores stored zeros
-and is exact on integer rows, and t(A) refuses coordinates and triples of
-the wrong size.
+zero.  `int_inverse` must give that reduction's inverse on the integer
+rows of every square matrix, with A Q = d I exactly and the leading minors
+up to the first zero one.  `primitive_integer_vector` takes and returns
+sparse vectors and must match the all-entries lcm/gcd rescaling whatever
+the order of the keys.  `int_inverse` refuses a non-square matrix,
+`Echelon.add` ignores stored zeros and is exact on integer rows, and t(A)
+refuses coordinates and triples of the wrong size.
 """
 
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from magicsquare.linalg import (F0, F1, Echelon, inverse, nullspace, primitive_integer_vector,
-                                rref, sparse)
+from magicsquare.linalg import (F0, F1, Echelon, int_inverse, int_rows, nullspace,
+                                primitive_integer_vector, rref, sparse)
 from magicsquare.triality import triality_algebra
-from tests_helpers import (reference_inverse, reference_nullspace,
+from tests_helpers import (leibniz_det, reference_inverse, reference_nullspace,
                            reference_primitive_integer_vector, reference_rref)
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -82,14 +85,43 @@ def test_rref_and_nullspace_match_dense_reference(shape, data):
 @settings(max_examples=60, deadline=None)
 @given(matrices("square"))
 def test_inverse_matches_dense_reference(am):
+    # The integer rows are L A, so A^-1 = L Q / d.
     a, _ = am
+    ints, scale = int_rows(a)
     try:
         expected = reference_inverse(a)
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
-            inverse(a)
+            int_inverse(ints)
         return
-    assert inverse(a) == expected
+    q, d, _ = int_inverse(ints)
+    assert [[Fraction(scale * x, d) for x in row] for row in q] == expected
+
+
+# Square integer matrices of size 0 to 5, mostly zeros, so that leading
+# minors vanish and rows must be swapped.
+INT_SQUARES = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(INT_SQUARES)
+@example([[0, 1], [1, 0]])
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # M_2 = 0, then a nonzero pivot
+def test_int_inverse_gives_the_leading_minors_and_an_exact_inverse(a):
+    n = len(a)
+    det = leibniz_det(a)
+    if not det:
+        with pytest.raises(ValueError, match="singular"):
+            int_inverse(a)
+        return
+    q, d, minors = int_inverse(a)
+    leading = [leibniz_det([row[:k] for row in a[:k]]) for k in range(1, n + 1)]
+    assert minors == list(takewhile(bool, leading))
+    assert abs(d) == abs(det)
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*q)] for row in a] == \
+        [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("a, m", [
@@ -129,14 +161,14 @@ def test_primitive_integer_vector_signs_the_least_index(v):
     assert dense([got], len(v)) == [reference_primitive_integer_vector(v)]
 
 
-@pytest.mark.parametrize("a", [[[F1, Fraction(2), Fraction(3)]], [[F1, F0], [F0]], [[F1], [F1]]])
+@pytest.mark.parametrize("a", [[[1, 2, 3]], [[1, 0], [0]], [[1], [1]]])
 def test_inverse_refuses_a_non_square_matrix(a):
     with pytest.raises(ValueError, match="not square"):
-        inverse(a)
+        int_inverse(a)
 
 
 def test_inverse_of_the_empty_matrix():
-    assert inverse([]) == []
+    assert int_inverse([]) == ([], 1, [])
 
 
 def test_echelon_add_ignores_stored_zeros():

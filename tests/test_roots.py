@@ -4,8 +4,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import permutations
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -36,6 +34,7 @@ from magicsquare.series import EXCEPTIONAL, admissible_weight
 from magicsquare.triality import triality_algebra
 from tests_helpers import (
     chart_k_inverse,
+    leibniz_det,
     reference_frame,
     reference_gram,
     reference_simple_roots,
@@ -519,15 +518,6 @@ def test_integer_frame_equals_the_fraction_frame_under_rescaling(source):
         assert dynkin_type(scaled) == typ
 
     agrees()
-
-
-def leibniz_det(m):
-    """The determinant as the signed sum over permutations."""
-    n, out = len(m), Fraction(0)
-    for p in permutations(range(n)):
-        sign = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
-        out += sign * prod((m[i][p[i]] for i in range(n)), start=Fraction(1))
-    return out
 
 
 @settings(max_examples=200, deadline=None)

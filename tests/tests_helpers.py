@@ -1,10 +1,10 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 
 from magicsquare.exact import gen_binomial, rat
-from magicsquare.linalg import F0, axpy, bilinear, int_maps, inverse, mat_mul, mat_vec, sparse, zeros
+from magicsquare.linalg import F0, axpy, bilinear, int_maps, mat_mul, mat_vec, sparse, zeros
 from magicsquare.modules import V_OMEGA_WEIGHTS, W_CUBIC_COEFFS
 from magicsquare.roots import RootDatum, basis_weights, builtin_datum, cartan_chart
 from magicsquare.series import F1, HALF, VARIETY_RAYS, hilbert_ray
@@ -138,7 +138,7 @@ def k_form(t, x, y):
 def chart_k_inverse(t):
     """The inverse of K on `cartan_chart(t)`, through `k_matrix` and `coords`."""
     coords = [t.coords(h) for h in cartan_chart(t)]
-    return inverse([[bilinear(t.k_matrix(), x, y) for y in coords] for x in coords])
+    return reference_inverse([[bilinear(t.k_matrix(), x, y) for y in coords] for x in coords])
 
 
 def reference_gram(g):
@@ -169,14 +169,14 @@ def reference_calibration(t):
 
     K = S / scale for the slot trace sum S; the coordinates c of
     Psi_i(e_p ^ e_q), p < q, solve S c = scale f with
-    f[k] = Q(theta^k_i e_p, e_q), by the dense inverse of S.  The one scale
+    f[k] = Q(theta^k_i e_p, e_q), by `reference_inverse` of S.  The one scale
     makes Psi_1(u ^ v)_2 x = conj(v)(u x) - conj(u)(v x) on every basis pair
     and basis vector x; ValueError when no one scale does.  Returns
     (K, [table_1, table_2, table_3]), each table (p, q) -> sparse
     coordinates, zero images left out."""
     alg, n = t.alg, t.alg.dim
     s = slot_trace_sum(t)
-    s_inv = inverse(s) if s else []
+    s_inv = reference_inverse(s) if s else []
     mats = [dense_mats(b) for b in t.basis]
     e = [e_vector(n, p) for p in range(n)]
     raw = [{(p, q): mat_vec(s_inv, [alg.qform(mat_vec(m[i], e[p]), e[q]) for m in mats])
@@ -339,6 +339,15 @@ def reference_nullspace(rows, ncols):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+def leibniz_det(m):
+    """The determinant as the signed sum over permutations."""
+    n, out = len(m), Fraction(0)
+    for p in permutations(range(n)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        out += sign * prod((m[i][p[i]] for i in range(n)), start=Fraction(1))
+    return out
 
 
 def reference_inverse(a):

@@ -11,9 +11,12 @@ after the builtin's own name (with the two conventions C2 -> B2 and
 D3 -> A3), so every rank up to 30 is classified, and that the loaded
 datum's `cartan_matrix()`, which its integer frame finds from the roots and
 the Gram, is the Bourbaki Cartan matrix 2 (a_i, a_j) / (a_j, a_j) of
-`_simple_gram`, in the same order. Prints one line per datum
-that differs, is misnamed or fails to load and a summary; exits 1 if any
-did. Imports the package from the checkout's `src` and writes nothing.
+`_simple_gram`, in the same order. It also checks that `_is_definite`
+accepts the builtin's integer Gram and, from rank 2 on, rejects it with its
+last diagonal entry negated, so the leading minors of `linalg.int_inverse`
+decide definiteness at every rank up to 30. Prints one line per datum
+that differs, is misnamed, fails to load or is misjudged, and a summary;
+exits 1 if any did. Imports the package from the checkout's `src` and writes nothing.
 """
 
 import json
@@ -22,7 +25,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from magicsquare.roots import RootDatum, _simple_gram, builtin_datum, dynkin_type  # noqa: E402
+from magicsquare.linalg import int_rows  # noqa: E402
+from magicsquare.roots import RootDatum, _is_definite, _simple_gram, builtin_datum, dynkin_type  # noqa: E402
 
 RANKS = {"a": range(1, 31), "b": range(2, 31), "c": range(2, 31), "d": range(3, 31),
          "e": range(6, 9), "f": [4], "g": [2]}
@@ -42,6 +46,11 @@ def differences(rd):
     gram = _simple_gram(rd.name[0].upper(), rd.rank)
     if back.cartan_matrix() != [[2 * x / gram[j][j] for j, x in enumerate(row)] for row in gram]:
         bad.append("cartan_matrix is not the Bourbaki one")
+    keys, _ = int_rows(rd.gram)
+    if not _is_definite(keys):
+        bad.append("_is_definite rejects the Gram")
+    if rd.rank > 1 and _is_definite(keys[:-1] + [keys[-1][:-1] + (-keys[-1][-1],)]):
+        bad.append("_is_definite accepts the Gram with its last diagonal entry negated")
     return bad
 
 
